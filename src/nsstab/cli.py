@@ -374,6 +374,11 @@ def _base_report(config: RunConfig, pack: ConstantPack | None, inputs: dict) -> 
     }
 
 
+def _health(report) -> dict:
+    """Closed-loop steps and the largest energy-identity residual of a run."""
+    return {"steps": report.steps, "max_energy_defect": report.max_energy_defect}
+
+
 def build_pack(config: RunConfig, basis: StokesBasis, grid: Grid,
                tensor: np.ndarray | None = None,
                gram: np.ndarray | None = None) -> ConstantPack:
@@ -490,6 +495,7 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
         "trivial": report.trivial,
         "trajectory": traj_path.name,
         "trajectory_sha256": sha256_file(traj_path),
+        "health": _health(report),
     }
     if report.cutoff_trajectory is not None:
         cut_path = out / "simulate_trajectory_cutoff.csv"
@@ -530,6 +536,7 @@ def _null_control_payload(config: RunConfig, pack: ConstantPack, report) -> dict
             "state_bound_ok": [bool(b) for b in report.state_bound_ok],
             "control_bound_ok": [bool(b) for b in report.control_bound_ok],
             "monotone_ok": [bool(b) for b in report.monotone_ok],
+            "health": _health(report),
         }
     )
     return payload
@@ -586,6 +593,7 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
             "eta_grid": [float(v) for v in probe.eta_grid],
             "delta_table": [float(v) for v in probe.delta_table],
             "trajectories": traj_names,
+            "health": _health(probe),
         },
     )
 
@@ -600,7 +608,7 @@ def _cmd_cost_curve(config: RunConfig, out: Path) -> None:
             basis, tensor, gram, pack, n0,
             y0_norm=exp.y0_norm if config.mode == "practical" else None,
             n_max=exp.n_max, eps_zero=config.eps_zero, cutoff=exp.cutoff,
-            dt=None, seed=config.seed, nu=config.nu,
+            dt=config.dt, seed=config.seed, nu=config.nu,
         )
         reports.append(rep)
         rows.append((rep.period, 1.0 / rep.period, rep.cost, rep.y0_norm))
@@ -639,6 +647,10 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
                     "slope", "two_period_ok", "spectral_constant", "cache_hit"):
             if key in data:
                 lines.append(f"  {key} = {data[key]}")
+        health = [data["health"]] if "health" in data else [r["health"] for r in data.get("runs", ()) if "health" in r]
+        if health:
+            lines.append(f"  steps = {sum(h['steps'] for h in health)}")
+            lines.append(f"  max_energy_defect = {max(h['max_energy_defect'] for h in health)}")
         if "trajectory" in data:
             traj_path = out / data["trajectory"]
             digest = sha256_file(traj_path)

@@ -365,6 +365,33 @@ def radial_cutoff(coeffs: np.ndarray, r: float) -> np.ndarray:
     return coeffs * scale
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two (B, M) arrays.
+
+    A stack of (1, M) @ (M, 1) products sums like np.dot, so row norms from
+    it agree bit for bit with np.linalg.norm of each row.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def radial_cutoff_rows(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """radial_cutoff applied to each row of a (B, M) array with its own radius.
+
+    Row norms sum like radial_cutoff's and rows past their radius get
+    cutoff_profile itself, so each row comes out bit for bit as
+    radial_cutoff returns it.  Returns coeffs itself when no row exceeds its
+    radius.
+    """
+    norms = np.sqrt(row_dot(coeffs, coeffs))
+    over = np.flatnonzero(norms > radii)
+    if over.size == 0:
+        return coeffs
+    scale = np.ones(len(coeffs))
+    for i in over:
+        scale[i] = cutoff_profile(float(norms[i]), float(radii[i]))
+    return coeffs * scale[:, None]
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Dyadic partition of one period with per-interval feedback data.

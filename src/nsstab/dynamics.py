@@ -12,11 +12,18 @@ makes the discrete nonlinearity exactly energy-neutral, so the energy law
     d/dt (1/2 ||X||^2) = -nu sum tau_k X_k^2 + X . (G c)
 
 holds at the ODE level.  Time stepping is an integrating-factor Heun
-scheme: the stiff diagonal part is integrated exactly, the nonlinearity and
-control explicitly at second order.  The dissipation and control-work
-integrals are accumulated inside the step with exponentially weighted
-trapezoids (exact for pure decay), so the energy identity can be checked to
-O(dt^2) per unit time along a run.
+scheme (an exponential RK2, Cox & Matthews, J. Comput. Phys. 2002): the
+stiff diagonal part is integrated exactly, the nonlinearity and control
+explicitly at second order.  The dissipation and control-work integrals are
+accumulated inside the step with exponentially weighted trapezoids (exact
+for pure decay), so the energy identity can be checked to O(dt^2) per unit
+time along a run.
+
+Every control law here is piecewise-constant linear feedback with an
+optional radial cutoff and norm latch (:class:`ControlLaw`).  A run compiles
+the law once into the segment active at each law evaluation of each step,
+then steps a (B, M) batch of trajectories together, so the convection term
+of a half step is one (B, M^2) @ (M^2, M) product.
 """
 
 from __future__ import annotations
@@ -25,35 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TERMINAL, FeedbackParams, Schedule, locate_interval, modal_feedback, radial_cutoff
+from .constants import TERMINAL, FeedbackParams, Schedule, radial_cutoff_rows, row_dot
 from .errors import BlowUpError
-from .grid import Grid, inner_l2
+from .grid import Grid
 from .spectral import StokesBasis
 
 #: abort threshold for any coefficient magnitude (smallness hypotheses long gone)
 BLOWUP_GUARD = 1e6
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """A time and a coefficient vector in the Stokes basis.
-
-    Parseval holds exactly in the discrete basis: the state's L2 norm is the
-    coefficient 2-norm.  The stepper and simulator work on the unpacked
-    fields; this wrapper is the convenient unit for user code.
-    """
-
-    t: float
-    coeffs: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def advanced(self, dt: float, controller: "Feedback", basis: StokesBasis,
-                 tensor: np.ndarray, gram: np.ndarray, nu: float = 1.0) -> "SpectralState":
-        new = step(self.t, self.coeffs, dt, controller, basis, tensor, gram, nu=nu)
-        return SpectralState(self.t + dt, new)
 
 
 def raw_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
@@ -87,19 +72,6 @@ def build_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
     return 0.5 * (raw - raw.transpose(0, 2, 1))
 
 
-def rhs(
-    coeffs: np.ndarray,
-    control: np.ndarray,
-    basis: StokesBasis,
-    tensor: np.ndarray,
-    gram: np.ndarray,
-    nu: float = 1.0,
-) -> np.ndarray:
-    """Time derivative of the coefficient vector for a given control."""
-    quad = np.einsum("ijk,i,j->k", tensor, coeffs, coeffs)
-    return -nu * basis.eigenvalues * coeffs - quad + gram @ control
-
-
 def lyapunov(coeffs: np.ndarray, params: FeedbackParams | None = None) -> float:
     """Weighted energy: weight * ||low modes||^2 + ||high modes||^2.
 
@@ -113,170 +85,86 @@ def lyapunov(coeffs: np.ndarray, params: FeedbackParams | None = None) -> float:
     return params.weight * low + high
 
 
-class Feedback:
-    """Base control law: maps (t, coefficient vector) to control coefficients.
+@dataclass(frozen=True)
+class ControlLaw:
+    """Piecewise-constant linear feedback with an optional radial cutoff.
 
-    params_at/interval_at/threshold_at drive the logging columns of a
-    trajectory; the defaults mean "no schedule".
+    On segment n the control is -params[n].gain times the first
+    params[n].n_active coefficients, passed through radial_cutoff at
+    params[n].cutoff_radius when cutoff is set; segment TERMINAL is the zero
+    control.  A periodic law follows a dyadic schedule: a time t is reduced
+    to t mod (period + tail), and its segment is the schedule interval that
+    contains it, TERMINAL in the terminal regime and on the zero-feedback
+    tail.  Without a schedule the law is stationary: segment 0 at every
+    time, or TERMINAL for the zero law (no params).
     """
 
-    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    params: tuple[FeedbackParams, ...] = ()
+    schedule: Schedule | None = None
+    cutoff: bool = False
+    tail: float = 0.0
 
-    def __call__(self, t: float, coeffs: np.ndarray) -> np.ndarray:
-        return self.control(t, coeffs)
-
-    def params_at(self, t: float) -> FeedbackParams | None:
-        return None
-
-    def interval_at(self, t: float) -> int:
-        return TERMINAL
-
-    def threshold_at(self, t: float) -> float:
-        return float("nan")
-
-
-class ZeroFeedback(Feedback):
-    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
-        return np.zeros_like(coeffs)
-
-
-class ModalFeedback(Feedback):
-    """Stationary law: -gain times the active-mode projection, optionally cut off."""
-
-    def __init__(self, params: FeedbackParams, cutoff: bool = False):
-        self.params = params
-        self.cutoff = cutoff
-
-    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
-        c = modal_feedback(coeffs, self.params)
-        if self.cutoff:
-            c = radial_cutoff(c, self.params.cutoff_radius)
-        return c
-
-    def params_at(self, t: float) -> FeedbackParams:
-        return self.params
-
-    def interval_at(self, t: float) -> int:
-        return 0
-
-    def threshold_at(self, t: float) -> float:
-        return self.params.threshold
-
-
-class ScheduledFeedback(Feedback):
-    """Periodic piecewise law following a dyadic schedule.
-
-    Times are reduced modulo the period, so the same object serves the
-    periodic stabilization runs; the terminal regime applies zero control.
-    A positive tail extends the period beyond the dyadic part with zero
-    feedback, which is how horizons that are not powers of two are covered
-    (see :func:`nsstab.constants.dyadic_horizon`).
-    """
-
-    def __init__(self, schedule: Schedule, cutoff: bool = False, tail: float = 0.0):
-        if tail < 0.0:
+    def __post_init__(self):
+        if self.tail < 0.0:
             raise ValueError("tail must be nonnegative")
-        self.schedule = schedule
-        self.cutoff = cutoff
-        self.tail = tail
-        self.full_period = schedule.period + tail
+        if self.cutoff and not all(0 < p.cutoff_radius <= 0.5 for p in self.params):
+            raise ValueError("radius must lie in (0, 1/2]")
 
-    def _reduce(self, t: float) -> float:
-        tp = t % self.full_period
-        if tp >= self.full_period:  # guard the floating-point edge
-            tp = 0.0
-        return tp
+    @classmethod
+    def stationary(cls, params: FeedbackParams, cutoff: bool = False) -> "ControlLaw":
+        return cls((params,), cutoff=cutoff)
 
-    def interval_at(self, t: float) -> int:
-        tp = self._reduce(t)
-        if tp >= self.schedule.period:
-            return TERMINAL
-        return locate_interval(tp, self.schedule)
+    @classmethod
+    def periodic(cls, schedule: Schedule, cutoff: bool = False, tail: float = 0.0) -> "ControlLaw":
+        return cls(schedule.params, schedule, cutoff, tail)
 
-    def params_at(self, t: float) -> FeedbackParams | None:
-        n = self.interval_at(t)
-        if n == TERMINAL:
-            return None
-        return self.schedule.params[n]
+    @property
+    def full_period(self) -> float:
+        """Period of a periodic law: the schedule's period plus the tail."""
+        return self.schedule.period + self.tail
 
-    def threshold_at(self, t: float) -> float:
-        n = self.interval_at(t)
-        if n == TERMINAL:
-            return float("nan")
-        return self.schedule.params[n].threshold
+    def segment_at(self, t) -> np.ndarray:
+        """Segment index of each time in t (an array of any shape)."""
+        t = np.asarray(t, dtype=np.float64)
+        if self.schedule is None:
+            return np.full(t.shape, 0 if self.params else TERMINAL)
+        full_period = self.full_period
+        tp = np.remainder(t, full_period)
+        tp = np.where(tp >= full_period, 0.0, tp)  # guard the floating-point edge
+        seg = np.searchsorted(self.schedule.start_times, tp, side="right") - 1
+        return np.where((tp >= self.schedule.period) | (seg > self.schedule.n_max), TERMINAL, seg)
 
-    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
-        n = self.interval_at(t)
-        if n == TERMINAL:
-            return np.zeros_like(coeffs)
-        params = self.schedule.params[n]
-        c = modal_feedback(coeffs, params)
-        if self.cutoff:
-            c = radial_cutoff(c, params.cutoff_radius)
-        return c
+    def tables(self, m: int):
+        """Per-segment arrays for an M-mode basis, indexed by segment.
+
+        Returns the control gains (-gain on the active modes), the Lyapunov
+        weights (weight on the active modes, 1 elsewhere), the cutoff radii
+        and the thresholds.  The last row, which TERMINAL indexes, is the
+        zero law: no gain, unit weights, threshold nan.
+        """
+        gains = np.zeros((len(self.params) + 1, m))
+        weights = np.ones_like(gains)
+        radii = np.ones(len(self.params) + 1)
+        thresholds = np.full(len(self.params) + 1, np.nan)
+        for i, p in enumerate(self.params):
+            gains[i, : p.n_active] = -p.gain
+            weights[i, : p.n_active] = p.weight
+            radii[i] = p.cutoff_radius
+            thresholds[i] = p.threshold
+        return gains, weights, radii, thresholds
 
 
-class LatchedFeedback(Feedback):
-    """Wrapper that permanently switches to zero once the state is numerically null.
+def segment_plan(law: ControlLaw, t_start: np.ndarray, n_steps: int, dt: float):
+    """Segments of the law at both evaluations of every step of every row.
 
-    The latch compares ||X|| against threshold_norm at every control
-    evaluation; once tripped it stays off.
+    Row r evaluates the law at t_start[r] + k*dt (the start of step k, which
+    is also sample time k) and at that time plus dt (the predictor).  Returns
+    the (n_steps + 1, B) and (n_steps, B) segment arrays, in the smallest
+    integer type that holds every segment index.
     """
-
-    def __init__(self, inner: Feedback, threshold_norm: float):
-        self.inner = inner
-        self.threshold_norm = threshold_norm
-        self.latched = False
-        self.latch_time: float | None = None
-
-    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
-        if not self.latched and float(np.linalg.norm(coeffs)) <= self.threshold_norm:
-            self.latched = True
-            self.latch_time = t
-        if self.latched:
-            return np.zeros_like(coeffs)
-        return self.inner.control(t, coeffs)
-
-    def params_at(self, t: float):
-        return self.inner.params_at(t)
-
-    def interval_at(self, t: float) -> int:
-        return self.inner.interval_at(t)
-
-    def threshold_at(self, t: float) -> float:
-        return self.inner.threshold_at(t)
-
-
-def step(
-    t: float,
-    coeffs: np.ndarray,
-    dt: float,
-    controller: Feedback,
-    basis: StokesBasis,
-    tensor: np.ndarray,
-    gram: np.ndarray,
-    nu: float = 1.0,
-) -> np.ndarray:
-    """One integrating-factor Heun step; exact for the pure diagonal part."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    decay = np.exp(-nu * basis.eigenvalues * dt)
-    tensor2 = tensor.reshape(-1, basis.n_modes)
-
-    def forcing(tt: float, x: np.ndarray) -> np.ndarray:
-        c = controller.control(tt, x)
-        return -(np.outer(x, x).ravel() @ tensor2) + gram @ c
-
-    k1 = forcing(t, coeffs)
-    predictor = decay * (coeffs + dt * k1)
-    k2 = forcing(t + dt, predictor)
-    result = decay * (coeffs + 0.5 * dt * k1) + 0.5 * dt * k2
-    if not np.all(np.isfinite(result)) or np.abs(result).max() > BLOWUP_GUARD:
-        finite = result[np.isfinite(result)]
-        worst = float(np.abs(finite).max()) if finite.size else float("inf")
-        raise BlowUpError(t + dt, worst)
-    return result
+    t_a = np.asarray(t_start, dtype=np.float64) + (np.arange(n_steps + 1) * dt)[:, None]
+    index_type = np.min_scalar_type(-len(law.params) - 1)
+    return law.segment_at(t_a).astype(index_type), law.segment_at(t_a[:-1] + dt).astype(index_type)
 
 
 @dataclass
@@ -311,119 +199,205 @@ class Trajectory:
     @property
     def energy_defect(self) -> np.ndarray:
         """Residual of the energy identity at each sample (zero for exact flow)."""
-        e0 = 0.5 * self.norm_h[0] ** 2
-        return 0.5 * self.norm_h**2 + self.nu * self.dissipation - self.control_work - e0
+        return _energy_defect(self.norm_h, self.dissipation, self.control_work, self.nu)
 
 
-def simulate(
+def _energy_defect(norm_h, dissipation, control_work, nu):
+    """Energy-identity residual along axis 0 of the sample columns."""
+    e0 = 0.5 * norm_h[0] ** 2
+    return 0.5 * norm_h**2 + nu * dissipation - control_work - e0
+
+
+@dataclass
+class BatchRun:
+    """Sampled columns of B closed-loop runs stepped together.
+
+    Per-sample columns are (samples, B) arrays with the meaning of the
+    Trajectory fields; segments holds the law's segment at each sample.
+    states (K, samples, M) and lyapunov (samples, K) are kept for the first
+    K rows only.  latch_time is the time each row's latch tripped, nan where
+    it never did.
+    """
+
+    law: ControlLaw
+    t_start: np.ndarray  # (B,)
+    dt: float
+    nu: float
+    sample_stride: int
+    segments: np.ndarray
+    norm_h: np.ndarray
+    control_norm: np.ndarray
+    dissipation: np.ndarray
+    control_work: np.ndarray
+    states: np.ndarray
+    lyapunov: np.ndarray
+    latch_time: np.ndarray
+
+    @property
+    def steps(self) -> int:
+        """Closed-loop steps taken, summed over the rows."""
+        return (len(self.norm_h) - 1) * self.sample_stride * len(self.t_start)
+
+    @property
+    def max_energy_defect(self) -> float:
+        """Largest |energy-identity residual| over all samples of all rows."""
+        # row by row, so the temporaries stay one column long
+        return max(
+            float(np.abs(_energy_defect(norm_h, dissipation, work, self.nu)).max())
+            for norm_h, dissipation, work in zip(self.norm_h.T, self.dissipation.T, self.control_work.T)
+        )
+
+    def trajectory(self, row: int) -> Trajectory:
+        """The run of one row whose states were kept, with its own copies of the columns."""
+        seg = self.segments[:, row]
+        _, _, _, thresholds = self.law.tables(self.states.shape[2])
+        return Trajectory(
+            times=self.t_start[row] + np.arange(len(seg)) * self.sample_stride * self.dt,
+            states=self.states[row],
+            norm_h=self.norm_h[:, row].copy(),
+            lyapunov=self.lyapunov[:, row].copy(),
+            control_norm=self.control_norm[:, row].copy(),
+            interval=seg.astype(np.int64),
+            threshold=thresholds[seg],
+            dissipation=self.dissipation[:, row].copy(),
+            control_work=self.control_work[:, row].copy(),
+            dt=self.dt,
+            nu=self.nu,
+        )
+
+
+def simulate_batch(
     y0: np.ndarray,
-    controller: Feedback,
-    t_start: float,
-    t_end: float,
+    law: ControlLaw,
+    t_start,
+    span: float,
     dt: float,
     basis: StokesBasis,
     tensor: np.ndarray,
     gram: np.ndarray,
     nu: float = 1.0,
     sample_stride: int = 1,
-) -> Trajectory:
-    """Integrate the closed loop and sample every sample_stride steps.
+    latch_norm=None,
+    state_rows: int | None = None,
+) -> BatchRun:
+    """Integrate B closed-loop runs of one law side by side, sampling every
+    sample_stride steps.
 
-    The span must be an integer number of steps and a whole number of
-    samples.  Raises BlowUpError (with the blow-up time) if the guard trips.
+    y0 is (B, M); row r starts at t_start[r] (a scalar applies to every row)
+    and runs for span, which must be an integer number of steps and a whole
+    number of samples.  With latch_norm, row r's control switches off for
+    good at the first law evaluation whose state norm is <= latch_norm[r].
+    States are kept for the first state_rows rows (default: all).  Raises
+    BlowUpError at the first step where a row trips the guard, with the
+    time of the first such row.
     """
     y0 = np.asarray(y0, dtype=np.float64)
-    if y0.ndim != 1 or len(y0) != basis.n_modes:
-        raise ValueError("initial coefficients must match the basis size")
+    if y0.ndim != 2 or len(y0) == 0 or y0.shape[1] != basis.n_modes:
+        raise ValueError("initial coefficients must be a nonempty (B, M) batch matching the basis size")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    span = t_end - t_start
     n_steps = int(round(span / dt))
     if n_steps <= 0 or abs(n_steps * dt - span) > 1e-9 * max(span, dt):
-        raise ValueError("t_end - t_start must be an integer number of steps")
+        raise ValueError("the span must be an integer number of steps")
     if n_steps % sample_stride != 0:
         raise ValueError("step count must be a whole number of samples")
 
-    m = basis.n_modes
+    b, m = y0.shape
+    kept = b if state_rows is None else state_rows
+    t0 = np.broadcast_to(np.asarray(t_start, dtype=np.float64), (b,)).copy()
+    seg_a, seg_b = segment_plan(law, t0, n_steps, dt)
+    gains, weights, radii, _ = law.tables(m)
+    latch = None if latch_norm is None else np.broadcast_to(np.asarray(latch_norm, dtype=np.float64), (b,))
+    latched = np.zeros(b, dtype=bool)
+    latch_time = np.full(b, np.nan)
+
     tau = basis.eigenvalues
     decay = np.exp(-nu * tau * dt)
     decay_sq = decay * decay
     # exponentially weighted trapezoid weights for int X_k(s)^2 ds over a step;
     # modes whose memory dies within one step fall back to the start-point rule
-    diss_w = (1.0 - decay_sq) / (2.0 * nu * tau)
+    diss_half = (1.0 - decay_sq) / (2.0 * nu * tau) * 0.5
     endpoint_ok = decay_sq > 1e-12
     decay_sq_safe = np.maximum(decay_sq, 1e-300)
-    tensor2 = tensor.reshape(-1, m)
+    tensor2 = tensor.reshape(m * m, m)
+    gram_t = gram.T
+    half_dt = 0.5 * dt
+
+    def convection(x):
+        return (x[:, :, None] * x[:, None, :]).reshape(b, m * m) @ tensor2
+
+    def control(x, seg, k, shift):
+        """Law at time t_start + k*dt + shift; shift is 0 or dt."""
+        c = x * gains[seg]
+        if law.cutoff:
+            c = radial_cutoff_rows(c, radii[seg])
+        if latch is not None:
+            trip = ~latched & (np.sqrt(row_dot(x, x)) <= latch)
+            if trip.any():
+                latch_time[trip] = (t0 + k * dt + shift)[trip]
+                latched[trip] = True
+            if latched.any():
+                c = np.where(latched[:, None], 0.0, c)
+        return c
 
     n_samples = n_steps // sample_stride + 1
-    times = np.empty(n_samples)
-    states = np.empty((n_samples, m))
-    norm_h = np.empty(n_samples)
-    lyap = np.empty(n_samples)
-    control_norm = np.empty(n_samples)
-    interval = np.empty(n_samples, dtype=np.int64)
-    threshold = np.empty(n_samples)
-    dissipation = np.empty(n_samples)
-    control_work = np.empty(n_samples)
-
-    def record(idx: int, t: float, x: np.ndarray, diss: float, work: float) -> None:
-        times[idx] = t
-        states[idx] = x
-        norm_h[idx] = np.linalg.norm(x)
-        lyap[idx] = lyapunov(x, controller.params_at(t))
-        control_norm[idx] = np.linalg.norm(controller.control(t, x))
-        interval[idx] = controller.interval_at(t)
-        threshold[idx] = controller.threshold_at(t)
-        dissipation[idx] = diss
-        control_work[idx] = work
+    norm_h, control_norm, dissipation, control_work = np.empty((4, n_samples, b))
+    states = np.empty((kept, n_samples, m))
+    lyap = np.empty((n_samples, kept))
 
     x = y0.copy()
-    diss = 0.0
-    work = 0.0
-    record(0, t_start, x, diss, work)
-    sample = 1
-    for k in range(n_steps):
-        t = t_start + k * dt
-        c1 = controller.control(t, x)
-        f1 = -(np.outer(x, x).ravel() @ tensor2) + gram @ c1
+    x2 = x * x
+    diss = np.zeros(b)
+    work = np.zeros(b)
+    c1 = control(x, seg_a[0], 0, 0.0)
+    for k in range(n_steps + 1):
+        if k % sample_stride == 0:
+            i = k // sample_stride
+            norm_h[i] = np.sqrt(row_dot(x, x))
+            control_norm[i] = np.sqrt(row_dot(c1, c1))
+            dissipation[i] = diss
+            control_work[i] = work
+            states[:, i] = x[:kept]
+            lyap[i] = (x2[:kept] * weights[seg_a[k, :kept]]).sum(axis=1)
+        if k == n_steps:
+            break
+        g1 = c1 @ gram_t
+        f1 = g1 - convection(x)
         predictor = decay * (x + dt * f1)
-        c2 = controller.control(t + dt, predictor)
-        f2 = -(np.outer(predictor, predictor).ravel() @ tensor2) + gram @ c2
-        x_new = decay * (x + 0.5 * dt * f1) + 0.5 * dt * f2
-        if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > BLOWUP_GUARD:
-            finite = x_new[np.isfinite(x_new)]
+        g2 = control(predictor, seg_b[k], k, dt) @ gram_t
+        x_new = decay * (x + half_dt * f1) + half_dt * (g2 - convection(predictor))
+        if not np.abs(x_new).max() <= BLOWUP_GUARD:
+            row = int(np.argmin(np.all(np.abs(x_new) <= BLOWUP_GUARD, axis=1)))
+            finite = x_new[row][np.isfinite(x_new[row])]
             worst = float(np.abs(finite).max()) if finite.size else float("inf")
-            raise BlowUpError(t + dt, worst)
+            raise BlowUpError(float(t0[row] + k * dt + dt), worst)
         # energy bookkeeping: trapezoid in the integrating-factor variable
-        z_sq_end = np.where(endpoint_ok, x_new * x_new / decay_sq_safe, x * x)
-        diss += float(tau @ (diss_w * 0.5 * (x * x + z_sq_end)))
-        work += 0.5 * dt * (float(x @ (gram @ c1)) + float(x_new @ (gram @ c2)))
-        x = x_new
-        if (k + 1) % sample_stride == 0:
-            record(sample, t_start + (k + 1) * dt, x, diss, work)
-            sample += 1
+        x2_new = x_new * x_new
+        z_sq_end = np.where(endpoint_ok, x2_new / decay_sq_safe, x2)
+        diss = diss + (diss_half * (x2 + z_sq_end)) @ tau
+        work = work + half_dt * (row_dot(x, g1) + row_dot(x_new, g2))
+        x, x2 = x_new, x2_new
+        c1 = control(x, seg_a[k + 1], k + 1, 0.0)
 
-    return Trajectory(
-        times=times,
-        states=states,
-        norm_h=norm_h,
-        lyapunov=lyap,
-        control_norm=control_norm,
-        interval=interval,
-        threshold=threshold,
-        dissipation=dissipation,
-        control_work=control_work,
+    return BatchRun(
+        law=law,
+        t_start=t0,
         dt=dt,
         nu=nu,
+        sample_stride=sample_stride,
+        segments=seg_a[::sample_stride],
+        norm_h=norm_h,
+        control_norm=control_norm,
+        dissipation=dissipation,
+        control_work=control_work,
+        states=states,
+        lyapunov=lyap,
+        latch_time=latch_time,
     )
 
 
 def reconstruct_field(coeffs: np.ndarray, basis: StokesBasis) -> np.ndarray:
     """Physical velocity field sum_k X_k e_k (mostly for demos and checks)."""
     return np.tensordot(coeffs, basis.velocities, axes=(0, 0))
-
-
-def field_norm(field_values: np.ndarray, grid: Grid) -> float:
-    return float(np.sqrt(inner_l2(field_values, field_values, grid)))

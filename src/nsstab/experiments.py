@@ -26,14 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import ConstantPack, FeedbackParams, Schedule, build_schedule, feedback_params
-from .dynamics import (
-    LatchedFeedback,
-    ModalFeedback,
-    ScheduledFeedback,
-    Trajectory,
-    simulate,
-)
-from .errors import BoundViolatedError, TwoPeriodFailedError
+from .dynamics import ControlLaw, Trajectory, simulate_batch
+from .errors import BlowUpError, BoundViolatedError, TwoPeriodFailedError
 from .spectral import StokesBasis
 
 logger = logging.getLogger(__name__)
@@ -100,6 +94,8 @@ class RapidStabReport:
     cutoff_trajectory: Trajectory | None = None
     cutoff_matches_linear: bool | None = None
     control_stayed_below_radius: bool | None = None
+    steps: int = 0  # closed-loop steps over both runs
+    max_energy_defect: float = float("nan")  # max |energy-identity residual|
 
     @property
     def threshold(self) -> float:
@@ -140,10 +136,11 @@ def run_rapid_stab(
     n_steps = ((n_steps + stride - 1) // stride) * stride
     horizon = n_steps * dt
 
-    traj = simulate(
-        y0, ModalFeedback(params, cutoff=False), 0.0, horizon, dt,
+    runs = [simulate_batch(
+        y0[None], ControlLaw.stationary(params), 0.0, horizon, dt,
         basis, tensor, gram, nu=nu, sample_stride=stride,
-    )
+    )]
+    traj = runs[0].trajectory(0)
     trivial = y0_norm == 0.0
 
     rate_v = -_log_slope(traj.times, traj.lyapunov)
@@ -188,13 +185,17 @@ def run_rapid_stab(
         report.rate_lyapunov = float("nan")
         report.rate_norm = float("nan")
     if cutoff:
-        traj_cut = simulate(
-            y0, ModalFeedback(params, cutoff=True), 0.0, horizon, dt,
+        # same batch shape as the linear run, so both take identical arithmetic
+        runs.append(simulate_batch(
+            y0[None], ControlLaw.stationary(params, cutoff=True), 0.0, horizon, dt,
             basis, tensor, gram, nu=nu, sample_stride=stride,
-        )
+        ))
+        traj_cut = runs[1].trajectory(0)
         report.cutoff_trajectory = traj_cut
         report.cutoff_matches_linear = bool(np.array_equal(traj.states, traj_cut.states))
         report.control_stayed_below_radius = bool(np.all(raw_control <= params.cutoff_radius))
+    report.steps = sum(run.steps for run in runs)
+    report.max_energy_defect = max(run.max_energy_defect for run in runs)
     return report
 
 
@@ -229,6 +230,8 @@ class NullControlReport:
     control_bound_ok: np.ndarray | None = None  # per-interval control bound table
     monotone_ok: np.ndarray | None = None  # ||y(T_{n+1})|| <= ||y(T_n)||, n >= 1
     trajectory: Trajectory | None = None
+    steps: int = 0
+    max_energy_defect: float = float("nan")  # max |energy-identity residual|
 
     @property
     def T(self) -> float:
@@ -357,13 +360,16 @@ def run_null_control(
         logger.info("dt defaulted to %.3e (max gain %.3e)", dt, schedule.max_gain)
     report.dt = dt
     y0 = random_low_mode_state(basis.n_modes, y0_norm, seed)
-    controller = LatchedFeedback(
-        ScheduledFeedback(schedule, cutoff=cutoff), eps_zero * y0_norm
+    run = simulate_batch(
+        y0[None], ControlLaw.periodic(schedule, cutoff=cutoff), 0.0, schedule.period, dt,
+        basis, tensor, gram, nu=nu, latch_norm=eps_zero * y0_norm,
     )
-    traj = simulate(y0, controller, 0.0, schedule.period, dt, basis, tensor, gram, nu=nu)
+    traj = run.trajectory(0)
     report.trajectory = traj
-    report.latch_time = controller.latch_time
-    report.null_reached = controller.latched
+    report.null_reached = not math.isnan(run.latch_time[0])
+    report.latch_time = float(run.latch_time[0]) if report.null_reached else None
+    report.steps = run.steps
+    report.max_energy_defect = run.max_energy_defect
 
     times = np.append(schedule.start_times, schedule.period)
     idx = np.rint(times / dt).astype(int)
@@ -447,11 +453,8 @@ class StabilityProbe:
     delta_table: np.ndarray  # sup-over-time norm per eta (max over offsets)
     dt: float
     trajectories: list[Trajectory] = field(default_factory=list)
-
-
-def _feedback_bound_satisfied(traj: Trajectory, slack: float = 1e-12) -> bool:
-    limit = np.minimum(1.0, np.sqrt(2.0 * traj.norm_h))
-    return bool(np.all(traj.control_norm <= limit + slack))
+    steps: int = 0  # closed-loop steps over all runs, eta runs included
+    max_energy_defect: float = float("nan")  # max |energy-identity residual|, all runs
 
 
 def run_small_time(
@@ -491,33 +494,25 @@ def run_small_time(
         raise ValueError("eta grid must be ascending")
     offsets = np.asarray(list(s_offsets), dtype=float)
 
-    def one_run(norm: float, offset: float) -> Trajectory:
-        y0 = random_low_mode_state(basis.n_modes, norm, seed)
-        controller = ScheduledFeedback(schedule, cutoff=True)
-        return simulate(
-            y0, controller, offset, offset + periods * schedule.period, dt,
-            basis, tensor, gram, nu=nu,
-        )
-
-    trajectories = []
-    residuals = np.empty(len(offsets))
-    feedback_ok = True
+    # one batch: y0_norm from every offset, then each eta from every offset;
+    # only the y0_norm rows keep their state history
+    n_off = len(offsets)
+    norms = [y0_norm] + [float(eta) for eta in eta_grid]
+    y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed) for norm in norms for _ in offsets])
+    run = simulate_batch(
+        y0, ControlLaw.periodic(schedule, cutoff=True), np.tile(offsets, len(norms)),
+        periods * schedule.period, dt, basis, tensor, gram, nu=nu, state_rows=n_off,
+    )
     two_period_index = int(round(2 * schedule.period / dt))
-    for i, s in enumerate(offsets):
-        traj = one_run(y0_norm, float(s))
-        trajectories.append(traj)
-        residuals[i] = traj.norm_h[two_period_index] / max(y0_norm, eps_zero)
-        feedback_ok = feedback_ok and _feedback_bound_satisfied(traj)
+    residuals = run.norm_h[two_period_index, :n_off] / max(y0_norm, eps_zero)
     two_period_ok = bool(np.all(residuals <= eps_zero))
-
-    delta = np.empty(len(eta_grid))
-    for j, eta in enumerate(eta_grid):
-        worst = 0.0
-        for s in offsets:
-            traj = one_run(float(eta), float(s))
-            feedback_ok = feedback_ok and _feedback_bound_satisfied(traj)
-            worst = max(worst, float(traj.norm_h.max()))
-        delta[j] = worst
+    feedback_ok = all(
+        bool(np.all(control <= np.minimum(1.0, np.sqrt(2.0 * norm)) + 1e-12))
+        for norm, control in zip(run.norm_h.T, run.control_norm.T)
+    )
+    delta = run.norm_h[:, n_off:].max(axis=0).reshape(len(eta_grid), n_off).max(axis=1)
+    # reduced before the trajectory copies below exist, which lowers peak memory
+    max_energy_defect = run.max_energy_defect
 
     probe = StabilityProbe(
         n0=n0,
@@ -530,7 +525,9 @@ def run_small_time(
         eta_grid=np.asarray(eta_grid, dtype=float),
         delta_table=delta,
         dt=dt,
-        trajectories=trajectories,
+        trajectories=[run.trajectory(i) for i in range(n_off)],
+        steps=run.steps,
+        max_energy_defect=max_energy_defect,
     )
     if not two_period_ok:
         worst = int(np.argmax(residuals))
@@ -565,7 +562,7 @@ def calibrate_small_time_basin(
                 eps_zero=eps_zero, eta_grid=np.array([]), n_max=n_max, seed=seed,
             )
             return True
-        except Exception:
+        except (TwoPeriodFailedError, BlowUpError):
             return False
 
     if passes(hi):

@@ -1,0 +1,324 @@
+"""Reference closed-loop stepper: the single-trajectory loop and the stateful
+control-law classes that nsstab shipped before the batched stepper.
+
+Tests compare :func:`nsstab.dynamics.simulate_batch` against this module;
+the scheme is the same integrating-factor Heun step, written one trajectory
+and one law evaluation at a time.  Kept as it was; do not optimize.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from nsstab.constants import TERMINAL, FeedbackParams, Schedule, locate_interval, modal_feedback, radial_cutoff
+from nsstab.dynamics import BLOWUP_GUARD, Trajectory, lyapunov
+from nsstab.errors import BlowUpError
+from nsstab.spectral import StokesBasis
+
+
+@dataclass(frozen=True)
+class SpectralState:
+    """A time and a coefficient vector in the Stokes basis.
+
+    Parseval holds exactly in the discrete basis: the state's L2 norm is the
+    coefficient 2-norm.  The stepper and simulator work on the unpacked
+    fields; this wrapper is the convenient unit for user code.
+    """
+
+    t: float
+    coeffs: np.ndarray
+
+    @property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.coeffs))
+
+    def advanced(self, dt: float, controller: "Feedback", basis: StokesBasis,
+                 tensor: np.ndarray, gram: np.ndarray, nu: float = 1.0) -> "SpectralState":
+        new = step(self.t, self.coeffs, dt, controller, basis, tensor, gram, nu=nu)
+        return SpectralState(self.t + dt, new)
+
+
+def rhs(
+    coeffs: np.ndarray,
+    control: np.ndarray,
+    basis: StokesBasis,
+    tensor: np.ndarray,
+    gram: np.ndarray,
+    nu: float = 1.0,
+) -> np.ndarray:
+    """Time derivative of the coefficient vector for a given control."""
+    quad = np.einsum("ijk,i,j->k", tensor, coeffs, coeffs)
+    return -nu * basis.eigenvalues * coeffs - quad + gram @ control
+
+
+class Feedback:
+    """Base control law: maps (t, coefficient vector) to control coefficients.
+
+    params_at/interval_at/threshold_at drive the logging columns of a
+    trajectory; the defaults mean "no schedule".
+    """
+
+    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def __call__(self, t: float, coeffs: np.ndarray) -> np.ndarray:
+        return self.control(t, coeffs)
+
+    def params_at(self, t: float) -> FeedbackParams | None:
+        return None
+
+    def interval_at(self, t: float) -> int:
+        return TERMINAL
+
+    def threshold_at(self, t: float) -> float:
+        return float("nan")
+
+
+class ZeroFeedback(Feedback):
+    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
+        return np.zeros_like(coeffs)
+
+
+class ModalFeedback(Feedback):
+    """Stationary law: -gain times the active-mode projection, optionally cut off."""
+
+    def __init__(self, params: FeedbackParams, cutoff: bool = False):
+        self.params = params
+        self.cutoff = cutoff
+
+    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
+        c = modal_feedback(coeffs, self.params)
+        if self.cutoff:
+            c = radial_cutoff(c, self.params.cutoff_radius)
+        return c
+
+    def params_at(self, t: float) -> FeedbackParams:
+        return self.params
+
+    def interval_at(self, t: float) -> int:
+        return 0
+
+    def threshold_at(self, t: float) -> float:
+        return self.params.threshold
+
+
+class ScheduledFeedback(Feedback):
+    """Periodic piecewise law following a dyadic schedule.
+
+    Times are reduced modulo the period, so the same object serves the
+    periodic stabilization runs; the terminal regime applies zero control.
+    A positive tail extends the period beyond the dyadic part with zero
+    feedback, which is how horizons that are not powers of two are covered
+    (see :func:`nsstab.constants.dyadic_horizon`).
+    """
+
+    def __init__(self, schedule: Schedule, cutoff: bool = False, tail: float = 0.0):
+        if tail < 0.0:
+            raise ValueError("tail must be nonnegative")
+        self.schedule = schedule
+        self.cutoff = cutoff
+        self.tail = tail
+        self.full_period = schedule.period + tail
+
+    def _reduce(self, t: float) -> float:
+        tp = t % self.full_period
+        if tp >= self.full_period:  # guard the floating-point edge
+            tp = 0.0
+        return tp
+
+    def interval_at(self, t: float) -> int:
+        tp = self._reduce(t)
+        if tp >= self.schedule.period:
+            return TERMINAL
+        return locate_interval(tp, self.schedule)
+
+    def params_at(self, t: float) -> FeedbackParams | None:
+        n = self.interval_at(t)
+        if n == TERMINAL:
+            return None
+        return self.schedule.params[n]
+
+    def threshold_at(self, t: float) -> float:
+        n = self.interval_at(t)
+        if n == TERMINAL:
+            return float("nan")
+        return self.schedule.params[n].threshold
+
+    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
+        n = self.interval_at(t)
+        if n == TERMINAL:
+            return np.zeros_like(coeffs)
+        params = self.schedule.params[n]
+        c = modal_feedback(coeffs, params)
+        if self.cutoff:
+            c = radial_cutoff(c, params.cutoff_radius)
+        return c
+
+
+class LatchedFeedback(Feedback):
+    """Wrapper that permanently switches to zero once the state is numerically null.
+
+    The latch compares ||X|| against threshold_norm at every control
+    evaluation; once tripped it stays off.
+    """
+
+    def __init__(self, inner: Feedback, threshold_norm: float):
+        self.inner = inner
+        self.threshold_norm = threshold_norm
+        self.latched = False
+        self.latch_time: float | None = None
+
+    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
+        if not self.latched and float(np.linalg.norm(coeffs)) <= self.threshold_norm:
+            self.latched = True
+            self.latch_time = t
+        if self.latched:
+            return np.zeros_like(coeffs)
+        return self.inner.control(t, coeffs)
+
+    def params_at(self, t: float):
+        return self.inner.params_at(t)
+
+    def interval_at(self, t: float) -> int:
+        return self.inner.interval_at(t)
+
+    def threshold_at(self, t: float) -> float:
+        return self.inner.threshold_at(t)
+
+
+def step(
+    t: float,
+    coeffs: np.ndarray,
+    dt: float,
+    controller: Feedback,
+    basis: StokesBasis,
+    tensor: np.ndarray,
+    gram: np.ndarray,
+    nu: float = 1.0,
+) -> np.ndarray:
+    """One integrating-factor Heun step; exact for the pure diagonal part."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    decay = np.exp(-nu * basis.eigenvalues * dt)
+    tensor2 = tensor.reshape(-1, basis.n_modes)
+
+    def forcing(tt: float, x: np.ndarray) -> np.ndarray:
+        c = controller.control(tt, x)
+        return -(np.outer(x, x).ravel() @ tensor2) + gram @ c
+
+    k1 = forcing(t, coeffs)
+    predictor = decay * (coeffs + dt * k1)
+    k2 = forcing(t + dt, predictor)
+    result = decay * (coeffs + 0.5 * dt * k1) + 0.5 * dt * k2
+    if not np.all(np.isfinite(result)) or np.abs(result).max() > BLOWUP_GUARD:
+        finite = result[np.isfinite(result)]
+        worst = float(np.abs(finite).max()) if finite.size else float("inf")
+        raise BlowUpError(t + dt, worst)
+    return result
+
+
+def simulate(
+    y0: np.ndarray,
+    controller: Feedback,
+    t_start: float,
+    t_end: float,
+    dt: float,
+    basis: StokesBasis,
+    tensor: np.ndarray,
+    gram: np.ndarray,
+    nu: float = 1.0,
+    sample_stride: int = 1,
+) -> Trajectory:
+    """Integrate the closed loop and sample every sample_stride steps.
+
+    The span must be an integer number of steps and a whole number of
+    samples.  Raises BlowUpError (with the blow-up time) if the guard trips.
+    """
+    y0 = np.asarray(y0, dtype=np.float64)
+    if y0.ndim != 1 or len(y0) != basis.n_modes:
+        raise ValueError("initial coefficients must match the basis size")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if sample_stride < 1:
+        raise ValueError("sample_stride must be >= 1")
+    span = t_end - t_start
+    n_steps = int(round(span / dt))
+    if n_steps <= 0 or abs(n_steps * dt - span) > 1e-9 * max(span, dt):
+        raise ValueError("t_end - t_start must be an integer number of steps")
+    if n_steps % sample_stride != 0:
+        raise ValueError("step count must be a whole number of samples")
+
+    m = basis.n_modes
+    tau = basis.eigenvalues
+    decay = np.exp(-nu * tau * dt)
+    decay_sq = decay * decay
+    # exponentially weighted trapezoid weights for int X_k(s)^2 ds over a step;
+    # modes whose memory dies within one step fall back to the start-point rule
+    diss_w = (1.0 - decay_sq) / (2.0 * nu * tau)
+    endpoint_ok = decay_sq > 1e-12
+    decay_sq_safe = np.maximum(decay_sq, 1e-300)
+    tensor2 = tensor.reshape(-1, m)
+
+    n_samples = n_steps // sample_stride + 1
+    times = np.empty(n_samples)
+    states = np.empty((n_samples, m))
+    norm_h = np.empty(n_samples)
+    lyap = np.empty(n_samples)
+    control_norm = np.empty(n_samples)
+    interval = np.empty(n_samples, dtype=np.int64)
+    threshold = np.empty(n_samples)
+    dissipation = np.empty(n_samples)
+    control_work = np.empty(n_samples)
+
+    def record(idx: int, t: float, x: np.ndarray, diss: float, work: float) -> None:
+        times[idx] = t
+        states[idx] = x
+        norm_h[idx] = np.linalg.norm(x)
+        lyap[idx] = lyapunov(x, controller.params_at(t))
+        control_norm[idx] = np.linalg.norm(controller.control(t, x))
+        interval[idx] = controller.interval_at(t)
+        threshold[idx] = controller.threshold_at(t)
+        dissipation[idx] = diss
+        control_work[idx] = work
+
+    x = y0.copy()
+    diss = 0.0
+    work = 0.0
+    record(0, t_start, x, diss, work)
+    sample = 1
+    for k in range(n_steps):
+        t = t_start + k * dt
+        c1 = controller.control(t, x)
+        f1 = -(np.outer(x, x).ravel() @ tensor2) + gram @ c1
+        predictor = decay * (x + dt * f1)
+        c2 = controller.control(t + dt, predictor)
+        f2 = -(np.outer(predictor, predictor).ravel() @ tensor2) + gram @ c2
+        x_new = decay * (x + 0.5 * dt * f1) + 0.5 * dt * f2
+        if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > BLOWUP_GUARD:
+            finite = x_new[np.isfinite(x_new)]
+            worst = float(np.abs(finite).max()) if finite.size else float("inf")
+            raise BlowUpError(t + dt, worst)
+        # energy bookkeeping: trapezoid in the integrating-factor variable
+        z_sq_end = np.where(endpoint_ok, x_new * x_new / decay_sq_safe, x * x)
+        diss += float(tau @ (diss_w * 0.5 * (x * x + z_sq_end)))
+        work += 0.5 * dt * (float(x @ (gram @ c1)) + float(x_new @ (gram @ c2)))
+        x = x_new
+        if (k + 1) % sample_stride == 0:
+            record(sample, t_start + (k + 1) * dt, x, diss, work)
+            sample += 1
+
+    return Trajectory(
+        times=times,
+        states=states,
+        norm_h=norm_h,
+        lyapunov=lyap,
+        control_norm=control_norm,
+        interval=interval,
+        threshold=threshold,
+        dissipation=dissipation,
+        control_work=control_work,
+        dt=dt,
+        nu=nu,
+    )

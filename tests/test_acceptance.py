@@ -19,7 +19,7 @@ from nsstab.constants import (
     estimate_trilinear_constant,
     radial_cutoff,
 )
-from nsstab.dynamics import ZeroFeedback, raw_trilinear_tensor, simulate
+from nsstab.dynamics import ControlLaw, raw_trilinear_tensor, simulate_batch
 from nsstab.experiments import (
     fit_cost_curve,
     random_low_mode_state,
@@ -102,8 +102,8 @@ def test_criterion_2_trilinear_structure(square16, square32):
 def test_criterion_3_energy_identity(square32):
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=0)
-    traj = simulate(y0, ZeroFeedback(), 0.0, 0.1, 1e-4, basis, tensor, gram,
-                    sample_stride=10)
+    traj = simulate_batch(y0[None], ControlLaw(), 0.0, 0.1, 1e-4, basis, tensor, gram,
+                          sample_stride=10).trajectory(0)
     defect = float(np.abs(traj.energy_defect).max())
     tol = 1e-6 * float(y0 @ y0)
     ok = defect <= tol

@@ -1,0 +1,191 @@
+"""The batched stepper against the single-trajectory reference in oracle.py,
+and property tests of the compiled segment plan and the row-wise cutoff."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nsstab.constants import (
+    FeedbackParams,
+    build_schedule,
+    dyadic_horizon,
+    feedback_params,
+    radial_cutoff,
+    radial_cutoff_rows,
+)
+from nsstab.dynamics import ControlLaw, segment_plan, simulate_batch
+from nsstab.errors import BlowUpError
+from nsstab.experiments import random_low_mode_state
+
+import oracle
+
+FLOAT_COLUMNS = ("norm_h", "lyapunov", "control_norm", "dissipation", "control_work")
+
+
+def assert_matches_oracle(run, ref_trajectories):
+    """Row r of the batch against the reference run r.
+
+    Float columns agree within 1e-13 relative, element by element, with a
+    floor of 1e-13 times the column's largest magnitude: near twice the
+    cutoff radius the profile 1 - t^3 (10 - 15 t + 6 t^2) cancels, so there a
+    one-ulp difference in the state moves a tiny control by a large
+    relative amount.  Times, intervals and thresholds agree exactly.
+    """
+    for row, ref in enumerate(ref_trajectories):
+        for name in FLOAT_COLUMNS:
+            expected = getattr(ref, name)
+            np.testing.assert_allclose(getattr(run, name)[:, row], expected, rtol=1e-13,
+                                       atol=1e-13 * np.abs(expected).max(), err_msg=f"{name}, row {row}")
+        traj = run.trajectory(row)
+        assert np.array_equal(traj.times, ref.times)
+        assert np.array_equal(traj.interval, ref.interval)
+        assert np.array_equal(traj.threshold, ref.threshold, equal_nan=True)
+
+
+def test_zero_law_matches_oracle(square16):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=1) for norm in (0.3, 1e-3)])
+    run = simulate_batch(y0, ControlLaw(), 0.3, 0.01, 1e-4, basis, tensor, gram, sample_stride=10)
+    refs = [oracle.simulate(x, oracle.ZeroFeedback(), 0.3, 0.31, 1e-4, basis, tensor, gram,
+                            sample_stride=10) for x in y0]
+    assert_matches_oracle(run, refs)
+
+
+@pytest.mark.parametrize("cutoff", [False, True])
+def test_stationary_law_matches_oracle(square16, pack_rapid, cutoff):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
+    # the larger start holds the raw control above the radius at first, so
+    # the cutoff acts on part of the run
+    base = params.cutoff_radius / params.gain
+    y0 = np.array([random_low_mode_state(basis.n_modes, scale * base, seed=2) for scale in (0.5, 3.0)])
+    dt = 1e-5
+    run = simulate_batch(y0, ControlLaw.stationary(params, cutoff=cutoff), 0.0, 0.02, dt,
+                         basis, tensor, gram, sample_stride=4)
+    refs = [oracle.simulate(x, oracle.ModalFeedback(params, cutoff=cutoff), 0.0, 0.02, dt,
+                            basis, tensor, gram, sample_stride=4) for x in y0]
+    assert_matches_oracle(run, refs)
+    if cutoff:
+        raw = params.gain * np.linalg.norm(refs[1].states[:, : params.n_active], axis=1)
+        assert raw.max() > params.cutoff_radius
+
+
+def test_periodic_law_with_offsets_and_tail_matches_oracle(square16, pack_schedule):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    n0, tail = dyadic_horizon(0.3)
+    sched = build_schedule(n0, pack_schedule, basis, 4)
+    offsets = np.array([0.0, 0.1, 0.29])
+    y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=3)
+    dt = 2.0**-12
+    run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched, cutoff=True, tail=tail),
+                         offsets, 0.5, dt, basis, tensor, gram)
+    refs = [oracle.simulate(y0, oracle.ScheduledFeedback(sched, cutoff=True, tail=tail),
+                            s, s + 0.5, dt, basis, tensor, gram) for s in offsets]
+    assert_matches_oracle(run, refs)
+    assert all((ref.interval == -1).any() and (ref.interval >= 0).any() for ref in refs)
+
+
+def test_latched_law_matches_oracle(square16, pack_schedule):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    sched = build_schedule(1, pack_schedule, basis, 4)
+    y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=6) for norm in (1e-3, 2e-3, 0.0)])
+    thresholds = np.array([0.5e-3, 1e-30, 0.0])  # trips mid-run, never, at the start
+    dt = 2.0**-11
+    run = simulate_batch(y0, ControlLaw.periodic(sched), 0.0, sched.period, dt,
+                         basis, tensor, gram, latch_norm=thresholds)
+    refs = []
+    for x, threshold, latch_time in zip(y0, thresholds, run.latch_time):
+        law = oracle.LatchedFeedback(oracle.ScheduledFeedback(sched), threshold)
+        refs.append(oracle.simulate(x, law, 0.0, sched.period, dt, basis, tensor, gram))
+        assert math.isnan(latch_time) == (not law.latched)
+        if law.latched:
+            assert latch_time == law.latch_time
+    assert_matches_oracle(run, refs)
+    assert run.latch_time[2] == 0.0 and math.isnan(run.latch_time[1])
+
+
+def test_blowup_raised_at_oracle_step_for_first_failing_row(square16):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    m = basis.n_modes
+    exploder = FeedbackParams(threshold=1.0, n_active=m, gain=-1e4, weight=1.0, cutoff_radius=0.5)
+    y0 = np.array([np.zeros(m), np.full(m, 1e-3)])
+    with pytest.raises(BlowUpError) as batch:
+        simulate_batch(y0, ControlLaw.stationary(exploder), 0.25, 0.5, 1e-3, basis, tensor, gram)
+    with pytest.raises(BlowUpError) as reference:
+        oracle.simulate(y0[1], oracle.ModalFeedback(exploder), 0.25, 0.75, 1e-3, basis, tensor, gram)
+    assert batch.value.time == reference.value.time
+    assert batch.value.max_abs == pytest.approx(reference.value.max_abs, rel=1e-13)
+
+
+@pytest.fixture(scope="module")
+def schedule16(square16, pack_schedule):
+    return build_schedule(1, pack_schedule, square16["basis"], 4)
+
+
+def oracle_interval(schedule, tail, t):
+    return oracle.ScheduledFeedback(schedule, tail=tail).interval_at(float(t))
+
+
+TAILS = st.sampled_from([0.0, 0.05, 0.1, 1.0 / 3.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    offsets=st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=4),
+    dt=st.one_of(st.integers(4, 12).map(lambda k: 2.0**-k), st.floats(1e-4, 0.05)),
+    n_steps=st.integers(1, 64),
+    tail=TAILS,
+)
+def test_plan_matches_scalar_reduction(schedule16, offsets, dt, n_steps, tail):
+    law = ControlLaw.periodic(schedule16, tail=tail)
+    seg_a, seg_b = segment_plan(law, np.array(offsets), n_steps, dt)
+    assert seg_a.shape == (n_steps + 1, len(offsets)) and seg_b.shape == (n_steps, len(offsets))
+    for r, s in enumerate(offsets):
+        for k in range(n_steps + 1):
+            t = s + k * dt
+            assert seg_a[k, r] == oracle_interval(schedule16, tail, t)
+            if k < n_steps:
+                assert seg_b[k, r] == oracle_interval(schedule16, tail, t + dt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    boundary=st.integers(0, 6),  # interval starts 0..n_max+1, then the start of the tail
+    periods=st.integers(-3, 3),
+    ulps=st.integers(-2, 2),
+    tail=TAILS,
+)
+def test_segment_at_dyadic_boundaries(schedule16, boundary, periods, ulps, tail):
+    law = ControlLaw.periodic(schedule16, tail=tail)
+    edges = np.append(schedule16.start_times, schedule16.period)
+    t = edges[boundary] + periods * law.full_period
+    for _ in range(abs(ulps)):
+        t = np.nextafter(t, np.inf if ulps > 0 else -np.inf)
+    assert law.segment_at(t) == oracle_interval(schedule16, tail, t)
+    assert law.segment_at(np.array([t]))[0] == law.segment_at(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    m=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    ratios=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 1.99, 2.0, 2.5]) | st.floats(0.0, 3.0),
+                    min_size=6, max_size=6),
+    ulps=st.integers(-1, 1),
+)
+def test_cutoff_rows_equal_radial_cutoff(rows, m, seed, ratios, ulps):
+    rng = np.random.default_rng(seed)
+    radii = rng.uniform(1e-3, 0.5, rows)
+    c = rng.standard_normal((rows, m))
+    norms = np.linalg.norm(c, axis=1)
+    target = np.array(ratios[:rows]) * radii
+    c *= np.where(norms > 0, target / np.where(norms > 0, norms, 1.0), 0.0)[:, None]
+    c = np.nextafter(c, c * (1 + ulps))  # one ulp out, none, or one ulp in
+    out = radial_cutoff_rows(c, radii)
+    for r in range(rows):
+        assert np.array_equal(out[r], radial_cutoff(c[r], radii[r]))
+        assert np.linalg.norm(out[r]) <= min(1.0, np.linalg.norm(c[r]))

@@ -236,3 +236,66 @@ def test_cost_curve_subcommand(tmp_path):
     curve = (out / "cost_curve.csv").read_text().strip().splitlines()
     assert curve[0] == "T,inv_T,cost,y0_norm"
     assert len(curve) == 4
+
+
+def test_cost_curve_honours_configured_dt(tmp_path):
+    config = parse_config(write_config(tmp_path, dt=2.0**-12,
+                                       overrides={"experiment.n0_list": [1, 2, 3]}))
+    assert run_subcommand("cost-curve", config) == 0
+    report = json.loads((tmp_path / "out" / "cost_curve_report.json").read_text())
+    assert report["config"]["dt"] == 2.0**-12
+    assert [run["dt"] for run in report["runs"]] == [2.0**-12] * 3
+
+
+def test_reports_record_run_health(tmp_path):
+    config = parse_config(write_config(tmp_path, overrides={"experiment.n0_list": [1, 2, 3]}))
+    out = tmp_path / "out"
+    for sub in ("simulate", "nullcontrol", "stabilize", "cost-curve"):
+        assert run_subcommand(sub, config) == 0
+
+    def load(name):
+        return json.loads((out / f"{name}_report.json").read_text())
+
+    sim, null, stab, curve = (load(n) for n in ("simulate", "nullcontrol", "stabilize", "cost_curve"))
+    assert sim["health"]["steps"] == round(sim["horizon"] / sim["dt"])
+    assert null["health"]["steps"] == round(null["T"] / null["dt"])
+    rows = len(stab["offsets"]) * (1 + len(stab["eta_grid"]))
+    assert stab["health"]["steps"] == rows * round(2 * stab["T"] / stab["dt"])
+    assert [r["health"]["steps"] for r in curve["runs"]] == [round(r["T"] / r["dt"]) for r in curve["runs"]]
+    for report, y0_norm in ((sim, sim["y0_norm"]), (null, null["y0_norm"]), (stab, stab["y0_norm"]),
+                            *((r, r["y0_norm"]) for r in curve["runs"])):
+        # the energy identity holds to O(dt^2): well inside the initial energy
+        assert 0.0 <= report["health"]["max_energy_defect"] <= 1e-3 * y0_norm**2
+    assert run_subcommand("report", config) == 0
+    summary = (out / "summary.txt").read_text()
+    assert summary.count("  steps = ") == 4
+    assert summary.count("  max_energy_defect = ") == 4
+    assert f"  steps = {sum(r['health']['steps'] for r in curve['runs'])}" in summary
+
+
+def test_stabilize_csvs_identical_across_blas_thread_counts(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nsstab
+
+    src = str(Path(nsstab.__file__).resolve().parents[1])
+    cache = tmp_path / "basis_cache.nsstab"
+    assert run_subcommand("eigen", parse_config(write_config(tmp_path, cache_path=str(cache)))) == 0
+    outputs = {}
+    for threads in ("1", "2"):
+        data = json.loads(json.dumps(BASE))
+        data.update(output_dir=str(tmp_path / f"out{threads}"), cache_path=str(cache))
+        path = tmp_path / f"stabilize{threads}.json"
+        path.write_text(json.dumps(data))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "nsstab.cli", "stabilize", "--config", str(path)],
+                       env=env, check=True, timeout=300, capture_output=True)
+        outputs[threads] = sorted((tmp_path / f"out{threads}").glob("stabilize_trajectory_*.csv"))
+    assert len(outputs["1"]) == 3
+    for one, two in zip(outputs["1"], outputs["2"]):
+        assert one.name == two.name
+        assert one.read_bytes() == two.read_bytes()

@@ -309,13 +309,14 @@ def test_locate_interval(square32, pack_schedule):
 
 
 def test_schedule_periodization(square32, pack_schedule):
-    from nsstab.dynamics import ScheduledFeedback
+    from nsstab.dynamics import ControlLaw
 
     sched = build_schedule(1, pack_schedule, square32["basis"], 4)
-    law = ScheduledFeedback(sched)
+    law = ControlLaw.periodic(sched)
+    params = law.params + (None,)  # TERMINAL selects the last entry
     for t in (0.0, 0.1, 0.26, 0.45, 0.49999):
-        assert law.params_at(t) == law.params_at(t + sched.period)
-        assert law.interval_at(t) == law.interval_at(t + 7 * sched.period)
+        assert params[law.segment_at(t)] == params[law.segment_at(t + sched.period)]
+        assert law.segment_at(t) == law.segment_at(t + 7 * sched.period)
 
 
 def test_dyadic_horizon_split():
@@ -333,14 +334,16 @@ def test_dyadic_horizon_split():
 
 def test_scheduled_feedback_with_tail_is_zero_on_remainder(square32, pack_schedule):
     from nsstab.constants import TERMINAL, dyadic_horizon
-    from nsstab.dynamics import ScheduledFeedback
+    from nsstab.dynamics import ControlLaw, simulate_batch
 
     n0, tail = dyadic_horizon(0.3)
-    sched = build_schedule(n0, pack_schedule, square32["basis"], 4)
-    law = ScheduledFeedback(sched, tail=tail)
+    basis = square32["basis"]
+    sched = build_schedule(n0, pack_schedule, basis, 4)
+    law = ControlLaw.periodic(sched, tail=tail)
     assert law.full_period == pytest.approx(0.3)
-    x = np.ones(square32["basis"].n_modes)
-    assert law.interval_at(0.26) == TERMINAL  # inside the idle tail
-    assert np.all(law.control(0.26, x) == 0.0)
-    assert law.interval_at(0.1) == law.interval_at(0.1 + 0.3)  # 0.3-periodic
-    assert law.interval_at(0.0) == 0
+    x = np.ones((1, basis.n_modes))
+    assert law.segment_at(0.26) == TERMINAL  # inside the idle tail
+    run = simulate_batch(x, law, 0.26, 1e-4, 1e-4, basis, square32["tensor"], square32["gram"])
+    assert run.control_norm[0, 0] == 0.0
+    assert law.segment_at(0.1) == law.segment_at(0.1 + 0.3)  # 0.3-periodic
+    assert law.segment_at(0.0) == 0

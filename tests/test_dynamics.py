@@ -3,22 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from nsstab.constants import ConstantPack, feedback_params
+from nsstab.constants import ConstantPack, FeedbackParams, feedback_params
 from nsstab.dynamics import (
-    ModalFeedback,
-    ZeroFeedback,
+    ControlLaw,
     build_trilinear_tensor,
     lyapunov,
     raw_trilinear_tensor,
     reconstruct_field,
-    rhs,
-    simulate,
-    step,
+    simulate_batch,
 )
 from nsstab.errors import BlowUpError
 from nsstab.grid import inner_l2
 
 from conftest import make_setup
+from oracle import ModalFeedback, SpectralState, ZeroFeedback, rhs, simulate, step
+
+ZERO = ControlLaw()
+
+
+def run_one(y0, law, t_start, t_end, dt, basis, tensor, gram, **kwargs):
+    """One trajectory through the batched stepper."""
+    return simulate_batch(np.asarray(y0)[None], law, t_start, t_end - t_start, dt,
+                          basis, tensor, gram, **kwargs).trajectory(0)
 
 
 def test_tensor_skew_exact(square32):
@@ -90,7 +96,7 @@ def test_step_pure_linear_is_exact(square32):
     rng = np.random.default_rng(1)
     x = rng.standard_normal(basis.n_modes)
     dt = 1e-3
-    out = step(0.0, x, dt, ZeroFeedback(), basis, tensor, gram)
+    out = run_one(x, ZERO, 0.0, dt, dt, basis, tensor, gram).final_state
     exact = np.exp(-basis.eigenvalues * dt) * x
     assert np.allclose(out, exact, rtol=1e-15, atol=0)
 
@@ -98,7 +104,8 @@ def test_step_pure_linear_is_exact(square32):
 def test_step_zero_fixed_point(square32, pack_rapid):
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
-    out = step(0.0, np.zeros(basis.n_modes), 1e-4, ModalFeedback(params), basis, tensor, gram)
+    out = run_one(np.zeros(basis.n_modes), ControlLaw.stationary(params), 0.0, 1e-4, 1e-4,
+                  basis, tensor, gram).final_state
     assert np.all(out == 0.0)
 
 
@@ -119,12 +126,12 @@ def test_integrator_global_order_two(square32):
     y0[:8] = rng.standard_normal(8)
     y0 *= 2.0 / np.linalg.norm(y0)
     horizon = 0.02
-    ref = simulate(y0, ZeroFeedback(), 0.0, horizon, horizon / 2048, basis, tensor, gram,
-                   sample_stride=2048).final_state
+    ref = run_one(y0, ZERO, 0.0, horizon, horizon / 2048, basis, tensor, gram,
+                  sample_stride=2048).final_state
     errors = []
     for divisions in (32, 64, 128):
-        end = simulate(y0, ZeroFeedback(), 0.0, horizon, horizon / divisions, basis,
-                       tensor, gram, sample_stride=divisions).final_state
+        end = run_one(y0, ZERO, 0.0, horizon, horizon / divisions, basis,
+                      tensor, gram, sample_stride=divisions).final_state
         errors.append(np.abs(end - ref).max())
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.2 <= coarse / fine <= 4.8
@@ -133,8 +140,8 @@ def test_integrator_global_order_two(square32):
 def test_simulate_zero_initial_state(square32, pack_rapid):
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
-    traj = simulate(np.zeros(basis.n_modes), ModalFeedback(params), 0.0, 0.001, 1e-5,
-                    basis, tensor, gram, sample_stride=10)
+    traj = run_one(np.zeros(basis.n_modes), ControlLaw.stationary(params), 0.0, 0.001, 1e-5,
+                   basis, tensor, gram, sample_stride=10)
     assert np.all(traj.states == 0.0)
     assert np.all(traj.control_norm == 0.0)
 
@@ -144,10 +151,10 @@ def test_simulate_semigroup_property(square32):
     rng = np.random.default_rng(4)
     y0 = rng.standard_normal(basis.n_modes) * 0.3
     dt = 1e-4
-    full = simulate(y0, ZeroFeedback(), 0.0, 0.02, dt, basis, tensor, gram, sample_stride=100)
-    first = simulate(y0, ZeroFeedback(), 0.0, 0.01, dt, basis, tensor, gram, sample_stride=100)
-    second = simulate(first.final_state, ZeroFeedback(), 0.01, 0.02, dt, basis, tensor,
-                      gram, sample_stride=100)
+    full = run_one(y0, ZERO, 0.0, 0.02, dt, basis, tensor, gram, sample_stride=100)
+    first = run_one(y0, ZERO, 0.0, 0.01, dt, basis, tensor, gram, sample_stride=100)
+    second = run_one(first.final_state, ZERO, 0.01, 0.02, dt, basis, tensor,
+                     gram, sample_stride=100)
     assert np.abs(second.final_state - full.final_state).max() <= 1e-12
 
 
@@ -157,7 +164,7 @@ def test_free_decay_dominated_by_first_eigenvalue(square32):
     rng = np.random.default_rng(5)
     y0[:8] = rng.standard_normal(8)
     y0 *= 1e-2 / np.linalg.norm(y0)
-    traj = simulate(y0, ZeroFeedback(), 0.0, 0.05, 1e-4, basis, tensor, gram, sample_stride=10)
+    traj = run_one(y0, ZERO, 0.0, 0.05, 1e-4, basis, tensor, gram, sample_stride=10)
     bound = np.exp(-basis.eigenvalues[0] * traj.times) * traj.norm_h[0]
     assert np.all(traj.norm_h <= bound * (1.0 + 1e-9))
 
@@ -173,8 +180,8 @@ def test_energy_identity_with_control(square32, pack_rapid):
     y0 *= 1e-3 / np.linalg.norm(y0)
     defects = []
     for dt in (1e-5, 5e-6):
-        traj = simulate(y0, ModalFeedback(params), 0.0, 0.01, dt, basis, tensor, gram,
-                        sample_stride=int(round(1e-4 / dt)))
+        traj = run_one(y0, ControlLaw.stationary(params), 0.0, 0.01, dt, basis, tensor, gram,
+                       sample_stride=int(round(1e-4 / dt)))
         defects.append(np.abs(traj.energy_defect).max())
         assert defects[-1] <= 0.05 * (params.gain * dt) ** 2 * traj.norm_h[0] ** 2
     assert 3.0 <= defects[0] / defects[1] <= 5.0
@@ -187,13 +194,15 @@ def test_blowup_guard_raises():
 
     gram = assemble_gram(basis, grid)
 
-    class Exploder(ZeroFeedback):
-        def control(self, t, coeffs):
-            return np.full_like(coeffs, 1e9)
-
+    # a negative gain on every mode: the control starts at 1e9 per coefficient
+    exploder = FeedbackParams(threshold=1.0, n_active=6, gain=-1e9, weight=1.0, cutoff_radius=0.5)
     with pytest.raises(BlowUpError) as info:
-        simulate(np.ones(6), Exploder(), 0.0, 1.0, 0.25, basis, tensor, gram)
+        run_one(np.ones(6), ControlLaw.stationary(exploder), 0.0, 1.0, 0.25, basis, tensor, gram)
     assert info.value.time > 0.0
+    with pytest.raises(BlowUpError) as reference:
+        simulate(np.ones(6), ModalFeedback(exploder), 0.0, 1.0, 0.25, basis, tensor, gram)
+    assert info.value.time == reference.value.time
+    assert info.value.max_abs == reference.value.max_abs
 
 
 def test_lyapunov_weighting(square32, pack_rapid):
@@ -224,14 +233,14 @@ def test_simulate_validates_spans(square32):
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     y0 = np.zeros(basis.n_modes)
     with pytest.raises(ValueError):
-        simulate(y0, ZeroFeedback(), 0.0, 0.0105, 1e-3, basis, tensor, gram)
+        run_one(y0, ZERO, 0.0, 0.0105, 1e-3, basis, tensor, gram)
     with pytest.raises(ValueError):
-        simulate(y0, ZeroFeedback(), 0.0, 0.01, 1e-3, basis, tensor, gram, sample_stride=3)
+        run_one(y0, ZERO, 0.0, 0.01, 1e-3, basis, tensor, gram, sample_stride=3)
+    with pytest.raises(ValueError):
+        simulate_batch(y0, ZERO, 0.0, 0.01, 1e-3, basis, tensor, gram)  # not a (B, M) batch
 
 
 def test_spectral_state_wrapper(square32):
-    from nsstab.dynamics import SpectralState
-
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     rng = np.random.default_rng(9)
     state = SpectralState(0.0, rng.standard_normal(basis.n_modes) * 0.1)

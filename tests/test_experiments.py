@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nsstab.constants import ConstantPack, build_schedule
-from nsstab.dynamics import LatchedFeedback, ScheduledFeedback, simulate
+from nsstab.dynamics import ControlLaw, simulate_batch
 from nsstab.experiments import (
     calibrate_small_time_basin,
     fit_cost_curve,
@@ -86,12 +86,12 @@ def test_null_control_restart_reproduces_tail(small_setup):
     sched = build_schedule(1, pack, basis, 4)
     dt = 2.0**-11
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=4)
-    law = ScheduledFeedback(sched)
-    full = simulate(y0, law, 0.0, sched.period, dt, basis, tensor, gram)
+    law = ControlLaw.periodic(sched)
+    full = simulate_batch(y0[None], law, 0.0, sched.period, dt, basis, tensor, gram).trajectory(0)
     t1 = float(sched.start_times[1])
     idx = int(round(t1 / dt))
-    resumed = simulate(full.states[idx], ScheduledFeedback(sched), t1, sched.period,
-                       dt, basis, tensor, gram)
+    resumed = simulate_batch(full.states[idx][None], law, t1, sched.period - t1,
+                             dt, basis, tensor, gram).trajectory(0)
     assert np.abs(resumed.states - full.states[idx:]).max() <= 1e-10
 
 
@@ -128,10 +128,12 @@ def test_latched_feedback_shuts_off(small_setup):
     basis, tensor, gram = small_setup["basis"], small_setup["tensor"], small_setup["gram"]
     sched = build_schedule(1, small_setup["pack"], basis, 4)
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=6)
-    law = LatchedFeedback(ScheduledFeedback(sched), 0.5e-3)
-    traj = simulate(y0, law, 0.0, sched.period, 2.0**-11, basis, tensor, gram)
-    assert law.latched
-    after = traj.times >= law.latch_time
+    run = simulate_batch(y0[None], ControlLaw.periodic(sched), 0.0, sched.period, 2.0**-11,
+                         basis, tensor, gram, latch_norm=0.5e-3)
+    traj = run.trajectory(0)
+    latch_time = run.latch_time[0]
+    assert not np.isnan(latch_time)
+    after = traj.times >= latch_time
     assert np.all(traj.control_norm[after] == 0.0)
 
 
@@ -183,6 +185,15 @@ def test_calibrate_basin_returns_hi_when_everything_passes(small_setup):
         small_setup["pack"], 1, hi=1e-3, n_max=4,
     )
     assert value == 1e-3
+
+
+def test_calibrate_basin_propagates_program_errors(small_setup):
+    # n0 = 0 is a caller bug (build_schedule rejects it), not an inadmissible norm
+    with pytest.raises(ValueError, match="n0"):
+        calibrate_small_time_basin(
+            small_setup["basis"], small_setup["tensor"], small_setup["gram"],
+            small_setup["pack"], 0, hi=1e-3, n_max=4,
+        )
 
 
 def test_fit_cost_curve_trivial_oracles():
