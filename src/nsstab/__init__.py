@@ -1,108 +1,28 @@
 """Spectral Galerkin laboratory for feedback stabilization and null control
-of the 2D incompressible Navier-Stokes equations on a rectangle."""
+of the 2D incompressible Navier-Stokes equations on a rectangle.
 
-from .constants import (
-    TERMINAL,
-    ConstantPack,
-    FeedbackParams,
-    Schedule,
-    build_schedule,
-    cutoff_profile,
-    derive_feedback_constant,
-    derive_schedule_constants,
-    dyadic_horizon,
-    estimate_trilinear_constant,
-    feedback_params,
-    locate_interval,
-    modal_feedback,
-    radial_cutoff,
-)
-from .dynamics import (
-    BatchRun,
-    ControlLaw,
-    Trajectory,
-    build_trilinear_tensor,
-    lyapunov,
-    raw_trilinear_tensor,
-    reconstruct_field,
-    simulate_batch,
-)
-from .errors import (
-    BasisTooSmallError,
-    BlowUpError,
-    BoundViolatedError,
-    ConfigError,
-    SpectralDegeneracyError,
-    TwoPeriodFailedError,
-)
-from .experiments import (
-    NullControlReport,
-    RapidStabReport,
-    StabilityProbe,
-    calibrate_small_time_basin,
-    fit_cost_curve,
-    random_low_mode_state,
-    run_null_control,
-    run_rapid_stab,
-    run_small_time,
-)
-from .grid import DomainSpec, Grid, build_grid, discrete_divergence, inner_l2, stream_to_velocity
-from .spectral import (
-    SpectralFit,
-    StokesBasis,
-    assemble_gram,
-    assemble_operators,
-    count_modes,
-    fit_spectral_constant,
-    solve_eigenbasis,
-)
+The package root exports what the demos use; everything else is imported
+from its module (``nsstab.constants``, ``nsstab.dynamics``, ...).
+"""
+
+from .constants import ConstantPack, build_schedule, estimate_trilinear_constant
+from .dynamics import build_trilinear_tensor
+from .experiments import fit_cost_curve, run_null_control, run_rapid_stab, run_small_time
+from .grid import DomainSpec, build_grid, discrete_divergence
+from .spectral import assemble_gram, assemble_operators, count_modes, fit_spectral_constant, solve_eigenbasis
 
 __all__ = [
-    "TERMINAL",
     "ConstantPack",
-    "FeedbackParams",
-    "Schedule",
     "build_schedule",
-    "cutoff_profile",
-    "derive_feedback_constant",
-    "derive_schedule_constants",
-    "dyadic_horizon",
     "estimate_trilinear_constant",
-    "feedback_params",
-    "locate_interval",
-    "modal_feedback",
-    "radial_cutoff",
-    "BatchRun",
-    "ControlLaw",
-    "Trajectory",
     "build_trilinear_tensor",
-    "lyapunov",
-    "raw_trilinear_tensor",
-    "reconstruct_field",
-    "simulate_batch",
-    "BasisTooSmallError",
-    "BlowUpError",
-    "BoundViolatedError",
-    "ConfigError",
-    "SpectralDegeneracyError",
-    "TwoPeriodFailedError",
-    "NullControlReport",
-    "RapidStabReport",
-    "StabilityProbe",
-    "calibrate_small_time_basin",
     "fit_cost_curve",
-    "random_low_mode_state",
     "run_null_control",
     "run_rapid_stab",
     "run_small_time",
     "DomainSpec",
-    "Grid",
     "build_grid",
     "discrete_divergence",
-    "inner_l2",
-    "stream_to_velocity",
-    "SpectralFit",
-    "StokesBasis",
     "assemble_gram",
     "assemble_operators",
     "count_modes",

@@ -28,6 +28,8 @@ import os
 import struct
 import sys
 import tempfile
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,8 +81,8 @@ class ExperimentConfig:
     lambda_index: int = 4  # threshold = tau_k for the simulate subcommand
     y0_scale: float = 0.5  # initial norm as a fraction of the admissible basin
     y0_norm: float = 1e-3  # initial norm for practical schedule runs
-    cutoff: bool = False
-    horizon: float | None = None
+    cutoff: bool = False  # simulate, nullcontrol, cost-curve; stabilize always cuts off
+    horizon: float | None = None  # simulate run length; None = 16 / threshold
     n0: int = 1
     n_max: int = 8
     n0_list: tuple[int, ...] = (1, 2, 3)
@@ -126,78 +128,55 @@ def _domain_error_key(message: str) -> str:
     return "domain"
 
 
-_SCHEMAS = {
-    "root": {
-        "Lx": float, "Ly": float, "nx": int, "ny": int, "omega": list,
-        "M": int, "nu": float, "dt": (float, type(None)), "mode": str,
-        "seed": int, "eps_zero": float, "output_dir": str,
-        "cache_path": (str, type(None)), "practical": dict, "experiment": dict,
-    },
-    "practical": {
-        "spectral_constant": float, "trilinear_constant": float,
-        "feedback_constant": (float, type(None)),
-        "schedule_constant": (float, type(None)),
-    },
-    "experiment": {
-        "lambda_index": int, "y0_scale": float, "y0_norm": float,
-        "cutoff": bool, "horizon": (float, type(None)), "n0": int,
-        "n_max": int, "n0_list": list, "offsets": list, "periods": int,
-    },
-}
+def _parse_value(hint, value, key: str):
+    """A JSON value checked against a field's type hint and converted to it.
 
-_REQUIRED = ("Lx", "Ly", "nx", "ny", "omega")
+    JSON integers are admissible floats, booleans are not numbers, lists
+    become tuples, and dataclass fields are parsed as config sections.
+    """
+    if isinstance(hint, types.UnionType):  # T | None
+        if value is None:
+            return None
+        hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
+    if dataclasses.is_dataclass(hint):
+        return _parse_section(hint, value, key + ".")
+    if typing.get_origin(hint) is tuple:
+        items = typing.get_args(hint)
+        fixed = Ellipsis not in items
+        if not isinstance(value, list) or (fixed and len(value) != len(items)):
+            count = f"{len(items)} " if fixed else ""
+            raise ConfigError(key, f"must be a list of {count}{'numbers' if items[0] is float else 'integers'}")
+        return tuple(_parse_value(items[0], v, key) for v in value)
+    accepted = (int, float) if hint is float else hint
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
+        raise ConfigError(key, f"type mismatch (got {type(value).__name__})")
+    return float(value) if hint is float else value
 
 
-def _check_keys(data: dict, section: str, prefix: str = "") -> None:
-    schema = _SCHEMAS[section]
-    for key, value in data.items():
-        full = f"{prefix}{key}"
-        if key not in schema:
-            raise ConfigError(full, "unknown key")
-        expected = schema[key]
-        if not isinstance(expected, tuple):
-            expected = (expected,)
-        if float in expected and isinstance(value, int) and not isinstance(value, bool):
-            continue  # JSON integers are admissible floats
-        if bool not in expected and isinstance(value, bool):
-            raise ConfigError(full, "type mismatch (got bool)")
-        if not isinstance(value, expected):
-            raise ConfigError(full, f"type mismatch (got {type(value).__name__})")
+def _parse_section(cls, data, prefix: str = ""):
+    """Build a config dataclass from a JSON object, field by field.
+
+    Keys, types and required entries all come from the dataclass: a field
+    without a default is required, and unknown keys are rejected.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(prefix.rstrip(".") or "<root>", "must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in data:
+        if key not in fields:
+            raise ConfigError(prefix + key, "unknown key")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        if name in data:
+            kwargs[name] = _parse_value(hints[name], data[name], prefix + name)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(prefix + name, "missing required key")
+    return cls(**kwargs)
 
 
 def _config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    _check_keys(data, "root")
-    for key in _REQUIRED:
-        if key not in data:
-            raise ConfigError(key, "missing required key")
-    omega = data["omega"]
-    if len(omega) != 4 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in omega):
-        raise ConfigError("omega", "must be a list [a, b, c, d] of 4 numbers")
-    kwargs = dict(data)
-    kwargs["omega"] = tuple(float(v) for v in omega)
-    if "practical" in data:
-        _check_keys(data["practical"], "practical", "practical.")
-        kwargs["practical"] = PracticalConstants(**data["practical"])
-    if "experiment" in data:
-        _check_keys(data["experiment"], "experiment", "experiment.")
-        exp = dict(data["experiment"])
-        if "n0_list" in exp:
-            if not all(isinstance(v, int) and not isinstance(v, bool) for v in exp["n0_list"]):
-                raise ConfigError("experiment.n0_list", "must be a list of integers")
-            exp["n0_list"] = tuple(exp["n0_list"])
-        if "offsets" in exp:
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in exp["offsets"]):
-                raise ConfigError("experiment.offsets", "must be a list of numbers")
-            exp["offsets"] = tuple(float(v) for v in exp["offsets"])
-        kwargs["experiment"] = ExperimentConfig(**exp)
-    for key in ("Lx", "Ly", "nu", "eps_zero"):
-        if key in kwargs:
-            kwargs[key] = float(kwargs[key])
-    if kwargs.get("dt") is not None:
-        kwargs["dt"] = float(kwargs["dt"])
-    config = RunConfig(**kwargs)
+    config = _parse_section(RunConfig, data)
     if config.mode not in ("certified", "practical"):
         raise ConfigError("mode", "must be 'certified' or 'practical'")
     if config.M < 5:
@@ -227,17 +206,9 @@ def parse_config(path: str | Path) -> RunConfig:
     return _config_from_dict(data)
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    data = dataclasses.asdict(config)
-    data["omega"] = list(config.omega)
-    data["experiment"]["n0_list"] = list(config.experiment.n0_list)
-    data["experiment"]["offsets"] = list(config.experiment.offsets)
-    return data
-
-
 def emit_config(config: RunConfig) -> str:
     """Canonical JSON text whose parse reproduces the config exactly."""
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True)
+    return json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +275,7 @@ def read_basis_cache(path: str | Path, grid: Grid, m: int) -> StokesBasis | None
     tau = np.frombuffer(body, dtype="<f8", count=mm, offset=off).copy()
     off += mm * 8
     psi = np.frombuffer(body, dtype="<f8", count=mm * nx * ny, offset=off).reshape(mm, nx, ny).copy()
-    from .grid import stream_to_velocity
-
-    velocities = np.stack([stream_to_velocity(psi[i], grid) for i in range(mm)])
-    return StokesBasis(eigenvalues=tau, stream_functions=psi, velocities=velocities, grid=grid)
+    return StokesBasis.from_stream_functions(tau, psi, grid)
 
 
 def ensure_basis(config: RunConfig) -> tuple[StokesBasis, Grid, bool]:
@@ -329,29 +297,21 @@ def ensure_basis(config: RunConfig) -> tuple[StokesBasis, Grid, bool]:
 # artifact writers
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _fmt(value) -> str:
+    """Ints as written, floats with 17 significant digits (they re-parse bit for bit)."""
+    return str(value) if isinstance(value, int) else f"{value:.17g}"
+
+
+def _write_csv(path: str | Path, header: str, rows) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n")
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     """Fixed schema: t, norm_H, V, norm_f, interval_n, lambda_n."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["t,norm_H,V,norm_f,interval_n,lambda_n"]
-    for i in range(len(traj.times)):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(traj.times[i]),
-                    _fmt(traj.norm_h[i]),
-                    _fmt(traj.lyapunov[i]),
-                    _fmt(traj.control_norm[i]),
-                    str(int(traj.interval[i])),
-                    _fmt(traj.threshold[i]),
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    columns = (traj.times, traj.norm_h, traj.lyapunov, traj.control_norm, traj.interval, traj.threshold)
+    _write_csv(path, "t,norm_H,V,norm_f,interval_n,lambda_n", zip(*(c.tolist() for c in columns)))
 
 
 def sha256_file(path: str | Path) -> str:
@@ -365,11 +325,11 @@ def _write_json(path: str | Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _base_report(config: RunConfig, pack: ConstantPack | None, inputs: dict) -> dict:
+def _base_report(config: RunConfig, pack: ConstantPack | None = None) -> dict:
     return {
-        "config": config_to_dict(config),
+        "config": dataclasses.asdict(config),
         "constants": pack.as_dict() if pack is not None else None,
-        "inputs": inputs,
+        "inputs": {"cache": sha256_file(config.resolved_cache_path())},
         "seed": config.seed,
     }
 
@@ -411,13 +371,12 @@ def build_pack(config: RunConfig, basis: StokesBasis, grid: Grid,
 
 def _cmd_eigen(config: RunConfig, out: Path) -> None:
     basis, grid, hit = ensure_basis(config)
-    cache_path = config.resolved_cache_path()
     _write_json(
         out / "eigen_report.json",
         {
-            **_base_report(config, None, {"cache": sha256_file(cache_path)}),
+            **_base_report(config),
             "cache_hit": hit,
-            "cache_path": cache_path.name,
+            "cache_path": config.resolved_cache_path().name,
             "eigenvalues": [float(t) for t in basis.eigenvalues],
         },
     )
@@ -428,17 +387,14 @@ def _cmd_fit_c1(config: RunConfig, out: Path) -> None:
     gram = assemble_gram(basis, grid)
     fit = fit_spectral_constant(basis, gram)
     table_path = out / "c1_table.csv"
-    lines = ["threshold,n_active,gram_min_eig,root_unclamped,root_clamped"]
-    for lam, n, min_eig, root, clamped in fit.table:
-        lines.append(
-            f"{_fmt(lam)},{int(n)},{_fmt(min_eig)},{_fmt(root)},{_fmt(clamped)}"
-        )
-    table_path.parent.mkdir(parents=True, exist_ok=True)
-    table_path.write_text("\n".join(lines) + "\n")
+    _write_csv(
+        table_path, "threshold,n_active,gram_min_eig,root_unclamped,root_clamped",
+        ((lam, int(n), min_eig, root, clamped) for lam, n, min_eig, root, clamped in fit.table.tolist()),
+    )
     _write_json(
         out / "fit_c1_report.json",
         {
-            **_base_report(config, None, {"cache": sha256_file(config.resolved_cache_path())}),
+            **_base_report(config),
             "spectral_constant": fit.value,
             "spectral_constant_unclamped": fit.unclamped_value,
             "table": table_path.name,
@@ -449,10 +405,7 @@ def _cmd_fit_c1(config: RunConfig, out: Path) -> None:
 def _cmd_constants(config: RunConfig, out: Path) -> None:
     basis, grid, _ = ensure_basis(config)
     pack = build_pack(config, basis, grid)
-    _write_json(
-        out / "constants_report.json",
-        _base_report(config, pack, {"cache": sha256_file(config.resolved_cache_path())}),
-    )
+    _write_json(out / "constants_report.json", _base_report(config, pack))
 
 
 def _prepare_dynamics(config: RunConfig):
@@ -466,19 +419,21 @@ def _prepare_dynamics(config: RunConfig):
 def _cmd_simulate(config: RunConfig, out: Path) -> None:
     basis, grid, tensor, gram, pack = _prepare_dynamics(config)
     exp = config.experiment
-    idx = exp.lambda_index
-    if not 1 <= idx < basis.n_modes:
-        raise ConfigError("experiment.lambda_index", f"must lie in [1, {basis.n_modes - 1}]")
-    lam = float(basis.eigenvalues[idx - 1])
+    tau = basis.eigenvalues
+    # thresholds must lie strictly below tau_M, which a degenerate top cluster shares
+    top = int(np.searchsorted(tau, tau[-1], side="left"))
+    if not 1 <= exp.lambda_index <= top:
+        raise ConfigError("experiment.lambda_index",
+                          f"must lie in [1, {top}], where tau_k is below the largest retained eigenvalue")
     report = run_rapid_stab(
-        basis, tensor, gram, pack, lam,
+        basis, tensor, gram, pack, float(tau[exp.lambda_index - 1]),
         y0_scale=exp.y0_scale, cutoff=exp.cutoff, horizon=exp.horizon,
         dt=config.dt, seed=config.seed, nu=config.nu,
     )
     traj_path = out / "simulate_trajectory.csv"
     write_trajectory_csv(traj_path, report.trajectory)
     payload = {
-        **_base_report(config, pack, {"cache": sha256_file(config.resolved_cache_path())}),
+        **_base_report(config, pack),
         "threshold": report.threshold,
         "n_active": report.params.n_active,
         "gain": report.params.gain,
@@ -501,12 +456,24 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
         cut_path = out / "simulate_trajectory_cutoff.csv"
         write_trajectory_csv(cut_path, report.cutoff_trajectory)
         payload["cutoff_trajectory"] = cut_path.name
+        payload["cutoff_trajectory_sha256"] = sha256_file(cut_path)
         payload["cutoff_matches_linear"] = report.cutoff_matches_linear
         payload["control_stayed_below_radius"] = report.control_stayed_below_radius
     _write_json(out / "simulate_report.json", payload)
 
 
-def _null_control_payload(config: RunConfig, pack: ConstantPack, report) -> dict:
+def _null_control(config: RunConfig, basis, tensor, gram, pack, n0: int):
+    """One null-control run over the period 2**-n0 as the config sets it up."""
+    exp = config.experiment
+    return run_null_control(
+        basis, tensor, gram, pack, n0,
+        y0_norm=exp.y0_norm if config.mode == "practical" else None,
+        n_max=exp.n_max, eps_zero=config.eps_zero, cutoff=exp.cutoff,
+        dt=config.dt, seed=config.seed, nu=config.nu,
+    )
+
+
+def _null_control_payload(report) -> dict:
     payload = {
         "n0": report.n0,
         "T": report.period,
@@ -544,17 +511,8 @@ def _null_control_payload(config: RunConfig, pack: ConstantPack, report) -> dict
 
 def _cmd_nullcontrol(config: RunConfig, out: Path) -> None:
     basis, grid, tensor, gram, pack = _prepare_dynamics(config)
-    exp = config.experiment
-    report = run_null_control(
-        basis, tensor, gram, pack, exp.n0,
-        y0_norm=exp.y0_norm if config.mode == "practical" else None,
-        n_max=exp.n_max, eps_zero=config.eps_zero, cutoff=exp.cutoff,
-        dt=config.dt, seed=config.seed, nu=config.nu,
-    )
-    payload = {
-        **_base_report(config, pack, {"cache": sha256_file(config.resolved_cache_path())}),
-        **_null_control_payload(config, pack, report),
-    }
+    report = _null_control(config, basis, tensor, gram, pack, config.experiment.n0)
+    payload = {**_base_report(config, pack), **_null_control_payload(report)}
     if report.trajectory is not None:
         traj_path = out / "nullcontrol_trajectory.csv"
         write_trajectory_csv(traj_path, report.trajectory)
@@ -581,7 +539,7 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
     _write_json(
         out / "stabilize_report.json",
         {
-            **_base_report(config, pack, {"cache": sha256_file(config.resolved_cache_path())}),
+            **_base_report(config, pack),
             "n0": probe.n0,
             "T": probe.period,
             "dt": probe.dt,
@@ -600,38 +558,30 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
 
 def _cmd_cost_curve(config: RunConfig, out: Path) -> None:
     basis, grid, tensor, gram, pack = _prepare_dynamics(config)
-    exp = config.experiment
-    reports = []
-    rows = []
-    for n0 in exp.n0_list:
-        rep = run_null_control(
-            basis, tensor, gram, pack, n0,
-            y0_norm=exp.y0_norm if config.mode == "practical" else None,
-            n_max=exp.n_max, eps_zero=config.eps_zero, cutoff=exp.cutoff,
-            dt=config.dt, seed=config.seed, nu=config.nu,
-        )
-        reports.append(rep)
-        rows.append((rep.period, 1.0 / rep.period, rep.cost, rep.y0_norm))
+    reports = [_null_control(config, basis, tensor, gram, pack, n0) for n0 in config.experiment.n0_list]
     slope, intercept = fit_cost_curve(reports)
     curve_path = out / "cost_curve.csv"
-    lines = ["T,inv_T,cost,y0_norm"]
-    for T, inv_t, cost, y0n in rows:
-        lines.append(f"{_fmt(T)},{_fmt(inv_t)},{_fmt(cost)},{_fmt(y0n)}")
-    curve_path.parent.mkdir(parents=True, exist_ok=True)
-    curve_path.write_text("\n".join(lines) + "\n")
+    _write_csv(curve_path, "T,inv_T,cost,y0_norm",
+               ((r.period, 1.0 / r.period, r.cost, r.y0_norm) for r in reports))
     _write_json(
         out / "cost_curve_report.json",
         {
-            **_base_report(config, pack, {"cache": sha256_file(config.resolved_cache_path())}),
-            "n0_list": list(exp.n0_list),
+            **_base_report(config, pack),
+            "n0_list": list(config.experiment.n0_list),
             "slope": slope,
             "intercept": intercept,
             "cost_exponent": pack.cost_exponent,
             "slope_over_cost_exponent": slope / pack.cost_exponent,
             "curve": curve_path.name,
-            "runs": [_null_control_payload(config, pack, r) for r in reports],
+            "runs": [_null_control_payload(r) for r in reports],
         },
     )
+
+
+def _listed_trajectories(data: dict) -> list[tuple[str, str | None]]:
+    """(file, sha256 recorded at the run) of every trajectory CSV a report lists."""
+    listed = [(data[key], data.get(f"{key}_sha256")) for key in ("trajectory", "cutoff_trajectory") if key in data]
+    return listed + [(entry["file"], entry.get("sha256")) for entry in data.get("trajectories", ())]
 
 
 def _cmd_report(config: RunConfig, out: Path) -> None:
@@ -651,13 +601,13 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
         if health:
             lines.append(f"  steps = {sum(h['steps'] for h in health)}")
             lines.append(f"  max_energy_defect = {max(h['max_energy_defect'] for h in health)}")
+        for file, recorded in _listed_trajectories(data):
+            digest = sha256_file(out / file)
+            lines.append(f"  trajectory = {file} ({digest})")
+            if recorded != digest:
+                lines.append(f"  WARNING: {file} hash differs from the one recorded at the run")
         if "trajectory" in data:
-            traj_path = out / data["trajectory"]
-            digest = sha256_file(traj_path)
-            lines.append(f"  trajectory = {data['trajectory']} ({digest})")
-            if data.get("trajectory_sha256") not in (None, digest):
-                lines.append("  WARNING: trajectory hash changed since the run")
-            plot_source = traj_path
+            plot_source = out / data["trajectory"]
         lines.append("")
     if not lines:
         raise FileNotFoundError(f"no report artifacts in {out}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class ConstantPack:
 
     mode is "certified" (constants from the fit chain, spectral constant
     >= 1) or "practical" (user-supplied small constants).  provenance maps
-    each field to how it was obtained ("fitted", "measured", "derived",
-    "user", "default").
+    each field to how it was obtained ("fitted", "measured", "derived" or
+    "user").
     """
 
     spectral_constant: float
@@ -57,7 +57,6 @@ class ConstantPack:
     feedback_constant: float
     schedule_constant: float
     cost_exponent: float
-    force_energy_constant: float = 1.0
     mode: str = "practical"
     provenance: dict = field(default_factory=dict, compare=False)
 
@@ -70,7 +69,6 @@ class ConstantPack:
             "feedback_constant",
             "schedule_constant",
             "cost_exponent",
-            "force_energy_constant",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -99,7 +97,6 @@ class ConstantPack:
                 "feedback_constant": "derived",
                 "schedule_constant": "derived",
                 "cost_exponent": "derived",
-                "force_energy_constant": "default",
             },
         )
 
@@ -117,11 +114,7 @@ class ConstantPack:
         dyadic thresholds inside a desk-scale basis but voids the derived
         schedule inequalities; the override is recorded in provenance.
         """
-        prov = {
-            "spectral_constant": "user",
-            "trilinear_constant": "user",
-            "force_energy_constant": "default",
-        }
+        prov = {"spectral_constant": "user", "trilinear_constant": "user"}
         if feedback_constant is None:
             feedback_constant = derive_feedback_constant(spectral_constant, trilinear_constant)
             prov["feedback_constant"] = "derived"
@@ -157,7 +150,6 @@ class ConstantPack:
             "feedback_constant": self.feedback_constant,
             "schedule_constant": self.schedule_constant,
             "cost_exponent": self.cost_exponent,
-            "force_energy_constant": self.force_energy_constant,
             "provenance": dict(self.provenance),
         }
 
@@ -412,6 +404,23 @@ class Schedule:
     params: tuple[FeedbackParams, ...]
     clamped: np.ndarray  # (n_max + 1,) bool
 
+    @classmethod
+    def dyadic(cls, n0: int, q: float, n_max: int) -> "Schedule":
+        """Times and raw thresholds q^2 4^(n0+n) of the period 2**-n0, unclamped.
+
+        Carries no feedback data, which needs a basis: enough for the
+        log-space bound arithmetic of a certified pack, whose thresholds
+        overrun any desk-scale basis.  :func:`build_schedule` extends it.
+        """
+        if n0 < 1:
+            raise ValueError("n0 must be a positive integer")
+        if n_max < 0:
+            raise ValueError("n_max must be nonnegative")
+        period = 2.0 ** (-n0)
+        start_times = period * (1.0 - 0.5 ** np.arange(n_max + 2))
+        raw = q * q * 4.0 ** (n0 + np.arange(n_max + 1))
+        return cls(n0, period, n_max, start_times, raw, raw.copy(), (), np.zeros(n_max + 1, dtype=bool))
+
     @property
     def max_gain(self) -> float:
         return max(p.gain for p in self.params)
@@ -419,20 +428,13 @@ class Schedule:
 
 def build_schedule(n0: int, pack: ConstantPack, basis: StokesBasis, n_max: int) -> Schedule:
     """Dyadic schedule for period 2**-n0 with n_max + 1 active intervals."""
-    if n0 < 1:
-        raise ValueError("n0 must be a positive integer")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    period = 2.0 ** (-n0)
-    n = np.arange(n_max + 2)
-    start_times = period * (1.0 - 0.5 ** n)
-    q = pack.schedule_constant
-    raw = q * q * 4.0 ** (n0 + np.arange(n_max + 1))
+    dyadic = Schedule.dyadic(n0, pack.schedule_constant, n_max)
+    raw = dyadic.thresholds_raw
     tau = basis.eigenvalues
     if pack.mode == "certified":
         if raw[-1] >= tau[-1]:
             raise BasisTooSmallError(float(raw[-1]), float(tau[-1]))
-        applied = raw.copy()
+        applied = dyadic.thresholds
     else:
         # clamp strictly below tau_M; ties at the top force a further step down
         cap_idx = int(np.searchsorted(tau, tau[-1], side="left")) - 1
@@ -449,16 +451,7 @@ def build_schedule(n0: int, pack: ConstantPack, basis: StokesBasis, n_max: int) 
                 first,
             )
     params = tuple(feedback_params(float(lam), pack, basis) for lam in applied)
-    return Schedule(
-        n0=n0,
-        period=period,
-        n_max=n_max,
-        start_times=start_times,
-        thresholds_raw=raw,
-        thresholds=applied,
-        params=params,
-        clamped=applied != raw,
-    )
+    return replace(dyadic, thresholds=applied, params=params, clamped=applied != raw)
 
 
 def locate_interval(t: float, schedule: Schedule) -> int:
@@ -470,15 +463,3 @@ def locate_interval(t: float, schedule: Schedule) -> int:
         return TERMINAL
     return idx
 
-
-def dyadic_horizon(horizon: float) -> tuple[int, float]:
-    """Split an arbitrary horizon in (0, 1) into (n0, tail).
-
-    The dyadic schedule runs over 2**-n0, the largest power of two not
-    exceeding the horizon; the feedback is zero on the remaining tail.
-    """
-    if not 0.0 < horizon < 1.0:
-        raise ValueError("horizon must lie in (0, 1)")
-    n0 = max(1, math.ceil(-math.log2(horizon)))
-    period = 2.0 ** (-n0)
-    return n0, horizon - period

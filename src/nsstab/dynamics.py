@@ -93,20 +93,17 @@ class ControlLaw:
     params[n].n_active coefficients, passed through radial_cutoff at
     params[n].cutoff_radius when cutoff is set; segment TERMINAL is the zero
     control.  A periodic law follows a dyadic schedule: a time t is reduced
-    to t mod (period + tail), and its segment is the schedule interval that
-    contains it, TERMINAL in the terminal regime and on the zero-feedback
-    tail.  Without a schedule the law is stationary: segment 0 at every
-    time, or TERMINAL for the zero law (no params).
+    to t mod period, and its segment is the schedule interval that contains
+    it, TERMINAL in the terminal regime.  Without a schedule the law is
+    stationary: segment 0 at every time, or TERMINAL for the zero law (no
+    params).
     """
 
     params: tuple[FeedbackParams, ...] = ()
     schedule: Schedule | None = None
     cutoff: bool = False
-    tail: float = 0.0
 
     def __post_init__(self):
-        if self.tail < 0.0:
-            raise ValueError("tail must be nonnegative")
         if self.cutoff and not all(0 < p.cutoff_radius <= 0.5 for p in self.params):
             raise ValueError("radius must lie in (0, 1/2]")
 
@@ -115,24 +112,19 @@ class ControlLaw:
         return cls((params,), cutoff=cutoff)
 
     @classmethod
-    def periodic(cls, schedule: Schedule, cutoff: bool = False, tail: float = 0.0) -> "ControlLaw":
-        return cls(schedule.params, schedule, cutoff, tail)
-
-    @property
-    def full_period(self) -> float:
-        """Period of a periodic law: the schedule's period plus the tail."""
-        return self.schedule.period + self.tail
+    def periodic(cls, schedule: Schedule, cutoff: bool = False) -> "ControlLaw":
+        return cls(schedule.params, schedule, cutoff)
 
     def segment_at(self, t) -> np.ndarray:
         """Segment index of each time in t (an array of any shape)."""
         t = np.asarray(t, dtype=np.float64)
         if self.schedule is None:
             return np.full(t.shape, 0 if self.params else TERMINAL)
-        full_period = self.full_period
-        tp = np.remainder(t, full_period)
-        tp = np.where(tp >= full_period, 0.0, tp)  # guard the floating-point edge
+        period = self.schedule.period
+        tp = np.remainder(t, period)
+        tp = np.where(tp >= period, 0.0, tp)  # guard the floating-point edge
         seg = np.searchsorted(self.schedule.start_times, tp, side="right") - 1
-        return np.where((tp >= self.schedule.period) | (seg > self.schedule.n_max), TERMINAL, seg)
+        return np.where(seg > self.schedule.n_max, TERMINAL, seg)
 
     def tables(self, m: int):
         """Per-segment arrays for an M-mode basis, indexed by segment.

@@ -238,29 +238,6 @@ class NullControlReport:
         return self.period
 
 
-def _schedule_skeleton(n0: int, pack: ConstantPack, n_max: int) -> Schedule:
-    """Times and raw thresholds only, for bound arithmetic without a basis.
-
-    Certified thresholds overrun any desk-scale basis, so the log-space
-    verification path cannot ask :func:`build_schedule` for feedback data.
-    """
-    period = 2.0 ** (-n0)
-    n = np.arange(n_max + 2)
-    start_times = period * (1.0 - 0.5 ** n)
-    q = pack.schedule_constant
-    raw = q * q * 4.0 ** (n0 + np.arange(n_max + 1))
-    return Schedule(
-        n0=n0,
-        period=period,
-        n_max=n_max,
-        start_times=start_times,
-        thresholds_raw=raw,
-        thresholds=raw.copy(),
-        params=(),
-        clamped=np.zeros(n_max + 1, dtype=bool),
-    )
-
-
 def _interval_norm_log_bounds(schedule: Schedule, q: float) -> np.ndarray:
     """ln of the per-interval norm envelope exp(-(7 q^2/64) 2^n0 (2^n - 1))."""
     n = np.arange(schedule.n_max + 2)
@@ -286,7 +263,6 @@ def run_null_control(
     dt: float | None = None,
     seed: int = 0,
     nu: float = 1.0,
-    enforce_bounds: bool | None = None,
 ) -> NullControlReport:
     """Steer the state toward zero over one period of the dyadic schedule.
 
@@ -294,66 +270,39 @@ def run_null_control(
     exp(-c3/T) (exp(-2 c3/T) for the cutoff variant); practical packs take
     the caller's y0_norm.  The state is declared numerically null once its
     norm falls below eps_zero times the initial norm, after which the
-    control is latched to zero.  With enforce_bounds (default: certified
-    packs only) a violated per-interval bound raises BoundViolatedError.
+    control is latched to zero.  For certified packs a violated
+    per-interval bound raises BoundViolatedError.
     """
     period = 2.0 ** (-n0)
     q = pack.schedule_constant
     c3 = pack.cost_exponent
     log_basin = (-2.0 if cutoff else -1.0) * c3 / period
-    if enforce_bounds is None:
-        enforce_bounds = pack.mode == "certified"
-
-    if pack.mode == "certified":
-        below = log_basin < LOG_PRECISION_FLOOR
-        if below:
-            report = NullControlReport(
-                n0=n0,
-                period=period,
-                n_max=n_max,
-                mode=pack.mode,
-                cutoff=cutoff,
-                y0_norm=0.0 if y0_norm is None else y0_norm,
-                log_basin=log_basin,
-                basin_below_precision=below,
-                schedule=_schedule_skeleton(n0, pack, n_max),
-            )
-            _verify_bound_arithmetic(report, pack)
-            logger.info(
-                "certified basin exp(%.4g) below float precision; "
-                "bound arithmetic verified in log space, dynamics skipped",
-                log_basin,
-            )
-            return report
-        schedule = build_schedule(n0, pack, basis, n_max)
-        if y0_norm is None:
-            y0_norm = math.exp(log_basin)
-        report = NullControlReport(
-            n0=n0,
-            period=schedule.period,
-            n_max=n_max,
-            mode=pack.mode,
-            cutoff=cutoff,
-            y0_norm=y0_norm,
-            log_basin=log_basin,
-            basin_below_precision=below,
-            schedule=schedule,
-        )
-    else:
-        schedule = build_schedule(n0, pack, basis, n_max)
-        if y0_norm is None:
+    certified = pack.mode == "certified"
+    below = certified and log_basin < LOG_PRECISION_FLOOR
+    schedule = Schedule.dyadic(n0, q, n_max) if below else build_schedule(n0, pack, basis, n_max)
+    if y0_norm is None:
+        if not certified:
             raise ValueError("practical mode requires an explicit initial norm")
-        report = NullControlReport(
-            n0=n0,
-            period=schedule.period,
-            n_max=n_max,
-            mode=pack.mode,
-            cutoff=cutoff,
-            y0_norm=y0_norm,
-            log_basin=log_basin,
-            basin_below_precision=False,
-            schedule=schedule,
+        y0_norm = 0.0 if below else math.exp(log_basin)
+    report = NullControlReport(
+        n0=n0,
+        period=schedule.period,
+        n_max=n_max,
+        mode=pack.mode,
+        cutoff=cutoff,
+        y0_norm=y0_norm,
+        log_basin=log_basin,
+        basin_below_precision=below,
+        schedule=schedule,
+    )
+    if below:
+        _verify_bound_arithmetic(report, pack)
+        logger.info(
+            "certified basin exp(%.4g) below float precision; "
+            "bound arithmetic verified in log space, dynamics skipped",
+            log_basin,
         )
+        return report
 
     if dt is None:
         dt = _dyadic_dt(schedule.max_gain, n0 + n_max + 4)
@@ -394,7 +343,7 @@ def run_null_control(
     log_y0 = math.log(y0_norm) if y0_norm else -math.inf
     report.cost_bound_ok = bool(log_cost <= c3 / schedule.period + log_y0 + 1e-12)
 
-    if enforce_bounds:
+    if certified:
         for n in range(schedule.n_max + 2):
             if not report.state_bound_ok[n]:
                 raise BoundViolatedError(

@@ -115,6 +115,13 @@ class StokesBasis:
     velocities: np.ndarray = field(repr=False)  # (M, 2, nx, ny)
     grid: Grid = field(repr=False)
 
+    @classmethod
+    def from_stream_functions(cls, eigenvalues: np.ndarray, stream_functions: np.ndarray,
+                              grid: Grid) -> "StokesBasis":
+        """The basis whose velocities are the grid's curls of the stream functions."""
+        velocities = np.stack([stream_to_velocity(psi, grid) for psi in stream_functions])
+        return cls(eigenvalues, stream_functions, velocities, grid)
+
     @property
     def n_modes(self) -> int:
         return len(self.eigenvalues)
@@ -152,13 +159,7 @@ def solve_eigenbasis(k1: np.ndarray, k2: np.ndarray, m: int, grid: Grid) -> Stok
         flat = psi[i].ravel()
         if flat[np.argmax(np.abs(flat))] < 0:
             psi[i] = -psi[i]
-    velocities = np.stack([stream_to_velocity(psi[i], grid) for i in range(m)])
-    return StokesBasis(
-        eigenvalues=tau,
-        stream_functions=psi,
-        velocities=velocities,
-        grid=grid,
-    )
+    return StokesBasis.from_stream_functions(tau, psi, grid)
 
 
 def assemble_gram(basis: StokesBasis, grid: Grid, mask: np.ndarray | None = None) -> np.ndarray:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from nsstab.constants import (
     FeedbackParams,
     build_schedule,
-    dyadic_horizon,
     feedback_params,
     radial_cutoff,
     radial_cutoff_rows,
@@ -73,16 +72,15 @@ def test_stationary_law_matches_oracle(square16, pack_rapid, cutoff):
         assert raw.max() > params.cutoff_radius
 
 
-def test_periodic_law_with_offsets_and_tail_matches_oracle(square16, pack_schedule):
+def test_periodic_law_with_offsets_matches_oracle(square16, pack_schedule):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
-    n0, tail = dyadic_horizon(0.3)
-    sched = build_schedule(n0, pack_schedule, basis, 4)
-    offsets = np.array([0.0, 0.1, 0.29])
+    sched = build_schedule(2, pack_schedule, basis, 4)
+    offsets = np.array([0.0, 0.1, 0.29])  # the last starts past one period
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=3)
     dt = 2.0**-12
-    run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched, cutoff=True, tail=tail),
+    run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched, cutoff=True),
                          offsets, 0.5, dt, basis, tensor, gram)
-    refs = [oracle.simulate(y0, oracle.ScheduledFeedback(sched, cutoff=True, tail=tail),
+    refs = [oracle.simulate(y0, oracle.ScheduledFeedback(sched, cutoff=True),
                             s, s + 0.5, dt, basis, tensor, gram) for s in offsets]
     assert_matches_oracle(run, refs)
     assert all((ref.interval == -1).any() and (ref.interval >= 0).any() for ref in refs)
@@ -125,11 +123,8 @@ def schedule16(square16, pack_schedule):
     return build_schedule(1, pack_schedule, square16["basis"], 4)
 
 
-def oracle_interval(schedule, tail, t):
-    return oracle.ScheduledFeedback(schedule, tail=tail).interval_at(float(t))
-
-
-TAILS = st.sampled_from([0.0, 0.05, 0.1, 1.0 / 3.0])
+def oracle_interval(schedule, t):
+    return oracle.ScheduledFeedback(schedule).interval_at(float(t))
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,34 +132,32 @@ TAILS = st.sampled_from([0.0, 0.05, 0.1, 1.0 / 3.0])
     offsets=st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=4),
     dt=st.one_of(st.integers(4, 12).map(lambda k: 2.0**-k), st.floats(1e-4, 0.05)),
     n_steps=st.integers(1, 64),
-    tail=TAILS,
 )
-def test_plan_matches_scalar_reduction(schedule16, offsets, dt, n_steps, tail):
-    law = ControlLaw.periodic(schedule16, tail=tail)
+def test_plan_matches_scalar_reduction(schedule16, offsets, dt, n_steps):
+    law = ControlLaw.periodic(schedule16)
     seg_a, seg_b = segment_plan(law, np.array(offsets), n_steps, dt)
     assert seg_a.shape == (n_steps + 1, len(offsets)) and seg_b.shape == (n_steps, len(offsets))
     for r, s in enumerate(offsets):
         for k in range(n_steps + 1):
             t = s + k * dt
-            assert seg_a[k, r] == oracle_interval(schedule16, tail, t)
+            assert seg_a[k, r] == oracle_interval(schedule16, t)
             if k < n_steps:
-                assert seg_b[k, r] == oracle_interval(schedule16, tail, t + dt)
+                assert seg_b[k, r] == oracle_interval(schedule16, t + dt)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    boundary=st.integers(0, 6),  # interval starts 0..n_max+1, then the start of the tail
+    boundary=st.integers(0, 6),  # interval starts 0..n_max+1, then the end of the period
     periods=st.integers(-3, 3),
     ulps=st.integers(-2, 2),
-    tail=TAILS,
 )
-def test_segment_at_dyadic_boundaries(schedule16, boundary, periods, ulps, tail):
-    law = ControlLaw.periodic(schedule16, tail=tail)
+def test_segment_at_dyadic_boundaries(schedule16, boundary, periods, ulps):
+    law = ControlLaw.periodic(schedule16)
     edges = np.append(schedule16.start_times, schedule16.period)
-    t = edges[boundary] + periods * law.full_period
+    t = edges[boundary] + periods * schedule16.period
     for _ in range(abs(ulps)):
         t = np.nextafter(t, np.inf if ulps > 0 else -np.inf)
-    assert law.segment_at(t) == oracle_interval(schedule16, tail, t)
+    assert law.segment_at(t) == oracle_interval(schedule16, t)
     assert law.segment_at(np.array([t]))[0] == law.segment_at(t)
 
 

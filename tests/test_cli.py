@@ -299,3 +299,36 @@ def test_stabilize_csvs_identical_across_blas_thread_counts(tmp_path):
     for one, two in zip(outputs["1"], outputs["2"]):
         assert one.name == two.name
         assert one.read_bytes() == two.read_bytes()
+
+
+def test_simulate_rejects_lambda_index_tied_with_the_top_eigenvalue(tmp_path, capsys):
+    # at 32x32 with 24 modes, tau_23 and tau_24 are one degenerate pair
+    path = write_config(tmp_path, nx=32, ny=32, M=24, overrides={"experiment.lambda_index": 23})
+    config = parse_config(path)
+    assert run_subcommand("eigen", config) == 0
+    tau = json.loads((tmp_path / "out" / "eigen_report.json").read_text())["eigenvalues"]
+    assert tau[22] == tau[23]
+    assert main(["simulate", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["key"] == "experiment.lambda_index"
+    assert not (tmp_path / "out" / "simulate_report.json").exists()
+
+
+def test_report_checks_every_listed_trajectory_hash(tmp_path):
+    config = parse_config(write_config(tmp_path, overrides={"experiment.cutoff": True}))
+    out = tmp_path / "out"
+    for sub in ("simulate", "stabilize", "report"):
+        assert run_subcommand(sub, config) == 0
+    simulate = json.loads((out / "simulate_report.json").read_text())
+    assert simulate["cutoff_trajectory_sha256"] == sha256_file(out / simulate["cutoff_trajectory"])
+    summary = (out / "summary.txt").read_text()
+    assert "WARNING" not in summary
+    for name in ("simulate_trajectory.csv", "simulate_trajectory_cutoff.csv",
+                 *(f"stabilize_trajectory_{i}.csv" for i in range(3))):
+        assert f"  trajectory = {name} (sha256:" in summary
+    corrupted = out / "stabilize_trajectory_1.csv"
+    corrupted.write_text(corrupted.read_text().replace("\n0", "\n1", 1))
+    assert run_subcommand("report", config) == 0
+    warnings = [line for line in (out / "summary.txt").read_text().splitlines() if "WARNING" in line]
+    assert warnings == ["  WARNING: stabilize_trajectory_1.csv hash differs from the one recorded at the run"]

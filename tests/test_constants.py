@@ -318,32 +318,3 @@ def test_schedule_periodization(square32, pack_schedule):
         assert params[law.segment_at(t)] == params[law.segment_at(t + sched.period)]
         assert law.segment_at(t) == law.segment_at(t + 7 * sched.period)
 
-
-def test_dyadic_horizon_split():
-    from nsstab.constants import dyadic_horizon
-
-    n0, tail = dyadic_horizon(0.5)
-    assert n0 == 1 and tail == 0.0
-    n0, tail = dyadic_horizon(0.3)  # in (1/4, 1/2): schedule on 1/4, rest idle
-    assert n0 == 2 and tail == pytest.approx(0.05)
-    n0, tail = dyadic_horizon(0.9)
-    assert n0 == 1 and tail == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        dyadic_horizon(1.0)
-
-
-def test_scheduled_feedback_with_tail_is_zero_on_remainder(square32, pack_schedule):
-    from nsstab.constants import TERMINAL, dyadic_horizon
-    from nsstab.dynamics import ControlLaw, simulate_batch
-
-    n0, tail = dyadic_horizon(0.3)
-    basis = square32["basis"]
-    sched = build_schedule(n0, pack_schedule, basis, 4)
-    law = ControlLaw.periodic(sched, tail=tail)
-    assert law.full_period == pytest.approx(0.3)
-    x = np.ones((1, basis.n_modes))
-    assert law.segment_at(0.26) == TERMINAL  # inside the idle tail
-    run = simulate_batch(x, law, 0.26, 1e-4, 1e-4, basis, square32["tensor"], square32["gram"])
-    assert run.control_norm[0, 0] == 0.0
-    assert law.segment_at(0.1) == law.segment_at(0.1 + 0.3)  # 0.3-periodic
-    assert law.segment_at(0.0) == 0
