@@ -5,9 +5,11 @@ The velocity space is represented through stream functions: a clamped
 scalar field psi yields u = (d psi/dy, -d psi/dx), which is exactly
 divergence-free on the grid and tangent to the boundary.  The Stokes
 eigenproblem then becomes the plate-buckling problem
-biharmonic(psi) = tau * (-laplacian(psi)), solved as a dense symmetric
-generalized eigenproblem whose eigenvectors are automatically orthonormal
-in the velocity inner product.
+biharmonic(psi) = tau * (-laplacian(psi)), a sparse symmetric
+generalized eigenproblem solved by shift-invert Lanczos, whose eigenvectors
+are orthonormal in the velocity inner product.  Degenerate eigenvalues
+(the square's symmetries pair many modes) come out bit-equal, each
+eigenspace with one fixed orientation.
 """
 
 import numpy as np

@@ -50,7 +50,7 @@ from .spectral import StokesBasis, assemble_gram, assemble_operators, fit_spectr
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"NSSTAB1\x00"
-CACHE_VERSION = 1
+CACHE_VERSION = 2  # 2: sparse solve, bit-equal ties, canonical eigenspace orientation
 
 SUBCOMMANDS = (
     "eigen",

@@ -60,10 +60,12 @@ def raw_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
             grads[j, 1, comp] = (padded_y[:, 2:] - padded_y[:, :-2]) / (2.0 * grid.hy)
     e_flat = vel.reshape(m, 2, -1)
     g_flat = grads.reshape(m, 2, 2, -1)
-    # advected[i, j, b, :] = sum_a e_i[a] * d_a e_j[b]
-    advected = np.einsum("ian,jabn->ijbn", e_flat, g_flat)
-    tensor = np.einsum("ijbn,kbn->ijk", advected, e_flat) * grid.cell_area
-    return tensor
+    tensor = np.empty((m, m, m))
+    for i in range(m):
+        # advected[j, b, :] = sum_a e_i[a] * d_a e_j[b], one (M, 2, N) slice at a time
+        advected = np.einsum("an,jabn->jbn", e_flat[i], g_flat)
+        tensor[i] = np.einsum("jbn,kbn->jk", advected, e_flat)
+    return tensor * grid.cell_area
 
 
 def build_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import ConstantPack, FeedbackParams, Schedule, build_schedule, feedback_params
 from .dynamics import ControlLaw, Trajectory, simulate_batch
-from .errors import BlowUpError, BoundViolatedError, TwoPeriodFailedError
+from .errors import BlowUpError, BoundViolatedError, ConfigError, TwoPeriodFailedError
 from .spectral import StokesBasis
 
 logger = logging.getLogger(__name__)
@@ -37,6 +37,9 @@ ACTIVE_INIT_MODES = 8
 
 #: below this log-threshold a basin is unrepresentable in float64
 LOG_PRECISION_FLOOR = math.log(1e-290)
+
+#: most closed-loop steps a stationary-law run may plan (certified gains ask for millions)
+MAX_STEPS = 2**20
 
 
 def random_low_mode_state(n_modes: int, norm: float, seed: int) -> np.ndarray:
@@ -131,6 +134,10 @@ def run_rapid_stab(
         logger.info("dt defaulted to %.3e (gain %.3e)", dt, params.gain)
     if horizon is None:
         horizon = 16.0 / lam
+    planned = math.ceil(horizon / dt)
+    if planned > MAX_STEPS:
+        raise ConfigError("dt", f"dt = {dt:.3e} over the horizon {horizon:.3e} needs {planned} steps, "
+                                f"more than the budget of {MAX_STEPS}")
     n_steps = max(1, int(round(horizon / dt)))
     stride = max(1, n_steps // 1024)
     n_steps = ((n_steps + stride - 1) // stride) * stride
@@ -540,7 +547,9 @@ def fit_cost_curve(reports) -> tuple[float, float]:
     y = []
     for r in reports:
         if not (r.cost > 0 and r.y0_norm > 0):
-            raise ValueError("cost-curve fit needs positive costs and initial norms")
+            cause = ": the radial cutoff zeroed its control" if r.cutoff and r.cost == 0 else ""
+            raise ValueError(f"cost-curve fit needs positive costs and initial norms; the run n0={r.n0} "
+                             f"(T={r.period:g}) has cost {r.cost:g} and initial norm {r.y0_norm:g}{cause}")
         y.append(math.log(r.cost / r.y0_norm))
     slope, intercept = np.polyfit(x, np.array(y), 1)
     return float(slope), float(intercept)

@@ -1,9 +1,15 @@
-"""Reference closed-loop stepper: the single-trajectory loop and the stateful
-control-law classes that nsstab shipped before the batched stepper.
+"""Reference implementations that nsstab replaced with faster ones.
 
-Tests compare :func:`nsstab.dynamics.simulate_batch` against this module;
-the scheme is the same integrating-factor Heun step, written one trajectory
-and one law evaluation at a time.  Kept as it was; do not optimize.
+* The single-trajectory closed-loop stepper and the stateful control-law
+  classes that nsstab shipped before the batched stepper.  Tests compare
+  :func:`nsstab.dynamics.simulate_batch` against them; the scheme is the
+  same integrating-factor Heun step, written one trajectory and one law
+  evaluation at a time.
+* The dense operator assembly and the dense generalized ``eigh`` that the
+  sparse shift-invert solve replaced, run through the same canonicalizer.
+* The one-shot convection tensor, with its (M, M, 2, N) intermediate.
+
+Kept as they were; do not optimize.
 """
 
 from __future__ import annotations
@@ -11,11 +17,96 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from nsstab.constants import TERMINAL, FeedbackParams, Schedule, locate_interval, modal_feedback, radial_cutoff
 from nsstab.dynamics import BLOWUP_GUARD, Trajectory, lyapunov
 from nsstab.errors import BlowUpError
-from nsstab.spectral import StokesBasis
+from nsstab.grid import Grid
+from nsstab.spectral import EXTRA_MODES, StokesBasis, canonical_basis
+
+
+def _central_difference_1d(n: int, h: float) -> np.ndarray:
+    """Matrix of the central difference at interior nodes, zero ghosts."""
+    d = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    d[idx, idx + 1] = 1.0 / (2.0 * h)
+    d[idx + 1, idx] = -1.0 / (2.0 * h)
+    return d
+
+
+def _second_difference_1d(n: int, h: float) -> np.ndarray:
+    """Standard three-point second difference with Dirichlet boundary."""
+    s = np.zeros((n, n))
+    np.fill_diagonal(s, -2.0 / h**2)
+    idx = np.arange(n - 1)
+    s[idx, idx + 1] = 1.0 / h**2
+    s[idx + 1, idx] = 1.0 / h**2
+    return s
+
+
+def _fourth_difference_1d(n: int, h: float) -> np.ndarray:
+    """Five-point fourth difference with clamped mirror ghosts.
+
+    Ghost values one node beyond the wall mirror the first interior node,
+    which adds 1/h^4 to the two wall-adjacent diagonal entries.
+    """
+    f = np.zeros((n, n))
+    np.fill_diagonal(f, 6.0)
+    idx = np.arange(n - 1)
+    f[idx, idx + 1] = -4.0
+    f[idx + 1, idx] = -4.0
+    idx = np.arange(n - 2)
+    f[idx, idx + 2] = 1.0
+    f[idx + 2, idx] = 1.0
+    f[0, 0] += 1.0
+    f[n - 1, n - 1] += 1.0
+    return f / h**4
+
+
+def dense_operators(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (K1, K2): central-gradient stiffness and clamped biharmonic."""
+    nx, ny = grid.nx, grid.ny
+    dx = _central_difference_1d(nx, grid.hx)
+    dy = _central_difference_1d(ny, grid.hy)
+    ix = np.eye(nx)
+    iy = np.eye(ny)
+    k1 = np.kron(dx.T @ dx, iy) + np.kron(ix, dy.T @ dy)
+
+    sx = _second_difference_1d(nx, grid.hx)
+    sy = _second_difference_1d(ny, grid.hy)
+    fx = _fourth_difference_1d(nx, grid.hx)
+    fy = _fourth_difference_1d(ny, grid.hy)
+    k2 = np.kron(fx, iy) + np.kron(ix, fy) + 2.0 * np.kron(sx, sy)
+    return k1, k2
+
+
+def dense_eigenbasis(grid: Grid, m: int) -> StokesBasis:
+    """The m smallest eigenpairs by dense generalized eigh, canonicalized."""
+    k1, k2 = dense_operators(grid)
+    top = min(m + EXTRA_MODES, grid.n_interior) - 1
+    tau, vecs = scipy.linalg.eigh(k2, k1, subset_by_index=(0, top))
+    return canonical_basis(tau, vecs, k1, m, grid)
+
+
+def raw_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
+    """Convection tensor entries B(e_i, e_j, e_k), contracted in one shot."""
+    m = basis.n_modes
+    nx, ny = grid.nx, grid.ny
+    vel = basis.velocities  # (m, 2, nx, ny)
+    grads = np.empty((m, 2, 2, nx, ny))
+    for j in range(m):
+        for comp in range(2):
+            padded_x = np.pad(vel[j, comp], ((1, 1), (0, 0)))
+            padded_y = np.pad(vel[j, comp], ((0, 0), (1, 1)))
+            grads[j, 0, comp] = (padded_x[2:, :] - padded_x[:-2, :]) / (2.0 * grid.hx)
+            grads[j, 1, comp] = (padded_y[:, 2:] - padded_y[:, :-2]) / (2.0 * grid.hy)
+    e_flat = vel.reshape(m, 2, -1)
+    g_flat = grads.reshape(m, 2, 2, -1)
+    # advected[i, j, b, :] = sum_a e_i[a] * d_a e_j[b]
+    advected = np.einsum("ian,jabn->ijbn", e_flat, g_flat)
+    tensor = np.einsum("ijbn,kbn->ijk", advected, e_flat) * grid.cell_area
+    return tensor
 
 
 @dataclass(frozen=True)

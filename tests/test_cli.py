@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nsstab.cli import (
     write_trajectory_csv,
 )
 from nsstab.errors import ConfigError
+from nsstab.experiments import MAX_STEPS
 from nsstab.grid import DomainSpec, build_grid
 
 from conftest import make_setup
@@ -299,6 +301,79 @@ def test_stabilize_csvs_identical_across_blas_thread_counts(tmp_path):
     for one, two in zip(outputs["1"], outputs["2"]):
         assert one.name == two.name
         assert one.read_bytes() == two.read_bytes()
+
+
+def _run_in_children(tmp_path, subcommand, data, env_by_name, timeout=300):
+    """Run one subcommand per environment in a child process; returns the CompletedProcess by name."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nsstab
+
+    src = str(Path(nsstab.__file__).resolve().parents[1])
+    done = {}
+    for name, env in env_by_name.items():
+        path = tmp_path / f"{subcommand}{name}.json"
+        path.write_text(json.dumps({**data, "output_dir": str(tmp_path / f"out{name}")}))
+        done[name] = subprocess.run([sys.executable, "-m", "nsstab.cli", subcommand, "--config", str(path)],
+                                    env={**os.environ, "PYTHONPATH": src, **env},
+                                    timeout=timeout, capture_output=True, text=True)
+    return done
+
+
+def test_eigen_cache_identical_across_blas_thread_counts(tmp_path):
+    # 32x32 with 24 modes has sign-ambiguous modes and degenerate pairs
+    data = {**json.loads(json.dumps(BASE)), "nx": 32, "ny": 32, "M": 24}
+    threads = {t: {"OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t, "MKL_NUM_THREADS": t} for t in ("1", "2")}
+    done = _run_in_children(tmp_path, "eigen", data, threads)
+    assert all(proc.returncode == 0 for proc in done.values())
+    caches = [(tmp_path / f"out{t}" / "basis_cache.nsstab").read_bytes() for t in threads]
+    assert caches[0] == caches[1]
+
+
+def test_version_1_cache_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog):
+    import hashlib
+    import struct
+
+    config = parse_config(write_config(tmp_path))
+    assert run_subcommand("eigen", config) == 0
+    path = tmp_path / "out" / "basis_cache.nsstab"
+    current = path.read_bytes()
+    body = bytearray(current[:-32])
+    struct.pack_into("<I", body, 8, 1)
+    path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
+    assert run_subcommand("eigen", config) == 0
+    assert "version 1 != 2; ignoring" in caplog.text
+    assert json.loads((tmp_path / "out" / "eigen_report.json").read_text())["cache_hit"] is False
+    assert path.read_bytes() == current
+
+
+def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, capsys):
+    # n0=3: the raw control is far above twice the cutoff radius, so the cutoff zeroes it
+    path = write_config(tmp_path, overrides={"experiment.cutoff": True})
+    assert main(["cost-curve", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "n0=3 (T=0.125) has cost 0" in err["message"]
+    assert "the radial cutoff zeroed its control" in err["message"]
+
+
+def test_simulate_rejects_a_run_over_the_step_budget(tmp_path):
+    # the certified gain at tau_4 is about 1.4e7, so the default dt is about 1.8e-8
+    done = _run_in_children(tmp_path, "simulate", {**json.loads(json.dumps(BASE)), "mode": "certified"},
+                            {"": {}}, timeout=60)[""]
+    assert done.returncode == 1
+    err = json.loads(done.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert err["key"] == "dt"
+    match = re.search(r"dt = (\S+) over the horizon (\S+) needs (\d+) steps, more than the budget of (\d+)",
+                      err["message"])
+    dt, horizon, steps, budget = (float(v) for v in match.groups())
+    assert dt == pytest.approx(1.8e-8, rel=0.05)
+    assert steps == pytest.approx(horizon / dt, rel=1e-3)
+    assert steps > budget == MAX_STEPS
 
 
 def test_simulate_rejects_lambda_index_tied_with_the_top_eigenvalue(tmp_path, capsys):

@@ -15,6 +15,7 @@ from nsstab.dynamics import (
 from nsstab.errors import BlowUpError
 from nsstab.grid import inner_l2
 
+import oracle
 from conftest import make_setup
 from oracle import ModalFeedback, SpectralState, ZeroFeedback, rhs, simulate, step
 
@@ -38,6 +39,13 @@ def test_raw_tensor_residual_magnitude(square16):
     raw = raw_trilinear_tensor(square16["basis"].truncated(8), square16["grid"])
     residual = np.abs(raw + raw.transpose(0, 2, 1)).max()
     assert 0.0 < residual < 1.0  # quadrature-scale, not structural
+
+
+def test_raw_tensor_chunked_over_i_equals_one_shot_oracle_to_the_bit(square32):
+    grid = square32["grid"]
+    wide = make_setup(32, 32, 64)[3]
+    for basis in (square32["basis"], wide):
+        assert np.array_equal(raw_trilinear_tensor(basis, grid), oracle.raw_trilinear_tensor(basis, grid))
 
 
 def test_rhs_zero_state():

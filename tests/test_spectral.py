@@ -2,23 +2,29 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsstab.errors import BasisTooSmallError, SpectralDegeneracyError
 from nsstab.grid import DomainSpec, build_grid
 from nsstab.spectral import (
+    EXTRA_MODES,
     StokesBasis,
     assemble_gram,
     assemble_operators,
+    canonical_basis,
+    cluster_starts,
     count_modes,
     fit_spectral_constant,
 )
 
+import oracle
 from conftest import make_setup
 
 
 def test_operators_symmetric_to_the_bit(tiny8):
     for key in ("k1", "k2"):
-        k = tiny8[key]
+        k = tiny8[key].toarray()
         assert np.array_equal(k, k.T)
 
 
@@ -63,9 +69,69 @@ def test_eigenvalues_positive_ascending(square32):
 
 def test_eigenvalues_match_dense_brute_force_oracle(tiny8):
     k1, k2, basis = tiny8["k1"], tiny8["k2"], tiny8["basis"]
-    w = np.linalg.eigvals(np.linalg.solve(k1, k2))
+    w = np.linalg.eigvals(np.linalg.solve(k1.toarray(), k2.toarray()))
     w = np.sort(w.real)[: basis.n_modes]
     assert np.allclose(basis.eigenvalues, w, rtol=1e-8)
+
+
+def test_sparse_operators_equal_dense_oracle_to_the_bit(tiny8):
+    grid = build_grid(DomainSpec(1.0, 0.8, 12, 10, (0.1, 0.4, 0.1, 0.4)))
+    for g, (k1, k2) in ((tiny8["grid"], (tiny8["k1"], tiny8["k2"])), (grid, assemble_operators(grid))):
+        d1, d2 = oracle.dense_operators(g)
+        assert np.array_equal(k1.toarray(), d1)
+        assert np.array_equal(k2.toarray(), d2)
+
+
+@pytest.mark.parametrize("fixture", ["square32", "tiny8"])
+def test_sparse_basis_matches_canonicalized_dense_oracle(fixture, request):
+    basis = request.getfixturevalue(fixture)["basis"]
+    ref = oracle.dense_eigenbasis(basis.grid, basis.n_modes)
+    np.testing.assert_allclose(basis.eigenvalues, ref.eigenvalues, rtol=1e-10, atol=0)
+    scale = np.abs(ref.stream_functions).max()
+    assert np.abs(basis.stream_functions - ref.stream_functions).max() <= 1e-10 * scale
+
+
+def test_tiny8_cuts_a_cluster_and_ties_are_bit_equal(tiny8_pairs, tiny8, square32):
+    # 8x8 with 10 modes keeps one vector of the degenerate pair tau_10 = tau_11
+    tau = tiny8_pairs[0]
+    assert 10 not in cluster_starts(tau)
+    for basis in (tiny8["basis"], square32["basis"]):
+        tau = basis.eigenvalues
+        ties = np.isclose(tau[1:], tau[:-1], rtol=1e-8, atol=0)
+        assert ties.any()
+        assert np.array_equal(tau[1:][ties], tau[:-1][ties])
+
+
+@pytest.fixture(scope="module")
+def tiny8_pairs(tiny8):
+    """Raw dense eigenpairs of the 8x8 pencil, before canonicalization."""
+    grid = tiny8["grid"]
+    k1, k2 = oracle.dense_operators(grid)
+    m = tiny8["basis"].n_modes
+    tau, vecs = scipy.linalg.eigh(k2, k1, subset_by_index=(0, m + EXTRA_MODES - 1))
+    return tau, vecs, k1, canonical_basis(tau, vecs, k1, m, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), flips=st.lists(st.booleans(), min_size=14, max_size=14))
+def test_canonical_basis_ignores_rotations_and_signs_inside_clusters(tiny8_pairs, seed, flips):
+    tau, vecs, k1, reference = tiny8_pairs
+    rng = np.random.default_rng(seed)
+    mixed = vecs * np.where(flips, -1.0, 1.0)
+    starts = cluster_starts(tau)
+    for lo, hi in zip(starts, [*starts[1:], len(tau)]):
+        q, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
+        mixed[:, lo:hi] = mixed[:, lo:hi] @ q
+    basis = canonical_basis(tau, mixed, k1, reference.n_modes, reference.grid)
+    assert np.array_equal(basis.eigenvalues, reference.eigenvalues)
+    scale = np.abs(reference.stream_functions).max()
+    assert np.abs(basis.stream_functions - reference.stream_functions).max() <= 1e-12 * scale
+
+
+def test_canonical_basis_needs_the_whole_cluster_of_tau_m(tiny8_pairs):
+    tau, vecs, k1, reference = tiny8_pairs
+    with pytest.raises(ValueError, match="inside the cluster"):
+        canonical_basis(tau[:11], vecs[:, :11], k1, reference.n_modes, reference.grid)
 
 
 def test_first_eigenvalue_mesh_convergence(square32, square48):
