@@ -181,8 +181,9 @@ def _config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("mode", "must be 'certified' or 'practical'")
     if config.M < 5:
         raise ConfigError("M", "need at least 5 modes")
-    if config.M > config.nx * config.ny:
-        raise ConfigError("M", "cannot exceed the interior node count")
+    if config.M > config.nx * config.ny - 2:
+        # the solve needs one eigenpair past tau_M, and ARPACK returns fewer than n
+        raise ConfigError("M", "cannot exceed the interior node count minus 2")
     if config.eps_zero <= 0:
         raise ConfigError("eps_zero", "must be positive")
     if config.dt is not None and config.dt <= 0:

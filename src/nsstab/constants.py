@@ -322,14 +322,6 @@ def feedback_params(lam: float, pack: ConstantPack, basis: StokesBasis) -> Feedb
     )
 
 
-def modal_feedback(coeffs: np.ndarray, params: FeedbackParams) -> np.ndarray:
-    """Control coefficients -gain * (first n_active coefficients), rest zero."""
-    out = np.zeros_like(coeffs)
-    n = params.n_active
-    out[:n] = -params.gain * coeffs[:n]
-    return out
-
-
 def cutoff_profile(s: float, r: float) -> float:
     """Monotone C^2 profile: 1 on [0, r], 0 on [2r, inf), quintic in between."""
     if s < 0:
@@ -452,14 +444,3 @@ def build_schedule(n0: int, pack: ConstantPack, basis: StokesBasis, n_max: int) 
             )
     params = tuple(feedback_params(float(lam), pack, basis) for lam in applied)
     return replace(dyadic, thresholds=applied, params=params, clamped=applied != raw)
-
-
-def locate_interval(t: float, schedule: Schedule) -> int:
-    """Interval index of a time in [0, period); TERMINAL past the truncation."""
-    if not 0.0 <= t < schedule.period:
-        raise ValueError(f"time {t!r} outside [0, {schedule.period!r})")
-    idx = int(np.searchsorted(schedule.start_times, t, side="right")) - 1
-    if idx > schedule.n_max:
-        return TERMINAL
-    return idx
-

@@ -22,8 +22,9 @@ time along a run.
 Every control law here is piecewise-constant linear feedback with an
 optional radial cutoff and norm latch (:class:`ControlLaw`).  A run compiles
 the law once into the segment active at each law evaluation of each step,
-then steps a (B, M) batch of trajectories together, so the convection term
-of a half step is one (B, M^2) @ (M^2, M) product.
+then steps a (B, M) batch of trajectories together.  The convection term of
+a half step is one (B, M(M+1)/2) @ (M(M+1)/2, M) product over the pairs
+i <= j of the tensor symmetrized in (i, j) (:func:`packed_convection`).
 """
 
 from __future__ import annotations
@@ -72,6 +73,24 @@ def build_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
     """Skew-symmetrized convection tensor: T[i,j,k] = -T[i,k,j] exactly."""
     raw = raw_trilinear_tensor(basis, grid)
     return 0.5 * (raw - raw.transpose(0, 2, 1))
+
+
+def packed_convection(tensor: np.ndarray):
+    """The convection term x -> sum_ij T[i,j,k] x_i x_j of each row of a (B, M) batch.
+
+    Since x_i x_j = x_j x_i, the tensor is symmetrized in (i, j) and packed
+    once over the M(M+1)/2 pairs i <= j, so each call is one
+    (B, M(M+1)/2) @ (M(M+1)/2, M) product instead of (B, M^2) @ (M^2, M).
+    """
+    iu, ju = np.triu_indices(tensor.shape[0])
+    packed = (tensor + tensor.transpose(1, 0, 2))[iu, ju]
+    packed[iu == ju] *= 0.5  # the diagonal pairs were doubled; 2T * 0.5 = T exactly
+
+    def convection(x: np.ndarray) -> np.ndarray:
+        # np.take gathers the pair factors faster than fancy indexing x[:, iu]
+        return (np.take(x, iu, axis=1) * np.take(x, ju, axis=1)) @ packed
+
+    return convection
 
 
 def lyapunov(coeffs: np.ndarray, params: FeedbackParams | None = None) -> float:
@@ -315,12 +334,9 @@ def simulate_batch(
     diss_half = (1.0 - decay_sq) / (2.0 * nu * tau) * 0.5
     endpoint_ok = decay_sq > 1e-12
     decay_sq_safe = np.maximum(decay_sq, 1e-300)
-    tensor2 = tensor.reshape(m * m, m)
+    convection = packed_convection(tensor)
     gram_t = gram.T
     half_dt = 0.5 * dt
-
-    def convection(x):
-        return (x[:, :, None] * x[:, None, :]).reshape(b, m * m) @ tensor2
 
     def control(x, seg, k, shift):
         """Law at time t_start + k*dt + shift; shift is 0 or dt."""
@@ -390,8 +406,3 @@ def simulate_batch(
         lyapunov=lyap,
         latch_time=latch_time,
     )
-
-
-def reconstruct_field(coeffs: np.ndarray, basis: StokesBasis) -> np.ndarray:
-    """Physical velocity field sum_k X_k e_k (mostly for demos and checks)."""
-    return np.tensordot(coeffs, basis.velocities, axes=(0, 0))

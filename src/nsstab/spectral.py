@@ -40,7 +40,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BasisTooSmallError, SpectralDegeneracyError
 from .grid import Grid, stream_to_velocity
@@ -145,6 +144,8 @@ def canonical_eigenspace(vecs: np.ndarray, k1) -> np.ndarray:
     That basis is unique, so the result depends only on the span; for one
     column it is the sign rule <probe, v> > 0.
     """
+    import scipy.linalg
+
     n, c = vecs.shape
     chol = np.linalg.cholesky(vecs.T @ (k1 @ vecs))  # reads the lower triangle only
     ortho = scipy.linalg.solve_triangular(chol, vecs.T, lower=True).T
@@ -294,6 +295,8 @@ def fit_spectral_constant(
     the retained eigenvalues tau_1..tau_{M-4} as grid (the active mode count
     only changes there).
     """
+    import scipy.linalg
+
     if lam_grid is None:
         if basis.n_modes < 5:
             raise ValueError("basis too small for the default threshold grid")

@@ -45,6 +45,17 @@ def square16():
 
 
 @pytest.fixture(scope="session")
+def square32_wide():
+    """32x32 with 64 modes, the wide-modes size, where the convection contraction dominates a step."""
+    grid, _, _, basis = make_setup(32, 32, 64)
+    return {
+        "basis": basis,
+        "gram": assemble_gram(basis, grid),
+        "tensor": build_trilinear_tensor(basis, grid),
+    }
+
+
+@pytest.fixture(scope="session")
 def square48():
     grid, k1, k2, basis = make_setup(48, 48, 24)
     return {"grid": grid, "basis": basis, "gram": assemble_gram(basis, grid)}

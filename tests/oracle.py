@@ -8,6 +8,8 @@
 * The dense operator assembly and the dense generalized ``eigh`` that the
   sparse shift-invert solve replaced, run through the same canonicalizer.
 * The one-shot convection tensor, with its (M, M, 2, N) intermediate.
+* Helpers only the tests call: the single-vector modal feedback, the
+  scalar interval lookup and the physical-field reconstruction.
 
 Kept as they were; do not optimize.
 """
@@ -19,11 +21,34 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from nsstab.constants import TERMINAL, FeedbackParams, Schedule, locate_interval, modal_feedback, radial_cutoff
+from nsstab.constants import TERMINAL, FeedbackParams, Schedule, radial_cutoff
 from nsstab.dynamics import BLOWUP_GUARD, Trajectory, lyapunov
 from nsstab.errors import BlowUpError
 from nsstab.grid import Grid
 from nsstab.spectral import EXTRA_MODES, StokesBasis, canonical_basis
+
+
+def modal_feedback(coeffs: np.ndarray, params: FeedbackParams) -> np.ndarray:
+    """Control coefficients -gain * (first n_active coefficients), rest zero."""
+    out = np.zeros_like(coeffs)
+    n = params.n_active
+    out[:n] = -params.gain * coeffs[:n]
+    return out
+
+
+def locate_interval(t: float, schedule: Schedule) -> int:
+    """Interval index of a time in [0, period); TERMINAL past the truncation."""
+    if not 0.0 <= t < schedule.period:
+        raise ValueError(f"time {t!r} outside [0, {schedule.period!r})")
+    idx = int(np.searchsorted(schedule.start_times, t, side="right")) - 1
+    if idx > schedule.n_max:
+        return TERMINAL
+    return idx
+
+
+def reconstruct_field(coeffs: np.ndarray, basis: StokesBasis) -> np.ndarray:
+    """Physical velocity field sum_k X_k e_k (mostly for demos and checks)."""
+    return np.tensordot(coeffs, basis.velocities, axes=(0, 0))
 
 
 def _central_difference_1d(n: int, h: float) -> np.ndarray:

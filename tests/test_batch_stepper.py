@@ -14,8 +14,9 @@ from nsstab.constants import (
     feedback_params,
     radial_cutoff,
     radial_cutoff_rows,
+    row_dot,
 )
-from nsstab.dynamics import ControlLaw, segment_plan, simulate_batch
+from nsstab.dynamics import ControlLaw, packed_convection, segment_plan, simulate_batch
 from nsstab.errors import BlowUpError
 from nsstab.experiments import random_low_mode_state
 
@@ -116,6 +117,52 @@ def test_blowup_raised_at_oracle_step_for_first_failing_row(square16):
         oracle.simulate(y0[1], oracle.ModalFeedback(exploder), 0.25, 0.75, 1e-3, basis, tensor, gram)
     assert batch.value.time == reference.value.time
     assert batch.value.max_abs == pytest.approx(reference.value.max_abs, rel=1e-13)
+
+
+def test_packed_convection_matches_full_contraction_and_is_energy_neutral(square32_wide):
+    tensor = square32_wide["tensor"]
+    m = tensor.shape[0]
+    convection = packed_convection(tensor)
+    rng = np.random.default_rng(11)
+    for scale in (1e-6, 1e-2, 1.0, 10.0):
+        x = scale * rng.standard_normal((5, m))
+        packed = convection(x)
+        full = np.array([np.outer(row, row).ravel() @ tensor.reshape(m * m, m) for row in x])
+        np.testing.assert_allclose(packed, full, rtol=1e-13, atol=1e-13 * np.abs(full).max())
+        # the tensor is skew in (j, k), so x . N(x) vanishes up to rounding
+        assert np.all(np.abs(row_dot(x, packed)) <= 1e-14 * np.abs(x * packed).sum(axis=1))
+
+
+@pytest.mark.parametrize("cutoff", [False, True])
+def test_stationary_law_at_64_modes_matches_oracle(square32_wide, pack_schedule, cutoff):
+    basis, tensor, gram = square32_wide["basis"], square32_wide["tensor"], square32_wide["gram"]
+    params = feedback_params(float(basis.eigenvalues[3]), pack_schedule, basis)
+    # at unit norm the convection term moves the norm by about 5%, and the raw
+    # control starts past twice the radius, so the cutoff zeroes it at first
+    y0 = random_low_mode_state(basis.n_modes, 1.0, seed=2)[None]
+    dt = 1e-3
+    run = simulate_batch(y0, ControlLaw.stationary(params, cutoff=cutoff), 0.0, 0.3, dt,
+                         basis, tensor, gram, sample_stride=4)
+    ref = oracle.simulate(y0[0], oracle.ModalFeedback(params, cutoff=cutoff), 0.0, 0.3, dt,
+                          basis, tensor, gram, sample_stride=4)
+    assert_matches_oracle(run, [ref])
+    if cutoff:
+        raw = params.gain * np.linalg.norm(ref.states[:, : params.n_active], axis=1)
+        assert raw.max() > 2 * params.cutoff_radius and raw.min() < params.cutoff_radius
+
+
+def test_periodic_law_at_64_modes_with_offsets_matches_oracle(square32_wide, pack_schedule):
+    basis, tensor, gram = square32_wide["basis"], square32_wide["tensor"], square32_wide["gram"]
+    sched = build_schedule(2, pack_schedule, basis, 4)
+    offsets = np.array([0.13, 0.2, 0.48])  # each crosses the terminal regime; the last starts past one period
+    y0 = random_low_mode_state(basis.n_modes, 0.1, seed=3)
+    dt = 2.0**-11
+    run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched), offsets, 0.125, dt, basis, tensor, gram)
+    refs = [oracle.simulate(y0, oracle.ScheduledFeedback(sched), s, s + 0.125, dt, basis, tensor, gram)
+            for s in offsets]
+    assert_matches_oracle(run, refs)
+    assert all((ref.interval == -1).any() and (ref.interval >= 0).any() for ref in refs)
+    assert run.control_norm.max() > 0.0
 
 
 @pytest.fixture(scope="module")

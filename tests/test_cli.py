@@ -407,3 +407,34 @@ def test_report_checks_every_listed_trajectory_hash(tmp_path):
     assert run_subcommand("report", config) == 0
     warnings = [line for line in (out / "summary.txt").read_text().splitlines() if "WARNING" in line]
     assert warnings == ["  WARNING: stabilize_trajectory_1.csv hash differs from the one recorded at the run"]
+
+
+WARM_CHILD = """
+import json, sys
+from nsstab.cli import main
+codes = {name: main([name, "--config", sys.argv[1]]) for name in ("stabilize", "simulate", "cost-curve")}
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_warm_runs_load_no_scipy(tmp_path):
+    """A warm stabilize, simulate and cost-curve never call scipy, so they must not
+    import it (about 0.3 s and 300 modules per process).  Checked in a child
+    process, since this one has scipy loaded by other tests."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nsstab
+
+    src = str(Path(nsstab.__file__).resolve().parents[1])
+    cache = tmp_path / "basis_cache.nsstab"
+    path = write_config(tmp_path, cache_path=str(cache))
+    assert run_subcommand("eigen", parse_config(path)) == 0
+    proc = subprocess.run([sys.executable, "-c", WARM_CHILD, str(path)], env={**os.environ, "PYTHONPATH": src},
+                          timeout=300, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == {"stabilize": 0, "simulate": 0, "cost-curve": 0}
+    assert result["scipy"] == []

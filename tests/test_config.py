@@ -66,7 +66,7 @@ def valid_configs(draw):
         "periods": st.integers(0, 6),
     })
     optional = draw(st.fixed_dictionaries({}, optional={
-        "M": st.integers(5, nx * ny),
+        "M": st.integers(5, nx * ny - 2),
         "nu": positive,
         "dt": st.none() | positive,
         "mode": st.sampled_from(["certified", "practical"]),
@@ -77,8 +77,8 @@ def valid_configs(draw):
         "practical": practical,
         "experiment": experiment,
     }))
-    if nx * ny < 24:  # the default M of 24 would exceed the node count
-        optional.setdefault("M", draw(st.integers(5, nx * ny)))
+    if nx * ny - 2 < 24:  # the default M of 24 would exceed the solvable mode count
+        optional.setdefault("M", draw(st.integers(5, nx * ny - 2)))
     return {"Lx": lx, "Ly": ly, "nx": nx, "ny": ny, "omega": [a, b, c, d], **optional}
 
 
@@ -131,3 +131,13 @@ def test_every_wrong_type_case_is_rejected():
         with pytest.raises(ConfigError) as info:
             parse_dict(with_value(base, key, value))
         assert info.value.key == key, (key, value)
+
+
+@pytest.mark.parametrize("excess", [1, 2])
+def test_mode_count_past_the_solvable_range_names_m(excess):
+    """The eigensolve needs M <= nx*ny - 2; one or two more is a ConfigError on M."""
+    base = {"Lx": 1.0, "Ly": 1.0, "nx": 4, "ny": 4, "omega": [0.1, 0.5, 0.1, 0.5]}
+    assert parse_dict({**base, "M": 14}).M == 14
+    with pytest.raises(ConfigError) as info:
+        parse_dict({**base, "M": 14 + excess})
+    assert info.value.key == "M"

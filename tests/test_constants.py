@@ -12,14 +12,13 @@ from nsstab.constants import (
     derive_schedule_constants,
     estimate_trilinear_constant,
     feedback_params,
-    locate_interval,
-    modal_feedback,
     radial_cutoff,
 )
 from nsstab.dynamics import build_trilinear_tensor, raw_trilinear_tensor
 from nsstab.errors import BasisTooSmallError
 
 from conftest import make_setup
+from oracle import locate_interval, modal_feedback
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from nsstab.dynamics import (
     build_trilinear_tensor,
     lyapunov,
     raw_trilinear_tensor,
-    reconstruct_field,
     simulate_batch,
 )
 from nsstab.errors import BlowUpError
@@ -17,7 +16,7 @@ from nsstab.grid import inner_l2
 
 import oracle
 from conftest import make_setup
-from oracle import ModalFeedback, SpectralState, ZeroFeedback, rhs, simulate, step
+from oracle import ModalFeedback, SpectralState, ZeroFeedback, reconstruct_field, rhs, simulate, step
 
 ZERO = ControlLaw()
 
