@@ -41,6 +41,7 @@ from .errors import ConfigError
 from .experiments import (
     fit_cost_curve,
     run_null_control,
+    run_null_control_horizons,
     run_rapid_stab,
     run_small_time,
 )
@@ -463,11 +464,10 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
     _write_json(out / "simulate_report.json", payload)
 
 
-def _null_control(config: RunConfig, basis, tensor, gram, pack, n0: int):
-    """One null-control run over the period 2**-n0 as the config sets it up."""
+def _null_control_options(config: RunConfig) -> dict:
+    """Keyword arguments of a null-control run as the config sets it up."""
     exp = config.experiment
-    return run_null_control(
-        basis, tensor, gram, pack, n0,
+    return dict(
         y0_norm=exp.y0_norm if config.mode == "practical" else None,
         n_max=exp.n_max, eps_zero=config.eps_zero, cutoff=exp.cutoff,
         dt=config.dt, seed=config.seed, nu=config.nu,
@@ -512,7 +512,7 @@ def _null_control_payload(report) -> dict:
 
 def _cmd_nullcontrol(config: RunConfig, out: Path) -> None:
     basis, grid, tensor, gram, pack = _prepare_dynamics(config)
-    report = _null_control(config, basis, tensor, gram, pack, config.experiment.n0)
+    report = run_null_control(basis, tensor, gram, pack, config.experiment.n0, **_null_control_options(config))
     payload = {**_base_report(config, pack), **_null_control_payload(report)}
     if report.trajectory is not None:
         traj_path = out / "nullcontrol_trajectory.csv"
@@ -559,7 +559,8 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
 
 def _cmd_cost_curve(config: RunConfig, out: Path) -> None:
     basis, grid, tensor, gram, pack = _prepare_dynamics(config)
-    reports = [_null_control(config, basis, tensor, gram, pack, n0) for n0 in config.experiment.n0_list]
+    reports = run_null_control_horizons(basis, tensor, gram, pack, config.experiment.n0_list,
+                                        **_null_control_options(config))
     slope, intercept = fit_cost_curve(reports)
     curve_path = out / "cost_curve.csv"
     _write_csv(curve_path, "T,inv_T,cost,y0_norm",

@@ -20,11 +20,14 @@ for pure decay), so the energy identity can be checked to O(dt^2) per unit
 time along a run.
 
 Every control law here is piecewise-constant linear feedback with an
-optional radial cutoff and norm latch (:class:`ControlLaw`).  A run compiles
-the law once into the segment active at each law evaluation of each step,
-then steps a (B, M) batch of trajectories together.  The convection term of
-a half step is one (B, M(M+1)/2) @ (M(M+1)/2, M) product over the pairs
-i <= j of the tensor symmetrized in (i, j) (:func:`packed_convection`).
+optional radial cutoff and norm latch (:class:`ControlLaw`).  A run steps a
+(B, M) batch of trajectories together, and each row may have its own law,
+start time and dt, as long as every row takes the same number of steps.  The
+run compiles each row's law once into the segment active at each law
+evaluation of each step, and looks the segments up in one table that stacks
+the distinct laws.  The convection term of a half step is one
+(B, M(M+1)/2) @ (M(M+1)/2, M) product over the pairs i <= j of the tensor
+symmetrized in (i, j) (:func:`packed_convection`), shared by all the rows.
 """
 
 from __future__ import annotations
@@ -152,32 +155,79 @@ class ControlLaw:
 
         Returns the control gains (-gain on the active modes), the Lyapunov
         weights (weight on the active modes, 1 elsewhere), the cutoff radii
-        and the thresholds.  The last row, which TERMINAL indexes, is the
-        zero law: no gain, unit weights, threshold nan.
+        (inf without cutoff, so the cutoff never acts) and the thresholds.
+        The last row, which TERMINAL indexes, is the zero law: no gain, unit
+        weights, radius inf, threshold nan.
         """
         gains = np.zeros((len(self.params) + 1, m))
         weights = np.ones_like(gains)
-        radii = np.ones(len(self.params) + 1)
+        radii = np.full(len(self.params) + 1, np.inf)
         thresholds = np.full(len(self.params) + 1, np.nan)
         for i, p in enumerate(self.params):
             gains[i, : p.n_active] = -p.gain
             weights[i, : p.n_active] = p.weight
-            radii[i] = p.cutoff_radius
+            if self.cutoff:
+                radii[i] = p.cutoff_radius
             thresholds[i] = p.threshold
         return gains, weights, radii, thresholds
 
 
-def segment_plan(law: ControlLaw, t_start: np.ndarray, n_steps: int, dt: float):
-    """Segments of the law at both evaluations of every step of every row.
+def _row_laws(law, rows: int) -> tuple[ControlLaw, ...]:
+    """One law per row: a single ControlLaw serves every row."""
+    laws = (law,) * rows if isinstance(law, ControlLaw) else tuple(law)
+    if len(laws) != rows:
+        raise ValueError(f"got {len(laws)} laws for {rows} rows")
+    return laws
 
-    Row r evaluates the law at t_start[r] + k*dt (the start of step k, which
-    is also sample time k) and at that time plus dt (the predictor).  Returns
-    the (n_steps + 1, B) and (n_steps, B) segment arrays, in the smallest
-    integer type that holds every segment index.
+
+def _distinct_laws(laws: tuple[ControlLaw, ...]) -> tuple[list[ControlLaw], np.ndarray]:
+    """The distinct laws (by identity, in order of first use) and each row's index among them."""
+    index: dict[int, int] = {}
+    rows = np.array([index.setdefault(id(law), len(index)) for law in laws])
+    distinct = list({id(law): law for law in laws}.values())
+    return distinct, rows
+
+
+def segment_plan(laws: list[ControlLaw], rows: np.ndarray, t_start: np.ndarray, n_steps: int, dt: np.ndarray):
+    """Segments of each row's law at both evaluations of every step.
+
+    laws are the distinct laws of a batch and rows[r] the index of row r's
+    law among them; t_start and dt hold one value per row.  Row r evaluates
+    its law at t_start[r] + k*dt[r] (the start of step k, which is also
+    sample time k) and at that time plus dt[r] (the predictor).  Returns the
+    (n_steps + 1, B) and (n_steps, B) arrays of law-local segments, in the
+    smallest integer type that holds every segment index.
     """
-    t_a = np.asarray(t_start, dtype=np.float64) + (np.arange(n_steps + 1) * dt)[:, None]
-    index_type = np.min_scalar_type(-len(law.params) - 1)
-    return law.segment_at(t_a).astype(index_type), law.segment_at(t_a[:-1] + dt).astype(index_type)
+    t_a = t_start + np.arange(n_steps + 1)[:, None] * dt
+    t_b = t_a[:-1] + dt
+    index_type = np.min_scalar_type(-max(len(law.params) for law in laws) - 1)
+    seg_a = np.empty(t_a.shape, dtype=index_type)
+    seg_b = np.empty(t_b.shape, dtype=index_type)
+    for i, law in enumerate(laws):
+        cols = np.flatnonzero(rows == i)
+        seg_a[:, cols] = law.segment_at(t_a[:, cols])
+        seg_b[:, cols] = law.segment_at(t_b[:, cols])
+    return seg_a, seg_b
+
+
+def _stacked_tables(laws: list[ControlLaw], rows: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray, m: int):
+    """One table over the distinct laws of a batch, and the segments as indices into it.
+
+    The law-local rows of each distinct law follow each other, then one
+    shared zero-law row, so TERMINAL (-1) indexes it for every batch row.
+    Returns the gains, weights and radii of the stacked table and seg_a,
+    seg_b turned into row indices of it.
+    """
+    blocks = [law.tables(m) for law in laws]
+    gains, weights, radii = (np.concatenate([block[i][:-1] for block in blocks] + [blocks[0][i][-1:]])
+                             for i in range(3))
+    start = np.cumsum([0] + [len(law.params) for law in laws])[rows]
+    index_type = np.min_scalar_type(-len(gains))
+
+    def stacked(seg):
+        return np.where(seg == TERMINAL, TERMINAL, seg + start).astype(index_type)
+
+    return gains, weights, radii, stacked(seg_a), stacked(seg_b)
 
 
 @dataclass
@@ -226,15 +276,15 @@ class BatchRun:
     """Sampled columns of B closed-loop runs stepped together.
 
     Per-sample columns are (samples, B) arrays with the meaning of the
-    Trajectory fields; segments holds the law's segment at each sample.
-    states (K, samples, M) and lyapunov (samples, K) are kept for the first
-    K rows only.  latch_time is the time each row's latch tripped, nan where
-    it never did.
+    Trajectory fields; segments holds each row's segment of its own law at
+    each sample.  states (K, samples, M) and lyapunov (samples, K) are kept
+    for the first K rows only.  latch_time is the time each row's latch
+    tripped, nan where it never did.
     """
 
-    law: ControlLaw
+    laws: tuple[ControlLaw, ...]  # (B,)
     t_start: np.ndarray  # (B,)
-    dt: float
+    dt: np.ndarray  # (B,)
     nu: float
     sample_stride: int
     segments: np.ndarray
@@ -247,25 +297,33 @@ class BatchRun:
     latch_time: np.ndarray
 
     @property
+    def row_steps(self) -> int:
+        """Closed-loop steps taken by each row."""
+        return (len(self.norm_h) - 1) * self.sample_stride
+
+    @property
     def steps(self) -> int:
         """Closed-loop steps taken, summed over the rows."""
-        return (len(self.norm_h) - 1) * self.sample_stride * len(self.t_start)
+        return self.row_steps * len(self.t_start)
+
+    def row_energy_defect(self, row: int) -> float:
+        """Largest |energy-identity residual| over the samples of one row."""
+        defect = _energy_defect(self.norm_h[:, row], self.dissipation[:, row], self.control_work[:, row], self.nu)
+        return float(np.abs(defect).max())
 
     @property
     def max_energy_defect(self) -> float:
         """Largest |energy-identity residual| over all samples of all rows."""
         # row by row, so the temporaries stay one column long
-        return max(
-            float(np.abs(_energy_defect(norm_h, dissipation, work, self.nu)).max())
-            for norm_h, dissipation, work in zip(self.norm_h.T, self.dissipation.T, self.control_work.T)
-        )
+        return max(self.row_energy_defect(row) for row in range(len(self.t_start)))
 
     def trajectory(self, row: int) -> Trajectory:
         """The run of one row whose states were kept, with its own copies of the columns."""
         seg = self.segments[:, row]
-        _, _, _, thresholds = self.law.tables(self.states.shape[2])
+        dt = float(self.dt[row])
+        _, _, _, thresholds = self.laws[row].tables(self.states.shape[2])
         return Trajectory(
-            times=self.t_start[row] + np.arange(len(seg)) * self.sample_stride * self.dt,
+            times=self.t_start[row] + np.arange(len(seg)) * self.sample_stride * dt,
             states=self.states[row],
             norm_h=self.norm_h[:, row].copy(),
             lyapunov=self.lyapunov[:, row].copy(),
@@ -274,17 +332,17 @@ class BatchRun:
             threshold=thresholds[seg],
             dissipation=self.dissipation[:, row].copy(),
             control_work=self.control_work[:, row].copy(),
-            dt=self.dt,
+            dt=dt,
             nu=self.nu,
         )
 
 
 def simulate_batch(
     y0: np.ndarray,
-    law: ControlLaw,
+    law,
     t_start,
-    span: float,
-    dt: float,
+    span,
+    dt,
     basis: StokesBasis,
     tensor: np.ndarray,
     gram: np.ndarray,
@@ -293,56 +351,73 @@ def simulate_batch(
     latch_norm=None,
     state_rows: int | None = None,
 ) -> BatchRun:
-    """Integrate B closed-loop runs of one law side by side, sampling every
+    """Integrate B closed-loop runs side by side, sampling every
     sample_stride steps.
 
-    y0 is (B, M); row r starts at t_start[r] (a scalar applies to every row)
-    and runs for span, which must be an integer number of steps and a whole
-    number of samples.  With latch_norm, row r's control switches off for
-    good at the first law evaluation whose state norm is <= latch_norm[r].
-    States are kept for the first state_rows rows (default: all).  Raises
-    BlowUpError at the first step where a row trips the guard, with the
-    time of the first such row.
+    y0 is (B, M).  law is one ControlLaw for every row or a sequence of B
+    laws; t_start, span and dt are scalars for every row or (B,) arrays.  Row
+    r starts at t_start[r] and runs for span[r] in steps of dt[r]; every row
+    must come to the same whole number of steps, and that a whole number of
+    samples.  With latch_norm, row r's control switches off for good at the
+    first law evaluation whose state norm is <= latch_norm[r].  States are
+    kept for the first state_rows rows (default: all).  Raises BlowUpError
+    at the first step where a row trips the guard, with the first such row
+    and its time.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 2 or len(y0) == 0 or y0.shape[1] != basis.n_modes:
         raise ValueError("initial coefficients must be a nonempty (B, M) batch matching the basis size")
-    if dt <= 0:
+    b, m = y0.shape
+    laws = _row_laws(law, b)
+    dt = np.broadcast_to(np.asarray(dt, dtype=np.float64), (b,)).copy()
+    span = np.broadcast_to(np.asarray(span, dtype=np.float64), (b,))
+    if np.any(dt <= 0):
         raise ValueError("dt must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    n_steps = int(round(span / dt))
-    if n_steps <= 0 or abs(n_steps * dt - span) > 1e-9 * max(span, dt):
+    steps = np.rint(span / dt)
+    if np.any(steps <= 0) or np.any(np.abs(steps * dt - span) > 1e-9 * np.maximum(span, dt)):
         raise ValueError("the span must be an integer number of steps")
+    if np.any(steps != steps[0]):
+        raise ValueError(f"every row must take the same number of steps, got {sorted(set(steps.astype(int).tolist()))}")
+    n_steps = int(steps[0])
     if n_steps % sample_stride != 0:
         raise ValueError("step count must be a whole number of samples")
 
-    b, m = y0.shape
     kept = b if state_rows is None else state_rows
     t0 = np.broadcast_to(np.asarray(t_start, dtype=np.float64), (b,)).copy()
-    seg_a, seg_b = segment_plan(law, t0, n_steps, dt)
-    gains, weights, radii, _ = law.tables(m)
+    distinct, law_rows = _distinct_laws(laws)
+    seg_a, seg_b = segment_plan(distinct, law_rows, t0, n_steps, dt)
+    gains, weights, radii, index_a, index_b = _stacked_tables(distinct, law_rows, seg_a, seg_b, m)
     latch = None if latch_norm is None else np.broadcast_to(np.asarray(latch_norm, dtype=np.float64), (b,))
     latched = np.zeros(b, dtype=bool)
     latch_time = np.full(b, np.nan)
 
     tau = basis.eigenvalues
-    decay = np.exp(-nu * tau * dt)
+    dt_col = dt[:, None]
+    decay = np.exp(-nu * tau * dt_col)
     decay_sq = decay * decay
     # exponentially weighted trapezoid weights for int X_k(s)^2 ds over a step;
     # modes whose memory dies within one step fall back to the start-point rule
     diss_half = (1.0 - decay_sq) / (2.0 * nu * tau) * 0.5
     endpoint_ok = decay_sq > 1e-12
     decay_sq_safe = np.maximum(decay_sq, 1e-300)
+    # row_dot against one copy of tau per row, where a (B, M) @ (M,) product
+    # would sum rows in different orders by their position in the batch
+    tau_rows = np.tile(tau, (b, 1))
     convection = packed_convection(tensor)
     gram_t = gram.T
     half_dt = 0.5 * dt
+    half_dt_col = half_dt[:, None]
+    # rows without cutoff have radius inf; a batch with no finite radius skips
+    # the row norms, which cost about 10 us per law evaluation
+    any_cutoff = bool(np.isfinite(radii).any())
 
-    def control(x, seg, k, shift):
+    def control(x, index, k, shift):
         """Law at time t_start + k*dt + shift; shift is 0 or dt."""
-        c = x * gains[seg]
-        if law.cutoff:
-            c = radial_cutoff_rows(c, radii[seg])
+        c = x * gains[index]
+        if any_cutoff:
+            c = radial_cutoff_rows(c, radii[index])
         if latch is not None:
             trip = ~latched & (np.sqrt(row_dot(x, x)) <= latch)
             if trip.any():
@@ -361,7 +436,7 @@ def simulate_batch(
     x2 = x * x
     diss = np.zeros(b)
     work = np.zeros(b)
-    c1 = control(x, seg_a[0], 0, 0.0)
+    c1 = control(x, index_a[0], 0, 0.0)
     for k in range(n_steps + 1):
         if k % sample_stride == 0:
             i = k // sample_stride
@@ -370,29 +445,29 @@ def simulate_batch(
             dissipation[i] = diss
             control_work[i] = work
             states[:, i] = x[:kept]
-            lyap[i] = (x2[:kept] * weights[seg_a[k, :kept]]).sum(axis=1)
+            lyap[i] = (x2[:kept] * weights[index_a[k, :kept]]).sum(axis=1)
         if k == n_steps:
             break
         g1 = c1 @ gram_t
         f1 = g1 - convection(x)
-        predictor = decay * (x + dt * f1)
-        g2 = control(predictor, seg_b[k], k, dt) @ gram_t
-        x_new = decay * (x + half_dt * f1) + half_dt * (g2 - convection(predictor))
+        predictor = decay * (x + dt_col * f1)
+        g2 = control(predictor, index_b[k], k, dt) @ gram_t
+        x_new = decay * (x + half_dt_col * f1) + half_dt_col * (g2 - convection(predictor))
         if not np.abs(x_new).max() <= BLOWUP_GUARD:
             row = int(np.argmin(np.all(np.abs(x_new) <= BLOWUP_GUARD, axis=1)))
             finite = x_new[row][np.isfinite(x_new[row])]
             worst = float(np.abs(finite).max()) if finite.size else float("inf")
-            raise BlowUpError(float(t0[row] + k * dt + dt), worst)
+            raise BlowUpError(float(t0[row] + k * dt[row] + dt[row]), worst, row)
         # energy bookkeeping: trapezoid in the integrating-factor variable
         x2_new = x_new * x_new
         z_sq_end = np.where(endpoint_ok, x2_new / decay_sq_safe, x2)
-        diss = diss + (diss_half * (x2 + z_sq_end)) @ tau
+        diss = diss + row_dot(diss_half * (x2 + z_sq_end), tau_rows)
         work = work + half_dt * (row_dot(x, g1) + row_dot(x_new, g2))
         x, x2 = x_new, x2_new
-        c1 = control(x, seg_a[k + 1], k + 1, 0.0)
+        c1 = control(x, index_a[k + 1], k + 1, 0.0)
 
     return BatchRun(
-        law=law,
+        laws=laws,
         t_start=t0,
         dt=dt,
         nu=nu,

@@ -36,12 +36,19 @@ class SpectralDegeneracyError(RuntimeError):
 
 
 class BlowUpError(RuntimeError):
-    """Simulation produced a non-finite or absurdly large coefficient."""
+    """Simulation produced a non-finite or absurdly large coefficient.
 
-    def __init__(self, time: float, max_abs: float):
+    row is the batch row that tripped the guard; run, when given, names the
+    run of that row in the message.
+    """
+
+    def __init__(self, time: float, max_abs: float, row: int = 0, run: str | None = None):
         self.time = time
         self.max_abs = max_abs
-        super().__init__(f"blow-up at t={time:.6g} (max |coefficient| = {max_abs:.3e})")
+        self.row = row
+        self.run = run
+        where = f" in {run}" if run else ""
+        super().__init__(f"blow-up{where} at t={time:.6g} (max |coefficient| = {max_abs:.3e})")
 
 
 class BoundViolatedError(RuntimeError):

@@ -121,9 +121,10 @@ def run_rapid_stab(
     """Close the loop with the stationary modal feedback at threshold lam.
 
     The initial norm is y0_scale times the cutoff radius (linear law) or its
-    square (cutoff law).  With cutoff=True the run is performed twice, with
-    and without the cutoff, and the trajectories are compared bitwise; they
-    must coincide whenever the raw feedback never exceeds the radius.
+    square (cutoff law).  With cutoff=True the law with and without the
+    cutoff are rows 1 and 0 of one batch from the same state, and the
+    trajectories are compared bitwise; they must coincide whenever the raw
+    feedback never exceeds the radius.
     """
     params = feedback_params(lam, pack, basis)
     basin = params.cutoff_radius**2 if cutoff else params.cutoff_radius
@@ -143,11 +144,16 @@ def run_rapid_stab(
     n_steps = ((n_steps + stride - 1) // stride) * stride
     horizon = n_steps * dt
 
-    runs = [simulate_batch(
-        y0[None], ControlLaw.stationary(params), 0.0, horizon, dt,
+    laws = [ControlLaw.stationary(params)]
+    if cutoff:
+        laws.append(ControlLaw.stationary(params, cutoff=True))
+    # one batch: every row goes through the same products, so the two arms
+    # take identical arithmetic wherever the cutoff leaves the control alone
+    run = simulate_batch(
+        np.tile(y0, (len(laws), 1)), laws, 0.0, horizon, dt,
         basis, tensor, gram, nu=nu, sample_stride=stride,
-    )]
-    traj = runs[0].trajectory(0)
+    )
+    traj = run.trajectory(0)
     trivial = y0_norm == 0.0
 
     rate_v = -_log_slope(traj.times, traj.lyapunov)
@@ -192,17 +198,12 @@ def run_rapid_stab(
         report.rate_lyapunov = float("nan")
         report.rate_norm = float("nan")
     if cutoff:
-        # same batch shape as the linear run, so both take identical arithmetic
-        runs.append(simulate_batch(
-            y0[None], ControlLaw.stationary(params, cutoff=True), 0.0, horizon, dt,
-            basis, tensor, gram, nu=nu, sample_stride=stride,
-        ))
-        traj_cut = runs[1].trajectory(0)
+        traj_cut = run.trajectory(1)
         report.cutoff_trajectory = traj_cut
         report.cutoff_matches_linear = bool(np.array_equal(traj.states, traj_cut.states))
         report.control_stayed_below_radius = bool(np.all(raw_control <= params.cutoff_radius))
-    report.steps = sum(run.steps for run in runs)
-    report.max_energy_defect = max(run.max_energy_defect for run in runs)
+    report.steps = run.steps
+    report.max_energy_defect = run.max_energy_defect
     return report
 
 
@@ -257,6 +258,62 @@ def _interval_control_log_bounds(schedule: Schedule, q: float) -> np.ndarray:
     return -(5.0 * q * q / 64.0) * 2.0 ** (schedule.n0 + n - 1)
 
 
+def run_null_control_horizons(
+    basis: StokesBasis,
+    tensor: np.ndarray,
+    gram: np.ndarray,
+    pack: ConstantPack,
+    n0_list,
+    y0_norm: float | None = None,
+    n_max: int = 8,
+    eps_zero: float = 1e-6,
+    cutoff: bool = False,
+    dt: float | None = None,
+    seed: int = 0,
+    nu: float = 1.0,
+) -> list[NullControlReport]:
+    """Steer the state toward zero over one period of the dyadic schedule,
+    for each period 2**-n0 of n0_list.
+
+    Certified packs fix the initial norm from the admissible basin
+    exp(-c3/T) (exp(-2 c3/T) for the cutoff variant); practical packs take
+    the caller's y0_norm.  The state is declared numerically null once its
+    norm falls below eps_zero times the initial norm, after which the
+    control is latched to zero.  For certified packs a violated
+    per-interval bound raises BoundViolatedError.
+
+    The runs that take the same number of steps are stepped as the rows of
+    one batch, and each report is filled from its own row.  The default dt
+    is 2**-(n0 + n_max + 4) unless the gain heuristic asks for a smaller one;
+    while that floor sets dt, every n0 takes 2**(n_max + 4) steps and all
+    runs share one batch.  A blow-up names its run.
+    """
+    reports = [_plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) for n0 in n0_list]
+    batches: dict[int, list[int]] = {}
+    for i, report in enumerate(reports):
+        if not report.basin_below_precision:
+            batches.setdefault(round(report.period / report.dt), []).append(i)
+    rows = {}
+    for batch in batches.values():
+        runs = [reports[i] for i in batch]
+        y0 = np.array([random_low_mode_state(basis.n_modes, r.y0_norm, seed) for r in runs])
+        try:
+            run = simulate_batch(
+                y0, [ControlLaw.periodic(r.schedule, cutoff=cutoff) for r in runs], 0.0,
+                [r.period for r in runs], [r.dt for r in runs], basis, tensor, gram, nu=nu,
+                latch_norm=[eps_zero * r.y0_norm for r in runs],
+            )
+        except BlowUpError as exc:
+            failed = runs[exc.row]
+            raise BlowUpError(exc.time, exc.max_abs, exc.row,
+                              f"the run n0={failed.n0} (T={failed.period:g})") from exc
+        rows.update({i: (run, row) for row, i in enumerate(batch)})
+    for i, report in enumerate(reports):
+        if i in rows:
+            _fill_null_control(report, pack, *rows[i])
+    return reports
+
+
 def run_null_control(
     basis: StokesBasis,
     tensor: np.ndarray,
@@ -271,14 +328,18 @@ def run_null_control(
     seed: int = 0,
     nu: float = 1.0,
 ) -> NullControlReport:
-    """Steer the state toward zero over one period of the dyadic schedule.
+    """One null-control run over the period 2**-n0: :func:`run_null_control_horizons` of [n0]."""
+    return run_null_control_horizons(
+        basis, tensor, gram, pack, [n0], y0_norm=y0_norm, n_max=n_max, eps_zero=eps_zero,
+        cutoff=cutoff, dt=dt, seed=seed, nu=nu,
+    )[0]
 
-    Certified packs fix the initial norm from the admissible basin
-    exp(-c3/T) (exp(-2 c3/T) for the cutoff variant); practical packs take
-    the caller's y0_norm.  The state is declared numerically null once its
-    norm falls below eps_zero times the initial norm, after which the
-    control is latched to zero.  For certified packs a violated
-    per-interval bound raises BoundViolatedError.
+
+def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) -> NullControlReport:
+    """The report of one run before stepping: schedule, initial norm and dt.
+
+    A certified basin below float precision is verified in log space here,
+    and its report is final.
     """
     period = 2.0 ** (-n0)
     q = pack.schedule_constant
@@ -315,17 +376,21 @@ def run_null_control(
         dt = _dyadic_dt(schedule.max_gain, n0 + n_max + 4)
         logger.info("dt defaulted to %.3e (max gain %.3e)", dt, schedule.max_gain)
     report.dt = dt
-    y0 = random_low_mode_state(basis.n_modes, y0_norm, seed)
-    run = simulate_batch(
-        y0[None], ControlLaw.periodic(schedule, cutoff=cutoff), 0.0, schedule.period, dt,
-        basis, tensor, gram, nu=nu, latch_norm=eps_zero * y0_norm,
-    )
-    traj = run.trajectory(0)
+    return report
+
+
+def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: int) -> None:
+    """Fill a planned report from its row of the stepped batch and check its bounds."""
+    schedule = report.schedule
+    q = pack.schedule_constant
+    y0_norm = report.y0_norm
+    dt = report.dt
+    traj = run.trajectory(row)
     report.trajectory = traj
-    report.null_reached = not math.isnan(run.latch_time[0])
-    report.latch_time = float(run.latch_time[0]) if report.null_reached else None
-    report.steps = run.steps
-    report.max_energy_defect = run.max_energy_defect
+    report.null_reached = not math.isnan(run.latch_time[row])
+    report.latch_time = float(run.latch_time[row]) if report.null_reached else None
+    report.steps = run.row_steps
+    report.max_energy_defect = run.row_energy_defect(row)
 
     times = np.append(schedule.start_times, schedule.period)
     idx = np.rint(times / dt).astype(int)
@@ -348,9 +413,9 @@ def run_null_control(
     report.monotone_ok = report.interval_norms[2 : schedule.n_max + 2] <= report.interval_norms[1 : schedule.n_max + 1]
     log_cost = math.log(report.cost) if report.cost > 0 else -math.inf
     log_y0 = math.log(y0_norm) if y0_norm else -math.inf
-    report.cost_bound_ok = bool(log_cost <= c3 / schedule.period + log_y0 + 1e-12)
+    report.cost_bound_ok = bool(log_cost <= pack.cost_exponent / schedule.period + log_y0 + 1e-12)
 
-    if certified:
+    if report.mode == "certified":
         for n in range(schedule.n_max + 2):
             if not report.state_bound_ok[n]:
                 raise BoundViolatedError(
@@ -363,7 +428,6 @@ def run_null_control(
                     i + 1, "interval control", float(sup[i + 1]),
                     y0_norm * math.exp(ctrl_bounds[i]),
                 )
-    return report
 
 
 def _verify_bound_arithmetic(report: NullControlReport, pack: ConstantPack) -> None:
@@ -489,49 +553,6 @@ def run_small_time(
         worst = int(np.argmax(residuals))
         raise TwoPeriodFailedError(float(offsets[worst]), float(residuals[worst]))
     return probe
-
-
-def calibrate_small_time_basin(
-    basis: StokesBasis,
-    tensor: np.ndarray,
-    gram: np.ndarray,
-    pack: ConstantPack,
-    n0: int,
-    lo: float = 1e-8,
-    hi: float = 1.0,
-    iterations: int = 8,
-    eps_zero: float = 1e-6,
-    n_max: int = 8,
-    seed: int = 0,
-) -> float:
-    """Empirical stand-in for the admissible basin of the periodic law.
-
-    Bisects the largest initial norm whose two-period run still reaches
-    numerical zero from offset 0.  Returns hi when even that passes (the
-    desk-scale dynamics rarely fail below blow-up).
-    """
-
-    def passes(norm: float) -> bool:
-        try:
-            run_small_time(
-                basis, tensor, gram, pack, n0, norm, [0.0],
-                eps_zero=eps_zero, eta_grid=np.array([]), n_max=n_max, seed=seed,
-            )
-            return True
-        except (TwoPeriodFailedError, BlowUpError):
-            return False
-
-    if passes(hi):
-        return hi
-    if not passes(lo):
-        raise RuntimeError(f"no admissible norm found down to {lo:g}")
-    for _ in range(iterations):
-        mid = math.sqrt(lo * hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def fit_cost_curve(reports) -> tuple[float, float]:

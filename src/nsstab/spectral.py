@@ -295,8 +295,6 @@ def fit_spectral_constant(
     the retained eigenvalues tau_1..tau_{M-4} as grid (the active mode count
     only changes there).
     """
-    import scipy.linalg
-
     if lam_grid is None:
         if basis.n_modes < 5:
             raise ValueError("basis too small for the default threshold grid")
@@ -309,7 +307,7 @@ def fit_spectral_constant(
     for lam in lam_grid:
         n = count_modes(basis, lam)
         block = gram[:n, :n]
-        min_eig = float(scipy.linalg.eigvalsh(block)[0])
+        min_eig = float(np.linalg.eigvalsh(block)[0])
         if min_eig <= 0.0:
             raise SpectralDegeneracyError(float(lam), min_eig)
         target = 1.0 / min_eig

@@ -119,6 +119,68 @@ def test_blowup_raised_at_oracle_step_for_first_failing_row(square16):
     assert batch.value.max_abs == pytest.approx(reference.value.max_abs, rel=1e-13)
 
 
+def test_mixed_laws_and_steps_in_one_batch_match_oracle(square16, pack_rapid, pack_schedule):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    m = basis.n_modes
+    params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
+    base = params.cutoff_radius / params.gain
+    two, one = build_schedule(2, pack_schedule, basis, 4), build_schedule(1, pack_schedule, basis, 4)
+    laws = [ControlLaw.stationary(params), ControlLaw.stationary(params, cutoff=True),
+            ControlLaw.periodic(two, cutoff=True), ControlLaw.periodic(one)]
+    latch = np.array([0.0, 0.0, 0.0, 0.5e-3])  # only the last row trips
+    feedbacks = [oracle.ModalFeedback(params), oracle.ModalFeedback(params, cutoff=True),
+                 oracle.ScheduledFeedback(two, cutoff=True),
+                 oracle.LatchedFeedback(oracle.ScheduledFeedback(one), latch[3])]
+    # the cutoff row starts with its raw control above the radius; the two
+    # periodic rows cross the terminal regime into their next period
+    y0 = np.array([random_low_mode_state(m, 0.5 * base, seed=2), random_low_mode_state(m, 3.0 * base, seed=2),
+                   random_low_mode_state(m, 1e-3, seed=3), random_low_mode_state(m, 1e-3, seed=4)])
+    t_start = np.array([0.0, 0.0, 0.13, 0.3])
+    dt = np.array([1e-5, 2e-5, 2.0**-11, 2.0**-10])
+    span = 256 * dt
+    run = simulate_batch(y0, laws, t_start, span, dt, basis, tensor, gram, sample_stride=4, latch_norm=latch)
+    refs = [oracle.simulate(x, feedback, s, s + width, step, basis, tensor, gram, sample_stride=4)
+            for x, feedback, s, width, step in zip(y0, feedbacks, t_start, span, dt)]
+    assert_matches_oracle(run, refs)
+    assert feedbacks[3].latched and run.latch_time[3] == feedbacks[3].latch_time
+    assert np.isnan(run.latch_time[:3]).all()
+    assert [run.trajectory(r).dt for r in range(4)] == dt.tolist()
+    raw = params.gain * np.linalg.norm(refs[1].states[:, : params.n_active], axis=1)
+    assert raw.max() > params.cutoff_radius
+    assert all((ref.interval == -1).any() and (ref.interval >= 0).any() for ref in refs[2:])
+
+
+def test_rows_of_one_law_are_bit_equal_across_a_batch(square16, pack_rapid, pack_schedule):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
+    a = ControlLaw.periodic(build_schedule(1, pack_schedule, basis, 4), cutoff=True)
+    b = ControlLaw.stationary(params)
+    y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=8)
+    dt = np.array([2.0**-10, 1e-5, 2.0**-10])
+    run = simulate_batch(np.array([y0, 0.5 * y0, y0]), [a, b, a], [0.1, 0.0, 0.1], 64 * dt, dt,
+                         basis, tensor, gram)
+    for name in ("states", *FLOAT_COLUMNS):
+        column = getattr(run, name)
+        first, third = (column[0], column[2]) if name == "states" else (column[:, 0], column[:, 2])
+        assert np.array_equal(first, third), name
+    assert np.array_equal(run.segments[:, 0], run.segments[:, 2])
+    assert not np.array_equal(run.states[0], run.states[1])
+
+
+def test_batch_rejects_mismatched_steps_and_law_counts(square16, pack_rapid):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    law = ControlLaw.stationary(feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis))
+    y0 = np.zeros((2, basis.n_modes))
+    with pytest.raises(ValueError, match="same number of steps"):
+        simulate_batch(y0, law, 0.0, 0.01, [1e-3, 2e-3], basis, tensor, gram)
+    with pytest.raises(ValueError, match="same number of steps"):
+        simulate_batch(y0, law, 0.0, [0.01, 0.02], 1e-3, basis, tensor, gram)
+    with pytest.raises(ValueError, match="3 laws for 2 rows"):
+        simulate_batch(y0, [law] * 3, 0.0, 0.01, 1e-3, basis, tensor, gram)
+    with pytest.raises(ValueError, match="1 laws for 2 rows"):
+        simulate_batch(y0, [law], 0.0, 0.01, 1e-3, basis, tensor, gram)
+
+
 def test_packed_convection_matches_full_contraction_and_is_energy_neutral(square32_wide):
     tensor = square32_wide["tensor"]
     m = tensor.shape[0]
@@ -182,7 +244,8 @@ def oracle_interval(schedule, t):
 )
 def test_plan_matches_scalar_reduction(schedule16, offsets, dt, n_steps):
     law = ControlLaw.periodic(schedule16)
-    seg_a, seg_b = segment_plan(law, np.array(offsets), n_steps, dt)
+    b = len(offsets)
+    seg_a, seg_b = segment_plan([law], np.zeros(b, dtype=int), np.array(offsets), n_steps, np.full(b, dt))
     assert seg_a.shape == (n_steps + 1, len(offsets)) and seg_b.shape == (n_steps, len(offsets))
     for r, s in enumerate(offsets):
         for k in range(n_steps + 1):

@@ -412,16 +412,19 @@ def test_report_checks_every_listed_trajectory_hash(tmp_path):
 WARM_CHILD = """
 import json, sys
 from nsstab.cli import main
-codes = {name: main([name, "--config", sys.argv[1]]) for name in ("stabilize", "simulate", "cost-curve")}
+practical, certified = sys.argv[1:]
+codes = {name: main([name, "--config", practical]) for name in ("stabilize", "simulate", "cost-curve")}
+codes.update({name: main([name, "--config", certified]) for name in ("fit-c1", "constants", "nullcontrol")})
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": loaded}))
 """
 
 
 def test_warm_runs_load_no_scipy(tmp_path):
-    """A warm stabilize, simulate and cost-curve never call scipy, so they must not
-    import it (about 0.3 s and 300 modules per process).  Checked in a child
-    process, since this one has scipy loaded by other tests."""
+    """A warm stabilize, simulate and cost-curve, and a warm certified fit-c1,
+    constants and nullcontrol, never call scipy, so they must not import it
+    (about 0.3 s and 300 modules per process).  Checked in a child process,
+    since this one has scipy loaded by other tests."""
     import os
     import subprocess
     import sys
@@ -431,10 +434,17 @@ def test_warm_runs_load_no_scipy(tmp_path):
 
     src = str(Path(nsstab.__file__).resolve().parents[1])
     cache = tmp_path / "basis_cache.nsstab"
-    path = write_config(tmp_path, cache_path=str(cache))
-    assert run_subcommand("eigen", parse_config(path)) == 0
-    proc = subprocess.run([sys.executable, "-c", WARM_CHILD, str(path)], env={**os.environ, "PYTHONPATH": src},
-                          timeout=300, capture_output=True, text=True, check=True)
+    practical = write_config(tmp_path, cache_path=str(cache))
+    assert run_subcommand("eigen", parse_config(practical)) == 0
+    certified = tmp_path / "certified.json"
+    certified.write_text(json.dumps({**json.loads(practical.read_text()), "mode": "certified",
+                                     "output_dir": str(tmp_path / "certified")}))
+    proc = subprocess.run([sys.executable, "-c", WARM_CHILD, str(practical), str(certified)],
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300, capture_output=True, text=True,
+                          check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == {"stabilize": 0, "simulate": 0, "cost-curve": 0}
+    assert result["codes"] == {name: 0 for name in ("stabilize", "simulate", "cost-curve",
+                                                    "fit-c1", "constants", "nullcontrol")}
+    report = json.loads((tmp_path / "certified" / "nullcontrol_report.json").read_text())
+    assert report["constants"]["mode"] == "certified"
     assert result["scipy"] == []

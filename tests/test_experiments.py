@@ -4,13 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from nsstab import experiments
 from nsstab.constants import ConstantPack, build_schedule
 from nsstab.dynamics import ControlLaw, simulate_batch
+from nsstab.errors import BlowUpError
 from nsstab.experiments import (
-    calibrate_small_time_basin,
     fit_cost_curve,
     random_low_mode_state,
     run_null_control,
+    run_null_control_horizons,
     run_rapid_stab,
     run_small_time,
 )
@@ -95,6 +97,51 @@ def test_null_control_restart_reproduces_tail(small_setup):
     assert np.abs(resumed.states - full.states[idx:]).max() <= 1e-10
 
 
+# the default dt's floor 2**-(n0 + n_max + 4) gives every horizon 2**(n_max + 4)
+# steps and one batch; one shared dt gives each horizon its own step count
+@pytest.mark.parametrize(("dt", "batch_rows_expected", "steps"), [(None, [3], [2**8] * 3),
+                                                                  (2.0**-10, [1, 1, 1], [512, 256, 128])],
+                         ids=["default-dt", "shared-dt"])
+def test_null_control_horizons_match_single_runs(small_setup, monkeypatch, dt, batch_rows_expected, steps):
+    basis, tensor, gram, pack = (small_setup[k] for k in ("basis", "tensor", "gram", "pack"))
+    singles = [run_null_control(basis, tensor, gram, pack, n0, y0_norm=1e-3, n_max=4, dt=dt, seed=2)
+               for n0 in (1, 2, 3)]
+    batch_rows = []
+    real = experiments.simulate_batch
+
+    def counted(y0, *args, **kwargs):
+        batch_rows.append(len(y0))
+        return real(y0, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate_batch", counted)
+    reports = run_null_control_horizons(basis, tensor, gram, pack, [1, 2, 3], y0_norm=1e-3, n_max=4, dt=dt, seed=2)
+    assert batch_rows == batch_rows_expected
+    for batched, single, n_steps in zip(reports, singles, steps):
+        assert batched.n0 == single.n0 and batched.dt == single.dt
+        for name in ("interval_norms", "interval_control_sup"):
+            expected = getattr(single, name)
+            np.testing.assert_allclose(getattr(batched, name), expected, rtol=1e-13,
+                                       atol=1e-13 * np.abs(expected).max(), err_msg=f"n0={single.n0} {name}")
+        assert batched.cost == pytest.approx(single.cost, rel=1e-13)
+        assert batched.null_reached == single.null_reached
+        assert batched.latch_time == single.latch_time
+        assert batched.steps == single.steps == n_steps
+        assert batched.max_energy_defect == pytest.approx(single.max_energy_defect, rel=1e-6, abs=1e-20)
+    assert reports[0].null_reached
+
+
+def test_null_control_blowup_names_its_run(small_setup):
+    basis, tensor, gram, pack = (small_setup[k] for k in ("basis", "tensor", "gram", "pack"))
+    # at this norm the explicit step is unstable for T = 1/2 but not yet for T = 1/8,
+    # so the guard trips in the second row of the batch
+    with pytest.raises(BlowUpError, match=r"in the run n0=1 \(T=0\.5\) at t=") as info:
+        run_null_control_horizons(basis, tensor, gram, pack, [3, 1], y0_norm=1e3, n_max=4)
+    assert info.value.row == 1
+    with pytest.raises(BlowUpError) as single:
+        run_null_control(basis, tensor, gram, pack, 1, y0_norm=1e3, n_max=4)
+    assert single.value.time == info.value.time
+
+
 def test_null_control_cutoff_respects_feedback_norm_constraint(small_setup):
     report = run_null_control(
         small_setup["basis"], small_setup["tensor"], small_setup["gram"],
@@ -176,23 +223,6 @@ def test_small_time_rejects_single_period(small_setup):
         run_small_time(
             small_setup["basis"], small_setup["tensor"], small_setup["gram"],
             small_setup["pack"], 1, 1e-3, [0.0], periods=1, n_max=4,
-        )
-
-
-def test_calibrate_basin_returns_hi_when_everything_passes(small_setup):
-    value = calibrate_small_time_basin(
-        small_setup["basis"], small_setup["tensor"], small_setup["gram"],
-        small_setup["pack"], 1, hi=1e-3, n_max=4,
-    )
-    assert value == 1e-3
-
-
-def test_calibrate_basin_propagates_program_errors(small_setup):
-    # n0 = 0 is a caller bug (build_schedule rejects it), not an inadmissible norm
-    with pytest.raises(ValueError, match="n0"):
-        calibrate_small_time_basin(
-            small_setup["basis"], small_setup["tensor"], small_setup["gram"],
-            small_setup["pack"], 0, hi=1e-3, n_max=4,
         )
 
 

@@ -140,6 +140,28 @@ def test_first_eigenvalue_mesh_convergence(square32, square48):
     assert abs(t32 - t48) / t48 < 0.02
 
 
+#: smallest clamped-plate buckling eigenvalue of the unit square (Bjorstad &
+#: Tjostheim, Computing 63, 1999), which is the smallest Stokes eigenvalue
+BUCKLING_LAMBDA_1 = 52.344691168
+
+
+def test_first_eigenvalue_converges_at_second_order_to_the_literature_value(square32):
+    """tau_1 on the 32, 64 and 128 square grids (h = 1/(n+1)) approaches the
+    literature value at order 2, and Richardson extrapolation of the two finer
+    grids recovers it; the square's degenerate pair tau_2 = tau_3 stays bit-equal."""
+    bases = [square32["basis"]] + [make_setup(n, n, 24)[3] for n in (64, 128)]
+    h = np.array([1.0 / 33, 1.0 / 65, 1.0 / 129])
+    tau1 = np.array([basis.eigenvalues[0] for basis in bases])
+    err = tau1 - BUCKLING_LAMBDA_1
+    assert np.all(err > 0)
+    order = np.log(err[:-1] / err[1:]) / np.log(h[:-1] / h[1:])
+    assert np.all((1.9 <= order) & (order <= 2.1)), order
+    extrapolated = (h[1] ** 2 * tau1[2] - h[2] ** 2 * tau1[1]) / (h[1] ** 2 - h[2] ** 2)
+    assert abs(extrapolated - BUCKLING_LAMBDA_1) <= 1e-4
+    for basis in bases:
+        assert basis.eigenvalues[1] == basis.eigenvalues[2]
+
+
 def test_basis_orthonormal(square32):
     basis, grid = square32["basis"], square32["grid"]
     full = assemble_gram(basis, grid, mask=np.ones((grid.nx, grid.ny)))
