@@ -299,21 +299,24 @@ def ensure_basis(config: RunConfig) -> tuple[StokesBasis, Grid, bool]:
 # artifact writers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    """Ints as written, floats with 17 significant digits (they re-parse bit for bit)."""
-    return str(value) if isinstance(value, int) else f"{value:.17g}"
+def _row_format(kinds: str) -> str:
+    """One %-format for a CSV row, a letter per column: "f" for a float with
+    17 significant digits (it re-parses bit for bit), "d" for an integer."""
+    return ",".join("%.17g" if kind == "f" else "%d" for kind in kinds)
 
 
-def _write_csv(path: str | Path, header: str, rows) -> None:
+def _write_csv(path: str | Path, header: str, row_format: str, rows) -> None:
+    """Header line, then each row (a tuple) formatted by row_format."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n")
+    path.write_text("\n".join([header, *map(row_format.__mod__, rows)]) + "\n")
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     """Fixed schema: t, norm_H, V, norm_f, interval_n, lambda_n."""
     columns = (traj.times, traj.norm_h, traj.lyapunov, traj.control_norm, traj.interval, traj.threshold)
-    _write_csv(path, "t,norm_H,V,norm_f,interval_n,lambda_n", zip(*(c.tolist() for c in columns)))
+    _write_csv(path, "t,norm_H,V,norm_f,interval_n,lambda_n", _row_format("ffffdf"),
+               zip(*(c.tolist() for c in columns)))
 
 
 def sha256_file(path: str | Path) -> str:
@@ -337,8 +340,13 @@ def _base_report(config: RunConfig, pack: ConstantPack | None = None) -> dict:
 
 
 def _health(report) -> dict:
-    """Closed-loop steps and the largest energy-identity residual of a run."""
-    return {"steps": report.steps, "max_energy_defect": report.max_energy_defect}
+    """Closed-loop steps, the largest energy-identity residual, dt and stepping time of a run.
+
+    stepping_s is the time of the simulate_batch call the run was a row of,
+    and us_per_step that time per trajectory step of the call.
+    """
+    return {"steps": report.steps, "max_energy_defect": report.max_energy_defect, "dt": report.dt,
+            "stepping_s": report.stepping_s, "us_per_step": report.us_per_step}
 
 
 def build_pack(config: RunConfig, basis: StokesBasis, grid: Grid,
@@ -390,7 +398,7 @@ def _cmd_fit_c1(config: RunConfig, out: Path) -> None:
     fit = fit_spectral_constant(basis, gram)
     table_path = out / "c1_table.csv"
     _write_csv(
-        table_path, "threshold,n_active,gram_min_eig,root_unclamped,root_clamped",
+        table_path, "threshold,n_active,gram_min_eig,root_unclamped,root_clamped", _row_format("fdfff"),
         ((lam, int(n), min_eig, root, clamped) for lam, n, min_eig, root, clamped in fit.table.tolist()),
     )
     _write_json(
@@ -563,7 +571,7 @@ def _cmd_cost_curve(config: RunConfig, out: Path) -> None:
                                         **_null_control_options(config))
     slope, intercept = fit_cost_curve(reports)
     curve_path = out / "cost_curve.csv"
-    _write_csv(curve_path, "T,inv_T,cost,y0_norm",
+    _write_csv(curve_path, "T,inv_T,cost,y0_norm", _row_format("ffff"),
                ((r.period, 1.0 / r.period, r.cost, r.y0_norm) for r in reports))
     _write_json(
         out / "cost_curve_report.json",
@@ -603,6 +611,10 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
         if health:
             lines.append(f"  steps = {sum(h['steps'] for h in health)}")
             lines.append(f"  max_energy_defect = {max(h['max_energy_defect'] for h in health)}")
+            for key in ("stepping_s", "us_per_step"):  # one value per run; runs of one batch share it
+                values = [str(h[key]) for h in health if key in h]
+                if values:
+                    lines.append(f"  {key} = {', '.join(values)}")
         for file, recorded in _listed_trajectories(data):
             digest = sha256_file(out / file)
             lines.append(f"  trajectory = {file} ({digest})")

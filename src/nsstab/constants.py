@@ -367,11 +367,11 @@ def radial_cutoff_rows(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     radius.
     """
     norms = np.sqrt(row_dot(coeffs, coeffs))
-    over = np.flatnonzero(norms > radii)
-    if over.size == 0:
+    over = norms > radii
+    if not over.any():
         return coeffs
     scale = np.ones(len(coeffs))
-    for i in over:
+    for i in np.flatnonzero(over):
         scale[i] = cutoff_profile(float(norms[i]), float(radii[i]))
     return coeffs * scale[:, None]
 

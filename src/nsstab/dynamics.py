@@ -15,9 +15,8 @@ holds at the ODE level.  Time stepping is an integrating-factor Heun
 scheme (an exponential RK2, Cox & Matthews, J. Comput. Phys. 2002): the
 stiff diagonal part is integrated exactly, the nonlinearity and control
 explicitly at second order.  The dissipation and control-work integrals are
-accumulated inside the step with exponentially weighted trapezoids (exact
-for pure decay), so the energy identity can be checked to O(dt^2) per unit
-time along a run.
+accumulated with exponentially weighted trapezoids (exact for pure decay),
+so the energy identity can be checked to O(dt^2) per unit time along a run.
 
 Every control law here is piecewise-constant linear feedback with an
 optional radial cutoff and norm latch (:class:`ControlLaw`).  A run steps a
@@ -28,6 +27,16 @@ evaluation of each step, and looks the segments up in one table that stacks
 the distinct laws.  The convection term of a half step is one
 (B, M(M+1)/2) @ (M(M+1)/2, M) product over the pairs i <= j of the tensor
 symmetrized in (i, j) (:func:`packed_convection`), shared by all the rows.
+
+The per-step loop of :func:`simulate_batch` keeps only what the next state
+depends on: the two convection terms, the two law evaluations (cutoff and
+latch included), the two Gram products, the Heun update and the blow-up
+guard.  It writes each step's state, control and Gram products into block
+buffers.  Once per block of ``_BLOCK`` steps, and at the last step, one
+vectorized pass turns them into the samples, the Lyapunov column and the
+energy integrals.  The pass uses the same row dot products as a per-step
+loop would, and its cumulative sums add left to right like a running total,
+so no result depends on the block length.
 """
 
 from __future__ import annotations
@@ -43,6 +52,9 @@ from .spectral import StokesBasis
 
 #: abort threshold for any coefficient magnitude (smallness hypotheses long gone)
 BLOWUP_GUARD = 1e6
+
+#: steps per block of the deferred sampling and energy bookkeeping; results do not depend on it
+_BLOCK = 64
 
 
 def raw_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
@@ -78,20 +90,29 @@ def build_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
     return 0.5 * (raw - raw.transpose(0, 2, 1))
 
 
-def packed_convection(tensor: np.ndarray):
-    """The convection term x -> sum_ij T[i,j,k] x_i x_j of each row of a (B, M) batch.
+def packed_convection(tensor: np.ndarray, rows: int):
+    """The convection term x -> sum_ij T[i,j,k] x_i x_j of each row of a (rows, M) batch.
 
     Since x_i x_j = x_j x_i, the tensor is symmetrized in (i, j) and packed
     once over the M(M+1)/2 pairs i <= j, so each call is one
-    (B, M(M+1)/2) @ (M(M+1)/2, M) product instead of (B, M^2) @ (M^2, M).
+    (rows, M(M+1)/2) @ (M(M+1)/2, M) product instead of (rows, M^2) @ (M^2, M).
+    The pair factors are gathered from the flattened batch by precomputed
+    flat indices r*M + i, so the batch size is fixed here.
     """
-    iu, ju = np.triu_indices(tensor.shape[0])
+    m = tensor.shape[0]
+    iu, ju = np.triu_indices(m)
     packed = (tensor + tensor.transpose(1, 0, 2))[iu, ju]
     packed[iu == ju] *= 0.5  # the diagonal pairs were doubled; 2T * 0.5 = T exactly
+    row_start = m * np.arange(rows)[:, None]
+    flat_i, flat_j = row_start + iu, row_start + ju
 
     def convection(x: np.ndarray) -> np.ndarray:
-        # np.take gathers the pair factors faster than fancy indexing x[:, iu]
-        return (np.take(x, iu, axis=1) * np.take(x, ju, axis=1)) @ packed
+        if x.shape != (rows, m):
+            raise ValueError(f"expected a ({rows}, {m}) batch, got {x.shape}")
+        flat = x.ravel()
+        # indices are in range by construction; "clip" skips the bounds check, and
+        # the method skips the Python wrapper of np.take
+        return (flat.take(flat_i, mode="clip") * flat.take(flat_j, mode="clip")) @ packed
 
     return convection
 
@@ -402,22 +423,19 @@ def simulate_batch(
     diss_half = (1.0 - decay_sq) / (2.0 * nu * tau) * 0.5
     endpoint_ok = decay_sq > 1e-12
     decay_sq_safe = np.maximum(decay_sq, 1e-300)
-    # row_dot against one copy of tau per row, where a (B, M) @ (M,) product
-    # would sum rows in different orders by their position in the batch
-    tau_rows = np.tile(tau, (b, 1))
-    convection = packed_convection(tensor)
+    convection = packed_convection(tensor, b)
     gram_t = gram.T
     half_dt = 0.5 * dt
     half_dt_col = half_dt[:, None]
     # rows without cutoff have radius inf; a batch with no finite radius skips
-    # the row norms, which cost about 10 us per law evaluation
+    # the row norms, which cost about 5 us per law evaluation
     any_cutoff = bool(np.isfinite(radii).any())
 
-    def control(x, index, k, shift):
-        """Law at time t_start + k*dt + shift; shift is 0 or dt."""
-        c = x * gains[index]
+    def control(x, gain, radius, k, shift):
+        """Law at time t_start + k*dt + shift (shift is 0 or dt), with this step's gains and radii."""
+        c = x * gain
         if any_cutoff:
-            c = radial_cutoff_rows(c, radii[index])
+            c = radial_cutoff_rows(c, radius)
         if latch is not None:
             trip = ~latched & (np.sqrt(row_dot(x, x)) <= latch)
             if trip.any():
@@ -432,39 +450,75 @@ def simulate_batch(
     states = np.empty((kept, n_samples, m))
     lyap = np.empty((n_samples, kept))
 
-    x = y0.copy()
-    x2 = x * x
-    diss = np.zeros(b)
-    work = np.zeros(b)
-    c1 = control(x, index_a[0], 0, 0.0)
-    for k in range(n_steps + 1):
-        if k % sample_stride == 0:
-            i = k // sample_stride
-            norm_h[i] = np.sqrt(row_dot(x, x))
-            control_norm[i] = np.sqrt(row_dot(c1, c1))
-            dissipation[i] = diss
-            control_work[i] = work
-            states[:, i] = x[:kept]
-            lyap[i] = (x2[:kept] * weights[index_a[k, :kept]]).sum(axis=1)
-        if k == n_steps:
-            break
-        g1 = c1 @ gram_t
-        f1 = g1 - convection(x)
-        predictor = decay * (x + dt_col * f1)
-        g2 = control(predictor, index_b[k], k, dt) @ gram_t
-        x_new = decay * (x + half_dt_col * f1) + half_dt_col * (g2 - convection(predictor))
-        if not np.abs(x_new).max() <= BLOWUP_GUARD:
-            row = int(np.argmin(np.all(np.abs(x_new) <= BLOWUP_GUARD, axis=1)))
-            finite = x_new[row][np.isfinite(x_new[row])]
-            worst = float(np.abs(finite).max()) if finite.size else float("inf")
-            raise BlowUpError(float(t0[row] + k * dt[row] + dt[row]), worst, row)
+    # a block's states, controls and Gram products; slot 0 holds the state and
+    # control that the previous block ended on
+    block = min(_BLOCK, n_steps)
+    xs, c1s, g1s, g2s = np.empty((4, block + 1, b, m))
+    # row_dot against one copy of tau per row, where a (B, M) @ (M,) product
+    # would sum rows in different orders by their position in the batch
+    tau_rows = np.tile(tau, (block * b, 1))
+    carry = np.zeros((2, b))  # dissipation and control work at the block's first step
+
+    def stacked_dot(u, v):
+        """row_dot over the rows of (n, B, M) stacks, as an (n, B) array."""
+        return row_dot(u.reshape(-1, m), v.reshape(-1, m)).reshape(len(u), b)
+
+    def record(k0, n, last):
+        """Samples and energy integrals of steps k0 .. k0 + n from the block buffers.
+
+        The integrals run on from the carry with a cumulative sum, which
+        adds left to right like a running total.  The block's end state is
+        sampled here only when it is the run's last step; otherwise it opens
+        the next block.
+        """
+        x = xs[: n + 1]
+        x2 = x * x
         # energy bookkeeping: trapezoid in the integrating-factor variable
-        x2_new = x_new * x_new
-        z_sq_end = np.where(endpoint_ok, x2_new / decay_sq_safe, x2)
-        diss = diss + row_dot(diss_half * (x2 + z_sq_end), tau_rows)
-        work = work + half_dt * (row_dot(x, g1) + row_dot(x_new, g2))
-        x, x2 = x_new, x2_new
-        c1 = control(x, index_a[k + 1], k + 1, 0.0)
+        z_sq_end = np.where(endpoint_ok, x2[1:] / decay_sq_safe, x2[:-1])
+        diss = np.cumsum(np.concatenate(
+            [carry[:1], stacked_dot(diss_half * (x2[:-1] + z_sq_end), tau_rows[: n * b])]), axis=0)
+        work = np.cumsum(np.concatenate(
+            [carry[1:], half_dt * (stacked_dot(x[:-1], g1s[:n]) + stacked_dot(x[1:], g2s[:n]))]), axis=0)
+        carry[:] = diss[n], work[n]
+        first = -k0 % sample_stride
+        chosen = slice(first, n + 1 if last else n, sample_stride)
+        x_s = x[chosen]
+        if not len(x_s):
+            return
+        i0 = (k0 + first) // sample_stride
+        i = slice(i0, i0 + len(x_s))
+        c_s = c1s[chosen]
+        norm_h[i] = np.sqrt(stacked_dot(x_s, x_s))
+        control_norm[i] = np.sqrt(stacked_dot(c_s, c_s))
+        dissipation[i] = diss[chosen]
+        control_work[i] = work[chosen]
+        states[:, i] = x_s[:, :kept].swapaxes(0, 1)
+        lyap[i] = (x2[chosen, :kept] * weights[index_a[k0 : k0 + n + 1][chosen, :kept]]).sum(axis=2)
+
+    xs[0] = y0
+    for k0 in range(0, n_steps, block):
+        n = min(block, n_steps - k0)
+        # the law's gains and radii at both evaluations of every step of the block
+        gain_a, radius_a = gains[index_a[k0 : k0 + n + 1]], radii[index_a[k0 : k0 + n + 1]]
+        gain_b, radius_b = gains[index_b[k0 : k0 + n]], radii[index_b[k0 : k0 + n]]
+        if k0 == 0:
+            c1s[0] = control(xs[0], gain_a[0], radius_a[0], 0, 0.0)
+        for j in range(n):
+            k = k0 + j
+            x, x_new = xs[j], xs[j + 1]
+            g1 = np.matmul(c1s[j], gram_t, out=g1s[j])
+            f1 = g1 - convection(x)
+            predictor = decay * (x + dt_col * f1)
+            g2 = np.matmul(control(predictor, gain_b[j], radius_b[j], k, dt), gram_t, out=g2s[j])
+            np.add(decay * (x + half_dt_col * f1), half_dt_col * (g2 - convection(predictor)), out=x_new)
+            if not np.abs(x_new).max() <= BLOWUP_GUARD:
+                row = int(np.argmin(np.all(np.abs(x_new) <= BLOWUP_GUARD, axis=1)))
+                finite = x_new[row][np.isfinite(x_new[row])]
+                worst = float(np.abs(finite).max()) if finite.size else float("inf")
+                raise BlowUpError(float(t0[row] + k * dt[row] + dt[row]), worst, row)
+            c1s[j + 1] = control(x_new, gain_a[j + 1], radius_a[j + 1], k + 1, 0.0)
+        record(k0, n, k0 + n == n_steps)
+        xs[0], c1s[0] = xs[n], c1s[n]
 
     return BatchRun(
         laws=laws,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,15 @@ def _dyadic_dt(max_gain: float, k_floor: int) -> float:
     return 2.0 ** (-k)
 
 
+def _timed_batch(*args, **kwargs):
+    """simulate_batch, then the seconds (time.perf_counter) the call took and
+    those in microseconds per trajectory step of the batch."""
+    start = time.perf_counter()
+    run = simulate_batch(*args, **kwargs)
+    seconds = time.perf_counter() - start
+    return run, (seconds, seconds / run.steps * 1e6)
+
+
 def _log_slope(times: np.ndarray, values: np.ndarray, skip_fraction: float = 0.05) -> float:
     """Least-squares slope of log(values) vs time, skipping the initial transient."""
     start = int(math.ceil(skip_fraction * len(times)))
@@ -99,6 +109,8 @@ class RapidStabReport:
     control_stayed_below_radius: bool | None = None
     steps: int = 0  # closed-loop steps over both runs
     max_energy_defect: float = float("nan")  # max |energy-identity residual|
+    stepping_s: float = float("nan")  # time of the simulate_batch call
+    us_per_step: float = float("nan")  # stepping_s per trajectory step of that call, in us
 
     @property
     def threshold(self) -> float:
@@ -149,7 +161,7 @@ def run_rapid_stab(
         laws.append(ControlLaw.stationary(params, cutoff=True))
     # one batch: every row goes through the same products, so the two arms
     # take identical arithmetic wherever the cutoff leaves the control alone
-    run = simulate_batch(
+    run, timing = _timed_batch(
         np.tile(y0, (len(laws), 1)), laws, 0.0, horizon, dt,
         basis, tensor, gram, nu=nu, sample_stride=stride,
     )
@@ -204,6 +216,7 @@ def run_rapid_stab(
         report.control_stayed_below_radius = bool(np.all(raw_control <= params.cutoff_radius))
     report.steps = run.steps
     report.max_energy_defect = run.max_energy_defect
+    report.stepping_s, report.us_per_step = timing
     return report
 
 
@@ -240,6 +253,8 @@ class NullControlReport:
     trajectory: Trajectory | None = None
     steps: int = 0
     max_energy_defect: float = float("nan")  # max |energy-identity residual|
+    stepping_s: float = float("nan")  # time of the simulate_batch call this run was a row of
+    us_per_step: float = float("nan")  # stepping_s per trajectory step of that call, in us
 
     @property
     def T(self) -> float:
@@ -298,7 +313,7 @@ def run_null_control_horizons(
         runs = [reports[i] for i in batch]
         y0 = np.array([random_low_mode_state(basis.n_modes, r.y0_norm, seed) for r in runs])
         try:
-            run = simulate_batch(
+            run, timing = _timed_batch(
                 y0, [ControlLaw.periodic(r.schedule, cutoff=cutoff) for r in runs], 0.0,
                 [r.period for r in runs], [r.dt for r in runs], basis, tensor, gram, nu=nu,
                 latch_norm=[eps_zero * r.y0_norm for r in runs],
@@ -307,7 +322,7 @@ def run_null_control_horizons(
             failed = runs[exc.row]
             raise BlowUpError(exc.time, exc.max_abs, exc.row,
                               f"the run n0={failed.n0} (T={failed.period:g})") from exc
-        rows.update({i: (run, row) for row, i in enumerate(batch)})
+        rows.update({i: (run, row, timing) for row, i in enumerate(batch)})
     for i, report in enumerate(reports):
         if i in rows:
             _fill_null_control(report, pack, *rows[i])
@@ -379,8 +394,9 @@ def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) -> NullContr
     return report
 
 
-def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: int) -> None:
-    """Fill a planned report from its row of the stepped batch and check its bounds."""
+def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: int, timing) -> None:
+    """Fill a planned report from its row of the stepped batch and the batch's
+    timing (seconds, microseconds per step), and check its bounds."""
     schedule = report.schedule
     q = pack.schedule_constant
     y0_norm = report.y0_norm
@@ -391,6 +407,7 @@ def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: 
     report.latch_time = float(run.latch_time[row]) if report.null_reached else None
     report.steps = run.row_steps
     report.max_energy_defect = run.row_energy_defect(row)
+    report.stepping_s, report.us_per_step = timing
 
     times = np.append(schedule.start_times, schedule.period)
     idx = np.rint(times / dt).astype(int)
@@ -475,6 +492,8 @@ class StabilityProbe:
     trajectories: list[Trajectory] = field(default_factory=list)
     steps: int = 0  # closed-loop steps over all runs, eta runs included
     max_energy_defect: float = float("nan")  # max |energy-identity residual|, all runs
+    stepping_s: float = float("nan")  # time of the simulate_batch call
+    us_per_step: float = float("nan")  # stepping_s per trajectory step, in us
 
 
 def run_small_time(
@@ -519,7 +538,7 @@ def run_small_time(
     n_off = len(offsets)
     norms = [y0_norm] + [float(eta) for eta in eta_grid]
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed) for norm in norms for _ in offsets])
-    run = simulate_batch(
+    run, (stepping_s, us_per_step) = _timed_batch(
         y0, ControlLaw.periodic(schedule, cutoff=True), np.tile(offsets, len(norms)),
         periods * schedule.period, dt, basis, tensor, gram, nu=nu, state_rows=n_off,
     )
@@ -548,6 +567,8 @@ def run_small_time(
         trajectories=[run.trajectory(i) for i in range(n_off)],
         steps=run.steps,
         max_energy_defect=max_energy_defect,
+        stepping_s=stepping_s,
+        us_per_step=us_per_step,
     )
     if not two_period_ok:
         worst = int(np.argmax(residuals))

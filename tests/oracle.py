@@ -10,6 +10,8 @@
 * The one-shot convection tensor, with its (M, M, 2, N) intermediate.
 * Helpers only the tests call: the single-vector modal feedback, the
   scalar interval lookup and the physical-field reconstruction.
+* The per-value CSV formatting that the one-format-per-row writers of
+  ``nsstab.cli`` replaced.
 
 Kept as they were; do not optimize.
 """
@@ -438,3 +440,13 @@ def simulate(
         dt=dt,
         nu=nu,
     )
+
+
+def _fmt(value) -> str:
+    """Ints as written, floats with 17 significant digits (they re-parse bit for bit)."""
+    return str(value) if isinstance(value, int) else f"{value:.17g}"
+
+
+def csv_row(row) -> str:
+    """One CSV row, each value formatted on its own."""
+    return ",".join(map(_fmt, row))

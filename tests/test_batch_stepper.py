@@ -1,7 +1,9 @@
 """The batched stepper against the single-trajectory reference in oracle.py,
-and property tests of the compiled segment plan and the row-wise cutoff."""
+its independence of the bookkeeping block length, its memory bound, and
+property tests of the compiled segment plan and the row-wise cutoff."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from nsstab.constants import (
     radial_cutoff_rows,
     row_dot,
 )
+from nsstab import dynamics
 from nsstab.dynamics import ControlLaw, packed_convection, segment_plan, simulate_batch
 from nsstab.errors import BlowUpError
 from nsstab.experiments import random_low_mode_state
@@ -181,10 +184,115 @@ def test_batch_rejects_mismatched_steps_and_law_counts(square16, pack_rapid):
         simulate_batch(y0, [law], 0.0, 0.01, 1e-3, basis, tensor, gram)
 
 
+BATCH_COLUMNS = ("segments", *FLOAT_COLUMNS, "states", "latch_time")
+
+#: block lengths of the deferred bookkeeping: every step its own block, a few, the default
+BLOCKS = (1, 3, 64)
+
+
+def run_per_block(monkeypatch, *args, **kwargs):
+    """The same simulate_batch call at each block length of BLOCKS."""
+    runs = []
+    for block in BLOCKS:
+        monkeypatch.setattr(dynamics, "_BLOCK", block)
+        runs.append(simulate_batch(*args, **kwargs))
+    return runs
+
+
+def assert_same_across_blocks(runs):
+    for run, block in zip(runs[1:], BLOCKS[1:]):
+        for name in BATCH_COLUMNS:
+            assert np.array_equal(getattr(run, name), getattr(runs[0], name), equal_nan=True), (name, block)
+
+
+@pytest.fixture(scope="module")
+def mixed_batch(square16, pack_rapid, pack_schedule):
+    """Four rows with four laws and four dt: stationary with and without cutoff
+    (the cutoff row starts above its radius), periodic with cutoff, and
+    periodic with a latch at half the initial norm."""
+    m = square16["basis"].n_modes
+    params = feedback_params(float(square16["basis"].eigenvalues[3]), pack_rapid, square16["basis"])
+    base = params.cutoff_radius / params.gain
+    two, one = (build_schedule(n0, pack_schedule, square16["basis"], 4) for n0 in (2, 1))
+    laws = [ControlLaw.stationary(params), ControlLaw.stationary(params, cutoff=True),
+            ControlLaw.periodic(two, cutoff=True), ControlLaw.periodic(one)]
+    y0 = np.array([random_low_mode_state(m, 0.5 * base, seed=2), random_low_mode_state(m, 3.0 * base, seed=2),
+                   random_low_mode_state(m, 1e-3, seed=3), random_low_mode_state(m, 1e-3, seed=4)])
+    return {"laws": laws, "y0": y0, "t_start": np.array([0.0, 0.0, 0.13, 0.3]),
+            "dt": np.array([1e-5, 2e-5, 2.0**-11, 2.0**-10]), "latch": np.array([0.0, 0.0, 0.0, 0.5e-3])}
+
+
+# fewer steps than a block, whole blocks, one step either side of them, and
+# sample strides that do not divide the block
+@pytest.mark.parametrize("n_steps, stride", [(2, 1), (50, 1), (63, 1), (64, 1), (65, 5), (128, 4), (129, 3),
+                                             (130, 5)])
+def test_columns_do_not_depend_on_the_block_length(square16, mixed_batch, monkeypatch, n_steps, stride):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    batch = mixed_batch
+    runs = run_per_block(monkeypatch, batch["y0"], batch["laws"], batch["t_start"], n_steps * batch["dt"],
+                         batch["dt"], basis, tensor, gram, sample_stride=stride, latch_norm=batch["latch"])
+    assert_same_across_blocks(runs)
+    assert runs[0].norm_h.shape == (n_steps // stride + 1, 4)
+
+
+def test_latch_at_block_edges_does_not_depend_on_the_block_length(square16, pack_schedule, monkeypatch):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    law = ControlLaw.periodic(build_schedule(1, pack_schedule, basis, 4))
+    y0 = np.tile(random_low_mode_state(basis.n_modes, 1e-3, seed=6), (3, 1))
+    dt = 2.0**-11
+    free = simulate_batch(y0, law, 0.0, 130 * dt, dt, basis, tensor, gram)
+    # the norm falls along the run, so a latch at the norm of step k trips at
+    # step k: the last step of the first 64-step block, the first of the
+    # second, and one row that never trips
+    trips = (63, 64)
+    latch = np.array([free.norm_h[trips[0], 0], free.norm_h[trips[1], 1], 0.0])
+    assert np.all(np.diff(free.norm_h[:, 0]) < 0)
+    runs = run_per_block(monkeypatch, y0, law, 0.0, 130 * dt, dt, basis, tensor, gram, latch_norm=latch)
+    assert_same_across_blocks(runs)
+    assert runs[0].latch_time[:2].tolist() == [k * dt for k in trips] and math.isnan(runs[0].latch_time[2])
+    for row, k in enumerate(trips):
+        assert runs[0].control_norm[k, row] == 0.0 < runs[0].control_norm[k - 1, row]
+
+
+def test_blowup_on_a_block_end_does_not_depend_on_the_block_length(square16, monkeypatch):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    m = basis.n_modes
+    exploder = FeedbackParams(threshold=1.0, n_active=m, gain=-1e3, weight=1.0, cutoff_radius=0.5)
+    y0 = np.array([np.zeros(m), np.full(m, 1e-7)])  # row 1 trips the guard at step 63
+    errors = []
+    for block in BLOCKS:
+        monkeypatch.setattr(dynamics, "_BLOCK", block)
+        with pytest.raises(BlowUpError) as caught:
+            simulate_batch(y0, ControlLaw.stationary(exploder), 0.25, 0.5, 1e-3, basis, tensor, gram)
+        errors.append((caught.value.time, caught.value.row, caught.value.max_abs))
+    assert errors == [errors[0]] * len(BLOCKS)
+    assert errors[0][:2] == (0.25 + 64 * 1e-3, 1)
+
+
+def test_stepping_memory_is_bounded_by_the_block(square16, pack_schedule):
+    """Beyond the arrays it returns, a run allocates at most a fixed number of
+    block-sized buffers: a temporary the size of the state history would be
+    n_steps / _BLOCK = 128 of them."""
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    b, m, n_steps = 12, basis.n_modes, 8192
+    law = ControlLaw.periodic(build_schedule(1, pack_schedule, basis, 4), cutoff=True)
+    y0 = np.array([random_low_mode_state(m, 1e-3 * (1 + r), seed=r) for r in range(b)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run = simulate_batch(y0, law, np.linspace(0.0, 0.4, b), 0.5, 0.5 / n_steps, basis, tensor, gram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(getattr(run, name).nbytes for name in ("t_start", "dt", *BATCH_COLUMNS))
+    assert run.row_steps == n_steps
+    assert peak - before - returned <= 32 * dynamics._BLOCK * b * m * 8
+
+
 def test_packed_convection_matches_full_contraction_and_is_energy_neutral(square32_wide):
     tensor = square32_wide["tensor"]
     m = tensor.shape[0]
-    convection = packed_convection(tensor)
+    convection = packed_convection(tensor, 5)
     rng = np.random.default_rng(11)
     for scale in (1e-6, 1e-2, 1.0, 10.0):
         x = scale * rng.standard_normal((5, m))

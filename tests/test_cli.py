@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsstab.cli import (
+    _row_format,
     emit_config,
     main,
     parse_config,
@@ -14,10 +17,12 @@ from nsstab.cli import (
     write_basis_cache,
     write_trajectory_csv,
 )
+from nsstab.dynamics import Trajectory
 from nsstab.errors import ConfigError
 from nsstab.experiments import MAX_STEPS
 from nsstab.grid import DomainSpec, build_grid
 
+import oracle
 from conftest import make_setup
 
 BASE = {
@@ -180,6 +185,13 @@ def test_simulate_then_report_cites_hash(tmp_path):
     assert (out / "report_plot.csv").read_text().startswith("t,norm_H,V,norm_f")
 
 
+def without_stepping_times(report: bytes) -> bytes:
+    """A report with the values of its two wall-clock health fields blanked; every other byte is kept."""
+    blanked, count = re.subn(rb'("(?:stepping_s|us_per_step)": )[^,\n]+', rb"\1null", report)
+    assert count == 2 * report.count(b'"health"')
+    return blanked
+
+
 def test_outputs_deterministic(tmp_path):
     config = parse_config(write_config(tmp_path))
     run_subcommand("nullcontrol", config)
@@ -187,7 +199,7 @@ def test_outputs_deterministic(tmp_path):
     first = (out / "nullcontrol_report.json").read_bytes()
     traj_first = (out / "nullcontrol_trajectory.csv").read_bytes()
     run_subcommand("nullcontrol", config)
-    assert (out / "nullcontrol_report.json").read_bytes() == first
+    assert without_stepping_times((out / "nullcontrol_report.json").read_bytes()) == without_stepping_times(first)
     assert (out / "nullcontrol_trajectory.csv").read_bytes() == traj_first
 
 
@@ -268,11 +280,26 @@ def test_reports_record_run_health(tmp_path):
                             *((r, r["y0_norm"]) for r in curve["runs"])):
         # the energy identity holds to O(dt^2): well inside the initial energy
         assert 0.0 <= report["health"]["max_energy_defect"] <= 1e-3 * y0_norm**2
+    # dt and the stepping time; the three horizons share one batch, so one time
+    for report in (sim, null, stab, *curve["runs"]):
+        assert report["health"]["dt"] == report["dt"]
+        assert report["health"]["stepping_s"] > 0.0
+    for report in (sim, null, stab):
+        health = report["health"]
+        assert health["us_per_step"] == pytest.approx(health["stepping_s"] / health["steps"] * 1e6, rel=1e-12)
+    batch_steps = sum(r["health"]["steps"] for r in curve["runs"])
+    for run in curve["runs"]:
+        assert run["health"]["stepping_s"] == curve["runs"][0]["health"]["stepping_s"]
+        assert run["health"]["us_per_step"] == pytest.approx(run["health"]["stepping_s"] / batch_steps * 1e6,
+                                                             rel=1e-12)
     assert run_subcommand("report", config) == 0
     summary = (out / "summary.txt").read_text()
     assert summary.count("  steps = ") == 4
     assert summary.count("  max_energy_defect = ") == 4
     assert f"  steps = {sum(r['health']['steps'] for r in curve['runs'])}" in summary
+    assert summary.count("  stepping_s = ") == 4 and summary.count("  us_per_step = ") == 4
+    assert f"  stepping_s = {stab['health']['stepping_s']}\n" in summary
+    assert f"  us_per_step = {', '.join(str(r['health']['us_per_step']) for r in curve['runs'])}\n" in summary
 
 
 def test_stabilize_csvs_identical_across_blas_thread_counts(tmp_path):
@@ -448,3 +475,36 @@ def test_warm_runs_load_no_scipy(tmp_path):
     report = json.loads((tmp_path / "certified" / "nullcontrol_report.json").read_text())
     assert report["constants"]["mode"] == "certified"
     assert result["scipy"] == []
+
+
+#: the float edge cases of the CSV writers: nan, infinities, signed zeros,
+#: the smallest subnormal and normal numbers, and magnitudes near the range ends
+EDGE_FLOATS = (float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308)
+csv_floats = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+csv_ints = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kinds=st.text(alphabet="fd", min_size=1, max_size=8))
+def test_row_format_matches_per_value_formatting(data, kinds):
+    rows = data.draw(st.lists(st.tuples(*(csv_floats if kind == "f" else csv_ints for kind in kinds)),
+                              min_size=1, max_size=5))
+    row_format = _row_format(kinds)
+    for row in rows:
+        assert row_format % row == oracle.csv_row(row)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n=st.integers(1, 20))
+def test_trajectory_csv_matches_per_value_formatting(tmp_path_factory, data, n):
+    floats = [np.array(data.draw(st.lists(csv_floats, min_size=n, max_size=n))) for _ in range(5)]
+    interval = np.array(data.draw(st.lists(csv_ints, min_size=n, max_size=n)), dtype=np.int64)
+    traj = Trajectory(times=floats[0], states=np.zeros((n, 1)), norm_h=floats[1], lyapunov=floats[2],
+                      control_norm=floats[3], interval=interval, threshold=floats[4],
+                      dissipation=np.zeros(n), control_work=np.zeros(n))
+    path = tmp_path_factory.mktemp("csv") / "trajectory.csv"
+    write_trajectory_csv(path, traj)
+    columns = (traj.times, traj.norm_h, traj.lyapunov, traj.control_norm, traj.interval, traj.threshold)
+    expected = ["t,norm_H,V,norm_f,interval_n,lambda_n", *map(oracle.csv_row, zip(*(c.tolist() for c in columns)))]
+    assert path.read_text() == "\n".join(expected) + "\n"

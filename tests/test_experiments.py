@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nsstab import experiments
-from nsstab.constants import ConstantPack, build_schedule
+from nsstab.constants import ConstantPack, FeedbackParams, Schedule, build_schedule
 from nsstab.dynamics import ControlLaw, simulate_batch
-from nsstab.errors import BlowUpError
+from nsstab.errors import BlowUpError, BoundViolatedError
 from nsstab.experiments import (
     fit_cost_curve,
     random_low_mode_state,
@@ -169,6 +170,48 @@ def test_null_control_certified_arithmetic_path(square16):
     squared = run_null_control(square16["basis"], square16["tensor"], square16["gram"],
                                pack, 1, n_max=6, cutoff=True)
     assert squared.log_basin == pytest.approx(2.0 * linear.log_basin, rel=1e-14)
+
+
+def certified_pack(q: float) -> ConstantPack:
+    """A certified pack with a small schedule constant, so its basin exp(-c3/T) is representable."""
+    return ConstantPack(spectral_constant=1.0, trilinear_constant=1.0, feedback_constant=3.0,
+                        schedule_constant=q, cost_exponent=q * q / 32.0, mode="certified")
+
+
+def doctored_schedule(n0: int, q: float, gains, n_active: int) -> Schedule:
+    """The dyadic times of period 2**-n0 with one given gain per interval."""
+    dyadic = Schedule.dyadic(n0, q, len(gains) - 1)
+    params = tuple(FeedbackParams(threshold=float(t), n_active=n_active, gain=gain, weight=1.0, cutoff_radius=0.5)
+                   for t, gain in zip(dyadic.thresholds, gains))
+    return replace(dyadic, params=params)
+
+
+@pytest.mark.parametrize("q, n0, gains, interval, kind", [
+    # no feedback: the state decays only viscously, far slower than the
+    # envelope exp(-(7 q^2/64) 2^n0 (2^n - 1)) = exp(-56) at interval 1
+    (16.0, 1, (0.0, 0.0, 0.0), 1, "interval norm"),
+    # every norm bound holds with room, but a gain of 100 on interval 1 makes
+    # its control exceed the control envelope exp(-(5 q^2/64) 2^n0)
+    (0.5, 4, (0.0, 100.0, 0.0), 1, "interval control"),
+])
+def test_certified_run_raises_on_a_violated_interval_bound(square16, monkeypatch, q, n0, gains, interval, kind):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    pack = certified_pack(q)
+    schedule = doctored_schedule(n0, q, gains, basis.n_modes)
+    # a certified schedule's raw thresholds q^2 4^(n0+n) would overrun a
+    # 24-mode basis; the run takes the doctored one instead
+    monkeypatch.setattr(experiments, "build_schedule", lambda *args: schedule)
+    with pytest.raises(BoundViolatedError) as caught:
+        run_null_control(basis, tensor, gram, pack, n0, n_max=len(gains) - 1, seed=1)
+    error = caught.value
+    assert (error.interval, error.bound_name) == (interval, kind)
+    y0_norm = math.exp(-pack.cost_exponent * 2.0**n0)
+    if kind == "interval norm":
+        envelope = -(7.0 * q * q / 64.0) * 2.0**n0 * (2.0**interval - 1.0)
+    else:
+        envelope = -(5.0 * q * q / 64.0) * 2.0 ** (n0 + interval - 1)
+    assert error.bound == pytest.approx(y0_norm * math.exp(envelope), rel=1e-12)
+    assert error.measured > error.bound
 
 
 def test_latched_feedback_shuts_off(small_setup):
