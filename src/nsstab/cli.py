@@ -191,6 +191,18 @@ def _config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("dt", "must be positive")
     if config.nu <= 0:
         raise ConfigError("nu", "must be positive")
+    exp = config.experiment
+    for key, bad, rule in (
+        ("n0", exp.n0 < 1, "must be at least 1"),
+        ("n0_list", any(n0 < 1 for n0 in exp.n0_list), "entries must be at least 1"),
+        ("n_max", exp.n_max < 0, "must be nonnegative"),
+        ("periods", exp.periods < 2, "need at least two periods for the null check"),
+        ("y0_norm", not exp.y0_norm >= 0, "must be nonnegative"),
+        ("y0_scale", not exp.y0_scale >= 0, "must be nonnegative"),
+        ("horizon", exp.horizon is not None and not exp.horizon > 0, "must be positive"),
+    ):
+        if bad:
+            raise ConfigError(f"experiment.{key}", rule)
     config.domain_spec()  # raises ConfigError naming the offending key
     return config
 
@@ -339,16 +351,6 @@ def _base_report(config: RunConfig, pack: ConstantPack | None = None) -> dict:
     }
 
 
-def _health(report) -> dict:
-    """Closed-loop steps, the largest energy-identity residual, dt and stepping time of a run.
-
-    stepping_s is the time of the simulate_batch call the run was a row of,
-    and us_per_step that time per trajectory step of the call.
-    """
-    return {"steps": report.steps, "max_energy_defect": report.max_energy_defect, "dt": report.dt,
-            "stepping_s": report.stepping_s, "us_per_step": report.us_per_step}
-
-
 def build_pack(config: RunConfig, basis: StokesBasis, grid: Grid,
                tensor: np.ndarray | None = None,
                gram: np.ndarray | None = None) -> ConstantPack:
@@ -460,7 +462,7 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
         "trivial": report.trivial,
         "trajectory": traj_path.name,
         "trajectory_sha256": sha256_file(traj_path),
-        "health": _health(report),
+        "health": report.health,
     }
     if report.cutoff_trajectory is not None:
         cut_path = out / "simulate_trajectory_cutoff.csv"
@@ -493,6 +495,7 @@ def _null_control_payload(report) -> dict:
         "basin_below_precision": report.basin_below_precision,
         "thresholds_raw": [float(v) for v in report.schedule.thresholds_raw],
         "thresholds": [float(v) for v in report.schedule.thresholds],
+        "clamped": [bool(b) for b in report.schedule.clamped],
     }
     if report.basin_below_precision:
         payload["note"] = "basin below float precision; bound arithmetic verified in log space"
@@ -512,7 +515,7 @@ def _null_control_payload(report) -> dict:
             "state_bound_ok": [bool(b) for b in report.state_bound_ok],
             "control_bound_ok": [bool(b) for b in report.control_bound_ok],
             "monotone_ok": [bool(b) for b in report.monotone_ok],
-            "health": _health(report),
+            "health": report.health,
         }
     )
     return payload
@@ -560,12 +563,15 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
             "eta_grid": [float(v) for v in probe.eta_grid],
             "delta_table": [float(v) for v in probe.delta_table],
             "trajectories": traj_names,
-            "health": _health(probe),
+            "health": probe.health,
+            "clamped": [bool(b) for b in probe.schedule.clamped],
         },
     )
 
 
 def _cmd_cost_curve(config: RunConfig, out: Path) -> None:
+    if len(set(config.experiment.n0_list)) < 3:
+        raise ConfigError("experiment.n0_list", "the slope fit needs at least 3 distinct n0")
     basis, grid, tensor, gram, pack = _prepare_dynamics(config)
     reports = run_null_control_horizons(basis, tensor, gram, pack, config.experiment.n0_list,
                                         **_null_control_options(config))

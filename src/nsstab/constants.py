@@ -336,19 +336,6 @@ def cutoff_profile(s: float, r: float) -> float:
     return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def radial_cutoff(coeffs: np.ndarray, r: float) -> np.ndarray:
-    """Scale a coefficient vector by the cutoff profile of its norm.
-
-    Identity inside radius r, zero outside radius 2r; the result's norm is
-    at most min(1, input norm) because 2r <= 1.
-    """
-    nrm = float(np.linalg.norm(coeffs))
-    scale = cutoff_profile(nrm, r)
-    if scale == 1.0:
-        return coeffs.copy()
-    return coeffs * scale
-
-
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row pair of two (B, M) arrays.
 
@@ -359,12 +346,13 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def radial_cutoff_rows(coeffs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """radial_cutoff applied to each row of a (B, M) array with its own radius.
+    """Scale each row of a (B, M) array by the cutoff profile of its norm at its own radius.
 
-    Row norms sum like radial_cutoff's and rows past their radius get
-    cutoff_profile itself, so each row comes out bit for bit as
-    radial_cutoff returns it.  Returns coeffs itself when no row exceeds its
-    radius.
+    A row is unchanged inside its radius r and zero outside 2r, so its norm
+    ends at most min(1, input norm) because 2r <= 1.  Row norms sum like
+    np.linalg.norm of the row (see row_dot), and rows past their radius are
+    scaled by cutoff_profile itself.  Returns coeffs itself when no row
+    exceeds its radius.
     """
     norms = np.sqrt(row_dot(coeffs, coeffs))
     over = norms > radii

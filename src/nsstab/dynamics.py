@@ -23,8 +23,10 @@ optional radial cutoff and norm latch (:class:`ControlLaw`).  A run steps a
 (B, M) batch of trajectories together, and each row may have its own law,
 start time and dt, as long as every row takes the same number of steps.  The
 run compiles each row's law once into the segment active at each law
-evaluation of each step, and looks the segments up in one table that stacks
-the distinct laws.  The convection term of a half step is one
+evaluation of each step, and into its own table of gains, weights and radii,
+padded with zero-law rows to the size every row shares; row r's segment s
+sits at r*size + s % size of the stacked tables, so TERMINAL (-1) finds a
+zero-law row.  The convection term of a half step is one
 (B, M(M+1)/2) @ (M(M+1)/2, M) product over the pairs i <= j of the tensor
 symmetrized in (i, j) (:func:`packed_convection`), shared by all the rows.
 
@@ -36,11 +38,14 @@ buffers.  Once per block of ``_BLOCK`` steps, and at the last step, one
 vectorized pass turns them into the samples, the Lyapunov column and the
 energy integrals.  The pass uses the same row dot products as a per-step
 loop would, and its cumulative sums add left to right like a running total,
-so no result depends on the block length.
+so no result depends on the block length.  The call times itself with
+time.perf_counter, and :meth:`BatchRun.health` reports the steps, the
+largest energy-identity residual and that time, for one row or for all.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,27 +122,14 @@ def packed_convection(tensor: np.ndarray, rows: int):
     return convection
 
 
-def lyapunov(coeffs: np.ndarray, params: FeedbackParams | None = None) -> float:
-    """Weighted energy: weight * ||low modes||^2 + ||high modes||^2.
-
-    Without params this is the plain squared norm.
-    """
-    if params is None:
-        return float(coeffs @ coeffs)
-    n = params.n_active
-    low = float(coeffs[:n] @ coeffs[:n])
-    high = float(coeffs[n:] @ coeffs[n:])
-    return params.weight * low + high
-
-
 @dataclass(frozen=True)
 class ControlLaw:
     """Piecewise-constant linear feedback with an optional radial cutoff.
 
     On segment n the control is -params[n].gain times the first
-    params[n].n_active coefficients, passed through radial_cutoff at
-    params[n].cutoff_radius when cutoff is set; segment TERMINAL is the zero
-    control.  A periodic law follows a dyadic schedule: a time t is reduced
+    params[n].n_active coefficients, scaled by the radial cutoff profile of
+    its norm at params[n].cutoff_radius when cutoff is set; segment TERMINAL
+    is the zero control.  A periodic law follows a dyadic schedule: a time t is reduced
     to t mod period, and its segment is the schedule interval that contains
     it, TERMINAL in the terminal regime.  Without a schedule the law is
     stationary: segment 0 at every time, or TERMINAL for the zero law (no
@@ -171,19 +163,20 @@ class ControlLaw:
         seg = np.searchsorted(self.schedule.start_times, tp, side="right") - 1
         return np.where(seg > self.schedule.n_max, TERMINAL, seg)
 
-    def tables(self, m: int):
-        """Per-segment arrays for an M-mode basis, indexed by segment.
+    def tables(self, m: int, size: int):
+        """Per-segment arrays for an M-mode basis, padded to size rows.
 
         Returns the control gains (-gain on the active modes), the Lyapunov
         weights (weight on the active modes, 1 elsewhere), the cutoff radii
-        (inf without cutoff, so the cutoff never acts) and the thresholds.
-        The last row, which TERMINAL indexes, is the zero law: no gain, unit
-        weights, radius inf, threshold nan.
+        (inf without cutoff, so the cutoff never acts) and the thresholds,
+        each indexed by segment.  The rows past the law's segments are the
+        zero law: no gain, unit weights, radius inf, threshold nan.  size
+        exceeds the segment count, so TERMINAL (-1) indexes the last of them.
         """
-        gains = np.zeros((len(self.params) + 1, m))
+        gains = np.zeros((size, m))
         weights = np.ones_like(gains)
-        radii = np.full(len(self.params) + 1, np.inf)
-        thresholds = np.full(len(self.params) + 1, np.nan)
+        radii = np.full(size, np.inf)
+        thresholds = np.full(size, np.nan)
         for i, p in enumerate(self.params):
             gains[i, : p.n_active] = -p.gain
             weights[i, : p.n_active] = p.weight
@@ -193,29 +186,12 @@ class ControlLaw:
         return gains, weights, radii, thresholds
 
 
-def _row_laws(law, rows: int) -> tuple[ControlLaw, ...]:
-    """One law per row: a single ControlLaw serves every row."""
-    laws = (law,) * rows if isinstance(law, ControlLaw) else tuple(law)
-    if len(laws) != rows:
-        raise ValueError(f"got {len(laws)} laws for {rows} rows")
-    return laws
-
-
-def _distinct_laws(laws: tuple[ControlLaw, ...]) -> tuple[list[ControlLaw], np.ndarray]:
-    """The distinct laws (by identity, in order of first use) and each row's index among them."""
-    index: dict[int, int] = {}
-    rows = np.array([index.setdefault(id(law), len(index)) for law in laws])
-    distinct = list({id(law): law for law in laws}.values())
-    return distinct, rows
-
-
-def segment_plan(laws: list[ControlLaw], rows: np.ndarray, t_start: np.ndarray, n_steps: int, dt: np.ndarray):
+def segment_plan(laws, t_start: np.ndarray, n_steps: int, dt: np.ndarray):
     """Segments of each row's law at both evaluations of every step.
 
-    laws are the distinct laws of a batch and rows[r] the index of row r's
-    law among them; t_start and dt hold one value per row.  Row r evaluates
-    its law at t_start[r] + k*dt[r] (the start of step k, which is also
-    sample time k) and at that time plus dt[r] (the predictor).  Returns the
+    laws, t_start and dt hold one value per row.  Row r evaluates its law at
+    t_start[r] + k*dt[r] (the start of step k, which is also sample time k)
+    and at that time plus dt[r] (the predictor).  Returns the
     (n_steps + 1, B) and (n_steps, B) arrays of law-local segments, in the
     smallest integer type that holds every segment index.
     """
@@ -224,31 +200,10 @@ def segment_plan(laws: list[ControlLaw], rows: np.ndarray, t_start: np.ndarray, 
     index_type = np.min_scalar_type(-max(len(law.params) for law in laws) - 1)
     seg_a = np.empty(t_a.shape, dtype=index_type)
     seg_b = np.empty(t_b.shape, dtype=index_type)
-    for i, law in enumerate(laws):
-        cols = np.flatnonzero(rows == i)
-        seg_a[:, cols] = law.segment_at(t_a[:, cols])
-        seg_b[:, cols] = law.segment_at(t_b[:, cols])
+    for r, law in enumerate(laws):
+        seg_a[:, r] = law.segment_at(t_a[:, r])
+        seg_b[:, r] = law.segment_at(t_b[:, r])
     return seg_a, seg_b
-
-
-def _stacked_tables(laws: list[ControlLaw], rows: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray, m: int):
-    """One table over the distinct laws of a batch, and the segments as indices into it.
-
-    The law-local rows of each distinct law follow each other, then one
-    shared zero-law row, so TERMINAL (-1) indexes it for every batch row.
-    Returns the gains, weights and radii of the stacked table and seg_a,
-    seg_b turned into row indices of it.
-    """
-    blocks = [law.tables(m) for law in laws]
-    gains, weights, radii = (np.concatenate([block[i][:-1] for block in blocks] + [blocks[0][i][-1:]])
-                             for i in range(3))
-    start = np.cumsum([0] + [len(law.params) for law in laws])[rows]
-    index_type = np.min_scalar_type(-len(gains))
-
-    def stacked(seg):
-        return np.where(seg == TERMINAL, TERMINAL, seg + start).astype(index_type)
-
-    return gains, weights, radii, stacked(seg_a), stacked(seg_b)
 
 
 @dataclass
@@ -276,21 +231,6 @@ class Trajectory:
     dt: float = 0.0
     nu: float = 1.0
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def energy_defect(self) -> np.ndarray:
-        """Residual of the energy identity at each sample (zero for exact flow)."""
-        return _energy_defect(self.norm_h, self.dissipation, self.control_work, self.nu)
-
-
-def _energy_defect(norm_h, dissipation, control_work, nu):
-    """Energy-identity residual along axis 0 of the sample columns."""
-    e0 = 0.5 * norm_h[0] ** 2
-    return 0.5 * norm_h**2 + nu * dissipation - control_work - e0
-
 
 @dataclass
 class BatchRun:
@@ -298,12 +238,14 @@ class BatchRun:
 
     Per-sample columns are (samples, B) arrays with the meaning of the
     Trajectory fields; segments holds each row's segment of its own law at
-    each sample.  states (K, samples, M) and lyapunov (samples, K) are kept
-    for the first K rows only.  latch_time is the time each row's latch
-    tripped, nan where it never did.
+    each sample, and thresholds[r] the threshold of each segment of row r's
+    law (nan at TERMINAL).  states (K, samples, M) and lyapunov (samples, K)
+    are kept for the first K rows only.  latch_time is the time each row's
+    latch tripped, nan where it never did.  seconds is the time
+    (time.perf_counter) the simulate_batch call took.
     """
 
-    laws: tuple[ControlLaw, ...]  # (B,)
+    thresholds: np.ndarray  # (B, segments per row)
     t_start: np.ndarray  # (B,)
     dt: np.ndarray  # (B,)
     nu: float
@@ -316,33 +258,32 @@ class BatchRun:
     states: np.ndarray
     lyapunov: np.ndarray
     latch_time: np.ndarray
+    seconds: float
 
-    @property
-    def row_steps(self) -> int:
-        """Closed-loop steps taken by each row."""
-        return (len(self.norm_h) - 1) * self.sample_stride
+    def health(self, row: int | None = None) -> dict:
+        """Closed-loop steps and largest |energy-identity residual| of one row,
+        or of all rows, with the stepping time.
 
-    @property
-    def steps(self) -> int:
-        """Closed-loop steps taken, summed over the rows."""
-        return self.row_steps * len(self.t_start)
+        The residual at a sample is 1/2 ||X||^2 + nu * dissipation - control
+        work - 1/2 ||X(0)||^2.  stepping_s is the time of the whole call and
+        us_per_step that time per trajectory step of the call, whichever rows
+        are asked for.
+        """
+        rows = range(len(self.t_start)) if row is None else (row,)
+        row_steps = (len(self.norm_h) - 1) * self.sample_stride
 
-    def row_energy_defect(self, row: int) -> float:
-        """Largest |energy-identity residual| over the samples of one row."""
-        defect = _energy_defect(self.norm_h[:, row], self.dissipation[:, row], self.control_work[:, row], self.nu)
-        return float(np.abs(defect).max())
+        def row_defect(r):  # row by row, so the temporaries stay one column long
+            norm, e0 = self.norm_h[:, r], 0.5 * self.norm_h[0, r] ** 2
+            return float(np.abs(0.5 * norm**2 + self.nu * self.dissipation[:, r] - self.control_work[:, r] - e0).max())
 
-    @property
-    def max_energy_defect(self) -> float:
-        """Largest |energy-identity residual| over all samples of all rows."""
-        # row by row, so the temporaries stay one column long
-        return max(self.row_energy_defect(row) for row in range(len(self.t_start)))
+        defect = max(row_defect(r) for r in rows)
+        return {"steps": row_steps * len(rows), "max_energy_defect": defect, "stepping_s": self.seconds,
+                "us_per_step": self.seconds / (row_steps * len(self.t_start)) * 1e6}
 
     def trajectory(self, row: int) -> Trajectory:
         """The run of one row whose states were kept, with its own copies of the columns."""
         seg = self.segments[:, row]
         dt = float(self.dt[row])
-        _, _, _, thresholds = self.laws[row].tables(self.states.shape[2])
         return Trajectory(
             times=self.t_start[row] + np.arange(len(seg)) * self.sample_stride * dt,
             states=self.states[row],
@@ -350,7 +291,7 @@ class BatchRun:
             lyapunov=self.lyapunov[:, row].copy(),
             control_norm=self.control_norm[:, row].copy(),
             interval=seg.astype(np.int64),
-            threshold=thresholds[seg],
+            threshold=self.thresholds[row][seg],
             dissipation=self.dissipation[:, row].copy(),
             control_work=self.control_work[:, row].copy(),
             dt=dt,
@@ -385,11 +326,14 @@ def simulate_batch(
     at the first step where a row trips the guard, with the first such row
     and its time.
     """
+    start = time.perf_counter()
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 2 or len(y0) == 0 or y0.shape[1] != basis.n_modes:
         raise ValueError("initial coefficients must be a nonempty (B, M) batch matching the basis size")
     b, m = y0.shape
-    laws = _row_laws(law, b)
+    laws = (law,) * b if isinstance(law, ControlLaw) else tuple(law)
+    if len(laws) != b:
+        raise ValueError(f"got {len(laws)} laws for {b} rows")
     dt = np.broadcast_to(np.asarray(dt, dtype=np.float64), (b,)).copy()
     span = np.broadcast_to(np.asarray(span, dtype=np.float64), (b,))
     if np.any(dt <= 0):
@@ -407,9 +351,15 @@ def simulate_batch(
 
     kept = b if state_rows is None else state_rows
     t0 = np.broadcast_to(np.asarray(t_start, dtype=np.float64), (b,)).copy()
-    distinct, law_rows = _distinct_laws(laws)
-    seg_a, seg_b = segment_plan(distinct, law_rows, t0, n_steps, dt)
-    gains, weights, radii, index_a, index_b = _stacked_tables(distinct, law_rows, seg_a, seg_b, m)
+    seg_a, seg_b = segment_plan(laws, t0, n_steps, dt)
+    # one table per row, padded with zero-law rows to a shared size; row r's
+    # segment s, TERMINAL included, is row r*size + s % size of the stack
+    size = max(len(law.params) for law in laws) + 1
+    gains, weights, radii, thresholds = (np.stack(table) for table in zip(*(law.tables(m, size) for law in laws)))
+    gains, weights, radii = gains.reshape(b * size, m), weights.reshape(b * size, m), radii.ravel()
+    index_type = np.min_scalar_type(b * size)
+    row_start = size * np.arange(b)
+    index_a, index_b = ((seg.astype(np.intp) % size + row_start).astype(index_type) for seg in (seg_a, seg_b))
     latch = None if latch_norm is None else np.broadcast_to(np.asarray(latch_norm, dtype=np.float64), (b,))
     latched = np.zeros(b, dtype=bool)
     latch_time = np.full(b, np.nan)
@@ -521,7 +471,7 @@ def simulate_batch(
         xs[0], c1s[0] = xs[n], c1s[n]
 
     return BatchRun(
-        laws=laws,
+        thresholds=thresholds,
         t_start=t0,
         dt=dt,
         nu=nu,
@@ -534,4 +484,5 @@ def simulate_batch(
         states=states,
         lyapunov=lyap,
         latch_time=latch_time,
+        seconds=time.perf_counter() - start,
     )

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,15 +65,6 @@ def _dyadic_dt(max_gain: float, k_floor: int) -> float:
     return 2.0 ** (-k)
 
 
-def _timed_batch(*args, **kwargs):
-    """simulate_batch, then the seconds (time.perf_counter) the call took and
-    those in microseconds per trajectory step of the batch."""
-    start = time.perf_counter()
-    run = simulate_batch(*args, **kwargs)
-    seconds = time.perf_counter() - start
-    return run, (seconds, seconds / run.steps * 1e6)
-
-
 def _log_slope(times: np.ndarray, values: np.ndarray, skip_fraction: float = 0.05) -> float:
     """Least-squares slope of log(values) vs time, skipping the initial transient."""
     start = int(math.ceil(skip_fraction * len(times)))
@@ -107,10 +97,7 @@ class RapidStabReport:
     cutoff_trajectory: Trajectory | None = None
     cutoff_matches_linear: bool | None = None
     control_stayed_below_radius: bool | None = None
-    steps: int = 0  # closed-loop steps over both runs
-    max_energy_defect: float = float("nan")  # max |energy-identity residual|
-    stepping_s: float = float("nan")  # time of the simulate_batch call
-    us_per_step: float = float("nan")  # stepping_s per trajectory step of that call, in us
+    health: dict = field(default_factory=dict)  # BatchRun.health of both runs, and dt
 
     @property
     def threshold(self) -> float:
@@ -161,7 +148,7 @@ def run_rapid_stab(
         laws.append(ControlLaw.stationary(params, cutoff=True))
     # one batch: every row goes through the same products, so the two arms
     # take identical arithmetic wherever the cutoff leaves the control alone
-    run, timing = _timed_batch(
+    run = simulate_batch(
         np.tile(y0, (len(laws), 1)), laws, 0.0, horizon, dt,
         basis, tensor, gram, nu=nu, sample_stride=stride,
     )
@@ -214,9 +201,7 @@ def run_rapid_stab(
         report.cutoff_trajectory = traj_cut
         report.cutoff_matches_linear = bool(np.array_equal(traj.states, traj_cut.states))
         report.control_stayed_below_radius = bool(np.all(raw_control <= params.cutoff_radius))
-    report.steps = run.steps
-    report.max_energy_defect = run.max_energy_defect
-    report.stepping_s, report.us_per_step = timing
+    report.health = {**run.health(), "dt": dt}
     return report
 
 
@@ -251,10 +236,7 @@ class NullControlReport:
     control_bound_ok: np.ndarray | None = None  # per-interval control bound table
     monotone_ok: np.ndarray | None = None  # ||y(T_{n+1})|| <= ||y(T_n)||, n >= 1
     trajectory: Trajectory | None = None
-    steps: int = 0
-    max_energy_defect: float = float("nan")  # max |energy-identity residual|
-    stepping_s: float = float("nan")  # time of the simulate_batch call this run was a row of
-    us_per_step: float = float("nan")  # stepping_s per trajectory step of that call, in us
+    health: dict = field(default_factory=dict)  # BatchRun.health of this run's row, and dt
 
     @property
     def T(self) -> float:
@@ -313,7 +295,7 @@ def run_null_control_horizons(
         runs = [reports[i] for i in batch]
         y0 = np.array([random_low_mode_state(basis.n_modes, r.y0_norm, seed) for r in runs])
         try:
-            run, timing = _timed_batch(
+            run = simulate_batch(
                 y0, [ControlLaw.periodic(r.schedule, cutoff=cutoff) for r in runs], 0.0,
                 [r.period for r in runs], [r.dt for r in runs], basis, tensor, gram, nu=nu,
                 latch_norm=[eps_zero * r.y0_norm for r in runs],
@@ -322,7 +304,7 @@ def run_null_control_horizons(
             failed = runs[exc.row]
             raise BlowUpError(exc.time, exc.max_abs, exc.row,
                               f"the run n0={failed.n0} (T={failed.period:g})") from exc
-        rows.update({i: (run, row, timing) for row, i in enumerate(batch)})
+        rows.update({i: (run, row) for row, i in enumerate(batch)})
     for i, report in enumerate(reports):
         if i in rows:
             _fill_null_control(report, pack, *rows[i])
@@ -394,9 +376,8 @@ def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) -> NullContr
     return report
 
 
-def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: int, timing) -> None:
-    """Fill a planned report from its row of the stepped batch and the batch's
-    timing (seconds, microseconds per step), and check its bounds."""
+def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: int) -> None:
+    """Fill a planned report from its row of the stepped batch, and check its bounds."""
     schedule = report.schedule
     q = pack.schedule_constant
     y0_norm = report.y0_norm
@@ -405,9 +386,7 @@ def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: 
     report.trajectory = traj
     report.null_reached = not math.isnan(run.latch_time[row])
     report.latch_time = float(run.latch_time[row]) if report.null_reached else None
-    report.steps = run.row_steps
-    report.max_energy_defect = run.row_energy_defect(row)
-    report.stepping_s, report.us_per_step = timing
+    report.health = {**run.health(row), "dt": dt}
 
     times = np.append(schedule.start_times, schedule.period)
     idx = np.rint(times / dt).astype(int)
@@ -489,11 +468,9 @@ class StabilityProbe:
     eta_grid: np.ndarray
     delta_table: np.ndarray  # sup-over-time norm per eta (max over offsets)
     dt: float
+    schedule: Schedule
     trajectories: list[Trajectory] = field(default_factory=list)
-    steps: int = 0  # closed-loop steps over all runs, eta runs included
-    max_energy_defect: float = float("nan")  # max |energy-identity residual|, all runs
-    stepping_s: float = float("nan")  # time of the simulate_batch call
-    us_per_step: float = float("nan")  # stepping_s per trajectory step, in us
+    health: dict = field(default_factory=dict)  # BatchRun.health of all runs, eta runs included, and dt
 
 
 def run_small_time(
@@ -538,7 +515,7 @@ def run_small_time(
     n_off = len(offsets)
     norms = [y0_norm] + [float(eta) for eta in eta_grid]
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed) for norm in norms for _ in offsets])
-    run, (stepping_s, us_per_step) = _timed_batch(
+    run = simulate_batch(
         y0, ControlLaw.periodic(schedule, cutoff=True), np.tile(offsets, len(norms)),
         periods * schedule.period, dt, basis, tensor, gram, nu=nu, state_rows=n_off,
     )
@@ -551,7 +528,7 @@ def run_small_time(
     )
     delta = run.norm_h[:, n_off:].max(axis=0).reshape(len(eta_grid), n_off).max(axis=1)
     # reduced before the trajectory copies below exist, which lowers peak memory
-    max_energy_defect = run.max_energy_defect
+    health = {**run.health(), "dt": dt}
 
     probe = StabilityProbe(
         n0=n0,
@@ -564,11 +541,9 @@ def run_small_time(
         eta_grid=np.asarray(eta_grid, dtype=float),
         delta_table=delta,
         dt=dt,
+        schedule=schedule,
         trajectories=[run.trajectory(i) for i in range(n_off)],
-        steps=run.steps,
-        max_energy_defect=max_energy_defect,
-        stepping_s=stepping_s,
-        us_per_step=us_per_step,
+        health=health,
     )
     if not two_period_ok:
         worst = int(np.argmax(residuals))

@@ -118,24 +118,3 @@ def discrete_divergence(u: np.ndarray, grid: Grid) -> np.ndarray:
     if u.shape != (2, grid.nx, grid.ny):
         raise ValueError(f"velocity shape {u.shape} does not match grid")
     return _dx(u[0], grid.hx) + _dy(u[1], grid.hy)
-
-
-def inner_l2(u: np.ndarray, v: np.ndarray, grid: Grid, mask: np.ndarray | None = None) -> float:
-    """Discrete L2 inner product, optionally localized by a node mask.
-
-    Accepts scalar fields (nx, ny) or velocity fields (2, nx, ny); the two
-    arguments must have the same shape.  Quadrature is node value times cell
-    area, which keeps Gram matrices exactly symmetric.
-    """
-    if u.shape != v.shape:
-        raise ValueError(f"field shapes {u.shape} and {v.shape} differ")
-    if u.shape[-2:] != (grid.nx, grid.ny):
-        raise ValueError(f"field shape {u.shape} does not match grid")
-    prod = u * v
-    if prod.ndim == 3:
-        prod = prod.sum(axis=0)
-    if mask is not None:
-        if mask.shape != (grid.nx, grid.ny):
-            raise ValueError(f"mask shape {mask.shape} does not match grid")
-        prod = prod * mask
-    return float(prod.sum() * grid.cell_area)

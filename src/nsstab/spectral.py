@@ -117,16 +117,6 @@ class StokesBasis:
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
-    def truncated(self, m: int) -> "StokesBasis":
-        if not 1 <= m <= self.n_modes:
-            raise ValueError(f"cannot truncate basis of {self.n_modes} modes to {m}")
-        return StokesBasis(
-            eigenvalues=self.eigenvalues[:m],
-            stream_functions=self.stream_functions[:m],
-            velocities=self.velocities[:m],
-            grid=self.grid,
-        )
-
 
 def cluster_starts(tau: np.ndarray) -> np.ndarray:
     """First index of each cluster of an ascending eigenvalue array."""

@@ -8,8 +8,11 @@
 * The dense operator assembly and the dense generalized ``eigh`` that the
   sparse shift-invert solve replaced, run through the same canonicalizer.
 * The one-shot convection tensor, with its (M, M, 2, N) intermediate.
-* Helpers only the tests call: the single-vector modal feedback, the
-  scalar interval lookup and the physical-field reconstruction.
+* Helpers only the tests call: the single-vector modal feedback and radial
+  cutoff (the reference for ``radial_cutoff_rows``), the scalar interval
+  lookup, the weighted energy of one state, the physical-field
+  reconstruction, the discrete L2 inner product, the truncated basis, and
+  a trajectory's final state and energy-identity residual.
 * The per-value CSV formatting that the one-format-per-row writers of
   ``nsstab.cli`` replaced.
 
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from nsstab.constants import TERMINAL, FeedbackParams, Schedule, radial_cutoff
-from nsstab.dynamics import BLOWUP_GUARD, Trajectory, lyapunov
+from nsstab.constants import TERMINAL, FeedbackParams, Schedule, cutoff_profile
+from nsstab.dynamics import BLOWUP_GUARD, Trajectory
 from nsstab.errors import BlowUpError
 from nsstab.grid import Grid
 from nsstab.spectral import EXTRA_MODES, StokesBasis, canonical_basis
@@ -36,6 +39,32 @@ def modal_feedback(coeffs: np.ndarray, params: FeedbackParams) -> np.ndarray:
     n = params.n_active
     out[:n] = -params.gain * coeffs[:n]
     return out
+
+
+def radial_cutoff(coeffs: np.ndarray, r: float) -> np.ndarray:
+    """Scale a coefficient vector by the cutoff profile of its norm.
+
+    Identity inside radius r, zero outside radius 2r; the result's norm is
+    at most min(1, input norm) because 2r <= 1.
+    """
+    nrm = float(np.linalg.norm(coeffs))
+    scale = cutoff_profile(nrm, r)
+    if scale == 1.0:
+        return coeffs.copy()
+    return coeffs * scale
+
+
+def lyapunov(coeffs: np.ndarray, params: FeedbackParams | None = None) -> float:
+    """Weighted energy: weight * ||low modes||^2 + ||high modes||^2.
+
+    Without params this is the plain squared norm.
+    """
+    if params is None:
+        return float(coeffs @ coeffs)
+    n = params.n_active
+    low = float(coeffs[:n] @ coeffs[:n])
+    high = float(coeffs[n:] @ coeffs[n:])
+    return params.weight * low + high
 
 
 def locate_interval(t: float, schedule: Schedule) -> int:
@@ -51,6 +80,49 @@ def locate_interval(t: float, schedule: Schedule) -> int:
 def reconstruct_field(coeffs: np.ndarray, basis: StokesBasis) -> np.ndarray:
     """Physical velocity field sum_k X_k e_k (mostly for demos and checks)."""
     return np.tensordot(coeffs, basis.velocities, axes=(0, 0))
+
+
+def inner_l2(u: np.ndarray, v: np.ndarray, grid: Grid, mask: np.ndarray | None = None) -> float:
+    """Discrete L2 inner product, optionally localized by a node mask.
+
+    Accepts scalar fields (nx, ny) or velocity fields (2, nx, ny); the two
+    arguments must have the same shape.  Quadrature is node value times cell
+    area, which keeps Gram matrices exactly symmetric.
+    """
+    if u.shape != v.shape:
+        raise ValueError(f"field shapes {u.shape} and {v.shape} differ")
+    if u.shape[-2:] != (grid.nx, grid.ny):
+        raise ValueError(f"field shape {u.shape} does not match grid")
+    prod = u * v
+    if prod.ndim == 3:
+        prod = prod.sum(axis=0)
+    if mask is not None:
+        if mask.shape != (grid.nx, grid.ny):
+            raise ValueError(f"mask shape {mask.shape} does not match grid")
+        prod = prod * mask
+    return float(prod.sum() * grid.cell_area)
+
+
+def truncated(basis: StokesBasis, m: int) -> StokesBasis:
+    """The first m modes of a basis."""
+    if not 1 <= m <= basis.n_modes:
+        raise ValueError(f"cannot truncate basis of {basis.n_modes} modes to {m}")
+    return StokesBasis(
+        eigenvalues=basis.eigenvalues[:m],
+        stream_functions=basis.stream_functions[:m],
+        velocities=basis.velocities[:m],
+        grid=basis.grid,
+    )
+
+
+def final_state(traj: Trajectory) -> np.ndarray:
+    return traj.states[-1]
+
+
+def energy_defect(traj: Trajectory) -> np.ndarray:
+    """Residual of the energy identity at each sample (zero for exact flow)."""
+    e0 = 0.5 * traj.norm_h[0] ** 2
+    return 0.5 * traj.norm_h**2 + traj.nu * traj.dissipation - traj.control_work - e0
 
 
 def _central_difference_1d(n: int, h: float) -> np.ndarray:

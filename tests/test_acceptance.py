@@ -17,7 +17,6 @@ from nsstab.constants import (
     ConstantPack,
     build_schedule,
     estimate_trilinear_constant,
-    radial_cutoff,
 )
 from nsstab.dynamics import ControlLaw, raw_trilinear_tensor, simulate_batch
 from nsstab.experiments import (
@@ -30,6 +29,7 @@ from nsstab.experiments import (
 from nsstab.spectral import assemble_gram, count_modes, fit_spectral_constant
 
 from conftest import make_setup
+from oracle import energy_defect, radial_cutoff, truncated
 
 
 def _verdict(index: int, name: str, ok: bool, detail: str = "") -> None:
@@ -87,8 +87,8 @@ def test_criterion_1_spectral_inequality():
 def test_criterion_2_trilinear_structure(square16, square32):
     tensor = square32["tensor"]
     skew_residual = float(np.abs(tensor + tensor.transpose(0, 2, 1)).max())
-    raw16 = raw_trilinear_tensor(square16["basis"].truncated(8), square16["grid"])
-    raw32 = raw_trilinear_tensor(square32["basis"].truncated(8), square32["grid"])
+    raw16 = raw_trilinear_tensor(truncated(square16["basis"], 8), square16["grid"])
+    raw32 = raw_trilinear_tensor(truncated(square32["basis"], 8), square32["grid"])
     res16 = float(np.abs(raw16 + raw16.transpose(0, 2, 1)).max())
     res32 = float(np.abs(raw32 + raw32.transpose(0, 2, 1)).max())
     ratio = res16 / res32
@@ -104,7 +104,7 @@ def test_criterion_3_energy_identity(square32):
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=0)
     traj = simulate_batch(y0[None], ControlLaw(), 0.0, 0.1, 1e-4, basis, tensor, gram,
                           sample_stride=10).trajectory(0)
-    defect = float(np.abs(traj.energy_defect).max())
+    defect = float(np.abs(energy_defect(traj)).max())
     tol = 1e-6 * float(y0 @ y0)
     ok = defect <= tol
     _verdict(3, "energy identity", ok, f"defect={defect:.2e}, tol={tol:.2e}")

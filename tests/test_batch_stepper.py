@@ -14,7 +14,6 @@ from nsstab.constants import (
     FeedbackParams,
     build_schedule,
     feedback_params,
-    radial_cutoff,
     radial_cutoff_rows,
     row_dot,
 )
@@ -170,6 +169,64 @@ def test_rows_of_one_law_are_bit_equal_across_a_batch(square16, pack_rapid, pack
     assert not np.array_equal(run.states[0], run.states[1])
 
 
+def test_equal_laws_built_apart_give_bit_equal_rows(square16, pack_rapid, pack_schedule):
+    """Rows [A, B, A'] where A' is built like A but is another object: each row
+    compiles its own law, so rows 0 and 2 agree bit for bit."""
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    a, a_again = (ControlLaw.periodic(build_schedule(1, pack_schedule, basis, 4), cutoff=True) for _ in range(2))
+    assert a is not a_again and a.schedule is not a_again.schedule
+    b = ControlLaw.stationary(feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis))
+    y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=8)
+    dt = np.array([2.0**-10, 1e-5, 2.0**-10])
+    run = simulate_batch(np.array([y0, 0.5 * y0, y0]), [a, b, a_again], [0.1, 0.0, 0.1], 64 * dt, dt,
+                         basis, tensor, gram)
+    for name in ("states", *FLOAT_COLUMNS, "segments"):
+        column = getattr(run, name)
+        first, third = (column[0], column[2]) if name == "states" else (column[:, 0], column[:, 2])
+        assert np.array_equal(first, third), name
+    assert np.array_equal(run.thresholds[0], run.thresholds[2], equal_nan=True)
+    assert not np.array_equal(run.states[0], run.states[1])
+
+
+def test_laws_with_different_segment_counts_match_oracle(square16, pack_rapid, pack_schedule):
+    """The zero law (no segment), a stationary law (one) and a periodic law
+    (n_max + 1 = 5) in one batch: the shorter tables are padded with zero-law
+    rows, and TERMINAL finds one in every row."""
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    m = basis.n_modes
+    params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
+    sched = build_schedule(2, pack_schedule, basis, 4)
+    laws = [ControlLaw(), ControlLaw.stationary(params), ControlLaw.periodic(sched)]
+    feedbacks = [oracle.ZeroFeedback(), oracle.ModalFeedback(params), oracle.ScheduledFeedback(sched)]
+    y0 = np.array([random_low_mode_state(m, norm, seed=5) for norm in (0.3, 0.5 * params.cutoff_radius / params.gain,
+                                                                         1e-3)])
+    t_start = np.array([0.3, 0.0, 0.13])  # the periodic row crosses the terminal regime
+    dt = np.array([1e-4, 1e-5, 2.0**-11])
+    span = 256 * dt
+    run = simulate_batch(y0, laws, t_start, span, dt, basis, tensor, gram, sample_stride=4)
+    refs = [oracle.simulate(x, feedback, s, s + width, step, basis, tensor, gram, sample_stride=4)
+            for x, feedback, s, width, step in zip(y0, feedbacks, t_start, span, dt)]
+    assert_matches_oracle(run, refs)
+    assert run.thresholds.shape == (3, sched.n_max + 2)
+    assert np.isnan(run.thresholds[0]).all() and np.isnan(run.thresholds[1, 1:]).all()
+    assert (refs[0].interval == -1).all() and (refs[1].interval == 0).all()
+    assert (refs[2].interval == -1).any() and (refs[2].interval >= 0).any()
+
+
+def test_health_of_all_rows_gathers_the_rows(square16, mixed_batch):
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    batch = mixed_batch
+    run = simulate_batch(batch["y0"], batch["laws"], batch["t_start"], 128 * batch["dt"], batch["dt"],
+                         basis, tensor, gram, sample_stride=4, latch_norm=batch["latch"])
+    whole, rows = run.health(), [run.health(r) for r in range(4)]
+    assert whole["steps"] == sum(row["steps"] for row in rows) == 4 * 128
+    assert whole["max_energy_defect"] == max(row["max_energy_defect"] for row in rows)
+    assert whole["max_energy_defect"] > 0.0
+    for health in (whole, *rows):
+        assert health["stepping_s"] == run.seconds > 0.0
+        assert health["us_per_step"] == run.seconds / (4 * 128) * 1e6
+
+
 def test_batch_rejects_mismatched_steps_and_law_counts(square16, pack_rapid):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     law = ControlLaw.stationary(feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis))
@@ -285,7 +342,7 @@ def test_stepping_memory_is_bounded_by_the_block(square16, pack_schedule):
     finally:
         tracemalloc.stop()
     returned = sum(getattr(run, name).nbytes for name in ("t_start", "dt", *BATCH_COLUMNS))
-    assert run.row_steps == n_steps
+    assert run.health(0)["steps"] == n_steps
     assert peak - before - returned <= 32 * dynamics._BLOCK * b * m * 8
 
 
@@ -353,7 +410,7 @@ def oracle_interval(schedule, t):
 def test_plan_matches_scalar_reduction(schedule16, offsets, dt, n_steps):
     law = ControlLaw.periodic(schedule16)
     b = len(offsets)
-    seg_a, seg_b = segment_plan([law], np.zeros(b, dtype=int), np.array(offsets), n_steps, np.full(b, dt))
+    seg_a, seg_b = segment_plan([law] * b, np.array(offsets), n_steps, np.full(b, dt))
     assert seg_a.shape == (n_steps + 1, len(offsets)) and seg_b.shape == (n_steps, len(offsets))
     for r, s in enumerate(offsets):
         for k in range(n_steps + 1):
@@ -398,5 +455,5 @@ def test_cutoff_rows_equal_radial_cutoff(rows, m, seed, ratios, ulps):
     c = np.nextafter(c, c * (1 + ulps))  # one ulp out, none, or one ulp in
     out = radial_cutoff_rows(c, radii)
     for r in range(rows):
-        assert np.array_equal(out[r], radial_cutoff(c[r], radii[r]))
+        assert np.array_equal(out[r], oracle.radial_cutoff(c[r], radii[r]))
         assert np.linalg.norm(out[r]) <= min(1.0, np.linalg.norm(c[r]))

@@ -292,6 +292,8 @@ def test_reports_record_run_health(tmp_path):
         assert run["health"]["stepping_s"] == curve["runs"][0]["health"]["stepping_s"]
         assert run["health"]["us_per_step"] == pytest.approx(run["health"]["stepping_s"] / batch_steps * 1e6,
                                                              rel=1e-12)
+    # one health block, with the same keys, in every stepping report
+    assert {frozenset(r["health"]) for r in (sim, null, stab, *curve["runs"])} == {frozenset(sim["health"])}
     assert run_subcommand("report", config) == 0
     summary = (out / "summary.txt").read_text()
     assert summary.count("  steps = ") == 4
@@ -385,6 +387,51 @@ def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, caps
     assert err["error"] == "ValueError"
     assert "n0=3 (T=0.125) has cost 0" in err["message"]
     assert "the radial cutoff zeroed its control" in err["message"]
+
+
+@pytest.mark.parametrize(("subcommand", "key", "value"), [
+    ("stabilize", "experiment.n0", 0),
+    ("cost-curve", "experiment.n0_list", [1, 0, 2]),
+    ("nullcontrol", "experiment.n_max", -1),
+    ("stabilize", "experiment.periods", 1),
+    ("stabilize", "experiment.y0_norm", -1.0),
+    ("simulate", "experiment.y0_scale", -0.5),
+    ("simulate", "experiment.horizon", -1.0),
+    ("simulate", "experiment.horizon", 0.0),
+])
+def test_out_of_range_experiment_value_names_its_key(tmp_path, capsys, subcommand, key, value):
+    path = write_config(tmp_path, overrides={key: value})
+    assert main([subcommand, "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["key"] == key
+    assert not (tmp_path / "out").exists()
+
+
+def test_cost_curve_needs_three_distinct_n0_before_any_solve(tmp_path, capsys):
+    path = write_config(tmp_path, overrides={"experiment.n0_list": [1, 1, 2]})
+    assert main(["cost-curve", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["key"] == "experiment.n0_list"
+    assert list((tmp_path / "out").iterdir()) == []  # no basis cache, no report
+
+
+def test_reports_record_the_clamped_schedule_intervals(tmp_path, caplog):
+    """Each schedule's clamped list turns True at the interval its warning names."""
+    config = parse_config(write_config(tmp_path, overrides={"experiment.n0_list": [1, 2, 3]}))
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="nsstab.constants"):
+        for sub in ("nullcontrol", "stabilize", "cost-curve"):
+            assert run_subcommand(sub, config) == 0
+    warned = [int(re.search(r"from interval (\d+) on", r.getMessage()).group(1)) for r in caplog.records
+              if "thresholds clamped" in r.getMessage()]
+    null, stab, curve = (json.loads((out / f"{name}_report.json").read_text())
+                         for name in ("nullcontrol", "stabilize", "cost_curve"))
+    clamped = [null["clamped"], stab["clamped"], *(run["clamped"] for run in curve["runs"])]
+    assert all(len(c) == config.experiment.n_max + 1 for c in clamped)
+    assert [c.index(True) for c in clamped if any(c)] == warned
+    assert len(warned) >= 3
 
 
 def test_simulate_rejects_a_run_over_the_step_budget(tmp_path):

@@ -59,11 +59,11 @@ def valid_configs(draw):
         "y0_norm": numbers,
         "cutoff": st.booleans(),
         "horizon": st.none() | numbers,
-        "n0": st.integers(-3, 20),
-        "n_max": st.integers(-3, 20),
-        "n0_list": st.lists(st.integers(-3, 20), max_size=5),
+        "n0": st.integers(1, 20),
+        "n_max": st.integers(0, 20),
+        "n0_list": st.lists(st.integers(1, 20), max_size=5),
         "offsets": st.lists(st.floats(-3.0, 3.0) | st.integers(-3, 3), max_size=5),
-        "periods": st.integers(0, 6),
+        "periods": st.integers(2, 6),
     })
     optional = draw(st.fixed_dictionaries({}, optional={
         "M": st.integers(5, nx * ny - 2),

@@ -12,13 +12,12 @@ from nsstab.constants import (
     derive_schedule_constants,
     estimate_trilinear_constant,
     feedback_params,
-    radial_cutoff,
 )
 from nsstab.dynamics import build_trilinear_tensor, raw_trilinear_tensor
 from nsstab.errors import BasisTooSmallError
 
 from conftest import make_setup
-from oracle import locate_interval, modal_feedback
+from oracle import locate_interval, modal_feedback, radial_cutoff, truncated
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def test_trilinear_constant_validates_inputs(square32):
     with pytest.raises(ValueError):
         estimate_trilinear_constant(basis, tensor, samples=50)
     with pytest.raises(ValueError):
-        estimate_trilinear_constant(basis.truncated(2), tensor[:2, :2, :2])
+        estimate_trilinear_constant(truncated(basis, 2), tensor[:2, :2, :2])
 
 
 # ---------------------------------------------------------------------------

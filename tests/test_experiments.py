@@ -126,8 +126,9 @@ def test_null_control_horizons_match_single_runs(small_setup, monkeypatch, dt, b
         assert batched.cost == pytest.approx(single.cost, rel=1e-13)
         assert batched.null_reached == single.null_reached
         assert batched.latch_time == single.latch_time
-        assert batched.steps == single.steps == n_steps
-        assert batched.max_energy_defect == pytest.approx(single.max_energy_defect, rel=1e-6, abs=1e-20)
+        assert batched.health["steps"] == single.health["steps"] == n_steps
+        assert batched.health["max_energy_defect"] == pytest.approx(single.health["max_energy_defect"], rel=1e-6,
+                                                                    abs=1e-20)
     assert reports[0].null_reached
 
 
