@@ -14,6 +14,8 @@ The certified chain is astronomically conservative (that is its nature);
 practical packs trade the certificates for observable dynamics.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 
 from nsstab import (
@@ -42,7 +44,7 @@ print(f"sampled trilinear constant: {c0:.6f} (lower bound, seed 42, 200 samples)
 
 pack = ConstantPack.certified(fit.value, c0)
 print("\ncertified chain:")
-for key, value in pack.as_dict().items():
+for key, value in asdict(pack).items():
     if key != "provenance":
         print(f"  {key:24s} {value}")
 
@@ -66,7 +68,7 @@ practical = ConstantPack.practical(
     spectral_constant=0.02, trilinear_constant=1.0, schedule_constant=4.0
 )
 print("\npractical pack for desk-scale schedule runs:")
-for key, value in practical.as_dict().items():
+for key, value in asdict(practical).items():
     if key != "provenance":
         print(f"  {key:24s} {value}")
 print("  (schedule constant overridden; recorded in provenance as 'user')")

@@ -20,7 +20,6 @@ from nsstab import (
     build_trilinear_tensor,
     fit_cost_curve,
     run_null_control,
-    run_null_control_horizons,
     solve_eigenbasis,
 )
 
@@ -36,8 +35,8 @@ pack = ConstantPack.practical(
 )
 print(f"cost exponent c3 = {pack.cost_exponent}")
 
-report = run_null_control(basis, tensor, gram, pack, n0=1, y0_norm=1e-3,
-                          n_max=8, eps_zero=1e-6, seed=5)
+[report] = run_null_control(basis, tensor, gram, pack, [1], y0_norm=1e-3,
+                            n_max=8, eps_zero=1e-6, seed=5)
 sched = report.schedule
 print(f"\nperiod T = {report.period}, dt = {report.dt:.3e}")
 print("interval   start        threshold   ||y(T_n)|| / ||y0||")
@@ -55,8 +54,8 @@ print(f"relative cost: {report.cost / report.y0_norm:.4f} "
 # cost scaling across horizons: while the floor 2**-(n0 + n_max + 4) sets the
 # default dt, every horizon takes the same number of steps, so the three runs
 # are stepped as one batch
-reports = run_null_control_horizons(basis, tensor, gram, pack, [1, 2, 3], y0_norm=1e-3,
-                                    n_max=8, eps_zero=1e-6, seed=5)
+reports = run_null_control(basis, tensor, gram, pack, [1, 2, 3], y0_norm=1e-3,
+                           n_max=8, eps_zero=1e-6, seed=5)
 print("\n   T       relative cost")
 for r in reports:
     print(f"  {r.period:5.3f}   {r.cost / r.y0_norm:.4e}")
@@ -66,6 +65,6 @@ print(f"slope of ln(cost/||y0||) vs 1/T: {slope:.3f} (cost exponent {pack.cost_e
 # a certified pack cannot run dynamically: its basin underflows, and the
 # experiment degenerates to log-space bound arithmetic
 certified = ConstantPack.certified(1.0, 0.0102)
-arith = run_null_control(basis, tensor, gram, certified, n0=1, n_max=8)
+[arith] = run_null_control(basis, tensor, gram, certified, [1], n_max=8)
 print(f"\ncertified pack: basin exp({arith.log_basin:.0f}) below float precision")
 print(f"log-space bootstrap envelope verified: {bool(arith.state_bound_ok.all())}")

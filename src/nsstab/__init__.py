@@ -7,7 +7,7 @@ from its module (``nsstab.constants``, ``nsstab.dynamics``, ...).
 
 from .constants import ConstantPack, build_schedule, estimate_trilinear_constant
 from .dynamics import build_trilinear_tensor
-from .experiments import fit_cost_curve, run_null_control, run_null_control_horizons, run_rapid_stab, run_small_time
+from .experiments import fit_cost_curve, run_null_control, run_rapid_stab, run_small_time
 from .grid import DomainSpec, build_grid, discrete_divergence
 from .spectral import assemble_gram, assemble_operators, count_modes, fit_spectral_constant, solve_eigenbasis
 
@@ -18,7 +18,6 @@ __all__ = [
     "build_trilinear_tensor",
     "fit_cost_curve",
     "run_null_control",
-    "run_null_control_horizons",
     "run_rapid_stab",
     "run_small_time",
     "DomainSpec",

@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import struct
 import sys
@@ -38,13 +39,7 @@ import numpy as np
 from .constants import ConstantPack, estimate_trilinear_constant
 from .dynamics import Trajectory, build_trilinear_tensor
 from .errors import ConfigError
-from .experiments import (
-    fit_cost_curve,
-    run_null_control,
-    run_null_control_horizons,
-    run_rapid_stab,
-    run_small_time,
-)
+from .experiments import fit_cost_curve, run_null_control, run_rapid_stab, run_small_time
 from .grid import DomainSpec, Grid, build_grid
 from .spectral import StokesBasis, assemble_gram, assemble_operators, fit_spectral_constant, solve_eigenbasis
 
@@ -52,18 +47,6 @@ logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"NSSTAB1\x00"
 CACHE_VERSION = 2  # 2: sparse solve, bit-equal ties, canonical eigenspace orientation
-
-SUBCOMMANDS = (
-    "eigen",
-    "fit-c1",
-    "constants",
-    "simulate",
-    "nullcontrol",
-    "stabilize",
-    "cost-curve",
-    "report",
-)
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -110,11 +93,7 @@ class RunConfig:
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
     def domain_spec(self) -> DomainSpec:
-        try:
-            return DomainSpec(self.Lx, self.Ly, self.nx, self.ny, self.omega)
-        except ValueError as exc:
-            key = _domain_error_key(str(exc))
-            raise ConfigError(key, str(exc)) from exc
+        return DomainSpec(self.Lx, self.Ly, self.nx, self.ny, self.omega)
 
     def resolved_cache_path(self) -> Path:
         if self.cache_path is not None:
@@ -122,18 +101,12 @@ class RunConfig:
         return Path(self.output_dir) / "basis_cache.nsstab"
 
 
-def _domain_error_key(message: str) -> str:
-    for key in ("omega", "nx", "ny", "Lx", "Ly"):
-        if key in message:
-            return key
-    return "domain"
-
-
 def _parse_value(hint, value, key: str):
     """A JSON value checked against a field's type hint and converted to it.
 
-    JSON integers are admissible floats, booleans are not numbers, lists
-    become tuples, and dataclass fields are parsed as config sections.
+    JSON integers are admissible floats, booleans are not numbers, floats
+    must be finite (Python's json reads NaN and Infinity), lists become
+    tuples, and dataclass fields are parsed as config sections.
     """
     if isinstance(hint, types.UnionType):  # T | None
         if value is None:
@@ -151,6 +124,8 @@ def _parse_value(hint, value, key: str):
     accepted = (int, float) if hint is float else hint
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
         raise ConfigError(key, f"type mismatch (got {type(value).__name__})")
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(key, f"must be finite (got {value})")
     return float(value) if hint is float else value
 
 
@@ -180,6 +155,10 @@ def _config_from_dict(data: dict) -> RunConfig:
     config = _parse_section(RunConfig, data)
     if config.mode not in ("certified", "practical"):
         raise ConfigError("mode", "must be 'certified' or 'practical'")
+    config.domain_spec()  # raises ConfigError naming the offending key
+    if config.nx % 2 == 1 and config.ny % 2 == 1:
+        raise ConfigError("nx", "nx and ny cannot both be odd: the central-difference stiffness "
+                                "has a checkerboard kernel on odd-by-odd grids")
     if config.M < 5:
         raise ConfigError("M", "need at least 5 modes")
     if config.M > config.nx * config.ny - 2:
@@ -203,7 +182,6 @@ def _config_from_dict(data: dict) -> RunConfig:
     ):
         if bad:
             raise ConfigError(f"experiment.{key}", rule)
-    config.domain_spec()  # raises ConfigError naming the offending key
     return config
 
 
@@ -292,19 +270,19 @@ def read_basis_cache(path: str | Path, grid: Grid, m: int) -> StokesBasis | None
     return StokesBasis.from_stream_functions(tau, psi, grid)
 
 
-def ensure_basis(config: RunConfig) -> tuple[StokesBasis, Grid, bool]:
-    """Return (basis, grid, cache_hit), refreshing the cache on a miss."""
+def ensure_basis(config: RunConfig) -> tuple[StokesBasis, bool]:
+    """Return (basis, cache_hit), refreshing the cache on a miss."""
     grid = build_grid(config.domain_spec())
     cache_path = config.resolved_cache_path()
     cached = read_basis_cache(cache_path, grid, config.M)
     if cached is not None:
         logger.info("cache hit: %s", cache_path)
-        return cached, grid, True
+        return cached, True
     k1, k2 = assemble_operators(grid)
     basis = solve_eigenbasis(k1, k2, config.M, grid)
     write_basis_cache(cache_path, basis)
     logger.info("cache written: %s", cache_path)
-    return basis, grid, False
+    return basis, False
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +323,13 @@ def _write_json(path: str | Path, payload: dict) -> None:
 def _base_report(config: RunConfig, pack: ConstantPack | None = None) -> dict:
     return {
         "config": dataclasses.asdict(config),
-        "constants": pack.as_dict() if pack is not None else None,
+        "constants": dataclasses.asdict(pack) if pack is not None else None,
         "inputs": {"cache": sha256_file(config.resolved_cache_path())},
         "seed": config.seed,
     }
 
 
-def build_pack(config: RunConfig, basis: StokesBasis, grid: Grid,
-               tensor: np.ndarray | None = None,
+def build_pack(config: RunConfig, basis: StokesBasis, tensor: np.ndarray | None = None,
                gram: np.ndarray | None = None) -> ConstantPack:
     """Constant pack per the config mode.
 
@@ -369,10 +346,10 @@ def build_pack(config: RunConfig, basis: StokesBasis, grid: Grid,
             schedule_constant=p.schedule_constant,
         )
     if gram is None:
-        gram = assemble_gram(basis, grid)
+        gram = assemble_gram(basis, basis.grid)
     fit = fit_spectral_constant(basis, gram)
     if tensor is None:
-        tensor = build_trilinear_tensor(basis, grid)
+        tensor = build_trilinear_tensor(basis, basis.grid)
     c0 = estimate_trilinear_constant(basis, tensor, seed=config.seed)
     return ConstantPack.certified(fit.value, c0)
 
@@ -382,7 +359,7 @@ def build_pack(config: RunConfig, basis: StokesBasis, grid: Grid,
 # ---------------------------------------------------------------------------
 
 def _cmd_eigen(config: RunConfig, out: Path) -> None:
-    basis, grid, hit = ensure_basis(config)
+    basis, hit = ensure_basis(config)
     _write_json(
         out / "eigen_report.json",
         {
@@ -395,8 +372,8 @@ def _cmd_eigen(config: RunConfig, out: Path) -> None:
 
 
 def _cmd_fit_c1(config: RunConfig, out: Path) -> None:
-    basis, grid, _ = ensure_basis(config)
-    gram = assemble_gram(basis, grid)
+    basis, _ = ensure_basis(config)
+    gram = assemble_gram(basis, basis.grid)
     fit = fit_spectral_constant(basis, gram)
     table_path = out / "c1_table.csv"
     _write_csv(
@@ -415,21 +392,21 @@ def _cmd_fit_c1(config: RunConfig, out: Path) -> None:
 
 
 def _cmd_constants(config: RunConfig, out: Path) -> None:
-    basis, grid, _ = ensure_basis(config)
-    pack = build_pack(config, basis, grid)
+    basis, _ = ensure_basis(config)
+    pack = build_pack(config, basis)
     _write_json(out / "constants_report.json", _base_report(config, pack))
 
 
 def _prepare_dynamics(config: RunConfig):
-    basis, grid, _ = ensure_basis(config)
-    tensor = build_trilinear_tensor(basis, grid)
-    gram = assemble_gram(basis, grid)
-    pack = build_pack(config, basis, grid, tensor=tensor, gram=gram)
-    return basis, grid, tensor, gram, pack
+    basis, _ = ensure_basis(config)
+    tensor = build_trilinear_tensor(basis, basis.grid)
+    gram = assemble_gram(basis, basis.grid)
+    pack = build_pack(config, basis, tensor=tensor, gram=gram)
+    return basis, tensor, gram, pack
 
 
 def _cmd_simulate(config: RunConfig, out: Path) -> None:
-    basis, grid, tensor, gram, pack = _prepare_dynamics(config)
+    basis, tensor, gram, pack = _prepare_dynamics(config)
     exp = config.experiment
     tau = basis.eigenvalues
     # thresholds must lie strictly below tau_M, which a degenerate top cluster shares
@@ -446,11 +423,7 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
     write_trajectory_csv(traj_path, report.trajectory)
     payload = {
         **_base_report(config, pack),
-        "threshold": report.threshold,
-        "n_active": report.params.n_active,
-        "gain": report.params.gain,
-        "weight": report.params.weight,
-        "cutoff_radius": report.params.cutoff_radius,
+        **dataclasses.asdict(report.params),
         "y0_norm": report.y0_norm,
         "dt": report.dt,
         "horizon": report.horizon,
@@ -522,8 +495,8 @@ def _null_control_payload(report) -> dict:
 
 
 def _cmd_nullcontrol(config: RunConfig, out: Path) -> None:
-    basis, grid, tensor, gram, pack = _prepare_dynamics(config)
-    report = run_null_control(basis, tensor, gram, pack, config.experiment.n0, **_null_control_options(config))
+    basis, tensor, gram, pack = _prepare_dynamics(config)
+    [report] = run_null_control(basis, tensor, gram, pack, [config.experiment.n0], **_null_control_options(config))
     payload = {**_base_report(config, pack), **_null_control_payload(report)}
     if report.trajectory is not None:
         traj_path = out / "nullcontrol_trajectory.csv"
@@ -534,7 +507,7 @@ def _cmd_nullcontrol(config: RunConfig, out: Path) -> None:
 
 
 def _cmd_stabilize(config: RunConfig, out: Path) -> None:
-    basis, grid, tensor, gram, pack = _prepare_dynamics(config)
+    basis, tensor, gram, pack = _prepare_dynamics(config)
     exp = config.experiment
     period = 2.0 ** (-exp.n0)
     offsets = [f * period for f in exp.offsets]
@@ -572,9 +545,9 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
 def _cmd_cost_curve(config: RunConfig, out: Path) -> None:
     if len(set(config.experiment.n0_list)) < 3:
         raise ConfigError("experiment.n0_list", "the slope fit needs at least 3 distinct n0")
-    basis, grid, tensor, gram, pack = _prepare_dynamics(config)
-    reports = run_null_control_horizons(basis, tensor, gram, pack, config.experiment.n0_list,
-                                        **_null_control_options(config))
+    basis, tensor, gram, pack = _prepare_dynamics(config)
+    reports = run_null_control(basis, tensor, gram, pack, config.experiment.n0_list,
+                               **_null_control_options(config))
     slope, intercept = fit_cost_curve(reports)
     curve_path = out / "cost_curve.csv"
     _write_csv(curve_path, "T,inv_T,cost,y0_norm", _row_format("ffff"),
@@ -653,6 +626,8 @@ _HANDLERS = {
     "cost-curve": _cmd_cost_curve,
     "report": _cmd_report,
 }
+
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def run_subcommand(name: str, config: RunConfig) -> int:

@@ -142,17 +142,6 @@ class ConstantPack:
             provenance=prov,
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "spectral_constant": self.spectral_constant,
-            "trilinear_constant": self.trilinear_constant,
-            "feedback_constant": self.feedback_constant,
-            "schedule_constant": self.schedule_constant,
-            "cost_exponent": self.cost_exponent,
-            "provenance": dict(self.provenance),
-        }
-
 
 @dataclass(frozen=True)
 class FeedbackParams:
@@ -217,24 +206,17 @@ def _feedback_constraints_ok(c2: float, c1: float, c0: float, lam_grid: np.ndarr
     return bool(np.all(lhs1 <= rhs) and np.all(lhs2 <= rhs) and np.all(lhs3 <= rhs))
 
 
-def derive_feedback_constant(
-    c1: float,
-    c0: float,
-    lam_probe: np.ndarray | None = None,
-    rtol: float = 1e-9,
-) -> float:
+def derive_feedback_constant(c1: float, c0: float) -> float:
     """Smallest constant >= 3*c1 satisfying the three defining inequalities.
 
-    Checked at the lam -> 0 limit and on a dense log grid (augmented by the
-    probe thresholds); the constraint set is monotone in the constant, so
-    bisection finds the minimum.  The result is nudged up by a relative
-    1e-9 and re-validated on a shifted, denser grid.
+    Checked at the lam -> 0 limit and on a dense log grid; the constraint
+    set is monotone in the constant, so bisection finds the minimum to a
+    relative 1e-9.  The result is nudged up by a relative 1e-9 and
+    re-validated on a shifted, denser grid.
     """
     if c1 <= 0 or c0 <= 0:
         raise ValueError("constants must be positive")
     grid = np.geomspace(1e-6, 1e7, 1500)
-    if lam_probe is not None:
-        grid = np.unique(np.concatenate([grid, np.asarray(lam_probe, dtype=float)]))
     lo = 3.0 * c1
     if _feedback_constraints_ok(lo, c1, c0, grid):
         result = lo
@@ -242,7 +224,7 @@ def derive_feedback_constant(
         hi = max(2.0 * lo, 1.0)
         while not _feedback_constraints_ok(hi, c1, c0, grid):
             hi *= 2.0
-        while hi - lo > rtol * hi:
+        while hi - lo > 1e-9 * hi:
             mid = 0.5 * (lo + hi)
             if _feedback_constraints_ok(mid, c1, c0, grid):
                 hi = mid
@@ -382,7 +364,6 @@ class Schedule:
     thresholds_raw: np.ndarray  # (n_max + 1,)
     thresholds: np.ndarray  # (n_max + 1,)
     params: tuple[FeedbackParams, ...]
-    clamped: np.ndarray  # (n_max + 1,) bool
 
     @classmethod
     def dyadic(cls, n0: int, q: float, n_max: int) -> "Schedule":
@@ -399,7 +380,12 @@ class Schedule:
         period = 2.0 ** (-n0)
         start_times = period * (1.0 - 0.5 ** np.arange(n_max + 2))
         raw = q * q * 4.0 ** (n0 + np.arange(n_max + 1))
-        return cls(n0, period, n_max, start_times, raw, raw.copy(), (), np.zeros(n_max + 1, dtype=bool))
+        return cls(n0, period, n_max, start_times, raw, raw.copy(), ())
+
+    @property
+    def clamped(self) -> np.ndarray:
+        """(n_max + 1,) bool: the intervals whose threshold was clamped."""
+        return self.thresholds != self.thresholds_raw
 
     @property
     def max_gain(self) -> float:
@@ -431,4 +417,4 @@ def build_schedule(n0: int, pack: ConstantPack, basis: StokesBasis, n_max: int) 
                 first,
             )
     params = tuple(feedback_params(float(lam), pack, basis) for lam in applied)
-    return replace(dyadic, thresholds=applied, params=params, clamped=applied != raw)
+    return replace(dyadic, thresholds=applied, params=params)

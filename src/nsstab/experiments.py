@@ -65,9 +65,20 @@ def _dyadic_dt(max_gain: float, k_floor: int) -> float:
     return 2.0 ** (-k)
 
 
-def _log_slope(times: np.ndarray, values: np.ndarray, skip_fraction: float = 0.05) -> float:
-    """Least-squares slope of log(values) vs time, skipping the initial transient."""
-    start = int(math.ceil(skip_fraction * len(times)))
+def _require_whole_steps(times: np.ndarray, dt: float, period: float) -> None:
+    """Raise ConfigError on dt unless each schedule time is a whole number of steps of dt.
+
+    Uses the tolerance of simulate_batch's own span check.
+    """
+    off = np.flatnonzero(np.abs(np.rint(times / dt) * dt - times) > 1e-9 * np.maximum(times, dt))
+    if off.size:
+        raise ConfigError("dt", f"t = {times[off[0]]:g} of the schedule of period T = {period:g} "
+                                f"is not a whole number of steps of dt = {dt:g}")
+
+
+def _log_slope(times: np.ndarray, values: np.ndarray) -> float:
+    """Least-squares slope of log(values) vs time, skipping the first 5% (the initial transient)."""
+    start = int(math.ceil(0.05 * len(times)))
     t = times[start:]
     v = values[start:]
     if len(t) < 2 or np.any(v <= 0):
@@ -90,18 +101,12 @@ class RapidStabReport:
     state_bound_ok: bool  # ||y(t)|| <= c1 e^{c1 sqrt(lam)} e^{-lam t/4} ||y0||
     control_bound_ok: bool  # ||F y(t)|| <= c2 e^{c2 sqrt(lam)} e^{-lam t/4} ||y0||
     lyapunov_decay_ok: bool  # sampled dV/dt <= -(lam/2) V within tolerance
-    basin_lyapunov: float  # V(y0)
-    basin_lyapunov_bound: float  # (8 mu c0)^-2
     trivial: bool
     trajectory: Trajectory
     cutoff_trajectory: Trajectory | None = None
     cutoff_matches_linear: bool | None = None
     control_stayed_below_radius: bool | None = None
     health: dict = field(default_factory=dict)  # BatchRun.health of both runs, and dt
-
-    @property
-    def threshold(self) -> float:
-        return self.params.threshold
 
 
 def run_rapid_stab(
@@ -171,11 +176,6 @@ def run_rapid_stab(
     dv = np.diff(traj.lyapunov) / np.diff(traj.times)
     lyap_ok = bool(np.all(dv <= -0.5 * lam * 0.95 * traj.lyapunov[:-1] + 1e-300))
 
-    mu = params.weight
-    c0 = pack.trilinear_constant
-    basin_v = float(traj.lyapunov[0])
-    basin_v_bound = 1.0 / (8.0 * mu * c0) ** 2
-
     report = RapidStabReport(
         params=params,
         y0_norm=y0_norm,
@@ -188,8 +188,6 @@ def run_rapid_stab(
         state_bound_ok=state_bound_ok,
         control_bound_ok=control_bound_ok,
         lyapunov_decay_ok=lyap_ok,
-        basin_lyapunov=basin_v,
-        basin_lyapunov_bound=basin_v_bound,
         trivial=trivial,
         trajectory=traj,
     )
@@ -238,10 +236,6 @@ class NullControlReport:
     trajectory: Trajectory | None = None
     health: dict = field(default_factory=dict)  # BatchRun.health of this run's row, and dt
 
-    @property
-    def T(self) -> float:
-        return self.period
-
 
 def _interval_norm_log_bounds(schedule: Schedule, q: float) -> np.ndarray:
     """ln of the per-interval norm envelope exp(-(7 q^2/64) 2^n0 (2^n - 1))."""
@@ -255,7 +249,7 @@ def _interval_control_log_bounds(schedule: Schedule, q: float) -> np.ndarray:
     return -(5.0 * q * q / 64.0) * 2.0 ** (schedule.n0 + n - 1)
 
 
-def run_null_control_horizons(
+def run_null_control(
     basis: StokesBasis,
     tensor: np.ndarray,
     gram: np.ndarray,
@@ -283,7 +277,8 @@ def run_null_control_horizons(
     one batch, and each report is filled from its own row.  The default dt
     is 2**-(n0 + n_max + 4) unless the gain heuristic asks for a smaller one;
     while that floor sets dt, every n0 takes 2**(n_max + 4) steps and all
-    runs share one batch.  A blow-up names its run.
+    runs share one batch.  A dt that puts a schedule time between two steps
+    raises ConfigError before any run is stepped.  A blow-up names its run.
     """
     reports = [_plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) for n0 in n0_list]
     batches: dict[int, list[int]] = {}
@@ -309,27 +304,6 @@ def run_null_control_horizons(
         if i in rows:
             _fill_null_control(report, pack, *rows[i])
     return reports
-
-
-def run_null_control(
-    basis: StokesBasis,
-    tensor: np.ndarray,
-    gram: np.ndarray,
-    pack: ConstantPack,
-    n0: int,
-    y0_norm: float | None = None,
-    n_max: int = 8,
-    eps_zero: float = 1e-6,
-    cutoff: bool = False,
-    dt: float | None = None,
-    seed: int = 0,
-    nu: float = 1.0,
-) -> NullControlReport:
-    """One null-control run over the period 2**-n0: :func:`run_null_control_horizons` of [n0]."""
-    return run_null_control_horizons(
-        basis, tensor, gram, pack, [n0], y0_norm=y0_norm, n_max=n_max, eps_zero=eps_zero,
-        cutoff=cutoff, dt=dt, seed=seed, nu=nu,
-    )[0]
 
 
 def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) -> NullControlReport:
@@ -372,6 +346,7 @@ def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) -> NullContr
     if dt is None:
         dt = _dyadic_dt(schedule.max_gain, n0 + n_max + 4)
         logger.info("dt defaulted to %.3e (max gain %.3e)", dt, schedule.max_gain)
+    _require_whole_steps(np.append(schedule.start_times, schedule.period), dt, schedule.period)
     report.dt = dt
     return report
 
@@ -496,13 +471,14 @@ def run_small_time(
     otherwise), the feedback norm constraint at every sample, and fills the
     uniform-stability table delta(eta) = sup-over-time norm for initial
     norms eta.  eta defaults to {1e-4, 1e-3, 1e-2} times the first cutoff
-    radius of the schedule.
+    radius of the schedule.  A dt that does not divide T raises ConfigError.
     """
     if periods < 2:
         raise ValueError("need at least two periods for the null check")
     schedule = build_schedule(n0, pack, basis, n_max)
     if dt is None:
         dt = _dyadic_dt(schedule.max_gain, n0 + n_max + 4)
+    _require_whole_steps(np.array([schedule.period]), dt, schedule.period)
     if eta_grid is None:
         eta_grid = np.array([1e-4, 1e-3, 1e-2]) * schedule.params[0].cutoff_radius
     eta_grid = np.asarray(eta_grid, dtype=float)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -24,7 +26,8 @@ class DomainSpec:
 
     omega is the axis-aligned rectangle [a, b] x [c, d], given as (a, b, c, d).
     It must lie inside the closed domain and have positive area; omega equal
-    to the full domain is allowed (full-domain control).
+    to the full domain is allowed (full-domain control).  A violated rule
+    raises ConfigError (a ValueError) naming the field.
     """
 
     Lx: float
@@ -34,15 +37,17 @@ class DomainSpec:
     omega: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if not (self.Lx > 0 and self.Ly > 0):
-            raise ValueError("Lx, Ly must be positive")
-        if self.nx < 3 or self.ny < 3:
-            raise ValueError("nx, ny must be at least 3")
+        for key in ("Lx", "Ly"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(key, "must be positive")
+        for key in ("nx", "ny"):
+            if getattr(self, key) < 3:
+                raise ConfigError(key, "must be at least 3")
         a, b, c, d = self.omega
         if not (b > a and d > c):
-            raise ValueError("omega must have positive area")
+            raise ConfigError("omega", "must have positive area")
         if a < 0 or b > self.Lx or c < 0 or d > self.Ly:
-            raise ValueError("omega must lie inside the domain rectangle")
+            raise ConfigError("omega", "must lie inside the domain rectangle")
 
 
 @dataclass(frozen=True)

@@ -223,26 +223,24 @@ def count_modes(basis: StokesBasis, threshold: float) -> int:
     return int(np.searchsorted(tau, threshold, side="right"))
 
 
-def _invert_gain_curve(target: float, sqrt_lam: float, floor: float, rtol: float) -> float:
-    """Smallest c >= floor with c * exp(c * sqrt_lam) >= target.
+def _invert_gain_curve(target: float, sqrt_lam: float) -> float:
+    """Smallest c > 0 with c * exp(c * sqrt_lam) >= target, to a relative 1e-6.
 
     The left side is strictly increasing in c, so this is a scalar root
-    bracketed by doubling and refined by bisection.
+    bracketed by halving and doubling and refined by bisection.
     """
 
     def gain(c: float) -> float:
         return np.log(c) + c * sqrt_lam
 
     log_target = np.log(target)
-    if floor > 0 and gain(floor) >= log_target:
-        return floor
-    lo = floor if floor > 0 else min(1.0, target)
+    lo = min(1.0, target)
     while gain(lo) >= log_target:
         lo /= 2.0
     hi = max(lo, 1.0)
     while gain(hi) < log_target:
         hi *= 2.0
-    while hi - lo > rtol * hi:
+    while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
         if gain(mid) >= log_target:
             hi = mid
@@ -255,18 +253,18 @@ def _invert_gain_curve(target: float, sqrt_lam: float, floor: float, rtol: float
 class SpectralFit:
     """Result of fitting the spectral-inequality constant.
 
-    value is the smallest constant >= floor such that
+    value is the smallest constant >= 1 (the certified chain needs c1 >= 1)
+    such that
 
         lambda_min(J_N(lam)) >= value^-1 * exp(-value * sqrt(lam))
 
     holds at every threshold of the grid.  The table records, per threshold:
     (threshold, active mode count, gram min eigenvalue, unclamped root,
-    clamped root).  unclamped_value drops the floor and is the working
+    clamped root).  unclamped_value drops the floor 1 and is the working
     constant for practical parameter choices.
     """
 
     value: float
-    floor: float
     table: np.ndarray  # (len(grid), 5)
     unclamped_value: float
 
@@ -275,8 +273,6 @@ def fit_spectral_constant(
     basis: StokesBasis,
     gram: np.ndarray,
     lam_grid: np.ndarray | None = None,
-    floor: float = 1.0,
-    rtol: float = 1e-6,
 ) -> SpectralFit:
     """Fit the constant of the localized spectral inequality.
 
@@ -301,9 +297,8 @@ def fit_spectral_constant(
         if min_eig <= 0.0:
             raise SpectralDegeneracyError(float(lam), min_eig)
         target = 1.0 / min_eig
-        root = _invert_gain_curve(target, np.sqrt(lam), 0.0, rtol)
-        rows.append((float(lam), n, min_eig, root, max(root, floor)))
+        root = _invert_gain_curve(target, np.sqrt(lam))
+        rows.append((float(lam), n, min_eig, root, max(root, 1.0)))
     table = np.array(rows)
     unclamped = float(table[:, 3].max())
-    value = float(max(unclamped, floor))
-    return SpectralFit(value=value, floor=floor, table=table, unclamped_value=unclamped)
+    return SpectralFit(value=max(unclamped, 1.0), table=table, unclamped_value=unclamped)

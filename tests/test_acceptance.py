@@ -50,8 +50,8 @@ def schedule_pack():
 def null_reports(square32, schedule_pack):
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     return [
-        run_null_control(basis, tensor, gram, schedule_pack, n0, y0_norm=1e-3,
-                         n_max=8, eps_zero=1e-6, seed=5)
+        run_null_control(basis, tensor, gram, schedule_pack, [n0], y0_norm=1e-3,
+                         n_max=8, eps_zero=1e-6, seed=5)[0]
         for n0 in (1, 2, 3)
     ]
 
@@ -164,10 +164,10 @@ def test_criterion_5_constant_chain(square32):
 def test_criterion_6_null_controllability(square32, schedule_pack):
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     start = time.perf_counter()
-    report = run_null_control(basis, tensor, gram, schedule_pack, 1, y0_norm=1e-3,
-                              n_max=8, eps_zero=1e-6, seed=5)
-    rerun = run_null_control(basis, tensor, gram, schedule_pack, 1, y0_norm=1e-3,
-                             n_max=8, eps_zero=1e-6, seed=5, dt=report.dt / 4.0)
+    report = run_null_control(basis, tensor, gram, schedule_pack, [1], y0_norm=1e-3,
+                              n_max=8, eps_zero=1e-6, seed=5)[0]
+    rerun = run_null_control(basis, tensor, gram, schedule_pack, [1], y0_norm=1e-3,
+                             n_max=8, eps_zero=1e-6, seed=5, dt=report.dt / 4.0)[0]
     elapsed = time.perf_counter() - start
     cost_change = abs(rerun.cost - report.cost) / report.cost
     ok = (

@@ -82,11 +82,17 @@ def test_parse_rejects_unknown_keys(tmp_path):
     assert info.value.key == "experiment.wrong"
 
 
-def test_parse_rejects_bad_domain_naming_key(tmp_path):
-    path = write_config(tmp_path, overrides={"omega": [0.5, 1.2, 0.1, 0.4]})
+@pytest.mark.parametrize(("overrides", "key"), [
+    ({"omega": [0.5, 1.2, 0.1, 0.4]}, "omega"),
+    ({"Ly": -1}, "Ly"),
+    ({"ny": 2}, "ny"),
+    ({"nx": 15, "ny": 15}, "nx"),  # odd by odd: the stiffness has a checkerboard kernel
+], ids=["omega", "Ly", "ny", "odd-by-odd"])
+def test_parse_rejects_bad_domain_naming_key(tmp_path, overrides, key):
+    path = write_config(tmp_path, overrides=overrides)
     with pytest.raises(ConfigError) as info:
         parse_config(path)
-    assert info.value.key == "omega"
+    assert info.value.key == key
 
 
 def test_parse_rejects_missing_required_key(tmp_path):
@@ -156,8 +162,8 @@ def test_trajectory_csv_bit_faithful(tmp_path, square16, pack_schedule):
 
     report = run_null_control(
         square16["basis"], square16["tensor"], square16["gram"], pack_schedule,
-        1, y0_norm=1e-3, n_max=4, seed=5,
-    )
+        [1], y0_norm=1e-3, n_max=4, seed=5,
+    )[0]
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, report.trajectory)
     rows = path.read_text().strip().splitlines()
@@ -398,6 +404,12 @@ def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, caps
     ("simulate", "experiment.y0_scale", -0.5),
     ("simulate", "experiment.horizon", -1.0),
     ("simulate", "experiment.horizon", 0.0),
+    # Python's json reads NaN and Infinity; no float field takes them
+    ("constants", "nu", float("nan")),
+    ("simulate", "dt", float("inf")),
+    ("stabilize", "eps_zero", float("nan")),
+    ("stabilize", "experiment.y0_norm", float("inf")),
+    ("eigen", "omega", [0.6, float("nan"), 0.1, 0.4]),
 ])
 def test_out_of_range_experiment_value_names_its_key(tmp_path, capsys, subcommand, key, value):
     path = write_config(tmp_path, overrides={key: value})
@@ -406,6 +418,45 @@ def test_out_of_range_experiment_value_names_its_key(tmp_path, capsys, subcomman
     assert err["error"] == "ConfigError"
     assert err["key"] == key
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(("subcommand", "dt", "overrides", "time"), [
+    # 3e-4 divides neither T_1 = 1/4 nor T = 1/2 of the period 2**-1
+    ("nullcontrol", 3e-4, {}, "t = 0.25 "),
+    ("stabilize", 3e-4, {}, "t = 0.5 "),
+    ("cost-curve", 3e-4, {}, "t = 0.25 "),
+    # 2**-8 divides T = 1/2 and T_7, but not T_8 = 1/2 - 2**-9
+    ("nullcontrol", 2.0**-8, {"experiment.n_max": 8}, "t = 0.498047 "),
+], ids=["nullcontrol", "stabilize", "cost-curve", "nullcontrol-T_8"])
+def test_dt_off_the_schedule_step_grid_names_dt(tmp_path, capsys, subcommand, dt, overrides, time):
+    path = write_config(tmp_path, dt=dt, overrides=overrides)
+    assert main([subcommand, "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["key"] == "dt"
+    assert time in err["message"]
+    assert not list((tmp_path / "out").glob("*_report.json"))
+
+
+def test_nullcontrol_and_cost_curve_step_through_one_entry_point(tmp_path, monkeypatch):
+    """Both subcommands call cli.run_null_control, the one null-control function
+    (and the name a tracer wraps), with a list of n0."""
+    import nsstab.cli as cli
+    from nsstab import experiments
+
+    assert cli.run_null_control is experiments.run_null_control
+    assert not hasattr(experiments, "run_null_control_horizons")
+    calls = []
+
+    def counted(basis, tensor, gram, pack, n0_list, **options):
+        calls.append(list(n0_list))
+        return experiments.run_null_control(basis, tensor, gram, pack, n0_list, **options)
+
+    monkeypatch.setattr(cli, "run_null_control", counted)
+    config = parse_config(write_config(tmp_path, overrides={"experiment.n0_list": [1, 2, 3]}))
+    for sub in ("nullcontrol", "cost-curve"):
+        assert run_subcommand(sub, config) == 0
+    assert calls == [[1], [1, 2, 3]]
 
 
 def test_cost_curve_needs_three_distinct_n0_before_any_solve(tmp_path, capsys):

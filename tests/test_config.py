@@ -46,7 +46,8 @@ def valid_configs(draw):
     lx, ly = draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))
     a, b = draw(st.floats(0.0, 0.49)) * lx, draw(st.floats(0.51, 1.0)) * lx
     c, d = draw(st.floats(0.0, 0.49)) * ly, draw(st.floats(0.51, 1.0)) * ly
-    nx, ny = draw(st.integers(3, 48)), draw(st.integers(3, 48))
+    nx = draw(st.integers(3, 48))
+    ny = draw(st.integers(3, 48).filter(lambda n: n % 2 == 0 or nx % 2 == 0))  # odd-by-odd grids are rejected
     practical = st.fixed_dictionaries({}, optional={
         "spectral_constant": numbers,
         "trilinear_constant": numbers,

@@ -13,7 +13,6 @@ from nsstab.experiments import (
     fit_cost_curve,
     random_low_mode_state,
     run_null_control,
-    run_null_control_horizons,
     run_rapid_stab,
     run_small_time,
 )
@@ -57,8 +56,8 @@ def test_rapid_stab_cutoff_comparison(square16, pack_rapid):
 def test_null_control_zero_state(small_setup):
     report = run_null_control(
         small_setup["basis"], small_setup["tensor"], small_setup["gram"],
-        small_setup["pack"], 1, y0_norm=0.0, n_max=4, seed=0,
-    )
+        small_setup["pack"], [1], y0_norm=0.0, n_max=4, seed=0,
+    )[0]
     assert report.cost == 0.0
     assert report.null_reached and report.latch_time == 0.0
     assert report.final_relative_norm == 0.0
@@ -68,15 +67,15 @@ def test_null_control_requires_norm_in_practical_mode(small_setup):
     with pytest.raises(ValueError, match="practical"):
         run_null_control(
             small_setup["basis"], small_setup["tensor"], small_setup["gram"],
-            small_setup["pack"], 1, n_max=4,
+            small_setup["pack"], [1], n_max=4,
         )
 
 
 def test_null_control_sampling_covers_intervals(small_setup):
     report = run_null_control(
         small_setup["basis"], small_setup["tensor"], small_setup["gram"],
-        small_setup["pack"], 1, y0_norm=1e-3, n_max=4, seed=2,
-    )
+        small_setup["pack"], [1], y0_norm=1e-3, n_max=4, seed=2,
+    )[0]
     sched = report.schedule
     counts = np.diff(np.rint(np.append(sched.start_times, sched.period) / report.dt))
     assert np.all(counts >= 8)
@@ -105,7 +104,7 @@ def test_null_control_restart_reproduces_tail(small_setup):
                          ids=["default-dt", "shared-dt"])
 def test_null_control_horizons_match_single_runs(small_setup, monkeypatch, dt, batch_rows_expected, steps):
     basis, tensor, gram, pack = (small_setup[k] for k in ("basis", "tensor", "gram", "pack"))
-    singles = [run_null_control(basis, tensor, gram, pack, n0, y0_norm=1e-3, n_max=4, dt=dt, seed=2)
+    singles = [run_null_control(basis, tensor, gram, pack, [n0], y0_norm=1e-3, n_max=4, dt=dt, seed=2)[0]
                for n0 in (1, 2, 3)]
     batch_rows = []
     real = experiments.simulate_batch
@@ -115,7 +114,7 @@ def test_null_control_horizons_match_single_runs(small_setup, monkeypatch, dt, b
         return real(y0, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "simulate_batch", counted)
-    reports = run_null_control_horizons(basis, tensor, gram, pack, [1, 2, 3], y0_norm=1e-3, n_max=4, dt=dt, seed=2)
+    reports = run_null_control(basis, tensor, gram, pack, [1, 2, 3], y0_norm=1e-3, n_max=4, dt=dt, seed=2)
     assert batch_rows == batch_rows_expected
     for batched, single, n_steps in zip(reports, singles, steps):
         assert batched.n0 == single.n0 and batched.dt == single.dt
@@ -137,18 +136,18 @@ def test_null_control_blowup_names_its_run(small_setup):
     # at this norm the explicit step is unstable for T = 1/2 but not yet for T = 1/8,
     # so the guard trips in the second row of the batch
     with pytest.raises(BlowUpError, match=r"in the run n0=1 \(T=0\.5\) at t=") as info:
-        run_null_control_horizons(basis, tensor, gram, pack, [3, 1], y0_norm=1e3, n_max=4)
+        run_null_control(basis, tensor, gram, pack, [3, 1], y0_norm=1e3, n_max=4)
     assert info.value.row == 1
     with pytest.raises(BlowUpError) as single:
-        run_null_control(basis, tensor, gram, pack, 1, y0_norm=1e3, n_max=4)
+        run_null_control(basis, tensor, gram, pack, [1], y0_norm=1e3, n_max=4)
     assert single.value.time == info.value.time
 
 
 def test_null_control_cutoff_respects_feedback_norm_constraint(small_setup):
     report = run_null_control(
         small_setup["basis"], small_setup["tensor"], small_setup["gram"],
-        small_setup["pack"], 1, y0_norm=1e-3, n_max=4, cutoff=True, seed=5,
-    )
+        small_setup["pack"], [1], y0_norm=1e-3, n_max=4, cutoff=True, seed=5,
+    )[0]
     traj = report.trajectory
     limit = np.minimum(1.0, np.sqrt(2.0 * traj.norm_h))
     assert np.all(traj.control_norm <= limit + 1e-12)
@@ -158,18 +157,18 @@ def test_null_control_certified_arithmetic_path(square16):
     pack = ConstantPack.certified(1.0, 1.0)
     for cutoff in (False, True):
         report = run_null_control(
-            square16["basis"], square16["tensor"], square16["gram"], pack, 1,
+            square16["basis"], square16["tensor"], square16["gram"], pack, [1],
             n_max=6, cutoff=cutoff,
-        )
+        )[0]
         assert report.basin_below_precision
         assert report.trajectory is None
         assert report.state_bound_ok is not None and report.state_bound_ok.all()
         assert math.isnan(report.cost)
     # the cutoff basin is the square of the linear one (in logs: doubled)
     linear = run_null_control(square16["basis"], square16["tensor"], square16["gram"],
-                              pack, 1, n_max=6)
+                              pack, [1], n_max=6)[0]
     squared = run_null_control(square16["basis"], square16["tensor"], square16["gram"],
-                               pack, 1, n_max=6, cutoff=True)
+                               pack, [1], n_max=6, cutoff=True)[0]
     assert squared.log_basin == pytest.approx(2.0 * linear.log_basin, rel=1e-14)
 
 
@@ -203,7 +202,7 @@ def test_certified_run_raises_on_a_violated_interval_bound(square16, monkeypatch
     # 24-mode basis; the run takes the doctored one instead
     monkeypatch.setattr(experiments, "build_schedule", lambda *args: schedule)
     with pytest.raises(BoundViolatedError) as caught:
-        run_null_control(basis, tensor, gram, pack, n0, n_max=len(gains) - 1, seed=1)
+        run_null_control(basis, tensor, gram, pack, [n0], n_max=len(gains) - 1, seed=1)
     error = caught.value
     assert (error.interval, error.bound_name) == (interval, kind)
     y0_norm = math.exp(-pack.cost_exponent * 2.0**n0)
