@@ -38,11 +38,11 @@ print(f"cost exponent c3 = {pack.cost_exponent}")
 [report] = run_null_control(basis, tensor, gram, pack, [1], y0_norm=1e-3,
                             n_max=8, eps_zero=1e-6, seed=5)
 sched = report.schedule
-print(f"\nperiod T = {report.period}, dt = {report.dt:.3e}")
-print("interval   start        threshold   ||y(T_n)|| / ||y0||")
+print(f"\nperiod T = {report.period}, {report.health['steps']} steps, mean dt = {report.dt:.3e}")
+print("interval   start        dt          threshold   ||y(T_n)|| / ||y0||")
 for n in range(sched.n_max + 1):
     flag = " (clamped)" if sched.clamped[n] else ""
-    print(f"  I_{n}      {sched.start_times[n]:.6f}   {sched.thresholds[n]:9.1f}"
+    print(f"  I_{n}      {sched.start_times[n]:.6f}   {report.interval_dt[n]:.3e}   {sched.thresholds[n]:9.1f}"
           f"   {report.interval_norms[n] / report.y0_norm:.3e}{flag}")
 print(f"\nnumerical zero declared at t = {report.latch_time:.4f} "
       f"(relative threshold 1e-6)")
@@ -51,9 +51,9 @@ print(f"relative cost: {report.cost / report.y0_norm:.4f} "
       f"<= exp(c3/T) = {np.exp(pack.cost_exponent / report.period):.4f}: "
       f"{report.cost_bound_ok}")
 
-# cost scaling across horizons: while the floor 2**-(n0 + n_max + 4) sets the
-# default dt, every horizon takes the same number of steps, so the three runs
-# are stepped as one batch
+# cost scaling across horizons: with 64 steps per schedule piece, every
+# horizon takes the same number of steps, so the three runs are stepped as
+# one batch
 reports = run_null_control(basis, tensor, gram, pack, [1, 2, 3], y0_norm=1e-3,
                            n_max=8, eps_zero=1e-6, seed=5)
 print("\n   T       relative cost")

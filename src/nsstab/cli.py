@@ -170,6 +170,18 @@ def _config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("dt", "must be positive")
     if config.nu <= 0:
         raise ConfigError("nu", "must be positive")
+    p = config.practical
+    for key, bad, rule in (
+        ("spectral_constant", not p.spectral_constant > 0, "must be positive"),
+        ("trilinear_constant", not p.trilinear_constant > 0, "must be positive"),
+        ("schedule_constant", p.schedule_constant is not None and not p.schedule_constant > 0, "must be positive"),
+        # the tolerance of ConstantPack's own check
+        ("feedback_constant", p.feedback_constant is not None
+         and not p.feedback_constant >= 3.0 * p.spectral_constant * (1.0 - 1e-12),
+         "must be at least 3 * practical.spectral_constant"),
+    ):
+        if bad:
+            raise ConfigError(f"practical.{key}", rule)
     exp = config.experiment
     for key, bad, rule in (
         ("n0", exp.n0 < 1, "must be at least 1"),
@@ -477,6 +489,7 @@ def _null_control_payload(report) -> dict:
     payload.update(
         {
             "dt": report.dt,
+            "interval_dt": [float(v) for v in report.interval_dt],
             "cost": report.cost,
             "cost_bound_ok": report.cost_bound_ok,
             "final_relative_norm": report.final_relative_norm,

@@ -21,24 +21,35 @@ so the energy identity can be checked to O(dt^2) per unit time along a run.
 Every control law here is piecewise-constant linear feedback with an
 optional radial cutoff and norm latch (:class:`ControlLaw`).  A run steps a
 (B, M) batch of trajectories together, and each row may have its own law,
-start time and dt, as long as every row takes the same number of steps.  The
-run compiles each row's law once into the segment active at each law
-evaluation of each step, and into its own table of gains, weights and radii,
-padded with zero-law rows to the size every row shares; row r's segment s
-sits at r*size + s % size of the stacked tables, so TERMINAL (-1) finds a
-zero-law row.  The convection term of a half step is one
+start time and steps, as long as every row takes the same number of steps.
+A row's steps are either uniform or given one by one; a run of equal steps
+is a piece, and the j-th step of a piece starts at the piece's start plus
+j times its step (:func:`step_times`), so a piece that ends on a schedule
+switch ends on it exactly when the times are dyadic.  A step takes the law
+of the segment it starts in for both of its evaluations, so the Heun step
+sees one law per step and stays second order across a switch that falls on
+a step boundary; a switch inside a step leaves an O(dt) local error there,
+so a run with such switches is first order.  The run compiles each row's
+law once into the segment active at the start of each step, and into its
+own table of gains, weights and radii, padded with zero-law rows to the
+size every row shares; row r's segment s sits at r*size + s % size of the
+stacked tables, so TERMINAL (-1) finds a zero-law row.  The decay factors,
+trapezoid weights and step sizes are tabled the same way, once per distinct
+step size of a row.  The convection term of a half step is one
 (B, M(M+1)/2) @ (M(M+1)/2, M) product over the pairs i <= j of the tensor
 symmetrized in (i, j) (:func:`packed_convection`), shared by all the rows.
 
 The per-step loop of :func:`simulate_batch` keeps only what the next state
 depends on: the two convection terms, the two law evaluations (cutoff and
 latch included), the two Gram products, the Heun update and the blow-up
-guard.  It writes each step's state, control and Gram products into block
-buffers.  Once per block of ``_BLOCK`` steps, and at the last step, one
-vectorized pass turns them into the samples, the Lyapunov column and the
-energy integrals.  The pass uses the same row dot products as a per-step
-loop would, and its cumulative sums add left to right like a running total,
-so no result depends on the block length.  The call times itself with
+guard, which is relative to each row's initial norm.  It writes each step's
+state, control and Gram products into block buffers.  Once per block of
+``_BLOCK`` steps, and at the last step, one vectorized pass turns them into
+the samples, the Lyapunov column and the energy integrals; the law tables
+and the step tables are gathered for the block's steps at its start.  The
+pass uses the same row dot products as a per-step loop would, and its
+cumulative sums add left to right like a running total, so no result
+depends on the block length.  The call times itself with
 time.perf_counter, and :meth:`BatchRun.health` reports the steps, the
 largest energy-identity residual and that time, for one row or for all.
 """
@@ -55,7 +66,7 @@ from .errors import BlowUpError
 from .grid import Grid
 from .spectral import StokesBasis
 
-#: abort threshold for any coefficient magnitude (smallness hypotheses long gone)
+#: abort once a coefficient exceeds this multiple of its row's initial norm
 BLOWUP_GUARD = 1e6
 
 #: steps per block of the deferred sampling and energy bookkeeping; results do not depend on it
@@ -186,24 +197,44 @@ class ControlLaw:
         return gains, weights, radii, thresholds
 
 
-def segment_plan(laws, t_start: np.ndarray, n_steps: int, dt: np.ndarray):
-    """Segments of each row's law at both evaluations of every step.
+def _pieces(steps: np.ndarray):
+    """First step, length and step size of each run of equal steps in a (n_steps,) array."""
+    first = np.flatnonzero(np.diff(steps, prepend=np.nan) != 0)
+    return first, np.diff(np.append(first, len(steps))), steps[first]
 
-    laws, t_start and dt hold one value per row.  Row r evaluates its law at
-    t_start[r] + k*dt[r] (the start of step k, which is also sample time k)
-    and at that time plus dt[r] (the predictor).  Returns the
-    (n_steps + 1, B) and (n_steps, B) arrays of law-local segments, in the
-    smallest integer type that holds every segment index.
+
+def step_times(t_start: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Start time of every step of every row, then each row's end time.
+
+    t_start holds one start per row and dt (n_steps, B) one size per step.
+    Piece p of a row, a run of n_p equal steps dt_p, starts at s_p, with
+    s_0 = t_start and s_{p+1} = s_p + n_p dt_p, and its j-th step starts at
+    s_p + j dt_p.  A uniform row gets t_start + k dt, and on a dyadic grid
+    every time is exact.  Returns a (n_steps + 1, B) array.
     """
-    t_a = t_start + np.arange(n_steps + 1)[:, None] * dt
-    t_b = t_a[:-1] + dt
+    times = np.empty((len(dt) + 1, dt.shape[1]))
+    for r in range(dt.shape[1]):
+        first, length, size = _pieces(dt[:, r])
+        starts = np.cumsum(np.concatenate([t_start[r : r + 1], length * size]))
+        piece = np.repeat(np.arange(len(first)), length)
+        times[:-1, r] = starts[piece] + (np.arange(len(dt)) - first[piece]) * size[piece]
+        times[-1, r] = starts[-1]
+    return times
+
+
+def segment_plan(laws, times: np.ndarray) -> np.ndarray:
+    """Segment of each row's law at each time of a (n_steps + 1, B) plan.
+
+    Step k of row r takes segment [k, r], the one it starts in, for both of
+    its evaluations; the last entry is the segment of the end time, which
+    only the last sample reads.  Returns law-local segments in the smallest
+    integer type that holds every segment index.
+    """
     index_type = np.min_scalar_type(-max(len(law.params) for law in laws) - 1)
-    seg_a = np.empty(t_a.shape, dtype=index_type)
-    seg_b = np.empty(t_b.shape, dtype=index_type)
+    seg = np.empty(times.shape, dtype=index_type)
     for r, law in enumerate(laws):
-        seg_a[:, r] = law.segment_at(t_a[:, r])
-        seg_b[:, r] = law.segment_at(t_b[:, r])
-    return seg_a, seg_b
+        seg[:, r] = law.segment_at(times[:, r])
+    return seg
 
 
 @dataclass
@@ -228,7 +259,6 @@ class Trajectory:
     threshold: np.ndarray
     dissipation: np.ndarray
     control_work: np.ndarray
-    dt: float = 0.0
     nu: float = 1.0
 
 
@@ -237,19 +267,19 @@ class BatchRun:
     """Sampled columns of B closed-loop runs stepped together.
 
     Per-sample columns are (samples, B) arrays with the meaning of the
-    Trajectory fields; segments holds each row's segment of its own law at
-    each sample, and thresholds[r] the threshold of each segment of row r's
-    law (nan at TERMINAL).  states (K, samples, M) and lyapunov (samples, K)
-    are kept for the first K rows only.  latch_time is the time each row's
-    latch tripped, nan where it never did.  seconds is the time
-    (time.perf_counter) the simulate_batch call took.
+    Trajectory fields; times holds each row's sample times from its step
+    plan, segments each row's segment of its own law at each sample, and
+    thresholds[r] the threshold of each segment of row r's law (nan at
+    TERMINAL).  states (K, samples, M) and lyapunov (samples, K) are kept for
+    the first K rows only.  latch_time is the time each row's latch tripped,
+    nan where it never did.  seconds is the time (time.perf_counter) the
+    simulate_batch call took.
     """
 
     thresholds: np.ndarray  # (B, segments per row)
-    t_start: np.ndarray  # (B,)
-    dt: np.ndarray  # (B,)
     nu: float
     sample_stride: int
+    times: np.ndarray
     segments: np.ndarray
     norm_h: np.ndarray
     control_norm: np.ndarray
@@ -269,7 +299,8 @@ class BatchRun:
         us_per_step that time per trajectory step of the call, whichever rows
         are asked for.
         """
-        rows = range(len(self.t_start)) if row is None else (row,)
+        batch = self.norm_h.shape[1]
+        rows = range(batch) if row is None else (row,)
         row_steps = (len(self.norm_h) - 1) * self.sample_stride
 
         def row_defect(r):  # row by row, so the temporaries stay one column long
@@ -278,14 +309,13 @@ class BatchRun:
 
         defect = max(row_defect(r) for r in rows)
         return {"steps": row_steps * len(rows), "max_energy_defect": defect, "stepping_s": self.seconds,
-                "us_per_step": self.seconds / (row_steps * len(self.t_start)) * 1e6}
+                "us_per_step": self.seconds / (row_steps * batch) * 1e6}
 
     def trajectory(self, row: int) -> Trajectory:
         """The run of one row whose states were kept, with its own copies of the columns."""
         seg = self.segments[:, row]
-        dt = float(self.dt[row])
         return Trajectory(
-            times=self.t_start[row] + np.arange(len(seg)) * self.sample_stride * dt,
+            times=self.times[:, row].copy(),
             states=self.states[row],
             norm_h=self.norm_h[:, row].copy(),
             lyapunov=self.lyapunov[:, row].copy(),
@@ -294,7 +324,6 @@ class BatchRun:
             threshold=self.thresholds[row][seg],
             dissipation=self.dissipation[:, row].copy(),
             control_work=self.control_work[:, row].copy(),
-            dt=dt,
             nu=self.nu,
         )
 
@@ -317,14 +346,17 @@ def simulate_batch(
     sample_stride steps.
 
     y0 is (B, M).  law is one ControlLaw for every row or a sequence of B
-    laws; t_start, span and dt are scalars for every row or (B,) arrays.  Row
-    r starts at t_start[r] and runs for span[r] in steps of dt[r]; every row
-    must come to the same whole number of steps, and that a whole number of
-    samples.  With latch_norm, row r's control switches off for good at the
-    first law evaluation whose state norm is <= latch_norm[r].  States are
-    kept for the first state_rows rows (default: all).  Raises BlowUpError
-    at the first step where a row trips the guard, with the first such row
-    and its time.
+    laws; t_start and span are scalars for every row or (B,) arrays.  dt is
+    either uniform, a scalar or a (B,) array, and row r then runs from
+    t_start[r] for span[r] in steps of dt[r], every row coming to the same
+    whole number of steps; or dt is a (B, n_steps) array of one size per
+    step, whose pieces (see :func:`step_times`) must add up to each row's
+    span.  The step count must be a whole number of samples.  With
+    latch_norm, row r's control switches off for good at the first law
+    evaluation whose state norm is <= latch_norm[r].  States are kept for
+    the first state_rows rows (default: all).  Raises BlowUpError at the
+    first step where a coefficient of a row exceeds BLOWUP_GUARD times the
+    row's initial norm, with the first such row and its time.
     """
     start = time.perf_counter()
     y0 = np.asarray(y0, dtype=np.float64)
@@ -334,62 +366,81 @@ def simulate_batch(
     laws = (law,) * b if isinstance(law, ControlLaw) else tuple(law)
     if len(laws) != b:
         raise ValueError(f"got {len(laws)} laws for {b} rows")
-    dt = np.broadcast_to(np.asarray(dt, dtype=np.float64), (b,)).copy()
+    dt = np.asarray(dt, dtype=np.float64)
     span = np.broadcast_to(np.asarray(span, dtype=np.float64), (b,))
+    t0 = np.broadcast_to(np.asarray(t_start, dtype=np.float64), (b,))
     if np.any(dt <= 0):
         raise ValueError("dt must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    steps = np.rint(span / dt)
-    if np.any(steps <= 0) or np.any(np.abs(steps * dt - span) > 1e-9 * np.maximum(span, dt)):
-        raise ValueError("the span must be an integer number of steps")
-    if np.any(steps != steps[0]):
-        raise ValueError(f"every row must take the same number of steps, got {sorted(set(steps.astype(int).tolist()))}")
-    n_steps = int(steps[0])
+    if dt.ndim == 2:
+        if dt.shape[0] != b or dt.shape[1] == 0:
+            raise ValueError(f"expected one step size per step for each of {b} rows, got {dt.shape}")
+        step_dt = dt.T
+    else:
+        dt = np.broadcast_to(dt, (b,))
+        steps = np.rint(span / dt)
+        if np.any(steps <= 0) or np.any(np.abs(steps * dt - span) > 1e-9 * np.maximum(span, dt)):
+            raise ValueError("the span must be an integer number of steps")
+        if np.any(steps != steps[0]):
+            raise ValueError(f"every row must take the same number of steps, got {sorted(set(steps.astype(int).tolist()))}")
+        step_dt = np.broadcast_to(dt, (int(steps[0]), b))
+    times = step_times(t0, step_dt)
+    if np.any(np.abs(times[-1] - t0 - span) > 1e-9 * np.maximum(span, step_dt.max(axis=0))):
+        raise ValueError("the steps must add up to the span")
+    n_steps = len(step_dt)
     if n_steps % sample_stride != 0:
         raise ValueError("step count must be a whole number of samples")
 
     kept = b if state_rows is None else state_rows
-    t0 = np.broadcast_to(np.asarray(t_start, dtype=np.float64), (b,)).copy()
-    seg_a, seg_b = segment_plan(laws, t0, n_steps, dt)
+    seg = segment_plan(laws, times)
     # one table per row, padded with zero-law rows to a shared size; row r's
     # segment s, TERMINAL included, is row r*size + s % size of the stack
     size = max(len(law.params) for law in laws) + 1
     gains, weights, radii, thresholds = (np.stack(table) for table in zip(*(law.tables(m, size) for law in laws)))
     gains, weights, radii = gains.reshape(b * size, m), weights.reshape(b * size, m), radii.ravel()
-    index_type = np.min_scalar_type(b * size)
     row_start = size * np.arange(b)
-    index_a, index_b = ((seg.astype(np.intp) % size + row_start).astype(index_type) for seg in (seg_a, seg_b))
+    index = (seg.astype(np.intp) % size + row_start).astype(np.min_scalar_type(b * size))
+    # the same for the step sizes: row r's distinct sizes, padded with its
+    # largest, at r*n_sizes onward, and each step's entry in dt_index
+    sizes = [np.unique(_pieces(step_dt[:, r])[2]) for r in range(b)]
+    n_sizes = max(len(v) for v in sizes)
+    dt_values = np.concatenate([np.pad(v, (0, n_sizes - len(v)), mode="edge") for v in sizes])
+    dt_index = np.empty(step_dt.shape, dtype=np.min_scalar_type(b * n_sizes))
+    for r, v in enumerate(sizes):
+        dt_index[:, r] = r * n_sizes + np.searchsorted(v, step_dt[:, r])
     latch = None if latch_norm is None else np.broadcast_to(np.asarray(latch_norm, dtype=np.float64), (b,))
     latched = np.zeros(b, dtype=bool)
     latch_time = np.full(b, np.nan)
+    guard = BLOWUP_GUARD * np.sqrt(row_dot(y0, y0))
+    guard_col, guard_all = guard[:, None], guard.min()
 
     tau = basis.eigenvalues
-    dt_col = dt[:, None]
-    decay = np.exp(-nu * tau * dt_col)
-    decay_sq = decay * decay
+    dt_col = dt_values[:, None]
+    decay_table = np.exp(-nu * tau * dt_col)
+    decay_sq = decay_table * decay_table
     # exponentially weighted trapezoid weights for int X_k(s)^2 ds over a step;
     # modes whose memory dies within one step fall back to the start-point rule
-    diss_half = (1.0 - decay_sq) / (2.0 * nu * tau) * 0.5
-    endpoint_ok = decay_sq > 1e-12
-    decay_sq_safe = np.maximum(decay_sq, 1e-300)
+    diss_half_table = (1.0 - decay_sq) / (2.0 * nu * tau) * 0.5
+    endpoint_ok_table = decay_sq > 1e-12
+    decay_sq_safe_table = np.maximum(decay_sq, 1e-300)
+    half_dt_table = 0.5 * dt_col
     convection = packed_convection(tensor, b)
     gram_t = gram.T
-    half_dt = 0.5 * dt
-    half_dt_col = half_dt[:, None]
     # rows without cutoff have radius inf; a batch with no finite radius skips
     # the row norms, which cost about 5 us per law evaluation
     any_cutoff = bool(np.isfinite(radii).any())
 
     def control(x, gain, radius, k, shift):
-        """Law at time t_start + k*dt + shift (shift is 0 or dt), with this step's gains and radii."""
+        """Law with this step's gains and radii at time times[k] + shift
+        (shift is 0, or the step's sizes at the predictor)."""
         c = x * gain
         if any_cutoff:
             c = radial_cutoff_rows(c, radius)
         if latch is not None:
             trip = ~latched & (np.sqrt(row_dot(x, x)) <= latch)
             if trip.any():
-                latch_time[trip] = (t0 + k * dt + shift)[trip]
+                latch_time[trip] = (times[k] + shift)[trip]
                 latched[trip] = True
             if latched.any():
                 c = np.where(latched[:, None], 0.0, c)
@@ -423,12 +474,14 @@ def simulate_batch(
         """
         x = xs[: n + 1]
         x2 = x * x
+        steps = dt_index[k0 : k0 + n]
         # energy bookkeeping: trapezoid in the integrating-factor variable
-        z_sq_end = np.where(endpoint_ok, x2[1:] / decay_sq_safe, x2[:-1])
+        z_sq_end = np.where(endpoint_ok_table[steps], x2[1:] / decay_sq_safe_table[steps], x2[:-1])
         diss = np.cumsum(np.concatenate(
-            [carry[:1], stacked_dot(diss_half * (x2[:-1] + z_sq_end), tau_rows[: n * b])]), axis=0)
+            [carry[:1], stacked_dot(diss_half_table[steps] * (x2[:-1] + z_sq_end), tau_rows[: n * b])]), axis=0)
         work = np.cumsum(np.concatenate(
-            [carry[1:], half_dt * (stacked_dot(x[:-1], g1s[:n]) + stacked_dot(x[1:], g2s[:n]))]), axis=0)
+            [carry[1:], half_dt_table[steps, 0] * (stacked_dot(x[:-1], g1s[:n]) + stacked_dot(x[1:], g2s[:n]))]),
+            axis=0)
         carry[:] = diss[n], work[n]
         first = -k0 % sample_stride
         chosen = slice(first, n + 1 if last else n, sample_stride)
@@ -443,40 +496,44 @@ def simulate_batch(
         dissipation[i] = diss[chosen]
         control_work[i] = work[chosen]
         states[:, i] = x_s[:, :kept].swapaxes(0, 1)
-        lyap[i] = (x2[chosen, :kept] * weights[index_a[k0 : k0 + n + 1][chosen, :kept]]).sum(axis=2)
+        lyap[i] = (x2[chosen, :kept] * weights[index[k0 : k0 + n + 1][chosen, :kept]]).sum(axis=2)
 
     xs[0] = y0
     for k0 in range(0, n_steps, block):
         n = min(block, n_steps - k0)
-        # the law's gains and radii at both evaluations of every step of the block
-        gain_a, radius_a = gains[index_a[k0 : k0 + n + 1]], radii[index_a[k0 : k0 + n + 1]]
-        gain_b, radius_b = gains[index_b[k0 : k0 + n]], radii[index_b[k0 : k0 + n]]
+        # the law's gains and radii at the start of every step of the block and
+        # at its end, and the decay and step sizes of its steps
+        gain, radius = gains[index[k0 : k0 + n + 1]], radii[index[k0 : k0 + n + 1]]
+        steps = dt_index[k0 : k0 + n]
+        decays, dts, half_dts = decay_table[steps], dt_col[steps], half_dt_table[steps]
         if k0 == 0:
-            c1s[0] = control(xs[0], gain_a[0], radius_a[0], 0, 0.0)
+            c1s[0] = control(xs[0], gain[0], radius[0], 0, 0.0)
         for j in range(n):
             k = k0 + j
             x, x_new = xs[j], xs[j + 1]
+            decay, half_dt = decays[j], half_dts[j]
             g1 = np.matmul(c1s[j], gram_t, out=g1s[j])
             f1 = g1 - convection(x)
-            predictor = decay * (x + dt_col * f1)
-            g2 = np.matmul(control(predictor, gain_b[j], radius_b[j], k, dt), gram_t, out=g2s[j])
-            np.add(decay * (x + half_dt_col * f1), half_dt_col * (g2 - convection(predictor)), out=x_new)
-            if not np.abs(x_new).max() <= BLOWUP_GUARD:
-                row = int(np.argmin(np.all(np.abs(x_new) <= BLOWUP_GUARD, axis=1)))
-                finite = x_new[row][np.isfinite(x_new[row])]
-                worst = float(np.abs(finite).max()) if finite.size else float("inf")
-                raise BlowUpError(float(t0[row] + k * dt[row] + dt[row]), worst, row)
-            c1s[j + 1] = control(x_new, gain_a[j + 1], radius_a[j + 1], k + 1, 0.0)
+            predictor = decay * (x + dts[j] * f1)
+            g2 = np.matmul(control(predictor, gain[j], radius[j], k, step_dt[k]), gram_t, out=g2s[j])
+            np.add(decay * (x + half_dt * f1), half_dt * (g2 - convection(predictor)), out=x_new)
+            if not np.abs(x_new).max() <= guard_all:
+                over = ~np.all(np.abs(x_new) <= guard_col, axis=1)
+                if over.any():
+                    row = int(np.argmax(over))
+                    finite = x_new[row][np.isfinite(x_new[row])]
+                    worst = float(np.abs(finite).max()) if finite.size else float("inf")
+                    raise BlowUpError(float(times[k, row] + step_dt[k, row]), worst, row)
+            c1s[j + 1] = control(x_new, gain[j + 1], radius[j + 1], k + 1, 0.0)
         record(k0, n, k0 + n == n_steps)
         xs[0], c1s[0] = xs[n], c1s[n]
 
     return BatchRun(
         thresholds=thresholds,
-        t_start=t0,
-        dt=dt,
         nu=nu,
         sample_stride=sample_stride,
-        segments=seg_a[::sample_stride],
+        times=np.ascontiguousarray(times[::sample_stride]),
+        segments=seg[::sample_stride],
         norm_h=norm_h,
         control_norm=control_norm,
         dissipation=dissipation,

@@ -41,6 +41,9 @@ LOG_PRECISION_FLOOR = math.log(1e-290)
 #: most closed-loop steps a stationary-law run may plan (certified gains ask for millions)
 MAX_STEPS = 2**20
 
+#: fewest steps per schedule piece of a null-control run without a configured dt
+_PIECE_STEPS = 64
+
 
 def random_low_mode_state(n_modes: int, norm: float, seed: int) -> np.ndarray:
     """Seeded isotropic state on the first min(8, M) modes, given norm."""
@@ -63,6 +66,19 @@ def _dyadic_dt(max_gain: float, k_floor: int) -> float:
     """Largest power of two below the gain heuristic and 2**-k_floor."""
     k = max(k_floor, math.ceil(math.log2(max(max_gain, 1e-12) / 0.25)))
     return 2.0 ** (-k)
+
+
+def _interval_dt(schedule: Schedule) -> np.ndarray:
+    """Default step of each schedule piece: intervals 0..n_max, then the terminal piece.
+
+    Piece n of length L_n steps by min(L_n / _PIECE_STEPS, the largest power
+    of two <= 0.25 / gain_n), the terminal piece (no gain) by L / _PIECE_STEPS.
+    Every length is a power of two, so each piece is a whole number of steps
+    and every switch falls on a step boundary.
+    """
+    lengths = np.diff(np.append(schedule.start_times, schedule.period))
+    gains = [p.gain for p in schedule.params] + [0.0]
+    return np.array([_dyadic_dt(gain, round(-math.log2(length / _PIECE_STEPS))) for gain, length in zip(gains, lengths)])
 
 
 def _require_whole_steps(times: np.ndarray, dt: float, period: float) -> None:
@@ -221,7 +237,8 @@ class NullControlReport:
     log_basin: float  # ln of the admissible initial norm for this law
     basin_below_precision: bool
     schedule: Schedule
-    dt: float = float("nan")
+    dt: float = float("nan")  # T / steps taken: the mean step
+    interval_dt: np.ndarray | None = None  # step of each piece: intervals 0..n_max, then the terminal piece
     cost: float = float("nan")
     cost_bound_ok: bool = True  # ln cost <= c3/T + ln ||y0||
     final_relative_norm: float = float("nan")
@@ -235,6 +252,11 @@ class NullControlReport:
     monotone_ok: np.ndarray | None = None  # ||y(T_{n+1})|| <= ||y(T_n)||, n >= 1
     trajectory: Trajectory | None = None
     health: dict = field(default_factory=dict)  # BatchRun.health of this run's row, and dt
+
+
+def _piece_steps(report: NullControlReport) -> np.ndarray:
+    """Steps of each schedule piece of a planned run."""
+    return np.rint(np.diff(report.interval_times) / report.interval_dt).astype(int)
 
 
 def _interval_norm_log_bounds(schedule: Schedule, q: float) -> np.ndarray:
@@ -273,18 +295,21 @@ def run_null_control(
     control is latched to zero.  For certified packs a violated
     per-interval bound raises BoundViolatedError.
 
-    The runs that take the same number of steps are stepped as the rows of
-    one batch, and each report is filled from its own row.  The default dt
-    is 2**-(n0 + n_max + 4) unless the gain heuristic asks for a smaller one;
-    while that floor sets dt, every n0 takes 2**(n_max + 4) steps and all
-    runs share one batch.  A dt that puts a schedule time between two steps
-    raises ConfigError before any run is stepped.  A blow-up names its run.
+    Without dt, each schedule piece (intervals 0..n_max and the terminal
+    piece) is stepped on its own grid of at least _PIECE_STEPS steps (see
+    :func:`_interval_dt`), so every switch falls on a step boundary; while
+    no gain asks for a smaller step, every n0 takes _PIECE_STEPS * (n_max + 2)
+    steps.  A given dt steps every piece uniformly, and a dt that puts a
+    schedule time between two steps raises ConfigError before any run is
+    stepped.  The runs that take the same number of steps are stepped as the
+    rows of one batch, and each report is filled from its own row.  A
+    blow-up names its run.
     """
     reports = [_plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) for n0 in n0_list]
     batches: dict[int, list[int]] = {}
     for i, report in enumerate(reports):
         if not report.basin_below_precision:
-            batches.setdefault(round(report.period / report.dt), []).append(i)
+            batches.setdefault(int(_piece_steps(report).sum()), []).append(i)
     rows = {}
     for batch in batches.values():
         runs = [reports[i] for i in batch]
@@ -292,7 +317,8 @@ def run_null_control(
         try:
             run = simulate_batch(
                 y0, [ControlLaw.periodic(r.schedule, cutoff=cutoff) for r in runs], 0.0,
-                [r.period for r in runs], [r.dt for r in runs], basis, tensor, gram, nu=nu,
+                [r.period for r in runs], [np.repeat(r.interval_dt, _piece_steps(r)) for r in runs],
+                basis, tensor, gram, nu=nu,
                 latch_norm=[eps_zero * r.y0_norm for r in runs],
             )
         except BlowUpError as exc:
@@ -307,7 +333,7 @@ def run_null_control(
 
 
 def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) -> NullControlReport:
-    """The report of one run before stepping: schedule, initial norm and dt.
+    """The report of one run before stepping: schedule, initial norm and steps.
 
     A certified basin below float precision is verified in log space here,
     and its report is final.
@@ -333,6 +359,7 @@ def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) -> NullContr
         log_basin=log_basin,
         basin_below_precision=below,
         schedule=schedule,
+        interval_times=np.append(schedule.start_times, schedule.period),
     )
     if below:
         _verify_bound_arithmetic(report, pack)
@@ -344,10 +371,13 @@ def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) -> NullContr
         return report
 
     if dt is None:
-        dt = _dyadic_dt(schedule.max_gain, n0 + n_max + 4)
-        logger.info("dt defaulted to %.3e (max gain %.3e)", dt, schedule.max_gain)
-    _require_whole_steps(np.append(schedule.start_times, schedule.period), dt, schedule.period)
-    report.dt = dt
+        report.interval_dt = _interval_dt(schedule)
+        report.dt = schedule.period / _piece_steps(report).sum()
+        logger.info("dt per schedule piece defaulted to %s", report.interval_dt)
+    else:
+        _require_whole_steps(report.interval_times, dt, schedule.period)
+        report.interval_dt = np.full(len(report.interval_times) - 1, dt)
+        report.dt = dt
     return report
 
 
@@ -356,16 +386,13 @@ def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: 
     schedule = report.schedule
     q = pack.schedule_constant
     y0_norm = report.y0_norm
-    dt = report.dt
     traj = run.trajectory(row)
     report.trajectory = traj
     report.null_reached = not math.isnan(run.latch_time[row])
     report.latch_time = float(run.latch_time[row]) if report.null_reached else None
-    report.health = {**run.health(row), "dt": dt}
+    report.health = {**run.health(row), "dt": report.dt}
 
-    times = np.append(schedule.start_times, schedule.period)
-    idx = np.rint(times / dt).astype(int)
-    report.interval_times = times
+    idx = np.append(0, np.cumsum(_piece_steps(report)))
     report.interval_norms = traj.norm_h[idx]
     sup = np.empty(schedule.n_max + 1)
     for n in range(schedule.n_max + 1):

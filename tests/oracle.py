@@ -250,7 +250,8 @@ class Feedback:
     trajectory; the defaults mean "no schedule".
     """
 
-    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
+    def control(self, t: float, coeffs: np.ndarray, law_time: float | None = None) -> np.ndarray:
+        """The control at time t; a scheduled law takes its interval at law_time (default t)."""
         raise NotImplementedError
 
     def __call__(self, t: float, coeffs: np.ndarray) -> np.ndarray:
@@ -267,7 +268,7 @@ class Feedback:
 
 
 class ZeroFeedback(Feedback):
-    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
+    def control(self, t: float, coeffs: np.ndarray, law_time: float | None = None) -> np.ndarray:
         return np.zeros_like(coeffs)
 
 
@@ -278,7 +279,7 @@ class ModalFeedback(Feedback):
         self.params = params
         self.cutoff = cutoff
 
-    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
+    def control(self, t: float, coeffs: np.ndarray, law_time: float | None = None) -> np.ndarray:
         c = modal_feedback(coeffs, self.params)
         if self.cutoff:
             c = radial_cutoff(c, self.params.cutoff_radius)
@@ -336,8 +337,8 @@ class ScheduledFeedback(Feedback):
             return float("nan")
         return self.schedule.params[n].threshold
 
-    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
-        n = self.interval_at(t)
+    def control(self, t: float, coeffs: np.ndarray, law_time: float | None = None) -> np.ndarray:
+        n = self.interval_at(t if law_time is None else law_time)
         if n == TERMINAL:
             return np.zeros_like(coeffs)
         params = self.schedule.params[n]
@@ -360,13 +361,13 @@ class LatchedFeedback(Feedback):
         self.latched = False
         self.latch_time: float | None = None
 
-    def control(self, t: float, coeffs: np.ndarray) -> np.ndarray:
+    def control(self, t: float, coeffs: np.ndarray, law_time: float | None = None) -> np.ndarray:
         if not self.latched and float(np.linalg.norm(coeffs)) <= self.threshold_norm:
             self.latched = True
             self.latch_time = t
         if self.latched:
             return np.zeros_like(coeffs)
-        return self.inner.control(t, coeffs)
+        return self.inner.control(t, coeffs, law_time)
 
     def params_at(self, t: float):
         return self.inner.params_at(t)
@@ -388,21 +389,25 @@ def step(
     gram: np.ndarray,
     nu: float = 1.0,
 ) -> np.ndarray:
-    """One integrating-factor Heun step; exact for the pure diagonal part."""
+    """One integrating-factor Heun step; exact for the pure diagonal part.
+
+    Both stages take the law at t, the step's start.  The guard is relative
+    to the norm of coeffs, the run's initial norm for a run of one step.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     decay = np.exp(-nu * basis.eigenvalues * dt)
     tensor2 = tensor.reshape(-1, basis.n_modes)
 
     def forcing(tt: float, x: np.ndarray) -> np.ndarray:
-        c = controller.control(tt, x)
+        c = controller.control(tt, x, law_time=t)
         return -(np.outer(x, x).ravel() @ tensor2) + gram @ c
 
     k1 = forcing(t, coeffs)
     predictor = decay * (coeffs + dt * k1)
     k2 = forcing(t + dt, predictor)
     result = decay * (coeffs + 0.5 * dt * k1) + 0.5 * dt * k2
-    if not np.all(np.isfinite(result)) or np.abs(result).max() > BLOWUP_GUARD:
+    if not np.all(np.isfinite(result)) or np.abs(result).max() > BLOWUP_GUARD * np.linalg.norm(coeffs):
         finite = result[np.isfinite(result)]
         worst = float(np.abs(finite).max()) if finite.size else float("inf")
         raise BlowUpError(t + dt, worst)
@@ -424,7 +429,10 @@ def simulate(
     """Integrate the closed loop and sample every sample_stride steps.
 
     The span must be an integer number of steps and a whole number of
-    samples.  Raises BlowUpError (with the blow-up time) if the guard trips.
+    samples.  Both stages of a step take the law of the interval the step
+    starts in; the predictor is evaluated, and a latch trips, at t + dt.
+    Raises BlowUpError (with the blow-up time) once a coefficient exceeds
+    BLOWUP_GUARD times the initial norm.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 1 or len(y0) != basis.n_modes:
@@ -473,6 +481,7 @@ def simulate(
         dissipation[idx] = diss
         control_work[idx] = work
 
+    guard = BLOWUP_GUARD * np.linalg.norm(y0)
     x = y0.copy()
     diss = 0.0
     work = 0.0
@@ -483,10 +492,10 @@ def simulate(
         c1 = controller.control(t, x)
         f1 = -(np.outer(x, x).ravel() @ tensor2) + gram @ c1
         predictor = decay * (x + dt * f1)
-        c2 = controller.control(t + dt, predictor)
+        c2 = controller.control(t + dt, predictor, law_time=t)
         f2 = -(np.outer(predictor, predictor).ravel() @ tensor2) + gram @ c2
         x_new = decay * (x + 0.5 * dt * f1) + 0.5 * dt * f2
-        if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > BLOWUP_GUARD:
+        if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > guard:
             finite = x_new[np.isfinite(x_new)]
             worst = float(np.abs(finite).max()) if finite.size else float("inf")
             raise BlowUpError(t + dt, worst)
@@ -509,7 +518,6 @@ def simulate(
         threshold=threshold,
         dissipation=dissipation,
         control_work=control_work,
-        dt=dt,
         nu=nu,
     )
 

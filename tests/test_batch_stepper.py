@@ -18,7 +18,7 @@ from nsstab.constants import (
     row_dot,
 )
 from nsstab import dynamics
-from nsstab.dynamics import ControlLaw, packed_convection, segment_plan, simulate_batch
+from nsstab.dynamics import ControlLaw, packed_convection, segment_plan, simulate_batch, step_times
 from nsstab.errors import BlowUpError
 from nsstab.experiments import random_low_mode_state
 
@@ -108,6 +108,48 @@ def test_latched_law_matches_oracle(square16, pack_schedule):
     assert run.latch_time[2] == 0.0 and math.isnan(run.latch_time[1])
 
 
+def chained_oracle(y0, feedback, times, sizes, basis, tensor, gram):
+    """The oracle run piece by piece: piece p from times[p] to times[p + 1] in
+    steps of sizes[p], each from the state the last ended on, with the energy
+    integrals carried over and the shared end sample kept once."""
+    pieces, x, carry = [], y0, np.zeros(2)
+    for t0, t1, size in zip(times[:-1], times[1:], sizes):
+        ref = oracle.simulate(x, feedback, t0, t1, size, basis, tensor, gram)
+        ref.dissipation += carry[0]
+        ref.control_work += carry[1]
+        pieces.append(ref)
+        x, carry = ref.states[-1], np.array([ref.dissipation[-1], ref.control_work[-1]])
+    columns = {name: np.concatenate([getattr(ref, name)[: -1 if i < len(pieces) - 1 else None]
+                                     for i, ref in enumerate(pieces)])
+               for name in ("times", "states", "interval", "threshold", *FLOAT_COLUMNS)}
+    return oracle.Trajectory(**columns)
+
+
+def test_steps_per_piece_match_the_oracle_chained_piece_by_piece(square16, pack_schedule):
+    """Rows with one step size per schedule piece, as null control steps them:
+    row 0 with cutoff and coarse pieces first, row 1 with a latch and the
+    reverse order of sizes, so both rows take 256 steps."""
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    sched = build_schedule(1, pack_schedule, basis, 4)
+    times = np.append(sched.start_times, sched.period)
+    lengths = np.diff(times)  # 1/4, 1/8, 1/16, 1/32, 1/64, 1/64
+    counts = np.array([[64, 64, 32, 32, 32, 32], [32, 32, 32, 32, 64, 64]])
+    sizes = lengths / counts
+    assert np.all(counts.sum(axis=1) == 256)
+    laws = [ControlLaw.periodic(sched, cutoff=True), ControlLaw.periodic(sched)]
+    latch = np.array([0.0, 0.5e-3])
+    feedbacks = [oracle.ScheduledFeedback(sched, cutoff=True),
+                 oracle.LatchedFeedback(oracle.ScheduledFeedback(sched), latch[1])]
+    y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=3) for norm in (0.1, 1e-3)])
+    step_sizes = np.array([np.repeat(row, n) for row, n in zip(sizes, counts)])
+    run = simulate_batch(y0, laws, 0.0, sched.period, step_sizes, basis, tensor, gram, latch_norm=latch)
+    refs = [chained_oracle(x, feedback, times, row, basis, tensor, gram)
+            for x, feedback, row in zip(y0, feedbacks, sizes)]
+    assert_matches_oracle(run, refs)
+    assert feedbacks[1].latched and run.latch_time[1] == feedbacks[1].latch_time
+    assert np.array_equal(run.times[np.append(0, np.cumsum(counts[0])), 0], times)
+
+
 def test_blowup_raised_at_oracle_step_for_first_failing_row(square16):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     m = basis.n_modes
@@ -146,7 +188,8 @@ def test_mixed_laws_and_steps_in_one_batch_match_oracle(square16, pack_rapid, pa
     assert_matches_oracle(run, refs)
     assert feedbacks[3].latched and run.latch_time[3] == feedbacks[3].latch_time
     assert np.isnan(run.latch_time[:3]).all()
-    assert [run.trajectory(r).dt for r in range(4)] == dt.tolist()
+    for r in range(4):
+        assert np.array_equal(run.trajectory(r).times, t_start[r] + 4 * np.arange(65) * dt[r])
     raw = params.gain * np.linalg.norm(refs[1].states[:, : params.n_active], axis=1)
     assert raw.max() > params.cutoff_radius
     assert all((ref.interval == -1).any() and (ref.interval >= 0).any() for ref in refs[2:])
@@ -239,6 +282,11 @@ def test_batch_rejects_mismatched_steps_and_law_counts(square16, pack_rapid):
         simulate_batch(y0, [law] * 3, 0.0, 0.01, 1e-3, basis, tensor, gram)
     with pytest.raises(ValueError, match="1 laws for 2 rows"):
         simulate_batch(y0, [law], 0.0, 0.01, 1e-3, basis, tensor, gram)
+    # one size per step: one row of sizes per batch row, adding up to the span
+    with pytest.raises(ValueError, match="one step size per step for each of 2 rows"):
+        simulate_batch(y0, law, 0.0, 0.01, np.full((3, 10), 1e-3), basis, tensor, gram)
+    with pytest.raises(ValueError, match="add up to the span"):
+        simulate_batch(y0, law, 0.0, 0.01, np.full((2, 11), 1e-3), basis, tensor, gram)
 
 
 BATCH_COLUMNS = ("segments", *FLOAT_COLUMNS, "states", "latch_time")
@@ -314,8 +362,10 @@ def test_latch_at_block_edges_does_not_depend_on_the_block_length(square16, pack
 def test_blowup_on_a_block_end_does_not_depend_on_the_block_length(square16, monkeypatch):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     m = basis.n_modes
-    exploder = FeedbackParams(threshold=1.0, n_active=m, gain=-1e3, weight=1.0, cutoff_radius=0.5)
-    y0 = np.array([np.zeros(m), np.full(m, 1e-7)])  # row 1 trips the guard at step 63
+    # the guard is relative to the initial norm, so the gain sets the trip step:
+    # row 1 grows by BLOWUP_GUARD at step 63, the last of the first block
+    exploder = FeedbackParams(threshold=1.0, n_active=m, gain=-815.0, weight=1.0, cutoff_radius=0.5)
+    y0 = np.array([np.zeros(m), np.full(m, 1e-7)])
     errors = []
     for block in BLOCKS:
         monkeypatch.setattr(dynamics, "_BLOCK", block)
@@ -341,7 +391,7 @@ def test_stepping_memory_is_bounded_by_the_block(square16, pack_schedule):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = sum(getattr(run, name).nbytes for name in ("t_start", "dt", *BATCH_COLUMNS))
+    returned = sum(getattr(run, name).nbytes for name in ("times", *BATCH_COLUMNS))
     assert run.health(0)["steps"] == n_steps
     assert peak - before - returned <= 32 * dynamics._BLOCK * b * m * 8
 
@@ -408,16 +458,38 @@ def oracle_interval(schedule, t):
     n_steps=st.integers(1, 64),
 )
 def test_plan_matches_scalar_reduction(schedule16, offsets, dt, n_steps):
+    """One segment per step, the one at its start time t_start + k*dt, which
+    both evaluations of the step take (no second segment at t + dt), and the
+    segment of the end time last."""
     law = ControlLaw.periodic(schedule16)
     b = len(offsets)
-    seg_a, seg_b = segment_plan([law] * b, np.array(offsets), n_steps, np.full(b, dt))
-    assert seg_a.shape == (n_steps + 1, len(offsets)) and seg_b.shape == (n_steps, len(offsets))
+    times = step_times(np.array(offsets), np.full((n_steps, b), dt))
+    seg = segment_plan([law] * b, times)
+    assert times.shape == seg.shape == (n_steps + 1, b)
     for r, s in enumerate(offsets):
         for k in range(n_steps + 1):
             t = s + k * dt
-            assert seg_a[k, r] == oracle_interval(schedule16, t)
-            if k < n_steps:
-                assert seg_b[k, r] == oracle_interval(schedule16, t + dt)
+            assert times[k, r] == t
+            assert seg[k, r] == oracle_interval(schedule16, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t_start=st.sampled_from([0.0, 0.125, 0.375, -1.5]),
+    pieces=st.lists(st.tuples(st.integers(1, 9), st.integers(2, 12)), min_size=1, max_size=6),
+)
+def test_step_times_start_each_piece_where_the_last_ended(t_start, pieces):
+    """A row of pieces (steps n_p, size 2**-e_p) steps from s_p + j*dt_p, with
+    s_{p+1} = s_p + n_p dt_p; on these dyadic sizes every time is exact, which
+    the sum of exact fractions checks."""
+    from fractions import Fraction
+
+    sizes = np.concatenate([np.full(n, 2.0**-e) for n, e in pieces])
+    times = step_times(np.array([t_start]), sizes[:, None])[:, 0]
+    expected = [Fraction(t_start)]
+    for size in sizes:
+        expected.append(expected[-1] + Fraction(size))
+    assert [Fraction(t) for t in times] == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -265,6 +265,23 @@ def test_cost_curve_honours_configured_dt(tmp_path):
     report = json.loads((tmp_path / "out" / "cost_curve_report.json").read_text())
     assert report["config"]["dt"] == 2.0**-12
     assert [run["dt"] for run in report["runs"]] == [2.0**-12] * 3
+    assert [run["interval_dt"] for run in report["runs"]] == [[2.0**-12] * 6] * 3
+
+
+def test_nullcontrol_reports_its_piece_grid(tmp_path):
+    """Without dt, each of the n_max + 2 schedule pieces takes 64 steps of its
+    own size; dt is T over the steps, and the CSV has one row per step and
+    one for the end."""
+    config = parse_config(write_config(tmp_path))
+    assert run_subcommand("nullcontrol", config) == 0
+    out = tmp_path / "out"
+    report = json.loads((out / "nullcontrol_report.json").read_text())
+    lengths = np.diff(report["interval_times"])
+    assert report["interval_dt"] == (lengths / 64).tolist()
+    assert report["health"]["steps"] == 6 * 64 and report["dt"] == report["T"] / (6 * 64) == report["health"]["dt"]
+    rows = (out / report["trajectory"]).read_text().splitlines()[1:]
+    times = [float(row.split(",")[0]) for row in rows]
+    assert len(times) == 6 * 64 + 1 and times[::64] == report["interval_times"]
 
 
 def test_reports_record_run_health(tmp_path):
@@ -410,6 +427,11 @@ def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, caps
     ("stabilize", "eps_zero", float("nan")),
     ("stabilize", "experiment.y0_norm", float("inf")),
     ("eigen", "omega", [0.6, float("nan"), 0.1, 0.4]),
+    # the practical constants, checked before the basis solve
+    ("nullcontrol", "practical.spectral_constant", -0.02),
+    ("simulate", "practical.trilinear_constant", 0.0),
+    ("cost-curve", "practical.schedule_constant", -4.0),
+    ("stabilize", "practical.feedback_constant", 0.05),
 ])
 def test_out_of_range_experiment_value_names_its_key(tmp_path, capsys, subcommand, key, value):
     path = write_config(tmp_path, overrides={key: value})

@@ -78,6 +78,10 @@ def valid_configs(draw):
         "practical": practical,
         "experiment": experiment,
     }))
+    practical_section = optional.get("practical", {})
+    if practical_section.get("feedback_constant") is not None:  # c2 below 3 c1 is rejected
+        practical_section["feedback_constant"] = max(practical_section["feedback_constant"],
+                                                     3 * practical_section.get("spectral_constant", 0.5))
     if nx * ny - 2 < 24:  # the default M of 24 would exceed the solvable mode count
         optional.setdefault("M", draw(st.integers(5, nx * ny - 2)))
     return {"Lx": lx, "Ly": ly, "nx": nx, "ny": ny, "omega": [a, b, c, d], **optional}

@@ -26,9 +26,10 @@ def test_demo_imports_from_nsstab_are_exported():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_runs(tmp_path, demo):
-    # TMPDIR keeps the working directory a demo makes with mkdtemp inside tmp_path
+    # TMPDIR keeps any temporary directory a demo makes inside tmp_path
     src = str(Path(nsstab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "TMPDIR": str(tmp_path)}
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path, timeout=300,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("nsstab_demo_*")), "the demo left its temporary directory behind"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nsstab.constants import ConstantPack, FeedbackParams, feedback_params
+from nsstab.constants import ConstantPack, FeedbackParams, build_schedule, feedback_params
 from nsstab.dynamics import (
     ControlLaw,
     build_trilinear_tensor,
@@ -11,6 +11,7 @@ from nsstab.dynamics import (
     simulate_batch,
 )
 from nsstab.errors import BlowUpError
+from nsstab.experiments import random_low_mode_state
 
 import oracle
 from conftest import make_setup
@@ -153,6 +154,30 @@ def test_integrator_global_order_two(square32):
         errors.append(np.abs(end - ref).max())
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.2 <= coarse / fine <= 4.8
+
+
+def test_periodic_law_with_switches_on_the_grid_is_second_order(square32, pack_schedule):
+    """Every switch of a period-1/4 schedule with n_max = 4 is a multiple of
+    T/32, so on these grids each step sees one law, and the norms at the
+    switches converge at second order.  They are measured relative to each
+    norm, since the state falls by orders of magnitude over the period and
+    an error made at a late switch is small only in absolute terms: a
+    predictor that takes the next interval's law gives orders near 1 here."""
+    basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
+    schedule = build_schedule(2, pack_schedule, basis, 4)
+    law = ControlLaw.periodic(schedule)
+    y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=3)
+    period = schedule.period
+    switches = np.append(schedule.start_times, period)
+
+    def norms(divisions):
+        traj = run_one(y0, law, 0.0, period, period / divisions, basis, tensor, gram)
+        return traj.norm_h[np.rint(switches / period * divisions).astype(int)]
+
+    ref = norms(2**15)
+    errors = np.array([np.max(np.abs(norms(divisions) - ref) / ref) for divisions in (512, 1024, 2048)])
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
 
 
 def test_simulate_zero_initial_state(square32, pack_rapid):

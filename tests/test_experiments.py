@@ -77,8 +77,11 @@ def test_null_control_sampling_covers_intervals(small_setup):
         small_setup["pack"], [1], y0_norm=1e-3, n_max=4, seed=2,
     )[0]
     sched = report.schedule
-    counts = np.diff(np.rint(np.append(sched.start_times, sched.period) / report.dt))
-    assert np.all(counts >= 8)
+    # the steps of each piece, counted on the run's own sample times
+    counts = np.diff(np.searchsorted(report.trajectory.times, report.interval_times))
+    assert counts.sum() == len(report.trajectory.times) - 1
+    assert np.all(counts >= 64)
+    assert np.array_equal(report.trajectory.times[np.cumsum(np.append(0, counts))], report.interval_times)
     assert len(report.interval_norms) == sched.n_max + 3
 
 
@@ -97,9 +100,9 @@ def test_null_control_restart_reproduces_tail(small_setup):
     assert np.abs(resumed.states - full.states[idx:]).max() <= 1e-10
 
 
-# the default dt's floor 2**-(n0 + n_max + 4) gives every horizon 2**(n_max + 4)
-# steps and one batch; one shared dt gives each horizon its own step count
-@pytest.mark.parametrize(("dt", "batch_rows_expected", "steps"), [(None, [3], [2**8] * 3),
+# the default grid gives every horizon 64 steps per schedule piece, (n_max + 2) * 64
+# in all, and one batch; one shared dt gives each horizon its own step count
+@pytest.mark.parametrize(("dt", "batch_rows_expected", "steps"), [(None, [3], [6 * 64] * 3),
                                                                   (2.0**-10, [1, 1, 1], [512, 256, 128])],
                          ids=["default-dt", "shared-dt"])
 def test_null_control_horizons_match_single_runs(small_setup, monkeypatch, dt, batch_rows_expected, steps):
@@ -131,15 +134,38 @@ def test_null_control_horizons_match_single_runs(small_setup, monkeypatch, dt, b
     assert reports[0].null_reached
 
 
+def test_default_piece_grid_matches_a_fine_uniform_run(square32, pack_schedule):
+    """At 32x32, M = 24, with the acceptance-8 pack and no latch, the interval
+    norms of the default grid (64 steps per piece) are within 1e-4 relative of
+    a uniform run 2**(n_max + 8) steps fine, for each horizon."""
+    basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
+    reports = run_null_control(basis, tensor, gram, pack_schedule, [1, 2, 3], y0_norm=1e-3, n_max=8,
+                               eps_zero=0.0, seed=5)
+    assert [r.health["steps"] for r in reports] == [10 * 64] * 3
+    fine_dt = np.array([2.0 ** -(r.n0 + 8 + 8) for r in reports])
+    stride = 128  # samples every T/512, which holds every schedule time
+    y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=5)] * 3)
+    fine = simulate_batch(y0, [ControlLaw.periodic(r.schedule) for r in reports], 0.0,
+                          [r.period for r in reports], fine_dt, basis, tensor, gram, sample_stride=stride)
+    for row, report in enumerate(reports):
+        idx = np.rint(report.interval_times / (stride * fine_dt[row])).astype(int)
+        assert np.array_equal(fine.times[idx, row], report.interval_times)
+        expected = fine.norm_h[idx, row]
+        error = np.abs(report.interval_norms - expected) / expected
+        assert error.max() <= 1e-4, (report.n0, error.max())
+
+
 def test_null_control_blowup_names_its_run(small_setup):
     basis, tensor, gram, pack = (small_setup[k] for k in ("basis", "tensor", "gram", "pack"))
-    # at this norm the explicit step is unstable for T = 1/2 but not yet for T = 1/8,
-    # so the guard trips in the second row of the batch
+    # at this norm the closed loop of T = 1/2 runs away but that of T = 1/8
+    # does not, so only the second row of the batch trips the guard
+    [alone] = run_null_control(basis, tensor, gram, pack, [3], y0_norm=200.0, n_max=4)
+    assert alone.final_relative_norm < 1.0
     with pytest.raises(BlowUpError, match=r"in the run n0=1 \(T=0\.5\) at t=") as info:
-        run_null_control(basis, tensor, gram, pack, [3, 1], y0_norm=1e3, n_max=4)
+        run_null_control(basis, tensor, gram, pack, [3, 1], y0_norm=200.0, n_max=4)
     assert info.value.row == 1
     with pytest.raises(BlowUpError) as single:
-        run_null_control(basis, tensor, gram, pack, [1], y0_norm=1e3, n_max=4)
+        run_null_control(basis, tensor, gram, pack, [1], y0_norm=200.0, n_max=4)
     assert single.value.time == info.value.time
 
 
