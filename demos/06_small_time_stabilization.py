@@ -46,7 +46,10 @@ probe = run_small_time(
     eps_zero=1e-6, eta_grid=eta_grid, seed=5,
 )
 
-print(f"period T = {probe.period}, dt = {probe.dt:.3e}")
+# each start offset steps its own grid: every schedule switch and every s + jT
+# is a step time, and every row takes the same number of steps per period
+steps = len(probe.trajectories[0].times) - 1
+print(f"period T = {probe.period}, {steps} steps per row over two periods, mean dt = {probe.dt:.3e}")
 print("\nstart offset   ||state(s + 2T)|| / ||y0||")
 for s, res in zip(probe.offsets, probe.two_period_residuals):
     print(f"  {s:8.4f}     {res:.3e}")

@@ -387,10 +387,6 @@ class Schedule:
         """(n_max + 1,) bool: the intervals whose threshold was clamped."""
         return self.thresholds != self.thresholds_raw
 
-    @property
-    def max_gain(self) -> float:
-        return max(p.gain for p in self.params)
-
 
 def build_schedule(n0: int, pack: ConstantPack, basis: StokesBasis, n_max: int) -> Schedule:
     """Dyadic schedule for period 2**-n0 with n_max + 1 active intervals."""

@@ -24,8 +24,10 @@ optional radial cutoff and norm latch (:class:`ControlLaw`).  A run steps a
 start time and steps, as long as every row takes the same number of steps.
 A row's steps are either uniform or given one by one; a run of equal steps
 is a piece, and the j-th step of a piece starts at the piece's start plus
-j times its step (:func:`step_times`), so a piece that ends on a schedule
-switch ends on it exactly when the times are dyadic.  A step takes the law
+j times its step (:func:`step_times`).  The next piece starts at the end
+the step plan gives for this one, when it gives the piece ends, and
+otherwise at the sum of this piece's steps, which lands on a schedule
+switch exactly only when the times are dyadic.  A step takes the law
 of the segment it starts in for both of its evaluations, so the Heun step
 sees one law per step and stays second order across a switch that falls on
 a step boundary; a switch inside a step leaves an O(dt) local error there,
@@ -197,25 +199,41 @@ class ControlLaw:
         return gains, weights, radii, thresholds
 
 
-def _pieces(steps: np.ndarray):
-    """First step, length and step size of each run of equal steps in a (n_steps,) array."""
-    first = np.flatnonzero(np.diff(steps, prepend=np.nan) != 0)
+def _pieces(steps: np.ndarray, ends: np.ndarray | None = None):
+    """First step, length and step size of each piece of a (n_steps,) step array:
+    each run of equal steps, or of equal (step, piece end) pairs with ends."""
+    change = np.diff(steps, prepend=np.nan) != 0
+    if ends is not None:
+        change |= np.diff(ends, prepend=np.nan) != 0
+    first = np.flatnonzero(change)
     return first, np.diff(np.append(first, len(steps))), steps[first]
 
 
-def step_times(t_start: np.ndarray, dt: np.ndarray) -> np.ndarray:
+def step_times(t_start: np.ndarray, dt: np.ndarray, piece_ends: np.ndarray | None = None) -> np.ndarray:
     """Start time of every step of every row, then each row's end time.
 
     t_start holds one start per row and dt (n_steps, B) one size per step.
     Piece p of a row, a run of n_p equal steps dt_p, starts at s_p, with
     s_0 = t_start and s_{p+1} = s_p + n_p dt_p, and its j-th step starts at
     s_p + j dt_p.  A uniform row gets t_start + k dt, and on a dyadic grid
-    every time is exact.  Returns a (n_steps + 1, B) array.
+    every time is exact.  piece_ends, if given, is (n_steps, B) like dt and
+    holds the end of each step's piece: a piece is then a run of equal
+    (step, end) pairs, and s_{p+1} is the end the plan gives, not the sum,
+    so a piece whose start or step is not dyadic still ends exactly on the
+    plan's time (a schedule switch, say).  Each given end must lie within
+    1e-9 relative of its piece's sum.  Returns a (n_steps + 1, B) array.
     """
     times = np.empty((len(dt) + 1, dt.shape[1]))
     for r in range(dt.shape[1]):
-        first, length, size = _pieces(dt[:, r])
-        starts = np.cumsum(np.concatenate([t_start[r : r + 1], length * size]))
+        ends = None if piece_ends is None else piece_ends[:, r]
+        first, length, size = _pieces(dt[:, r], ends)
+        if ends is None:
+            starts = np.cumsum(np.concatenate([t_start[r : r + 1], length * size]))
+        else:
+            starts = np.concatenate([t_start[r : r + 1], ends[first]])
+            summed = starts[:-1] + length * size
+            if np.any(np.abs(starts[1:] - summed) > 1e-9 * np.maximum(np.abs(starts[1:]), size)):
+                raise ValueError(f"row {r}: a piece end is not where its steps end")
         piece = np.repeat(np.arange(len(first)), length)
         times[:-1, r] = starts[piece] + (np.arange(len(dt)) - first[piece]) * size[piece]
         times[-1, r] = starts[-1]
@@ -341,6 +359,7 @@ def simulate_batch(
     sample_stride: int = 1,
     latch_norm=None,
     state_rows: int | None = None,
+    piece_ends=None,
 ) -> BatchRun:
     """Integrate B closed-loop runs side by side, sampling every
     sample_stride steps.
@@ -351,7 +370,9 @@ def simulate_batch(
     t_start[r] for span[r] in steps of dt[r], every row coming to the same
     whole number of steps; or dt is a (B, n_steps) array of one size per
     step, whose pieces (see :func:`step_times`) must add up to each row's
-    span.  The step count must be a whole number of samples.  With
+    span.  With a step array, piece_ends may give the end of each step's
+    piece, a (B, n_steps) array like dt, and each piece then ends exactly
+    there.  The step count must be a whole number of samples.  With
     latch_norm, row r's control switches off for good at the first law
     evaluation whose state norm is <= latch_norm[r].  States are kept for
     the first state_rows rows (default: all).  Raises BlowUpError at the
@@ -377,7 +398,14 @@ def simulate_batch(
         if dt.shape[0] != b or dt.shape[1] == 0:
             raise ValueError(f"expected one step size per step for each of {b} rows, got {dt.shape}")
         step_dt = dt.T
+        if piece_ends is not None:
+            piece_ends = np.asarray(piece_ends, dtype=np.float64)
+            if piece_ends.shape != dt.shape:
+                raise ValueError(f"expected the piece ends as a {dt.shape} array like dt, got {piece_ends.shape}")
+            piece_ends = piece_ends.T
     else:
+        if piece_ends is not None:
+            raise ValueError("piece ends need a step array for dt")
         dt = np.broadcast_to(dt, (b,))
         steps = np.rint(span / dt)
         if np.any(steps <= 0) or np.any(np.abs(steps * dt - span) > 1e-9 * np.maximum(span, dt)):
@@ -385,7 +413,7 @@ def simulate_batch(
         if np.any(steps != steps[0]):
             raise ValueError(f"every row must take the same number of steps, got {sorted(set(steps.astype(int).tolist()))}")
         step_dt = np.broadcast_to(dt, (int(steps[0]), b))
-    times = step_times(t0, step_dt)
+    times = step_times(t0, step_dt, piece_ends)
     if np.any(np.abs(times[-1] - t0 - span) > 1e-9 * np.maximum(span, step_dt.max(axis=0))):
         raise ValueError("the steps must add up to the span")
     n_steps = len(step_dt)

@@ -10,6 +10,12 @@ Three experiments mirror the three guarantees of the control design:
 * small-time stabilization -- the periodic cutoff law over two periods from
   arbitrary start offsets, plus a uniform-stability probe.
 
+Without a configured dt, the schedule runs are stepped on piece grids
+(:func:`_row_plan`): each row is cut at every schedule switch and, for a
+start offset s, at s + j T, and each piece takes the step of its schedule
+interval (:func:`_interval_dt`), so every switch is a step time and each
+smooth piece is stepped at second order.
+
 Certified constant packs put the admissible initial data below double
 precision (the basin scales like exp(-c3/T) with an astronomically large
 c3); for those runs the null-control experiment degenerates by design to a
@@ -41,7 +47,7 @@ LOG_PRECISION_FLOOR = math.log(1e-290)
 #: most closed-loop steps a stationary-law run may plan (certified gains ask for millions)
 MAX_STEPS = 2**20
 
-#: fewest steps per schedule piece of a null-control run without a configured dt
+#: fewest steps per schedule piece of a schedule run without a configured dt
 _PIECE_STEPS = 64
 
 
@@ -79,6 +85,42 @@ def _interval_dt(schedule: Schedule) -> np.ndarray:
     lengths = np.diff(np.append(schedule.start_times, schedule.period))
     gains = [p.gain for p in schedule.params] + [0.0]
     return np.array([_dyadic_dt(gain, round(-math.log2(length / _PIECE_STEPS))) for gain, length in zip(gains, lengths)])
+
+
+def _row_plan(schedule: Schedule, interval_dt: np.ndarray, start: float = 0.0, periods: int = 1,
+              per_period: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Step plan of a row that runs the periodic law from start for periods periods.
+
+    The row is cut at every schedule switch and at start + j T, j = 0..periods.
+    A piece inside schedule piece n takes ceil(length / interval_dt[n]) equal
+    steps, so no step exceeds interval_dt[n], and a whole schedule piece of a
+    dyadic interval_dt takes its L_n / dt_n steps of dt_n.  With per_period,
+    the longest piece of each period takes the steps that bring the period
+    up to per_period.  Returns each step's size and the end of its piece, the
+    step array and piece ends of :func:`simulate_batch`; the ends are the
+    cuts themselves, so every cut is a step time exactly.
+    """
+    period = schedule.period
+    segment_at = ControlLaw.periodic(schedule).segment_at
+    ends, counts = [], []
+    for j in range(periods):
+        lo, hi = start + j * period, start + (j + 1) * period
+        base = math.floor(lo / period) * period
+        switches = np.concatenate([base + schedule.start_times, base + period + schedule.start_times])
+        cuts = np.concatenate([[lo], switches[(switches > lo) & (switches < hi)], [hi]])
+        length = np.diff(cuts)
+        limit = interval_dt[segment_at(cuts[:-1])]
+        n = np.ceil(length / limit).astype(int)
+        n += length / n > limit  # a quotient rounded down onto a whole number
+        if per_period is not None:
+            if n.sum() > per_period:
+                raise ValueError(f"the period from t = {lo:g} needs {n.sum()} steps, more than {per_period}")
+            n[np.argmax(length)] += per_period - n.sum()
+        ends.append(cuts[1:])
+        counts.append(n)
+    ends, counts = np.concatenate(ends), np.concatenate(counts)
+    sizes = np.diff(np.append(start, ends)) / counts
+    return np.repeat(sizes, counts), np.repeat(ends, counts)
 
 
 def _require_whole_steps(times: np.ndarray, dt: float, period: float) -> None:
@@ -297,11 +339,11 @@ def run_null_control(
 
     Without dt, each schedule piece (intervals 0..n_max and the terminal
     piece) is stepped on its own grid of at least _PIECE_STEPS steps (see
-    :func:`_interval_dt`), so every switch falls on a step boundary; while
-    no gain asks for a smaller step, every n0 takes _PIECE_STEPS * (n_max + 2)
-    steps.  A given dt steps every piece uniformly, and a dt that puts a
-    schedule time between two steps raises ConfigError before any run is
-    stepped.  The runs that take the same number of steps are stepped as the
+    :func:`_interval_dt` and :func:`_row_plan`), so every switch falls on a
+    step boundary; while no gain asks for a smaller step, every n0 takes
+    _PIECE_STEPS * (n_max + 2) steps.  A given dt steps every piece
+    uniformly, and a dt that puts a schedule time between two steps raises
+    ConfigError before any run is stepped.  The runs that take the same number of steps are stepped as the
     rows of one batch, and each report is filled from its own row.  A
     blow-up names its run.
     """
@@ -314,12 +356,14 @@ def run_null_control(
     for batch in batches.values():
         runs = [reports[i] for i in batch]
         y0 = np.array([random_low_mode_state(basis.n_modes, r.y0_norm, seed) for r in runs])
+        steps, ends = dt, None
+        if dt is None:
+            steps, ends = (np.array(column) for column in zip(*(_row_plan(r.schedule, r.interval_dt) for r in runs)))
         try:
             run = simulate_batch(
                 y0, [ControlLaw.periodic(r.schedule, cutoff=cutoff) for r in runs], 0.0,
-                [r.period for r in runs], [np.repeat(r.interval_dt, _piece_steps(r)) for r in runs],
-                basis, tensor, gram, nu=nu,
-                latch_norm=[eps_zero * r.y0_norm for r in runs],
+                [r.period for r in runs], steps, basis, tensor, gram, nu=nu,
+                latch_norm=[eps_zero * r.y0_norm for r in runs], piece_ends=ends,
             )
         except BlowUpError as exc:
             failed = runs[exc.row]
@@ -498,31 +542,50 @@ def run_small_time(
     otherwise), the feedback norm constraint at every sample, and fills the
     uniform-stability table delta(eta) = sup-over-time norm for initial
     norms eta.  eta defaults to {1e-4, 1e-3, 1e-2} times the first cutoff
-    radius of the schedule.  A dt that does not divide T raises ConfigError.
+    radius of the schedule.
+
+    Without dt, each offset s steps its own piece grid (see
+    :func:`_row_plan`): cut at every schedule switch and at s + j T, each
+    piece with its interval's step of :func:`_interval_dt`, and each period
+    evened to the most steps any offset needs in one period, so every switch
+    and every s + j T is a step time and every row takes the same steps per
+    period; the probe's dt is then the mean step periods * T / steps.  A
+    given dt steps every row uniformly, and one that does not divide T
+    raises ConfigError.
     """
     if periods < 2:
         raise ValueError("need at least two periods for the null check")
+    offsets = np.asarray(list(s_offsets), dtype=float)
+    if not offsets.size:
+        raise ValueError("need at least one start offset")
     schedule = build_schedule(n0, pack, basis, n_max)
-    if dt is None:
-        dt = _dyadic_dt(schedule.max_gain, n0 + n_max + 4)
-    _require_whole_steps(np.array([schedule.period]), dt, schedule.period)
     if eta_grid is None:
         eta_grid = np.array([1e-4, 1e-3, 1e-2]) * schedule.params[0].cutoff_radius
     eta_grid = np.asarray(eta_grid, dtype=float)
     if eta_grid.size and np.any(np.diff(eta_grid) < 0):
         raise ValueError("eta grid must be ascending")
-    offsets = np.asarray(list(s_offsets), dtype=float)
-
     # one batch: y0_norm from every offset, then each eta from every offset;
     # only the y0_norm rows keep their state history
     n_off = len(offsets)
     norms = [y0_norm] + [float(eta) for eta in eta_grid]
+    if dt is None:
+        interval_dt = _interval_dt(schedule)
+        per_period = max(len(_row_plan(schedule, interval_dt, s)[0]) for s in offsets)
+        plans = [_row_plan(schedule, interval_dt, s, periods, per_period) for s in offsets]
+        steps, ends = (np.tile(column, (len(norms), 1)) for column in zip(*plans))
+        dt = schedule.period / per_period  # the mean step, periods * T / steps
+        logger.info("%d steps per period on the schedule-piece grid, mean dt %.3e", per_period, dt)
+    else:
+        _require_whole_steps(np.array([schedule.period]), dt, schedule.period)
+        steps, ends = dt, None
+
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed) for norm in norms for _ in offsets])
     run = simulate_batch(
         y0, ControlLaw.periodic(schedule, cutoff=True), np.tile(offsets, len(norms)),
-        periods * schedule.period, dt, basis, tensor, gram, nu=nu, state_rows=n_off,
+        periods * schedule.period, steps, basis, tensor, gram, nu=nu, state_rows=n_off, piece_ends=ends,
     )
-    two_period_index = int(round(2 * schedule.period / dt))
+    # every period takes the same number of steps, on either grid
+    two_period_index = 2 * (len(run.times) - 1) // periods
     residuals = run.norm_h[two_period_index, :n_off] / max(y0_norm, eps_zero)
     two_period_ok = bool(np.all(residuals <= eps_zero))
     feedback_ok = all(

@@ -169,20 +169,27 @@ def test_criterion_6_null_controllability(square32, schedule_pack):
     rerun = run_null_control(basis, tensor, gram, schedule_pack, [1], y0_norm=1e-3,
                              n_max=8, eps_zero=1e-6, seed=5, dt=report.dt / 4.0)[0]
     elapsed = time.perf_counter() - start
-    cost_change = abs(rerun.cost - report.cost) / report.cost
+    # the refinement check compares the state norms, which see the grid (the
+    # cost is taken at t = 0 and does not), at the sample times the two runs
+    # share, before the earlier latch switches the control off
+    coarse, fine = report.trajectory, rerun.trajectory
+    nearest = np.clip(np.searchsorted(fine.times, coarse.times), 0, len(fine.times) - 1)
+    latch = min(r.latch_time if r.null_reached else math.inf for r in (report, rerun))
+    shared = (np.abs(fine.times[nearest] - coarse.times) <= 1e-12) & (coarse.times < latch)
+    norm_change = np.max(np.abs(fine.norm_h[nearest[shared]] / coarse.norm_h[shared] - 1.0))
     ok = (
         report.final_relative_norm <= 1e-6
         and bool(report.monotone_ok.all())
         and math.isfinite(report.cost)
         and report.cost_bound_ok
-        and cost_change < 0.01
+        and norm_change < 1e-4
         and elapsed < 300.0
     )
     _verdict(
         6, "null controllability", ok,
         f"final={report.final_relative_norm:.2e}, cost={report.cost:.3e}, "
-        f"bound ok={report.cost_bound_ok}, dt/4 cost change={cost_change:.2e}, "
-        f"{elapsed:.1f}s",
+        f"bound ok={report.cost_bound_ok}, dt/4 norm change={norm_change:.2e} "
+        f"over {shared.sum()} shared samples, {elapsed:.1f}s",
     )
 
 

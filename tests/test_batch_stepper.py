@@ -150,6 +150,37 @@ def test_steps_per_piece_match_the_oracle_chained_piece_by_piece(square16, pack_
     assert np.array_equal(run.times[np.append(0, np.cumsum(counts[0])), 0], times)
 
 
+def test_piece_ends_put_a_non_dyadic_piece_on_the_next_switch(square16, pack_schedule):
+    """A row starting at 0.1 T takes 11 steps to the switch T/2, then interval
+    1's 16 dyadic steps.  Summed, 0.05 + 11 (0.2/11) comes to one ulp past
+    0.25; with the piece ends given, step 11 starts on 0.25 exactly and takes
+    interval 1's law.  A second row starts on the switch 0.375 and ends on
+    the terminal start, so the rows take the same 27 steps."""
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    sched = build_schedule(1, pack_schedule, basis, 4)
+    t1, t2, t3, t4 = sched.start_times[1:5]  # 0.25, 0.375, 0.4375, 0.46875
+    t_start = np.array([0.05, t2])
+    steps = np.array([np.repeat([(t1 - 0.05) / 11, 2.0**-7], [11, 16]),
+                      np.repeat([(t3 - t2) / 11, 2.0**-9], [11, 16])])
+    ends = np.array([np.repeat([t1, t2], [11, 16]), np.repeat([t3, t4], [11, 16])])
+    summed = step_times(t_start, steps.T)
+    assert summed[11, 0] == np.nextafter(t1, 1.0)
+    y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=2)] * 2)
+    run = simulate_batch(y0, ControlLaw.periodic(sched), t_start, [t2 - 0.05, t4 - t2], steps, basis, tensor, gram,
+                         piece_ends=ends)
+    assert np.array_equal(run.times[[0, 11, 27]].T, [[0.05, t1, t2], [t2, t3, t4]])
+    assert np.array_equal(run.segments[[10, 11, 27]].T, [[0, 1, 2], [2, 3, 4]])
+    assert np.array_equal(run.times, step_times(t_start, steps.T, ends.T))
+    # a piece end that its steps do not reach, ends without a step array, ends of another shape
+    with pytest.raises(ValueError, match="not where its steps end"):
+        step_times(t_start, steps.T, ends.T + 1e-3)
+    with pytest.raises(ValueError, match="need a step array"):
+        simulate_batch(y0, ControlLaw.periodic(sched), 0.0, 0.25, 2.0**-7, basis, tensor, gram, piece_ends=ends)
+    with pytest.raises(ValueError, match="piece ends as a"):
+        simulate_batch(y0, ControlLaw.periodic(sched), t_start, [t2 - 0.05, t4 - t2], steps, basis, tensor, gram,
+                       piece_ends=ends[:, :-1])
+
+
 def test_blowup_raised_at_oracle_step_for_first_failing_row(square16):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     m = basis.n_modes

@@ -4,10 +4,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsstab import experiments
 from nsstab.constants import ConstantPack, FeedbackParams, Schedule, build_schedule
-from nsstab.dynamics import ControlLaw, simulate_batch
+from nsstab.dynamics import ControlLaw, simulate_batch, step_times
 from nsstab.errors import BlowUpError, BoundViolatedError
 from nsstab.experiments import (
     fit_cost_curve,
@@ -132,6 +134,21 @@ def test_null_control_horizons_match_single_runs(small_setup, monkeypatch, dt, b
         assert batched.health["max_energy_defect"] == pytest.approx(single.health["max_energy_defect"], rel=1e-6,
                                                                     abs=1e-20)
     assert reports[0].null_reached
+
+
+def test_null_control_cost_is_the_first_gain_times_the_active_part(small_setup, monkeypatch):
+    """The cost is the largest control norm, which every run takes at t = 0:
+    interval 0's gain times the norm of y0 on its active modes."""
+    basis, tensor, gram, pack = (small_setup[k] for k in ("basis", "tensor", "gram", "pack"))
+    reports = run_null_control(basis, tensor, gram, pack, [1, 2, 3], y0_norm=1e-3, n_max=4, seed=2)
+    y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=2)
+    for report in reports:
+        first = report.schedule.params[0]
+        assert report.cost == pytest.approx(first.gain * np.linalg.norm(y0[: first.n_active]), rel=1e-12)
+    # a start inside the active modes: the cost is the gain times its norm, exactly
+    monkeypatch.setattr(experiments, "random_low_mode_state", lambda m, norm, seed: norm * np.eye(m)[0])
+    for report in run_null_control(basis, tensor, gram, pack, [1, 2, 3], y0_norm=1e-3, n_max=4, seed=2):
+        assert report.cost == report.schedule.params[0].gain * 1e-3
 
 
 def test_default_piece_grid_matches_a_fine_uniform_run(square32, pack_schedule):
@@ -265,6 +282,109 @@ def test_small_time_probe(small_setup):
     assert len(probe.trajectories) == 2
 
 
+#: offsets, as fractions of T, of the piece-grid tests: the three of acceptance 8 and one seeded random one
+GRID_OFFSETS = (0.0, 1.0 / 3.0, 0.9, float(np.random.default_rng(12).uniform(-1.0, 2.0)))
+
+
+@pytest.fixture(scope="module")
+def piece_grid_probe(small_setup):
+    """A three-period probe on the default piece grid, n0 = 1, n_max = 4."""
+    period = 0.5
+    return run_small_time(small_setup["basis"], small_setup["tensor"], small_setup["gram"], small_setup["pack"],
+                          1, 1e-3, [f * period for f in GRID_OFFSETS], periods=3, n_max=4,
+                          eta_grid=np.array([]), seed=7)
+
+
+def test_small_time_rows_take_the_same_steps_in_every_period(piece_grid_probe):
+    probe = piece_grid_probe
+    counts = [np.diff(np.searchsorted(traj.times, s + np.arange(4) * probe.period))
+              for s, traj in zip(probe.offsets, probe.trajectories)]
+    # 6 pieces of 64 steps, plus one for the piece an offset splits
+    assert np.array_equal(counts, np.full((len(GRID_OFFSETS), 3), 6 * 64 + 1))
+    assert probe.dt == 3 * probe.period / (3 * (6 * 64 + 1))
+
+
+def test_small_time_grid_steps_on_every_switch_and_period_start(piece_grid_probe):
+    probe = piece_grid_probe
+    period, starts = probe.period, probe.schedule.start_times
+    for s, traj in zip(probe.offsets, probe.trajectories):
+        m = np.arange(math.floor(s / period), math.floor(s / period) + 4)
+        switches = (m[:, None] * period + starts).ravel()
+        cuts = np.append(switches[(switches >= s) & (switches <= s + 3 * period)], s + np.arange(4) * period)
+        assert np.isin(cuts, traj.times).all(), s
+        assert traj.times[0] == s and traj.times[-1] == s + 3 * period
+
+
+def test_small_time_steps_stay_within_their_interval_dt(piece_grid_probe):
+    probe = piece_grid_probe
+    limit = experiments._interval_dt(probe.schedule)
+    for s, traj in zip(probe.offsets, probe.trajectories):
+        steps, ends = experiments._row_plan(probe.schedule, limit, s, 3, 6 * 64 + 1)
+        assert np.all(steps <= limit[traj.interval[:-1]]), s
+        assert np.isin(ends, traj.times).all()
+        assert np.all(np.diff(traj.times) <= limit[traj.interval[:-1]] * (1 + 1e-12)), s
+
+
+def test_small_time_two_period_index_lands_on_two_periods(piece_grid_probe):
+    probe = piece_grid_probe
+    index = round(2 * probe.period / probe.dt)
+    for s, traj, residual in zip(probe.offsets, probe.trajectories, probe.two_period_residuals):
+        assert traj.times[index] == s + 2 * probe.period
+        assert residual == traj.norm_h[index] / 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.floats(-3.0, 3.0, allow_nan=False), periods=st.integers(1, 3), n0=st.integers(1, 3))
+def test_row_plan_cuts_every_switch_and_evens_its_periods(small_setup, start, periods, n0):
+    """For any start: the steps run from start to start + periods T through
+    every schedule switch and every start + j T exactly, no step exceeds its
+    interval's dt, and each period, evened to one step more than the
+    longest natural period can need, takes exactly that many."""
+    schedule = build_schedule(n0, small_setup["pack"], small_setup["basis"], 4)
+    period, limit = schedule.period, experiments._interval_dt(schedule)
+    per_period = round(period / limit[:-1].min()) + 12  # more than any natural period, whatever the start
+    steps, ends = experiments._row_plan(schedule, limit, start, periods, per_period)
+    times = step_times(np.array([start]), steps[:, None], ends[:, None])[:, 0]
+    marks = start + np.arange(periods + 1) * period
+    assert np.array_equal(np.diff(np.searchsorted(times, marks)), np.full(periods, per_period))
+    m = np.arange(math.floor(start / period), math.floor(start / period) + periods + 2)
+    switches = (m[:, None] * period + schedule.start_times).ravel()
+    cuts = np.append(switches[(switches >= start) & (switches <= marks[-1])], marks)
+    assert np.isin(cuts, times).all()
+    assert np.all(steps <= limit[ControlLaw.periodic(schedule).segment_at(times[:-1])])
+
+
+def test_small_time_configured_dt_keeps_the_uniform_grid(small_setup):
+    probe = run_small_time(small_setup["basis"], small_setup["tensor"], small_setup["gram"], small_setup["pack"],
+                           1, 1e-3, [0.0, 0.5 / 3.0], n_max=4, eta_grid=np.array([]), dt=2.0**-10, seed=7)
+    for s, traj in zip(probe.offsets, probe.trajectories):
+        assert np.array_equal(traj.times, s + np.arange(1025) * 2.0**-10)
+    assert probe.dt == 2.0**-10
+
+
+def test_small_time_piece_grid_matches_a_fine_uniform_run(square32, pack_schedule):
+    """At 32x32, M = 24, with the acceptance-8 pack (n_max = 8, 641 steps per
+    period), the norms over the first period are within 1e-3 relative of a
+    uniform run of dt = 2**-16, interpolated log-linearly at the piece grid's
+    times.  Measured: 1.4e-4 (seed 7, offset T/3); a 2**-18 reference gives
+    the same 1.4e-4 and differs from the 2**-16 one by at most 7.7e-6, at four
+    times the cost."""
+    basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
+    period = 0.5
+    offsets = np.array([0.0, period / 3.0, 0.9 * period])
+    probe = run_small_time(basis, tensor, gram, pack_schedule, 1, 1e-3, offsets, eps_zero=1e-8,
+                           eta_grid=np.array([]), seed=7)
+    assert probe.health["steps"] == 3 * 2 * 641
+    y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=7)] * 3)
+    fine = simulate_batch(y0, ControlLaw.periodic(probe.schedule, cutoff=True), offsets, period, 2.0**-16,
+                          basis, tensor, gram, sample_stride=16)
+    for row, traj in enumerate(probe.trajectories):
+        first = traj.times <= offsets[row] + period
+        expected = np.exp(np.interp(traj.times[first], fine.times[:, row], np.log(fine.norm_h[:, row])))
+        error = np.abs(traj.norm_h[first] / expected - 1.0).max()
+        assert error <= 1e-3, (offsets[row], error)
+
+
 def test_small_time_zero_state_stays_zero(small_setup):
     probe = run_small_time(
         small_setup["basis"], small_setup["tensor"], small_setup["gram"],
@@ -293,6 +413,12 @@ def test_small_time_rejects_single_period(small_setup):
             small_setup["basis"], small_setup["tensor"], small_setup["gram"],
             small_setup["pack"], 1, 1e-3, [0.0], periods=1, n_max=4,
         )
+
+
+def test_small_time_rejects_no_offsets(small_setup):
+    with pytest.raises(ValueError, match="at least one start offset"):
+        run_small_time(small_setup["basis"], small_setup["tensor"], small_setup["gram"], small_setup["pack"],
+                       1, 1e-3, [], n_max=4)
 
 
 def test_fit_cost_curve_trivial_oracles():
