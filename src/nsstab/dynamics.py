@@ -22,16 +22,16 @@ Every control law here is piecewise-constant linear feedback with an
 optional radial cutoff and norm latch (:class:`ControlLaw`).  A run steps a
 (B, M) batch of trajectories together, and each row may have its own law,
 start time and steps, as long as every row takes the same number of steps.
-A row's steps are either uniform or given one by one; a run of equal steps
-is a piece, and the j-th step of a piece starts at the piece's start plus
-j times its step (:func:`step_times`).  The next piece starts at the end
-the step plan gives for this one, when it gives the piece ends, and
-otherwise at the sum of this piece's steps, which lands on a schedule
-switch exactly only when the times are dyadic.  A step takes the law
-of the segment it starts in for both of its evaluations, so the Heun step
-sees one law per step and stays second order across a switch that falls on
-a step boundary; a switch inside a step leaves an O(dt) local error there,
-so a run with such switches is first order.  The run compiles each row's
+A row's steps are either uniform, one piece, or given one by one with the
+end of each step's piece; a run of equal steps with one end is a piece,
+its j-th step starts at the piece's start plus j times its step, and the
+next piece starts at the end the plan gives (:func:`step_times`), so a
+piece that starts between switches still ends on the next one exactly.  A
+step takes the law of the segment it starts in for both of its
+evaluations, so the Heun step sees one law per step and stays second
+order across a switch that falls on a step boundary; a switch inside a
+step leaves an O(dt) local error there, so a run with such switches is
+first order.  The run compiles each row's
 law once into the segment active at the start of each step, and into its
 own table of gains, weights and radii, padded with zero-law rows to the
 size every row shares; row r's segment s sits at r*size + s % size of the
@@ -199,41 +199,33 @@ class ControlLaw:
         return gains, weights, radii, thresholds
 
 
-def _pieces(steps: np.ndarray, ends: np.ndarray | None = None):
-    """First step, length and step size of each piece of a (n_steps,) step array:
-    each run of equal steps, or of equal (step, piece end) pairs with ends."""
-    change = np.diff(steps, prepend=np.nan) != 0
-    if ends is not None:
-        change |= np.diff(ends, prepend=np.nan) != 0
+def _pieces(steps: np.ndarray, ends: np.ndarray):
+    """First step, length and step size of each piece of a row's (n_steps,)
+    step array and piece ends: each run of equal (step, end) pairs."""
+    change = (np.diff(steps, prepend=np.nan) != 0) | (np.diff(ends, prepend=np.nan) != 0)
     first = np.flatnonzero(change)
     return first, np.diff(np.append(first, len(steps))), steps[first]
 
 
-def step_times(t_start: np.ndarray, dt: np.ndarray, piece_ends: np.ndarray | None = None) -> np.ndarray:
+def step_times(t_start: np.ndarray, dt: np.ndarray, piece_ends: np.ndarray) -> np.ndarray:
     """Start time of every step of every row, then each row's end time.
 
-    t_start holds one start per row and dt (n_steps, B) one size per step.
-    Piece p of a row, a run of n_p equal steps dt_p, starts at s_p, with
-    s_0 = t_start and s_{p+1} = s_p + n_p dt_p, and its j-th step starts at
-    s_p + j dt_p.  A uniform row gets t_start + k dt, and on a dyadic grid
-    every time is exact.  piece_ends, if given, is (n_steps, B) like dt and
-    holds the end of each step's piece: a piece is then a run of equal
-    (step, end) pairs, and s_{p+1} is the end the plan gives, not the sum,
-    so a piece whose start or step is not dyadic still ends exactly on the
-    plan's time (a schedule switch, say).  Each given end must lie within
-    1e-9 relative of its piece's sum.  Returns a (n_steps + 1, B) array.
+    t_start holds one start per row, and dt and piece_ends (n_steps, B) one
+    size per step and the end of each step's piece.  Piece p of a row, a run
+    of n_p equal (step, end) pairs (dt_p, e_p), starts at s_p, with
+    s_0 = t_start and s_{p+1} = e_p, and its j-th step starts at
+    s_p + j dt_p; so a piece whose start or step is not dyadic still ends
+    exactly on the plan's time (a schedule switch, say).  Each end must lie
+    within 1e-9 relative of its piece's sum s_p + n_p dt_p.  Returns a
+    (n_steps + 1, B) array.
     """
     times = np.empty((len(dt) + 1, dt.shape[1]))
     for r in range(dt.shape[1]):
-        ends = None if piece_ends is None else piece_ends[:, r]
-        first, length, size = _pieces(dt[:, r], ends)
-        if ends is None:
-            starts = np.cumsum(np.concatenate([t_start[r : r + 1], length * size]))
-        else:
-            starts = np.concatenate([t_start[r : r + 1], ends[first]])
-            summed = starts[:-1] + length * size
-            if np.any(np.abs(starts[1:] - summed) > 1e-9 * np.maximum(np.abs(starts[1:]), size)):
-                raise ValueError(f"row {r}: a piece end is not where its steps end")
+        first, length, size = _pieces(dt[:, r], piece_ends[:, r])
+        starts = np.concatenate([t_start[r : r + 1], piece_ends[first, r]])
+        summed = starts[:-1] + length * size
+        if np.any(np.abs(starts[1:] - summed) > 1e-9 * np.maximum(np.abs(starts[1:]), size)):
+            raise ValueError(f"row {r}: a piece end is not where its steps end")
         piece = np.repeat(np.arange(len(first)), length)
         times[:-1, r] = starts[piece] + (np.arange(len(dt)) - first[piece]) * size[piece]
         times[-1, r] = starts[-1]
@@ -368,11 +360,11 @@ def simulate_batch(
     laws; t_start and span are scalars for every row or (B,) arrays.  dt is
     either uniform, a scalar or a (B,) array, and row r then runs from
     t_start[r] for span[r] in steps of dt[r], every row coming to the same
-    whole number of steps; or dt is a (B, n_steps) array of one size per
-    step, whose pieces (see :func:`step_times`) must add up to each row's
-    span.  With a step array, piece_ends may give the end of each step's
-    piece, a (B, n_steps) array like dt, and each piece then ends exactly
-    there.  The step count must be a whole number of samples.  With
+    whole number n of steps, as one piece that ends at t_start[r] + n dt[r];
+    or dt is a (B, n_steps) step plan of one size per step, and piece_ends,
+    a (B, n_steps) array like it, gives the end of each step's piece (see
+    :func:`step_times`), the last of which must be each row's
+    t_start + span.  The step count must be a whole number of samples.  With
     latch_norm, row r's control switches off for good at the first law
     evaluation whose state norm is <= latch_norm[r].  States are kept for
     the first state_rows rows (default: all).  Raises BlowUpError at the
@@ -397,12 +389,12 @@ def simulate_batch(
     if dt.ndim == 2:
         if dt.shape[0] != b or dt.shape[1] == 0:
             raise ValueError(f"expected one step size per step for each of {b} rows, got {dt.shape}")
-        step_dt = dt.T
-        if piece_ends is not None:
-            piece_ends = np.asarray(piece_ends, dtype=np.float64)
-            if piece_ends.shape != dt.shape:
-                raise ValueError(f"expected the piece ends as a {dt.shape} array like dt, got {piece_ends.shape}")
-            piece_ends = piece_ends.T
+        if piece_ends is None:
+            raise ValueError("a step array needs its piece ends")
+        piece_ends = np.asarray(piece_ends, dtype=np.float64)
+        if piece_ends.shape != dt.shape:
+            raise ValueError(f"expected the piece ends as a {dt.shape} array like dt, got {piece_ends.shape}")
+        step_dt, piece_ends = dt.T, piece_ends.T
     else:
         if piece_ends is not None:
             raise ValueError("piece ends need a step array for dt")
@@ -413,6 +405,7 @@ def simulate_batch(
         if np.any(steps != steps[0]):
             raise ValueError(f"every row must take the same number of steps, got {sorted(set(steps.astype(int).tolist()))}")
         step_dt = np.broadcast_to(dt, (int(steps[0]), b))
+        piece_ends = np.broadcast_to(t0 + steps * dt, step_dt.shape)
     times = step_times(t0, step_dt, piece_ends)
     if np.any(np.abs(times[-1] - t0 - span) > 1e-9 * np.maximum(span, step_dt.max(axis=0))):
         raise ValueError("the steps must add up to the span")
@@ -431,7 +424,7 @@ def simulate_batch(
     index = (seg.astype(np.intp) % size + row_start).astype(np.min_scalar_type(b * size))
     # the same for the step sizes: row r's distinct sizes, padded with its
     # largest, at r*n_sizes onward, and each step's entry in dt_index
-    sizes = [np.unique(_pieces(step_dt[:, r])[2]) for r in range(b)]
+    sizes = [np.unique(step_dt[:, r]) for r in range(b)]
     n_sizes = max(len(v) for v in sizes)
     dt_values = np.concatenate([np.pad(v, (0, n_sizes - len(v)), mode="edge") for v in sizes])
     dt_index = np.empty(step_dt.shape, dtype=np.min_scalar_type(b * n_sizes))

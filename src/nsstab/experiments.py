@@ -10,11 +10,11 @@ Three experiments mirror the three guarantees of the control design:
 * small-time stabilization -- the periodic cutoff law over two periods from
   arbitrary start offsets, plus a uniform-stability probe.
 
-Without a configured dt, the schedule runs are stepped on piece grids
-(:func:`_row_plan`): each row is cut at every schedule switch and, for a
-start offset s, at s + j T, and each piece takes the step of its schedule
-interval (:func:`_interval_dt`), so every switch is a step time and each
-smooth piece is stepped at second order.
+The schedule runs are stepped on piece grids (:func:`_row_plan`): each row
+is cut at every schedule switch and, for a start offset s, at s + j T, and
+each piece takes equal steps of at most its cap: the step of its schedule
+interval (:func:`_interval_dt`), or the configured dt.  So every switch is
+a step time and each smooth piece is stepped at second order.
 
 Certified constant packs put the admissible initial data below double
 precision (the basin scales like exp(-c3/T) with an astronomically large
@@ -44,10 +44,10 @@ ACTIVE_INIT_MODES = 8
 #: below this log-threshold a basin is unrepresentable in float64
 LOG_PRECISION_FLOOR = math.log(1e-290)
 
-#: most closed-loop steps a stationary-law run may plan (certified gains ask for millions)
+#: most closed-loop steps a row may plan (certified gains ask for millions)
 MAX_STEPS = 2**20
 
-#: fewest steps per schedule piece of a schedule run without a configured dt
+#: fewest steps per schedule piece without a configured dt
 _PIECE_STEPS = 64
 
 
@@ -87,18 +87,20 @@ def _interval_dt(schedule: Schedule) -> np.ndarray:
     return np.array([_dyadic_dt(gain, round(-math.log2(length / _PIECE_STEPS))) for gain, length in zip(gains, lengths)])
 
 
-def _row_plan(schedule: Schedule, interval_dt: np.ndarray, start: float = 0.0, periods: int = 1,
+def _row_plan(schedule: Schedule, caps: np.ndarray, start: float = 0.0, periods: int = 1,
               per_period: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Step plan of a row that runs the periodic law from start for periods periods.
 
     The row is cut at every schedule switch and at start + j T, j = 0..periods.
-    A piece inside schedule piece n takes ceil(length / interval_dt[n]) equal
-    steps, so no step exceeds interval_dt[n], and a whole schedule piece of a
-    dyadic interval_dt takes its L_n / dt_n steps of dt_n.  With per_period,
-    the longest piece of each period takes the steps that bring the period
-    up to per_period.  Returns each step's size and the end of its piece, the
-    step array and piece ends of :func:`simulate_batch`; the ends are the
-    cuts themselves, so every cut is a step time exactly.
+    A piece of length L inside schedule piece n takes ceil(L / caps[n]) equal
+    steps, so no step exceeds caps[n]; a cap that divides L to within
+    simulate_batch's 1e-9 tolerance takes exactly L / caps[n] of them.  With
+    per_period, the longest piece of each period takes the steps that bring
+    the period up to per_period.  Raises ConfigError on dt, before any step
+    array is built, when the row would take more than MAX_STEPS steps.
+    Returns each step's size and the end of its piece, the step plan of
+    :func:`simulate_batch`; the ends are the cuts themselves, so every cut is
+    a step time exactly.
     """
     period = schedule.period
     segment_at = ControlLaw.periodic(schedule).segment_at
@@ -109,9 +111,8 @@ def _row_plan(schedule: Schedule, interval_dt: np.ndarray, start: float = 0.0, p
         switches = np.concatenate([base + schedule.start_times, base + period + schedule.start_times])
         cuts = np.concatenate([[lo], switches[(switches > lo) & (switches < hi)], [hi]])
         length = np.diff(cuts)
-        limit = interval_dt[segment_at(cuts[:-1])]
-        n = np.ceil(length / limit).astype(int)
-        n += length / n > limit  # a quotient rounded down onto a whole number
+        quotient = length / caps[segment_at(cuts[:-1])]
+        n = np.maximum(np.ceil(quotient - 1e-9 * np.maximum(quotient, 1.0)), 1.0).astype(int)
         if per_period is not None:
             if n.sum() > per_period:
                 raise ValueError(f"the period from t = {lo:g} needs {n.sum()} steps, more than {per_period}")
@@ -119,19 +120,11 @@ def _row_plan(schedule: Schedule, interval_dt: np.ndarray, start: float = 0.0, p
         ends.append(cuts[1:])
         counts.append(n)
     ends, counts = np.concatenate(ends), np.concatenate(counts)
+    if counts.sum() > MAX_STEPS:
+        raise ConfigError("dt", f"the row from t = {start:g} over {periods} period(s) of T = {period:g} needs "
+                                f"{counts.sum()} steps, more than the budget of {MAX_STEPS}")
     sizes = np.diff(np.append(start, ends)) / counts
     return np.repeat(sizes, counts), np.repeat(ends, counts)
-
-
-def _require_whole_steps(times: np.ndarray, dt: float, period: float) -> None:
-    """Raise ConfigError on dt unless each schedule time is a whole number of steps of dt.
-
-    Uses the tolerance of simulate_batch's own span check.
-    """
-    off = np.flatnonzero(np.abs(np.rint(times / dt) * dt - times) > 1e-9 * np.maximum(times, dt))
-    if off.size:
-        raise ConfigError("dt", f"t = {times[off[0]]:g} of the schedule of period T = {period:g} "
-                                f"is not a whole number of steps of dt = {dt:g}")
 
 
 def _log_slope(times: np.ndarray, values: np.ndarray) -> float:
@@ -281,6 +274,8 @@ class NullControlReport:
     schedule: Schedule
     dt: float = float("nan")  # T / steps taken: the mean step
     interval_dt: np.ndarray | None = None  # step of each piece: intervals 0..n_max, then the terminal piece
+    # sup_t ||c(t)||_2 of the control's coefficients c (at t = 0 without the
+    # cutoff), not ||f||_{L2(omega)} = sqrt(c^T G c)
     cost: float = float("nan")
     cost_bound_ok: bool = True  # ln cost <= c3/T + ln ||y0||
     final_relative_norm: float = float("nan")
@@ -294,11 +289,6 @@ class NullControlReport:
     monotone_ok: np.ndarray | None = None  # ||y(T_{n+1})|| <= ||y(T_n)||, n >= 1
     trajectory: Trajectory | None = None
     health: dict = field(default_factory=dict)  # BatchRun.health of this run's row, and dt
-
-
-def _piece_steps(report: NullControlReport) -> np.ndarray:
-    """Steps of each schedule piece of a planned run."""
-    return np.rint(np.diff(report.interval_times) / report.interval_dt).astype(int)
 
 
 def _interval_norm_log_bounds(schedule: Schedule, q: float) -> np.ndarray:
@@ -337,28 +327,27 @@ def run_null_control(
     control is latched to zero.  For certified packs a violated
     per-interval bound raises BoundViolatedError.
 
-    Without dt, each schedule piece (intervals 0..n_max and the terminal
-    piece) is stepped on its own grid of at least _PIECE_STEPS steps (see
-    :func:`_interval_dt` and :func:`_row_plan`), so every switch falls on a
-    step boundary; while no gain asks for a smaller step, every n0 takes
-    _PIECE_STEPS * (n_max + 2) steps.  A given dt steps every piece
-    uniformly, and a dt that puts a schedule time between two steps raises
-    ConfigError before any run is stepped.  The runs that take the same number of steps are stepped as the
-    rows of one batch, and each report is filled from its own row.  A
-    blow-up names its run.
+    Each schedule piece (intervals 0..n_max and the terminal piece) is
+    stepped on its own grid (:func:`_row_plan`), so every switch falls on a
+    step boundary.  Its step is capped by dt if given, and otherwise by
+    :func:`_interval_dt`, which gives each piece at least _PIECE_STEPS
+    steps: while no gain asks for a smaller step, every n0 then takes
+    _PIECE_STEPS * (n_max + 2) steps.  Every plan is made, and checked
+    against MAX_STEPS, before any run is stepped.  The runs that take the
+    same number of steps are stepped as the rows of one batch, and each
+    report is filled from its own row and plan.  A blow-up names its run.
     """
-    reports = [_plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) for n0 in n0_list]
+    reports = [_plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff) for n0 in n0_list]
+    plans = {i: _row_plan(r.schedule, _interval_dt(r.schedule) if dt is None else np.full(n_max + 2, dt))
+             for i, r in enumerate(reports) if not r.basin_below_precision}
     batches: dict[int, list[int]] = {}
-    for i, report in enumerate(reports):
-        if not report.basin_below_precision:
-            batches.setdefault(int(_piece_steps(report).sum()), []).append(i)
+    for i, (steps, _) in plans.items():
+        batches.setdefault(len(steps), []).append(i)
     rows = {}
     for batch in batches.values():
         runs = [reports[i] for i in batch]
         y0 = np.array([random_low_mode_state(basis.n_modes, r.y0_norm, seed) for r in runs])
-        steps, ends = dt, None
-        if dt is None:
-            steps, ends = (np.array(column) for column in zip(*(_row_plan(r.schedule, r.interval_dt) for r in runs)))
+        steps, ends = (np.array(column) for column in zip(*(plans[i] for i in batch)))
         try:
             run = simulate_batch(
                 y0, [ControlLaw.periodic(r.schedule, cutoff=cutoff) for r in runs], 0.0,
@@ -372,12 +361,12 @@ def run_null_control(
         rows.update({i: (run, row) for row, i in enumerate(batch)})
     for i, report in enumerate(reports):
         if i in rows:
-            _fill_null_control(report, pack, *rows[i])
+            _fill_null_control(report, pack, *rows[i], plans[i])
     return reports
 
 
-def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) -> NullControlReport:
-    """The report of one run before stepping: schedule, initial norm and steps.
+def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff) -> NullControlReport:
+    """The report of one run before stepping: schedule and initial norm.
 
     A certified basin below float precision is verified in log space here,
     and its report is final.
@@ -412,21 +401,13 @@ def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff, dt) -> NullContr
             "bound arithmetic verified in log space, dynamics skipped",
             log_basin,
         )
-        return report
-
-    if dt is None:
-        report.interval_dt = _interval_dt(schedule)
-        report.dt = schedule.period / _piece_steps(report).sum()
-        logger.info("dt per schedule piece defaulted to %s", report.interval_dt)
-    else:
-        _require_whole_steps(report.interval_times, dt, schedule.period)
-        report.interval_dt = np.full(len(report.interval_times) - 1, dt)
-        report.dt = dt
     return report
 
 
-def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: int) -> None:
-    """Fill a planned report from its row of the stepped batch, and check its bounds."""
+def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: int,
+                       plan: tuple[np.ndarray, np.ndarray]) -> None:
+    """Fill a planned report from its row of the stepped batch and the step
+    plan it took, and check its bounds."""
     schedule = report.schedule
     q = pack.schedule_constant
     y0_norm = report.y0_norm
@@ -434,9 +415,15 @@ def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: 
     report.trajectory = traj
     report.null_reached = not math.isnan(run.latch_time[row])
     report.latch_time = float(run.latch_time[row]) if report.null_reached else None
+    steps, ends = plan
+    # the first step of each schedule piece, then the step count: the plan's
+    # piece ends are the schedule times themselves
+    idx = np.searchsorted(ends, report.interval_times, side="right")
+    report.interval_dt = steps[idx[:-1]]
+    report.dt = schedule.period / len(steps)
+    logger.info("n0=%d: step of each schedule piece %s", report.n0, report.interval_dt)
     report.health = {**run.health(row), "dt": report.dt}
 
-    idx = np.append(0, np.cumsum(_piece_steps(report)))
     report.interval_norms = traj.norm_h[idx]
     sup = np.empty(schedule.n_max + 1)
     for n in range(schedule.n_max + 1):
@@ -544,14 +531,13 @@ def run_small_time(
     norms eta.  eta defaults to {1e-4, 1e-3, 1e-2} times the first cutoff
     radius of the schedule.
 
-    Without dt, each offset s steps its own piece grid (see
-    :func:`_row_plan`): cut at every schedule switch and at s + j T, each
-    piece with its interval's step of :func:`_interval_dt`, and each period
-    evened to the most steps any offset needs in one period, so every switch
-    and every s + j T is a step time and every row takes the same steps per
-    period; the probe's dt is then the mean step periods * T / steps.  A
-    given dt steps every row uniformly, and one that does not divide T
-    raises ConfigError.
+    Each offset s steps its own piece grid (see :func:`_row_plan`): cut at
+    every schedule switch and at s + j T, each piece with steps capped by
+    dt if given and otherwise by its interval's step of
+    :func:`_interval_dt`, and each period evened to the most steps any
+    offset needs in one period, so every switch and every s + j T is a step
+    time and every row takes the same steps per period.  The probe's dt is
+    the mean step periods * T / steps.
     """
     if periods < 2:
         raise ValueError("need at least two periods for the null check")
@@ -568,23 +554,19 @@ def run_small_time(
     # only the y0_norm rows keep their state history
     n_off = len(offsets)
     norms = [y0_norm] + [float(eta) for eta in eta_grid]
-    if dt is None:
-        interval_dt = _interval_dt(schedule)
-        per_period = max(len(_row_plan(schedule, interval_dt, s)[0]) for s in offsets)
-        plans = [_row_plan(schedule, interval_dt, s, periods, per_period) for s in offsets]
-        steps, ends = (np.tile(column, (len(norms), 1)) for column in zip(*plans))
-        dt = schedule.period / per_period  # the mean step, periods * T / steps
-        logger.info("%d steps per period on the schedule-piece grid, mean dt %.3e", per_period, dt)
-    else:
-        _require_whole_steps(np.array([schedule.period]), dt, schedule.period)
-        steps, ends = dt, None
+    caps = _interval_dt(schedule) if dt is None else np.full(n_max + 2, dt)
+    per_period = max(len(_row_plan(schedule, caps, s)[0]) for s in offsets)
+    plans = [_row_plan(schedule, caps, s, periods, per_period) for s in offsets]
+    steps, ends = (np.tile(column, (len(norms), 1)) for column in zip(*plans))
+    dt = schedule.period / per_period  # the mean step, periods * T / steps
+    logger.info("%d steps per period on the schedule-piece grid, mean dt %.3e", per_period, dt)
 
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed) for norm in norms for _ in offsets])
     run = simulate_batch(
         y0, ControlLaw.periodic(schedule, cutoff=True), np.tile(offsets, len(norms)),
         periods * schedule.period, steps, basis, tensor, gram, nu=nu, state_rows=n_off, piece_ends=ends,
     )
-    # every period takes the same number of steps, on either grid
+    # every period takes the same number of steps
     two_period_index = 2 * (len(run.times) - 1) // periods
     residuals = run.norm_h[two_period_index, :n_off] / max(y0_norm, eps_zero)
     two_period_ok = bool(np.all(residuals <= eps_zero))

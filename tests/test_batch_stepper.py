@@ -142,7 +142,9 @@ def test_steps_per_piece_match_the_oracle_chained_piece_by_piece(square16, pack_
                  oracle.LatchedFeedback(oracle.ScheduledFeedback(sched), latch[1])]
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=3) for norm in (0.1, 1e-3)])
     step_sizes = np.array([np.repeat(row, n) for row, n in zip(sizes, counts)])
-    run = simulate_batch(y0, laws, 0.0, sched.period, step_sizes, basis, tensor, gram, latch_norm=latch)
+    ends = np.array([np.repeat(times[1:], n) for n in counts])
+    run = simulate_batch(y0, laws, 0.0, sched.period, step_sizes, basis, tensor, gram, latch_norm=latch,
+                         piece_ends=ends)
     refs = [chained_oracle(x, feedback, times, row, basis, tensor, gram)
             for x, feedback, row in zip(y0, feedbacks, sizes)]
     assert_matches_oracle(run, refs)
@@ -153,9 +155,9 @@ def test_steps_per_piece_match_the_oracle_chained_piece_by_piece(square16, pack_
 def test_piece_ends_put_a_non_dyadic_piece_on_the_next_switch(square16, pack_schedule):
     """A row starting at 0.1 T takes 11 steps to the switch T/2, then interval
     1's 16 dyadic steps.  Summed, 0.05 + 11 (0.2/11) comes to one ulp past
-    0.25; with the piece ends given, step 11 starts on 0.25 exactly and takes
-    interval 1's law.  A second row starts on the switch 0.375 and ends on
-    the terminal start, so the rows take the same 27 steps."""
+    0.25; the piece ends put step 11 on 0.25 exactly, so it takes interval
+    1's law.  A second row starts on the switch 0.375 and ends on the
+    terminal start, so the rows take the same 27 steps."""
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     sched = build_schedule(1, pack_schedule, basis, 4)
     t1, t2, t3, t4 = sched.start_times[1:5]  # 0.25, 0.375, 0.4375, 0.46875
@@ -163,17 +165,19 @@ def test_piece_ends_put_a_non_dyadic_piece_on_the_next_switch(square16, pack_sch
     steps = np.array([np.repeat([(t1 - 0.05) / 11, 2.0**-7], [11, 16]),
                       np.repeat([(t3 - t2) / 11, 2.0**-9], [11, 16])])
     ends = np.array([np.repeat([t1, t2], [11, 16]), np.repeat([t3, t4], [11, 16])])
-    summed = step_times(t_start, steps.T)
-    assert summed[11, 0] == np.nextafter(t1, 1.0)
+    assert 0.05 + 11 * steps[0, 0] == np.nextafter(t1, 1.0)
     y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=2)] * 2)
     run = simulate_batch(y0, ControlLaw.periodic(sched), t_start, [t2 - 0.05, t4 - t2], steps, basis, tensor, gram,
                          piece_ends=ends)
     assert np.array_equal(run.times[[0, 11, 27]].T, [[0.05, t1, t2], [t2, t3, t4]])
     assert np.array_equal(run.segments[[10, 11, 27]].T, [[0, 1, 2], [2, 3, 4]])
     assert np.array_equal(run.times, step_times(t_start, steps.T, ends.T))
-    # a piece end that its steps do not reach, ends without a step array, ends of another shape
+    # a piece end that its steps do not reach, a step array without ends, ends
+    # without a step array, ends of another shape
     with pytest.raises(ValueError, match="not where its steps end"):
         step_times(t_start, steps.T, ends.T + 1e-3)
+    with pytest.raises(ValueError, match="needs its piece ends"):
+        simulate_batch(y0, ControlLaw.periodic(sched), t_start, [t2 - 0.05, t4 - t2], steps, basis, tensor, gram)
     with pytest.raises(ValueError, match="need a step array"):
         simulate_batch(y0, ControlLaw.periodic(sched), 0.0, 0.25, 2.0**-7, basis, tensor, gram, piece_ends=ends)
     with pytest.raises(ValueError, match="piece ends as a"):
@@ -315,9 +319,11 @@ def test_batch_rejects_mismatched_steps_and_law_counts(square16, pack_rapid):
         simulate_batch(y0, [law], 0.0, 0.01, 1e-3, basis, tensor, gram)
     # one size per step: one row of sizes per batch row, adding up to the span
     with pytest.raises(ValueError, match="one step size per step for each of 2 rows"):
-        simulate_batch(y0, law, 0.0, 0.01, np.full((3, 10), 1e-3), basis, tensor, gram)
+        simulate_batch(y0, law, 0.0, 0.01, np.full((3, 10), 1e-3), basis, tensor, gram,
+                       piece_ends=np.full((3, 10), 0.01))
     with pytest.raises(ValueError, match="add up to the span"):
-        simulate_batch(y0, law, 0.0, 0.01, np.full((2, 11), 1e-3), basis, tensor, gram)
+        simulate_batch(y0, law, 0.0, 0.01, np.full((2, 11), 1e-3), basis, tensor, gram,
+                       piece_ends=np.full((2, 11), 0.011))
 
 
 BATCH_COLUMNS = ("segments", *FLOAT_COLUMNS, "states", "latch_time")
@@ -408,23 +414,32 @@ def test_blowup_on_a_block_end_does_not_depend_on_the_block_length(square16, mon
 
 
 def test_stepping_memory_is_bounded_by_the_block(square16, pack_schedule):
-    """Beyond the arrays it returns, a run allocates at most a fixed number of
-    block-sized buffers: a temporary the size of the state history would be
-    n_steps / _BLOCK = 128 of them."""
+    """Beyond the arrays it returns, a run allocates a fixed number of
+    block-sized buffers, whatever its length: from 512 to 2048 steps that
+    overhead grows by at most 2 of them, where a temporary the size of the
+    state history would add n_steps / _BLOCK, 24 more; and at 2048 steps it
+    is at most 32 of them (measured: about 14 at every length)."""
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
-    b, m, n_steps = 12, basis.n_modes, 8192
+    b, m = 12, basis.n_modes
     law = ControlLaw.periodic(build_schedule(1, pack_schedule, basis, 4), cutoff=True)
     y0 = np.array([random_low_mode_state(m, 1e-3 * (1 + r), seed=r) for r in range(b)])
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        run = simulate_batch(y0, law, np.linspace(0.0, 0.4, b), 0.5, 0.5 / n_steps, basis, tensor, gram)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    returned = sum(getattr(run, name).nbytes for name in ("times", *BATCH_COLUMNS))
-    assert run.health(0)["steps"] == n_steps
-    assert peak - before - returned <= 32 * dynamics._BLOCK * b * m * 8
+    block = dynamics._BLOCK * b * m * 8
+
+    def overhead(n_steps):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = simulate_batch(y0, law, np.linspace(0.0, 0.4, b), 0.5, 0.5 / n_steps, basis, tensor, gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.health(0)["steps"] == n_steps
+        returned = sum(getattr(run, name).nbytes for name in ("times", *BATCH_COLUMNS))
+        return (peak - before - returned) / block
+
+    short, long = overhead(512), overhead(2048)
+    assert long - short <= 2, (short, long)
+    assert long <= 32, long
 
 
 def test_packed_convection_matches_full_contraction_and_is_energy_neutral(square32_wide):
@@ -494,7 +509,8 @@ def test_plan_matches_scalar_reduction(schedule16, offsets, dt, n_steps):
     segment of the end time last."""
     law = ControlLaw.periodic(schedule16)
     b = len(offsets)
-    times = step_times(np.array(offsets), np.full((n_steps, b), dt))
+    times = step_times(np.array(offsets), np.full((n_steps, b), dt),
+                       np.broadcast_to(np.array(offsets) + n_steps * dt, (n_steps, b)))
     seg = segment_plan([law] * b, times)
     assert times.shape == seg.shape == (n_steps + 1, b)
     for r, s in enumerate(offsets):
@@ -510,13 +526,15 @@ def test_plan_matches_scalar_reduction(schedule16, offsets, dt, n_steps):
     pieces=st.lists(st.tuples(st.integers(1, 9), st.integers(2, 12)), min_size=1, max_size=6),
 )
 def test_step_times_start_each_piece_where_the_last_ended(t_start, pieces):
-    """A row of pieces (steps n_p, size 2**-e_p) steps from s_p + j*dt_p, with
-    s_{p+1} = s_p + n_p dt_p; on these dyadic sizes every time is exact, which
-    the sum of exact fractions checks."""
+    """A row of pieces (steps n_p, size 2**-e_p, end e_p) steps from
+    s_p + j*dt_p, with s_{p+1} = e_p; on these dyadic sizes every time is
+    exact, which the sum of exact fractions checks."""
     from fractions import Fraction
 
     sizes = np.concatenate([np.full(n, 2.0**-e) for n, e in pieces])
-    times = step_times(np.array([t_start]), sizes[:, None])[:, 0]
+    ends = np.concatenate([np.full(n, t_start + sum(m * 2.0**-f for m, f in pieces[: p + 1]))
+                           for p, (n, e) in enumerate(pieces)])
+    times = step_times(np.array([t_start]), sizes[:, None], ends[:, None])[:, 0]
     expected = [Fraction(t_start)]
     for size in sizes:
         expected.append(expected[-1] + Fraction(size))

@@ -442,21 +442,58 @@ def test_out_of_range_experiment_value_names_its_key(tmp_path, capsys, subcomman
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(("subcommand", "dt", "overrides", "time"), [
+def _csv_times(path):
+    return np.array([float(row.split(",")[0]) for row in path.read_text().splitlines()[1:]])
+
+
+@pytest.mark.parametrize(("subcommand", "dt", "overrides"), [
     # 3e-4 divides neither T_1 = 1/4 nor T = 1/2 of the period 2**-1
-    ("nullcontrol", 3e-4, {}, "t = 0.25 "),
-    ("stabilize", 3e-4, {}, "t = 0.5 "),
-    ("cost-curve", 3e-4, {}, "t = 0.25 "),
+    ("nullcontrol", 3e-4, {}),
+    ("stabilize", 3e-4, {}),
+    ("cost-curve", 3e-4, {"experiment.n0_list": [1, 2, 3]}),
     # 2**-8 divides T = 1/2 and T_7, but not T_8 = 1/2 - 2**-9
-    ("nullcontrol", 2.0**-8, {"experiment.n_max": 8}, "t = 0.498047 "),
+    ("nullcontrol", 2.0**-8, {"experiment.n_max": 8}),
 ], ids=["nullcontrol", "stabilize", "cost-curve", "nullcontrol-T_8"])
-def test_dt_off_the_schedule_step_grid_names_dt(tmp_path, capsys, subcommand, dt, overrides, time):
-    path = write_config(tmp_path, dt=dt, overrides=overrides)
+def test_dt_off_the_schedule_grid_caps_every_piece(tmp_path, subcommand, dt, overrides):
+    """A dt that puts schedule times between its multiples caps the steps of
+    each piece: every schedule time, and every s + jT, is a step time, and
+    no step exceeds dt."""
+    config = parse_config(write_config(tmp_path, dt=dt, overrides=overrides))
+    assert run_subcommand(subcommand, config) == 0
+    out = tmp_path / "out"
+    if subcommand == "stabilize":
+        report = json.loads((out / "stabilize_report.json").read_text())
+        period = report["T"]
+        starts = np.append(0.0, np.cumsum(period / 2.0 ** np.arange(1, config.experiment.n_max + 2)))
+        for s, entry in zip(report["offsets"], report["trajectories"]):
+            times = _csv_times(out / entry["file"])
+            switches = (np.arange(3)[:, None] * period + starts).ravel()
+            cuts = np.append(switches[(switches > s) & (switches < s + 2 * period)], s + np.arange(3) * period)
+            assert np.isin(cuts, times).all(), s
+            assert np.all(np.diff(times) <= dt), s
+        return
+    name = "cost_curve" if subcommand == "cost-curve" else "nullcontrol"
+    report = json.loads((out / f"{name}_report.json").read_text())
+    for run in report.get("runs", [report]):
+        lengths = np.diff(run["interval_times"])
+        assert np.all(np.array(run["interval_dt"]) <= dt)
+        assert run["health"]["steps"] == np.ceil(lengths / dt).sum() == round(run["T"] / run["dt"])
+    if subcommand != "cost-curve":
+        times = _csv_times(out / report["trajectory"])
+        assert np.isin(report["interval_times"], times).all()
+        assert np.all(np.diff(times) <= dt)
+
+
+@pytest.mark.parametrize("subcommand", ["nullcontrol", "stabilize", "cost-curve"])
+def test_schedule_run_over_the_step_budget_names_dt(tmp_path, capsys, subcommand):
+    """dt = 2**-22 caps the period 1/2 at 2**21 steps per row, over the
+    budget, which a schedule run refuses before it builds any step array."""
+    path = write_config(tmp_path, dt=2.0**-22, overrides={"experiment.n0_list": [1, 2, 3]})
     assert main([subcommand, "--config", str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["key"] == "dt"
-    assert time in err["message"]
+    assert f"needs {2**21} steps, more than the budget of {MAX_STEPS}" in err["message"]
     assert not list((tmp_path / "out").glob("*_report.json"))
 
 

@@ -354,12 +354,46 @@ def test_row_plan_cuts_every_switch_and_evens_its_periods(small_setup, start, pe
     assert np.all(steps <= limit[ControlLaw.periodic(schedule).segment_at(times[:-1])])
 
 
-def test_small_time_configured_dt_keeps_the_uniform_grid(small_setup):
+def test_small_time_configured_dt_caps_every_piece(small_setup):
+    """A configured dt caps each piece of the piece grid: every switch and
+    every s + j T is still a step time, and no step exceeds dt."""
+    dt = 2.0**-10
     probe = run_small_time(small_setup["basis"], small_setup["tensor"], small_setup["gram"], small_setup["pack"],
-                           1, 1e-3, [0.0, 0.5 / 3.0], n_max=4, eta_grid=np.array([]), dt=2.0**-10, seed=7)
+                           1, 1e-3, [0.0, 0.5 / 3.0], n_max=4, eta_grid=np.array([]), dt=dt, seed=7)
+    period, starts = probe.period, probe.schedule.start_times
     for s, traj in zip(probe.offsets, probe.trajectories):
-        assert np.array_equal(traj.times, s + np.arange(1025) * 2.0**-10)
-    assert probe.dt == 2.0**-10
+        switches = (np.arange(3)[:, None] * period + starts).ravel()
+        cuts = np.append(switches[(switches >= s) & (switches <= s + 2 * period)], s + np.arange(3) * period)
+        assert np.isin(cuts, traj.times).all(), s
+        assert np.all(np.diff(traj.times) <= dt), s
+    # the offset T/3 splits interval 0, which takes one step more than its 256
+    assert probe.dt == period / (512 + 1)
+
+
+def test_small_time_piece_grid_is_second_order(small_setup):
+    """Halving every piece's cap cuts the error of the norms at s + T by four
+    on the piece grid, from each of acceptance 8's offsets, with the cutoff
+    law (orders measured from 1.84 to 2.13 against 2**-6 of the caps)."""
+    basis, tensor, gram = small_setup["basis"], small_setup["tensor"], small_setup["gram"]
+    schedule = build_schedule(1, small_setup["pack"], basis, 4)
+    period = schedule.period
+    offsets = np.array([0.0, period / 3.0, 0.9 * period])
+    y0 = np.tile(random_low_mode_state(basis.n_modes, 1e-3, seed=7), (3, 1))
+
+    def end_norms(k):
+        caps = experiments._interval_dt(schedule) / 2**k
+        per_period = max(len(experiments._row_plan(schedule, caps, s)[0]) for s in offsets)
+        steps, ends = (np.array(column) for column in
+                       zip(*(experiments._row_plan(schedule, caps, s, 1, per_period) for s in offsets)))
+        run = simulate_batch(y0, ControlLaw.periodic(schedule, cutoff=True), offsets, period, steps,
+                             basis, tensor, gram, piece_ends=ends)
+        assert np.array_equal(run.times[-1], offsets + period)
+        return run.norm_h[-1]
+
+    ref = end_norms(6)
+    errors = np.array([np.abs(end_norms(k) / ref - 1.0) for k in range(4)])
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert np.all((1.7 <= orders) & (orders <= 2.3)), orders
 
 
 def test_small_time_piece_grid_matches_a_fine_uniform_run(square32, pack_schedule):
