@@ -155,7 +155,10 @@ def _config_from_dict(data: dict) -> RunConfig:
     config = _parse_section(RunConfig, data)
     if config.mode not in ("certified", "practical"):
         raise ConfigError("mode", "must be 'certified' or 'practical'")
-    config.domain_spec()  # raises ConfigError naming the offending key
+    # the spec raises ConfigError naming the offending key; the mask is the
+    # control's only route into the flow
+    if not build_grid(config.domain_spec()).omega_mask.any():
+        raise ConfigError("omega", "holds no interior grid node, so the control cannot act")
     if config.nx % 2 == 1 and config.ny % 2 == 1:
         raise ConfigError("nx", "nx and ny cannot both be odd: the central-difference stiffness "
                                 "has a checkerboard kernel on odd-by-odd grids")
@@ -164,6 +167,8 @@ def _config_from_dict(data: dict) -> RunConfig:
     if config.M > config.nx * config.ny - 2:
         # the solve needs one eigenpair past tau_M, and ARPACK returns fewer than n
         raise ConfigError("M", "cannot exceed the interior node count minus 2")
+    if config.seed < 0:
+        raise ConfigError("seed", "must be nonnegative")
     if config.eps_zero <= 0:
         raise ConfigError("eps_zero", "must be positive")
     if config.dt is not None and config.dt <= 0:
@@ -186,6 +191,7 @@ def _config_from_dict(data: dict) -> RunConfig:
     for key, bad, rule in (
         ("n0", exp.n0 < 1, "must be at least 1"),
         ("n0_list", any(n0 < 1 for n0 in exp.n0_list), "entries must be at least 1"),
+        ("offsets", not exp.offsets, "need at least one start offset"),
         ("n_max", exp.n_max < 0, "must be nonnegative"),
         ("periods", exp.periods < 2, "need at least two periods for the null check"),
         ("y0_norm", not exp.y0_norm >= 0, "must be nonnegative"),

@@ -20,26 +20,25 @@ so the energy identity can be checked to O(dt^2) per unit time along a run.
 
 Every control law here is piecewise-constant linear feedback with an
 optional radial cutoff and norm latch (:class:`ControlLaw`).  A run steps a
-(B, M) batch of trajectories together, and each row may have its own law,
-start time and steps, as long as every row takes the same number of steps.
-A row's steps are either uniform, one piece, or given one by one with the
-end of each step's piece; a run of equal steps with one end is a piece,
-its j-th step starts at the piece's start plus j times its step, and the
-next piece starts at the end the plan gives (:func:`step_times`), so a
-piece that starts between switches still ends on the next one exactly.  A
-step takes the law of the segment it starts in for both of its
-evaluations, so the Heun step sees one law per step and stays second
-order across a switch that falls on a step boundary; a switch inside a
-step leaves an O(dt) local error there, so a run with such switches is
-first order.  The run compiles each row's
-law once into the segment active at the start of each step, and into its
-own table of gains, weights and radii, padded with zero-law rows to the
-size every row shares; row r's segment s sits at r*size + s % size of the
-stacked tables, so TERMINAL (-1) finds a zero-law row.  The decay factors,
-trapezoid weights and step sizes are tabled the same way, once per distinct
-step size of a row.  The convection term of a half step is one
-(B, M(M+1)/2) @ (M(M+1)/2, M) product over the pairs i <= j of the tensor
-symmetrized in (i, j) (:func:`packed_convection`), shared by all the rows.
+(B, M) batch of trajectories together, and each row may have its own law
+and step plan, as long as every row takes the same number of steps.  A
+row's plan is its list of pieces: the cut times (the start, then each
+piece's end), and each piece's step count and step size.  Step j of piece
+p starts at cut_p + j h_p, and the next piece starts at cut_{p+1}
+(:func:`step_times`), so a piece that starts between switches still ends
+on the next one exactly.  A step takes the law of the segment it starts
+in for both of its evaluations, so the Heun step sees one law per step and
+stays second order across a switch that falls on a step boundary; a switch
+inside a step leaves an O(dt) local error there, so a run with such
+switches is first order.  The run compiles each row's law once into the
+segment active at the start of each step, and into its own table of gains,
+weights and radii, padded with zero-law rows to the size every row shares;
+row r's segment s sits at r*size + s % size of the stacked tables, so
+TERMINAL (-1) finds a zero-law row.  The decay factors, trapezoid weights
+and step sizes are tabled the same way, once per piece of a row.  The
+convection term of a half step is one (B, M(M+1)/2) @ (M(M+1)/2, M)
+product over the pairs i <= j of the tensor symmetrized in (i, j)
+(:func:`packed_convection`), shared by all the rows.
 
 The per-step loop of :func:`simulate_batch` keeps only what the next state
 depends on: the two convection terms, the two law evaluations (cutoff and
@@ -65,7 +64,7 @@ import numpy as np
 
 from .constants import TERMINAL, FeedbackParams, Schedule, radial_cutoff_rows, row_dot
 from .errors import BlowUpError
-from .grid import Grid
+from .grid import Grid, central_dx, central_dy
 from .spectral import StokesBasis
 
 #: abort once a coefficient exceeds this multiple of its row's initial norm
@@ -78,20 +77,18 @@ _BLOCK = 64
 def raw_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
     """Convection tensor entries B(e_i, e_j, e_k) by physical-space quadrature.
 
-    Gradients use the same central stencils as the rest of the
-    discretization, with zero values outside the interior.  The raw entries
-    are skew in (j, k) only up to the O(h^2) quadrature residual.
+    Gradients use the grid's central stencils (:func:`nsstab.grid.central_dx`
+    and :func:`nsstab.grid.central_dy`), with zero values outside the
+    interior.  The raw entries are skew in (j, k) only up to the O(h^2)
+    quadrature residual.
     """
     m = basis.n_modes
-    nx, ny = grid.nx, grid.ny
     vel = basis.velocities  # (m, 2, nx, ny)
-    grads = np.empty((m, 2, 2, nx, ny))
+    grads = np.empty((m, 2, 2, grid.nx, grid.ny))
     for j in range(m):
         for comp in range(2):
-            padded_x = np.pad(vel[j, comp], ((1, 1), (0, 0)))
-            padded_y = np.pad(vel[j, comp], ((0, 0), (1, 1)))
-            grads[j, 0, comp] = (padded_x[2:, :] - padded_x[:-2, :]) / (2.0 * grid.hx)
-            grads[j, 1, comp] = (padded_y[:, 2:] - padded_y[:, :-2]) / (2.0 * grid.hy)
+            grads[j, 0, comp] = central_dx(vel[j, comp], grid.hx)
+            grads[j, 1, comp] = central_dy(vel[j, comp], grid.hy)
     e_flat = vel.reshape(m, 2, -1)
     g_flat = grads.reshape(m, 2, 2, -1)
     tensor = np.empty((m, m, m))
@@ -199,37 +196,40 @@ class ControlLaw:
         return gains, weights, radii, thresholds
 
 
-def _pieces(steps: np.ndarray, ends: np.ndarray):
-    """First step, length and step size of each piece of a row's (n_steps,)
-    step array and piece ends: each run of equal (step, end) pairs."""
-    change = (np.diff(steps, prepend=np.nan) != 0) | (np.diff(ends, prepend=np.nan) != 0)
-    first = np.flatnonzero(change)
-    return first, np.diff(np.append(first, len(steps))), steps[first]
+def step_times(plans) -> tuple[np.ndarray, np.ndarray]:
+    """Start time of every step of every row, then each row's end time, and
+    the piece of every step.
 
-
-def step_times(t_start: np.ndarray, dt: np.ndarray, piece_ends: np.ndarray) -> np.ndarray:
-    """Start time of every step of every row, then each row's end time.
-
-    t_start holds one start per row, and dt and piece_ends (n_steps, B) one
-    size per step and the end of each step's piece.  Piece p of a row, a run
-    of n_p equal (step, end) pairs (dt_p, e_p), starts at s_p, with
-    s_0 = t_start and s_{p+1} = e_p, and its j-th step starts at
-    s_p + j dt_p; so a piece whose start or step is not dyadic still ends
-    exactly on the plan's time (a schedule switch, say).  Each end must lie
-    within 1e-9 relative of its piece's sum s_p + n_p dt_p.  Returns a
-    (n_steps + 1, B) array.
+    plans holds one row plan (cuts, counts, sizes) per row: piece p runs
+    from cuts[p] to cuts[p + 1] in counts[p] steps of sizes[p], and its j-th
+    step starts at cuts[p] + j sizes[p]; so a piece whose start or step is
+    not dyadic still ends exactly on its cut (a schedule switch, say).
+    Counts and sizes must be positive, every row must take the same number
+    of steps, and each cut must lie within 1e-9 relative of its piece's sum
+    cuts[p] + counts[p] sizes[p].  Returns the (n_steps + 1, B) times and the
+    (n_steps, B) piece of each step, in the smallest integer type that holds
+    every piece index.
     """
-    times = np.empty((len(dt) + 1, dt.shape[1]))
-    for r in range(dt.shape[1]):
-        first, length, size = _pieces(dt[:, r], piece_ends[:, r])
-        starts = np.concatenate([t_start[r : r + 1], piece_ends[first, r]])
-        summed = starts[:-1] + length * size
-        if np.any(np.abs(starts[1:] - summed) > 1e-9 * np.maximum(np.abs(starts[1:]), size)):
+    times, pieces = [], []
+    for r, (cuts, counts, sizes) in enumerate(plans):
+        cuts, counts, sizes = np.asarray(cuts, dtype=float), np.asarray(counts), np.asarray(sizes, dtype=float)
+        if cuts.ndim != 1 or len(cuts) < 2 or counts.shape != (len(cuts) - 1,) or sizes.shape != counts.shape:
+            raise ValueError(f"row {r}: expected P + 1 cuts and P step counts and sizes, got "
+                             f"{cuts.shape}, {counts.shape}, {sizes.shape}")
+        if np.any(counts < 1) or np.any(sizes <= 0):
+            raise ValueError(f"row {r}: step counts and sizes must be positive")
+        summed = cuts[:-1] + counts * sizes
+        if np.any(np.abs(cuts[1:] - summed) > 1e-9 * np.maximum(np.abs(cuts[1:]), sizes)):
             raise ValueError(f"row {r}: a piece end is not where its steps end")
-        piece = np.repeat(np.arange(len(first)), length)
-        times[:-1, r] = starts[piece] + (np.arange(len(dt)) - first[piece]) * size[piece]
-        times[-1, r] = starts[-1]
-    return times
+        piece = np.repeat(np.arange(len(counts)), counts)
+        first = np.cumsum(counts) - counts
+        times.append(np.append(cuts[piece] + (np.arange(len(piece)) - first[piece]) * sizes[piece], cuts[-1]))
+        pieces.append(piece)
+    totals = sorted({len(piece) for piece in pieces})
+    if len(totals) > 1:
+        raise ValueError(f"every row must take the same number of steps, got {totals}")
+    index_type = np.min_scalar_type(max(piece[-1] for piece in pieces))
+    return np.stack(times, axis=1), np.stack(pieces, axis=1).astype(index_type)
 
 
 def segment_plan(laws, times: np.ndarray) -> np.ndarray:
@@ -341,9 +341,7 @@ class BatchRun:
 def simulate_batch(
     y0: np.ndarray,
     law,
-    t_start,
-    span,
-    dt,
+    plan,
     basis: StokesBasis,
     tensor: np.ndarray,
     gram: np.ndarray,
@@ -351,25 +349,21 @@ def simulate_batch(
     sample_stride: int = 1,
     latch_norm=None,
     state_rows: int | None = None,
-    piece_ends=None,
 ) -> BatchRun:
     """Integrate B closed-loop runs side by side, sampling every
     sample_stride steps.
 
     y0 is (B, M).  law is one ControlLaw for every row or a sequence of B
-    laws; t_start and span are scalars for every row or (B,) arrays.  dt is
-    either uniform, a scalar or a (B,) array, and row r then runs from
-    t_start[r] for span[r] in steps of dt[r], every row coming to the same
-    whole number n of steps, as one piece that ends at t_start[r] + n dt[r];
-    or dt is a (B, n_steps) step plan of one size per step, and piece_ends,
-    a (B, n_steps) array like it, gives the end of each step's piece (see
-    :func:`step_times`), the last of which must be each row's
-    t_start + span.  The step count must be a whole number of samples.  With
-    latch_norm, row r's control switches off for good at the first law
-    evaluation whose state norm is <= latch_norm[r].  States are kept for
-    the first state_rows rows (default: all).  Raises BlowUpError at the
-    first step where a coefficient of a row exceeds BLOWUP_GUARD times the
-    row's initial norm, with the first such row and its time.
+    laws, and plan likewise one row plan (cuts, counts, sizes) for every row
+    or a sequence of B of them: the row starts at cuts[0], and piece p ends
+    at cuts[p + 1] after counts[p] steps of sizes[p] (see
+    :func:`step_times`).  Every row takes the same number of steps, a whole
+    number of samples.  With latch_norm, row r's control switches off for
+    good at the first law evaluation whose state norm is <= latch_norm[r].
+    States are kept for the first state_rows rows (default: all).  Raises
+    BlowUpError at the first step where a coefficient of a row exceeds
+    BLOWUP_GUARD times the row's initial norm, with the first such row and
+    its time.
     """
     start = time.perf_counter()
     y0 = np.asarray(y0, dtype=np.float64)
@@ -379,37 +373,13 @@ def simulate_batch(
     laws = (law,) * b if isinstance(law, ControlLaw) else tuple(law)
     if len(laws) != b:
         raise ValueError(f"got {len(laws)} laws for {b} rows")
-    dt = np.asarray(dt, dtype=np.float64)
-    span = np.broadcast_to(np.asarray(span, dtype=np.float64), (b,))
-    t0 = np.broadcast_to(np.asarray(t_start, dtype=np.float64), (b,))
-    if np.any(dt <= 0):
-        raise ValueError("dt must be positive")
+    plans = (plan,) * b if np.ndim(plan[0][0]) == 0 else tuple(plan)  # one plan starts with its first cut
+    if len(plans) != b:
+        raise ValueError(f"got {len(plans)} step plans for {b} rows")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    if dt.ndim == 2:
-        if dt.shape[0] != b or dt.shape[1] == 0:
-            raise ValueError(f"expected one step size per step for each of {b} rows, got {dt.shape}")
-        if piece_ends is None:
-            raise ValueError("a step array needs its piece ends")
-        piece_ends = np.asarray(piece_ends, dtype=np.float64)
-        if piece_ends.shape != dt.shape:
-            raise ValueError(f"expected the piece ends as a {dt.shape} array like dt, got {piece_ends.shape}")
-        step_dt, piece_ends = dt.T, piece_ends.T
-    else:
-        if piece_ends is not None:
-            raise ValueError("piece ends need a step array for dt")
-        dt = np.broadcast_to(dt, (b,))
-        steps = np.rint(span / dt)
-        if np.any(steps <= 0) or np.any(np.abs(steps * dt - span) > 1e-9 * np.maximum(span, dt)):
-            raise ValueError("the span must be an integer number of steps")
-        if np.any(steps != steps[0]):
-            raise ValueError(f"every row must take the same number of steps, got {sorted(set(steps.astype(int).tolist()))}")
-        step_dt = np.broadcast_to(dt, (int(steps[0]), b))
-        piece_ends = np.broadcast_to(t0 + steps * dt, step_dt.shape)
-    times = step_times(t0, step_dt, piece_ends)
-    if np.any(np.abs(times[-1] - t0 - span) > 1e-9 * np.maximum(span, step_dt.max(axis=0))):
-        raise ValueError("the steps must add up to the span")
-    n_steps = len(step_dt)
+    times, piece = step_times(plans)
+    n_steps = len(piece)
     if n_steps % sample_stride != 0:
         raise ValueError("step count must be a whole number of samples")
 
@@ -422,14 +392,11 @@ def simulate_batch(
     gains, weights, radii = gains.reshape(b * size, m), weights.reshape(b * size, m), radii.ravel()
     row_start = size * np.arange(b)
     index = (seg.astype(np.intp) % size + row_start).astype(np.min_scalar_type(b * size))
-    # the same for the step sizes: row r's distinct sizes, padded with its
-    # largest, at r*n_sizes onward, and each step's entry in dt_index
-    sizes = [np.unique(step_dt[:, r]) for r in range(b)]
-    n_sizes = max(len(v) for v in sizes)
-    dt_values = np.concatenate([np.pad(v, (0, n_sizes - len(v)), mode="edge") for v in sizes])
-    dt_index = np.empty(step_dt.shape, dtype=np.min_scalar_type(b * n_sizes))
-    for r, v in enumerate(sizes):
-        dt_index[:, r] = r * n_sizes + np.searchsorted(v, step_dt[:, r])
+    # the step sizes of every row's pieces, row after row, and each step's
+    # entry among them in dt_index
+    dt_values = np.concatenate([np.asarray(sizes, dtype=np.float64) for _, _, sizes in plans])
+    first_piece = np.cumsum([0] + [len(sizes) for _, _, sizes in plans[:-1]])
+    dt_index = (piece + first_piece).astype(np.min_scalar_type(len(dt_values)))
     latch = None if latch_norm is None else np.broadcast_to(np.asarray(latch_norm, dtype=np.float64), (b,))
     latched = np.zeros(b, dtype=bool)
     latch_time = np.full(b, np.nan)
@@ -536,7 +503,7 @@ def simulate_batch(
             g1 = np.matmul(c1s[j], gram_t, out=g1s[j])
             f1 = g1 - convection(x)
             predictor = decay * (x + dts[j] * f1)
-            g2 = np.matmul(control(predictor, gain[j], radius[j], k, step_dt[k]), gram_t, out=g2s[j])
+            g2 = np.matmul(control(predictor, gain[j], radius[j], k, dts[j, :, 0]), gram_t, out=g2s[j])
             np.add(decay * (x + half_dt * f1), half_dt * (g2 - convection(predictor)), out=x_new)
             if not np.abs(x_new).max() <= guard_all:
                 over = ~np.all(np.abs(x_new) <= guard_col, axis=1)
@@ -544,7 +511,7 @@ def simulate_batch(
                     row = int(np.argmax(over))
                     finite = x_new[row][np.isfinite(x_new[row])]
                     worst = float(np.abs(finite).max()) if finite.size else float("inf")
-                    raise BlowUpError(float(times[k, row] + step_dt[k, row]), worst, row)
+                    raise BlowUpError(float(times[k, row] + dts[j, row, 0]), worst, row)
             c1s[j + 1] = control(x_new, gain[j + 1], radius[j + 1], k + 1, 0.0)
         record(k0, n, k0 + n == n_steps)
         xs[0], c1s[0] = xs[n], c1s[n]

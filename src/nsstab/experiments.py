@@ -88,8 +88,8 @@ def _interval_dt(schedule: Schedule) -> np.ndarray:
 
 
 def _row_plan(schedule: Schedule, caps: np.ndarray, start: float = 0.0, periods: int = 1,
-              per_period: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Step plan of a row that runs the periodic law from start for periods periods.
+              per_period: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row plan of a row that runs the periodic law from start for periods periods.
 
     The row is cut at every schedule switch and at start + j T, j = 0..periods.
     A piece of length L inside schedule piece n takes ceil(L / caps[n]) equal
@@ -98,9 +98,9 @@ def _row_plan(schedule: Schedule, caps: np.ndarray, start: float = 0.0, periods:
     per_period, the longest piece of each period takes the steps that bring
     the period up to per_period.  Raises ConfigError on dt, before any step
     array is built, when the row would take more than MAX_STEPS steps.
-    Returns each step's size and the end of its piece, the step plan of
-    :func:`simulate_batch`; the ends are the cuts themselves, so every cut is
-    a step time exactly.
+    Returns the row plan of :func:`simulate_batch`: the cuts (start, then
+    each piece's end), each piece's step count, and its step size
+    (its length over its count); every cut is a step time exactly.
     """
     period = schedule.period
     segment_at = ControlLaw.periodic(schedule).segment_at
@@ -123,8 +123,8 @@ def _row_plan(schedule: Schedule, caps: np.ndarray, start: float = 0.0, periods:
     if counts.sum() > MAX_STEPS:
         raise ConfigError("dt", f"the row from t = {start:g} over {periods} period(s) of T = {period:g} needs "
                                 f"{counts.sum()} steps, more than the budget of {MAX_STEPS}")
-    sizes = np.diff(np.append(start, ends)) / counts
-    return np.repeat(sizes, counts), np.repeat(ends, counts)
+    cuts = np.append(start, ends)
+    return cuts, counts, np.diff(cuts) / counts
 
 
 def _log_slope(times: np.ndarray, values: np.ndarray) -> float:
@@ -205,7 +205,7 @@ def run_rapid_stab(
     # one batch: every row goes through the same products, so the two arms
     # take identical arithmetic wherever the cutoff leaves the control alone
     run = simulate_batch(
-        np.tile(y0, (len(laws), 1)), laws, 0.0, horizon, dt,
+        np.tile(y0, (len(laws), 1)), laws, ([0.0, horizon], [n_steps], [dt]),
         basis, tensor, gram, nu=nu, sample_stride=stride,
     )
     traj = run.trajectory(0)
@@ -341,18 +341,16 @@ def run_null_control(
     plans = {i: _row_plan(r.schedule, _interval_dt(r.schedule) if dt is None else np.full(n_max + 2, dt))
              for i, r in enumerate(reports) if not r.basin_below_precision}
     batches: dict[int, list[int]] = {}
-    for i, (steps, _) in plans.items():
-        batches.setdefault(len(steps), []).append(i)
+    for i, (_, counts, _) in plans.items():
+        batches.setdefault(counts.sum(), []).append(i)
     rows = {}
     for batch in batches.values():
         runs = [reports[i] for i in batch]
         y0 = np.array([random_low_mode_state(basis.n_modes, r.y0_norm, seed) for r in runs])
-        steps, ends = (np.array(column) for column in zip(*(plans[i] for i in batch)))
         try:
             run = simulate_batch(
-                y0, [ControlLaw.periodic(r.schedule, cutoff=cutoff) for r in runs], 0.0,
-                [r.period for r in runs], steps, basis, tensor, gram, nu=nu,
-                latch_norm=[eps_zero * r.y0_norm for r in runs], piece_ends=ends,
+                y0, [ControlLaw.periodic(r.schedule, cutoff=cutoff) for r in runs], [plans[i] for i in batch],
+                basis, tensor, gram, nu=nu, latch_norm=[eps_zero * r.y0_norm for r in runs],
             )
         except BlowUpError as exc:
             failed = runs[exc.row]
@@ -405,8 +403,8 @@ def _plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff) -> NullControlRe
 
 
 def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: int,
-                       plan: tuple[np.ndarray, np.ndarray]) -> None:
-    """Fill a planned report from its row of the stepped batch and the step
+                       plan: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """Fill a planned report from its row of the stepped batch and the row
     plan it took, and check its bounds."""
     schedule = report.schedule
     q = pack.schedule_constant
@@ -415,12 +413,12 @@ def _fill_null_control(report: NullControlReport, pack: ConstantPack, run, row: 
     report.trajectory = traj
     report.null_reached = not math.isnan(run.latch_time[row])
     report.latch_time = float(run.latch_time[row]) if report.null_reached else None
-    steps, ends = plan
-    # the first step of each schedule piece, then the step count: the plan's
-    # piece ends are the schedule times themselves
-    idx = np.searchsorted(ends, report.interval_times, side="right")
-    report.interval_dt = steps[idx[:-1]]
-    report.dt = schedule.period / len(steps)
+    _, counts, sizes = plan
+    # the plan's pieces are the schedule pieces: piece n starts at step
+    # idx[n], and idx[-1] is the step count
+    idx = np.append(0, np.cumsum(counts))
+    report.interval_dt = sizes
+    report.dt = schedule.period / idx[-1]
     logger.info("n0=%d: step of each schedule piece %s", report.n0, report.interval_dt)
     report.health = {**run.health(row), "dt": report.dt}
 
@@ -555,16 +553,15 @@ def run_small_time(
     n_off = len(offsets)
     norms = [y0_norm] + [float(eta) for eta in eta_grid]
     caps = _interval_dt(schedule) if dt is None else np.full(n_max + 2, dt)
-    per_period = max(len(_row_plan(schedule, caps, s)[0]) for s in offsets)
+    per_period = max(_row_plan(schedule, caps, s)[1].sum() for s in offsets)
     plans = [_row_plan(schedule, caps, s, periods, per_period) for s in offsets]
-    steps, ends = (np.tile(column, (len(norms), 1)) for column in zip(*plans))
     dt = schedule.period / per_period  # the mean step, periods * T / steps
     logger.info("%d steps per period on the schedule-piece grid, mean dt %.3e", per_period, dt)
 
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed) for norm in norms for _ in offsets])
     run = simulate_batch(
-        y0, ControlLaw.periodic(schedule, cutoff=True), np.tile(offsets, len(norms)),
-        periods * schedule.period, steps, basis, tensor, gram, nu=nu, state_rows=n_off, piece_ends=ends,
+        y0, ControlLaw.periodic(schedule, cutoff=True), plans * len(norms), basis, tensor, gram,
+        nu=nu, state_rows=n_off,
     )
     # every period takes the same number of steps
     two_period_index = 2 * (len(run.times) - 1) // periods

@@ -94,13 +94,14 @@ def build_grid(spec: DomainSpec) -> Grid:
     return Grid(spec=spec, hx=hx, hy=hy, x=x, y=y, omega_mask=mask)
 
 
-def _dx(values: np.ndarray, hx: float) -> np.ndarray:
-    """Central x-difference with zero ghost values outside the interior."""
+def central_dx(values: np.ndarray, hx: float) -> np.ndarray:
+    """Central x-difference of an (nx, ny) field with zero ghost values outside the interior."""
     padded = np.pad(values, ((1, 1), (0, 0)))
     return (padded[2:, :] - padded[:-2, :]) / (2.0 * hx)
 
 
-def _dy(values: np.ndarray, hy: float) -> np.ndarray:
+def central_dy(values: np.ndarray, hy: float) -> np.ndarray:
+    """Central y-difference of an (nx, ny) field with zero ghost values outside the interior."""
     padded = np.pad(values, ((0, 0), (1, 1)))
     return (padded[:, 2:] - padded[:, :-2]) / (2.0 * hy)
 
@@ -115,11 +116,11 @@ def stream_to_velocity(psi: np.ndarray, grid: Grid) -> np.ndarray:
     """
     if psi.shape != (grid.nx, grid.ny):
         raise ValueError(f"stream function shape {psi.shape} does not match grid")
-    return np.stack([_dy(psi, grid.hy), -_dx(psi, grid.hx)])
+    return np.stack([central_dy(psi, grid.hy), -central_dx(psi, grid.hx)])
 
 
 def discrete_divergence(u: np.ndarray, grid: Grid) -> np.ndarray:
     """Central-difference divergence d(u0)/dx + d(u1)/dy."""
     if u.shape != (2, grid.nx, grid.ny):
         raise ValueError(f"velocity shape {u.shape} does not match grid")
-    return _dx(u[0], grid.hx) + _dy(u[1], grid.hy)
+    return central_dx(u[0], grid.hx) + central_dy(u[1], grid.hy)

@@ -1,6 +1,7 @@
 """Shared fixtures; the eigensolves are session-scoped because they dominate
 the suite's wall time."""
 
+import numpy as np
 import pytest
 
 from nsstab.constants import ConstantPack
@@ -16,6 +17,17 @@ def make_setup(nx, ny, m, omega=OMEGA, lx=1.0, ly=1.0):
     k1, k2 = assemble_operators(grid)
     basis = solve_eigenbasis(k1, k2, m, grid)
     return grid, k1, k2, basis
+
+
+def uniform_plan(t_start, span, dt):
+    """The one-piece row plan of simulate_batch: n = span / dt steps of dt
+    from t_start, ending at t_start + n dt.  Scalars give one plan for every
+    row, (B,) arrays (any of the three) one plan per row."""
+    if np.ndim(t_start) == np.ndim(span) == np.ndim(dt) == 0:
+        n = round(span / dt)
+        assert n > 0 and abs(n * dt - span) <= 1e-9 * max(span, dt), (span, dt)
+        return [t_start, t_start + n * dt], [n], [dt]
+    return [uniform_plan(*row) for row in zip(*np.broadcast_arrays(t_start, span, dt))]
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from nsstab.experiments import (
 )
 from nsstab.spectral import assemble_gram, count_modes, fit_spectral_constant
 
-from conftest import make_setup
+from conftest import make_setup, uniform_plan
 from oracle import energy_defect, radial_cutoff, truncated
 
 
@@ -102,7 +102,7 @@ def test_criterion_2_trilinear_structure(square16, square32):
 def test_criterion_3_energy_identity(square32):
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=0)
-    traj = simulate_batch(y0[None], ControlLaw(), 0.0, 0.1, 1e-4, basis, tensor, gram,
+    traj = simulate_batch(y0[None], ControlLaw(), uniform_plan(0.0, 0.1, 1e-4), basis, tensor, gram,
                           sample_stride=10).trajectory(0)
     defect = float(np.abs(energy_defect(traj)).max())
     tol = 1e-6 * float(y0 @ y0)

@@ -23,6 +23,7 @@ from nsstab.errors import BlowUpError
 from nsstab.experiments import random_low_mode_state
 
 import oracle
+from conftest import uniform_plan
 
 FLOAT_COLUMNS = ("norm_h", "lyapunov", "control_norm", "dissipation", "control_work")
 
@@ -50,7 +51,7 @@ def assert_matches_oracle(run, ref_trajectories):
 def test_zero_law_matches_oracle(square16):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=1) for norm in (0.3, 1e-3)])
-    run = simulate_batch(y0, ControlLaw(), 0.3, 0.01, 1e-4, basis, tensor, gram, sample_stride=10)
+    run = simulate_batch(y0, ControlLaw(), uniform_plan(0.3, 0.01, 1e-4), basis, tensor, gram, sample_stride=10)
     refs = [oracle.simulate(x, oracle.ZeroFeedback(), 0.3, 0.31, 1e-4, basis, tensor, gram,
                             sample_stride=10) for x in y0]
     assert_matches_oracle(run, refs)
@@ -65,7 +66,7 @@ def test_stationary_law_matches_oracle(square16, pack_rapid, cutoff):
     base = params.cutoff_radius / params.gain
     y0 = np.array([random_low_mode_state(basis.n_modes, scale * base, seed=2) for scale in (0.5, 3.0)])
     dt = 1e-5
-    run = simulate_batch(y0, ControlLaw.stationary(params, cutoff=cutoff), 0.0, 0.02, dt,
+    run = simulate_batch(y0, ControlLaw.stationary(params, cutoff=cutoff), uniform_plan(0.0, 0.02, dt),
                          basis, tensor, gram, sample_stride=4)
     refs = [oracle.simulate(x, oracle.ModalFeedback(params, cutoff=cutoff), 0.0, 0.02, dt,
                             basis, tensor, gram, sample_stride=4) for x in y0]
@@ -82,7 +83,7 @@ def test_periodic_law_with_offsets_matches_oracle(square16, pack_schedule):
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=3)
     dt = 2.0**-12
     run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched, cutoff=True),
-                         offsets, 0.5, dt, basis, tensor, gram)
+                         uniform_plan(offsets, 0.5, dt), basis, tensor, gram)
     refs = [oracle.simulate(y0, oracle.ScheduledFeedback(sched, cutoff=True),
                             s, s + 0.5, dt, basis, tensor, gram) for s in offsets]
     assert_matches_oracle(run, refs)
@@ -95,7 +96,7 @@ def test_latched_law_matches_oracle(square16, pack_schedule):
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=6) for norm in (1e-3, 2e-3, 0.0)])
     thresholds = np.array([0.5e-3, 1e-30, 0.0])  # trips mid-run, never, at the start
     dt = 2.0**-11
-    run = simulate_batch(y0, ControlLaw.periodic(sched), 0.0, sched.period, dt,
+    run = simulate_batch(y0, ControlLaw.periodic(sched), uniform_plan(0.0, sched.period, dt),
                          basis, tensor, gram, latch_norm=thresholds)
     refs = []
     for x, threshold, latch_time in zip(y0, thresholds, run.latch_time):
@@ -141,10 +142,8 @@ def test_steps_per_piece_match_the_oracle_chained_piece_by_piece(square16, pack_
     feedbacks = [oracle.ScheduledFeedback(sched, cutoff=True),
                  oracle.LatchedFeedback(oracle.ScheduledFeedback(sched), latch[1])]
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=3) for norm in (0.1, 1e-3)])
-    step_sizes = np.array([np.repeat(row, n) for row, n in zip(sizes, counts)])
-    ends = np.array([np.repeat(times[1:], n) for n in counts])
-    run = simulate_batch(y0, laws, 0.0, sched.period, step_sizes, basis, tensor, gram, latch_norm=latch,
-                         piece_ends=ends)
+    plans = [(times, n, row) for n, row in zip(counts, sizes)]
+    run = simulate_batch(y0, laws, plans, basis, tensor, gram, latch_norm=latch)
     refs = [chained_oracle(x, feedback, times, row, basis, tensor, gram)
             for x, feedback, row in zip(y0, feedbacks, sizes)]
     assert_matches_oracle(run, refs)
@@ -155,34 +154,26 @@ def test_steps_per_piece_match_the_oracle_chained_piece_by_piece(square16, pack_
 def test_piece_ends_put_a_non_dyadic_piece_on_the_next_switch(square16, pack_schedule):
     """A row starting at 0.1 T takes 11 steps to the switch T/2, then interval
     1's 16 dyadic steps.  Summed, 0.05 + 11 (0.2/11) comes to one ulp past
-    0.25; the piece ends put step 11 on 0.25 exactly, so it takes interval
+    0.25; the plan's cut puts step 11 on 0.25 exactly, so it takes interval
     1's law.  A second row starts on the switch 0.375 and ends on the
     terminal start, so the rows take the same 27 steps."""
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     sched = build_schedule(1, pack_schedule, basis, 4)
     t1, t2, t3, t4 = sched.start_times[1:5]  # 0.25, 0.375, 0.4375, 0.46875
-    t_start = np.array([0.05, t2])
-    steps = np.array([np.repeat([(t1 - 0.05) / 11, 2.0**-7], [11, 16]),
-                      np.repeat([(t3 - t2) / 11, 2.0**-9], [11, 16])])
-    ends = np.array([np.repeat([t1, t2], [11, 16]), np.repeat([t3, t4], [11, 16])])
-    assert 0.05 + 11 * steps[0, 0] == np.nextafter(t1, 1.0)
+    plans = [([0.05, t1, t2], [11, 16], [(t1 - 0.05) / 11, 2.0**-7]),
+             ([t2, t3, t4], [11, 16], [(t3 - t2) / 11, 2.0**-9])]
+    assert 0.05 + 11 * plans[0][2][0] == np.nextafter(t1, 1.0)
     y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=2)] * 2)
-    run = simulate_batch(y0, ControlLaw.periodic(sched), t_start, [t2 - 0.05, t4 - t2], steps, basis, tensor, gram,
-                         piece_ends=ends)
+    run = simulate_batch(y0, ControlLaw.periodic(sched), plans, basis, tensor, gram)
     assert np.array_equal(run.times[[0, 11, 27]].T, [[0.05, t1, t2], [t2, t3, t4]])
     assert np.array_equal(run.segments[[10, 11, 27]].T, [[0, 1, 2], [2, 3, 4]])
-    assert np.array_equal(run.times, step_times(t_start, steps.T, ends.T))
-    # a piece end that its steps do not reach, a step array without ends, ends
-    # without a step array, ends of another shape
+    assert np.array_equal(run.times, step_times(plans)[0])
+    # a piece end that its steps do not reach, cuts that do not match the pieces
     with pytest.raises(ValueError, match="not where its steps end"):
-        step_times(t_start, steps.T, ends.T + 1e-3)
-    with pytest.raises(ValueError, match="needs its piece ends"):
-        simulate_batch(y0, ControlLaw.periodic(sched), t_start, [t2 - 0.05, t4 - t2], steps, basis, tensor, gram)
-    with pytest.raises(ValueError, match="need a step array"):
-        simulate_batch(y0, ControlLaw.periodic(sched), 0.0, 0.25, 2.0**-7, basis, tensor, gram, piece_ends=ends)
-    with pytest.raises(ValueError, match="piece ends as a"):
-        simulate_batch(y0, ControlLaw.periodic(sched), t_start, [t2 - 0.05, t4 - t2], steps, basis, tensor, gram,
-                       piece_ends=ends[:, :-1])
+        step_times([(np.append(cuts[0], np.add(cuts[1:], 1e-3)), counts, sizes) for cuts, counts, sizes in plans])
+    with pytest.raises(ValueError, match="P \\+ 1 cuts"):
+        simulate_batch(y0, ControlLaw.periodic(sched), [(cuts[:-1], counts, sizes) for cuts, counts, sizes in plans],
+                       basis, tensor, gram)
 
 
 def test_blowup_raised_at_oracle_step_for_first_failing_row(square16):
@@ -191,7 +182,7 @@ def test_blowup_raised_at_oracle_step_for_first_failing_row(square16):
     exploder = FeedbackParams(threshold=1.0, n_active=m, gain=-1e4, weight=1.0, cutoff_radius=0.5)
     y0 = np.array([np.zeros(m), np.full(m, 1e-3)])
     with pytest.raises(BlowUpError) as batch:
-        simulate_batch(y0, ControlLaw.stationary(exploder), 0.25, 0.5, 1e-3, basis, tensor, gram)
+        simulate_batch(y0, ControlLaw.stationary(exploder), uniform_plan(0.25, 0.5, 1e-3), basis, tensor, gram)
     with pytest.raises(BlowUpError) as reference:
         oracle.simulate(y0[1], oracle.ModalFeedback(exploder), 0.25, 0.75, 1e-3, basis, tensor, gram)
     assert batch.value.time == reference.value.time
@@ -217,7 +208,8 @@ def test_mixed_laws_and_steps_in_one_batch_match_oracle(square16, pack_rapid, pa
     t_start = np.array([0.0, 0.0, 0.13, 0.3])
     dt = np.array([1e-5, 2e-5, 2.0**-11, 2.0**-10])
     span = 256 * dt
-    run = simulate_batch(y0, laws, t_start, span, dt, basis, tensor, gram, sample_stride=4, latch_norm=latch)
+    run = simulate_batch(y0, laws, uniform_plan(t_start, span, dt), basis, tensor, gram, sample_stride=4,
+                         latch_norm=latch)
     refs = [oracle.simulate(x, feedback, s, s + width, step, basis, tensor, gram, sample_stride=4)
             for x, feedback, s, width, step in zip(y0, feedbacks, t_start, span, dt)]
     assert_matches_oracle(run, refs)
@@ -237,7 +229,7 @@ def test_rows_of_one_law_are_bit_equal_across_a_batch(square16, pack_rapid, pack
     b = ControlLaw.stationary(params)
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=8)
     dt = np.array([2.0**-10, 1e-5, 2.0**-10])
-    run = simulate_batch(np.array([y0, 0.5 * y0, y0]), [a, b, a], [0.1, 0.0, 0.1], 64 * dt, dt,
+    run = simulate_batch(np.array([y0, 0.5 * y0, y0]), [a, b, a], uniform_plan([0.1, 0.0, 0.1], 64 * dt, dt),
                          basis, tensor, gram)
     for name in ("states", *FLOAT_COLUMNS):
         column = getattr(run, name)
@@ -256,7 +248,7 @@ def test_equal_laws_built_apart_give_bit_equal_rows(square16, pack_rapid, pack_s
     b = ControlLaw.stationary(feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis))
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=8)
     dt = np.array([2.0**-10, 1e-5, 2.0**-10])
-    run = simulate_batch(np.array([y0, 0.5 * y0, y0]), [a, b, a_again], [0.1, 0.0, 0.1], 64 * dt, dt,
+    run = simulate_batch(np.array([y0, 0.5 * y0, y0]), [a, b, a_again], uniform_plan([0.1, 0.0, 0.1], 64 * dt, dt),
                          basis, tensor, gram)
     for name in ("states", *FLOAT_COLUMNS, "segments"):
         column = getattr(run, name)
@@ -281,7 +273,7 @@ def test_laws_with_different_segment_counts_match_oracle(square16, pack_rapid, p
     t_start = np.array([0.3, 0.0, 0.13])  # the periodic row crosses the terminal regime
     dt = np.array([1e-4, 1e-5, 2.0**-11])
     span = 256 * dt
-    run = simulate_batch(y0, laws, t_start, span, dt, basis, tensor, gram, sample_stride=4)
+    run = simulate_batch(y0, laws, uniform_plan(t_start, span, dt), basis, tensor, gram, sample_stride=4)
     refs = [oracle.simulate(x, feedback, s, s + width, step, basis, tensor, gram, sample_stride=4)
             for x, feedback, s, width, step in zip(y0, feedbacks, t_start, span, dt)]
     assert_matches_oracle(run, refs)
@@ -294,7 +286,7 @@ def test_laws_with_different_segment_counts_match_oracle(square16, pack_rapid, p
 def test_health_of_all_rows_gathers_the_rows(square16, mixed_batch):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     batch = mixed_batch
-    run = simulate_batch(batch["y0"], batch["laws"], batch["t_start"], 128 * batch["dt"], batch["dt"],
+    run = simulate_batch(batch["y0"], batch["laws"], uniform_plan(batch["t_start"], 128 * batch["dt"], batch["dt"]),
                          basis, tensor, gram, sample_stride=4, latch_norm=batch["latch"])
     whole, rows = run.health(), [run.health(r) for r in range(4)]
     assert whole["steps"] == sum(row["steps"] for row in rows) == 4 * 128
@@ -309,21 +301,25 @@ def test_batch_rejects_mismatched_steps_and_law_counts(square16, pack_rapid):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     law = ControlLaw.stationary(feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis))
     y0 = np.zeros((2, basis.n_modes))
+    plan = uniform_plan(0.0, 0.01, 1e-3)
     with pytest.raises(ValueError, match="same number of steps"):
-        simulate_batch(y0, law, 0.0, 0.01, [1e-3, 2e-3], basis, tensor, gram)
+        simulate_batch(y0, law, uniform_plan(0.0, 0.01, [1e-3, 2e-3]), basis, tensor, gram)
     with pytest.raises(ValueError, match="same number of steps"):
-        simulate_batch(y0, law, 0.0, [0.01, 0.02], 1e-3, basis, tensor, gram)
+        simulate_batch(y0, law, uniform_plan(0.0, [0.01, 0.02], 1e-3), basis, tensor, gram)
     with pytest.raises(ValueError, match="3 laws for 2 rows"):
-        simulate_batch(y0, [law] * 3, 0.0, 0.01, 1e-3, basis, tensor, gram)
+        simulate_batch(y0, [law] * 3, plan, basis, tensor, gram)
     with pytest.raises(ValueError, match="1 laws for 2 rows"):
-        simulate_batch(y0, [law], 0.0, 0.01, 1e-3, basis, tensor, gram)
-    # one size per step: one row of sizes per batch row, adding up to the span
-    with pytest.raises(ValueError, match="one step size per step for each of 2 rows"):
-        simulate_batch(y0, law, 0.0, 0.01, np.full((3, 10), 1e-3), basis, tensor, gram,
-                       piece_ends=np.full((3, 10), 0.01))
-    with pytest.raises(ValueError, match="add up to the span"):
-        simulate_batch(y0, law, 0.0, 0.01, np.full((2, 11), 1e-3), basis, tensor, gram,
-                       piece_ends=np.full((2, 11), 0.011))
+        simulate_batch(y0, [law], plan, basis, tensor, gram)
+    # one plan per batch row, each piece's steps ending on its cut
+    with pytest.raises(ValueError, match="3 step plans for 2 rows"):
+        simulate_batch(y0, law, [plan] * 3, basis, tensor, gram)
+    with pytest.raises(ValueError, match="1 step plans for 2 rows"):
+        simulate_batch(y0, law, [plan], basis, tensor, gram)
+    with pytest.raises(ValueError, match="not where its steps end"):
+        simulate_batch(y0, law, ([0.0, 0.01], [11], [1e-3]), basis, tensor, gram)
+    for counts, sizes in (([0], [1e-3]), ([10], [0.0]), ([-10], [-1e-3])):
+        with pytest.raises(ValueError, match="must be positive"):
+            simulate_batch(y0, law, ([0.0, 0.01], counts, sizes), basis, tensor, gram)
 
 
 BATCH_COLUMNS = ("segments", *FLOAT_COLUMNS, "states", "latch_time")
@@ -371,8 +367,9 @@ def mixed_batch(square16, pack_rapid, pack_schedule):
 def test_columns_do_not_depend_on_the_block_length(square16, mixed_batch, monkeypatch, n_steps, stride):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     batch = mixed_batch
-    runs = run_per_block(monkeypatch, batch["y0"], batch["laws"], batch["t_start"], n_steps * batch["dt"],
-                         batch["dt"], basis, tensor, gram, sample_stride=stride, latch_norm=batch["latch"])
+    plan = uniform_plan(batch["t_start"], n_steps * batch["dt"], batch["dt"])
+    runs = run_per_block(monkeypatch, batch["y0"], batch["laws"], plan, basis, tensor, gram, sample_stride=stride,
+                         latch_norm=batch["latch"])
     assert_same_across_blocks(runs)
     assert runs[0].norm_h.shape == (n_steps // stride + 1, 4)
 
@@ -382,14 +379,14 @@ def test_latch_at_block_edges_does_not_depend_on_the_block_length(square16, pack
     law = ControlLaw.periodic(build_schedule(1, pack_schedule, basis, 4))
     y0 = np.tile(random_low_mode_state(basis.n_modes, 1e-3, seed=6), (3, 1))
     dt = 2.0**-11
-    free = simulate_batch(y0, law, 0.0, 130 * dt, dt, basis, tensor, gram)
+    free = simulate_batch(y0, law, uniform_plan(0.0, 130 * dt, dt), basis, tensor, gram)
     # the norm falls along the run, so a latch at the norm of step k trips at
     # step k: the last step of the first 64-step block, the first of the
     # second, and one row that never trips
     trips = (63, 64)
     latch = np.array([free.norm_h[trips[0], 0], free.norm_h[trips[1], 1], 0.0])
     assert np.all(np.diff(free.norm_h[:, 0]) < 0)
-    runs = run_per_block(monkeypatch, y0, law, 0.0, 130 * dt, dt, basis, tensor, gram, latch_norm=latch)
+    runs = run_per_block(monkeypatch, y0, law, uniform_plan(0.0, 130 * dt, dt), basis, tensor, gram, latch_norm=latch)
     assert_same_across_blocks(runs)
     assert runs[0].latch_time[:2].tolist() == [k * dt for k in trips] and math.isnan(runs[0].latch_time[2])
     for row, k in enumerate(trips):
@@ -407,7 +404,7 @@ def test_blowup_on_a_block_end_does_not_depend_on_the_block_length(square16, mon
     for block in BLOCKS:
         monkeypatch.setattr(dynamics, "_BLOCK", block)
         with pytest.raises(BlowUpError) as caught:
-            simulate_batch(y0, ControlLaw.stationary(exploder), 0.25, 0.5, 1e-3, basis, tensor, gram)
+            simulate_batch(y0, ControlLaw.stationary(exploder), uniform_plan(0.25, 0.5, 1e-3), basis, tensor, gram)
         errors.append((caught.value.time, caught.value.row, caught.value.max_abs))
     assert errors == [errors[0]] * len(BLOCKS)
     assert errors[0][:2] == (0.25 + 64 * 1e-3, 1)
@@ -429,7 +426,8 @@ def test_stepping_memory_is_bounded_by_the_block(square16, pack_schedule):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            run = simulate_batch(y0, law, np.linspace(0.0, 0.4, b), 0.5, 0.5 / n_steps, basis, tensor, gram)
+            run = simulate_batch(y0, law, uniform_plan(np.linspace(0.0, 0.4, b), 0.5, 0.5 / n_steps), basis, tensor,
+                                 gram)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -464,7 +462,7 @@ def test_stationary_law_at_64_modes_matches_oracle(square32_wide, pack_schedule,
     # control starts past twice the radius, so the cutoff zeroes it at first
     y0 = random_low_mode_state(basis.n_modes, 1.0, seed=2)[None]
     dt = 1e-3
-    run = simulate_batch(y0, ControlLaw.stationary(params, cutoff=cutoff), 0.0, 0.3, dt,
+    run = simulate_batch(y0, ControlLaw.stationary(params, cutoff=cutoff), uniform_plan(0.0, 0.3, dt),
                          basis, tensor, gram, sample_stride=4)
     ref = oracle.simulate(y0[0], oracle.ModalFeedback(params, cutoff=cutoff), 0.0, 0.3, dt,
                           basis, tensor, gram, sample_stride=4)
@@ -480,7 +478,8 @@ def test_periodic_law_at_64_modes_with_offsets_matches_oracle(square32_wide, pac
     offsets = np.array([0.13, 0.2, 0.48])  # each crosses the terminal regime; the last starts past one period
     y0 = random_low_mode_state(basis.n_modes, 0.1, seed=3)
     dt = 2.0**-11
-    run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched), offsets, 0.125, dt, basis, tensor, gram)
+    run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched), uniform_plan(offsets, 0.125, dt), basis,
+                         tensor, gram)
     refs = [oracle.simulate(y0, oracle.ScheduledFeedback(sched), s, s + 0.125, dt, basis, tensor, gram)
             for s in offsets]
     assert_matches_oracle(run, refs)
@@ -509,8 +508,7 @@ def test_plan_matches_scalar_reduction(schedule16, offsets, dt, n_steps):
     segment of the end time last."""
     law = ControlLaw.periodic(schedule16)
     b = len(offsets)
-    times = step_times(np.array(offsets), np.full((n_steps, b), dt),
-                       np.broadcast_to(np.array(offsets) + n_steps * dt, (n_steps, b)))
+    times, _ = step_times([([s, s + n_steps * dt], [n_steps], [dt]) for s in offsets])
     seg = segment_plan([law] * b, times)
     assert times.shape == seg.shape == (n_steps + 1, b)
     for r, s in enumerate(offsets):
@@ -526,19 +524,19 @@ def test_plan_matches_scalar_reduction(schedule16, offsets, dt, n_steps):
     pieces=st.lists(st.tuples(st.integers(1, 9), st.integers(2, 12)), min_size=1, max_size=6),
 )
 def test_step_times_start_each_piece_where_the_last_ended(t_start, pieces):
-    """A row of pieces (steps n_p, size 2**-e_p, end e_p) steps from
-    s_p + j*dt_p, with s_{p+1} = e_p; on these dyadic sizes every time is
-    exact, which the sum of exact fractions checks."""
+    """A row plan of pieces (n_p steps of size 2**-e_p) steps from
+    cut_p + j*dt_p, where cut_{p+1} ends piece p; on these dyadic sizes every
+    time is exact, which the sum of exact fractions checks."""
     from fractions import Fraction
 
-    sizes = np.concatenate([np.full(n, 2.0**-e) for n, e in pieces])
-    ends = np.concatenate([np.full(n, t_start + sum(m * 2.0**-f for m, f in pieces[: p + 1]))
-                           for p, (n, e) in enumerate(pieces)])
-    times = step_times(np.array([t_start]), sizes[:, None], ends[:, None])[:, 0]
+    counts, sizes = [n for n, _ in pieces], [2.0**-e for _, e in pieces]
+    cuts = [t_start] + [t_start + sum(m * 2.0**-f for m, f in pieces[: p + 1]) for p in range(len(pieces))]
+    times, piece = step_times([(cuts, counts, sizes)])
+    assert np.array_equal(piece[:, 0], np.repeat(np.arange(len(pieces)), counts))
     expected = [Fraction(t_start)]
-    for size in sizes:
+    for size in np.repeat(sizes, counts):
         expected.append(expected[-1] + Fraction(size))
-    assert [Fraction(t) for t in times] == expected
+    assert [Fraction(t) for t in times[:, 0]] == expected
 
 
 @settings(max_examples=200, deadline=None)

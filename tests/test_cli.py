@@ -432,6 +432,16 @@ def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, caps
     ("simulate", "practical.trilinear_constant", 0.0),
     ("cost-curve", "practical.schedule_constant", -4.0),
     ("stabilize", "practical.feedback_constant", 0.05),
+    # checked with the domain, before the basis solve: no start offset, a
+    # seed numpy cannot take, a control window with no node of the 16 x 16
+    # grid (the nodes sit at k/17, and (0.5, 0.52) falls between 8/17 and 9/17)
+    ("stabilize", "experiment.offsets", []),
+    ("simulate", "seed", -1),
+    ("nullcontrol", "seed", -1),
+    ("stabilize", "seed", -1),
+    ("nullcontrol", "omega", [0.5, 0.52, 0.5, 0.52]),
+    ("stabilize", "omega", [0.5, 0.52, 0.5, 0.52]),
+    ("eigen", "omega", [0.1, 0.9, 0.5, 0.52]),
 ])
 def test_out_of_range_experiment_value_names_its_key(tmp_path, capsys, subcommand, key, value):
     path = write_config(tmp_path, overrides={key: value})

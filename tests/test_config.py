@@ -44,10 +44,15 @@ text = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_siz
 def valid_configs(draw):
     """A JSON config that parse_config accepts; optional keys come and go."""
     lx, ly = draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))
-    a, b = draw(st.floats(0.0, 0.49)) * lx, draw(st.floats(0.51, 1.0)) * lx
-    c, d = draw(st.floats(0.0, 0.49)) * ly, draw(st.floats(0.51, 1.0)) * ly
     nx = draw(st.integers(3, 48))
     ny = draw(st.integers(3, 48).filter(lambda n: n % 2 == 0 or nx % 2 == 0))  # odd-by-odd grids are rejected
+
+    def window(length, n):
+        """An interval of (0, length) around a drawn interior node, strictly."""
+        node = length / (n + 1) * draw(st.integers(1, n))
+        return draw(st.floats(0.0, 0.99)) * node, node + draw(st.floats(0.01, 0.99)) * (length - node)
+
+    (a, b), (c, d) = window(lx, nx), window(ly, ny)
     practical = st.fixed_dictionaries({}, optional={
         "spectral_constant": numbers,
         "trilinear_constant": numbers,
@@ -63,7 +68,7 @@ def valid_configs(draw):
         "n0": st.integers(1, 20),
         "n_max": st.integers(0, 20),
         "n0_list": st.lists(st.integers(1, 20), max_size=5),
-        "offsets": st.lists(st.floats(-3.0, 3.0) | st.integers(-3, 3), max_size=5),
+        "offsets": st.lists(st.floats(-3.0, 3.0) | st.integers(-3, 3), min_size=1, max_size=5),
         "periods": st.integers(2, 6),
     })
     optional = draw(st.fixed_dictionaries({}, optional={
@@ -117,6 +122,8 @@ WRONG_CASES = [(key, value) for keys, values in WRONG.items() for key in keys fo
 WRONG_CASES += [("omega", v) for v in WRONG_OMEGA]
 WRONG_CASES += [("experiment.n0_list", v) for v in WRONG_N0_LIST]
 WRONG_CASES += [("experiment.offsets", v) for v in WRONG_OFFSETS]
+# well typed but out of range: no start offset, a seed numpy cannot take
+WRONG_CASES += [("experiment.offsets", []), ("seed", -1)]
 WRONG_CASES += [(section, v) for section in ("practical", "experiment") for v in ([], 1, "x")]
 
 

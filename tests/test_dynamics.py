@@ -14,7 +14,7 @@ from nsstab.errors import BlowUpError
 from nsstab.experiments import random_low_mode_state
 
 import oracle
-from conftest import make_setup
+from conftest import make_setup, uniform_plan
 from oracle import (
     ModalFeedback,
     SpectralState,
@@ -35,7 +35,7 @@ ZERO = ControlLaw()
 
 def run_one(y0, law, t_start, t_end, dt, basis, tensor, gram, **kwargs):
     """One trajectory through the batched stepper."""
-    return simulate_batch(np.asarray(y0)[None], law, t_start, t_end - t_start, dt,
+    return simulate_batch(np.asarray(y0)[None], law, uniform_plan(t_start, t_end - t_start, dt),
                           basis, tensor, gram, **kwargs).trajectory(0)
 
 
@@ -275,12 +275,12 @@ def test_parseval_between_coefficients_and_field(square32):
 def test_simulate_validates_spans(square32):
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     y0 = np.zeros(basis.n_modes)
-    with pytest.raises(ValueError):
-        run_one(y0, ZERO, 0.0, 0.0105, 1e-3, basis, tensor, gram)
+    with pytest.raises(ValueError):  # 10 steps of 1e-3 miss the end 0.0105
+        simulate_batch(y0[None], ZERO, ([0.0, 0.0105], [10], [1e-3]), basis, tensor, gram)
     with pytest.raises(ValueError):
         run_one(y0, ZERO, 0.0, 0.01, 1e-3, basis, tensor, gram, sample_stride=3)
     with pytest.raises(ValueError):
-        simulate_batch(y0, ZERO, 0.0, 0.01, 1e-3, basis, tensor, gram)  # not a (B, M) batch
+        simulate_batch(y0, ZERO, uniform_plan(0.0, 0.01, 1e-3), basis, tensor, gram)  # not a (B, M) batch
 
 
 def test_spectral_state_wrapper(square32):

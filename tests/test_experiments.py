@@ -19,6 +19,8 @@ from nsstab.experiments import (
     run_small_time,
 )
 
+from conftest import uniform_plan
+
 
 @pytest.fixture(scope="module")
 def small_setup(square16, pack_schedule):
@@ -94,11 +96,11 @@ def test_null_control_restart_reproduces_tail(small_setup):
     dt = 2.0**-11
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=4)
     law = ControlLaw.periodic(sched)
-    full = simulate_batch(y0[None], law, 0.0, sched.period, dt, basis, tensor, gram).trajectory(0)
+    full = simulate_batch(y0[None], law, uniform_plan(0.0, sched.period, dt), basis, tensor, gram).trajectory(0)
     t1 = float(sched.start_times[1])
     idx = int(round(t1 / dt))
-    resumed = simulate_batch(full.states[idx][None], law, t1, sched.period - t1,
-                             dt, basis, tensor, gram).trajectory(0)
+    resumed = simulate_batch(full.states[idx][None], law, uniform_plan(t1, sched.period - t1, dt),
+                             basis, tensor, gram).trajectory(0)
     assert np.abs(resumed.states - full.states[idx:]).max() <= 1e-10
 
 
@@ -162,8 +164,9 @@ def test_default_piece_grid_matches_a_fine_uniform_run(square32, pack_schedule):
     fine_dt = np.array([2.0 ** -(r.n0 + 8 + 8) for r in reports])
     stride = 128  # samples every T/512, which holds every schedule time
     y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=5)] * 3)
-    fine = simulate_batch(y0, [ControlLaw.periodic(r.schedule) for r in reports], 0.0,
-                          [r.period for r in reports], fine_dt, basis, tensor, gram, sample_stride=stride)
+    fine = simulate_batch(y0, [ControlLaw.periodic(r.schedule) for r in reports],
+                          uniform_plan(0.0, [r.period for r in reports], fine_dt), basis, tensor, gram,
+                          sample_stride=stride)
     for row, report in enumerate(reports):
         idx = np.rint(report.interval_times / (stride * fine_dt[row])).astype(int)
         assert np.array_equal(fine.times[idx, row], report.interval_times)
@@ -261,7 +264,7 @@ def test_latched_feedback_shuts_off(small_setup):
     basis, tensor, gram = small_setup["basis"], small_setup["tensor"], small_setup["gram"]
     sched = build_schedule(1, small_setup["pack"], basis, 4)
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=6)
-    run = simulate_batch(y0[None], ControlLaw.periodic(sched), 0.0, sched.period, 2.0**-11,
+    run = simulate_batch(y0[None], ControlLaw.periodic(sched), uniform_plan(0.0, sched.period, 2.0**-11),
                          basis, tensor, gram, latch_norm=0.5e-3)
     traj = run.trajectory(0)
     latch_time = run.latch_time[0]
@@ -319,9 +322,9 @@ def test_small_time_steps_stay_within_their_interval_dt(piece_grid_probe):
     probe = piece_grid_probe
     limit = experiments._interval_dt(probe.schedule)
     for s, traj in zip(probe.offsets, probe.trajectories):
-        steps, ends = experiments._row_plan(probe.schedule, limit, s, 3, 6 * 64 + 1)
-        assert np.all(steps <= limit[traj.interval[:-1]]), s
-        assert np.isin(ends, traj.times).all()
+        cuts, counts, sizes = experiments._row_plan(probe.schedule, limit, s, 3, 6 * 64 + 1)
+        assert np.all(np.repeat(sizes, counts) <= limit[traj.interval[:-1]]), s
+        assert np.isin(cuts, traj.times).all()
         assert np.all(np.diff(traj.times) <= limit[traj.interval[:-1]] * (1 + 1e-12)), s
 
 
@@ -343,15 +346,15 @@ def test_row_plan_cuts_every_switch_and_evens_its_periods(small_setup, start, pe
     schedule = build_schedule(n0, small_setup["pack"], small_setup["basis"], 4)
     period, limit = schedule.period, experiments._interval_dt(schedule)
     per_period = round(period / limit[:-1].min()) + 12  # more than any natural period, whatever the start
-    steps, ends = experiments._row_plan(schedule, limit, start, periods, per_period)
-    times = step_times(np.array([start]), steps[:, None], ends[:, None])[:, 0]
+    cuts, counts, sizes = experiments._row_plan(schedule, limit, start, periods, per_period)
+    times = step_times([(cuts, counts, sizes)])[0][:, 0]
     marks = start + np.arange(periods + 1) * period
     assert np.array_equal(np.diff(np.searchsorted(times, marks)), np.full(periods, per_period))
     m = np.arange(math.floor(start / period), math.floor(start / period) + periods + 2)
     switches = (m[:, None] * period + schedule.start_times).ravel()
     cuts = np.append(switches[(switches >= start) & (switches <= marks[-1])], marks)
     assert np.isin(cuts, times).all()
-    assert np.all(steps <= limit[ControlLaw.periodic(schedule).segment_at(times[:-1])])
+    assert np.all(np.repeat(sizes, counts) <= limit[ControlLaw.periodic(schedule).segment_at(times[:-1])])
 
 
 def test_small_time_configured_dt_caps_every_piece(small_setup):
@@ -382,11 +385,9 @@ def test_small_time_piece_grid_is_second_order(small_setup):
 
     def end_norms(k):
         caps = experiments._interval_dt(schedule) / 2**k
-        per_period = max(len(experiments._row_plan(schedule, caps, s)[0]) for s in offsets)
-        steps, ends = (np.array(column) for column in
-                       zip(*(experiments._row_plan(schedule, caps, s, 1, per_period) for s in offsets)))
-        run = simulate_batch(y0, ControlLaw.periodic(schedule, cutoff=True), offsets, period, steps,
-                             basis, tensor, gram, piece_ends=ends)
+        per_period = max(experiments._row_plan(schedule, caps, s)[1].sum() for s in offsets)
+        plans = [experiments._row_plan(schedule, caps, s, 1, per_period) for s in offsets]
+        run = simulate_batch(y0, ControlLaw.periodic(schedule, cutoff=True), plans, basis, tensor, gram)
         assert np.array_equal(run.times[-1], offsets + period)
         return run.norm_h[-1]
 
@@ -410,7 +411,7 @@ def test_small_time_piece_grid_matches_a_fine_uniform_run(square32, pack_schedul
                            eta_grid=np.array([]), seed=7)
     assert probe.health["steps"] == 3 * 2 * 641
     y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=7)] * 3)
-    fine = simulate_batch(y0, ControlLaw.periodic(probe.schedule, cutoff=True), offsets, period, 2.0**-16,
+    fine = simulate_batch(y0, ControlLaw.periodic(probe.schedule, cutoff=True), uniform_plan(offsets, period, 2.0**-16),
                           basis, tensor, gram, sample_stride=16)
     for row, traj in enumerate(probe.trajectories):
         first = traj.times <= offsets[row] + period
