@@ -1,23 +1,29 @@
+import hashlib
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nsstab.cli as cli
 from nsstab.cli import (
     _row_format,
     emit_config,
+    ensure_basis,
     main,
     parse_config,
     read_basis_cache,
+    read_tensor_cache,
     run_subcommand,
     sha256_file,
     write_basis_cache,
+    write_tensor_cache,
     write_trajectory_csv,
 )
-from nsstab.dynamics import Trajectory
+from nsstab.dynamics import Trajectory, build_trilinear_tensor
 from nsstab.errors import ConfigError
 from nsstab.experiments import MAX_STEPS
 from nsstab.grid import DomainSpec, build_grid
@@ -122,9 +128,9 @@ def test_config_round_trip(tmp_path):
 def test_basis_cache_round_trip(tmp_path):
     grid, _, _, basis = make_setup(8, 8, 6, omega=(0.1, 0.6, 0.1, 0.6))
     path = tmp_path / "cache.bin"
-    write_basis_cache(path, basis)
-    loaded = read_basis_cache(path, grid, 6)
-    assert loaded is not None
+    key = write_basis_cache(path, basis)
+    loaded, read_key = read_basis_cache(path, grid, 6)
+    assert key == read_key == path.read_bytes()[-32:]  # the sha256 trailer
     assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
     assert np.array_equal(loaded.stream_functions, basis.stream_functions)
     assert np.array_equal(loaded.velocities, basis.velocities)
@@ -340,8 +346,12 @@ def test_stabilize_csvs_identical_across_blas_thread_counts(tmp_path):
     assert run_subcommand("eigen", parse_config(write_config(tmp_path, cache_path=str(cache)))) == 0
     outputs = {}
     for threads in ("1", "2"):
+        # each child gets its own copy of the basis cache, so each builds and writes its own tensor cache
+        own_cache = tmp_path / f"cache{threads}" / cache.name
+        own_cache.parent.mkdir()
+        own_cache.write_bytes(cache.read_bytes())
         data = json.loads(json.dumps(BASE))
-        data.update(output_dir=str(tmp_path / f"out{threads}"), cache_path=str(cache))
+        data.update(output_dir=str(tmp_path / f"out{threads}"), cache_path=str(own_cache))
         path = tmp_path / f"stabilize{threads}.json"
         path.write_text(json.dumps(data))
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
@@ -353,6 +363,8 @@ def test_stabilize_csvs_identical_across_blas_thread_counts(tmp_path):
     for one, two in zip(outputs["1"], outputs["2"]):
         assert one.name == two.name
         assert one.read_bytes() == two.read_bytes()
+    tensor_caches = [(tmp_path / f"cache{threads}" / f"{cache.name}.tensor").read_bytes() for threads in ("1", "2")]
+    assert tensor_caches[0] == tensor_caches[1]
 
 
 def _run_in_children(tmp_path, subcommand, data, env_by_name, timeout=300):
@@ -400,6 +412,161 @@ def test_version_1_cache_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog)
     assert "version 1 != 2; ignoring" in caplog.text
     assert json.loads((tmp_path / "out" / "eigen_report.json").read_text())["cache_hit"] is False
     assert path.read_bytes() == current
+
+
+def _refuse_to_build(*args):
+    raise AssertionError("the convection tensor was built")
+
+
+def _cli_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "nsstab.cli" and r.levelname == "WARNING"]
+
+
+def test_tensor_cache_reads_back_the_built_tensor_bit_for_bit(tmp_path, square32_wide):
+    # 16x16 with 12 modes, written by a run
+    config = parse_config(write_config(tmp_path))
+    assert run_subcommand("nullcontrol", config) == 0
+    path = config.resolved_tensor_cache_path()
+    assert path.name == "basis_cache.nsstab.tensor"
+    basis, hit, key = ensure_basis(config)
+    assert hit and key == config.resolved_cache_path().read_bytes()[-32:]
+    tensor, digest = read_tensor_cache(path, config.M, key)
+    assert digest == sha256_file(path)
+    assert not tensor.flags.writeable  # a view of the bytes read
+    assert tensor.tobytes() == build_trilinear_tensor(basis, basis.grid).tobytes()
+    # 32x32 with 64 modes, the wide-modes size
+    wide, key = square32_wide["tensor"], bytes(range(32))
+    path = tmp_path / "wide.tensor"
+    assert write_tensor_cache(path, wide, key) == sha256_file(path)
+    assert path.stat().st_size == 8 + 4 + 4 + 32 + 8 * 64**3 + 32
+    tensor, _ = read_tensor_cache(path, 64, key)
+    assert tensor.shape == wide.shape and tensor.tobytes() == wide.tobytes()
+
+
+def test_warm_tensor_cache_reproduces_every_artifact(tmp_path, monkeypatch):
+    """Each first run builds the tensor; the second runs read it back and never
+    build it, and write the same CSVs and reports."""
+    practical = parse_config(write_config(tmp_path))
+    certified = parse_config(write_config(tmp_path, mode="certified"))
+    configs = {"simulate": practical, "stabilize": practical, "cost-curve": practical,
+               "nullcontrol": practical, "constants": certified}
+    out, tensor_cache = tmp_path / "out", practical.resolved_tensor_cache_path()
+
+    def artifacts():
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.suffix in (".csv", ".json")}
+
+    for sub, config in configs.items():
+        tensor_cache.unlink(missing_ok=True)
+        assert run_subcommand(sub, config) == 0
+    first = artifacts()
+    monkeypatch.setattr(cli, "build_trilinear_tensor", _refuse_to_build)
+    for sub, config in configs.items():
+        assert run_subcommand(sub, config) == 0
+    second = artifacts()
+    assert second.keys() == first.keys() and len(first) == 11
+    for name, data in first.items():
+        if name.endswith(".csv"):
+            assert second[name] == data, name
+        else:
+            assert without_stepping_times(second[name]) == without_stepping_times(data), name
+            assert json.loads(data)["inputs"]["tensor_cache"] == sha256_file(tensor_cache), name
+
+
+def test_eigen_and_fit_c1_leave_no_tensor_cache_and_the_basis_cache_keeps_its_layout(tmp_path, monkeypatch):
+    config = parse_config(write_config(tmp_path, mode="certified"))
+    practical = parse_config(write_config(tmp_path))
+    monkeypatch.setattr(cli, "build_trilinear_tensor", _refuse_to_build)
+    for sub in ("eigen", "fit-c1"):
+        assert run_subcommand(sub, config) == 0
+    assert run_subcommand("constants", practical) == 0  # a practical pack needs no tensor either
+    assert not list((tmp_path / "out").glob("*.tensor"))
+    for name in ("eigen", "fit_c1", "constants"):
+        assert "tensor_cache" not in json.loads((tmp_path / "out" / f"{name}_report.json").read_text())["inputs"]
+    basis_cache = config.resolved_cache_path().read_bytes()
+    assert len(basis_cache) == 40 + 8 * config.M * (1 + config.nx * config.ny) + 32
+    monkeypatch.undo()
+    assert run_subcommand("constants", config) == 0
+    assert config.resolved_tensor_cache_path().exists()
+    assert config.resolved_cache_path().read_bytes() == basis_cache
+
+
+def _signed(body: bytes) -> bytes:
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize(("edit", "reason"), [
+    (lambda blob: _signed(blob[:8] + struct.pack("<I", 99) + blob[12:-32]), "version 99 != 1"),
+    (lambda blob: _signed(blob[:12] + struct.pack("<I", 13) + blob[16:-32]), "M 13 != 12"),
+    (lambda blob: _signed(blob[:16] + bytes(32) + blob[48:-32]), "built from another basis cache"),
+    (lambda blob: _signed(blob[:-40]), "payload size mismatch"),
+    (lambda blob: blob[:100] + bytes([blob[100] ^ 0xFF]) + blob[101:], "checksum mismatch"),
+    (lambda blob: b"NSSTAB1\x00" + blob[8:], "bad magic or truncated"),
+    (lambda blob: blob[:60], "bad magic or truncated"),
+], ids=["version", "M", "basis-digest", "size", "checksum", "magic", "truncated"])
+def test_stale_tensor_cache_is_ignored_with_one_warning_and_rebuilt(tmp_path, caplog, monkeypatch, edit, reason):
+    config = parse_config(write_config(tmp_path))
+    assert run_subcommand("nullcontrol", config) == 0
+    path, trajectory = config.resolved_tensor_cache_path(), tmp_path / "out" / "nullcontrol_trajectory.csv"
+    good, first = path.read_bytes(), trajectory.read_bytes()
+    path.write_bytes(edit(good))
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return build_trilinear_tensor(*args)
+
+    monkeypatch.setattr(cli, "build_trilinear_tensor", counted)
+    with caplog.at_level("WARNING", logger="nsstab.cli"):
+        assert run_subcommand("nullcontrol", config) == 0
+    assert _cli_warnings(caplog) == [f"tensor cache {path}: {reason}; ignoring"]
+    assert len(builds) == 1
+    assert path.read_bytes() == good
+    assert trajectory.read_bytes() == first
+
+
+def test_unwritable_tensor_cache_warns_and_steps_with_the_built_tensor(tmp_path, caplog, monkeypatch):
+    """Tests run as root, where chmod does not stop a write, so the writer is made to fail."""
+    config = parse_config(write_config(tmp_path))
+    assert run_subcommand("nullcontrol", config) == 0
+    out, path = tmp_path / "out", config.resolved_tensor_cache_path()
+    first = (out / "nullcontrol_trajectory.csv").read_bytes()
+    path.unlink()
+
+    def refuse(path, tensor, key):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "write_tensor_cache", refuse)
+    with caplog.at_level("WARNING", logger="nsstab.cli"):
+        assert run_subcommand("nullcontrol", config) == 0
+    [warning] = _cli_warnings(caplog)
+    assert warning.startswith(f"tensor cache {path}: cannot write (") and "Permission denied" in warning
+    assert not path.exists()
+    assert (out / "nullcontrol_trajectory.csv").read_bytes() == first
+    assert json.loads((out / "nullcontrol_report.json").read_text())["inputs"]["tensor_cache"] is None
+    assert run_subcommand("report", config) == 0
+    summary = (out / "summary.txt").read_text()
+    assert f"  tensor_cache = {path} (not written)" in summary and "WARNING" not in summary
+    # only a failed write is forgiven, not a bug in the writer
+    monkeypatch.setattr(cli, "write_tensor_cache", lambda path, tensor, key: tensor[key])
+    with pytest.raises(IndexError):
+        run_subcommand("nullcontrol", config)
+
+
+def test_report_prints_and_checks_both_cache_digests(tmp_path):
+    config = parse_config(write_config(tmp_path))
+    out = tmp_path / "out"
+    for sub in ("eigen", "simulate", "report"):
+        assert run_subcommand(sub, config) == 0
+    basis, tensor = config.resolved_cache_path(), config.resolved_tensor_cache_path()
+    summary = (out / "summary.txt").read_text()
+    assert summary.count(f"  cache = {basis} ({sha256_file(basis)})\n") == 2
+    assert summary.count(f"  tensor_cache = {tensor} ({sha256_file(tensor)})\n") == 1  # only simulate used it
+    assert "WARNING" not in summary
+    for change in (lambda: tensor.write_bytes(tensor.read_bytes()[:-1]), tensor.unlink):
+        change()
+        assert run_subcommand("report", config) == 0
+        warnings = [line for line in (out / "summary.txt").read_text().splitlines() if "WARNING" in line]
+        assert warnings == [f"  WARNING: {tensor} hash differs from the one recorded at the run"]
 
 
 def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, capsys):
