@@ -11,12 +11,37 @@ makes the discrete nonlinearity exactly energy-neutral, so the energy law
 
     d/dt (1/2 ||X||^2) = -nu sum tau_k X_k^2 + X . (G c)
 
-holds at the ODE level.  Time stepping is an integrating-factor Heun
-scheme (an exponential RK2, Cox & Matthews, J. Comput. Phys. 2002): the
-stiff diagonal part is integrated exactly, the nonlinearity and control
-explicitly at second order.  The dissipation and control-work integrals are
-accumulated with exponentially weighted trapezoids (exact for pure decay),
-so the energy identity can be checked to O(dt^2) per unit time along a run.
+holds at the ODE level.  Time stepping is an exponential RK2 in Lawson's
+form (Lawson, SIAM J. Numer. Anal. 4, 1967; Hochbruck & Ostermann, Acta
+Numerica 19, 2010): a linear part L is integrated exactly by its
+propagator E = e^{hL}, and the remainder r explicitly at second order,
+
+    p = E (x + h r(x)),   x' = E (x + h/2 r(x)) + h/2 r(p).
+
+Which L a row takes is fixed by its law:
+
+* a stationary law (:meth:`ControlLaw.stationary`) has one fixed closed
+  loop, L = -nu diag(tau) + G K with K x = -gain times the active modes,
+  and r(x) = G (c(x) - K x) - N(x).  While the cutoff does not act,
+  c(x) = K x exactly, so r is the convection alone and the step takes no
+  limit from the gain.  E and the energy moments are tabled once per
+  distinct (gain row, step size) (:class:`ClosedLoopTable`), and a step's
+  dissipation and linear control work are x^T W0 x + 2 h x^T W1 r(x),
+  exact for the linear flow, plus the trapezoid of x . G (c - K x).  When
+  the cutoff does act, the explicit correction G (c - K x) cancels a stiff
+  term: the step stays stable but loses accuracy, which only steps below
+  0.25 / gain restore (a start whose raw control is 3 times the radius,
+  at 32x32 with M = 24 and gain 7.2e4: 50% of the norm at 1024 steps, 4%
+  at dt = 0.25 / gain and 0.5% at a quarter of that).
+  Once a row's latch trips, it takes the zero law's diagonal factor;
+* the zero law and periodic laws keep the integrating factor of the
+  diagonal alone (Cox & Matthews, J. Comput. Phys. 176, 2002), E =
+  diag(e^{-nu tau h}), with r = G c - N explicit, and exponentially
+  weighted trapezoids (exact for pure decay) for the energy integrals.  A
+  batch of such rows only runs the per-step arithmetic of that scheme.
+
+So the energy identity can be checked along a run: to roundoff for a
+linear stationary law, and to O(dt^2) per unit time otherwise.
 
 Every control law here is piecewise-constant linear feedback with an
 optional radial cutoff and norm latch (:class:`ControlLaw`).  A run steps a
@@ -42,21 +67,24 @@ product over the pairs i <= j of the tensor symmetrized in (i, j)
 
 The per-step loop of :func:`simulate_batch` keeps only what the next state
 depends on: the two convection terms, the two law evaluations (cutoff and
-latch included), the two Gram products, the Heun update and the blow-up
-guard, which is relative to each row's initial norm.  It writes each step's
-state, control and Gram products into block buffers.  Once per block of
-``_BLOCK`` steps, and at the last step, one vectorized pass turns them into
-the samples, the Lyapunov column and the energy integrals; the law tables
-and the step tables are gathered for the block's steps at its start.  The
-pass uses the same row dot products as a per-step loop would, and its
-cumulative sums add left to right like a running total, so no result
-depends on the block length.  The call times itself with
-time.perf_counter, and :meth:`BatchRun.health` reports the steps, the
-largest energy-identity residual and that time, for one row or for all.
+latch included), the two Gram products, the two propagations, the step's
+energy-moment products on the closed-loop rows, and the blow-up guard,
+which is relative to each row's initial norm.  It writes each step's
+state, control, Gram products and moment products into block buffers.
+Once per block of ``_BLOCK`` steps, and at the last step, one vectorized
+pass turns them into the samples, the Lyapunov column and the energy
+integrals; the law tables and the step tables are gathered for the
+block's steps at its start.  The pass uses the same row dot products as a
+per-step loop would, and its cumulative sums add left to right like a
+running total, so no result depends on the block length.  The call times
+itself with time.perf_counter, and :meth:`BatchRun.health` reports the
+steps, the largest energy-identity residual and that time, for one row or
+for all.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -72,6 +100,15 @@ BLOWUP_GUARD = 1e6
 
 #: steps per block of the deferred sampling and energy bookkeeping; results do not depend on it
 _BLOCK = 64
+
+#: coefficients b_0..b_13 of the degree-13 Pade approximant to exp, and the 1-norm up
+#: to which it meets double precision unscaled (Higham 2005, Table 2.3 and eq. (10.40))
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+           10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+#: points of the Gauss-Legendre rule of the moment integrals over one sub-step
+_GAUSS_POINTS = 12
 
 
 def raw_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
@@ -130,6 +167,102 @@ def packed_convection(tensor: np.ndarray, rows: int):
         return (flat.take(flat_i, mode="clip") * flat.take(flat_j, mode="clip")) @ packed
 
     return convection
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by the degree-13 Pade approximant with scaling and
+    squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+
+    a is scaled by a power of two to a 1-norm of at most _THETA13, where the
+    approximant is accurate to double precision, and the result is squared
+    back.  numpy only, so that stepping never imports scipy.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise ValueError("matrix exponential of a matrix with non-finite entries")
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a / 2.0**squarings
+    b = _PADE13
+    ident = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    # (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U, which keeps the rounding of the
+    # identity out of the small terms
+    r = np.linalg.solve(v - u, 2.0 * u)
+    r[np.diag_indices_from(r)] += 1.0
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def exponential_moments(lin: np.ndarray, h: float, quads) -> tuple[np.ndarray, list]:
+    """e^{h L} and, for each symmetric Q of quads, the moments
+    W0 = int_0^h e^{L^T s} Q e^{L s} ds and M1 = int_0^h s e^{L^T s} Q e^{L s} ds.
+
+    The moments are Gauss-Legendre sums over a sub-step d = h / 2^k with
+    ||L d||_1 <= 1, doubled k times (Van Loan, IEEE Trans. Automat. Control
+    23, 1978, with the doubling in place of one block exponential, whose
+    e^{+L s} blocks overflow on stiff steps):
+
+        W0(2s) = W0(s) + E(s)^T W0(s) E(s)
+        M1(2s) = M1(s) + E(s)^T (M1(s) + s W0(s)) E(s)
+
+    Returns e^{h L} and a list of (W0, M1) pairs, each symmetrized.
+    """
+    norm = float(np.abs(h * lin).sum(axis=0).max())
+    doublings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
+    sub = h / 2.0**doublings
+    # the rule's nodes on [-1, 1] are the eigenvalues of the Jacobi matrix of
+    # the Legendre recurrence, and its weights twice the squared first
+    # components of the eigenvectors (Golub & Welsch, Math. Comp. 23, 1969)
+    k = np.arange(1.0, _GAUSS_POINTS)
+    roots, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    nodes, weights = 0.5 * sub * (roots + 1.0), sub * vectors[0] ** 2
+    moments = [(np.zeros_like(lin), np.zeros_like(lin)) for _ in quads]
+    for s, w in zip(nodes, weights):
+        flow = expm(s * lin)
+        for q, (w0, m1) in zip(quads, moments):
+            term = flow.T @ q @ flow
+            w0 += w * term
+            m1 += w * s * term
+    e_sub, s = expm(sub * lin), sub
+    for _ in range(doublings):
+        moments = [(w0 + e_sub.T @ w0 @ e_sub, m1 + e_sub.T @ (m1 + s * w0) @ e_sub) for w0, m1 in moments]
+        e_sub, s = e_sub @ e_sub, 2.0 * s
+    return expm(h * lin), [(0.5 * (w0 + w0.T), 0.5 * (m1 + m1.T)) for w0, m1 in moments]
+
+
+@dataclass(frozen=True)
+class ClosedLoopTable:
+    """Stepping tables of a stationary law's closed loop at one step size h.
+
+    L = -nu diag(tau) + G diag(gain) is the linear part of the closed loop,
+    with gain the law's control gains (-gain on the active modes).  prop_t is
+    e^{h L} transposed, so a (B, M) batch steps as x @ prop_t.  The energy
+    integrals of a step from x with explicit remainder r are
+    x . (x @ quad_x + r @ quad_r), columns :M the dissipation and M: the
+    linear control work: quad_x holds W0 of Q = diag(tau) and of
+    Q = sym(G diag(gain)), quad_r twice their first moments M1, so that the
+    sums are x^T W0 x + 2 h x^T W1 r with W1 = M1 / h (all symmetric).
+    """
+
+    gain: np.ndarray
+    prop_t: np.ndarray
+    quad_x: np.ndarray
+    quad_r: np.ndarray
+
+    @classmethod
+    def build(cls, tau: np.ndarray, gram: np.ndarray, gain: np.ndarray, h: float, nu: float) -> "ClosedLoopTable":
+        control = gram * gain  # G diag(gain)
+        lin = control - np.diag(nu * tau)
+        prop, moments = exponential_moments(lin, h, (np.diag(tau), 0.5 * (control + control.T)))
+        (w_diss, m_diss), (w_work, m_work) = moments
+        return cls(gain=gain.copy(), prop_t=np.ascontiguousarray(prop.T), quad_x=np.hstack([w_diss, w_work]),
+                   quad_r=2.0 * np.hstack([m_diss, m_work]))
 
 
 @dataclass(frozen=True)
@@ -363,7 +496,9 @@ def simulate_batch(
     States are kept for the first state_rows rows (default: all).  Raises
     BlowUpError at the first step where a coefficient of a row exceeds
     BLOWUP_GUARD times the row's initial norm, with the first such row and
-    its time.
+    its time.  A row with a stationary law steps its closed loop in the
+    exponential, and every other row the diagonal integrating factor (see
+    the module docstring).
     """
     start = time.perf_counter()
     y0 = np.asarray(y0, dtype=np.float64)
@@ -404,6 +539,22 @@ def simulate_batch(
     guard_col, guard_all = guard[:, None], guard.min()
 
     tau = basis.eigenvalues
+    # a stationary row's pieces step its closed loop exactly: one table per
+    # distinct (gain row, step size), and table_index[k, r] the table of row
+    # r's step k, -1 on the rows that take the diagonal factor
+    tables, keys, piece_tables = [], {}, []
+    for r, ((_, _, sizes), row_law) in enumerate(zip(plans, laws)):
+        stationary = row_law.schedule is None and bool(row_law.params)
+        for h in np.asarray(sizes, dtype=np.float64):
+            key = (gains[r * size].tobytes(), float(h)) if stationary else None
+            if stationary and key not in keys:
+                keys[key] = len(tables)
+                tables.append(ClosedLoopTable.build(tau, gram, gains[r * size], float(h), nu))
+            piece_tables.append(keys.get(key, -1))
+    table_index = np.asarray(piece_tables)[dt_index] if tables else None
+    # the steps where the tables of some row change; a latch trip adds the next step
+    regroup_steps = set() if not tables else {0, *(np.flatnonzero(np.any(np.diff(table_index, axis=0), axis=1)) + 1)}
+
     dt_col = dt_values[:, None]
     decay_table = np.exp(-nu * tau * dt_col)
     decay_sq = decay_table * decay_table
@@ -418,6 +569,9 @@ def simulate_batch(
     # rows without cutoff have radius inf; a batch with no finite radius skips
     # the row norms, which cost about 5 us per law evaluation
     any_cutoff = bool(np.isfinite(radii).any())
+    # the closed-loop rows of the current step, as (table, rows) pairs, and
+    # whether one table covers the whole batch
+    groups, whole = [], False
 
     def control(x, gain, radius, k, shift):
         """Law with this step's gains and radii at time times[k] + shift
@@ -430,9 +584,40 @@ def simulate_batch(
             if trip.any():
                 latch_time[trip] = (times[k] + shift)[trip]
                 latched[trip] = True
+                if tables:  # the next step to start regroups
+                    regroup_steps.update((k, k + 1))
             if latched.any():
                 c = np.where(latched[:, None], 0.0, c)
         return c
+
+    def regroup(k):
+        """The closed-loop groups of step k; a latched row takes the zero law's diagonal factor."""
+        nonlocal groups, whole
+        current = np.where(latched, -1, table_index[k])
+        ids = np.unique(current[current >= 0])
+        whole = len(ids) == 1 and bool(np.all(current == ids[0]))
+        groups = [(tables[t], slice(None) if whole else np.flatnonzero(current == t)) for t in ids]
+        return current >= 0
+
+    def rest(c, x):
+        """The control minus its linear part, c - K x, on the closed-loop rows; c on the others."""
+        if whole:
+            return c - x * groups[0][0].gain
+        if not groups:
+            return c
+        u = c.copy()
+        for table, rows in groups:
+            u[rows] = c[rows] - x[rows] * table.gain
+        return u
+
+    def propagate(v, decay):
+        """v e^{hL}^T on the closed-loop rows, decay * v on the others."""
+        if whole:
+            return v @ groups[0][0].prop_t
+        out = decay * v
+        for table, rows in groups:
+            out[rows] = v[rows] @ table.prop_t
+        return out
 
     n_samples = n_steps // sample_stride + 1
     norm_h, control_norm, dissipation, control_work = np.empty((4, n_samples, b))
@@ -443,6 +628,9 @@ def simulate_batch(
     # control that the previous block ended on
     block = min(_BLOCK, n_steps)
     xs, c1s, g1s, g2s = np.empty((4, block + 1, b, m))
+    if tables:
+        # each step's closed-loop rows, and x @ quad_x + r @ quad_r on them
+        closed, quads = np.zeros((block, b), dtype=bool), np.zeros((block, b, 2 * m))
     # row_dot against one copy of tau per row, where a (B, M) @ (M,) product
     # would sum rows in different orders by their position in the batch
     tau_rows = np.tile(tau, (block * b, 1))
@@ -465,11 +653,16 @@ def simulate_batch(
         steps = dt_index[k0 : k0 + n]
         # energy bookkeeping: trapezoid in the integrating-factor variable
         z_sq_end = np.where(endpoint_ok_table[steps], x2[1:] / decay_sq_safe_table[steps], x2[:-1])
-        diss = np.cumsum(np.concatenate(
-            [carry[:1], stacked_dot(diss_half_table[steps] * (x2[:-1] + z_sq_end), tau_rows[: n * b])]), axis=0)
-        work = np.cumsum(np.concatenate(
-            [carry[1:], half_dt_table[steps, 0] * (stacked_dot(x[:-1], g1s[:n]) + stacked_dot(x[1:], g2s[:n]))]),
-            axis=0)
+        diss_steps = stacked_dot(diss_half_table[steps] * (x2[:-1] + z_sq_end), tau_rows[: n * b])
+        work_steps = half_dt_table[steps, 0] * (stacked_dot(x[:-1], g1s[:n]) + stacked_dot(x[1:], g2s[:n]))
+        if tables:
+            # closed-loop steps: the moments of the linear flow, and the
+            # trapezoid of the explicit control remainder x . G (c - K x)
+            dense = closed[:n]
+            diss_steps = np.where(dense, stacked_dot(x[:-1], quads[:n, :, :m]), diss_steps)
+            work_steps = work_steps + np.where(dense, stacked_dot(x[:-1], quads[:n, :, m:]), 0.0)
+        diss = np.cumsum(np.concatenate([carry[:1], diss_steps]), axis=0)
+        work = np.cumsum(np.concatenate([carry[1:], work_steps]), axis=0)
         carry[:] = diss[n], work[n]
         first = -k0 % sample_stride
         chosen = slice(first, n + 1 if last else n, sample_stride)
@@ -500,11 +693,18 @@ def simulate_batch(
             k = k0 + j
             x, x_new = xs[j], xs[j + 1]
             decay, half_dt = decays[j], half_dts[j]
-            g1 = np.matmul(c1s[j], gram_t, out=g1s[j])
+            if k in regroup_steps:
+                closed_rows = regroup(k)
+            g1 = np.matmul(rest(c1s[j], x), gram_t, out=g1s[j])
             f1 = g1 - convection(x)
-            predictor = decay * (x + dts[j] * f1)
-            g2 = np.matmul(control(predictor, gain[j], radius[j], k, dts[j, :, 0]), gram_t, out=g2s[j])
-            np.add(decay * (x + half_dt * f1), half_dt * (g2 - convection(predictor)), out=x_new)
+            predictor = propagate(x + dts[j] * f1, decay)
+            c2 = control(predictor, gain[j], radius[j], k, dts[j, :, 0])
+            g2 = np.matmul(rest(c2, predictor), gram_t, out=g2s[j])
+            np.add(propagate(x + half_dt * f1, decay), half_dt * (g2 - convection(predictor)), out=x_new)
+            if tables:
+                closed[j] = closed_rows
+                for table, rows in groups:
+                    quads[j, rows] = x[rows] @ table.quad_x + f1[rows] @ table.quad_r
             if not np.abs(x_new).max() <= guard_all:
                 over = ~np.all(np.abs(x_new) <= guard_col, axis=1)
                 if over.any():

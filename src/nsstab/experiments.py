@@ -50,6 +50,9 @@ MAX_STEPS = 2**20
 #: fewest steps per schedule piece without a configured dt
 _PIECE_STEPS = 64
 
+#: samples of a stationary-law run; its default step is their spacing
+RAPID_SAMPLES = 1024
+
 
 def random_low_mode_state(n_modes: int, norm: float, seed: int) -> np.ndarray:
     """Seeded isotropic state on the first min(8, M) modes, given norm."""
@@ -63,9 +66,15 @@ def random_low_mode_state(n_modes: int, norm: float, seed: int) -> np.ndarray:
     return x
 
 
-def default_dt(max_gain: float, tau_max: float) -> float:
-    """Step-size heuristic: the control term is the remaining explicit stiffness."""
-    return min(0.25 / max_gain, 0.1 / math.sqrt(tau_max))
+def default_dt(horizon: float, tau_max: float) -> float:
+    """Default step of a stationary-law run: the spacing of RAPID_SAMPLES
+    samples over the horizon, and at most 0.1 / sqrt(tau_max).
+
+    The closed loop's linear part is integrated exactly (see
+    :class:`nsstab.dynamics.ClosedLoopTable`), so the gain sets no step; only
+    the explicit convection and the cutoff's correction remain.
+    """
+    return min(horizon / RAPID_SAMPLES, 0.1 / math.sqrt(tau_max))
 
 
 def _dyadic_dt(max_gain: float, k_floor: int) -> float:
@@ -185,17 +194,17 @@ def run_rapid_stab(
     basin = params.cutoff_radius**2 if cutoff else params.cutoff_radius
     y0_norm = y0_scale * basin
     y0 = random_low_mode_state(basis.n_modes, y0_norm, seed)
-    if dt is None:
-        dt = default_dt(params.gain, float(basis.eigenvalues[-1]))
-        logger.info("dt defaulted to %.3e (gain %.3e)", dt, params.gain)
     if horizon is None:
         horizon = 16.0 / lam
+    if dt is None:
+        dt = default_dt(horizon, float(basis.eigenvalues[-1]))
+        logger.info("dt defaulted to %.3e (horizon %.3e)", dt, horizon)
     planned = math.ceil(horizon / dt)
     if planned > MAX_STEPS:
         raise ConfigError("dt", f"dt = {dt:.3e} over the horizon {horizon:.3e} needs {planned} steps, "
                                 f"more than the budget of {MAX_STEPS}")
     n_steps = max(1, int(round(horizon / dt)))
-    stride = max(1, n_steps // 1024)
+    stride = max(1, n_steps // RAPID_SAMPLES)
     n_steps = ((n_steps + stride - 1) // stride) * stride
     horizon = n_steps * dt
 
@@ -250,6 +259,11 @@ def run_rapid_stab(
         report.cutoff_trajectory = traj_cut
         report.cutoff_matches_linear = bool(np.array_equal(traj.states, traj_cut.states))
         report.control_stayed_below_radius = bool(np.all(raw_control <= params.cutoff_radius))
+        if not report.control_stayed_below_radius:
+            logger.warning(
+                "the raw control exceeded the cutoff radius %.3e, so the cutoff row stepped a stiff explicit "
+                "correction G (c - K y) and is less accurate than the linear row; only a configured dt well below "
+                "0.25 / gain = %.3e restores its accuracy", params.cutoff_radius, 0.25 / params.gain)
     report.health = {**run.health(), "dt": dt}
     return report
 

@@ -4,7 +4,13 @@
   classes that nsstab shipped before the batched stepper.  Tests compare
   :func:`nsstab.dynamics.simulate_batch` against them; the scheme is the
   same integrating-factor Heun step, written one trajectory and one law
-  evaluation at a time.
+  evaluation at a time.  It stays the reference of the zero-law and
+  periodic rows, and, at fine steps, of the stationary ones.
+* The closed-loop exponential step of a stationary law
+  (:func:`simulate_closed_loop`), one trajectory at a time, with scipy's
+  ``expm`` for the propagator and a composite Gauss-Legendre rule with an
+  ``expm`` at every node for the energy moments (:func:`dense_moments`),
+  where nsstab doubles sub-step moments up with its own exponential.
 * The dense operator assembly and the dense generalized ``eigh`` that the
   sparse shift-invert solve replaced, run through the same canonicalizer.
 * The one-shot convection tensor, with its (M, M, 2, N) intermediate.
@@ -520,6 +526,128 @@ def simulate(
         control_work=control_work,
         nu=nu,
     )
+
+
+def dense_moments(lin: np.ndarray, h: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W0 = int_0^h e^{L^T s} Q e^{L s} ds and M1 = int_0^h s e^{L^T s} Q e^{L s} ds by a
+    composite 12-point Gauss-Legendre rule, with scipy's expm at every node:
+    2 ||h L||_1 + 1 panels, so ||L|| times a panel's width stays at most 1/2."""
+    panels = int(2.0 * np.abs(h * lin).sum(axis=0).max()) + 1
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    width = h / panels
+    w0, m1 = np.zeros_like(lin), np.zeros_like(lin)
+    for p in range(panels):
+        for node, weight in zip(nodes, weights):
+            s = width * (p + 0.5 * (node + 1.0))
+            flow = scipy.linalg.expm(s * lin)
+            term = 0.5 * width * weight * (flow.T @ q @ flow)
+            w0 += term
+            m1 += s * term
+    return w0, m1
+
+
+def simulate_closed_loop(
+    y0: np.ndarray,
+    controller: Feedback,
+    t_start: float,
+    t_end: float,
+    dt: float,
+    basis: StokesBasis,
+    tensor: np.ndarray,
+    gram: np.ndarray,
+    nu: float = 1.0,
+    sample_stride: int = 1,
+) -> Trajectory:
+    """A stationary law's run with its closed loop in the exponential (a
+    Lawson RK2 step), one trajectory at a time.
+
+    controller is a ModalFeedback, or a LatchedFeedback around one.  With K
+    the law's linear gain and L = -nu diag(tau) + G K, a step from x is
+
+        p = E (x + dt r(x)),  x' = E (x + dt/2 r(x)) + dt/2 r(p)
+
+    with E = scipy.linalg.expm(dt L) and r(x) = G (c(x) - K x) - N(x).  The
+    energy integrals of a step are x^T W0 x + 2 x^T M1 r(x) for Q = diag(tau)
+    (dissipation) and Q = sym(G K) (control work), with the moments of
+    :func:`dense_moments`, plus the trapezoid of x . G (c - K x).  From the
+    step whose start evaluation finds the latch tripped on, the run takes the
+    zero law's step of :func:`simulate`.
+    """
+    y0 = np.asarray(y0, dtype=np.float64)
+    n_steps = int(round((t_end - t_start) / dt))
+    if n_steps <= 0 or abs(n_steps * dt - (t_end - t_start)) > 1e-9 * max(t_end - t_start, dt):
+        raise ValueError("t_end - t_start must be an integer number of steps")
+    if n_steps % sample_stride != 0:
+        raise ValueError("step count must be a whole number of samples")
+    m = basis.n_modes
+    tau = basis.eigenvalues
+    params = controller.params_at(t_start)
+    gain = np.zeros(m)
+    gain[: params.n_active] = -params.gain
+    k_matrix = np.diag(gain)
+    lin = gram @ k_matrix - nu * np.diag(tau)
+    prop = scipy.linalg.expm(dt * lin)
+    w_diss, m_diss = dense_moments(lin, dt, np.diag(tau))
+    w_work, m_work = dense_moments(lin, dt, 0.5 * (gram @ k_matrix + k_matrix @ gram))
+    decay = np.exp(-nu * tau * dt)
+    decay_sq = decay * decay
+    diss_w = (1.0 - decay_sq) / (2.0 * nu * tau)
+    endpoint_ok = decay_sq > 1e-12
+    decay_sq_safe = np.maximum(decay_sq, 1e-300)
+    tensor2 = tensor.reshape(-1, m)
+
+    def convection(x):
+        return np.outer(x, x).ravel() @ tensor2
+
+    n_samples = n_steps // sample_stride + 1
+    columns = {name: np.empty(n_samples) for name in ("times", "norm_h", "lyapunov", "control_norm", "threshold",
+                                                      "dissipation", "control_work")}
+    states = np.empty((n_samples, m))
+    interval = np.empty(n_samples, dtype=np.int64)
+
+    def record(idx, t, x, diss, work):
+        states[idx] = x
+        interval[idx] = controller.interval_at(t)
+        for name, value in (("times", t), ("norm_h", np.linalg.norm(x)),
+                            ("lyapunov", lyapunov(x, controller.params_at(t))),
+                            ("control_norm", np.linalg.norm(controller.control(t, x))),
+                            ("threshold", controller.threshold_at(t)), ("dissipation", diss),
+                            ("control_work", work)):
+            columns[name][idx] = value
+
+    guard = BLOWUP_GUARD * np.linalg.norm(y0)
+    x, diss, work = y0.copy(), 0.0, 0.0
+    record(0, t_start, x, diss, work)
+    for k in range(n_steps):
+        t = t_start + k * dt
+        c1 = controller.control(t, x)
+        if getattr(controller, "latched", False):
+            f1 = gram @ c1 - convection(x)
+            predictor = decay * (x + dt * f1)
+            c2 = controller.control(t + dt, predictor, law_time=t)
+            x_new = decay * (x + 0.5 * dt * f1) + 0.5 * dt * (gram @ c2 - convection(predictor))
+            z_sq_end = np.where(endpoint_ok, x_new * x_new / decay_sq_safe, x * x)
+            diss_step = float(tau @ (diss_w * 0.5 * (x * x + z_sq_end)))
+            work_step = 0.5 * dt * (float(x @ (gram @ c1)) + float(x_new @ (gram @ c2)))
+        else:
+            u1 = gram @ (c1 - gain * x)
+            r1 = u1 - convection(x)
+            predictor = prop @ (x + dt * r1)
+            c2 = controller.control(t + dt, predictor, law_time=t)
+            u2 = gram @ (c2 - gain * predictor)
+            x_new = prop @ (x + 0.5 * dt * r1) + 0.5 * dt * (u2 - convection(predictor))
+            diss_step = float(x @ w_diss @ x + 2.0 * x @ m_diss @ r1)
+            work_step = float(x @ w_work @ x + 2.0 * x @ m_work @ r1) + 0.5 * dt * (float(x @ u1) + float(x_new @ u2))
+        if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > guard:
+            finite = x_new[np.isfinite(x_new)]
+            raise BlowUpError(t + dt, float(np.abs(finite).max()) if finite.size else float("inf"))
+        diss += diss_step
+        work += work_step
+        x = x_new
+        if (k + 1) % sample_stride == 0:
+            record((k + 1) // sample_stride, t_start + (k + 1) * dt, x, diss, work)
+
+    return Trajectory(states=states, interval=interval, nu=nu, **columns)
 
 
 def _fmt(value) -> str:

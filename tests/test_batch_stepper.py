@@ -48,6 +48,12 @@ def assert_matches_oracle(run, ref_trajectories):
         assert np.array_equal(traj.threshold, ref.threshold, equal_nan=True)
 
 
+def reference(law):
+    """The oracle of a law's rows: the closed-loop exponential step for a
+    stationary law, the diagonal integrating factor for the others."""
+    return oracle.simulate_closed_loop if law.schedule is None and law.params else oracle.simulate
+
+
 def test_zero_law_matches_oracle(square16):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=1) for norm in (0.3, 1e-3)])
@@ -68,8 +74,8 @@ def test_stationary_law_matches_oracle(square16, pack_rapid, cutoff):
     dt = 1e-5
     run = simulate_batch(y0, ControlLaw.stationary(params, cutoff=cutoff), uniform_plan(0.0, 0.02, dt),
                          basis, tensor, gram, sample_stride=4)
-    refs = [oracle.simulate(x, oracle.ModalFeedback(params, cutoff=cutoff), 0.0, 0.02, dt,
-                            basis, tensor, gram, sample_stride=4) for x in y0]
+    refs = [oracle.simulate_closed_loop(x, oracle.ModalFeedback(params, cutoff=cutoff), 0.0, 0.02, dt,
+                                        basis, tensor, gram, sample_stride=4) for x in y0]
     assert_matches_oracle(run, refs)
     if cutoff:
         raw = params.gain * np.linalg.norm(refs[1].states[:, : params.n_active], axis=1)
@@ -107,6 +113,32 @@ def test_latched_law_matches_oracle(square16, pack_schedule):
             assert latch_time == law.latch_time
     assert_matches_oracle(run, refs)
     assert run.latch_time[2] == 0.0 and math.isnan(run.latch_time[1])
+
+
+def test_stationary_rows_latching_mid_run_match_oracle(square16, pack_rapid):
+    """Stationary rows with and without cutoff whose latch trips mid-run, and
+    one whose latch never trips: from the step after the trip a row takes the
+    zero law's diagonal factor, as the oracle does."""
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
+    y0 = np.tile(random_low_mode_state(basis.n_modes, 0.5 * params.cutoff_radius / params.gain, seed=2), (3, 1))
+    laws = [ControlLaw.stationary(params), ControlLaw.stationary(params, cutoff=True), ControlLaw.stationary(params)]
+    # the norm rises to 1.56 times its start, then falls to 0.13 times it by t = 0.02
+    latch = np.linalg.norm(y0[0]) * np.array([0.5, 0.25, 1e-30])
+    dt = 1e-5
+    run = simulate_batch(y0, laws, uniform_plan(0.0, 0.02, dt), basis, tensor, gram, sample_stride=4,
+                         latch_norm=latch)
+    feedbacks = [oracle.LatchedFeedback(oracle.ModalFeedback(params, cutoff=law.cutoff), threshold)
+                 for law, threshold in zip(laws, latch)]
+    refs = [oracle.simulate_closed_loop(x, feedback, 0.0, 0.02, dt, basis, tensor, gram, sample_stride=4)
+            for x, feedback in zip(y0, feedbacks)]
+    assert_matches_oracle(run, refs)
+    assert [f.latched for f in feedbacks] == [True, True, False]
+    assert run.latch_time[:2].tolist() == [f.latch_time for f in feedbacks[:2]] and math.isnan(run.latch_time[2])
+    assert 0.0 < run.latch_time[0] < run.latch_time[1] < 0.02
+    # after the trip the free decay takes over, and the norm keeps falling
+    tripped = np.searchsorted(run.times[:, 0], run.latch_time[0])
+    assert np.all(np.diff(run.norm_h[tripped:, 0]) < 0) and run.control_norm[tripped:, 0].max() == 0.0
 
 
 def chained_oracle(y0, feedback, times, sizes, basis, tensor, gram):
@@ -179,12 +211,14 @@ def test_piece_ends_put_a_non_dyadic_piece_on_the_next_switch(square16, pack_sch
 def test_blowup_raised_at_oracle_step_for_first_failing_row(square16):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     m = basis.n_modes
-    exploder = FeedbackParams(threshold=1.0, n_active=m, gain=-1e4, weight=1.0, cutoff_radius=0.5)
+    # at gain -1e4, scipy's expm of the step's h L errs by 3.6e-13 (an mpmath
+    # check), so the reference could not resolve 1e-13; at -2e3 it errs by 1.7e-16
+    exploder = FeedbackParams(threshold=1.0, n_active=m, gain=-2e3, weight=1.0, cutoff_radius=0.5)
     y0 = np.array([np.zeros(m), np.full(m, 1e-3)])
     with pytest.raises(BlowUpError) as batch:
         simulate_batch(y0, ControlLaw.stationary(exploder), uniform_plan(0.25, 0.5, 1e-3), basis, tensor, gram)
     with pytest.raises(BlowUpError) as reference:
-        oracle.simulate(y0[1], oracle.ModalFeedback(exploder), 0.25, 0.75, 1e-3, basis, tensor, gram)
+        oracle.simulate_closed_loop(y0[1], oracle.ModalFeedback(exploder), 0.25, 0.75, 1e-3, basis, tensor, gram)
     assert batch.value.time == reference.value.time
     assert batch.value.max_abs == pytest.approx(reference.value.max_abs, rel=1e-13)
 
@@ -210,8 +244,8 @@ def test_mixed_laws_and_steps_in_one_batch_match_oracle(square16, pack_rapid, pa
     span = 256 * dt
     run = simulate_batch(y0, laws, uniform_plan(t_start, span, dt), basis, tensor, gram, sample_stride=4,
                          latch_norm=latch)
-    refs = [oracle.simulate(x, feedback, s, s + width, step, basis, tensor, gram, sample_stride=4)
-            for x, feedback, s, width, step in zip(y0, feedbacks, t_start, span, dt)]
+    refs = [reference(law)(x, feedback, s, s + width, step, basis, tensor, gram, sample_stride=4)
+            for law, x, feedback, s, width, step in zip(laws, y0, feedbacks, t_start, span, dt)]
     assert_matches_oracle(run, refs)
     assert feedbacks[3].latched and run.latch_time[3] == feedbacks[3].latch_time
     assert np.isnan(run.latch_time[:3]).all()
@@ -274,8 +308,8 @@ def test_laws_with_different_segment_counts_match_oracle(square16, pack_rapid, p
     dt = np.array([1e-4, 1e-5, 2.0**-11])
     span = 256 * dt
     run = simulate_batch(y0, laws, uniform_plan(t_start, span, dt), basis, tensor, gram, sample_stride=4)
-    refs = [oracle.simulate(x, feedback, s, s + width, step, basis, tensor, gram, sample_stride=4)
-            for x, feedback, s, width, step in zip(y0, feedbacks, t_start, span, dt)]
+    refs = [reference(law)(x, feedback, s, s + width, step, basis, tensor, gram, sample_stride=4)
+            for law, x, feedback, s, width, step in zip(laws, y0, feedbacks, t_start, span, dt)]
     assert_matches_oracle(run, refs)
     assert run.thresholds.shape == (3, sched.n_max + 2)
     assert np.isnan(run.thresholds[0]).all() and np.isnan(run.thresholds[1, 1:]).all()
@@ -397,8 +431,9 @@ def test_blowup_on_a_block_end_does_not_depend_on_the_block_length(square16, mon
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     m = basis.n_modes
     # the guard is relative to the initial norm, so the gain sets the trip step:
-    # row 1 grows by BLOWUP_GUARD at step 63, the last of the first block
-    exploder = FeedbackParams(threshold=1.0, n_active=m, gain=-815.0, weight=1.0, cutoff_radius=0.5)
+    # row 1 grows by BLOWUP_GUARD at step 63, the last of the first block, for
+    # gains from about -784 to -791 of the exactly stepped closed loop
+    exploder = FeedbackParams(threshold=1.0, n_active=m, gain=-787.0, weight=1.0, cutoff_radius=0.5)
     y0 = np.array([np.zeros(m), np.full(m, 1e-7)])
     errors = []
     for block in BLOCKS:
@@ -464,8 +499,8 @@ def test_stationary_law_at_64_modes_matches_oracle(square32_wide, pack_schedule,
     dt = 1e-3
     run = simulate_batch(y0, ControlLaw.stationary(params, cutoff=cutoff), uniform_plan(0.0, 0.3, dt),
                          basis, tensor, gram, sample_stride=4)
-    ref = oracle.simulate(y0[0], oracle.ModalFeedback(params, cutoff=cutoff), 0.0, 0.3, dt,
-                          basis, tensor, gram, sample_stride=4)
+    ref = oracle.simulate_closed_loop(y0[0], oracle.ModalFeedback(params, cutoff=cutoff), 0.0, 0.3, dt,
+                                      basis, tensor, gram, sample_stride=4)
     assert_matches_oracle(run, [ref])
     if cutoff:
         raw = params.gain * np.linalg.norm(ref.states[:, : params.n_active], axis=1)

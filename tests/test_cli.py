@@ -305,10 +305,13 @@ def test_reports_record_run_health(tmp_path):
     rows = len(stab["offsets"]) * (1 + len(stab["eta_grid"]))
     assert stab["health"]["steps"] == rows * round(2 * stab["T"] / stab["dt"])
     assert [r["health"]["steps"] for r in curve["runs"]] == [round(r["T"] / r["dt"]) for r in curve["runs"]]
-    for report, y0_norm in ((sim, sim["y0_norm"]), (null, null["y0_norm"]), (stab, stab["y0_norm"]),
+    for report, y0_norm in ((null, null["y0_norm"]), (stab, stab["y0_norm"]),
                             *((r, r["y0_norm"]) for r in curve["runs"])):
         # the energy identity holds to O(dt^2): well inside the initial energy
         assert 0.0 <= report["health"]["max_energy_defect"] <= 1e-3 * y0_norm**2
+    # the stationary law's linear flow and its energy integrals are exact, and
+    # at this start the convection is far below them
+    assert 0.0 <= sim["health"]["max_energy_defect"] <= 1e-10 * sim["y0_norm"] ** 2
     # dt and the stepping time; the three horizons share one batch, so one time
     for report in (sim, null, stab, *curve["runs"]):
         assert report["health"]["dt"] == report["dt"]
@@ -365,6 +368,62 @@ def test_stabilize_csvs_identical_across_blas_thread_counts(tmp_path):
         assert one.read_bytes() == two.read_bytes()
     tensor_caches = [(tmp_path / f"cache{threads}" / f"{cache.name}.tensor").read_bytes() for threads in ("1", "2")]
     assert tensor_caches[0] == tensor_caches[1]
+
+
+SIMULATE_TABLES_CHILD = """
+import hashlib, sys
+from nsstab.cli import build_pack, ensure_basis, main, parse_config
+from nsstab.constants import feedback_params
+from nsstab.dynamics import ClosedLoopTable, ControlLaw
+from nsstab.spectral import assemble_gram
+path = sys.argv[1]
+assert main(["simulate", "--config", path]) == 0
+config = parse_config(path)
+basis = ensure_basis(config)[0]
+params = feedback_params(float(basis.eigenvalues[3]), build_pack(config, basis, None), basis)
+gain = ControlLaw.stationary(params).tables(basis.n_modes, 2)[0][0]
+table = ClosedLoopTable.build(basis.eigenvalues, assemble_gram(basis, basis.grid), gain, 2.0**-15, config.nu)
+print(hashlib.sha256(table.prop_t.tobytes() + table.quad_x.tobytes() + table.quad_r.tobytes()).hexdigest())
+"""
+
+
+def test_simulate_csvs_identical_across_blas_thread_counts(tmp_path):
+    """The wide-modes simulate (32x32, M = 64, lambda = tau_4, cutoff, T = 1/32):
+    the step's exponential and moment tables, whose 64x64 products BLAS may
+    split between threads, and both CSVs are byte-identical under 1 and 2
+    threads."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nsstab
+
+    src = str(Path(nsstab.__file__).resolve().parents[1])
+    data = {**json.loads(json.dumps(BASE)), "nx": 32, "ny": 32, "M": 64,
+            "practical": {"spectral_constant": 0.6, "trilinear_constant": 1.0},
+            "experiment": {"lambda_index": 4, "cutoff": True, "horizon": 1.0 / 32.0}}
+    cache = tmp_path / "basis_cache.nsstab"
+    path = tmp_path / "eigen.json"
+    path.write_text(json.dumps({**data, "cache_path": str(cache), "output_dir": str(tmp_path / "eigen")}))
+    assert run_subcommand("eigen", parse_config(path)) == 0
+    hashes = {}
+    for threads in ("1", "2"):
+        own_cache = tmp_path / f"cache{threads}" / cache.name
+        own_cache.parent.mkdir()
+        own_cache.write_bytes(cache.read_bytes())
+        path = tmp_path / f"simulate{threads}.json"
+        path.write_text(json.dumps({**data, "cache_path": str(own_cache), "output_dir": str(tmp_path / f"out{threads}")}))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", SIMULATE_TABLES_CHILD, str(path)], env=env, check=True,
+                              timeout=300, capture_output=True, text=True)
+        hashes[threads] = proc.stdout.split()[-1]
+    assert hashes["1"] == hashes["2"]
+    report = json.loads((tmp_path / "out1" / "simulate_report.json").read_text())
+    assert report["dt"] == 2.0**-15 and report["health"]["steps"] == 2048
+    for name in ("simulate_trajectory.csv", "simulate_trajectory_cutoff.csv"):
+        assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
 
 def _run_in_children(tmp_path, subcommand, data, env_by_name, timeout=300):
@@ -722,8 +781,8 @@ def test_reports_record_the_clamped_schedule_intervals(tmp_path, caplog):
 
 
 def test_simulate_rejects_a_run_over_the_step_budget(tmp_path):
-    # the certified gain at tau_4 is about 1.4e7, so the default dt is about 1.8e-8
-    done = _run_in_children(tmp_path, "simulate", {**json.loads(json.dumps(BASE)), "mode": "certified"},
+    # 16 / tau_4 is about 0.12, so a configured dt of 1e-9 plans about 1.2e8 steps
+    done = _run_in_children(tmp_path, "simulate", {**json.loads(json.dumps(BASE)), "dt": 1e-9},
                             {"": {}}, timeout=60)[""]
     assert done.returncode == 1
     err = json.loads(done.stderr.strip().splitlines()[-1])
@@ -732,9 +791,22 @@ def test_simulate_rejects_a_run_over_the_step_budget(tmp_path):
     match = re.search(r"dt = (\S+) over the horizon (\S+) needs (\d+) steps, more than the budget of (\d+)",
                       err["message"])
     dt, horizon, steps, budget = (float(v) for v in match.groups())
-    assert dt == pytest.approx(1.8e-8, rel=0.05)
+    assert dt == 1e-9
     assert steps == pytest.approx(horizon / dt, rel=1e-3)
     assert steps > budget == MAX_STEPS
+
+
+def test_certified_simulate_runs_in_1024_steps(tmp_path):
+    """The certified gain at tau_4 is about 1.4e7, which the closed-loop
+    exponential steps at the sample spacing: the default run takes 1024
+    steps of (16 / tau_4) / 1024."""
+    config = parse_config(write_config(tmp_path, overrides={"mode": "certified"}))
+    assert run_subcommand("simulate", config) == 0
+    report = json.loads((tmp_path / "out" / "simulate_report.json").read_text())
+    assert report["constants"]["mode"] == "certified" and report["gain"] > 1e7
+    assert report["health"]["steps"] == 1024
+    assert report["horizon"] == 16.0 / report["threshold"] and report["dt"] == report["horizon"] / 1024
+    assert 0.0 <= report["health"]["max_energy_defect"] <= 1e-10 * report["y0_norm"] ** 2
 
 
 def test_simulate_rejects_lambda_index_tied_with_the_top_eigenvalue(tmp_path, capsys):

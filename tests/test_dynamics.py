@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nsstab import dynamics
 from nsstab.constants import ConstantPack, FeedbackParams, build_schedule, feedback_params
 from nsstab.dynamics import (
     ControlLaw,
@@ -26,6 +27,7 @@ from oracle import (
     reconstruct_field,
     rhs,
     simulate,
+    simulate_closed_loop,
     step,
     truncated,
 )
@@ -213,21 +215,29 @@ def test_free_decay_dominated_by_first_eigenvalue(square32):
 
 
 def test_energy_identity_with_control(square32, pack_rapid):
-    # energy law holds along the integrator to O(dt^2) per unit time: the
-    # defect shrinks by ~4 per dt halving and sits at the (gain*dt)^2 scale
+    # the closed loop's linear part is in the exponential and its energy
+    # integrals are the exact moments, so the defect is the explicit
+    # convection's: it shrinks by ~4 per dt halving, and it sits at the scale
+    # of (gain dt) (rate dt), one factor of gain now the convection's rate
+    # 2 max|T| ||y0||; measured at about 1/25 of the bound below
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     params = feedback_params(float(basis.eigenvalues[1]), pack_rapid, basis)
     y0 = np.zeros(basis.n_modes)
     rng = np.random.default_rng(6)
     y0[:8] = rng.standard_normal(8)
     y0 *= 1e-3 / np.linalg.norm(y0)
+    rate = 2.0 * np.abs(tensor).max() * np.linalg.norm(y0)
     defects = []
     for dt in (1e-5, 5e-6):
         traj = run_one(y0, ControlLaw.stationary(params), 0.0, 0.01, dt, basis, tensor, gram,
                        sample_stride=int(round(1e-4 / dt)))
         defects.append(np.abs(energy_defect(traj)).max())
-        assert defects[-1] <= 0.05 * (params.gain * dt) ** 2 * traj.norm_h[0] ** 2
+        assert defects[-1] <= 0.05 * (params.gain * dt) * (rate * dt) * traj.norm_h[0] ** 2
     assert 3.0 <= defects[0] / defects[1] <= 5.0
+    # without the convection the step is the exact linear flow and its moments
+    linear = run_one(y0, ControlLaw.stationary(params), 0.0, 0.01, 1e-5, basis, np.zeros_like(tensor), gram,
+                     sample_stride=10)
+    assert np.abs(energy_defect(linear)).max() <= 1e-12 * linear.norm_h[0] ** 2
 
 
 def test_blowup_guard_raises():
@@ -237,15 +247,21 @@ def test_blowup_guard_raises():
 
     gram = assemble_gram(basis, grid)
 
-    # a negative gain on every mode: the control starts at 1e9 per coefficient
-    exploder = FeedbackParams(threshold=1.0, n_active=6, gain=-1e9, weight=1.0, cutoff_radius=0.5)
+    # a negative gain on every mode: the closed loop grows by e^{0.25 (200 g - tau_1)},
+    # g = 0.906 the Gram matrix's top eigenvalue, past the guard in the first step
+    exploder = FeedbackParams(threshold=1.0, n_active=6, gain=-200.0, weight=1.0, cutoff_radius=0.5)
     with pytest.raises(BlowUpError) as info:
         run_one(np.ones(6), ControlLaw.stationary(exploder), 0.0, 1.0, 0.25, basis, tensor, gram)
-    assert info.value.time > 0.0
+    assert info.value.time == 0.25
     with pytest.raises(BlowUpError) as reference:
-        simulate(np.ones(6), ModalFeedback(exploder), 0.0, 1.0, 0.25, basis, tensor, gram)
+        simulate_closed_loop(np.ones(6), ModalFeedback(exploder), 0.0, 1.0, 0.25, basis, tensor, gram)
     assert info.value.time == reference.value.time
-    assert info.value.max_abs == reference.value.max_abs
+    assert info.value.max_abs == pytest.approx(reference.value.max_abs, rel=1e-13)
+    # at a gain of -1e9 the step's exponential overflows, and the guard reports it
+    exploder = FeedbackParams(threshold=1.0, n_active=6, gain=-1e9, weight=1.0, cutoff_radius=0.5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as info:
+        run_one(np.ones(6), ControlLaw.stationary(exploder), 0.0, 1.0, 0.25, basis, tensor, gram)
+    assert info.value.time == 0.25
 
 
 def test_lyapunov_weighting(square32, pack_rapid):
@@ -292,3 +308,57 @@ def test_spectral_state_wrapper(square32):
     assert advanced.t == pytest.approx(1e-4)
     direct = step(0.0, state.coeffs, 1e-4, ZeroFeedback(), basis, tensor, gram)
     assert np.array_equal(advanced.coeffs, direct)
+
+
+def closed_loop_generator(basis, gram, params, nu=1.0):
+    """L = -nu diag(tau) + G K of a stationary law's closed loop."""
+    gain = np.zeros(basis.n_modes)
+    gain[: params.n_active] = -params.gain
+    return gram * gain - nu * np.diag(basis.eigenvalues)
+
+
+def test_expm_matches_scipy(square16, square32_wide, pack_rapid):
+    """The numpy Pade-13 exponential against scipy.linalg.expm, within 1e-13
+    of the largest entry: random matrices, the wide-modes simulate step h L
+    (32x32, M = 64, lambda = tau_4, h = 2^-15), and a certified-gain step with
+    ||h L||_1 near 2e3 (c1 = 1, lambda = tau_4, the default h = (16 / lambda) / 1024)."""
+    import scipy.linalg
+
+    def assert_close(a):
+        reference = scipy.linalg.expm(a)
+        assert np.abs(dynamics.expm(a) - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    rng = np.random.default_rng(12)
+    for n, scale in ((1, 3.0), (5, 0.01), (12, 0.5), (24, 3.0), (64, 1.0), (64, 20.0)):
+        assert_close(scale * rng.standard_normal((n, n)) / math.sqrt(n))
+    wide = square32_wide["basis"]
+    params = feedback_params(float(wide.eigenvalues[3]), pack_rapid, wide)
+    assert_close(2.0**-15 * closed_loop_generator(wide, square32_wide["gram"], params))
+    basis = square16["basis"]
+    lam = float(basis.eigenvalues[3])
+    certified = feedback_params(lam, ConstantPack.certified(1.0, 1.0), basis)
+    step = (16.0 / lam) / 1024 * closed_loop_generator(basis, square16["gram"], certified)
+    assert 1e3 <= np.abs(step).sum(axis=0).max() <= 4e3
+    assert_close(step)
+
+
+def test_closed_loop_scheme_converges_to_the_diagonal_oracle(square32, pack_rapid):
+    """A stationary law stepped at dt = 1e-4, 7.3 times the old default
+    0.25 / gain, against the diagonal integrating-factor oracle, which treats
+    G K x explicitly, at dt = 1e-5, 5e-6 and 2.5e-6: the oracle's states
+    converge to the closed-loop run at second order (measured ratios 4.01
+    and 4.00), to within 6e-7 relative at its finest step."""
+    basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
+    params = feedback_params(float(basis.eigenvalues[1]), pack_rapid, basis)
+    y0 = np.zeros(basis.n_modes)
+    y0[:8] = np.random.default_rng(6).standard_normal(8)
+    y0 *= 1e-3 / np.linalg.norm(y0)  # where the convection moves the state
+    closed = run_one(y0, ControlLaw.stationary(params), 0.0, 0.01, 1e-4, basis, tensor, gram, sample_stride=2)
+    errors = []
+    for dt in (1e-5, 5e-6, 2.5e-6):
+        ref = simulate(y0, ModalFeedback(params), 0.0, 0.01, dt, basis, tensor, gram,
+                       sample_stride=int(round(2e-4 / dt)))
+        errors.append(np.max(np.linalg.norm(closed.states - ref.states, axis=1) / np.linalg.norm(ref.states, axis=1)))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+    assert errors[-1] <= 1e-6

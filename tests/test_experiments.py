@@ -46,15 +46,43 @@ def test_rapid_stab_zero_state_flagged(square16, pack_schedule):
     assert math.isnan(report.rate_lyapunov) and math.isnan(report.rate_norm)
 
 
-def test_rapid_stab_cutoff_comparison(square16, pack_rapid):
+def test_rapid_stab_cutoff_comparison(square16, pack_rapid, caplog):
     basis = square16["basis"]
-    report = run_rapid_stab(
-        basis, square16["tensor"], square16["gram"], pack_rapid,
-        float(basis.eigenvalues[3]), y0_scale=0.5, cutoff=True, seed=1,
-    )
+    with caplog.at_level("WARNING", logger="nsstab.experiments"):
+        report = run_rapid_stab(
+            basis, square16["tensor"], square16["gram"], pack_rapid,
+            float(basis.eigenvalues[3]), y0_scale=0.5, cutoff=True, seed=1,
+        )
     assert report.control_stayed_below_radius
     assert report.cutoff_matches_linear
     assert report.basin == report.params.cutoff_radius**2
+    assert not caplog.records
+
+
+def test_rapid_stab_warns_once_when_the_cutoff_acts(square16, pack_rapid, caplog):
+    """A start whose raw control exceeds the radius: the cutoff row steps the
+    correction G (c - K y) explicitly, and the run says so, once."""
+    basis = square16["basis"]
+    lam = float(basis.eigenvalues[3])
+    params = experiments.feedback_params(lam, pack_rapid, basis)
+    with caplog.at_level("WARNING", logger="nsstab.experiments"):
+        report = run_rapid_stab(basis, square16["tensor"], square16["gram"], pack_rapid, lam,
+                                y0_scale=6.0 / (params.gain * params.cutoff_radius), cutoff=True, seed=1)
+    assert not report.control_stayed_below_radius and not report.cutoff_matches_linear
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    assert "stiff explicit correction" in message and f"dt well below 0.25 / gain = {0.25 / params.gain:.3e}" in message
+
+
+def test_rapid_stab_default_steps_at_the_sample_spacing(square16, pack_rapid):
+    """The closed loop's linear part is exact, so the gain sets no step: the
+    default run takes RAPID_SAMPLES steps over the horizon 16 / lambda."""
+    basis = square16["basis"]
+    lam = float(basis.eigenvalues[3])
+    report = run_rapid_stab(basis, square16["tensor"], square16["gram"], pack_rapid, lam, seed=1)
+    assert report.horizon == 16.0 / lam and report.dt == report.horizon / experiments.RAPID_SAMPLES
+    assert report.dt > 0.25 / report.params.gain
+    assert report.health["steps"] == experiments.RAPID_SAMPLES == len(report.trajectory.times) - 1
 
 
 def test_null_control_zero_state(small_setup):
