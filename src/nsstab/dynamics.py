@@ -51,19 +51,17 @@ row's plan is its list of pieces: the cut times (the start, then each
 piece's end), and each piece's step count and step size.  Step j of piece
 p starts at cut_p + j h_p, and the next piece starts at cut_{p+1}
 (:func:`step_times`), so a piece that starts between switches still ends
-on the next one exactly.  A step takes the law of the segment it starts
-in for both of its evaluations, so the Heun step sees one law per step and
-stays second order across a switch that falls on a step boundary; a switch
-inside a step leaves an O(dt) local error there, so a run with such
-switches is first order.  The run compiles each row's law once into the
-segment active at the start of each step, and into its own table of gains,
-weights and radii, padded with zero-law rows to the size every row shares;
-row r's segment s sits at r*size + s % size of the stacked tables, so
-TERMINAL (-1) finds a zero-law row.  The decay factors, trapezoid weights
-and step sizes are tabled the same way, once per piece of a row.  The
-convection term of a half step is one (B, M(M+1)/2) @ (M(M+1)/2, M)
-product over the pairs i <= j of the tensor symmetrized in (i, j)
-(:func:`packed_convection`), shared by all the rows.
+on the next one exactly.  Each piece lies in one segment of its row's law,
+so every switch is a cut, and the Heun step, whose two evaluations take
+its piece's law, stays second order across it; a piece whose last step
+starts in another segment than its first is rejected.  Every per-step
+table is gathered through one index, the piece of each step numbered over
+the batch (row r's pieces, then an entry for its end time): the gains,
+Lyapunov weights, cutoff radii and thresholds of the segment looked up at
+the piece's cut, and its decay factors, trapezoid weights, step size and
+closed-loop table.  The convection term of a half step is one
+(B, M(M+1)/2) @ (M(M+1)/2, M) product over the pairs i <= j of the tensor
+symmetrized in (i, j) (:func:`packed_convection`), shared by all the rows.
 
 The per-step loop of :func:`simulate_batch` keeps only what the next state
 depends on: the two convection terms, the two law evaluations (cutoff and
@@ -73,10 +71,10 @@ which is relative to each row's initial norm.  It writes each step's
 state, control, Gram products and moment products into block buffers.
 Once per block of ``_BLOCK`` steps, and at the last step, one vectorized
 pass turns them into the samples, the Lyapunov column and the energy
-integrals; the law tables and the step tables are gathered for the
-block's steps at its start.  The pass uses the same row dot products as a
-per-step loop would, and its cumulative sums add left to right like a
-running total, so no result depends on the block length.  The call times
+integrals; the per-piece tables are gathered for the block's steps at its
+start.  The pass uses the same row dot products as a per-step loop would,
+and its cumulative sums add left to right like a running total, so no
+result depends on the block length.  The call times
 itself with time.perf_counter, and :meth:`BatchRun.health` reports the
 steps, the largest energy-identity residual and that time, for one row or
 for all.
@@ -306,20 +304,19 @@ class ControlLaw:
         seg = np.searchsorted(self.schedule.start_times, tp, side="right") - 1
         return np.where(seg > self.schedule.n_max, TERMINAL, seg)
 
-    def tables(self, m: int, size: int):
-        """Per-segment arrays for an M-mode basis, padded to size rows.
+    def tables(self, m: int):
+        """Per-segment arrays for an M-mode basis, then the zero law's row.
 
         Returns the control gains (-gain on the active modes), the Lyapunov
         weights (weight on the active modes, 1 elsewhere), the cutoff radii
         (inf without cutoff, so the cutoff never acts) and the thresholds,
-        each indexed by segment.  The rows past the law's segments are the
-        zero law: no gain, unit weights, radius inf, threshold nan.  size
-        exceeds the segment count, so TERMINAL (-1) indexes the last of them.
+        each with len(params) + 1 rows.  The last row is the zero law: no
+        gain, unit weights, radius inf, threshold nan; TERMINAL (-1) indexes it.
         """
-        gains = np.zeros((size, m))
+        gains = np.zeros((len(self.params) + 1, m))
         weights = np.ones_like(gains)
-        radii = np.full(size, np.inf)
-        thresholds = np.full(size, np.nan)
+        radii = np.full(len(gains), np.inf)
+        thresholds = np.full(len(gains), np.nan)
         for i, p in enumerate(self.params):
             gains[i, : p.n_active] = -p.gain
             weights[i, : p.n_active] = p.weight
@@ -336,7 +333,8 @@ def step_times(plans) -> tuple[np.ndarray, np.ndarray]:
     plans holds one row plan (cuts, counts, sizes) per row: piece p runs
     from cuts[p] to cuts[p + 1] in counts[p] steps of sizes[p], and its j-th
     step starts at cuts[p] + j sizes[p]; so a piece whose start or step is
-    not dyadic still ends exactly on its cut (a schedule switch, say).
+    not dyadic still ends exactly on its cut, the switch of the law where
+    :func:`simulate_batch` looks up the next piece's segment.
     Counts and sizes must be positive, every row must take the same number
     of steps, and each cut must lie within 1e-9 relative of its piece's sum
     cuts[p] + counts[p] sizes[p].  Returns the (n_steps + 1, B) times and the
@@ -363,21 +361,6 @@ def step_times(plans) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"every row must take the same number of steps, got {totals}")
     index_type = np.min_scalar_type(max(piece[-1] for piece in pieces))
     return np.stack(times, axis=1), np.stack(pieces, axis=1).astype(index_type)
-
-
-def segment_plan(laws, times: np.ndarray) -> np.ndarray:
-    """Segment of each row's law at each time of a (n_steps + 1, B) plan.
-
-    Step k of row r takes segment [k, r], the one it starts in, for both of
-    its evaluations; the last entry is the segment of the end time, which
-    only the last sample reads.  Returns law-local segments in the smallest
-    integer type that holds every segment index.
-    """
-    index_type = np.min_scalar_type(-max(len(law.params) for law in laws) - 1)
-    seg = np.empty(times.shape, dtype=index_type)
-    for r, law in enumerate(laws):
-        seg[:, r] = law.segment_at(times[:, r])
-    return seg
 
 
 @dataclass
@@ -411,19 +394,21 @@ class BatchRun:
 
     Per-sample columns are (samples, B) arrays with the meaning of the
     Trajectory fields; times holds each row's sample times from its step
-    plan, segments each row's segment of its own law at each sample, and
-    thresholds[r] the threshold of each segment of row r's law (nan at
-    TERMINAL).  states (K, samples, M) and lyapunov (samples, K) are kept for
-    the first K rows only.  latch_time is the time each row's latch tripped,
-    nan where it never did.  seconds is the time (time.perf_counter) the
-    simulate_batch call took.
+    plan, and pieces each sample's piece, numbered over the batch (row r's
+    pieces, then an entry for its end time); piece_segments and
+    piece_thresholds hold each entry's segment of its row's law and its
+    threshold (nan at TERMINAL).  states (K, samples, M) and lyapunov
+    (samples, K) are kept for the first K rows only.  latch_time is the time
+    each row's latch tripped, nan where it never did.  seconds is the time
+    (time.perf_counter) the simulate_batch call took.
     """
 
-    thresholds: np.ndarray  # (B, segments per row)
+    piece_segments: np.ndarray
+    piece_thresholds: np.ndarray
     nu: float
     sample_stride: int
     times: np.ndarray
-    segments: np.ndarray
+    pieces: np.ndarray
     norm_h: np.ndarray
     control_norm: np.ndarray
     dissipation: np.ndarray
@@ -432,6 +417,11 @@ class BatchRun:
     lyapunov: np.ndarray
     latch_time: np.ndarray
     seconds: float
+
+    @property
+    def segments(self) -> np.ndarray:
+        """(samples, B): each row's segment of its own law at each sample."""
+        return self.piece_segments[self.pieces]
 
     def health(self, row: int | None = None) -> dict:
         """Closed-loop steps and largest |energy-identity residual| of one row,
@@ -456,15 +446,15 @@ class BatchRun:
 
     def trajectory(self, row: int) -> Trajectory:
         """The run of one row whose states were kept, with its own copies of the columns."""
-        seg = self.segments[:, row]
+        piece = self.pieces[:, row]
         return Trajectory(
             times=self.times[:, row].copy(),
             states=self.states[row],
             norm_h=self.norm_h[:, row].copy(),
             lyapunov=self.lyapunov[:, row].copy(),
             control_norm=self.control_norm[:, row].copy(),
-            interval=seg.astype(np.int64),
-            threshold=self.thresholds[row][seg],
+            interval=self.piece_segments[piece].astype(np.int64),
+            threshold=self.piece_thresholds[piece],
             dissipation=self.dissipation[:, row].copy(),
             control_work=self.control_work[:, row].copy(),
             nu=self.nu,
@@ -491,14 +481,16 @@ def simulate_batch(
     or a sequence of B of them: the row starts at cuts[0], and piece p ends
     at cuts[p + 1] after counts[p] steps of sizes[p] (see
     :func:`step_times`).  Every row takes the same number of steps, a whole
-    number of samples.  With latch_norm, row r's control switches off for
-    good at the first law evaluation whose state norm is <= latch_norm[r].
-    States are kept for the first state_rows rows (default: all).  Raises
-    BlowUpError at the first step where a coefficient of a row exceeds
-    BLOWUP_GUARD times the row's initial norm, with the first such row and
-    its time.  A row with a stationary law steps its closed loop in the
-    exponential, and every other row the diagonal integrating factor (see
-    the module docstring).
+    number of samples, and each piece lies in one segment of its row's law:
+    a ValueError names the row and the piece whose last step starts in
+    another segment than its first.  With latch_norm, row r's control
+    switches off for good at the first law evaluation whose state norm is
+    <= latch_norm[r].  States are kept for the first state_rows rows
+    (default: all).  Raises BlowUpError at the first step where a
+    coefficient of a row exceeds BLOWUP_GUARD times the row's initial norm,
+    with the first such row and its time.  A row with a stationary law steps
+    its closed loop in the exponential, and every other row the diagonal
+    integrating factor (see the module docstring).
     """
     start = time.perf_counter()
     y0 = np.asarray(y0, dtype=np.float64)
@@ -519,19 +511,23 @@ def simulate_batch(
         raise ValueError("step count must be a whole number of samples")
 
     kept = b if state_rows is None else state_rows
-    seg = segment_plan(laws, times)
-    # one table per row, padded with zero-law rows to a shared size; row r's
-    # segment s, TERMINAL included, is row r*size + s % size of the stack
-    size = max(len(law.params) for law in laws) + 1
-    gains, weights, radii, thresholds = (np.stack(table) for table in zip(*(law.tables(m, size) for law in laws)))
-    gains, weights, radii = gains.reshape(b * size, m), weights.reshape(b * size, m), radii.ravel()
-    row_start = size * np.arange(b)
-    index = (seg.astype(np.intp) % size + row_start).astype(np.min_scalar_type(b * size))
-    # the step sizes of every row's pieces, row after row, and each step's
-    # entry among them in dt_index
-    dt_values = np.concatenate([np.asarray(sizes, dtype=np.float64) for _, _, sizes in plans])
-    first_piece = np.cumsum([0] + [len(sizes) for _, _, sizes in plans[:-1]])
-    dt_index = (piece + first_piece).astype(np.min_scalar_type(len(dt_values)))
+    # the batch's pieces, row after row: row r's pieces, then an entry for its
+    # end time, each with its segment of the row's law, that segment's law,
+    # and its step size (nan at the end entry, which takes no step)
+    entries = []
+    for r, ((cuts, counts, sizes), row_law) in enumerate(zip(plans, laws)):
+        last = times[np.cumsum(counts) - 1, r]  # the start of each piece's last step
+        seg, last_seg = np.split(row_law.segment_at(np.append(cuts, last)), [len(last) + 1])
+        if np.any(seg[:-1] != last_seg):
+            p = np.argmax(seg[:-1] != last_seg)
+            raise ValueError(f"row {r}: piece {p} starts in segment {seg[p]} of its law and its last step in "
+                             f"segment {last_seg[p]}; a plan must cut every switch of its law")
+        entries.append((seg, *(table[seg] for table in row_law.tables(m)), np.append(sizes, np.nan)))
+    seg, gains, weights, radii, thresholds, dt_values = (np.concatenate(column) for column in zip(*entries))
+    # index[k, r] is the entry of row r's step k, and index[-1, r] its end entry
+    lengths = np.array([len(entry[0]) for entry in entries])
+    end = np.cumsum(lengths) - 1
+    index = np.vstack([piece + (end + 1 - lengths), end]).astype(np.min_scalar_type(end[-1]))
     latch = None if latch_norm is None else np.broadcast_to(np.asarray(latch_norm, dtype=np.float64), (b,))
     latched = np.zeros(b, dtype=bool)
     latch_time = np.full(b, np.nan)
@@ -542,16 +538,16 @@ def simulate_batch(
     # a stationary row's pieces step its closed loop exactly: one table per
     # distinct (gain row, step size), and table_index[k, r] the table of row
     # r's step k, -1 on the rows that take the diagonal factor
+    closed_loop = np.repeat([law.schedule is None and bool(law.params) for law in laws], lengths)
+    closed_loop[end] = False
     tables, keys, piece_tables = [], {}, []
-    for r, ((_, _, sizes), row_law) in enumerate(zip(plans, laws)):
-        stationary = row_law.schedule is None and bool(row_law.params)
-        for h in np.asarray(sizes, dtype=np.float64):
-            key = (gains[r * size].tobytes(), float(h)) if stationary else None
-            if stationary and key not in keys:
-                keys[key] = len(tables)
-                tables.append(ClosedLoopTable.build(tau, gram, gains[r * size], float(h), nu))
-            piece_tables.append(keys.get(key, -1))
-    table_index = np.asarray(piece_tables)[dt_index] if tables else None
+    for gain, h, closed in zip(gains, dt_values, closed_loop):
+        key = (gain.tobytes(), float(h)) if closed else None
+        if closed and key not in keys:
+            keys[key] = len(tables)
+            tables.append(ClosedLoopTable.build(tau, gram, gain, float(h), nu))
+        piece_tables.append(keys.get(key, -1))
+    table_index = np.asarray(piece_tables)[index[:-1]] if tables else None
     # the steps where the tables of some row change; a latch trip adds the next step
     regroup_steps = set() if not tables else {0, *(np.flatnonzero(np.any(np.diff(table_index, axis=0), axis=1)) + 1)}
 
@@ -650,7 +646,7 @@ def simulate_batch(
         """
         x = xs[: n + 1]
         x2 = x * x
-        steps = dt_index[k0 : k0 + n]
+        steps = index[k0 : k0 + n]
         # energy bookkeeping: trapezoid in the integrating-factor variable
         z_sq_end = np.where(endpoint_ok_table[steps], x2[1:] / decay_sq_safe_table[steps], x2[:-1])
         diss_steps = stacked_dot(diss_half_table[steps] * (x2[:-1] + z_sq_end), tau_rows[: n * b])
@@ -684,8 +680,8 @@ def simulate_batch(
         n = min(block, n_steps - k0)
         # the law's gains and radii at the start of every step of the block and
         # at its end, and the decay and step sizes of its steps
-        gain, radius = gains[index[k0 : k0 + n + 1]], radii[index[k0 : k0 + n + 1]]
-        steps = dt_index[k0 : k0 + n]
+        entry = index[k0 : k0 + n + 1]
+        gain, radius, steps = gains[entry], radii[entry], entry[:-1]
         decays, dts, half_dts = decay_table[steps], dt_col[steps], half_dt_table[steps]
         if k0 == 0:
             c1s[0] = control(xs[0], gain[0], radius[0], 0, 0.0)
@@ -717,11 +713,12 @@ def simulate_batch(
         xs[0], c1s[0] = xs[n], c1s[n]
 
     return BatchRun(
-        thresholds=thresholds,
+        piece_segments=seg,
+        piece_thresholds=thresholds,
         nu=nu,
         sample_stride=sample_stride,
         times=np.ascontiguousarray(times[::sample_stride]),
-        segments=seg[::sample_stride],
+        pieces=index[::sample_stride],
         norm_h=norm_h,
         control_norm=control_norm,
         dissipation=dissipation,

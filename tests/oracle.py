@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from nsstab.constants import TERMINAL, FeedbackParams, Schedule, cutoff_profile
-from nsstab.dynamics import BLOWUP_GUARD, Trajectory
+from nsstab.dynamics import BLOWUP_GUARD, Trajectory, step_times
 from nsstab.errors import BlowUpError
 from nsstab.grid import Grid
 from nsstab.spectral import EXTRA_MODES, StokesBasis, canonical_basis
@@ -423,46 +423,37 @@ def step(
 def simulate(
     y0: np.ndarray,
     controller: Feedback,
-    t_start: float,
-    t_end: float,
-    dt: float,
+    plan,
     basis: StokesBasis,
     tensor: np.ndarray,
     gram: np.ndarray,
     nu: float = 1.0,
     sample_stride: int = 1,
 ) -> Trajectory:
-    """Integrate the closed loop and sample every sample_stride steps.
+    """Integrate the closed loop on a row plan's steps and sample every
+    sample_stride steps.
 
-    The span must be an integer number of steps and a whole number of
-    samples.  Both stages of a step take the law of the interval the step
-    starts in; the predictor is evaluated, and a latch trips, at t + dt.
-    Raises BlowUpError (with the blow-up time) once a coefficient exceeds
-    BLOWUP_GUARD times the initial norm.
+    plan is a row plan (cuts, counts, sizes) of simulate_batch: step k
+    starts at the k-th time of :func:`nsstab.dynamics.step_times` and takes
+    the size of its piece.  The law is looked up by time: both stages of a
+    step take the law of the interval the step starts in; the predictor is
+    evaluated, and a latch trips, at t + dt.  The step count must be a whole
+    number of samples.  Raises BlowUpError (with the blow-up time) once a
+    coefficient exceeds BLOWUP_GUARD times the initial norm.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 1 or len(y0) != basis.n_modes:
         raise ValueError("initial coefficients must match the basis size")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    span = t_end - t_start
-    n_steps = int(round(span / dt))
-    if n_steps <= 0 or abs(n_steps * dt - span) > 1e-9 * max(span, dt):
-        raise ValueError("t_end - t_start must be an integer number of steps")
+    step_start, piece = step_times([plan])
+    step_start, step_size = step_start[:, 0].tolist(), np.asarray(plan[2], dtype=np.float64)[piece[:, 0]].tolist()
+    n_steps = len(step_size)
     if n_steps % sample_stride != 0:
         raise ValueError("step count must be a whole number of samples")
 
     m = basis.n_modes
     tau = basis.eigenvalues
-    decay = np.exp(-nu * tau * dt)
-    decay_sq = decay * decay
-    # exponentially weighted trapezoid weights for int X_k(s)^2 ds over a step;
-    # modes whose memory dies within one step fall back to the start-point rule
-    diss_w = (1.0 - decay_sq) / (2.0 * nu * tau)
-    endpoint_ok = decay_sq > 1e-12
-    decay_sq_safe = np.maximum(decay_sq, 1e-300)
     tensor2 = tensor.reshape(-1, m)
 
     n_samples = n_steps // sample_stride + 1
@@ -491,10 +482,15 @@ def simulate(
     x = y0.copy()
     diss = 0.0
     work = 0.0
-    record(0, t_start, x, diss, work)
+    record(0, step_start[0], x, diss, work)
     sample = 1
     for k in range(n_steps):
-        t = t_start + k * dt
+        t, dt = step_start[k], step_size[k]
+        decay = np.exp(-nu * tau * dt)
+        decay_sq = decay * decay
+        # exponentially weighted trapezoid weights for int X_k(s)^2 ds over a step;
+        # modes whose memory dies within one step fall back to the start-point rule
+        diss_w = (1.0 - decay_sq) / (2.0 * nu * tau)
         c1 = controller.control(t, x)
         f1 = -(np.outer(x, x).ravel() @ tensor2) + gram @ c1
         predictor = decay * (x + dt * f1)
@@ -506,12 +502,12 @@ def simulate(
             worst = float(np.abs(finite).max()) if finite.size else float("inf")
             raise BlowUpError(t + dt, worst)
         # energy bookkeeping: trapezoid in the integrating-factor variable
-        z_sq_end = np.where(endpoint_ok, x_new * x_new / decay_sq_safe, x * x)
+        z_sq_end = np.where(decay_sq > 1e-12, x_new * x_new / np.maximum(decay_sq, 1e-300), x * x)
         diss += float(tau @ (diss_w * 0.5 * (x * x + z_sq_end)))
         work += 0.5 * dt * (float(x @ (gram @ c1)) + float(x_new @ (gram @ c2)))
         x = x_new
         if (k + 1) % sample_stride == 0:
-            record(sample, t_start + (k + 1) * dt, x, diss, work)
+            record(sample, step_start[k + 1], x, diss, work)
             sample += 1
 
     return Trajectory(

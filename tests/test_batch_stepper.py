@@ -1,6 +1,6 @@
 """The batched stepper against the single-trajectory reference in oracle.py,
 its independence of the bookkeeping block length, its memory bound, and
-property tests of the compiled segment plan and the row-wise cutoff."""
+property tests of the per-piece segments and the row-wise cutoff."""
 
 import math
 import tracemalloc
@@ -17,13 +17,13 @@ from nsstab.constants import (
     radial_cutoff_rows,
     row_dot,
 )
-from nsstab import dynamics
-from nsstab.dynamics import ControlLaw, packed_convection, segment_plan, simulate_batch, step_times
+from nsstab import dynamics, experiments
+from nsstab.dynamics import ControlLaw, packed_convection, simulate_batch, step_times
 from nsstab.errors import BlowUpError
 from nsstab.experiments import random_low_mode_state
 
 import oracle
-from conftest import uniform_plan
+from conftest import cut_plans, uniform_plan
 
 FLOAT_COLUMNS = ("norm_h", "lyapunov", "control_norm", "dissipation", "control_work")
 
@@ -48,18 +48,22 @@ def assert_matches_oracle(run, ref_trajectories):
         assert np.array_equal(traj.threshold, ref.threshold, equal_nan=True)
 
 
-def reference(law):
-    """The oracle of a law's rows: the closed-loop exponential step for a
-    stationary law, the diagonal integrating factor for the others."""
-    return oracle.simulate_closed_loop if law.schedule is None and law.params else oracle.simulate
+def reference(law, y0, feedback, plan, basis, tensor, gram, **kwargs):
+    """The oracle run of a law's row on its plan: the closed-loop exponential
+    step for a stationary law (on a one-piece plan), the diagonal integrating
+    factor for the others."""
+    if law.schedule is None and law.params:
+        (t_start, t_end), _, (dt,) = plan
+        return oracle.simulate_closed_loop(y0, feedback, t_start, t_end, dt, basis, tensor, gram, **kwargs)
+    return oracle.simulate(y0, feedback, plan, basis, tensor, gram, **kwargs)
 
 
 def test_zero_law_matches_oracle(square16):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=1) for norm in (0.3, 1e-3)])
-    run = simulate_batch(y0, ControlLaw(), uniform_plan(0.3, 0.01, 1e-4), basis, tensor, gram, sample_stride=10)
-    refs = [oracle.simulate(x, oracle.ZeroFeedback(), 0.3, 0.31, 1e-4, basis, tensor, gram,
-                            sample_stride=10) for x in y0]
+    plan = uniform_plan(0.3, 0.01, 1e-4)
+    run = simulate_batch(y0, ControlLaw(), plan, basis, tensor, gram, sample_stride=10)
+    refs = [oracle.simulate(x, oracle.ZeroFeedback(), plan, basis, tensor, gram, sample_stride=10) for x in y0]
     assert_matches_oracle(run, refs)
 
 
@@ -87,11 +91,10 @@ def test_periodic_law_with_offsets_matches_oracle(square16, pack_schedule):
     sched = build_schedule(2, pack_schedule, basis, 4)
     offsets = np.array([0.0, 0.1, 0.29])  # the last starts past one period
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=3)
-    dt = 2.0**-12
-    run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched, cutoff=True),
-                         uniform_plan(offsets, 0.5, dt), basis, tensor, gram)
-    refs = [oracle.simulate(y0, oracle.ScheduledFeedback(sched, cutoff=True),
-                            s, s + 0.5, dt, basis, tensor, gram) for s in offsets]
+    plans = cut_plans(sched, offsets, 0.5, 2.0**-12)
+    run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched, cutoff=True), plans, basis, tensor, gram)
+    refs = [oracle.simulate(y0, oracle.ScheduledFeedback(sched, cutoff=True), plan, basis, tensor, gram)
+            for plan in plans]
     assert_matches_oracle(run, refs)
     assert all((ref.interval == -1).any() and (ref.interval >= 0).any() for ref in refs)
 
@@ -101,13 +104,12 @@ def test_latched_law_matches_oracle(square16, pack_schedule):
     sched = build_schedule(1, pack_schedule, basis, 4)
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=6) for norm in (1e-3, 2e-3, 0.0)])
     thresholds = np.array([0.5e-3, 1e-30, 0.0])  # trips mid-run, never, at the start
-    dt = 2.0**-11
-    run = simulate_batch(y0, ControlLaw.periodic(sched), uniform_plan(0.0, sched.period, dt),
-                         basis, tensor, gram, latch_norm=thresholds)
+    [plan] = cut_plans(sched, 0.0, sched.period, 2.0**-11)
+    run = simulate_batch(y0, ControlLaw.periodic(sched), plan, basis, tensor, gram, latch_norm=thresholds)
     refs = []
     for x, threshold, latch_time in zip(y0, thresholds, run.latch_time):
         law = oracle.LatchedFeedback(oracle.ScheduledFeedback(sched), threshold)
-        refs.append(oracle.simulate(x, law, 0.0, sched.period, dt, basis, tensor, gram))
+        refs.append(oracle.simulate(x, law, plan, basis, tensor, gram))
         assert math.isnan(latch_time) == (not law.latched)
         if law.latched:
             assert latch_time == law.latch_time
@@ -141,24 +143,7 @@ def test_stationary_rows_latching_mid_run_match_oracle(square16, pack_rapid):
     assert np.all(np.diff(run.norm_h[tripped:, 0]) < 0) and run.control_norm[tripped:, 0].max() == 0.0
 
 
-def chained_oracle(y0, feedback, times, sizes, basis, tensor, gram):
-    """The oracle run piece by piece: piece p from times[p] to times[p + 1] in
-    steps of sizes[p], each from the state the last ended on, with the energy
-    integrals carried over and the shared end sample kept once."""
-    pieces, x, carry = [], y0, np.zeros(2)
-    for t0, t1, size in zip(times[:-1], times[1:], sizes):
-        ref = oracle.simulate(x, feedback, t0, t1, size, basis, tensor, gram)
-        ref.dissipation += carry[0]
-        ref.control_work += carry[1]
-        pieces.append(ref)
-        x, carry = ref.states[-1], np.array([ref.dissipation[-1], ref.control_work[-1]])
-    columns = {name: np.concatenate([getattr(ref, name)[: -1 if i < len(pieces) - 1 else None]
-                                     for i, ref in enumerate(pieces)])
-               for name in ("times", "states", "interval", "threshold", *FLOAT_COLUMNS)}
-    return oracle.Trajectory(**columns)
-
-
-def test_steps_per_piece_match_the_oracle_chained_piece_by_piece(square16, pack_schedule):
+def test_steps_per_piece_match_the_oracle(square16, pack_schedule):
     """Rows with one step size per schedule piece, as null control steps them:
     row 0 with cutoff and coarse pieces first, row 1 with a latch and the
     reverse order of sizes, so both rows take 256 steps."""
@@ -176,8 +161,7 @@ def test_steps_per_piece_match_the_oracle_chained_piece_by_piece(square16, pack_
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=3) for norm in (0.1, 1e-3)])
     plans = [(times, n, row) for n, row in zip(counts, sizes)]
     run = simulate_batch(y0, laws, plans, basis, tensor, gram, latch_norm=latch)
-    refs = [chained_oracle(x, feedback, times, row, basis, tensor, gram)
-            for x, feedback, row in zip(y0, feedbacks, sizes)]
+    refs = [oracle.simulate(x, feedback, plan, basis, tensor, gram) for x, feedback, plan in zip(y0, feedbacks, plans)]
     assert_matches_oracle(run, refs)
     assert feedbacks[1].latched and run.latch_time[1] == feedbacks[1].latch_time
     assert np.array_equal(run.times[np.append(0, np.cumsum(counts[0])), 0], times)
@@ -223,34 +207,27 @@ def test_blowup_raised_at_oracle_step_for_first_failing_row(square16):
     assert batch.value.max_abs == pytest.approx(reference.value.max_abs, rel=1e-13)
 
 
-def test_mixed_laws_and_steps_in_one_batch_match_oracle(square16, pack_rapid, pack_schedule):
+def test_mixed_laws_and_steps_in_one_batch_match_oracle(square16, pack_rapid, mixed_batch):
+    """The mixed batch over 256 steps: the cutoff row starts with its raw
+    control above the radius, the two periodic rows cross the terminal
+    regime into their next period, and only the last row's latch trips."""
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
-    m = basis.n_modes
-    params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
-    base = params.cutoff_radius / params.gain
-    two, one = build_schedule(2, pack_schedule, basis, 4), build_schedule(1, pack_schedule, basis, 4)
-    laws = [ControlLaw.stationary(params), ControlLaw.stationary(params, cutoff=True),
-            ControlLaw.periodic(two, cutoff=True), ControlLaw.periodic(one)]
-    latch = np.array([0.0, 0.0, 0.0, 0.5e-3])  # only the last row trips
+    batch = mixed_batch
+    laws, latch, t_start = batch["laws"], batch["latch"], batch["t_start"]
+    params = laws[0].params[0]
     feedbacks = [oracle.ModalFeedback(params), oracle.ModalFeedback(params, cutoff=True),
-                 oracle.ScheduledFeedback(two, cutoff=True),
-                 oracle.LatchedFeedback(oracle.ScheduledFeedback(one), latch[3])]
-    # the cutoff row starts with its raw control above the radius; the two
-    # periodic rows cross the terminal regime into their next period
-    y0 = np.array([random_low_mode_state(m, 0.5 * base, seed=2), random_low_mode_state(m, 3.0 * base, seed=2),
-                   random_low_mode_state(m, 1e-3, seed=3), random_low_mode_state(m, 1e-3, seed=4)])
-    t_start = np.array([0.0, 0.0, 0.13, 0.3])
-    dt = np.array([1e-5, 2e-5, 2.0**-11, 2.0**-10])
-    span = 256 * dt
-    run = simulate_batch(y0, laws, uniform_plan(t_start, span, dt), basis, tensor, gram, sample_stride=4,
-                         latch_norm=latch)
-    refs = [reference(law)(x, feedback, s, s + width, step, basis, tensor, gram, sample_stride=4)
-            for law, x, feedback, s, width, step in zip(laws, y0, feedbacks, t_start, span, dt)]
+                 oracle.ScheduledFeedback(laws[2].schedule, cutoff=True),
+                 oracle.LatchedFeedback(oracle.ScheduledFeedback(laws[3].schedule), latch[3])]
+    plans = mixed_plans(batch, 256)
+    run = simulate_batch(batch["y0"], laws, plans, basis, tensor, gram, sample_stride=4, latch_norm=latch)
+    refs = [reference(law, x, feedback, plan, basis, tensor, gram, sample_stride=4)
+            for law, x, feedback, plan in zip(laws, batch["y0"], feedbacks, plans)]
     assert_matches_oracle(run, refs)
     assert feedbacks[3].latched and run.latch_time[3] == feedbacks[3].latch_time
     assert np.isnan(run.latch_time[:3]).all()
-    for r in range(4):
-        assert np.array_equal(run.trajectory(r).times, t_start[r] + 4 * np.arange(65) * dt[r])
+    for r in range(2):
+        assert np.array_equal(run.trajectory(r).times, t_start[r] + 4 * np.arange(65) * batch["dt"][r])
+    assert np.array_equal(run.times[-1], t_start + 256 * batch["dt"])
     raw = params.gain * np.linalg.norm(refs[1].states[:, : params.n_active], axis=1)
     assert raw.max() > params.cutoff_radius
     assert all((ref.interval == -1).any() and (ref.interval >= 0).any() for ref in refs[2:])
@@ -288,14 +265,14 @@ def test_equal_laws_built_apart_give_bit_equal_rows(square16, pack_rapid, pack_s
         column = getattr(run, name)
         first, third = (column[0], column[2]) if name == "states" else (column[:, 0], column[:, 2])
         assert np.array_equal(first, third), name
-    assert np.array_equal(run.thresholds[0], run.thresholds[2], equal_nan=True)
+    assert np.array_equal(run.trajectory(0).threshold, run.trajectory(2).threshold, equal_nan=True)
     assert not np.array_equal(run.states[0], run.states[1])
 
 
 def test_laws_with_different_segment_counts_match_oracle(square16, pack_rapid, pack_schedule):
     """The zero law (no segment), a stationary law (one) and a periodic law
-    (n_max + 1 = 5) in one batch: the shorter tables are padded with zero-law
-    rows, and TERMINAL finds one in every row."""
+    (n_max + 1 = 5) in one batch: each law's tables end in a zero-law row,
+    which TERMINAL finds in every row."""
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     m = basis.n_modes
     params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
@@ -304,15 +281,17 @@ def test_laws_with_different_segment_counts_match_oracle(square16, pack_rapid, p
     feedbacks = [oracle.ZeroFeedback(), oracle.ModalFeedback(params), oracle.ScheduledFeedback(sched)]
     y0 = np.array([random_low_mode_state(m, norm, seed=5) for norm in (0.3, 0.5 * params.cutoff_radius / params.gain,
                                                                          1e-3)])
-    t_start = np.array([0.3, 0.0, 0.13])  # the periodic row crosses the terminal regime
     dt = np.array([1e-4, 1e-5, 2.0**-11])
-    span = 256 * dt
-    run = simulate_batch(y0, laws, uniform_plan(t_start, span, dt), basis, tensor, gram, sample_stride=4)
-    refs = [reference(law)(x, feedback, s, s + width, step, basis, tensor, gram, sample_stride=4)
-            for law, x, feedback, s, width, step in zip(laws, y0, feedbacks, t_start, span, dt)]
+    # the periodic row starts at 0.13 and crosses the terminal regime
+    plans = [uniform_plan(0.3, 256 * dt[0], dt[0]), uniform_plan(0.0, 256 * dt[1], dt[1]),
+             *cut_plans(sched, 0.13, 256 * dt[2], dt[2])]
+    run = simulate_batch(y0, laws, plans, basis, tensor, gram, sample_stride=4)
+    refs = [reference(law, x, feedback, plan, basis, tensor, gram, sample_stride=4)
+            for law, x, feedback, plan in zip(laws, y0, feedbacks, plans)]
     assert_matches_oracle(run, refs)
-    assert run.thresholds.shape == (3, sched.n_max + 2)
-    assert np.isnan(run.thresholds[0]).all() and np.isnan(run.thresholds[1, 1:]).all()
+    trajectories = [run.trajectory(r) for r in range(3)]
+    assert np.isnan(trajectories[0].threshold).all() and (trajectories[1].threshold == params.threshold).all()
+    assert np.array_equal(np.isnan(trajectories[2].threshold), trajectories[2].interval == -1)
     assert (refs[0].interval == -1).all() and (refs[1].interval == 0).all()
     assert (refs[2].interval == -1).any() and (refs[2].interval >= 0).any()
 
@@ -320,8 +299,8 @@ def test_laws_with_different_segment_counts_match_oracle(square16, pack_rapid, p
 def test_health_of_all_rows_gathers_the_rows(square16, mixed_batch):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     batch = mixed_batch
-    run = simulate_batch(batch["y0"], batch["laws"], uniform_plan(batch["t_start"], 128 * batch["dt"], batch["dt"]),
-                         basis, tensor, gram, sample_stride=4, latch_norm=batch["latch"])
+    run = simulate_batch(batch["y0"], batch["laws"], mixed_plans(batch, 128), basis, tensor, gram, sample_stride=4,
+                         latch_norm=batch["latch"])
     whole, rows = run.health(), [run.health(r) for r in range(4)]
     assert whole["steps"] == sum(row["steps"] for row in rows) == 4 * 128
     assert whole["max_energy_defect"] == max(row["max_energy_defect"] for row in rows)
@@ -394,6 +373,14 @@ def mixed_batch(square16, pack_rapid, pack_schedule):
             "dt": np.array([1e-5, 2e-5, 2.0**-11, 2.0**-10]), "latch": np.array([0.0, 0.0, 0.0, 0.5e-3])}
 
 
+def mixed_plans(batch, n_steps):
+    """The mixed batch's row plans of n_steps steps: one piece for a
+    stationary row, cut at every switch for a periodic one."""
+    return [uniform_plan(s, n_steps * dt, dt) if law.schedule is None
+            else cut_plans(law.schedule, s, n_steps * dt, dt)[0]
+            for law, s, dt in zip(batch["laws"], batch["t_start"], batch["dt"])]
+
+
 # fewer steps than a block, whole blocks, one step either side of them, and
 # sample strides that do not divide the block
 @pytest.mark.parametrize("n_steps, stride", [(2, 1), (50, 1), (63, 1), (64, 1), (65, 5), (128, 4), (129, 3),
@@ -401,9 +388,8 @@ def mixed_batch(square16, pack_rapid, pack_schedule):
 def test_columns_do_not_depend_on_the_block_length(square16, mixed_batch, monkeypatch, n_steps, stride):
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     batch = mixed_batch
-    plan = uniform_plan(batch["t_start"], n_steps * batch["dt"], batch["dt"])
-    runs = run_per_block(monkeypatch, batch["y0"], batch["laws"], plan, basis, tensor, gram, sample_stride=stride,
-                         latch_norm=batch["latch"])
+    runs = run_per_block(monkeypatch, batch["y0"], batch["laws"], mixed_plans(batch, n_steps), basis, tensor, gram,
+                         sample_stride=stride, latch_norm=batch["latch"])
     assert_same_across_blocks(runs)
     assert runs[0].norm_h.shape == (n_steps // stride + 1, 4)
 
@@ -458,16 +444,17 @@ def test_stepping_memory_is_bounded_by_the_block(square16, pack_schedule):
     block = dynamics._BLOCK * b * m * 8
 
     def overhead(n_steps):
+        plans = cut_plans(law.schedule, np.linspace(0.0, 0.4, b), 0.5, 0.5 / n_steps)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            run = simulate_batch(y0, law, uniform_plan(np.linspace(0.0, 0.4, b), 0.5, 0.5 / n_steps), basis, tensor,
-                                 gram)
+            run = simulate_batch(y0, law, plans, basis, tensor, gram)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert run.health(0)["steps"] == n_steps
-        returned = sum(getattr(run, name).nbytes for name in ("times", *BATCH_COLUMNS))
+        assert run.health(0)["steps"] == sum(plans[0][1]) >= n_steps
+        # the stored arrays: segments is gathered from pieces when read
+        returned = sum(getattr(run, name).nbytes for name in ("times", "pieces", *BATCH_COLUMNS[1:]))
         return (peak - before - returned) / block
 
     short, long = overhead(512), overhead(2048)
@@ -512,11 +499,9 @@ def test_periodic_law_at_64_modes_with_offsets_matches_oracle(square32_wide, pac
     sched = build_schedule(2, pack_schedule, basis, 4)
     offsets = np.array([0.13, 0.2, 0.48])  # each crosses the terminal regime; the last starts past one period
     y0 = random_low_mode_state(basis.n_modes, 0.1, seed=3)
-    dt = 2.0**-11
-    run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched), uniform_plan(offsets, 0.125, dt), basis,
-                         tensor, gram)
-    refs = [oracle.simulate(y0, oracle.ScheduledFeedback(sched), s, s + 0.125, dt, basis, tensor, gram)
-            for s in offsets]
+    plans = cut_plans(sched, offsets, 0.125, 2.0**-11)
+    run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched), plans, basis, tensor, gram)
+    refs = [oracle.simulate(y0, oracle.ScheduledFeedback(sched), plan, basis, tensor, gram) for plan in plans]
     assert_matches_oracle(run, refs)
     assert all((ref.interval == -1).any() and (ref.interval >= 0).any() for ref in refs)
     assert run.control_norm.max() > 0.0
@@ -531,26 +516,46 @@ def oracle_interval(schedule, t):
     return oracle.ScheduledFeedback(schedule).interval_at(float(t))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    offsets=st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=4),
-    dt=st.one_of(st.integers(4, 12).map(lambda k: 2.0**-k), st.floats(1e-4, 0.05)),
-    n_steps=st.integers(1, 64),
+    n0=st.sampled_from([1, 2, 3]),
+    n_max=st.sampled_from([4, 8]),
+    fractions=st.lists(st.sampled_from([0.0, 1.0 / 3.0, 0.9]) | st.floats(-3.0, 3.0, allow_nan=False),
+                       min_size=1, max_size=3),
+    cap=st.sampled_from([3e-4, 7.77e-4, 2.0**-12, 1e-3]),
+    periods=st.integers(1, 2),
 )
-def test_plan_matches_scalar_reduction(schedule16, offsets, dt, n_steps):
-    """One segment per step, the one at its start time t_start + k*dt, which
-    both evaluations of the step take (no second segment at t + dt), and the
-    segment of the end time last."""
-    law = ControlLaw.periodic(schedule16)
-    b = len(offsets)
-    times, _ = step_times([([s, s + n_steps * dt], [n_steps], [dt]) for s in offsets])
-    seg = segment_plan([law] * b, times)
-    assert times.shape == seg.shape == (n_steps + 1, b)
-    for r, s in enumerate(offsets):
-        for k in range(n_steps + 1):
-            t = s + k * dt
-            assert times[k, r] == t
-            assert seg[k, r] == oracle_interval(schedule16, t)
+def test_every_step_takes_the_segment_of_its_piece(square16, pack_schedule, n0, n_max, fractions, cap, periods):
+    """On _row_plan rows from offsets s = f T, each period evened to the most
+    steps any offset needs: every step start, and the end time, lies in the
+    oracle's interval of the segment that simulate_batch gives its piece."""
+    basis = square16["basis"]
+    m = basis.n_modes
+    schedule = build_schedule(n0, pack_schedule, basis, n_max)
+    offsets = [f * schedule.period for f in fractions]
+    caps = np.full(n_max + 2, cap)
+    per_period = max(experiments._row_plan(schedule, caps, s)[1].sum() for s in offsets)
+    plans = [experiments._row_plan(schedule, caps, s, periods, per_period) for s in offsets]
+    run = simulate_batch(np.zeros((len(offsets), m)), ControlLaw.periodic(schedule), plans, basis,
+                         np.zeros((m, m, m)), np.eye(m), state_rows=0)
+    interval_at = oracle.ScheduledFeedback(schedule).interval_at
+    for r in range(len(offsets)):
+        assert [interval_at(t) for t in run.times[:, r].tolist()] == run.segments[:, r].tolist()
+
+
+def test_a_piece_across_a_switch_is_rejected(square16, pack_schedule):
+    """A periodic law stepped on one piece across its switch at T/2 would take
+    one segment for the whole piece; simulate_batch names the row and piece."""
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    sched = build_schedule(1, pack_schedule, basis, 4)
+    y0 = np.zeros((2, basis.n_modes))
+    plans = [uniform_plan(0.0, 0.125, 2.0**-10), ([0.0, 0.125, 0.3], [64, 64], [2.0**-9, 0.175 / 64])]
+    with pytest.raises(ValueError, match="row 1: piece 1 starts in segment 0 of its law and its last step in "
+                                         "segment 1"):
+        simulate_batch(y0, ControlLaw.periodic(sched), plans, basis, tensor, gram)
+    with pytest.raises(ValueError, match="row 0: piece 0 starts in segment 0 .* segment -1"):
+        simulate_batch(y0[:1], ControlLaw.periodic(sched), uniform_plan(0.0, sched.period, 2.0**-10), basis, tensor,
+                       gram)
 
 
 @settings(max_examples=100, deadline=None)

@@ -23,6 +23,7 @@ from nsstab.cli import (
     write_tensor_cache,
     write_trajectory_csv,
 )
+from nsstab.constants import Schedule
 from nsstab.dynamics import Trajectory, build_trilinear_tensor
 from nsstab.errors import ConfigError
 from nsstab.experiments import MAX_STEPS
@@ -381,7 +382,7 @@ assert main(["simulate", "--config", path]) == 0
 config = parse_config(path)
 basis = ensure_basis(config)[0]
 params = feedback_params(float(basis.eigenvalues[3]), build_pack(config, basis, None), basis)
-gain = ControlLaw.stationary(params).tables(basis.n_modes, 2)[0][0]
+gain = ControlLaw.stationary(params).tables(basis.n_modes)[0][0]
 table = ClosedLoopTable.build(basis.eigenvalues, assemble_gram(basis, basis.grid), gain, 2.0**-15, config.nu)
 print(hashlib.sha256(table.prop_t.tobytes() + table.quad_x.tobytes() + table.quad_r.tobytes()).hexdigest())
 """
@@ -682,6 +683,15 @@ def _csv_times(path):
     return np.array([float(row.split(",")[0]) for row in path.read_text().splitlines()[1:]])
 
 
+def assert_intervals_match_oracle(path, config):
+    """The interval_n column of a trajectory CSV is the oracle's interval at each row's time."""
+    exp = config.experiment
+    schedule = Schedule.dyadic(exp.n0, config.practical.schedule_constant, exp.n_max)
+    interval_at = oracle.ScheduledFeedback(schedule).interval_at
+    rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
+    assert [int(row[4]) for row in rows] == [interval_at(float(row[0])) for row in rows]
+
+
 @pytest.mark.parametrize(("subcommand", "dt", "overrides"), [
     # 3e-4 divides neither T_1 = 1/4 nor T = 1/2 of the period 2**-1
     ("nullcontrol", 3e-4, {}),
@@ -692,8 +702,8 @@ def _csv_times(path):
 ], ids=["nullcontrol", "stabilize", "cost-curve", "nullcontrol-T_8"])
 def test_dt_off_the_schedule_grid_caps_every_piece(tmp_path, subcommand, dt, overrides):
     """A dt that puts schedule times between its multiples caps the steps of
-    each piece: every schedule time, and every s + jT, is a step time, and
-    no step exceeds dt."""
+    each piece: every schedule time, and every s + jT, is a step time, no
+    step exceeds dt, and every sample's interval is the oracle's."""
     config = parse_config(write_config(tmp_path, dt=dt, overrides=overrides))
     assert run_subcommand(subcommand, config) == 0
     out = tmp_path / "out"
@@ -707,6 +717,7 @@ def test_dt_off_the_schedule_grid_caps_every_piece(tmp_path, subcommand, dt, ove
             cuts = np.append(switches[(switches > s) & (switches < s + 2 * period)], s + np.arange(3) * period)
             assert np.isin(cuts, times).all(), s
             assert np.all(np.diff(times) <= dt), s
+            assert_intervals_match_oracle(out / entry["file"], config)
         return
     name = "cost_curve" if subcommand == "cost-curve" else "nullcontrol"
     report = json.loads((out / f"{name}_report.json").read_text())
@@ -718,6 +729,7 @@ def test_dt_off_the_schedule_grid_caps_every_piece(tmp_path, subcommand, dt, ove
         times = _csv_times(out / report["trajectory"])
         assert np.isin(report["interval_times"], times).all()
         assert np.all(np.diff(times) <= dt)
+        assert_intervals_match_oracle(out / report["trajectory"], config)
 
 
 @pytest.mark.parametrize("subcommand", ["nullcontrol", "stabilize", "cost-curve"])

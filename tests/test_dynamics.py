@@ -15,7 +15,7 @@ from nsstab.errors import BlowUpError
 from nsstab.experiments import random_low_mode_state
 
 import oracle
-from conftest import make_setup, uniform_plan
+from conftest import cut_plans, make_setup, uniform_plan
 from oracle import (
     ModalFeedback,
     SpectralState,
@@ -136,7 +136,7 @@ def test_step_matches_simulate_single_step(square32):
     x = 0.5 * rng.standard_normal(basis.n_modes)
     dt = 1e-4
     via_step = step(0.0, x, dt, ZeroFeedback(), basis, tensor, gram)
-    traj = simulate(x, ZeroFeedback(), 0.0, dt, dt, basis, tensor, gram)
+    traj = simulate(x, ZeroFeedback(), uniform_plan(0.0, dt, dt), basis, tensor, gram)
     assert np.array_equal(final_state(traj), via_step)
 
 
@@ -173,7 +173,8 @@ def test_periodic_law_with_switches_on_the_grid_is_second_order(square32, pack_s
     switches = np.append(schedule.start_times, period)
 
     def norms(divisions):
-        traj = run_one(y0, law, 0.0, period, period / divisions, basis, tensor, gram)
+        plans = cut_plans(schedule, 0.0, period, period / divisions)
+        traj = simulate_batch(y0[None], law, plans, basis, tensor, gram).trajectory(0)
         return traj.norm_h[np.rint(switches / period * divisions).astype(int)]
 
     ref = norms(2**15)
@@ -356,7 +357,7 @@ def test_closed_loop_scheme_converges_to_the_diagonal_oracle(square32, pack_rapi
     closed = run_one(y0, ControlLaw.stationary(params), 0.0, 0.01, 1e-4, basis, tensor, gram, sample_stride=2)
     errors = []
     for dt in (1e-5, 5e-6, 2.5e-6):
-        ref = simulate(y0, ModalFeedback(params), 0.0, 0.01, dt, basis, tensor, gram,
+        ref = simulate(y0, ModalFeedback(params), uniform_plan(0.0, 0.01, dt), basis, tensor, gram,
                        sample_stride=int(round(2e-4 / dt)))
         errors.append(np.max(np.linalg.norm(closed.states - ref.states, axis=1) / np.linalg.norm(ref.states, axis=1)))
     ratios = np.array(errors[:-1]) / np.array(errors[1:])

@@ -19,7 +19,8 @@ from nsstab.experiments import (
     run_small_time,
 )
 
-from conftest import uniform_plan
+import oracle
+from conftest import cut_plans, uniform_plan
 
 
 @pytest.fixture(scope="module")
@@ -124,10 +125,10 @@ def test_null_control_restart_reproduces_tail(small_setup):
     dt = 2.0**-11
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=4)
     law = ControlLaw.periodic(sched)
-    full = simulate_batch(y0[None], law, uniform_plan(0.0, sched.period, dt), basis, tensor, gram).trajectory(0)
+    full = simulate_batch(y0[None], law, cut_plans(sched, 0.0, sched.period, dt), basis, tensor, gram).trajectory(0)
     t1 = float(sched.start_times[1])
     idx = int(round(t1 / dt))
-    resumed = simulate_batch(full.states[idx][None], law, uniform_plan(t1, sched.period - t1, dt),
+    resumed = simulate_batch(full.states[idx][None], law, cut_plans(sched, t1, sched.period - t1, dt),
                              basis, tensor, gram).trajectory(0)
     assert np.abs(resumed.states - full.states[idx:]).max() <= 1e-10
 
@@ -192,8 +193,8 @@ def test_default_piece_grid_matches_a_fine_uniform_run(square32, pack_schedule):
     fine_dt = np.array([2.0 ** -(r.n0 + 8 + 8) for r in reports])
     stride = 128  # samples every T/512, which holds every schedule time
     y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=5)] * 3)
-    fine = simulate_batch(y0, [ControlLaw.periodic(r.schedule) for r in reports],
-                          uniform_plan(0.0, [r.period for r in reports], fine_dt), basis, tensor, gram,
+    plans = [cut_plans(r.schedule, 0.0, r.period, h)[0] for r, h in zip(reports, fine_dt)]
+    fine = simulate_batch(y0, [ControlLaw.periodic(r.schedule) for r in reports], plans, basis, tensor, gram,
                           sample_stride=stride)
     for row, report in enumerate(reports):
         idx = np.rint(report.interval_times / (stride * fine_dt[row])).astype(int)
@@ -292,7 +293,7 @@ def test_latched_feedback_shuts_off(small_setup):
     basis, tensor, gram = small_setup["basis"], small_setup["tensor"], small_setup["gram"]
     sched = build_schedule(1, small_setup["pack"], basis, 4)
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=6)
-    run = simulate_batch(y0[None], ControlLaw.periodic(sched), uniform_plan(0.0, sched.period, 2.0**-11),
+    run = simulate_batch(y0[None], ControlLaw.periodic(sched), cut_plans(sched, 0.0, sched.period, 2.0**-11),
                          basis, tensor, gram, latch_norm=0.5e-3)
     traj = run.trajectory(0)
     latch_time = run.latch_time[0]
@@ -380,9 +381,9 @@ def test_row_plan_cuts_every_switch_and_evens_its_periods(small_setup, start, pe
     assert np.array_equal(np.diff(np.searchsorted(times, marks)), np.full(periods, per_period))
     m = np.arange(math.floor(start / period), math.floor(start / period) + periods + 2)
     switches = (m[:, None] * period + schedule.start_times).ravel()
-    cuts = np.append(switches[(switches >= start) & (switches <= marks[-1])], marks)
-    assert np.isin(cuts, times).all()
-    assert np.all(np.repeat(sizes, counts) <= limit[ControlLaw.periodic(schedule).segment_at(times[:-1])])
+    assert np.isin(np.append(switches[(switches >= start) & (switches <= marks[-1])], marks), times).all()
+    # each piece lies in one interval (see test_every_step_takes_the_segment_of_its_piece), the one at its cut
+    assert np.all(sizes <= limit[[oracle.ScheduledFeedback(schedule).interval_at(t) for t in cuts[:-1].tolist()]])
 
 
 def test_small_time_configured_dt_caps_every_piece(small_setup):
@@ -428,10 +429,11 @@ def test_small_time_piece_grid_is_second_order(small_setup):
 def test_small_time_piece_grid_matches_a_fine_uniform_run(square32, pack_schedule):
     """At 32x32, M = 24, with the acceptance-8 pack (n_max = 8, 641 steps per
     period), the norms over the first period are within 1e-3 relative of a
-    uniform run of dt = 2**-16, interpolated log-linearly at the piece grid's
-    times.  Measured: 1.4e-4 (seed 7, offset T/3); a 2**-18 reference gives
-    the same 1.4e-4 and differs from the 2**-16 one by at most 7.7e-6, at four
-    times the cost."""
+    run cut at every switch with steps of at most 2**-16, interpolated
+    log-linearly at the piece grid's times.  Measured: 1.3e-4 (seed 7,
+    offset 0), 9.8e-5 (T/3) and 9.0e-6 (0.9 T); a 2**-18 reference gives the
+    same and differs from the 2**-16 one by at most 6.5e-8, at four times
+    the cost."""
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     period = 0.5
     offsets = np.array([0.0, period / 3.0, 0.9 * period])
@@ -439,8 +441,8 @@ def test_small_time_piece_grid_matches_a_fine_uniform_run(square32, pack_schedul
                            eta_grid=np.array([]), seed=7)
     assert probe.health["steps"] == 3 * 2 * 641
     y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=7)] * 3)
-    fine = simulate_batch(y0, ControlLaw.periodic(probe.schedule, cutoff=True), uniform_plan(offsets, period, 2.0**-16),
-                          basis, tensor, gram, sample_stride=16)
+    fine = simulate_batch(y0, ControlLaw.periodic(probe.schedule, cutoff=True),
+                          cut_plans(probe.schedule, offsets, period, 2.0**-16), basis, tensor, gram, state_rows=0)
     for row, traj in enumerate(probe.trajectories):
         first = traj.times <= offsets[row] + period
         expected = np.exp(np.interp(traj.times[first], fine.times[:, row], np.log(fine.norm_h[:, row])))
