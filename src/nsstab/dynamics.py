@@ -54,28 +54,36 @@ p starts at cut_p + j h_p, and the next piece starts at cut_{p+1}
 on the next one exactly.  Each piece lies in one segment of its row's law,
 so every switch is a cut, and the Heun step, whose two evaluations take
 its piece's law, stays second order across it; a piece whose last step
-starts in another segment than its first is rejected.  Every per-step
-table is gathered through one index, the piece of each step numbered over
-the batch (row r's pieces, then an entry for its end time): the gains,
-Lyapunov weights, cutoff radii and thresholds of the segment looked up at
-the piece's cut, and its decay factors, trapezoid weights, step size and
-closed-loop table.  The convection term of a half step is one
+starts in another segment than its first, or as far from its first as its
+segment is long, is rejected.  Every per-step table is gathered through
+one index, the piece of each step numbered over the batch (row r's
+pieces, then an entry for its end time): the gains, Lyapunov weights,
+cutoff radii and thresholds of the segment looked up at the piece's cut,
+and its decay factors, trapezoid weights, step size and closed-loop
+table.  The convection term of a half step is one
 (B, M(M+1)/2) @ (M(M+1)/2, M) product over the pairs i <= j of the tensor
 symmetrized in (i, j) (:func:`packed_convection`), shared by all the rows.
 
 The per-step loop of :func:`simulate_batch` keeps only what the next state
 depends on: the two convection terms, the two law evaluations (cutoff and
-latch included), the two Gram products, the two propagations, the step's
-energy-moment products on the closed-loop rows, and the blow-up guard,
-which is relative to each row's initial norm.  It writes each step's
-state, control, Gram products and moment products into block buffers.
-Once per block of ``_BLOCK`` steps, and at the last step, one vectorized
-pass turns them into the samples, the Lyapunov column and the energy
-integrals; the per-piece tables are gathered for the block's steps at its
-start.  The pass uses the same row dot products as a per-step loop would,
-and its cumulative sums add left to right like a running total, so no
-result depends on the block length.  The call times
-itself with time.perf_counter, and :meth:`BatchRun.health` reports the
+latch included), the Gram products of the control remainders, the two
+propagations, and the blow-up guard, which is relative to each row's
+initial norm.  On a batch that one closed-loop table covers, an evaluation
+that leaves every row's control at its linear value K x (no cutoff acts,
+no row is latched) has the remainder c - K x = 0 exactly, so its Gram
+product is skipped and its slot of the block buffer holds zeros.  The loop
+writes each step's state, control, Gram products and remainder r(x) into
+block buffers.  The energy-moment products x @ quad_x + r @ quad_r of the
+closed-loop rows run once per stretch of steps whose grouping of rows into
+tables does not change (a block, or its part between regroups): one
+stacked (n, rows, M) @ (M, 2M) product per table, which numpy computes
+as one product per step.  Once per block of ``_BLOCK`` steps, and at the
+last step, one vectorized pass turns the buffers into the samples, the
+Lyapunov column and the energy integrals; the per-piece tables are
+gathered for the block's steps at its start.  The pass uses the same row
+dot products as a per-step loop would, and its cumulative sums add left
+to right like a running total, so no result depends on the block length.
+The call times itself with time.perf_counter, and :meth:`BatchRun.health` reports the
 steps, the largest energy-identity residual and that time, for one row or
 for all.
 """
@@ -119,11 +127,7 @@ def raw_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
     """
     m = basis.n_modes
     vel = basis.velocities  # (m, 2, nx, ny)
-    grads = np.empty((m, 2, 2, grid.nx, grid.ny))
-    for j in range(m):
-        for comp in range(2):
-            grads[j, 0, comp] = central_dx(vel[j, comp], grid.hx)
-            grads[j, 1, comp] = central_dy(vel[j, comp], grid.hy)
+    grads = np.stack([central_dx(vel, grid.hx), central_dy(vel, grid.hy)], axis=1)  # (m, 2, 2, nx, ny)
     e_flat = vel.reshape(m, 2, -1)
     g_flat = grads.reshape(m, 2, 2, -1)
     tensor = np.empty((m, m, m))
@@ -147,7 +151,12 @@ def packed_convection(tensor: np.ndarray, rows: int):
     once over the M(M+1)/2 pairs i <= j, so each call is one
     (rows, M(M+1)/2) @ (M(M+1)/2, M) product instead of (rows, M^2) @ (M^2, M).
     The pair factors are gathered from the flattened batch by precomputed
-    flat indices r*M + i, so the batch size is fixed here.
+    flat indices r*M + i, so the batch size is fixed here.  A 3-row batch
+    runs its product on 4 rows, the last a zero pad: OpenBLAS on one thread
+    takes about 37 us for 3 rows at M = 64 and 25 us for 4, and each row
+    comes out bit for bit as in the 3-row product.  The pair factors and the result live
+    in buffers made here, so the array returned is overwritten by the next
+    call.
     """
     m = tensor.shape[0]
     iu, ju = np.triu_indices(m)
@@ -155,6 +164,8 @@ def packed_convection(tensor: np.ndarray, rows: int):
     packed[iu == ju] *= 0.5  # the diagonal pairs were doubled; 2T * 0.5 = T exactly
     row_start = m * np.arange(rows)[:, None]
     flat_i, flat_j = row_start + iu, row_start + ju
+    pairs = np.zeros((4 if rows == 3 else rows, len(iu)))
+    head, factor, out = pairs[:rows], np.empty((rows, len(iu))), np.empty((len(pairs), m))
 
     def convection(x: np.ndarray) -> np.ndarray:
         if x.shape != (rows, m):
@@ -162,7 +173,9 @@ def packed_convection(tensor: np.ndarray, rows: int):
         flat = x.ravel()
         # indices are in range by construction; "clip" skips the bounds check, and
         # the method skips the Python wrapper of np.take
-        return (flat.take(flat_i, mode="clip") * flat.take(flat_j, mode="clip")) @ packed
+        flat.take(flat_i, out=head, mode="clip")
+        np.multiply(head, flat.take(flat_j, out=factor, mode="clip"), out=head)
+        return np.matmul(pairs, packed, out=out)[:rows]
 
     return convection
 
@@ -303,6 +316,14 @@ class ControlLaw:
         tp = np.where(tp >= period, 0.0, tp)  # guard the floating-point edge
         seg = np.searchsorted(self.schedule.start_times, tp, side="right") - 1
         return np.where(seg > self.schedule.n_max, TERMINAL, seg)
+
+    def segment_lengths(self) -> np.ndarray:
+        """Length of each segment, then of the zero law's: the schedule's
+        intervals and its terminal regime for a periodic law (TERMINAL indexes
+        the last), inf for a stationary or zero law."""
+        if self.schedule is None:
+            return np.full(len(self.params) + 1, np.inf)
+        return np.diff(np.append(self.schedule.start_times, self.schedule.period))
 
     def tables(self, m: int):
         """Per-segment arrays for an M-mode basis, then the zero law's row.
@@ -483,9 +504,9 @@ def simulate_batch(
     :func:`step_times`).  Every row takes the same number of steps, a whole
     number of samples, and each piece lies in one segment of its row's law:
     a ValueError names the row and the piece whose last step starts in
-    another segment than its first.  With latch_norm, row r's control
-    switches off for good at the first law evaluation whose state norm is
-    <= latch_norm[r].  States are kept for the first state_rows rows
+    another segment than its first, or as far from it as its segment is
+    long.  With latch_norm, row r's control switches off for good at the
+    first law evaluation whose state norm is <= latch_norm[r].  States are kept for the first state_rows rows
     (default: all).  Raises BlowUpError at the first step where a
     coefficient of a row exceeds BLOWUP_GUARD times the row's initial norm,
     with the first such row and its time.  A row with a stationary law steps
@@ -518,10 +539,16 @@ def simulate_batch(
     for r, ((cuts, counts, sizes), row_law) in enumerate(zip(plans, laws)):
         last = times[np.cumsum(counts) - 1, r]  # the start of each piece's last step
         seg, last_seg = np.split(row_law.segment_at(np.append(cuts, last)), [len(last) + 1])
-        if np.any(seg[:-1] != last_seg):
-            p = np.argmax(seg[:-1] != last_seg)
+        # a piece that leaves its segment and comes back to it spans at least
+        # the rest of the period, which is no shorter than the segment
+        span = last - np.asarray(cuts, dtype=np.float64)[:-1]
+        length = row_law.segment_lengths()[seg[:-1]]
+        bad = (seg[:-1] != last_seg) | (span >= length)
+        if bad.any():
+            p = np.argmax(bad)
             raise ValueError(f"row {r}: piece {p} starts in segment {seg[p]} of its law and its last step in "
-                             f"segment {last_seg[p]}; a plan must cut every switch of its law")
+                             f"segment {last_seg[p]}, {span[p]:.6g} later, in a segment {length[p]:.6g} long; "
+                             "a plan must cut every switch of its law")
         entries.append((seg, *(table[seg] for table in row_law.tables(m)), np.append(sizes, np.nan)))
     seg, gains, weights, radii, thresholds, dt_values = (np.concatenate(column) for column in zip(*entries))
     # index[k, r] is the entry of row r's step k, and index[-1, r] its end entry
@@ -571,8 +598,9 @@ def simulate_batch(
 
     def control(x, gain, radius, k, shift):
         """Law with this step's gains and radii at time times[k] + shift
-        (shift is 0, or the step's sizes at the predictor)."""
-        c = x * gain
+        (shift is 0, or the step's sizes at the predictor), and whether it is
+        x * gain itself: no cutoff acted and no row is latched."""
+        linear = c = x * gain
         if any_cutoff:
             c = radial_cutoff_rows(c, radius)
         if latch is not None:
@@ -584,27 +612,37 @@ def simulate_batch(
                     regroup_steps.update((k, k + 1))
             if latched.any():
                 c = np.where(latched[:, None], 0.0, c)
-        return c
+        return c, c is linear
 
     def regroup(k):
         """The closed-loop groups of step k; a latched row takes the zero law's diagonal factor."""
         nonlocal groups, whole
         current = np.where(latched, -1, table_index[k])
-        ids = np.unique(current[current >= 0])
+        # not np.unique, whose first call imports numpy.ma (13 ms of a warm
+        # simulate process, python -X importtime)
+        ids = sorted(set(current[current >= 0].tolist()))
         whole = len(ids) == 1 and bool(np.all(current == ids[0]))
         groups = [(tables[t], slice(None) if whole else np.flatnonzero(current == t)) for t in ids]
         return current >= 0
 
-    def rest(c, x):
-        """The control minus its linear part, c - K x, on the closed-loop rows; c on the others."""
+    def remainder_gram(c, x, linear, out):
+        """G (c - K x) on the closed-loop rows and G c on the others, into out.
+
+        On a batch that one table covers, a linear evaluation has c = K x
+        exactly, so the product is exact zeros and is skipped.
+        """
         if whole:
-            return c - x * groups[0][0].gain
-        if not groups:
-            return c
-        u = c.copy()
-        for table, rows in groups:
-            u[rows] = c[rows] - x[rows] * table.gain
-        return u
+            if linear:
+                out.fill(0.0)
+                return out
+            u = c - x * groups[0][0].gain
+        elif not groups:
+            u = c
+        else:
+            u = c.copy()
+            for table, rows in groups:
+                u[rows] = c[rows] - x[rows] * table.gain
+        return np.matmul(u, gram_t, out=out)
 
     def propagate(v, decay):
         """v e^{hL}^T on the closed-loop rows, decay * v on the others."""
@@ -620,13 +658,23 @@ def simulate_batch(
     states = np.empty((kept, n_samples, m))
     lyap = np.empty((n_samples, kept))
 
-    # a block's states, controls and Gram products; slot 0 holds the state and
-    # control that the previous block ended on
+    # a block's states, controls, Gram products and remainders r(x); slot 0
+    # holds the state and control that the previous block ended on
     block = min(_BLOCK, n_steps)
-    xs, c1s, g1s, g2s = np.empty((4, block + 1, b, m))
+    xs, c1s, g1s, g2s, f1s = np.empty((5, block + 1, b, m))
     if tables:
         # each step's closed-loop rows, and x @ quad_x + r @ quad_r on them
         closed, quads = np.zeros((block, b), dtype=bool), np.zeros((block, b, 2 * m))
+
+    def moments(j0, j1):
+        """x @ quad_x + r @ quad_r of the block's steps j0 .. j1 - 1, which
+        share the current groups: one stacked product per group, which numpy
+        runs as one product per step, so each step's sums are those of its
+        own (rows, M) @ (M, 2M) product."""
+        closed[j0:j1] = closed_rows
+        for table, rows in groups:
+            quads[j0:j1, rows] = xs[j0:j1, rows] @ table.quad_x + f1s[j0:j1, rows] @ table.quad_r
+
     # row_dot against one copy of tau per row, where a (B, M) @ (M,) product
     # would sum rows in different orders by their position in the batch
     tau_rows = np.tile(tau, (block * b, 1))
@@ -684,23 +732,22 @@ def simulate_batch(
         gain, radius, steps = gains[entry], radii[entry], entry[:-1]
         decays, dts, half_dts = decay_table[steps], dt_col[steps], half_dt_table[steps]
         if k0 == 0:
-            c1s[0] = control(xs[0], gain[0], radius[0], 0, 0.0)
+            c1s[0], linear1 = control(xs[0], gain[0], radius[0], 0, 0.0)
+        run_start = 0  # the first step of the block since the groups last changed
         for j in range(n):
             k = k0 + j
             x, x_new = xs[j], xs[j + 1]
             decay, half_dt = decays[j], half_dts[j]
             if k in regroup_steps:
-                closed_rows = regroup(k)
-            g1 = np.matmul(rest(c1s[j], x), gram_t, out=g1s[j])
-            f1 = g1 - convection(x)
+                if j > run_start:
+                    moments(run_start, j)
+                closed_rows, run_start = regroup(k), j
+            g1 = remainder_gram(c1s[j], x, linear1, g1s[j])
+            f1 = np.subtract(g1, convection(x), out=f1s[j])
             predictor = propagate(x + dts[j] * f1, decay)
-            c2 = control(predictor, gain[j], radius[j], k, dts[j, :, 0])
-            g2 = np.matmul(rest(c2, predictor), gram_t, out=g2s[j])
+            c2, linear2 = control(predictor, gain[j], radius[j], k, dts[j, :, 0])
+            g2 = remainder_gram(c2, predictor, linear2, g2s[j])
             np.add(propagate(x + half_dt * f1, decay), half_dt * (g2 - convection(predictor)), out=x_new)
-            if tables:
-                closed[j] = closed_rows
-                for table, rows in groups:
-                    quads[j, rows] = x[rows] @ table.quad_x + f1[rows] @ table.quad_r
             if not np.abs(x_new).max() <= guard_all:
                 over = ~np.all(np.abs(x_new) <= guard_col, axis=1)
                 if over.any():
@@ -708,7 +755,9 @@ def simulate_batch(
                     finite = x_new[row][np.isfinite(x_new[row])]
                     worst = float(np.abs(finite).max()) if finite.size else float("inf")
                     raise BlowUpError(float(times[k, row] + dts[j, row, 0]), worst, row)
-            c1s[j + 1] = control(x_new, gain[j + 1], radius[j + 1], k + 1, 0.0)
+            c1s[j + 1], linear1 = control(x_new, gain[j + 1], radius[j + 1], k + 1, 0.0)
+        if tables:
+            moments(run_start, n)
         record(k0, n, k0 + n == n_steps)
         xs[0], c1s[0] = xs[n], c1s[n]
 

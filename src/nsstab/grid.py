@@ -95,32 +95,37 @@ def build_grid(spec: DomainSpec) -> Grid:
 
 
 def central_dx(values: np.ndarray, hx: float) -> np.ndarray:
-    """Central x-difference of an (nx, ny) field with zero ghost values outside the interior."""
-    padded = np.pad(values, ((1, 1), (0, 0)))
-    return (padded[2:, :] - padded[:-2, :]) / (2.0 * hx)
+    """Central x-difference of (..., nx, ny) fields with zero ghost values outside the interior.
+
+    The stencil acts on the last two axes, so a stack of fields is
+    differenced in one pass, each entry with the same arithmetic as alone.
+    """
+    padded = np.pad(values, ((0, 0),) * (values.ndim - 2) + ((1, 1), (0, 0)))
+    return (padded[..., 2:, :] - padded[..., :-2, :]) / (2.0 * hx)
 
 
 def central_dy(values: np.ndarray, hy: float) -> np.ndarray:
-    """Central y-difference of an (nx, ny) field with zero ghost values outside the interior."""
-    padded = np.pad(values, ((0, 0), (1, 1)))
-    return (padded[:, 2:] - padded[:, :-2]) / (2.0 * hy)
+    """Central y-difference of (..., nx, ny) fields with zero ghost values outside the interior."""
+    padded = np.pad(values, ((0, 0),) * (values.ndim - 2) + ((0, 0), (1, 1)))
+    return (padded[..., 2:] - padded[..., :-2]) / (2.0 * hy)
 
 
 def stream_to_velocity(psi: np.ndarray, grid: Grid) -> np.ndarray:
-    """Velocity u = (d psi/dy, -d psi/dx) from a stream function.
+    """Velocity u = (d psi/dy, -d psi/dx) of a (..., nx, ny) stack of stream functions.
 
     Central second-order differences; neighbors beyond the interior use the
     zero boundary values of the clamped extension.  The resulting field has
     exactly zero discrete divergence wherever both central stencils see only
-    interior or boundary nodes.
+    interior or boundary nodes.  Returns (..., 2, nx, ny), each field's
+    velocity bit for bit as if it were differenced alone.
     """
-    if psi.shape != (grid.nx, grid.ny):
+    if psi.ndim < 2 or psi.shape[-2:] != (grid.nx, grid.ny):
         raise ValueError(f"stream function shape {psi.shape} does not match grid")
-    return np.stack([central_dy(psi, grid.hy), -central_dx(psi, grid.hx)])
+    return np.stack([central_dy(psi, grid.hy), -central_dx(psi, grid.hx)], axis=-3)
 
 
 def discrete_divergence(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Central-difference divergence d(u0)/dx + d(u1)/dy."""
-    if u.shape != (2, grid.nx, grid.ny):
+    """Central-difference divergence d(u0)/dx + d(u1)/dy of a (..., 2, nx, ny) stack of velocities."""
+    if u.ndim < 3 or u.shape[-3:] != (2, grid.nx, grid.ny):
         raise ValueError(f"velocity shape {u.shape} does not match grid")
-    return central_dx(u[0], grid.hx) + central_dy(u[1], grid.hy)
+    return central_dx(u[..., 0, :, :], grid.hx) + central_dy(u[..., 1, :, :], grid.hy)

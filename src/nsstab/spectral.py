@@ -110,8 +110,7 @@ class StokesBasis:
     def from_stream_functions(cls, eigenvalues: np.ndarray, stream_functions: np.ndarray,
                               grid: Grid) -> "StokesBasis":
         """The basis whose velocities are the grid's curls of the stream functions."""
-        velocities = np.stack([stream_to_velocity(psi, grid) for psi in stream_functions])
-        return cls(eigenvalues, stream_functions, velocities, grid)
+        return cls(eigenvalues, stream_functions, stream_to_velocity(stream_functions, grid), grid)
 
     @property
     def n_modes(self) -> int:

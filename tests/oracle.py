@@ -13,7 +13,9 @@
   where nsstab doubles sub-step moments up with its own exponential.
 * The dense operator assembly and the dense generalized ``eigh`` that the
   sparse shift-invert solve replaced, run through the same canonicalizer.
-* The one-shot convection tensor, with its (M, M, 2, N) intermediate.
+* The one-shot convection tensor, with its (M, M, 2, N) intermediate, and
+  the convection term as the full M^2 contraction of a state's outer
+  product (:func:`convection`), where nsstab packs the pairs i <= j.
 * Helpers only the tests call: the single-vector modal feedback and radial
   cutoff (the reference for ``radial_cutoff_rows``), the scalar interval
   lookup, the weighted energy of one state, the physical-field
@@ -236,6 +238,12 @@ class SpectralState:
         return SpectralState(self.t + dt, new)
 
 
+def convection(x: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """The convection term sum_ij T[i,j,k] x_i x_j of one state, as the full
+    (M^2,) @ (M^2, M) contraction of its outer product."""
+    return np.outer(x, x).ravel() @ tensor.reshape(len(x) ** 2, len(x))
+
+
 def rhs(
     coeffs: np.ndarray,
     control: np.ndarray,
@@ -403,11 +411,10 @@ def step(
     if dt <= 0:
         raise ValueError("dt must be positive")
     decay = np.exp(-nu * basis.eigenvalues * dt)
-    tensor2 = tensor.reshape(-1, basis.n_modes)
 
     def forcing(tt: float, x: np.ndarray) -> np.ndarray:
         c = controller.control(tt, x, law_time=t)
-        return -(np.outer(x, x).ravel() @ tensor2) + gram @ c
+        return -convection(x, tensor) + gram @ c
 
     k1 = forcing(t, coeffs)
     predictor = decay * (coeffs + dt * k1)
@@ -454,7 +461,6 @@ def simulate(
 
     m = basis.n_modes
     tau = basis.eigenvalues
-    tensor2 = tensor.reshape(-1, m)
 
     n_samples = n_steps // sample_stride + 1
     times = np.empty(n_samples)
@@ -492,10 +498,10 @@ def simulate(
         # modes whose memory dies within one step fall back to the start-point rule
         diss_w = (1.0 - decay_sq) / (2.0 * nu * tau)
         c1 = controller.control(t, x)
-        f1 = -(np.outer(x, x).ravel() @ tensor2) + gram @ c1
+        f1 = -convection(x, tensor) + gram @ c1
         predictor = decay * (x + dt * f1)
         c2 = controller.control(t + dt, predictor, law_time=t)
-        f2 = -(np.outer(predictor, predictor).ravel() @ tensor2) + gram @ c2
+        f2 = -convection(predictor, tensor) + gram @ c2
         x_new = decay * (x + 0.5 * dt * f1) + 0.5 * dt * f2
         if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > guard:
             finite = x_new[np.isfinite(x_new)]
@@ -590,10 +596,6 @@ def simulate_closed_loop(
     diss_w = (1.0 - decay_sq) / (2.0 * nu * tau)
     endpoint_ok = decay_sq > 1e-12
     decay_sq_safe = np.maximum(decay_sq, 1e-300)
-    tensor2 = tensor.reshape(-1, m)
-
-    def convection(x):
-        return np.outer(x, x).ravel() @ tensor2
 
     n_samples = n_steps // sample_stride + 1
     columns = {name: np.empty(n_samples) for name in ("times", "norm_h", "lyapunov", "control_norm", "threshold",
@@ -618,20 +620,20 @@ def simulate_closed_loop(
         t = t_start + k * dt
         c1 = controller.control(t, x)
         if getattr(controller, "latched", False):
-            f1 = gram @ c1 - convection(x)
+            f1 = gram @ c1 - convection(x, tensor)
             predictor = decay * (x + dt * f1)
             c2 = controller.control(t + dt, predictor, law_time=t)
-            x_new = decay * (x + 0.5 * dt * f1) + 0.5 * dt * (gram @ c2 - convection(predictor))
+            x_new = decay * (x + 0.5 * dt * f1) + 0.5 * dt * (gram @ c2 - convection(predictor, tensor))
             z_sq_end = np.where(endpoint_ok, x_new * x_new / decay_sq_safe, x * x)
             diss_step = float(tau @ (diss_w * 0.5 * (x * x + z_sq_end)))
             work_step = 0.5 * dt * (float(x @ (gram @ c1)) + float(x_new @ (gram @ c2)))
         else:
             u1 = gram @ (c1 - gain * x)
-            r1 = u1 - convection(x)
+            r1 = u1 - convection(x, tensor)
             predictor = prop @ (x + dt * r1)
             c2 = controller.control(t + dt, predictor, law_time=t)
             u2 = gram @ (c2 - gain * predictor)
-            x_new = prop @ (x + 0.5 * dt * r1) + 0.5 * dt * (u2 - convection(predictor))
+            x_new = prop @ (x + 0.5 * dt * r1) + 0.5 * dt * (u2 - convection(predictor, tensor))
             diss_step = float(x @ w_diss @ x + 2.0 * x @ m_diss @ r1)
             work_step = float(x @ w_work @ x + 2.0 * x @ m_work @ r1) + 0.5 * dt * (float(x @ u1) + float(x_new @ u2))
         if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > guard:

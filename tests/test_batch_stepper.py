@@ -138,9 +138,34 @@ def test_stationary_rows_latching_mid_run_match_oracle(square16, pack_rapid):
     assert [f.latched for f in feedbacks] == [True, True, False]
     assert run.latch_time[:2].tolist() == [f.latch_time for f in feedbacks[:2]] and math.isnan(run.latch_time[2])
     assert 0.0 < run.latch_time[0] < run.latch_time[1] < 0.02
+    # each trip regroups inside a block, which splits its run of stacked moment products
+    assert np.all(np.round(run.latch_time[:2] / dt) % dynamics._BLOCK != 0)
     # after the trip the free decay takes over, and the norm keeps falling
     tripped = np.searchsorted(run.times[:, 0], run.latch_time[0])
     assert np.all(np.diff(run.norm_h[tripped:, 0]) < 0) and run.control_norm[tripped:, 0].max() == 0.0
+
+
+def test_stationary_cutoff_acting_inside_blocks_matches_oracle(square16, pack_rapid):
+    """A cutoff row beside a linear row of the same law, from a start in the
+    inactive modes: the convection drives the active part past the cutoff
+    radius in the middle of one block and the decay brings it back in the
+    middle of a later one, so the batch's zero-remainder skip turns off and
+    back on inside blocks."""
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
+    y0 = random_low_mode_state(basis.n_modes, 1.0, seed=2)
+    y0[: params.n_active] = 0.0
+    y0 *= 6e-9 / np.linalg.norm(y0)
+    laws = [ControlLaw.stationary(params, cutoff=True), ControlLaw.stationary(params)]
+    dt = 1e-5
+    run = simulate_batch(np.tile(y0, (2, 1)), laws, uniform_plan(0.0, 0.01, dt), basis, tensor, gram)
+    refs = [oracle.simulate_closed_loop(y0, oracle.ModalFeedback(params, cutoff=law.cutoff), 0.0, 0.01, dt,
+                                        basis, tensor, gram) for law in laws]
+    assert_matches_oracle(run, refs)
+    raw = params.gain * np.linalg.norm(refs[0].states[:, : params.n_active], axis=1)
+    switches = np.flatnonzero(np.diff(raw > params.cutoff_radius)) + 1
+    assert len(switches) == 2 and np.all(switches % dynamics._BLOCK != 0), switches
+    assert not np.array_equal(run.norm_h[:, 0], run.norm_h[:, 1])
 
 
 def test_steps_per_piece_match_the_oracle(square16, pack_schedule):
@@ -476,6 +501,22 @@ def test_packed_convection_matches_full_contraction_and_is_energy_neutral(square
         assert np.all(np.abs(row_dot(x, packed)) <= 1e-14 * np.abs(x * packed).sum(axis=1))
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+def test_packed_convection_of_each_batch_size_matches_the_full_contraction(square32_wide, rows):
+    """Every batch size, the 3-row batch with its zero pad row included,
+    against the oracle's M^2 contraction; equal rows come out bit-equal, and
+    a repeated call gives the same bits."""
+    tensor = square32_wide["tensor"]
+    convection = packed_convection(tensor, rows)
+    x = np.random.default_rng(rows).standard_normal((rows, tensor.shape[0]))
+    packed = convection(x).copy()
+    full = np.array([oracle.convection(row, tensor) for row in x])
+    assert np.abs(packed - full).max() <= 1e-14 * np.abs(full).max()
+    assert np.array_equal(convection(x), packed)
+    same = convection(np.tile(x[:1], (rows, 1)))
+    assert all(np.array_equal(row, same[0]) for row in same)
+
+
 @pytest.mark.parametrize("cutoff", [False, True])
 def test_stationary_law_at_64_modes_matches_oracle(square32_wide, pack_schedule, cutoff):
     basis, tensor, gram = square32_wide["basis"], square32_wide["tensor"], square32_wide["gram"]
@@ -541,6 +582,23 @@ def test_every_step_takes_the_segment_of_its_piece(square16, pack_schedule, n0, 
     interval_at = oracle.ScheduledFeedback(schedule).interval_at
     for r in range(len(offsets)):
         assert [interval_at(t) for t in run.times[:, r].tolist()] == run.segments[:, r].tolist()
+
+
+def test_a_piece_around_a_whole_period_is_rejected(tiny8, pack_schedule):
+    """A piece that runs on for a period, from one segment back into it,
+    starts and ends its steps in the same segment; its span, longer than
+    the segment, rejects it.  A stationary law takes the same plan."""
+    basis = tiny8["basis"]
+    m = basis.n_modes
+    sched = build_schedule(1, pack_schedule, basis, 4)
+    plan = uniform_plan(0.1, 0.5, 2.0**-8)
+    assert ControlLaw.periodic(sched).segment_at([0.1, 0.6 - 2.0**-8]).tolist() == [0, 0]
+    args = (np.zeros((1, m)), plan, basis, np.zeros((m, m, m)), np.eye(m))
+    with pytest.raises(ValueError, match="row 0: piece 0 starts in segment 0 of its law and its last step in "
+                                         "segment 0, 0.496094 later, in a segment 0.25 long"):
+        simulate_batch(args[0], ControlLaw.periodic(sched), *args[1:])
+    params = sched.params[0]
+    assert len(simulate_batch(args[0], ControlLaw.stationary(params), *args[1:]).times) == 129
 
 
 def test_a_piece_across_a_switch_is_rejected(square16, pack_schedule):

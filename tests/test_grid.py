@@ -164,3 +164,24 @@ def test_divergence_constant_and_linear_fields():
     assert np.abs(discrete_divergence(u, grid)[inner]).max() == 0.0
     u[0] = np.meshgrid(grid.x, grid.y, indexing="ij")[0]
     assert np.abs(discrete_divergence(u, grid)[inner] - 1.0).max() <= 1e-12
+
+
+def test_stacked_differences_equal_the_per_field_calls_bit_for_bit(square32):
+    """stream_to_velocity and discrete_divergence act on the last axes: a
+    stack of fields, the basis's (M, nx, ny) stream functions or a 4-d
+    random stack, gives each field's result to the bit."""
+    grid, basis = square32["grid"], square32["basis"]
+    u = stream_to_velocity(basis.stream_functions, grid)
+    assert u.shape == (basis.n_modes, 2, grid.nx, grid.ny)
+    assert all(np.array_equal(u[k], stream_to_velocity(psi, grid)) for k, psi in enumerate(basis.stream_functions))
+    assert np.array_equal(u, basis.velocities)
+    psi = np.random.default_rng(3).standard_normal((2, 3, grid.nx, grid.ny))
+    u = stream_to_velocity(psi, grid)
+    div = discrete_divergence(u, grid)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(u[i, j], stream_to_velocity(psi[i, j], grid))
+        assert np.array_equal(div[i, j], discrete_divergence(u[i, j], grid))
+    with pytest.raises(ValueError):
+        stream_to_velocity(np.zeros(grid.nx), grid)
+    with pytest.raises(ValueError):
+        discrete_divergence(np.zeros((3, grid.nx, grid.ny)), grid)
