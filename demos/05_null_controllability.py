@@ -51,9 +51,9 @@ print(f"relative cost: {report.cost / report.y0_norm:.4f} "
       f"<= exp(c3/T) = {np.exp(pack.cost_exponent / report.period):.4f}: "
       f"{report.cost_bound_ok}")
 
-# cost scaling across horizons: with 64 steps per schedule piece, every
-# horizon takes the same number of steps, so the three runs are stepped as
-# one batch
+# cost scaling across horizons: with 16 steps per schedule piece (each
+# piece's closed loop is stepped exactly), every horizon takes the same
+# number of steps, so the three runs are stepped as one batch
 reports = run_null_control(basis, tensor, gram, pack, [1, 2, 3], y0_norm=1e-3,
                            n_max=8, eps_zero=1e-6, seed=5)
 print("\n   T       relative cost")

@@ -723,7 +723,8 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
         if health:
             lines.append(f"  steps = {sum(h['steps'] for h in health)}")
             lines.append(f"  max_energy_defect = {max(h['max_energy_defect'] for h in health)}")
-            for key in ("stepping_s", "us_per_step"):  # one value per run; runs of one batch share it
+            # one value per run; runs of one batch share them
+            for key in ("stepping_s", "us_per_step", "tables", "tables_s"):
                 values = [str(h[key]) for h in health if key in h]
                 if values:
                     lines.append(f"  {key} = {', '.join(values)}")

@@ -18,30 +18,40 @@ propagator E = e^{hL}, and the remainder r explicitly at second order,
 
     p = E (x + h r(x)),   x' = E (x + h/2 r(x)) + h/2 r(p).
 
-Which L a row takes is fixed by its law:
+Which L a row takes is fixed by its law and the piece:
 
-* a stationary law (:meth:`ControlLaw.stationary`) has one fixed closed
-  loop, L = -nu diag(tau) + G K with K x = -gain times the active modes,
-  and r(x) = G (c(x) - K x) - N(x).  While the cutoff does not act,
-  c(x) = K x exactly, so r is the convection alone and the step takes no
-  limit from the gain.  E and the energy moments are tabled once per
-  distinct (gain row, step size) (:class:`ClosedLoopTable`), and a step's
+* a piece with a gain of a stationary law (:meth:`ControlLaw.stationary`),
+  or of a periodic law without cutoff, steps that segment's closed loop,
+  L = -nu diag(tau) + G K with K x = -gain times the active modes, and
+  r(x) = G (c(x) - K x) - N(x).  While the cutoff does not act, c(x) = K x
+  exactly, so r is the convection alone and the step takes no limit from
+  the gain.  E and the energy moments are tabled once per distinct (gain
+  row, step size) (:class:`ClosedLoopTable`), all tables of one gain row
+  from one doubling ladder (:class:`ClosedLoopLadder`), and a step's
   dissipation and linear control work are x^T W0 x + 2 h x^T W1 r(x),
   exact for the linear flow, plus the trapezoid of x . G (c - K x).  When
   the cutoff does act, the explicit correction G (c - K x) cancels a stiff
   term: the step stays stable but loses accuracy, which only steps below
   0.25 / gain restore (a start whose raw control is 3 times the radius,
   at 32x32 with M = 24 and gain 7.2e4: 50% of the norm at 1024 steps, 4%
-  at dt = 0.25 / gain and 0.5% at a quarter of that).
-  Once a row's latch trips, it takes the zero law's diagonal factor;
-* the zero law and periodic laws keep the integrating factor of the
-  diagonal alone (Cox & Matthews, J. Comput. Phys. 176, 2002), E =
-  diag(e^{-nu tau h}), with r = G c - N explicit, and exponentially
-  weighted trapezoids (exact for pure decay) for the energy integrals.  A
-  batch of such rows only runs the per-step arithmetic of that scheme.
+  at dt = 0.25 / gain and 0.5% at a quarter of that).  So a periodic law
+  with a cutoff, whose cutoff acts wherever a start exceeds its radius,
+  keeps the diagonal factor below;
+* the zero law, the terminal piece of a periodic law, every piece of a
+  periodic law with a cutoff, and every step of a row after its latch
+  trips take the integrating factor of the diagonal alone (Cox &
+  Matthews, J. Comput. Phys. 176, 2002), E = diag(e^{-nu tau h}), with
+  r = G c - N explicit, and exponentially weighted trapezoids (exact for
+  pure decay) for the energy integrals.  A batch of such rows only runs the
+  per-step arithmetic of that scheme.
 
 So the energy identity can be checked along a run: to roundoff for a
-linear stationary law, and to O(dt^2) per unit time otherwise.
+linear closed loop, and to O(dt^2) per unit time otherwise.
+
+A table is built when an unlatched row first reaches a piece that takes
+it, its ladder seeded with it, and both are dropped once no unlatched row
+can reach such a piece again; :meth:`BatchRun.health` counts the tables
+and the time they took.
 
 Every control law here is piecewise-constant linear feedback with an
 optional radial cutoff and norm latch (:class:`ControlLaw`).  A run steps a
@@ -68,10 +78,10 @@ The per-step loop of :func:`simulate_batch` keeps only what the next state
 depends on: the two convection terms, the two law evaluations (cutoff and
 latch included), the Gram products of the control remainders, the two
 propagations, and the blow-up guard, which is relative to each row's
-initial norm.  On a batch that one closed-loop table covers, an evaluation
-that leaves every row's control at its linear value K x (no cutoff acts,
-no row is latched) has the remainder c - K x = 0 exactly, so its Gram
-product is skipped and its slot of the block buffer holds zeros.  The loop
+initial norm.  While every row steps a closed loop, an evaluation that
+leaves every row's control at its linear value K x (no cutoff acts, no row
+is latched) has the remainder c - K x = 0 exactly, so its Gram product is
+skipped and its slot of the block buffer holds zeros.  The loop
 writes each step's state, control, Gram products and remainder r(x) into
 block buffers.  The energy-moment products x @ quad_x + r @ quad_r of the
 closed-loop rows run once per stretch of steps whose grouping of rows into
@@ -84,8 +94,8 @@ gathered for the block's steps at its start.  The pass uses the same row
 dot products as a per-step loop would, and its cumulative sums add left
 to right like a running total, so no result depends on the block length.
 The call times itself with time.perf_counter, and :meth:`BatchRun.health` reports the
-steps, the largest energy-identity residual and that time, for one row or
-for all.
+steps, the largest energy-identity residual, that time and the tables'
+count and time, for one row or for all.
 """
 
 from __future__ import annotations
@@ -113,8 +123,20 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353
            10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
 
-#: points of the Gauss-Legendre rule of the moment integrals over one sub-step
-_GAUSS_POINTS = 12
+#: the 12-point Gauss-Legendre rule of the moment integrals over one sub-step, on
+#: [-1, 1]: its nodes, the eigenvalues of the Jacobi matrix of the Legendre
+#: recurrence, and half its weights, the squared first components of the
+#: eigenvectors (Golub & Welsch, Math. Comp. 23, 1969), as numpy's eigh gives
+#: them; kept as numbers, since a process's first symmetric eigensolve costs it
+#: 0.7 MB of resident memory
+_GAUSS_NODES = np.array([
+    -0.9815606342467195, -0.9041172563704749, -0.7699026741943048, -0.5873179542866177, -0.36783149899817996,
+    -0.12523340851146894, 0.12523340851146886, 0.36783149899818024, 0.5873179542866174, 0.7699026741943049,
+    0.904117256370475, 0.9815606342467191])
+_GAUSS_HALF_WEIGHTS = np.array([
+    0.02358766819325577, 0.053469662997659366, 0.08003916427167304, 0.1015837133615329, 0.1167462682691773,
+    0.12457352290670178, 0.1245735229067015, 0.11674626826917689, 0.10158371336153302, 0.08003916427167301,
+    0.05346966299765929, 0.023587668193255765])
 
 
 def raw_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
@@ -160,7 +182,9 @@ def packed_convection(tensor: np.ndarray, rows: int):
     """
     m = tensor.shape[0]
     iu, ju = np.triu_indices(m)
-    packed = (tensor + tensor.transpose(1, 0, 2))[iu, ju]
+    # gathered pair by pair, with no M^3 temporary of the symmetrized tensor
+    packed = tensor[iu, ju]
+    packed += tensor[ju, iu]
     packed[iu == ju] *= 0.5  # the diagonal pairs were doubled; 2T * 0.5 = T exactly
     row_start = m * np.arange(rows)[:, None]
     flat_i, flat_j = row_start + iu, row_start + ju
@@ -178,6 +202,17 @@ def packed_convection(tensor: np.ndarray, rows: int):
         return np.matmul(pairs, packed, out=out)[:rows]
 
     return convection
+
+
+def convection_lipschitz(tensor: np.ndarray) -> float:
+    """Frobenius norm of the tensor symmetrized in (i, j), S = T + T^(ij).
+
+    The convection's Jacobian at x is sum_i x_i S[i], so its norm is at most
+    this scale times ||x||.  Summed as ||S||^2 = 2 ||T||^2 + 2 sum_ijk
+    T[i,j,k] T[j,i,k], with no M^3 temporary.
+    """
+    flat = tensor.ravel()
+    return math.sqrt(2.0 * (float(flat @ flat) + float(np.einsum("ijk,jik->", tensor, tensor))))
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -210,55 +245,19 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def exponential_moments(lin: np.ndarray, h: float, quads) -> tuple[np.ndarray, list]:
-    """e^{h L} and, for each symmetric Q of quads, the moments
-    W0 = int_0^h e^{L^T s} Q e^{L s} ds and M1 = int_0^h s e^{L^T s} Q e^{L s} ds.
-
-    The moments are Gauss-Legendre sums over a sub-step d = h / 2^k with
-    ||L d||_1 <= 1, doubled k times (Van Loan, IEEE Trans. Automat. Control
-    23, 1978, with the doubling in place of one block exponential, whose
-    e^{+L s} blocks overflow on stiff steps):
-
-        W0(2s) = W0(s) + E(s)^T W0(s) E(s)
-        M1(2s) = M1(s) + E(s)^T (M1(s) + s W0(s)) E(s)
-
-    Returns e^{h L} and a list of (W0, M1) pairs, each symmetrized.
-    """
-    norm = float(np.abs(h * lin).sum(axis=0).max())
-    doublings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
-    sub = h / 2.0**doublings
-    # the rule's nodes on [-1, 1] are the eigenvalues of the Jacobi matrix of
-    # the Legendre recurrence, and its weights twice the squared first
-    # components of the eigenvectors (Golub & Welsch, Math. Comp. 23, 1969)
-    k = np.arange(1.0, _GAUSS_POINTS)
-    roots, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
-    nodes, weights = 0.5 * sub * (roots + 1.0), sub * vectors[0] ** 2
-    moments = [(np.zeros_like(lin), np.zeros_like(lin)) for _ in quads]
-    for s, w in zip(nodes, weights):
-        flow = expm(s * lin)
-        for q, (w0, m1) in zip(quads, moments):
-            term = flow.T @ q @ flow
-            w0 += w * term
-            m1 += w * s * term
-    e_sub, s = expm(sub * lin), sub
-    for _ in range(doublings):
-        moments = [(w0 + e_sub.T @ w0 @ e_sub, m1 + e_sub.T @ (m1 + s * w0) @ e_sub) for w0, m1 in moments]
-        e_sub, s = e_sub @ e_sub, 2.0 * s
-    return expm(h * lin), [(0.5 * (w0 + w0.T), 0.5 * (m1 + m1.T)) for w0, m1 in moments]
-
-
 @dataclass(frozen=True)
 class ClosedLoopTable:
-    """Stepping tables of a stationary law's closed loop at one step size h.
+    """Stepping tables of a closed loop at one step size h.
 
     L = -nu diag(tau) + G diag(gain) is the linear part of the closed loop,
-    with gain the law's control gains (-gain on the active modes).  prop_t is
-    e^{h L} transposed, so a (B, M) batch steps as x @ prop_t.  The energy
-    integrals of a step from x with explicit remainder r are
-    x . (x @ quad_x + r @ quad_r), columns :M the dissipation and M: the
-    linear control work: quad_x holds W0 of Q = diag(tau) and of
+    with gain the control gains of one law segment (-gain on the active
+    modes).  prop_t is e^{h L} transposed, so a (B, M) batch steps as
+    x @ prop_t.  The energy integrals of a step from x with explicit
+    remainder r are x . (x @ quad_x + r @ quad_r), columns :M the dissipation
+    and M: the linear control work: quad_x holds W0 of Q = diag(tau) and of
     Q = sym(G diag(gain)), quad_r twice their first moments M1, so that the
     sums are x^T W0 x + 2 h x^T W1 r with W1 = M1 / h (all symmetric).
+    Tables come from a :class:`ClosedLoopLadder`.
     """
 
     gain: np.ndarray
@@ -266,14 +265,60 @@ class ClosedLoopTable:
     quad_x: np.ndarray
     quad_r: np.ndarray
 
-    @classmethod
-    def build(cls, tau: np.ndarray, gram: np.ndarray, gain: np.ndarray, h: float, nu: float) -> "ClosedLoopTable":
+
+class ClosedLoopLadder:
+    """The closed-loop tables of one gain row at the step sizes h0 2^j.
+
+    For Q = diag(tau) and Q = sym(G diag(gain)) a table needs the moments
+    W0 = int_0^h e^{L^T s} Q e^{L s} ds and M1 = int_0^h s e^{L^T s} Q e^{L s} ds.
+    The ladder's seed holds them as Gauss-Legendre sums over one sub-step
+    d = h0 / 2^k, the largest with ||L d||_1 <= 1, and e^{L d}; a table at
+    h = d 2^j doubles the seed j times (Van Loan, IEEE Trans. Automat.
+    Control 23, 1978, with the doubling in place of one block exponential,
+    whose e^{+L s} blocks overflow on stiff steps),
+
+        W0(2s) = W0(s) + E(s)^T W0(s) E(s)
+        M1(2s) = M1(s) + E(s)^T (M1(s) + s W0(s)) E(s),
+
+    symmetrizes them, and takes its propagator as expm(h L).  So a table
+    depends on h and the seed only, not on which other tables the ladder
+    builds or in which order, and a ladder whose smallest step is h gives
+    the table at h that a ladder of h alone gives.  The seed costs 13
+    exponentials; each table one more, and j doublings of a few M x M
+    products each.
+    """
+
+    def __init__(self, tau: np.ndarray, gram: np.ndarray, gain: np.ndarray, h0: float, nu: float):
         control = gram * gain  # G diag(gain)
         lin = control - np.diag(nu * tau)
-        prop, moments = exponential_moments(lin, h, (np.diag(tau), 0.5 * (control + control.T)))
-        (w_diss, m_diss), (w_work, m_work) = moments
-        return cls(gain=gain.copy(), prop_t=np.ascontiguousarray(prop.T), quad_x=np.hstack([w_diss, w_work]),
-                   quad_r=2.0 * np.hstack([m_diss, m_work]))
+        norm = float(np.abs(h0 * lin).sum(axis=0).max())
+        sub = h0 / 2.0 ** (max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0)
+        nodes, weights = 0.5 * sub * (_GAUSS_NODES + 1.0), sub * _GAUSS_HALF_WEIGHTS
+        quads = (np.diag(tau), 0.5 * (control + control.T))
+        moments = [(np.zeros_like(lin), np.zeros_like(lin)) for _ in quads]
+        for s, w in zip(nodes, weights):
+            flow = expm(s * lin)
+            for q, (w0, m1) in zip(quads, moments):
+                term = flow.T @ q @ flow
+                w0 += w * term
+                m1 += w * s * term
+        self.gain, self.lin, self.sub = gain.copy(), lin, sub
+        self.seed, self.e_sub = moments, expm(sub * lin)
+
+    def table(self, h: float) -> ClosedLoopTable:
+        """The table at step size h, which must be the sub-step times 2^j, j >= 0."""
+        doublings = round(math.log2(h / self.sub))
+        if doublings < 0 or h != self.sub * 2.0**doublings:
+            raise ValueError(f"step {h!r} is not the ladder's sub-step {self.sub!r} times a power of two")
+        moments, e_sub, s = self.seed, self.e_sub, self.sub
+        for j in range(doublings):
+            if j:
+                e_sub, s = e_sub @ e_sub, 2.0 * s
+            moments = [(w0 + e_sub.T @ w0 @ e_sub, m1 + e_sub.T @ (m1 + s * w0) @ e_sub) for w0, m1 in moments]
+        prop = self.e_sub if doublings == 0 else expm(h * self.lin)
+        (w_diss, m_diss), (w_work, m_work) = [(0.5 * (w0 + w0.T), 0.5 * (m1 + m1.T)) for w0, m1 in moments]
+        return ClosedLoopTable(gain=self.gain, prop_t=np.ascontiguousarray(prop.T),
+                               quad_x=np.hstack([w_diss, w_work]), quad_r=2.0 * np.hstack([m_diss, m_work]))
 
 
 @dataclass(frozen=True)
@@ -421,7 +466,9 @@ class BatchRun:
     threshold (nan at TERMINAL).  states (K, samples, M) and lyapunov
     (samples, K) are kept for the first K rows only.  latch_time is the time
     each row's latch tripped, nan where it never did.  seconds is the time
-    (time.perf_counter) the simulate_batch call took.
+    (time.perf_counter) the simulate_batch call took, tables the number of
+    closed-loop tables it built and tables_s the part of seconds spent
+    building them and their ladders' seeds.
     """
 
     piece_segments: np.ndarray
@@ -438,6 +485,8 @@ class BatchRun:
     lyapunov: np.ndarray
     latch_time: np.ndarray
     seconds: float
+    tables: int
+    tables_s: float
 
     @property
     def segments(self) -> np.ndarray:
@@ -450,8 +499,9 @@ class BatchRun:
 
         The residual at a sample is 1/2 ||X||^2 + nu * dissipation - control
         work - 1/2 ||X(0)||^2.  stepping_s is the time of the whole call and
-        us_per_step that time per trajectory step of the call, whichever rows
-        are asked for.
+        us_per_step that time per trajectory step of the call, tables and
+        tables_s the closed-loop tables the call built and the time that took,
+        whichever rows are asked for.
         """
         batch = self.norm_h.shape[1]
         rows = range(batch) if row is None else (row,)
@@ -463,7 +513,8 @@ class BatchRun:
 
         defect = max(row_defect(r) for r in rows)
         return {"steps": row_steps * len(rows), "max_energy_defect": defect, "stepping_s": self.seconds,
-                "us_per_step": self.seconds / (row_steps * batch) * 1e6}
+                "us_per_step": self.seconds / (row_steps * batch) * 1e6, "tables": self.tables,
+                "tables_s": self.tables_s}
 
     def trajectory(self, row: int) -> Trajectory:
         """The run of one row whose states were kept, with its own copies of the columns."""
@@ -509,9 +560,10 @@ def simulate_batch(
     first law evaluation whose state norm is <= latch_norm[r].  States are kept for the first state_rows rows
     (default: all).  Raises BlowUpError at the first step where a
     coefficient of a row exceeds BLOWUP_GUARD times the row's initial norm,
-    with the first such row and its time.  A row with a stationary law steps
-    its closed loop in the exponential, and every other row the diagonal
-    integrating factor (see the module docstring).
+    with the first such row and its time.  A piece with a gain of a
+    stationary law or of a periodic law without cutoff steps its closed loop
+    in the exponential, and every other step the diagonal integrating factor
+    (see the module docstring).
     """
     start = time.perf_counter()
     y0 = np.asarray(y0, dtype=np.float64)
@@ -562,21 +614,66 @@ def simulate_batch(
     guard_col, guard_all = guard[:, None], guard.min()
 
     tau = basis.eigenvalues
-    # a stationary row's pieces step its closed loop exactly: one table per
-    # distinct (gain row, step size), and table_index[k, r] the table of row
-    # r's step k, -1 on the rows that take the diagonal factor
-    closed_loop = np.repeat([law.schedule is None and bool(law.params) for law in laws], lengths)
+    # built before any table, so that its transients come first
+    convection = packed_convection(tensor, b)
+    # a piece with a gain steps its closed loop exactly, unless its law is
+    # periodic with a cutoff: one table per distinct (gain row, step size),
+    # and table_index[k, r] the table of row r's step k, -1 where the row
+    # takes the diagonal factor
+    exact = [bool(law.params) and (law.schedule is None or not law.cutoff) for law in laws]
+    closed_loop = np.repeat(exact, lengths) & (seg != TERMINAL)
     closed_loop[end] = False
-    tables, keys, piece_tables = [], {}, []
+    specs, keys, piece_tables = [], {}, []
     for gain, h, closed in zip(gains, dt_values, closed_loop):
         key = (gain.tobytes(), float(h)) if closed else None
         if closed and key not in keys:
-            keys[key] = len(tables)
-            tables.append(ClosedLoopTable.build(tau, gram, gain, float(h), nu))
+            keys[key] = len(specs)
+            specs.append((gain, float(h)))
         piece_tables.append(keys.get(key, -1))
-    table_index = np.asarray(piece_tables)[index[:-1]] if tables else None
+    n_tables = len(specs)
+    # one ladder per gain row and step mantissa, seeded at its smallest step
+    rungs = {}
+    for t, (gain, h) in enumerate(specs):
+        rungs.setdefault((gain.tobytes(), math.frexp(h)[0]), []).append(t)
+    rungs = list(rungs.values())
+    ladder_of = {t: i for i, members in enumerate(rungs) for t in members}
+    # last_use[t, r]: the last step of row r that takes table t, -1 if none; a
+    # table is built when an unlatched row first takes it, and dropped, with
+    # its ladder once the ladder's last table goes, when no unlatched row
+    # takes it again
+    last_use = np.full((n_tables, b), -1)
+    entry_rows = np.repeat(np.arange(b), lengths)
+    entry_last = np.concatenate([np.append(np.cumsum(counts) - 1, -1) for _, counts, _ in plans])
+    for e in np.flatnonzero(closed_loop):
+        last_use[piece_tables[e], entry_rows[e]] = entry_last[e]
+    tables, ladders = [None] * n_tables, [None] * len(rungs)
+    built, tables_s = 0, 0.0
+
+    def table(t):
+        """Table t, built from its ladder, and the ladder seeded, on first use."""
+        nonlocal built, tables_s
+        if tables[t] is None:
+            begin = time.perf_counter()
+            i = ladder_of[t]
+            if ladders[i] is None:
+                ladders[i] = ClosedLoopLadder(tau, gram, specs[t][0], min(specs[u][1] for u in rungs[i]), nu)
+            tables[t] = ladders[i].table(specs[t][1])
+            built += 1
+            tables_s += time.perf_counter() - begin
+        return tables[t]
+
+    def drop(k):
+        """Drop the tables, and the ladders, that no unlatched row takes from step k on."""
+        done = np.all(last_use[:, ~latched] < k, axis=1)
+        for t in np.flatnonzero(done):
+            tables[t] = None
+        for i, members in enumerate(rungs):
+            if done[members].all():
+                ladders[i] = None
+
+    table_index = np.asarray(piece_tables)[index[:-1]] if n_tables else None
     # the steps where the tables of some row change; a latch trip adds the next step
-    regroup_steps = set() if not tables else {0, *(np.flatnonzero(np.any(np.diff(table_index, axis=0), axis=1)) + 1)}
+    regroup_steps = set() if not n_tables else {0, *(np.flatnonzero(np.any(np.diff(table_index, axis=0), axis=1)) + 1)}
 
     dt_col = dt_values[:, None]
     decay_table = np.exp(-nu * tau * dt_col)
@@ -587,14 +684,13 @@ def simulate_batch(
     endpoint_ok_table = decay_sq > 1e-12
     decay_sq_safe_table = np.maximum(decay_sq, 1e-300)
     half_dt_table = 0.5 * dt_col
-    convection = packed_convection(tensor, b)
     gram_t = gram.T
     # rows without cutoff have radius inf; a batch with no finite radius skips
     # the row norms, which cost about 5 us per law evaluation
     any_cutoff = bool(np.isfinite(radii).any())
-    # the closed-loop rows of the current step, as (table, rows) pairs, and
-    # whether one table covers the whole batch
-    groups, whole = [], False
+    # the closed-loop rows of the current step, as (table, rows) pairs, whether
+    # one table covers the whole batch, and whether every row is in a group
+    groups, whole, every = [], False, False
 
     def control(x, gain, radius, k, shift):
         """Law with this step's gains and radii at time times[k] + shift
@@ -608,7 +704,7 @@ def simulate_batch(
             if trip.any():
                 latch_time[trip] = (times[k] + shift)[trip]
                 latched[trip] = True
-                if tables:  # the next step to start regroups
+                if n_tables:  # the next step to start regroups
                     regroup_steps.update((k, k + 1))
             if latched.any():
                 c = np.where(latched[:, None], 0.0, c)
@@ -616,25 +712,27 @@ def simulate_batch(
 
     def regroup(k):
         """The closed-loop groups of step k; a latched row takes the zero law's diagonal factor."""
-        nonlocal groups, whole
+        nonlocal groups, whole, every
         current = np.where(latched, -1, table_index[k])
         # not np.unique, whose first call imports numpy.ma (13 ms of a warm
         # simulate process, python -X importtime)
         ids = sorted(set(current[current >= 0].tolist()))
         whole = len(ids) == 1 and bool(np.all(current == ids[0]))
-        groups = [(tables[t], slice(None) if whole else np.flatnonzero(current == t)) for t in ids]
+        every = bool(np.all(current >= 0))
+        drop(k)
+        groups = [(table(t), slice(None) if whole else np.flatnonzero(current == t)) for t in ids]
         return current >= 0
 
     def remainder_gram(c, x, linear, out):
         """G (c - K x) on the closed-loop rows and G c on the others, into out.
 
-        On a batch that one table covers, a linear evaluation has c = K x
+        While every row steps its closed loop, a linear evaluation has c = K x
         exactly, so the product is exact zeros and is skipped.
         """
+        if linear and every:
+            out.fill(0.0)
+            return out
         if whole:
-            if linear:
-                out.fill(0.0)
-                return out
             u = c - x * groups[0][0].gain
         elif not groups:
             u = c
@@ -662,7 +760,7 @@ def simulate_batch(
     # holds the state and control that the previous block ended on
     block = min(_BLOCK, n_steps)
     xs, c1s, g1s, g2s, f1s = np.empty((5, block + 1, b, m))
-    if tables:
+    if n_tables:
         # each step's closed-loop rows, and x @ quad_x + r @ quad_r on them
         closed, quads = np.zeros((block, b), dtype=bool), np.zeros((block, b, 2 * m))
 
@@ -699,7 +797,7 @@ def simulate_batch(
         z_sq_end = np.where(endpoint_ok_table[steps], x2[1:] / decay_sq_safe_table[steps], x2[:-1])
         diss_steps = stacked_dot(diss_half_table[steps] * (x2[:-1] + z_sq_end), tau_rows[: n * b])
         work_steps = half_dt_table[steps, 0] * (stacked_dot(x[:-1], g1s[:n]) + stacked_dot(x[1:], g2s[:n]))
-        if tables:
+        if n_tables:
             # closed-loop steps: the moments of the linear flow, and the
             # trapezoid of the explicit control remainder x . G (c - K x)
             dense = closed[:n]
@@ -756,7 +854,7 @@ def simulate_batch(
                     worst = float(np.abs(finite).max()) if finite.size else float("inf")
                     raise BlowUpError(float(times[k, row] + dts[j, row, 0]), worst, row)
             c1s[j + 1], linear1 = control(x_new, gain[j + 1], radius[j + 1], k + 1, 0.0)
-        if tables:
+        if n_tables:
             moments(run_start, n)
         record(k0, n, k0 + n == n_steps)
         xs[0], c1s[0] = xs[n], c1s[n]
@@ -776,4 +874,6 @@ def simulate_batch(
         lyapunov=lyap,
         latch_time=latch_time,
         seconds=time.perf_counter() - start,
+        tables=built,
+        tables_s=tables_s,
     )

@@ -13,8 +13,9 @@ Three experiments mirror the three guarantees of the control design:
 The schedule runs are stepped on piece grids (:func:`_row_plan`): each row
 is cut at every schedule switch and, for a start offset s, at s + j T, and
 each piece takes equal steps of at most its cap: the step of its schedule
-interval (:func:`_interval_dt`), or the configured dt.  So every switch is
-a step time and each smooth piece is stepped at second order.
+interval (:func:`_interval_dt`, which depends on whether the law has a
+cutoff), or the configured dt.  So every switch is a step time and each
+smooth piece is stepped at second order.
 
 Certified constant packs put the admissible initial data below double
 precision (the basin scales like exp(-c3/T) with an astronomically large
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import ConstantPack, FeedbackParams, Schedule, build_schedule, feedback_params
-from .dynamics import ControlLaw, Trajectory, simulate_batch
+from .dynamics import ControlLaw, Trajectory, convection_lipschitz, simulate_batch
 from .errors import BlowUpError, BoundViolatedError, ConfigError, TwoPeriodFailedError
 from .spectral import StokesBasis
 
@@ -47,8 +48,11 @@ LOG_PRECISION_FLOOR = math.log(1e-290)
 #: most closed-loop steps a row may plan (certified gains ask for millions)
 MAX_STEPS = 2**20
 
-#: fewest steps per schedule piece without a configured dt
+#: fewest steps per schedule piece without a configured dt: of a row that
+#: takes the diagonal integrating factor (a cutoff law), and of one that steps
+#: its closed loop exactly
 _PIECE_STEPS = 64
+_EXACT_PIECE_STEPS = 16
 
 #: samples of a stationary-law run; its default step is their spacing
 RAPID_SAMPLES = 1024
@@ -77,23 +81,40 @@ def default_dt(horizon: float, tau_max: float) -> float:
     return min(horizon / RAPID_SAMPLES, 0.1 / math.sqrt(tau_max))
 
 
-def _dyadic_dt(max_gain: float, k_floor: int) -> float:
-    """Largest power of two below the gain heuristic and 2**-k_floor."""
-    k = max(k_floor, math.ceil(math.log2(max(max_gain, 1e-12) / 0.25)))
+def _dyadic_dt(rate: float, k_floor: int) -> float:
+    """Largest power of two at most 1 / rate and 2**-k_floor."""
+    k = max(k_floor, math.ceil(math.log2(max(rate, 1e-12))))
     return 2.0 ** (-k)
 
 
-def _interval_dt(schedule: Schedule) -> np.ndarray:
+def _interval_dt(schedule: Schedule, convection_rate: float | None = None) -> np.ndarray:
     """Default step of each schedule piece: intervals 0..n_max, then the terminal piece.
 
-    Piece n of length L_n steps by min(L_n / _PIECE_STEPS, the largest power
-    of two <= 0.25 / gain_n), the terminal piece (no gain) by L / _PIECE_STEPS.
+    Without convection_rate, for a row that takes the diagonal integrating
+    factor with G K x explicit (a cutoff law): piece n of length L_n steps
+    by min(L_n / _PIECE_STEPS, the largest power of two <= 0.25 / gain_n),
+    the terminal piece (no gain) by L / _PIECE_STEPS.
+
+    With convection_rate, for a row that steps each piece's closed loop
+    exactly (a law without cutoff, see :func:`nsstab.dynamics.simulate_batch`),
+    so that the gain sets no step: every piece steps by
+    min(L_n / _EXACT_PIECE_STEPS, the largest power of two <= 2 /
+    convection_rate).  The convection stays explicit, and 2 is the explicit
+    RK2's stability limit |h lambda| <= 2 on the negative real axis;
+    convection_rate, :func:`nsstab.dynamics.convection_lipschitz` times the
+    row's initial norm, bounds the norm of the convection's Jacobian while
+    the state's norm stays at or below its start.
+
     Every length is a power of two, so each piece is a whole number of steps
     and every switch falls on a step boundary.
     """
     lengths = np.diff(np.append(schedule.start_times, schedule.period))
+    if convection_rate is not None:
+        return np.array([_dyadic_dt(0.5 * convection_rate, round(-math.log2(length / _EXACT_PIECE_STEPS)))
+                         for length in lengths])
     gains = [p.gain for p in schedule.params] + [0.0]
-    return np.array([_dyadic_dt(gain, round(-math.log2(length / _PIECE_STEPS))) for gain, length in zip(gains, lengths)])
+    return np.array([_dyadic_dt(gain / 0.25, round(-math.log2(length / _PIECE_STEPS)))
+                     for gain, length in zip(gains, lengths)])
 
 
 def _row_plan(schedule: Schedule, caps: np.ndarray, start: float = 0.0, periods: int = 1,
@@ -344,16 +365,26 @@ def run_null_control(
     Each schedule piece (intervals 0..n_max and the terminal piece) is
     stepped on its own grid (:func:`_row_plan`), so every switch falls on a
     step boundary.  Its step is capped by dt if given, and otherwise by
-    :func:`_interval_dt`, which gives each piece at least _PIECE_STEPS
-    steps: while no gain asks for a smaller step, every n0 then takes
-    _PIECE_STEPS * (n_max + 2) steps.  Every plan is made, and checked
+    :func:`_interval_dt`.  Without the cutoff, each piece steps its closed
+    loop exactly and takes at least _EXACT_PIECE_STEPS (16) steps, and at
+    most the convection cap at the run's initial norm; while the cap does
+    not bind (it does not at the practical norms, 1e-3 and below), every n0
+    takes 16 (n_max + 2) steps.  With the cutoff, each piece takes the
+    diagonal factor and at least _PIECE_STEPS (64) steps, and at most the
+    largest power of two <= 0.25 / gain.  Every plan is made, and checked
     against MAX_STEPS, before any run is stepped.  The runs that take the
     same number of steps are stepped as the rows of one batch, and each
     report is filled from its own row and plan.  A blow-up names its run.
     """
     reports = [_plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff) for n0 in n0_list]
-    plans = {i: _row_plan(r.schedule, _interval_dt(r.schedule) if dt is None else np.full(n_max + 2, dt))
-             for i, r in enumerate(reports) if not r.basin_below_precision}
+    lipschitz = convection_lipschitz(tensor) if dt is None and not cutoff else None
+
+    def caps(report):
+        if dt is not None:
+            return np.full(n_max + 2, dt)
+        return _interval_dt(report.schedule, None if cutoff else lipschitz * report.y0_norm)
+
+    plans = {i: _row_plan(r.schedule, caps(r)) for i, r in enumerate(reports) if not r.basin_below_precision}
     batches: dict[int, list[int]] = {}
     for i, (_, counts, _) in plans.items():
         batches.setdefault(counts.sum(), []).append(i)

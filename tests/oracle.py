@@ -4,13 +4,14 @@
   classes that nsstab shipped before the batched stepper.  Tests compare
   :func:`nsstab.dynamics.simulate_batch` against them; the scheme is the
   same integrating-factor Heun step, written one trajectory and one law
-  evaluation at a time.  It stays the reference of the zero-law and
-  periodic rows, and, at fine steps, of the stationary ones.
-* The closed-loop exponential step of a stationary law
-  (:func:`simulate_closed_loop`), one trajectory at a time, with scipy's
-  ``expm`` for the propagator and a composite Gauss-Legendre rule with an
-  ``expm`` at every node for the energy moments (:func:`dense_moments`),
-  where nsstab doubles sub-step moments up with its own exponential.
+  evaluation at a time.  It stays the reference of the zero-law rows and
+  the periodic rows with a cutoff, and, at fine steps, of the others.
+* The closed-loop exponential step of a stationary law, or of each
+  segment of a periodic law (:func:`simulate_closed_loop`), one trajectory
+  at a time, with scipy's ``expm`` for the propagator and a composite
+  Gauss-Legendre rule with an ``expm`` at every node for the energy moments
+  (:func:`dense_moments`), where nsstab doubles sub-step moments up a ladder
+  with its own exponential.
 * The dense operator assembly and the dense generalized ``eigh`` that the
   sparse shift-invert solve replaced, run through the same canonicalizer.
 * The one-shot convection tensor, with its (M, M, 2, N) intermediate, and
@@ -551,51 +552,53 @@ def dense_moments(lin: np.ndarray, h: float, q: np.ndarray) -> tuple[np.ndarray,
 def simulate_closed_loop(
     y0: np.ndarray,
     controller: Feedback,
-    t_start: float,
-    t_end: float,
-    dt: float,
+    plan,
     basis: StokesBasis,
     tensor: np.ndarray,
     gram: np.ndarray,
     nu: float = 1.0,
     sample_stride: int = 1,
 ) -> Trajectory:
-    """A stationary law's run with its closed loop in the exponential (a
-    Lawson RK2 step), one trajectory at a time.
+    """A law's run with the closed loop of each step's segment in the
+    exponential (a Lawson RK2 step), one trajectory at a time.
 
-    controller is a ModalFeedback, or a LatchedFeedback around one.  With K
-    the law's linear gain and L = -nu diag(tau) + G K, a step from x is
+    controller is a ModalFeedback, a ScheduledFeedback, or a LatchedFeedback
+    around one; plan is a row plan (cuts, counts, sizes), stepped as
+    :func:`simulate` steps it.  A step takes the law of the segment its start
+    lies in.  With K that segment's linear gain and L = -nu diag(tau) + G K,
+    a step from x is
 
         p = E (x + dt r(x)),  x' = E (x + dt/2 r(x)) + dt/2 r(p)
 
     with E = scipy.linalg.expm(dt L) and r(x) = G (c(x) - K x) - N(x).  The
     energy integrals of a step are x^T W0 x + 2 x^T M1 r(x) for Q = diag(tau)
     (dissipation) and Q = sym(G K) (control work), with the moments of
-    :func:`dense_moments`, plus the trapezoid of x . G (c - K x).  From the
-    step whose start evaluation finds the latch tripped on, the run takes the
-    zero law's step of :func:`simulate`.
+    :func:`dense_moments`, plus the trapezoid of x . G (c - K x).  A step in
+    the terminal regime (no gain), and every step from the one whose start
+    evaluation finds the latch tripped on, takes the zero law's step of
+    :func:`simulate`.
     """
     y0 = np.asarray(y0, dtype=np.float64)
-    n_steps = int(round((t_end - t_start) / dt))
-    if n_steps <= 0 or abs(n_steps * dt - (t_end - t_start)) > 1e-9 * max(t_end - t_start, dt):
-        raise ValueError("t_end - t_start must be an integer number of steps")
+    step_start, piece = step_times([plan])
+    step_start, step_size = step_start[:, 0].tolist(), np.asarray(plan[2], dtype=np.float64)[piece[:, 0]].tolist()
+    n_steps = len(step_size)
     if n_steps % sample_stride != 0:
         raise ValueError("step count must be a whole number of samples")
     m = basis.n_modes
     tau = basis.eigenvalues
-    params = controller.params_at(t_start)
-    gain = np.zeros(m)
-    gain[: params.n_active] = -params.gain
-    k_matrix = np.diag(gain)
-    lin = gram @ k_matrix - nu * np.diag(tau)
-    prop = scipy.linalg.expm(dt * lin)
-    w_diss, m_diss = dense_moments(lin, dt, np.diag(tau))
-    w_work, m_work = dense_moments(lin, dt, 0.5 * (gram @ k_matrix + k_matrix @ gram))
-    decay = np.exp(-nu * tau * dt)
-    decay_sq = decay * decay
-    diss_w = (1.0 - decay_sq) / (2.0 * nu * tau)
-    endpoint_ok = decay_sq > 1e-12
-    decay_sq_safe = np.maximum(decay_sq, 1e-300)
+    cache = {}
+
+    def closed_loop(params: FeedbackParams, dt: float):
+        """K's diagonal, E and the moments of the segment's closed loop at dt."""
+        key = (params.gain, params.n_active, dt)
+        if key not in cache:
+            gain = np.zeros(m)
+            gain[: params.n_active] = -params.gain
+            k_matrix = np.diag(gain)
+            lin = gram @ k_matrix - nu * np.diag(tau)
+            cache[key] = (gain, scipy.linalg.expm(dt * lin), *dense_moments(lin, dt, np.diag(tau)),
+                          *dense_moments(lin, dt, 0.5 * (gram @ k_matrix + k_matrix @ gram)))
+        return cache[key]
 
     n_samples = n_steps // sample_stride + 1
     columns = {name: np.empty(n_samples) for name in ("times", "norm_h", "lyapunov", "control_norm", "threshold",
@@ -615,19 +618,24 @@ def simulate_closed_loop(
 
     guard = BLOWUP_GUARD * np.linalg.norm(y0)
     x, diss, work = y0.copy(), 0.0, 0.0
-    record(0, t_start, x, diss, work)
+    record(0, step_start[0], x, diss, work)
     for k in range(n_steps):
-        t = t_start + k * dt
+        t, dt = step_start[k], step_size[k]
+        params = controller.params_at(t)
         c1 = controller.control(t, x)
-        if getattr(controller, "latched", False):
+        if params is None or getattr(controller, "latched", False):
+            decay = np.exp(-nu * tau * dt)
+            decay_sq = decay * decay
+            diss_w = (1.0 - decay_sq) / (2.0 * nu * tau)
             f1 = gram @ c1 - convection(x, tensor)
             predictor = decay * (x + dt * f1)
             c2 = controller.control(t + dt, predictor, law_time=t)
             x_new = decay * (x + 0.5 * dt * f1) + 0.5 * dt * (gram @ c2 - convection(predictor, tensor))
-            z_sq_end = np.where(endpoint_ok, x_new * x_new / decay_sq_safe, x * x)
+            z_sq_end = np.where(decay_sq > 1e-12, x_new * x_new / np.maximum(decay_sq, 1e-300), x * x)
             diss_step = float(tau @ (diss_w * 0.5 * (x * x + z_sq_end)))
             work_step = 0.5 * dt * (float(x @ (gram @ c1)) + float(x_new @ (gram @ c2)))
         else:
+            gain, prop, w_diss, m_diss, w_work, m_work = closed_loop(params, dt)
             u1 = gram @ (c1 - gain * x)
             r1 = u1 - convection(x, tensor)
             predictor = prop @ (x + dt * r1)
@@ -643,7 +651,7 @@ def simulate_closed_loop(
         work += work_step
         x = x_new
         if (k + 1) % sample_stride == 0:
-            record((k + 1) // sample_stride, t_start + (k + 1) * dt, x, diss, work)
+            record((k + 1) // sample_stride, step_start[k + 1], x, diss, work)
 
     return Trajectory(states=states, interval=interval, nu=nu, **columns)
 

@@ -4,6 +4,7 @@ property tests of the per-piece segments and the row-wise cutoff."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,11 +51,11 @@ def assert_matches_oracle(run, ref_trajectories):
 
 def reference(law, y0, feedback, plan, basis, tensor, gram, **kwargs):
     """The oracle run of a law's row on its plan: the closed-loop exponential
-    step for a stationary law (on a one-piece plan), the diagonal integrating
-    factor for the others."""
-    if law.schedule is None and law.params:
-        (t_start, t_end), _, (dt,) = plan
-        return oracle.simulate_closed_loop(y0, feedback, t_start, t_end, dt, basis, tensor, gram, **kwargs)
+    step of each segment for a stationary law and a periodic law without
+    cutoff, the diagonal integrating factor for the zero law and a periodic
+    law with a cutoff."""
+    if law.params and (law.schedule is None or not law.cutoff):
+        return oracle.simulate_closed_loop(y0, feedback, plan, basis, tensor, gram, **kwargs)
     return oracle.simulate(y0, feedback, plan, basis, tensor, gram, **kwargs)
 
 
@@ -78,7 +79,7 @@ def test_stationary_law_matches_oracle(square16, pack_rapid, cutoff):
     dt = 1e-5
     run = simulate_batch(y0, ControlLaw.stationary(params, cutoff=cutoff), uniform_plan(0.0, 0.02, dt),
                          basis, tensor, gram, sample_stride=4)
-    refs = [oracle.simulate_closed_loop(x, oracle.ModalFeedback(params, cutoff=cutoff), 0.0, 0.02, dt,
+    refs = [oracle.simulate_closed_loop(x, oracle.ModalFeedback(params, cutoff=cutoff), uniform_plan(0.0, 0.02, dt),
                                         basis, tensor, gram, sample_stride=4) for x in y0]
     assert_matches_oracle(run, refs)
     if cutoff:
@@ -100,21 +101,27 @@ def test_periodic_law_with_offsets_matches_oracle(square16, pack_schedule):
 
 
 def test_latched_law_matches_oracle(square16, pack_schedule):
+    """Without cutoff each segment steps its closed loop exactly, and a
+    latched row the zero law's diagonal factor; with cutoff every step takes
+    the diagonal factor."""
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     sched = build_schedule(1, pack_schedule, basis, 4)
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=6) for norm in (1e-3, 2e-3, 0.0)])
     thresholds = np.array([0.5e-3, 1e-30, 0.0])  # trips mid-run, never, at the start
     [plan] = cut_plans(sched, 0.0, sched.period, 2.0**-11)
-    run = simulate_batch(y0, ControlLaw.periodic(sched), plan, basis, tensor, gram, latch_norm=thresholds)
-    refs = []
-    for x, threshold, latch_time in zip(y0, thresholds, run.latch_time):
-        law = oracle.LatchedFeedback(oracle.ScheduledFeedback(sched), threshold)
-        refs.append(oracle.simulate(x, law, plan, basis, tensor, gram))
-        assert math.isnan(latch_time) == (not law.latched)
-        if law.latched:
-            assert latch_time == law.latch_time
-    assert_matches_oracle(run, refs)
-    assert run.latch_time[2] == 0.0 and math.isnan(run.latch_time[1])
+    for cutoff in (False, True):
+        law = ControlLaw.periodic(sched, cutoff=cutoff)
+        run = simulate_batch(y0, law, plan, basis, tensor, gram, latch_norm=thresholds)
+        refs = []
+        for x, threshold, latch_time in zip(y0, thresholds, run.latch_time):
+            feedback = oracle.LatchedFeedback(oracle.ScheduledFeedback(sched, cutoff=cutoff), threshold)
+            refs.append(reference(law, x, feedback, plan, basis, tensor, gram))
+            assert math.isnan(latch_time) == (not feedback.latched)
+            if feedback.latched:
+                assert latch_time == feedback.latch_time
+        assert_matches_oracle(run, refs)
+        assert 0.0 < run.latch_time[0] < sched.period
+        assert run.latch_time[2] == 0.0 and math.isnan(run.latch_time[1])
 
 
 def test_stationary_rows_latching_mid_run_match_oracle(square16, pack_rapid):
@@ -132,7 +139,7 @@ def test_stationary_rows_latching_mid_run_match_oracle(square16, pack_rapid):
                          latch_norm=latch)
     feedbacks = [oracle.LatchedFeedback(oracle.ModalFeedback(params, cutoff=law.cutoff), threshold)
                  for law, threshold in zip(laws, latch)]
-    refs = [oracle.simulate_closed_loop(x, feedback, 0.0, 0.02, dt, basis, tensor, gram, sample_stride=4)
+    refs = [oracle.simulate_closed_loop(x, feedback, uniform_plan(0.0, 0.02, dt), basis, tensor, gram, sample_stride=4)
             for x, feedback in zip(y0, feedbacks)]
     assert_matches_oracle(run, refs)
     assert [f.latched for f in feedbacks] == [True, True, False]
@@ -159,7 +166,7 @@ def test_stationary_cutoff_acting_inside_blocks_matches_oracle(square16, pack_ra
     laws = [ControlLaw.stationary(params, cutoff=True), ControlLaw.stationary(params)]
     dt = 1e-5
     run = simulate_batch(np.tile(y0, (2, 1)), laws, uniform_plan(0.0, 0.01, dt), basis, tensor, gram)
-    refs = [oracle.simulate_closed_loop(y0, oracle.ModalFeedback(params, cutoff=law.cutoff), 0.0, 0.01, dt,
+    refs = [oracle.simulate_closed_loop(y0, oracle.ModalFeedback(params, cutoff=law.cutoff), uniform_plan(0.0, 0.01, dt),
                                         basis, tensor, gram) for law in laws]
     assert_matches_oracle(run, refs)
     raw = params.gain * np.linalg.norm(refs[0].states[:, : params.n_active], axis=1)
@@ -170,25 +177,29 @@ def test_stationary_cutoff_acting_inside_blocks_matches_oracle(square16, pack_ra
 
 def test_steps_per_piece_match_the_oracle(square16, pack_schedule):
     """Rows with one step size per schedule piece, as null control steps them:
-    row 0 with cutoff and coarse pieces first, row 1 with a latch and the
-    reverse order of sizes, so both rows take 256 steps."""
+    row 0 with cutoff and coarse pieces first, row 1 without cutoff, with a
+    latch and the reverse order of sizes, so both rows take 256 steps, and
+    row 2 as row 1 with cutoff, so that it takes the diagonal factor."""
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     sched = build_schedule(1, pack_schedule, basis, 4)
     times = np.append(sched.start_times, sched.period)
     lengths = np.diff(times)  # 1/4, 1/8, 1/16, 1/32, 1/64, 1/64
-    counts = np.array([[64, 64, 32, 32, 32, 32], [32, 32, 32, 32, 64, 64]])
+    counts = np.array([[64, 64, 32, 32, 32, 32], [32, 32, 32, 32, 64, 64], [32, 32, 32, 32, 64, 64]])
     sizes = lengths / counts
     assert np.all(counts.sum(axis=1) == 256)
-    laws = [ControlLaw.periodic(sched, cutoff=True), ControlLaw.periodic(sched)]
-    latch = np.array([0.0, 0.5e-3])
+    laws = [ControlLaw.periodic(sched, cutoff=True), ControlLaw.periodic(sched), ControlLaw.periodic(sched, cutoff=True)]
+    latch = np.array([0.0, 0.5e-3, 0.5e-3])
     feedbacks = [oracle.ScheduledFeedback(sched, cutoff=True),
-                 oracle.LatchedFeedback(oracle.ScheduledFeedback(sched), latch[1])]
-    y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=3) for norm in (0.1, 1e-3)])
+                 oracle.LatchedFeedback(oracle.ScheduledFeedback(sched), latch[1]),
+                 oracle.LatchedFeedback(oracle.ScheduledFeedback(sched, cutoff=True), latch[2])]
+    y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed=3) for norm in (0.1, 1e-3, 1e-3)])
     plans = [(times, n, row) for n, row in zip(counts, sizes)]
     run = simulate_batch(y0, laws, plans, basis, tensor, gram, latch_norm=latch)
-    refs = [oracle.simulate(x, feedback, plan, basis, tensor, gram) for x, feedback, plan in zip(y0, feedbacks, plans)]
+    refs = [reference(law, x, feedback, plan, basis, tensor, gram)
+            for law, x, feedback, plan in zip(laws, y0, feedbacks, plans)]
     assert_matches_oracle(run, refs)
-    assert feedbacks[1].latched and run.latch_time[1] == feedbacks[1].latch_time
+    for r in (1, 2):
+        assert feedbacks[r].latched and run.latch_time[r] == feedbacks[r].latch_time
     assert np.array_equal(run.times[np.append(0, np.cumsum(counts[0])), 0], times)
 
 
@@ -227,7 +238,8 @@ def test_blowup_raised_at_oracle_step_for_first_failing_row(square16):
     with pytest.raises(BlowUpError) as batch:
         simulate_batch(y0, ControlLaw.stationary(exploder), uniform_plan(0.25, 0.5, 1e-3), basis, tensor, gram)
     with pytest.raises(BlowUpError) as reference:
-        oracle.simulate_closed_loop(y0[1], oracle.ModalFeedback(exploder), 0.25, 0.75, 1e-3, basis, tensor, gram)
+        oracle.simulate_closed_loop(y0[1], oracle.ModalFeedback(exploder), uniform_plan(0.25, 0.5, 1e-3), basis, tensor,
+                                    gram)
     assert batch.value.time == reference.value.time
     assert batch.value.max_abs == pytest.approx(reference.value.max_abs, rel=1e-13)
 
@@ -235,21 +247,26 @@ def test_blowup_raised_at_oracle_step_for_first_failing_row(square16):
 def test_mixed_laws_and_steps_in_one_batch_match_oracle(square16, pack_rapid, mixed_batch):
     """The mixed batch over 256 steps: the cutoff row starts with its raw
     control above the radius, the two periodic rows cross the terminal
-    regime into their next period, and only the last row's latch trips."""
+    regime into their next period, and only the last row's latch trips.  The
+    last row runs without cutoff, as in the fixture, so that it steps its
+    segments' closed loops, and again with cutoff, so that it takes the
+    diagonal factor."""
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     batch = mixed_batch
-    laws, latch, t_start = batch["laws"], batch["latch"], batch["t_start"]
-    params = laws[0].params[0]
-    feedbacks = [oracle.ModalFeedback(params), oracle.ModalFeedback(params, cutoff=True),
-                 oracle.ScheduledFeedback(laws[2].schedule, cutoff=True),
-                 oracle.LatchedFeedback(oracle.ScheduledFeedback(laws[3].schedule), latch[3])]
+    latch, t_start = batch["latch"], batch["t_start"]
+    params = batch["laws"][0].params[0]
     plans = mixed_plans(batch, 256)
-    run = simulate_batch(batch["y0"], laws, plans, basis, tensor, gram, sample_stride=4, latch_norm=latch)
-    refs = [reference(law, x, feedback, plan, basis, tensor, gram, sample_stride=4)
-            for law, x, feedback, plan in zip(laws, batch["y0"], feedbacks, plans)]
-    assert_matches_oracle(run, refs)
-    assert feedbacks[3].latched and run.latch_time[3] == feedbacks[3].latch_time
-    assert np.isnan(run.latch_time[:3]).all()
+    for cutoff in (False, True):
+        laws = [*batch["laws"][:3], ControlLaw.periodic(batch["laws"][3].schedule, cutoff=cutoff)]
+        feedbacks = [oracle.ModalFeedback(params), oracle.ModalFeedback(params, cutoff=True),
+                     oracle.ScheduledFeedback(laws[2].schedule, cutoff=True),
+                     oracle.LatchedFeedback(oracle.ScheduledFeedback(laws[3].schedule, cutoff=cutoff), latch[3])]
+        run = simulate_batch(batch["y0"], laws, plans, basis, tensor, gram, sample_stride=4, latch_norm=latch)
+        refs = [reference(law, x, feedback, plan, basis, tensor, gram, sample_stride=4)
+                for law, x, feedback, plan in zip(laws, batch["y0"], feedbacks, plans)]
+        assert_matches_oracle(run, refs)
+        assert feedbacks[3].latched and run.latch_time[3] == feedbacks[3].latch_time
+        assert np.isnan(run.latch_time[:3]).all()
     for r in range(2):
         assert np.array_equal(run.trajectory(r).times, t_start[r] + 4 * np.arange(65) * batch["dt"][r])
     assert np.array_equal(run.times[-1], t_start + 256 * batch["dt"])
@@ -302,23 +319,25 @@ def test_laws_with_different_segment_counts_match_oracle(square16, pack_rapid, p
     m = basis.n_modes
     params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
     sched = build_schedule(2, pack_schedule, basis, 4)
-    laws = [ControlLaw(), ControlLaw.stationary(params), ControlLaw.periodic(sched)]
-    feedbacks = [oracle.ZeroFeedback(), oracle.ModalFeedback(params), oracle.ScheduledFeedback(sched)]
     y0 = np.array([random_low_mode_state(m, norm, seed=5) for norm in (0.3, 0.5 * params.cutoff_radius / params.gain,
                                                                          1e-3)])
     dt = np.array([1e-4, 1e-5, 2.0**-11])
     # the periodic row starts at 0.13 and crosses the terminal regime
     plans = [uniform_plan(0.3, 256 * dt[0], dt[0]), uniform_plan(0.0, 256 * dt[1], dt[1]),
              *cut_plans(sched, 0.13, 256 * dt[2], dt[2])]
-    run = simulate_batch(y0, laws, plans, basis, tensor, gram, sample_stride=4)
-    refs = [reference(law, x, feedback, plan, basis, tensor, gram, sample_stride=4)
-            for law, x, feedback, plan in zip(laws, y0, feedbacks, plans)]
-    assert_matches_oracle(run, refs)
-    trajectories = [run.trajectory(r) for r in range(3)]
-    assert np.isnan(trajectories[0].threshold).all() and (trajectories[1].threshold == params.threshold).all()
-    assert np.array_equal(np.isnan(trajectories[2].threshold), trajectories[2].interval == -1)
-    assert (refs[0].interval == -1).all() and (refs[1].interval == 0).all()
-    assert (refs[2].interval == -1).any() and (refs[2].interval >= 0).any()
+    # the periodic row without cutoff steps its closed loops, with cutoff the diagonal factor
+    for cutoff in (False, True):
+        laws = [ControlLaw(), ControlLaw.stationary(params), ControlLaw.periodic(sched, cutoff=cutoff)]
+        feedbacks = [oracle.ZeroFeedback(), oracle.ModalFeedback(params), oracle.ScheduledFeedback(sched, cutoff=cutoff)]
+        run = simulate_batch(y0, laws, plans, basis, tensor, gram, sample_stride=4)
+        refs = [reference(law, x, feedback, plan, basis, tensor, gram, sample_stride=4)
+                for law, x, feedback, plan in zip(laws, y0, feedbacks, plans)]
+        assert_matches_oracle(run, refs)
+        trajectories = [run.trajectory(r) for r in range(3)]
+        assert np.isnan(trajectories[0].threshold).all() and (trajectories[1].threshold == params.threshold).all()
+        assert np.array_equal(np.isnan(trajectories[2].threshold), trajectories[2].interval == -1)
+        assert (refs[0].interval == -1).all() and (refs[1].interval == 0).all()
+        assert (refs[2].interval == -1).any() and (refs[2].interval >= 0).any()
 
 
 def test_health_of_all_rows_gathers_the_rows(square16, mixed_batch):
@@ -333,6 +352,7 @@ def test_health_of_all_rows_gathers_the_rows(square16, mixed_batch):
     for health in (whole, *rows):
         assert health["stepping_s"] == run.seconds > 0.0
         assert health["us_per_step"] == run.seconds / (4 * 128) * 1e6
+        assert health["tables"] == run.tables > 0 and 0.0 < health["tables_s"] == run.tables_s < run.seconds
 
 
 def test_batch_rejects_mismatched_steps_and_law_counts(square16, pack_rapid):
@@ -501,6 +521,24 @@ def test_packed_convection_matches_full_contraction_and_is_energy_neutral(square
         assert np.all(np.abs(row_dot(x, packed)) <= 1e-14 * np.abs(x * packed).sum(axis=1))
 
 
+def test_convection_lipschitz_bounds_the_jacobian(square32_wide):
+    """The scale is the Frobenius norm of the tensor symmetrized in (i, j),
+    and bounds the convection's Jacobian at x, which a central difference of
+    the quadratic convection gives exactly up to rounding, by scale * ||x||."""
+    tensor = square32_wide["tensor"]
+    m = tensor.shape[0]
+    sym = tensor + tensor.transpose(1, 0, 2)
+    scale = dynamics.convection_lipschitz(tensor)
+    assert scale == pytest.approx(np.linalg.norm(sym), rel=1e-12)
+    rng = np.random.default_rng(4)
+    for x in rng.standard_normal((4, m)):
+        jacobian = np.einsum("i,ijk->kj", x, sym)  # dN_k / dx_j
+        v = rng.standard_normal(m)
+        difference = (oracle.convection(x + v, tensor) - oracle.convection(x - v, tensor)) / 2.0
+        assert np.abs(jacobian @ v - difference).max() <= 1e-12 * np.abs(difference).max()
+        assert np.linalg.norm(jacobian, 2) <= scale * np.linalg.norm(x)
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
 def test_packed_convection_of_each_batch_size_matches_the_full_contraction(square32_wide, rows):
     """Every batch size, the 3-row batch with its zero pad row included,
@@ -527,7 +565,7 @@ def test_stationary_law_at_64_modes_matches_oracle(square32_wide, pack_schedule,
     dt = 1e-3
     run = simulate_batch(y0, ControlLaw.stationary(params, cutoff=cutoff), uniform_plan(0.0, 0.3, dt),
                          basis, tensor, gram, sample_stride=4)
-    ref = oracle.simulate_closed_loop(y0[0], oracle.ModalFeedback(params, cutoff=cutoff), 0.0, 0.3, dt,
+    ref = oracle.simulate_closed_loop(y0[0], oracle.ModalFeedback(params, cutoff=cutoff), uniform_plan(0.0, 0.3, dt),
                                       basis, tensor, gram, sample_stride=4)
     assert_matches_oracle(run, [ref])
     if cutoff:
@@ -536,16 +574,77 @@ def test_stationary_law_at_64_modes_matches_oracle(square32_wide, pack_schedule,
 
 
 def test_periodic_law_at_64_modes_with_offsets_matches_oracle(square32_wide, pack_schedule):
+    """Without cutoff the rows step their segments' closed loops, with cutoff
+    the diagonal factor; the cutoff rows start small enough that the cutoff
+    lets some control through."""
     basis, tensor, gram = square32_wide["basis"], square32_wide["tensor"], square32_wide["gram"]
     sched = build_schedule(2, pack_schedule, basis, 4)
     offsets = np.array([0.13, 0.2, 0.48])  # each crosses the terminal regime; the last starts past one period
-    y0 = random_low_mode_state(basis.n_modes, 0.1, seed=3)
     plans = cut_plans(sched, offsets, 0.125, 2.0**-11)
-    run = simulate_batch(np.tile(y0, (3, 1)), ControlLaw.periodic(sched), plans, basis, tensor, gram)
-    refs = [oracle.simulate(y0, oracle.ScheduledFeedback(sched), plan, basis, tensor, gram) for plan in plans]
-    assert_matches_oracle(run, refs)
-    assert all((ref.interval == -1).any() and (ref.interval >= 0).any() for ref in refs)
-    assert run.control_norm.max() > 0.0
+    for cutoff, norm in ((False, 0.1), (True, 1e-8)):
+        y0 = random_low_mode_state(basis.n_modes, norm, seed=3)
+        law = ControlLaw.periodic(sched, cutoff=cutoff)
+        run = simulate_batch(np.tile(y0, (3, 1)), law, plans, basis, tensor, gram)
+        refs = [reference(law, y0, oracle.ScheduledFeedback(sched, cutoff=cutoff), plan, basis, tensor, gram)
+                for plan in plans]
+        assert_matches_oracle(run, refs)
+        assert all((ref.interval == -1).any() and (ref.interval >= 0).any() for ref in refs)
+        assert run.control_norm.max() > 0.0
+
+
+def test_tables_are_built_on_first_use_and_dropped_after_last(square16, pack_schedule, monkeypatch):
+    """One row without cutoff over a period of n0 = 1, 16 steps per piece: the
+    five pieces with a gain take five tables (the clamped gain of pieces 2 to
+    4 at three step sizes, one ladder), each built when the row reaches its
+    piece and dropped when it leaves, so at most two are alive at once.  A
+    row latched from its first step builds none."""
+    import weakref
+
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    sched = build_schedule(1, pack_schedule, basis, 4)
+    plan = experiments._row_plan(sched, experiments._interval_dt(sched, 1.0))
+    y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=3)[None]
+    made_tables, seeds, live = [], [], []
+    real_table, real_init = dynamics.ClosedLoopLadder.table, dynamics.ClosedLoopLadder.__init__
+
+    def table(self, h):
+        made = real_table(self, h)
+        made_tables.append(weakref.ref(made))
+        live.append(sum(ref() is not None for ref in made_tables))
+        return made
+
+    def init(self, *args):
+        seeds.append(args[3])
+        real_init(self, *args)
+
+    monkeypatch.setattr(dynamics.ClosedLoopLadder, "table", table)
+    monkeypatch.setattr(dynamics.ClosedLoopLadder, "__init__", init)
+    run = simulate_batch(y0, ControlLaw.periodic(sched), plan, basis, tensor, gram)
+    assert run.tables == len(live) == 5 and max(live) <= 2 and run.tables_s > 0.0
+    assert len(seeds) == 3 and seeds[-1] == plan[2][4]  # the clamped gain's ladder starts at its smallest step
+    latched = simulate_batch(y0, ControlLaw.periodic(sched), plan, basis, tensor, gram, latch_norm=1.0)
+    assert latched.tables == 0 and latched.tables_s == 0.0 and latched.latch_time[0] == 0.0
+
+
+def test_periodic_law_with_a_stiff_gain_steps_at_16_per_piece(square16, pack_schedule):
+    """A periodic law without cutoff whose gains are 1e4 and more, on the
+    default grid of a row without cutoff (16 steps per piece): each piece's
+    closed loop is exact, so the row decays as the oracle's does.  The
+    diagonal factor, with G K x explicit, blows up on the same plan; it
+    needs steps of at most 0.25 / gain."""
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    sched = build_schedule(1, pack_schedule, basis, 4)
+    sched = replace(sched, params=tuple(replace(p, gain=1e4 * 2.0**n) for n, p in enumerate(sched.params)))
+    y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=7)
+    plan = experiments._row_plan(sched, experiments._interval_dt(sched, 1.0))
+    assert plan[1].tolist() == [16] * 6 and plan[2].max() >= 300 * 0.25 / sched.params[0].gain
+    law = ControlLaw.periodic(sched)
+    run = simulate_batch(y0[None], law, plan, basis, tensor, gram)
+    ref = oracle.simulate_closed_loop(y0, oracle.ScheduledFeedback(sched), plan, basis, tensor, gram)
+    assert_matches_oracle(run, [ref])
+    assert run.norm_h[-1, 0] < 1e-3 * run.norm_h[0, 0] and np.all(np.diff(run.norm_h[:, 0]) < 0)
+    with pytest.raises(BlowUpError):
+        oracle.simulate(y0, oracle.ScheduledFeedback(sched), plan, basis, tensor, gram)
 
 
 @pytest.fixture(scope="module")

@@ -199,9 +199,9 @@ def test_simulate_then_report_cites_hash(tmp_path):
 
 
 def without_stepping_times(report: bytes) -> bytes:
-    """A report with the values of its two wall-clock health fields blanked; every other byte is kept."""
-    blanked, count = re.subn(rb'("(?:stepping_s|us_per_step)": )[^,\n]+', rb"\1null", report)
-    assert count == 2 * report.count(b'"health"')
+    """A report with the values of its three wall-clock health fields blanked; every other byte is kept."""
+    blanked, count = re.subn(rb'("(?:stepping_s|us_per_step|tables_s)": )[^,\n]+', rb"\1null", report)
+    assert count == 3 * report.count(b'"health"')
     return blanked
 
 
@@ -276,19 +276,20 @@ def test_cost_curve_honours_configured_dt(tmp_path):
 
 
 def test_nullcontrol_reports_its_piece_grid(tmp_path):
-    """Without dt, each of the n_max + 2 schedule pieces takes 64 steps of its
-    own size; dt is T over the steps, and the CSV has one row per step and
+    """Without dt, each of the n_max + 2 schedule pieces takes 16 steps of its
+    own size (the law has no cutoff, so each piece steps its closed loop
+    exactly); dt is T over the steps, and the CSV has one row per step and
     one for the end."""
     config = parse_config(write_config(tmp_path))
     assert run_subcommand("nullcontrol", config) == 0
     out = tmp_path / "out"
     report = json.loads((out / "nullcontrol_report.json").read_text())
     lengths = np.diff(report["interval_times"])
-    assert report["interval_dt"] == (lengths / 64).tolist()
-    assert report["health"]["steps"] == 6 * 64 and report["dt"] == report["T"] / (6 * 64) == report["health"]["dt"]
+    assert report["interval_dt"] == (lengths / 16).tolist()
+    assert report["health"]["steps"] == 6 * 16 and report["dt"] == report["T"] / (6 * 16) == report["health"]["dt"]
     rows = (out / report["trajectory"]).read_text().splitlines()[1:]
     times = [float(row.split(",")[0]) for row in rows]
-    assert len(times) == 6 * 64 + 1 and times[::64] == report["interval_times"]
+    assert len(times) == 6 * 16 + 1 and times[::16] == report["interval_times"]
 
 
 def test_reports_record_run_health(tmp_path):
@@ -306,10 +307,14 @@ def test_reports_record_run_health(tmp_path):
     rows = len(stab["offsets"]) * (1 + len(stab["eta_grid"]))
     assert stab["health"]["steps"] == rows * round(2 * stab["T"] / stab["dt"])
     assert [r["health"]["steps"] for r in curve["runs"]] == [round(r["T"] / r["dt"]) for r in curve["runs"]]
-    for report, y0_norm in ((null, null["y0_norm"]), (stab, stab["y0_norm"]),
-                            *((r, r["y0_norm"]) for r in curve["runs"])):
-        # the energy identity holds to O(dt^2): well inside the initial energy
-        assert 0.0 <= report["health"]["max_energy_defect"] <= 1e-3 * y0_norm**2
+    # the energy identity holds to O(dt^2): well inside the initial energy for
+    # the cutoff rows, which take the diagonal factor; the null-control rows,
+    # without cutoff, step each piece's closed loop and its energy integrals
+    # exactly, and leave only the explicit convection's defect (measured: at
+    # most 1.1e-7 of y0^2, at n0 = 1)
+    assert 0.0 <= stab["health"]["max_energy_defect"] <= 1e-3 * stab["y0_norm"] ** 2
+    for report in (null, *curve["runs"]):
+        assert 0.0 <= report["health"]["max_energy_defect"] <= 1e-5 * report["y0_norm"] ** 2
     # the stationary law's linear flow and its energy integrals are exact, and
     # at this start the convection is far below them
     assert 0.0 <= sim["health"]["max_energy_defect"] <= 1e-10 * sim["y0_norm"] ** 2
@@ -325,6 +330,14 @@ def test_reports_record_run_health(tmp_path):
         assert run["health"]["stepping_s"] == curve["runs"][0]["health"]["stepping_s"]
         assert run["health"]["us_per_step"] == pytest.approx(run["health"]["stepping_s"] / batch_steps * 1e6,
                                                              rel=1e-12)
+    # the closed-loop tables: one for the stationary law, none for the cutoff
+    # law, one per distinct gain and step for the null-control pieces, whose
+    # runs of one batch share the count and the time
+    assert sim["health"]["tables"] == 1 and stab["health"]["tables"] == 0 == stab["health"]["tables_s"]
+    assert null["health"]["tables"] >= 1 and curve["runs"][0]["health"]["tables"] >= null["health"]["tables"]
+    for report in (sim, null, *curve["runs"]):
+        assert 0.0 < report["health"]["tables_s"] < report["health"]["stepping_s"]
+    assert len({(r["health"]["tables"], r["health"]["tables_s"]) for r in curve["runs"]}) == 1
     # one health block, with the same keys, in every stepping report
     assert {frozenset(r["health"]) for r in (sim, null, stab, *curve["runs"])} == {frozenset(sim["health"])}
     assert run_subcommand("report", config) == 0
@@ -335,6 +348,9 @@ def test_reports_record_run_health(tmp_path):
     assert summary.count("  stepping_s = ") == 4 and summary.count("  us_per_step = ") == 4
     assert f"  stepping_s = {stab['health']['stepping_s']}\n" in summary
     assert f"  us_per_step = {', '.join(str(r['health']['us_per_step']) for r in curve['runs'])}\n" in summary
+    assert summary.count("  tables = ") == 4 and summary.count("  tables_s = ") == 4
+    assert f"  tables = {sim['health']['tables']}\n" in summary
+    assert f"  tables_s = {', '.join(str(r['health']['tables_s']) for r in curve['runs'])}\n" in summary
 
 
 def test_stabilize_csvs_identical_across_blas_thread_counts(tmp_path):
@@ -371,11 +387,55 @@ def test_stabilize_csvs_identical_across_blas_thread_counts(tmp_path):
     assert tensor_caches[0] == tensor_caches[1]
 
 
+def test_cost_curve_csvs_identical_across_blas_thread_counts(tmp_path):
+    """The wide-modes cost curve (32x32, M = 64, n0 = 1, 2, 3, n_max = 8):
+    its rows step each schedule piece's closed loop, with propagators and
+    moments from 64x64 products, exponentials and solves that BLAS may split
+    between threads.  cost_curve.csv and the report's runs, timings aside,
+    are identical under 1 and 2 threads."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nsstab
+
+    src = str(Path(nsstab.__file__).resolve().parents[1])
+    data = {**json.loads(json.dumps(BASE)), "nx": 32, "ny": 32, "M": 64, "eps_zero": 1e-8,
+            "experiment": {"n0_list": [1, 2, 3], "n_max": 8, "y0_norm": 1e-3}}
+    cache = tmp_path / "basis_cache.nsstab"
+    path = tmp_path / "eigen.json"
+    path.write_text(json.dumps({**data, "cache_path": str(cache), "output_dir": str(tmp_path / "eigen")}))
+    assert run_subcommand("eigen", parse_config(path)) == 0
+    for threads in ("1", "2"):
+        own_cache = tmp_path / f"cache{threads}" / cache.name
+        own_cache.parent.mkdir()
+        own_cache.write_bytes(cache.read_bytes())
+        path = tmp_path / f"cost_curve{threads}.json"
+        path.write_text(json.dumps({**data, "cache_path": str(own_cache), "output_dir": str(tmp_path / f"out{threads}")}))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "nsstab.cli", "cost-curve", "--config", str(path)],
+                       env=env, check=True, timeout=300, capture_output=True)
+    one, two = (tmp_path / f"out{threads}" for threads in ("1", "2"))
+    assert (one / "cost_curve.csv").read_bytes() == (two / "cost_curve.csv").read_bytes()
+
+    def runs(out):
+        report = json.loads((out / "cost_curve_report.json").read_text())
+        for run in report["runs"]:
+            for key in ("stepping_s", "us_per_step", "tables_s"):
+                del run["health"][key]
+        return report["runs"]
+
+    assert runs(one) == runs(two)
+    assert all(run["health"]["tables"] > 0 and run["health"]["steps"] == 10 * 16 for run in runs(one))
+
+
 SIMULATE_TABLES_CHILD = """
 import hashlib, sys
 from nsstab.cli import build_pack, ensure_basis, main, parse_config
 from nsstab.constants import feedback_params
-from nsstab.dynamics import ClosedLoopTable, ControlLaw
+from nsstab.dynamics import ClosedLoopLadder, ControlLaw
 from nsstab.spectral import assemble_gram
 path = sys.argv[1]
 assert main(["simulate", "--config", path]) == 0
@@ -383,7 +443,7 @@ config = parse_config(path)
 basis = ensure_basis(config)[0]
 params = feedback_params(float(basis.eigenvalues[3]), build_pack(config, basis, None), basis)
 gain = ControlLaw.stationary(params).tables(basis.n_modes)[0][0]
-table = ClosedLoopTable.build(basis.eigenvalues, assemble_gram(basis, basis.grid), gain, 2.0**-15, config.nu)
+table = ClosedLoopLadder(basis.eigenvalues, assemble_gram(basis, basis.grid), gain, 2.0**-15, config.nu).table(2.0**-15)
 print(hashlib.sha256(table.prop_t.tobytes() + table.quad_x.tobytes() + table.quad_r.tobytes()).hexdigest())
 """
 

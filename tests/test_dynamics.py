@@ -255,7 +255,7 @@ def test_blowup_guard_raises():
         run_one(np.ones(6), ControlLaw.stationary(exploder), 0.0, 1.0, 0.25, basis, tensor, gram)
     assert info.value.time == 0.25
     with pytest.raises(BlowUpError) as reference:
-        simulate_closed_loop(np.ones(6), ModalFeedback(exploder), 0.0, 1.0, 0.25, basis, tensor, gram)
+        simulate_closed_loop(np.ones(6), ModalFeedback(exploder), uniform_plan(0.0, 1.0, 0.25), basis, tensor, gram)
     assert info.value.time == reference.value.time
     assert info.value.max_abs == pytest.approx(reference.value.max_abs, rel=1e-13)
     # at a gain of -1e9 the step's exponential overflows, and the guard reports it
@@ -363,3 +363,54 @@ def test_closed_loop_scheme_converges_to_the_diagonal_oracle(square32, pack_rapi
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
     assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
     assert errors[-1] <= 1e-6
+
+
+def test_ladder_tables_match_their_own_ladders_and_the_dense_moments(square16, pack_schedule):
+    """A ladder seeded at 2^-12 for the clamped gain of a null-control schedule
+    (16.2 on 22 active modes), against a ladder seeded at each step itself and
+    against scipy's expm and the oracle's composite Gauss-Legendre moments,
+    within 1e-13 of each table's largest entry.  A table's bits depend only on
+    its step and the seed, not on the order the ladder builds its tables in."""
+    import scipy.linalg
+
+    basis, gram = square16["basis"], square16["gram"]
+    tau = basis.eigenvalues
+    params = build_schedule(1, pack_schedule, basis, 4).params[-1]
+    gain = ControlLaw.stationary(params).tables(basis.n_modes)[0][0]
+    lin = closed_loop_generator(basis, gram, params)
+    k_matrix = np.diag(gain)
+    h0 = 2.0**-12
+    ladder = dynamics.ClosedLoopLadder(tau, gram, gain, h0, 1.0)
+    assert ladder.sub == h0  # ||h0 L||_1 <= 1, so the seed is the step itself
+    first = {j: ladder.table(h0 * 2**j) for j in (5, 0, 3)}
+    again = dynamics.ClosedLoopLadder(tau, gram, gain, h0, 1.0)
+    for j in (0, 3, 5):
+        h = h0 * 2**j
+        table = again.table(h)
+        for name in ("prop_t", "quad_x", "quad_r"):
+            assert np.array_equal(getattr(table, name), getattr(first[j], name)), (j, name)
+        alone = dynamics.ClosedLoopLadder(tau, gram, gain, h, 1.0).table(h)
+        w_diss, m_diss = oracle.dense_moments(lin, h, np.diag(tau))
+        w_work, m_work = oracle.dense_moments(lin, h, 0.5 * (gram @ k_matrix + k_matrix @ gram))
+        dense = {"prop_t": scipy.linalg.expm(h * lin).T, "quad_x": np.hstack([w_diss, w_work]),
+                 "quad_r": 2.0 * np.hstack([m_diss, m_work])}
+        for name, expected in dense.items():
+            for other in (alone, table):
+                got = getattr(other, name)
+                assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), (j, name)
+    for off_ladder in (3e-4, h0 / 2):
+        with pytest.raises(ValueError, match="not the ladder's sub-step"):
+            ladder.table(off_ladder)
+
+
+def test_gauss_rule_is_the_twelve_point_legendre_rule():
+    """The moment rule's nodes and half weights: within 2 ulps of a fresh
+    Golub-Welsch eigensolve, and the rule integrates x^k over [-1, 1]
+    exactly up to k = 23, to rounding."""
+    k = np.arange(1.0, 12)
+    roots, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    assert np.all(np.abs(dynamics._GAUSS_NODES - roots) <= 2 * np.spacing(np.abs(roots)))
+    assert np.allclose(dynamics._GAUSS_HALF_WEIGHTS, vectors[0] ** 2, rtol=1e-14, atol=0.0)
+    for power in range(24):
+        exact = 0.0 if power % 2 else 1.0 / (power + 1)  # half the integral over [-1, 1]
+        assert abs(dynamics._GAUSS_HALF_WEIGHTS @ dynamics._GAUSS_NODES**power - exact) <= 1e-15, power

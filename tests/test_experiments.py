@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsstab import experiments
+from nsstab import dynamics, experiments
 from nsstab.constants import ConstantPack, FeedbackParams, Schedule, build_schedule
 from nsstab.dynamics import ControlLaw, simulate_batch, step_times
 from nsstab.errors import BlowUpError, BoundViolatedError
@@ -113,7 +113,7 @@ def test_null_control_sampling_covers_intervals(small_setup):
     # the steps of each piece, counted on the run's own sample times
     counts = np.diff(np.searchsorted(report.trajectory.times, report.interval_times))
     assert counts.sum() == len(report.trajectory.times) - 1
-    assert np.all(counts >= 64)
+    assert np.all(counts >= 16)
     assert np.array_equal(report.trajectory.times[np.cumsum(np.append(0, counts))], report.interval_times)
     assert len(report.interval_norms) == sched.n_max + 3
 
@@ -133,9 +133,9 @@ def test_null_control_restart_reproduces_tail(small_setup):
     assert np.abs(resumed.states - full.states[idx:]).max() <= 1e-10
 
 
-# the default grid gives every horizon 64 steps per schedule piece, (n_max + 2) * 64
+# the default grid gives every horizon 16 steps per schedule piece, (n_max + 2) * 16
 # in all, and one batch; one shared dt gives each horizon its own step count
-@pytest.mark.parametrize(("dt", "batch_rows_expected", "steps"), [(None, [3], [6 * 64] * 3),
+@pytest.mark.parametrize(("dt", "batch_rows_expected", "steps"), [(None, [3], [6 * 16] * 3),
                                                                   (2.0**-10, [1, 1, 1], [512, 256, 128])],
                          ids=["default-dt", "shared-dt"])
 def test_null_control_horizons_match_single_runs(small_setup, monkeypatch, dt, batch_rows_expected, steps):
@@ -184,12 +184,12 @@ def test_null_control_cost_is_the_first_gain_times_the_active_part(small_setup, 
 
 def test_default_piece_grid_matches_a_fine_uniform_run(square32, pack_schedule):
     """At 32x32, M = 24, with the acceptance-8 pack and no latch, the interval
-    norms of the default grid (64 steps per piece) are within 1e-4 relative of
+    norms of the default grid (16 steps per piece) are within 1e-4 relative of
     a uniform run 2**(n_max + 8) steps fine, for each horizon."""
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     reports = run_null_control(basis, tensor, gram, pack_schedule, [1, 2, 3], y0_norm=1e-3, n_max=8,
                                eps_zero=0.0, seed=5)
-    assert [r.health["steps"] for r in reports] == [10 * 64] * 3
+    assert [r.health["steps"] for r in reports] == [10 * 16] * 3
     fine_dt = np.array([2.0 ** -(r.n0 + 8 + 8) for r in reports])
     stride = 128  # samples every T/512, which holds every schedule time
     y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=5)] * 3)
@@ -206,16 +206,43 @@ def test_default_piece_grid_matches_a_fine_uniform_run(square32, pack_schedule):
 
 def test_null_control_blowup_names_its_run(small_setup):
     basis, tensor, gram, pack = (small_setup[k] for k in ("basis", "tensor", "gram", "pack"))
-    # at this norm the closed loop of T = 1/2 runs away but that of T = 1/8
-    # does not, so only the second row of the batch trips the guard
+    # without cutoff, every step at this norm is capped by the explicit
+    # convection's stability limit, and both closed loops decay
     [alone] = run_null_control(basis, tensor, gram, pack, [3], y0_norm=200.0, n_max=4)
     assert alone.final_relative_norm < 1.0
+    assert all(r.final_relative_norm < 1.0 for r in run_null_control(basis, tensor, gram, pack, [3, 1],
+                                                                     y0_norm=200.0, n_max=4))
+    # the cutoff law's grid has no such cap: at this norm the explicit step
+    # 2^-8 of T = 1/2's first piece runs away, but T = 1/8's 2^-10 does not,
+    # so only the second row of the batch trips the guard
     with pytest.raises(BlowUpError, match=r"in the run n0=1 \(T=0\.5\) at t=") as info:
-        run_null_control(basis, tensor, gram, pack, [3, 1], y0_norm=200.0, n_max=4)
+        run_null_control(basis, tensor, gram, pack, [3, 1], y0_norm=200.0, n_max=4, cutoff=True)
     assert info.value.row == 1
     with pytest.raises(BlowUpError) as single:
-        run_null_control(basis, tensor, gram, pack, [1], y0_norm=200.0, n_max=4)
+        run_null_control(basis, tensor, gram, pack, [1], y0_norm=200.0, n_max=4, cutoff=True)
     assert single.value.time == info.value.time
+
+
+def test_convection_cap_binds_at_a_large_start_only(small_setup):
+    """A row without cutoff steps each piece by its length over 16, capped by
+    the largest power of two <= 2 / (convection_lipschitz(tensor) ||y0||).
+    At ||y0|| = 1e-3 the cap is far above every piece's step, and the three
+    horizons stay one batch; at 200 it caps every piece, and each horizon
+    takes its own number of steps.  Cutoff rows keep 64 steps per piece."""
+    basis, tensor, gram, pack = (small_setup[k] for k in ("basis", "tensor", "gram", "pack"))
+    lipschitz = dynamics.convection_lipschitz(tensor)
+    for norm in (1e-3, 200.0):
+        cap = 2.0 ** math.floor(math.log2(2.0 / (lipschitz * norm)))
+        reports = run_null_control(basis, tensor, gram, pack, [1, 2, 3], y0_norm=norm, n_max=4, eps_zero=0.0)
+        for report in reports:
+            lengths = np.diff(report.interval_times)
+            assert np.array_equal(report.interval_dt, np.minimum(lengths / 16, cap))
+            assert np.all(lengths / 16 > cap) if norm == 200.0 else np.all(lengths / 16 < cap / 1000)
+            assert report.final_relative_norm < 1.0
+        steps = [r.health["steps"] for r in reports]
+        assert steps == ([6 * 16] * 3 if norm == 1e-3 else [round(r.period / cap) for r in reports])
+    [cut] = run_null_control(basis, tensor, gram, pack, [1], y0_norm=1e-3, n_max=4, cutoff=True)
+    assert np.array_equal(cut.interval_dt, np.diff(cut.interval_times) / 64)
 
 
 def test_null_control_cutoff_respects_feedback_norm_constraint(small_setup):
