@@ -178,7 +178,7 @@ def _config_from_dict(data: dict) -> RunConfig:
     if config.M < 5:
         raise ConfigError("M", "need at least 5 modes")
     if config.M > config.nx * config.ny - 2:
-        # the solve needs one eigenpair past tau_M, and ARPACK returns fewer than n
+        # the solve needs one eigenpair past tau_M, and it solves at most n - 1
         raise ConfigError("M", "cannot exceed the interior node count minus 2")
     if config.seed < 0:
         raise ConfigError("seed", "must be nonnegative")
@@ -487,6 +487,8 @@ def _cmd_eigen(config: RunConfig, out: Path) -> None:
             "cache_hit": hit,
             "cache_path": config.resolved_cache_path().name,
             "eigenvalues": [float(t) for t in basis.eigenvalues],
+            # a cache hit records no solve
+            **({} if basis.solve is None else {"solve": basis.solve}),
         },
     )
 
@@ -728,6 +730,8 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
                 values = [str(h[key]) for h in health if key in h]
                 if values:
                     lines.append(f"  {key} = {', '.join(values)}")
+        for key, value in data.get("solve", {}).items():
+            lines.append(f"  {key} = {value}")
         for file, recorded in _listed_trajectories(data):
             digest = sha256_file(out / file)
             lines.append(f"  trajectory = {file} ({digest})")

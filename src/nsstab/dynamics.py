@@ -30,8 +30,11 @@ Which L a row takes is fixed by its law and the piece:
   from one doubling ladder (:class:`ClosedLoopLadder`), and a step's
   dissipation and linear control work are x^T W0 x + 2 h x^T W1 r(x),
   exact for the linear flow, plus the trapezoid of x . G (c - K x).  When
-  the cutoff does act, the explicit correction G (c - K x) cancels a stiff
-  term: the step stays stable but loses accuracy, which only steps below
+  the cutoff does act, at either evaluation, that moment and that
+  trapezoid are large and cancel, so the step's control work is the
+  trapezoid of x . G c alone, as on the diagonal factor.  The explicit
+  correction G (c - K x) also cancels a stiff term in the state: the
+  step stays stable but loses accuracy, which only steps below
   0.25 / gain restore (a start whose raw control is 3 times the radius,
   at 32x32 with M = 24 and gain 7.2e4: 50% of the norm at 1024 steps, 4%
   at dt = 0.25 / gain and 0.5% at a quarter of that).  So a periodic law
@@ -81,7 +84,10 @@ propagations, and the blow-up guard, which is relative to each row's
 initial norm.  While every row steps a closed loop, an evaluation that
 leaves every row's control at its linear value K x (no cutoff acts, no row
 is latched) has the remainder c - K x = 0 exactly, so its Gram product is
-skipped and its slot of the block buffer holds zeros.  The loop
+skipped and its slot of the block buffer holds zeros.  On a closed-loop
+row whose cutoff acted at either evaluation of a step, the loop then
+overwrites that step's Gram products with G c, for the trapezoid of the
+control work.  The loop
 writes each step's state, control, Gram products and remainder r(x) into
 block buffers.  The energy-moment products x @ quad_x + r @ quad_r of the
 closed-loop rows run once per stretch of steps whose grouping of rows into
@@ -694,11 +700,15 @@ def simulate_batch(
 
     def control(x, gain, radius, k, shift):
         """Law with this step's gains and radii at time times[k] + shift
-        (shift is 0, or the step's sizes at the predictor), and whether it is
-        x * gain itself: no cutoff acted and no row is latched."""
+        (shift is 0, or the step's sizes at the predictor), whether it is
+        x * gain itself: no cutoff acted and no row is latched, and the rows
+        whose control the cutoff changed (None when it changed none)."""
         linear = c = x * gain
+        cut = None
         if any_cutoff:
             c = radial_cutoff_rows(c, radius)
+            if c is not linear:
+                cut = np.any(c != linear, axis=1)
         if latch is not None:
             trip = ~latched & (np.sqrt(row_dot(x, x)) <= latch)
             if trip.any():
@@ -708,7 +718,7 @@ def simulate_batch(
                     regroup_steps.update((k, k + 1))
             if latched.any():
                 c = np.where(latched[:, None], 0.0, c)
-        return c, c is linear
+        return c, c is linear, cut
 
     def regroup(k):
         """The closed-loop groups of step k; a latched row takes the zero law's diagonal factor."""
@@ -763,6 +773,9 @@ def simulate_batch(
     if n_tables:
         # each step's closed-loop rows, and x @ quad_x + r @ quad_r on them
         closed, quads = np.zeros((block, b), dtype=bool), np.zeros((block, b, 2 * m))
+        # each step's closed-loop rows whose cutoff acted at either evaluation:
+        # their g1s and g2s hold G c, and their work is its trapezoid alone
+        cut_steps = np.zeros((block, b), dtype=bool)
 
     def moments(j0, j1):
         """x @ quad_x + r @ quad_r of the block's steps j0 .. j1 - 1, which
@@ -802,7 +815,7 @@ def simulate_batch(
             # trapezoid of the explicit control remainder x . G (c - K x)
             dense = closed[:n]
             diss_steps = np.where(dense, stacked_dot(x[:-1], quads[:n, :, :m]), diss_steps)
-            work_steps = work_steps + np.where(dense, stacked_dot(x[:-1], quads[:n, :, m:]), 0.0)
+            work_steps = work_steps + np.where(dense & ~cut_steps[:n], stacked_dot(x[:-1], quads[:n, :, m:]), 0.0)
         diss = np.cumsum(np.concatenate([carry[:1], diss_steps]), axis=0)
         work = np.cumsum(np.concatenate([carry[1:], work_steps]), axis=0)
         carry[:] = diss[n], work[n]
@@ -830,7 +843,9 @@ def simulate_batch(
         gain, radius, steps = gains[entry], radii[entry], entry[:-1]
         decays, dts, half_dts = decay_table[steps], dt_col[steps], half_dt_table[steps]
         if k0 == 0:
-            c1s[0], linear1 = control(xs[0], gain[0], radius[0], 0, 0.0)
+            c1s[0], linear1, cut1 = control(xs[0], gain[0], radius[0], 0, 0.0)
+        if n_tables:
+            cut_steps[:n] = False
         run_start = 0  # the first step of the block since the groups last changed
         for j in range(n):
             k = k0 + j
@@ -843,7 +858,7 @@ def simulate_batch(
             g1 = remainder_gram(c1s[j], x, linear1, g1s[j])
             f1 = np.subtract(g1, convection(x), out=f1s[j])
             predictor = propagate(x + dts[j] * f1, decay)
-            c2, linear2 = control(predictor, gain[j], radius[j], k, dts[j, :, 0])
+            c2, linear2, cut2 = control(predictor, gain[j], radius[j], k, dts[j, :, 0])
             g2 = remainder_gram(c2, predictor, linear2, g2s[j])
             np.add(propagate(x + half_dt * f1, decay), half_dt * (g2 - convection(predictor)), out=x_new)
             if not np.abs(x_new).max() <= guard_all:
@@ -853,7 +868,15 @@ def simulate_batch(
                     finite = x_new[row][np.isfinite(x_new[row])]
                     worst = float(np.abs(finite).max()) if finite.size else float("inf")
                     raise BlowUpError(float(times[k, row] + dts[j, row, 0]), worst, row)
-            c1s[j + 1], linear1 = control(x_new, gain[j + 1], radius[j + 1], k + 1, 0.0)
+            if n_tables and (cut1 is not None or cut2 is not None):
+                # where the cutoff acted, G (c - K x) and the moment of K x
+                # are large and cancel; the trapezoid of x . G c has no such terms
+                acted = closed_rows & (cut2 if cut1 is None else cut1 if cut2 is None else cut1 | cut2)
+                if acted.any():
+                    g1s[j, acted] = c1s[j, acted] @ gram_t
+                    g2s[j, acted] = c2[acted] @ gram_t
+                    cut_steps[j] = acted
+            c1s[j + 1], linear1, cut1 = control(x_new, gain[j + 1], radius[j + 1], k + 1, 0.0)
         if n_tables:
             moments(run_start, n)
         record(k0, n, k0 + n == n_steps)

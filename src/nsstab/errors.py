@@ -38,8 +38,10 @@ class SpectralDegeneracyError(RuntimeError):
 class BlowUpError(RuntimeError):
     """Simulation produced a non-finite or absurdly large coefficient.
 
-    row is the batch row that tripped the guard; run, when given, names the
-    run of that row in the message.
+    row is the row that tripped the guard: the row of the batch from
+    :func:`nsstab.dynamics.simulate_batch`, the run's index in n0_list from
+    :func:`nsstab.experiments.run_null_control`.  run, when given, names
+    that run in the message.
     """
 
     def __init__(self, time: float, max_abs: float, row: int = 0, run: str | None = None):

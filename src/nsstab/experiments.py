@@ -374,7 +374,8 @@ def run_null_control(
     largest power of two <= 0.25 / gain.  Every plan is made, and checked
     against MAX_STEPS, before any run is stepped.  The runs that take the
     same number of steps are stepped as the rows of one batch, and each
-    report is filled from its own row and plan.  A blow-up names its run.
+    report is filled from its own row and plan.  A blow-up names its run,
+    and its row is the run's index in n0_list.
     """
     reports = [_plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff) for n0 in n0_list]
     lipschitz = convection_lipschitz(tensor) if dt is None and not cutoff else None
@@ -399,7 +400,7 @@ def run_null_control(
             )
         except BlowUpError as exc:
             failed = runs[exc.row]
-            raise BlowUpError(exc.time, exc.max_abs, exc.row,
+            raise BlowUpError(exc.time, exc.max_abs, batch[exc.row],
                               f"the run n0={failed.n0} (T={failed.period:g})") from exc
         rows.update({i: (run, row) for row, i in enumerate(batch)})
     for i, report in enumerate(reports):

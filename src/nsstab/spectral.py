@@ -3,10 +3,19 @@
 The Stokes eigenproblem on a simply connected 2D domain reduces to the
 plate-buckling problem for the stream function: biharmonic(psi) =
 tau * (-laplacian(psi)) with clamped boundary conditions.  We discretize
-both sides on the interior nodes as sparse matrices, Kronecker products of
-1D stencils, and solve the generalized eigenproblem K2 psi = tau K1 psi for
-its smallest eigenvalues by shift-invert Lanczos at sigma = 0 (ARPACK:
-Lehoucq, Sorensen & Yang, 1998) from a fixed seeded start vector.
+both sides on the interior nodes as Kronecker sums of 1D stencils, kept as
+their 1D factors (:class:`KroneckerSum`), and solve the generalized
+eigenproblem K2 psi = tau K1 psi for its smallest eigenvalues with numpy
+alone.  K2 is block-banded (blocks of ny x ny, two below the diagonal), so
+its block Cholesky factor K2 = L L^T (:class:`BandedCholesky`) is cheap,
+and the smallest tau are the reciprocals of the largest eigenvalues of the
+symmetric L^-1 K1 L^-T, with psi = L^-T y.  A seeded block Lanczos with
+full reorthogonalization and thick restarts finds them
+(:func:`block_lanczos`; the restarted Lanczos of ARPACK, Lehoucq, Sorensen
+& Yang, 1998, in the thick-restart form of Wu & Simon, SIAM J. Matrix
+Anal. Appl. 22, 2000).  The restarts keep the projected matrix at most
+about 2k + 1 wide for k wanted pairs, which also keeps its eigh, and so
+the basis, independent of the BLAS thread count.
 
 K1 is assembled as D.T @ D from the same central-difference gradients that
 :func:`nsstab.grid.stream_to_velocity` uses, so
@@ -37,7 +46,8 @@ probe fields form a lower-triangular matrix with a positive diagonal.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,19 +63,64 @@ CLUSTER_RTOL = 1e-8
 #: eigenpairs solved beyond the M retained, to see where tau_M's cluster ends
 EXTRA_MODES = 4
 
-#: seeds of the Lanczos start vector and of the orientation probe fields
+#: seeds of the Lanczos start block and of the orientation probe fields
 START_SEED = 20240531
 PROBE_SEED = 7
 
+#: columns of a Lanczos block
+LANCZOS_BLOCK = 4
+#: a Ritz pair has converged when its Lanczos residual is below this times
+#: its Ritz value; the first m pairs and the cluster of the m-th take the
+#: first, the extra pairs, which only place tau_m's cluster, the second
+RESIDUAL_RTOL = 1e-14
+EXTRA_RESIDUAL_RTOL = 1e-10
+#: thick restarts after which a solve that has not converged fails
+MAX_RESTARTS = 200
 
-def assemble_operators(grid: Grid):
-    """Sparse CSC (K1, K2): central-gradient stiffness and clamped biharmonic.
+
+@dataclass(frozen=True)
+class KroneckerSum:
+    """The operator sum_t kron(A_t, B_t) on fields flattened C-order (x index
+    major), kept as its dense 1D factors; a factor None is the identity."""
+
+    terms: tuple  # ((A_t or None, B_t or None), ...), A_t (nx, nx), B_t (ny, ny)
+    nx: int
+    ny: int
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """The operator times one field (n,) or a column per field (n, c)."""
+        x = v.reshape(self.nx, self.ny, -1)
+        out = None
+        for a, b in self.terms:
+            y = x if b is None else np.matmul(b, x)
+            if a is not None:
+                y = (a @ y.reshape(self.nx, -1)).reshape(x.shape)
+            out = y if out is None else out + y
+        return out.reshape(v.shape)
+
+    @property
+    def bandwidth(self) -> int:
+        """The number of nonzero block diagonals below the main one."""
+        rows, cols = np.nonzero(sum(np.abs(a) for a, _ in self.terms if a is not None))
+        return int((rows - cols).max())
+
+    def block(self, i: int, j: int) -> np.ndarray:
+        """The (ny, ny) block coupling x index i to x index j."""
+        out = np.zeros((self.ny, self.ny))
+        for a, b in self.terms:
+            weight = float(i == j) if a is None else a[i, j]
+            if weight != 0.0:
+                out += weight * (np.eye(self.ny) if b is None else b)
+        return out
+
+
+def assemble_operators(grid: Grid) -> tuple[KroneckerSum, KroneckerSum]:
+    """(K1, K2): central-gradient stiffness and clamped biharmonic, as the
+    Kronecker sums of their 1D stencils.
 
     Both are unscaled operators (no cell-area factor); quadratic forms pick
     up the factor explicitly.  Fields are flattened C-order, x index major.
     """
-    import scipy.sparse as sp
-
     nx, ny = grid.nx, grid.ny
     if nx % 2 == 1 and ny % 2 == 1:
         raise ValueError(
@@ -73,24 +128,79 @@ def assemble_operators(grid: Grid):
             "has a checkerboard kernel on odd-by-odd grids"
         )
 
+    def band(n, values):  # values[d] on the diagonal d - (len(values) - 1) / 2
+        half = len(values) // 2
+        return sum(np.diag(np.broadcast_to(value, n - abs(d - half)), d - half)
+                   for d, value in enumerate(values) if abs(d - half) < n)
+
     def central(n, h):  # zero ghosts
-        return sp.diags([-1.0 / (2.0 * h), 1.0 / (2.0 * h)], [-1, 1], shape=(n, n))
+        return band(n, [-1.0 / (2.0 * h), 0.0, 1.0 / (2.0 * h)])
 
     def second(n, h):  # three-point, Dirichlet
-        return sp.diags([1.0 / h**2, -2.0 / h**2, 1.0 / h**2], [-1, 0, 1], shape=(n, n))
+        return band(n, [1.0 / h**2, -2.0 / h**2, 1.0 / h**2])
 
     def fourth(n, h):  # five-point; the clamped mirror ghosts add 1 to both wall diagonals
         diagonal = np.full(n, 6.0)
         diagonal[[0, -1]] += 1.0
-        values = [1.0 / h**4, -4.0 / h**4, diagonal / h**4, -4.0 / h**4, 1.0 / h**4]
-        return sp.diags(values, [-2, -1, 0, 1, 2], shape=(n, n))
+        return band(n, [1.0 / h**4, -4.0 / h**4, diagonal / h**4, -4.0 / h**4, 1.0 / h**4])
 
-    ix, iy = sp.identity(nx), sp.identity(ny)
     dx, dy = central(nx, grid.hx), central(ny, grid.hy)
-    k1 = sp.kron(dx.T @ dx, iy) + sp.kron(ix, dy.T @ dy)
-    k2 = (sp.kron(fourth(nx, grid.hx), iy) + sp.kron(ix, fourth(ny, grid.hy))
-          + 2.0 * sp.kron(second(nx, grid.hx), second(ny, grid.hy)))
-    return k1.tocsc(), k2.tocsc()
+    k1 = KroneckerSum(((dx.T @ dx, None), (None, dy.T @ dy)), nx, ny)
+    k2 = KroneckerSum(((fourth(nx, grid.hx), None), (None, fourth(ny, grid.hy)),
+                       (2.0 * second(nx, grid.hx), second(ny, grid.hy))), nx, ny)
+    return k1, k2
+
+
+class BandedCholesky:
+    """K = L L^T for a symmetric positive definite Kronecker sum whose blocks
+    of ny x ny are banded, p = K.bandwidth block diagonals below the main one.
+
+    L is block lower-triangular with the same band.  Each diagonal block is
+    kept as its explicit inverse D_i = L_ii^-1, and the off-diagonal blocks
+    of a block row premultiplied by it, so that a block row of either
+    triangular solve is one (ny, p ny) @ (p ny, c) product:
+
+        L^-1:  y_i = D_i x_i - D_i [L_{i,i-p} .. L_{i,i-1}] [y_{i-p}; ..; y_{i-1}]
+        L^-T:  z_i = D_i^T x_i - D_i^T [L_{i+1,i}^T .. L_{i+p,i}^T] [z_{i+1}; ..; z_{i+p}]
+    """
+
+    def __init__(self, op: KroneckerSum):
+        nx, ny, p = op.nx, op.ny, op.bandwidth
+        self.nx, self.ny, self.p = nx, ny, p
+        lower = np.zeros((nx, ny, p * ny))  # [L_{i,i-p} .. L_{i,i-1}], zero before row 0
+        self.inverse = np.empty((nx, ny, ny))
+        for i in range(nx):
+            row = lower[i].reshape(ny, p, ny)
+            for j in range(max(0, i - p), i):
+                s = op.block(i, j)
+                for k in range(max(0, i - p), j):  # blocks k of both rows i and j
+                    s -= row[:, k - i + p] @ lower[j].reshape(ny, p, ny)[:, k - j + p].T
+                row[:, j - i + p] = s @ self.inverse[j].T
+            flat = lower[i]
+            self.inverse[i] = np.linalg.inv(np.linalg.cholesky(op.block(i, i) - flat @ flat.T))
+        self.forward = np.matmul(self.inverse, lower)
+        self.backward = np.zeros((nx, ny, p * ny))
+        for d in range(1, p + 1):  # L_{i+d,i} is block p - d of row i + d
+            self.backward[: nx - d, :, (d - 1) * ny : d * ny] = np.matmul(
+                self.inverse[: nx - d].transpose(0, 2, 1), lower[d:, :, (p - d) * ny : (p - d + 1) * ny].transpose(0, 2, 1))
+
+    def solve_l(self, x: np.ndarray) -> np.ndarray:
+        """L^-1 x for a column per field, x (n, c)."""
+        c = x.shape[1]
+        y = np.zeros((self.nx + self.p, self.ny, c))  # p zero block rows ahead
+        np.matmul(self.inverse, x.reshape(self.nx, self.ny, c), out=y[self.p :])
+        for i in range(self.nx):
+            y[i + self.p] -= self.forward[i] @ y[i : i + self.p].reshape(-1, c)
+        return y[self.p :].reshape(x.shape)
+
+    def solve_lt(self, x: np.ndarray) -> np.ndarray:
+        """L^-T x for a column per field, x (n, c)."""
+        c = x.shape[1]
+        z = np.zeros((self.nx + self.p, self.ny, c))  # p zero block rows behind
+        np.matmul(self.inverse.transpose(0, 2, 1), x.reshape(self.nx, self.ny, c), out=z[: self.nx])
+        for i in range(self.nx - 1, -1, -1):
+            z[i] -= self.backward[i] @ z[i + 1 : i + 1 + self.p].reshape(-1, c)
+        return z[: self.nx].reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -105,6 +215,8 @@ class StokesBasis:
     stream_functions: np.ndarray = field(repr=False)  # (M, nx, ny)
     velocities: np.ndarray = field(repr=False)  # (M, 2, nx, ny)
     grid: Grid = field(repr=False)
+    #: the health of the solve that produced the basis (solve_eigenbasis); None when it was not solved here
+    solve: dict | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_stream_functions(cls, eigenvalues: np.ndarray, stream_functions: np.ndarray,
@@ -133,11 +245,9 @@ def canonical_eigenspace(vecs: np.ndarray, k1) -> np.ndarray:
     That basis is unique, so the result depends only on the span; for one
     column it is the sign rule <probe, v> > 0.
     """
-    import scipy.linalg
-
     n, c = vecs.shape
     chol = np.linalg.cholesky(vecs.T @ (k1 @ vecs))  # reads the lower triangle only
-    ortho = scipy.linalg.solve_triangular(chol, vecs.T, lower=True).T
+    ortho = np.linalg.solve(chol, vecs.T).T
     probes = np.random.default_rng(PROBE_SEED).standard_normal((c, n))
     q, r = np.linalg.qr((probes @ ortho).T)
     return ortho @ (q * np.where(np.diag(r) < 0.0, -1.0, 1.0))
@@ -169,30 +279,113 @@ def canonical_basis(tau: np.ndarray, vecs: np.ndarray, k1, m: int, grid: Grid) -
     return StokesBasis.from_stream_functions(shared[:m], psi, grid)
 
 
-def solve_eigenbasis(k1, k2, m: int, grid: Grid) -> StokesBasis:
+def block_lanczos(apply, n: int, k: int, m: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The k largest eigenpairs of a symmetric operator on R^n, descending.
+
+    apply maps an (n, c) array to the operator times it.  A block Lanczos
+    from a seeded start block of LANCZOS_BLOCK columns, with full
+    reorthogonalization (two Gram-Schmidt passes against the whole basis)
+    and the projected matrix formed block by block as V^T (apply V).  The
+    basis is preallocated for at most 2k + 1 columns, rounded up to whole
+    blocks, as ARPACK's ncv; when it is full, a thick restart (Wu & Simon,
+    SIAM J. Matrix Anal. Appl. 22, 2000) keeps the Ritz vectors of the
+    k + k // 4 largest Ritz values and goes on from the last residual block.
+    It stops on the Lanczos residuals ||R U_i|| of the Ritz pairs: below
+    RESIDUAL_RTOL times the Ritz value for the first m and any in the
+    cluster of the m-th, below EXTRA_RESIDUAL_RTOL for the others.  Where
+    the basis would reach n - LANCZOS_BLOCK columns, the whole space is
+    projected instead.  Returns the Ritz values, their Ritz vectors and the
+    counts of the solve.
+    """
+    b = LANCZOS_BLOCK
+    keep = k + k // 4
+    cap = keep + b * -(-(2 * k + 1 - keep) // b)
+    if cap >= n - b:
+        theta, u = np.linalg.eigh(apply(np.eye(n)))
+        return theta[::-1][:k], u[:, ::-1][:, :k], {"lanczos_blocks": 1, "restarts": 0, "max_projected_dim": n}
+    v = np.empty((n, cap))
+    t = np.zeros((cap, cap))
+    v[:, :b] = np.linalg.qr(np.random.default_rng(START_SEED).standard_normal((n, b)))[0]
+    s, blocks, restarts, largest = b, 0, 0, 0  # the last block of the s columns is not yet applied
+    while True:
+        active = slice(s - b, s)
+        w = apply(v[:, active])
+        blocks += 1
+        basis = v[:, :s]
+        h = basis.T @ w
+        t[:s, active] = h
+        t[active, :s] = h.T
+        w -= basis @ h
+        w -= basis @ (basis.T @ w)
+        q, r = np.linalg.qr(w)
+        largest = max(largest, s)
+        if s >= k:
+            theta, u = np.linalg.eigh(t[:s, :s])
+            theta, u = theta[::-1], u[:, ::-1]
+            residual = np.linalg.norm(r @ u[active, :k], axis=0) / theta[:k]
+            tight = (np.arange(k) < m) | (theta[:k] >= theta[m - 1] * (1.0 - CLUSTER_RTOL))
+            if np.all(residual <= np.where(tight, RESIDUAL_RTOL, EXTRA_RESIDUAL_RTOL)):
+                return theta[:k], basis @ u[:, :k], {"lanczos_blocks": blocks, "restarts": restarts,
+                                                      "max_projected_dim": largest}
+        if s + b <= cap:
+            v[:, s : s + b] = q
+            s += b
+            continue
+        if restarts == MAX_RESTARTS:
+            raise RuntimeError(f"Lanczos did not converge in {MAX_RESTARTS} restarts "
+                               f"(largest residual {residual.max():.2e})")
+        v[:, :keep] = basis @ u[:, :keep]
+        t.fill(0.0)
+        t[:keep, :keep] = np.diag(theta[:keep])
+        v[:, keep : keep + b] = q
+        s, restarts = keep + b, restarts + 1
+
+
+def solve_eigenbasis(k1: KroneckerSum, k2: KroneckerSum, m: int, grid: Grid) -> StokesBasis:
     """Solve K2 psi = tau K1 psi for the m smallest eigenvalues.
 
-    Shift-invert Lanczos at sigma = 0 for m + EXTRA_MODES eigenpairs, doubled
-    until the last one lies beyond the cluster of tau_m; then
-    :func:`canonical_basis`.  Needs m <= n - 2 for n interior nodes: the
-    solver returns fewer than n eigenpairs, and one beyond tau_m is needed.
+    With K2 = L L^T (:class:`BandedCholesky`), the largest eigenvalues
+    1 / tau of L^-1 K1 L^-T, by :func:`block_lanczos`, give the smallest
+    tau and psi = L^-T y.  m + EXTRA_MODES pairs are solved, doubled until
+    the last one lies beyond the cluster of tau_m; then
+    :func:`canonical_basis`.  Needs m <= n - 2 for n interior nodes, so
+    that one pair beyond tau_m exists.  The basis records the solve's
+    health: its time, the Lanczos blocks, restarts and largest projected
+    dimension, the largest relative residual ||K2 psi - tau K1 psi|| /
+    (tau ||K1 psi||) of the retained pairs, and the orthonormality residual
+    max |cell_area Psi^T K1 Psi - I|.
     """
-    import scipy.sparse.linalg
-
     n = grid.n_interior
     if not 1 <= m <= n - 2:
         raise ValueError(f"mode count {m} outside [1, {n - 2}]")
-    v0 = np.random.default_rng(START_SEED).standard_normal(n)
+    begin = time.perf_counter()
+    factor = BandedCholesky(k2)
+
+    def pencil(x):
+        return factor.solve_l(k1 @ factor.solve_lt(x))
+
     k = min(m + EXTRA_MODES, n - 1)
+    counts = {"lanczos_blocks": 0, "restarts": 0, "max_projected_dim": 0}
     while True:
-        tau, vecs = scipy.sparse.linalg.eigsh(k2, k, M=k1, sigma=0.0, v0=v0)
-        order = np.argsort(tau, kind="stable")
-        tau, vecs = tau[order], vecs[:, order]
+        theta, y, solve = block_lanczos(pencil, n, k, m)
+        counts["lanczos_blocks"] += solve["lanczos_blocks"]
+        counts["restarts"] += solve["restarts"]
+        counts["max_projected_dim"] = max(counts["max_projected_dim"], solve["max_projected_dim"])
+        tau = 1.0 / theta
         if cluster_starts(tau)[-1] >= m:
-            return canonical_basis(tau, vecs, k1, m, grid)
+            break
         if k == n - 1:
             raise ValueError(f"the cluster of tau_{m} reaches the top of the spectrum")
         k = min(2 * k, n - 1)
+    basis = canonical_basis(tau, factor.solve_lt(y), k1, m, grid)
+    psi = basis.stream_functions.reshape(m, n).T
+    k1_psi = k1 @ psi
+    residual = np.linalg.norm(k2 @ psi - basis.eigenvalues * k1_psi, axis=0) / (
+        basis.eigenvalues * np.linalg.norm(k1_psi, axis=0))
+    ortho = np.abs(grid.cell_area * (psi.T @ k1_psi) - np.eye(m)).max()
+    return replace(basis, solve={"solve_s": time.perf_counter() - begin, **counts,
+                                 "max_relative_residual": float(residual.max()),
+                                 "orthonormality_residual": float(ortho)})
 
 
 def assemble_gram(basis: StokesBasis, grid: Grid, mask: np.ndarray | None = None) -> np.ndarray:

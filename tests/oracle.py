@@ -12,8 +12,9 @@
   Gauss-Legendre rule with an ``expm`` at every node for the energy moments
   (:func:`dense_moments`), where nsstab doubles sub-step moments up a ladder
   with its own exponential.
-* The dense operator assembly and the dense generalized ``eigh`` that the
-  sparse shift-invert solve replaced, run through the same canonicalizer.
+* The dense operator assembly and the dense generalized ``eigh``, run
+  through the same canonicalizer, and the sparse assembly and shift-invert
+  ``eigsh`` (ARPACK) that nsstab's block Lanczos replaced.
 * The one-shot convection tensor, with its (M, M, 2, N) intermediate, and
   the convection term as the full M^2 contraction of a state's outer
   product (:func:`convection`), where nsstab packs the pairs i <= j.
@@ -39,7 +40,7 @@ from nsstab.constants import TERMINAL, FeedbackParams, Schedule, cutoff_profile
 from nsstab.dynamics import BLOWUP_GUARD, Trajectory, step_times
 from nsstab.errors import BlowUpError
 from nsstab.grid import Grid
-from nsstab.spectral import EXTRA_MODES, StokesBasis, canonical_basis
+from nsstab.spectral import EXTRA_MODES, START_SEED, StokesBasis, canonical_basis
 
 
 def modal_feedback(coeffs: np.ndarray, params: FeedbackParams) -> np.ndarray:
@@ -187,6 +188,27 @@ def dense_operators(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     fy = _fourth_difference_1d(ny, grid.hy)
     k2 = np.kron(fx, iy) + np.kron(ix, fy) + 2.0 * np.kron(sx, sy)
     return k1, k2
+
+
+def sparse_eigenvalues(grid: Grid, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of the pencil by scipy's shift-invert
+    ``eigsh`` at sigma = 0 on the sparse Kronecker assembly of the 1D
+    stencils, from the seeded start vector nsstab's Lanczos uses."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg
+
+    nx, ny = grid.nx, grid.ny
+    dx = sp.csr_matrix(_central_difference_1d(nx, grid.hx))
+    dy = sp.csr_matrix(_central_difference_1d(ny, grid.hy))
+    ix, iy = sp.identity(nx), sp.identity(ny)
+    k1 = sp.kron(dx.T @ dx, iy) + sp.kron(ix, dy.T @ dy)
+    k2 = (sp.kron(sp.csr_matrix(_fourth_difference_1d(nx, grid.hx)), iy)
+          + sp.kron(ix, sp.csr_matrix(_fourth_difference_1d(ny, grid.hy)))
+          + 2.0 * sp.kron(sp.csr_matrix(_second_difference_1d(nx, grid.hx)),
+                          sp.csr_matrix(_second_difference_1d(ny, grid.hy))))
+    v0 = np.random.default_rng(START_SEED).standard_normal(grid.n_interior)
+    tau = scipy.sparse.linalg.eigsh(k2.tocsc(), k, M=k1.tocsc(), sigma=0.0, v0=v0, return_eigenvectors=False)
+    return np.sort(tau)
 
 
 def dense_eigenbasis(grid: Grid, m: int) -> StokesBasis:
@@ -573,7 +595,9 @@ def simulate_closed_loop(
     with E = scipy.linalg.expm(dt L) and r(x) = G (c(x) - K x) - N(x).  The
     energy integrals of a step are x^T W0 x + 2 x^T M1 r(x) for Q = diag(tau)
     (dissipation) and Q = sym(G K) (control work), with the moments of
-    :func:`dense_moments`, plus the trapezoid of x . G (c - K x).  A step in
+    :func:`dense_moments`, plus the trapezoid of x . G (c - K x); on a step
+    where the cutoff acted at either evaluation, the control work is the
+    trapezoid of x . G c alone.  A step in
     the terminal regime (no gain), and every step from the one whose start
     evaluation finds the latch tripped on, takes the zero law's step of
     :func:`simulate`.
@@ -643,7 +667,13 @@ def simulate_closed_loop(
             u2 = gram @ (c2 - gain * predictor)
             x_new = prop @ (x + 0.5 * dt * r1) + 0.5 * dt * (u2 - convection(predictor, tensor))
             diss_step = float(x @ w_diss @ x + 2.0 * x @ m_diss @ r1)
-            work_step = float(x @ w_work @ x + 2.0 * x @ m_work @ r1) + 0.5 * dt * (float(x @ u1) + float(x_new @ u2))
+            cut = np.any(c1 != gain * x) or (not getattr(controller, "latched", False)
+                                             and np.any(c2 != gain * predictor))
+            if cut:
+                work_step = 0.5 * dt * (float(x @ (gram @ c1)) + float(x_new @ (gram @ c2)))
+            else:
+                work_step = (float(x @ w_work @ x + 2.0 * x @ m_work @ r1)
+                             + 0.5 * dt * (float(x @ u1) + float(x_new @ u2)))
         if not np.all(np.isfinite(x_new)) or np.abs(x_new).max() > guard:
             finite = x_new[np.isfinite(x_new)]
             raise BlowUpError(t + dt, float(np.abs(finite).max()) if finite.size else float("inf"))

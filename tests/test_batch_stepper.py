@@ -573,6 +573,22 @@ def test_stationary_law_at_64_modes_matches_oracle(square32_wide, pack_schedule,
         assert raw.max() > 2 * params.cutoff_radius and raw.min() < params.cutoff_radius
 
 
+def test_a_cutoff_that_zeroes_the_control_records_no_control_work(square16, pack_schedule):
+    """A stationary row whose raw control starts past twice its cutoff radius,
+    stepped in its closed loop: while the cutoff zeroes the control, the
+    control work stays exactly 0, where the moment of K x and the trapezoid of
+    G (c - K x) would cancel only to roundoff; then the control switches on."""
+    basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
+    params = feedback_params(float(basis.eigenvalues[3]), pack_schedule, basis)
+    y0 = random_low_mode_state(basis.n_modes, 1.0, seed=2)[None]
+    run = simulate_batch(y0, ControlLaw.stationary(params, cutoff=True), uniform_plan(0.0, 0.3, 1e-3),
+                         basis, tensor, gram)
+    on = np.flatnonzero(run.control_norm[:, 0] > 0.0)[0]
+    assert run.tables == 1 and dynamics._BLOCK < on < len(run.times) - 1
+    assert np.all(run.control_work[:on, 0] == 0.0)
+    assert np.all(run.control_work[on + 1 :, 0] != 0.0)
+
+
 def test_periodic_law_at_64_modes_with_offsets_matches_oracle(square32_wide, pack_schedule):
     """Without cutoff the rows step their segments' closed loops, with cutoff
     the diagonal factor; the cutoff rows start small enough that the cutoff

@@ -28,6 +28,7 @@ from nsstab.dynamics import Trajectory, build_trilinear_tensor
 from nsstab.errors import ConfigError
 from nsstab.experiments import MAX_STEPS
 from nsstab.grid import DomainSpec, build_grid
+from nsstab.spectral import EXTRA_MODES
 
 import oracle
 from conftest import make_setup
@@ -162,6 +163,26 @@ def test_eigen_cache_hit_and_byte_identity(tmp_path):
     report2 = json.loads((out / "eigen_report.json").read_text())
     assert report2["cache_hit"] is True
     assert report1["eigenvalues"] == report2["eigenvalues"]
+
+
+def test_eigen_report_records_the_solve_and_report_prints_it(tmp_path):
+    """A cache miss records the solve's health, a hit none; nsstab report
+    prints each value of the solve."""
+    config = parse_config(write_config(tmp_path))
+    out = tmp_path / "out"
+    assert run_subcommand("eigen", config) == 0
+    solve = json.loads((out / "eigen_report.json").read_text())["solve"]
+    assert set(solve) == {"solve_s", "lanczos_blocks", "restarts", "max_projected_dim",
+                          "max_relative_residual", "orthonormality_residual"}
+    assert solve["solve_s"] > 0.0 and solve["lanczos_blocks"] >= 1 and solve["restarts"] >= 0
+    assert config.M + EXTRA_MODES <= solve["max_projected_dim"] <= 16 * 16
+    assert solve["max_relative_residual"] <= 1e-10 and solve["orthonormality_residual"] <= 1e-12
+    assert run_subcommand("report", config) == 0
+    summary = (out / "summary.txt").read_text()
+    for key, value in solve.items():
+        assert f"  {key} = {value}\n" in summary
+    assert run_subcommand("eigen", config) == 0
+    assert "solve" not in json.loads((out / "eigen_report.json").read_text())
 
 
 def test_trajectory_csv_bit_faithful(tmp_path, square16, pack_schedule):
@@ -914,22 +935,20 @@ def test_report_checks_every_listed_trajectory_hash(tmp_path):
     assert warnings == ["  WARNING: stabilize_trajectory_1.csv hash differs from the one recorded at the run"]
 
 
-WARM_CHILD = """
+SCIPY_CHILD = """
 import json, sys
 from nsstab.cli import main
-practical, certified = sys.argv[1:]
-codes = {name: main([name, "--config", practical]) for name in ("stabilize", "simulate", "cost-curve")}
-codes.update({name: main([name, "--config", certified]) for name in ("fit-c1", "constants", "nullcontrol")})
+runs = [arg.split("=", 1) for arg in sys.argv[1:]]
+codes = {name: main([name, "--config", config]) for name, config in runs}
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": loaded}))
 """
 
 
-def test_warm_runs_load_no_scipy(tmp_path):
-    """A warm stabilize, simulate and cost-curve, and a warm certified fit-c1,
-    constants and nullcontrol, never call scipy, so they must not import it
-    (about 0.3 s and 300 modules per process).  Checked in a child process,
-    since this one has scipy loaded by other tests."""
+def _run_scipy_child(runs):
+    """Run (subcommand, config) pairs in order in one child process, which has
+    not imported scipy through the tests; returns the exit codes and the scipy
+    modules it loaded."""
     import os
     import subprocess
     import sys
@@ -938,20 +957,42 @@ def test_warm_runs_load_no_scipy(tmp_path):
     import nsstab
 
     src = str(Path(nsstab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", SCIPY_CHILD, *(f"{name}={config}" for name, config in runs)],
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300, capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_warm_runs_load_no_scipy(tmp_path):
+    """A warm stabilize, simulate and cost-curve, and a warm certified fit-c1,
+    constants and nullcontrol, never call scipy, so they must not import it
+    (about 0.3 s and 300 modules per process).  Checked in a child process,
+    since this one has scipy loaded by other tests."""
     cache = tmp_path / "basis_cache.nsstab"
     practical = write_config(tmp_path, cache_path=str(cache))
     assert run_subcommand("eigen", parse_config(practical)) == 0
     certified = tmp_path / "certified.json"
     certified.write_text(json.dumps({**json.loads(practical.read_text()), "mode": "certified",
                                      "output_dir": str(tmp_path / "certified")}))
-    proc = subprocess.run([sys.executable, "-c", WARM_CHILD, str(practical), str(certified)],
-                          env={**os.environ, "PYTHONPATH": src}, timeout=300, capture_output=True, text=True,
-                          check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = _run_scipy_child([*((name, practical) for name in ("stabilize", "simulate", "cost-curve")),
+                               *((name, certified) for name in ("fit-c1", "constants", "nullcontrol"))])
     assert result["codes"] == {name: 0 for name in ("stabilize", "simulate", "cost-curve",
                                                     "fit-c1", "constants", "nullcontrol")}
     report = json.loads((tmp_path / "certified" / "nullcontrol_report.json").read_text())
     assert report["constants"]["mode"] == "certified"
+    assert result["scipy"] == []
+
+
+def test_cold_runs_load_no_scipy(tmp_path):
+    """A cold eigen solves the basis with numpy alone, and the certified
+    fit-c1, constants and nullcontrol after it build the tensor and the
+    constant chain: none of them imports scipy.  The eigen report records
+    the solve."""
+    certified = write_config(tmp_path, mode="certified")
+    result = _run_scipy_child([(name, certified) for name in ("eigen", "fit-c1", "constants", "nullcontrol")])
+    assert result["codes"] == {name: 0 for name in ("eigen", "fit-c1", "constants", "nullcontrol")}
+    report = json.loads((tmp_path / "out" / "eigen_report.json").read_text())
+    assert report["cache_hit"] is False and report["solve"]["lanczos_blocks"] > 0
     assert result["scipy"] == []
 
 

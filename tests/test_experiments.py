@@ -223,6 +223,21 @@ def test_null_control_blowup_names_its_run(small_setup):
     assert single.value.time == info.value.time
 
 
+def test_null_control_blowup_row_is_the_run_index(small_setup):
+    """With a larger spectral constant the cutoff's step cap 0.25 / gain binds
+    on different pieces of each horizon, so n0 = 3 and n0 = 1 take 448 and 704
+    steps and are stepped as separate batches, each run row 0 of its own.  The
+    n0 = 1 run blows up, and the error's row is its index in n0_list."""
+    basis, tensor, gram = (small_setup[k] for k in ("basis", "tensor", "gram"))
+    pack = ConstantPack.practical(spectral_constant=0.1, trilinear_constant=1.0, schedule_constant=8.0)
+    totals = [experiments._row_plan(r.schedule, experiments._interval_dt(r.schedule))[1].sum()
+              for r in (experiments._plan_null_control(basis, pack, n0, 200.0, 4, True) for n0 in (3, 1))]
+    assert totals == [448, 704]
+    with pytest.raises(BlowUpError, match=r"in the run n0=1 \(T=0\.5\) at t=") as info:
+        run_null_control(basis, tensor, gram, pack, [3, 1], y0_norm=200.0, n_max=4, cutoff=True)
+    assert info.value.row == 1
+
+
 def test_convection_cap_binds_at_a_large_start_only(small_setup):
     """A row without cutoff steps each piece by its length over 16, capped by
     the largest power of two <= 2 / (convection_lipschitz(tensor) ||y0||).

@@ -94,12 +94,12 @@ def test_velocity_norm_is_stiffness_quadratic_form(square32):
     grid, k1, basis = square32["grid"], square32["k1"], square32["basis"]
     psi = basis.stream_functions[0]
     u = stream_to_velocity(psi, grid)
-    qform = grid.cell_area * psi.ravel() @ k1 @ psi.ravel()
+    qform = grid.cell_area * psi.ravel() @ (k1 @ psi.ravel())
     assert abs(inner_l2(u, u, grid) - qform) <= 1e-10
     rng = np.random.default_rng(0)
     psi = rng.standard_normal((grid.nx, grid.ny))
     u = stream_to_velocity(psi, grid)
-    qform = grid.cell_area * psi.ravel() @ k1 @ psi.ravel()
+    qform = grid.cell_area * psi.ravel() @ (k1 @ psi.ravel())
     assert abs(inner_l2(u, u, grid) - qform) <= 1e-10 * max(1.0, qform)
 
 

@@ -22,16 +22,21 @@ import oracle
 from conftest import make_setup
 
 
+def dense(op, grid):
+    """The operator's matrix, from its own products with the identity."""
+    return op @ np.eye(grid.n_interior)
+
+
 def test_operators_symmetric_to_the_bit(tiny8):
     for key in ("k1", "k2"):
-        k = tiny8[key].toarray()
+        k = dense(tiny8[key], tiny8["grid"])
         assert np.array_equal(k, k.T)
 
 
 def test_stiffness_row_sums_vanish_inside():
     grid = build_grid(DomainSpec(1.0, 0.8, 12, 10, (0.1, 0.4, 0.1, 0.4)))
     k1, _ = assemble_operators(grid)
-    sums = k1.sum(axis=1).reshape(12, 10)
+    sums = (k1 @ np.ones(grid.n_interior)).reshape(12, 10)
     # rows whose stencil never reaches the boundary: two nodes from each wall
     inner = sums[2:-2, 2:-2]
     assert np.abs(inner).max() <= 1e-12 / grid.hx**2
@@ -45,7 +50,7 @@ def test_stiffness_consistent_with_laplacian_on_clamped_mode():
     grid = build_grid(DomainSpec(1.0, 1.0, 32, 32, (0.1, 0.4, 0.1, 0.4)))
     k1, _ = assemble_operators(grid)
     psi = np.outer(np.sin(np.pi * grid.x) ** 2, np.sin(np.pi * grid.y) ** 2).ravel()
-    rayleigh = (psi @ k1 @ psi) / (psi @ psi)
+    rayleigh = (psi @ (k1 @ psi)) / (psi @ psi)
     assert rayleigh == pytest.approx(8.0 * np.pi**2 / 3.0, rel=0.02)
 
 
@@ -68,8 +73,9 @@ def test_eigenvalues_positive_ascending(square32):
 
 
 def test_eigenvalues_match_dense_brute_force_oracle(tiny8):
-    k1, k2, basis = tiny8["k1"], tiny8["k2"], tiny8["basis"]
-    w = np.linalg.eigvals(np.linalg.solve(k1.toarray(), k2.toarray()))
+    k1, k2 = oracle.dense_operators(tiny8["grid"])
+    basis = tiny8["basis"]
+    w = np.linalg.eigvals(np.linalg.solve(k1, k2))
     w = np.sort(w.real)[: basis.n_modes]
     assert np.allclose(basis.eigenvalues, w, rtol=1e-8)
 
@@ -78,8 +84,8 @@ def test_sparse_operators_equal_dense_oracle_to_the_bit(tiny8):
     grid = build_grid(DomainSpec(1.0, 0.8, 12, 10, (0.1, 0.4, 0.1, 0.4)))
     for g, (k1, k2) in ((tiny8["grid"], (tiny8["k1"], tiny8["k2"])), (grid, assemble_operators(grid))):
         d1, d2 = oracle.dense_operators(g)
-        assert np.array_equal(k1.toarray(), d1)
-        assert np.array_equal(k2.toarray(), d2)
+        assert np.array_equal(dense(k1, g), d1)
+        assert np.array_equal(dense(k2, g), d2)
 
 
 @pytest.mark.parametrize("fixture", ["square32", "tiny8"])
@@ -89,6 +95,53 @@ def test_sparse_basis_matches_canonicalized_dense_oracle(fixture, request):
     np.testing.assert_allclose(basis.eigenvalues, ref.eigenvalues, rtol=1e-10, atol=0)
     scale = np.abs(ref.stream_functions).max()
     assert np.abs(basis.stream_functions - ref.stream_functions).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("fixture", ["tiny8", "square16"])
+def test_lanczos_basis_matches_dense_eigh(fixture, request):
+    """The block Lanczos basis against the oracle's dense generalized eigh,
+    both canonicalized: eigenvalues within 1e-11 relative, velocities within
+    1e-9 of the largest entry, and every cluster's eigenvalues bit-equal."""
+    basis = request.getfixturevalue(fixture)["basis"]
+    ref = oracle.dense_eigenbasis(basis.grid, basis.n_modes)
+    np.testing.assert_allclose(basis.eigenvalues, ref.eigenvalues, rtol=1e-11, atol=0)
+    assert np.abs(basis.velocities - ref.velocities).max() <= 1e-9 * np.abs(ref.velocities).max()
+    starts = cluster_starts(basis.eigenvalues)
+    assert len(starts) < basis.n_modes  # the square's degenerate pairs
+    for lo, hi in zip(starts, [*starts[1:], basis.n_modes]):
+        assert np.all(basis.eigenvalues[lo:hi] == basis.eigenvalues[lo])
+
+
+@pytest.mark.parametrize(("n", "m"), [(64, 24), (32, 64)])
+def test_lanczos_eigenvalues_match_eigsh(n, m):
+    """Against scipy's shift-invert eigsh on the sparse assembly, within 1e-10
+    relative; the basis shares one value per cluster, which eigsh splits at
+    roundoff."""
+    grid, _, _, basis = make_setup(n, n, m)
+    ref = oracle.sparse_eigenvalues(grid, m + EXTRA_MODES)[:m]
+    np.testing.assert_allclose(basis.eigenvalues, ref, rtol=1e-10, atol=0)
+
+
+def test_pairs_double_when_the_cluster_of_tau_m_crosses_the_first_k(tiny8, monkeypatch):
+    """With one extra pair, 8x8 with 10 modes first solves 11 pairs; the
+    degenerate pair tau_10 = tau_11 reaches the last of them, so the solve
+    doubles to 22 pairs, and the basis still matches the dense oracle."""
+    from nsstab import spectral
+
+    solved = []
+    lanczos = spectral.block_lanczos
+
+    def recording(apply, n, k, m):
+        solved.append(k)
+        return lanczos(apply, n, k, m)
+
+    monkeypatch.setattr(spectral, "EXTRA_MODES", 1)
+    monkeypatch.setattr(spectral, "block_lanczos", recording)
+    basis = spectral.solve_eigenbasis(tiny8["k1"], tiny8["k2"], 10, tiny8["grid"])
+    assert solved == [11, 22]
+    ref = oracle.dense_eigenbasis(tiny8["grid"], 10)
+    np.testing.assert_allclose(basis.eigenvalues, ref.eigenvalues, rtol=1e-11, atol=0)
+    assert np.abs(basis.velocities - ref.velocities).max() <= 1e-9 * np.abs(ref.velocities).max()
 
 
 def test_tiny8_cuts_a_cluster_and_ties_are_bit_equal(tiny8_pairs, tiny8, square32):
@@ -172,7 +225,7 @@ def test_rayleigh_quotient_identity(square32):
     basis, k1, k2 = square32["basis"], square32["k1"], square32["k2"]
     for i in (0, 7, 23):
         psi = basis.stream_functions[i].ravel()
-        ratio = (psi @ k2 @ psi) / (psi @ k1 @ psi)
+        ratio = (psi @ (k2 @ psi)) / (psi @ (k1 @ psi))
         assert ratio == pytest.approx(basis.eigenvalues[i], rel=1e-8)
 
 
