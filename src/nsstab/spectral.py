@@ -78,14 +78,13 @@ EXTRA_RESIDUAL_RTOL = 1e-10
 MAX_RESTARTS = 200
 
 
-@dataclass(frozen=True)
 class KroneckerSum:
     """The operator sum_t kron(A_t, B_t) on fields flattened C-order (x index
     major), kept as its dense 1D factors; a factor None is the identity."""
 
-    terms: tuple  # ((A_t or None, B_t or None), ...), A_t (nx, nx), B_t (ny, ny)
-    nx: int
-    ny: int
+    def __init__(self, terms: tuple, nx: int, ny: int):
+        self.terms = terms  # ((A_t or None, B_t or None), ...), A_t (nx, nx), B_t (ny, ny)
+        self.nx, self.ny = nx, ny
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """The operator times one field (n,) or a column per field (n, c)."""
