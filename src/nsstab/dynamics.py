@@ -701,13 +701,14 @@ def simulate_batch(
     def control(x, gain, radius, k, shift):
         """Law with this step's gains and radii at time times[k] + shift
         (shift is 0, or the step's sizes at the predictor), whether it is
-        x * gain itself: no cutoff acted and no row is latched, and the rows
-        whose control the cutoff changed (None when it changed none)."""
+        x * gain itself: no cutoff acted and no row is latched, and, in a
+        batch with closed-loop tables, the rows whose control the cutoff
+        changed (None when it changed none)."""
         linear = c = x * gain
         cut = None
         if any_cutoff:
             c = radial_cutoff_rows(c, radius)
-            if c is not linear:
+            if c is not linear and n_tables:
                 cut = np.any(c != linear, axis=1)
         if latch is not None:
             trip = ~latched & (np.sqrt(row_dot(x, x)) <= latch)
@@ -868,7 +869,7 @@ def simulate_batch(
                     finite = x_new[row][np.isfinite(x_new[row])]
                     worst = float(np.abs(finite).max()) if finite.size else float("inf")
                     raise BlowUpError(float(times[k, row] + dts[j, row, 0]), worst, row)
-            if n_tables and (cut1 is not None or cut2 is not None):
+            if cut1 is not None or cut2 is not None:
                 # where the cutoff acted, G (c - K x) and the moment of K x
                 # are large and cancel; the trapezoid of x . G c has no such terms
                 acted = closed_rows & (cut2 if cut1 is None else cut1 if cut2 is None else cut1 | cut2)
