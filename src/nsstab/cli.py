@@ -229,11 +229,6 @@ def parse_config(path: str | Path) -> RunConfig:
     return _config_from_dict(data)
 
 
-def emit_config(config: RunConfig) -> str:
-    """Canonical JSON text whose parse reproduces the config exactly."""
-    return json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # basis and tensor caches
 # ---------------------------------------------------------------------------
@@ -312,15 +307,14 @@ def read_basis_cache(path: str | Path, grid: Grid, m: int) -> tuple[StokesBasis,
     off += 12
     lx, ly, mm = struct.unpack_from("<ddI", blob, off)
     off += 20
-    if version != CACHE_VERSION:
-        logger.warning("cache %s: version %d != %d; ignoring", path, version, CACHE_VERSION)
-        return None
-    if (nx, ny, mm) != (grid.nx, grid.ny, m) or (lx, ly) != (grid.spec.Lx, grid.spec.Ly):
-        logger.warning("cache %s: signature mismatch; ignoring", path)
-        return None
-    if len(blob) - 32 - off != mm * 8 + mm * nx * ny * 8:
-        logger.warning("cache %s: payload size mismatch; ignoring", path)
-        return None
+    for stale, reason in (
+        (version != CACHE_VERSION, f"version {version} != {CACHE_VERSION}"),
+        ((nx, ny, mm) != (grid.nx, grid.ny, m) or (lx, ly) != (grid.spec.Lx, grid.spec.Ly), "signature mismatch"),
+        (len(blob) - 32 - off != mm * 8 + mm * nx * ny * 8, "payload size mismatch"),
+    ):
+        if stale:
+            logger.warning("cache %s: %s; ignoring", path, reason)
+            return None
     tau = np.frombuffer(blob, dtype="<f8", count=mm, offset=off)
     off += mm * 8
     psi = np.frombuffer(blob, dtype="<f8", count=mm * nx * ny, offset=off).reshape(mm, nx, ny)
@@ -415,18 +409,21 @@ def _row_format(kinds: str) -> str:
     return ",".join("%.17g" if kind == "f" else "%d" for kind in kinds)
 
 
-def _write_csv(path: str | Path, header: str, row_format: str, rows) -> None:
-    """Header line, then each row (a tuple) formatted by row_format."""
+def _write_csv(path: str | Path, header: str, row_format: str, rows) -> str:
+    """Header line, then each row (a tuple) formatted by row_format; returns
+    the file's "sha256:" digest."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([header, *map(row_format.__mod__, rows)]) + "\n")
+    body = ("\n".join([header, *map(row_format.__mod__, rows)]) + "\n").encode()
+    path.write_bytes(body)
+    return _digest_tag(body)
 
 
-def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
-    """Fixed schema: t, norm_H, V, norm_f, interval_n, lambda_n."""
+def write_trajectory_csv(path: str | Path, traj: Trajectory) -> str:
+    """Fixed schema: t, norm_H, V, norm_f, interval_n, lambda_n.  Returns the file's "sha256:" digest."""
     columns = (traj.times, traj.norm_h, traj.lyapunov, traj.control_norm, traj.interval, traj.threshold)
-    _write_csv(path, "t,norm_H,V,norm_f,interval_n,lambda_n", _row_format("ffffdf"),
-               zip(*(c.tolist() for c in columns)))
+    return _write_csv(path, "t,norm_H,V,norm_f,interval_n,lambda_n", _row_format("ffffdf"),
+                      zip(*(c.tolist() for c in columns)))
 
 
 def sha256_file(path: str | Path) -> str:
@@ -546,7 +543,6 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
         dt=config.dt, seed=config.seed, nu=config.nu,
     )
     traj_path = out / "simulate_trajectory.csv"
-    write_trajectory_csv(traj_path, report.trajectory)
     payload = {
         **_base_report(config, pack, **inputs),
         **dataclasses.asdict(report.params),
@@ -560,14 +556,13 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
         "lyapunov_decay_ok": report.lyapunov_decay_ok,
         "trivial": report.trivial,
         "trajectory": traj_path.name,
-        "trajectory_sha256": sha256_file(traj_path),
+        "trajectory_sha256": write_trajectory_csv(traj_path, report.trajectory),
         "health": report.health,
     }
     if report.cutoff_trajectory is not None:
         cut_path = out / "simulate_trajectory_cutoff.csv"
-        write_trajectory_csv(cut_path, report.cutoff_trajectory)
         payload["cutoff_trajectory"] = cut_path.name
-        payload["cutoff_trajectory_sha256"] = sha256_file(cut_path)
+        payload["cutoff_trajectory_sha256"] = write_trajectory_csv(cut_path, report.cutoff_trajectory)
         payload["cutoff_matches_linear"] = report.cutoff_matches_linear
         payload["control_stayed_below_radius"] = report.control_stayed_below_radius
     _write_json(out / "simulate_report.json", payload)
@@ -627,9 +622,8 @@ def _cmd_nullcontrol(config: RunConfig, out: Path) -> None:
     payload = {**_base_report(config, pack, **inputs), **_null_control_payload(report)}
     if report.trajectory is not None:
         traj_path = out / "nullcontrol_trajectory.csv"
-        write_trajectory_csv(traj_path, report.trajectory)
         payload["trajectory"] = traj_path.name
-        payload["trajectory_sha256"] = sha256_file(traj_path)
+        payload["trajectory_sha256"] = write_trajectory_csv(traj_path, report.trajectory)
     _write_json(out / "nullcontrol_report.json", payload)
 
 
@@ -646,8 +640,7 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
     traj_names = []
     for i, traj in enumerate(probe.trajectories):
         traj_path = out / f"stabilize_trajectory_{i}.csv"
-        write_trajectory_csv(traj_path, traj)
-        traj_names.append({"file": traj_path.name, "sha256": sha256_file(traj_path)})
+        traj_names.append({"file": traj_path.name, "sha256": write_trajectory_csv(traj_path, traj)})
     _write_json(
         out / "stabilize_report.json",
         {

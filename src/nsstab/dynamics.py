@@ -494,11 +494,6 @@ class BatchRun:
     tables: int
     tables_s: float
 
-    @property
-    def segments(self) -> np.ndarray:
-        """(samples, B): each row's segment of its own law at each sample."""
-        return self.piece_segments[self.pieces]
-
     def health(self, row: int | None = None) -> dict:
         """Closed-loop steps and largest |energy-identity residual| of one row,
         or of all rows, with the stepping time.
@@ -629,29 +624,20 @@ def simulate_batch(
     exact = [bool(law.params) and (law.schedule is None or not law.cutoff) for law in laws]
     closed_loop = np.repeat(exact, lengths) & (seg != TERMINAL)
     closed_loop[end] = False
-    specs, keys, piece_tables = [], {}, []
-    for gain, h, closed in zip(gains, dt_values, closed_loop):
-        key = (gain.tobytes(), float(h)) if closed else None
-        if closed and key not in keys:
-            keys[key] = len(specs)
-            specs.append((gain, float(h)))
-        piece_tables.append(keys.get(key, -1))
+    keys = {}
+    piece_tables = [keys.setdefault((gain.tobytes(), float(h)), len(keys)) if closed else -1
+                    for gain, h, closed in zip(gains, dt_values, closed_loop)]
+    specs = [(np.frombuffer(gain), h) for gain, h in keys]
     n_tables = len(specs)
     # one ladder per gain row and step mantissa, seeded at its smallest step
     rungs = {}
-    for t, (gain, h) in enumerate(specs):
-        rungs.setdefault((gain.tobytes(), math.frexp(h)[0]), []).append(t)
+    for t, (gain, h) in enumerate(keys):
+        rungs.setdefault((gain, math.frexp(h)[0]), []).append(t)
     rungs = list(rungs.values())
     ladder_of = {t: i for i, members in enumerate(rungs) for t in members}
-    # last_use[t, r]: the last step of row r that takes table t, -1 if none; a
-    # table is built when an unlatched row first takes it, and dropped, with
-    # its ladder once the ladder's last table goes, when no unlatched row
-    # takes it again
-    last_use = np.full((n_tables, b), -1)
-    entry_rows = np.repeat(np.arange(b), lengths)
-    entry_last = np.concatenate([np.append(np.cumsum(counts) - 1, -1) for _, counts, _ in plans])
-    for e in np.flatnonzero(closed_loop):
-        last_use[piece_tables[e], entry_rows[e]] = entry_last[e]
+    # a table is built when an unlatched row first takes it, and dropped, with
+    # its ladder once the ladder's last table goes, when no unlatched row's
+    # column of table_index holds it from the current step on
     tables, ladders = [None] * n_tables, [None] * len(rungs)
     built, tables_s = 0, 0.0
 
@@ -670,7 +656,8 @@ def simulate_batch(
 
     def drop(k):
         """Drop the tables, and the ladders, that no unlatched row takes from step k on."""
-        done = np.all(last_use[:, ~latched] < k, axis=1)
+        taken = table_index[k:, ~latched]
+        done = np.bincount(taken[taken >= 0], minlength=n_tables) == 0
         for t in np.flatnonzero(done):
             tables[t] = None
         for i, members in enumerate(rungs):

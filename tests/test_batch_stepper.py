@@ -218,7 +218,7 @@ def test_piece_ends_put_a_non_dyadic_piece_on_the_next_switch(square16, pack_sch
     y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=2)] * 2)
     run = simulate_batch(y0, ControlLaw.periodic(sched), plans, basis, tensor, gram)
     assert np.array_equal(run.times[[0, 11, 27]].T, [[0.05, t1, t2], [t2, t3, t4]])
-    assert np.array_equal(run.segments[[10, 11, 27]].T, [[0, 1, 2], [2, 3, 4]])
+    assert np.array_equal([run.trajectory(r).interval[[10, 11, 27]] for r in (0, 1)], [[0, 1, 2], [2, 3, 4]])
     assert np.array_equal(run.times, step_times(plans)[0])
     # a piece end that its steps do not reach, cuts that do not match the pieces
     with pytest.raises(ValueError, match="not where its steps end"):
@@ -288,7 +288,7 @@ def test_rows_of_one_law_are_bit_equal_across_a_batch(square16, pack_rapid, pack
         column = getattr(run, name)
         first, third = (column[0], column[2]) if name == "states" else (column[:, 0], column[:, 2])
         assert np.array_equal(first, third), name
-    assert np.array_equal(run.segments[:, 0], run.segments[:, 2])
+    assert np.array_equal(run.trajectory(0).interval, run.trajectory(2).interval)
     assert not np.array_equal(run.states[0], run.states[1])
 
 
@@ -303,10 +303,11 @@ def test_equal_laws_built_apart_give_bit_equal_rows(square16, pack_rapid, pack_s
     dt = np.array([2.0**-10, 1e-5, 2.0**-10])
     run = simulate_batch(np.array([y0, 0.5 * y0, y0]), [a, b, a_again], uniform_plan([0.1, 0.0, 0.1], 64 * dt, dt),
                          basis, tensor, gram)
-    for name in ("states", *FLOAT_COLUMNS, "segments"):
+    for name in ("states", *FLOAT_COLUMNS):
         column = getattr(run, name)
         first, third = (column[0], column[2]) if name == "states" else (column[:, 0], column[:, 2])
         assert np.array_equal(first, third), name
+    assert np.array_equal(run.trajectory(0).interval, run.trajectory(2).interval)
     assert np.array_equal(run.trajectory(0).threshold, run.trajectory(2).threshold, equal_nan=True)
     assert not np.array_equal(run.states[0], run.states[1])
 
@@ -380,7 +381,7 @@ def test_batch_rejects_mismatched_steps_and_law_counts(square16, pack_rapid):
             simulate_batch(y0, law, ([0.0, 0.01], counts, sizes), basis, tensor, gram)
 
 
-BATCH_COLUMNS = ("segments", *FLOAT_COLUMNS, "states", "latch_time")
+BATCH_COLUMNS = ("pieces", *FLOAT_COLUMNS, "states", "latch_time")
 
 #: block lengths of the deferred bookkeeping: every step its own block, a few, the default
 BLOCKS = (1, 3, 64)
@@ -498,8 +499,8 @@ def test_stepping_memory_is_bounded_by_the_block(square16, pack_schedule):
         finally:
             tracemalloc.stop()
         assert run.health(0)["steps"] == sum(plans[0][1]) >= n_steps
-        # the stored arrays: segments is gathered from pieces when read
-        returned = sum(getattr(run, name).nbytes for name in ("times", "pieces", *BATCH_COLUMNS[1:]))
+        # the stored arrays
+        returned = sum(getattr(run, name).nbytes for name in ("times", *BATCH_COLUMNS))
         return (peak - before - returned) / block
 
     short, long = overhead(512), overhead(2048)
@@ -696,7 +697,7 @@ def test_every_step_takes_the_segment_of_its_piece(square16, pack_schedule, n0, 
                          np.zeros((m, m, m)), np.eye(m), state_rows=0)
     interval_at = oracle.ScheduledFeedback(schedule).interval_at
     for r in range(len(offsets)):
-        assert [interval_at(t) for t in run.times[:, r].tolist()] == run.segments[:, r].tolist()
+        assert [interval_at(t) for t in run.times[:, r].tolist()] == run.piece_segments[run.pieces[:, r]].tolist()
 
 
 def test_a_piece_around_a_whole_period_is_rejected(tiny8, pack_schedule):

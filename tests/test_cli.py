@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 import nsstab.cli as cli
 from nsstab.cli import (
     _row_format,
-    emit_config,
     ensure_basis,
     main,
     parse_config,
@@ -123,7 +123,7 @@ def test_parse_rejects_type_mismatch(tmp_path):
 def test_config_round_trip(tmp_path):
     path = write_config(tmp_path, dt=1e-4, cache_path=str(tmp_path / "c.bin"))
     config = parse_config(path)
-    (tmp_path / "emitted.json").write_text(emit_config(config))
+    (tmp_path / "emitted.json").write_text(json.dumps(dataclasses.asdict(config), sort_keys=True))
     assert parse_config(tmp_path / "emitted.json") == config
 
 
@@ -138,17 +138,25 @@ def test_basis_cache_round_trip(tmp_path):
     assert np.array_equal(loaded.velocities, basis.velocities)
 
 
-def test_basis_cache_rejects_mismatch_and_corruption(tmp_path):
+def test_basis_cache_rejects_mismatch_and_corruption(tmp_path, caplog):
     grid, _, _, basis = make_setup(8, 8, 6, omega=(0.1, 0.6, 0.1, 0.6))
     path = tmp_path / "cache.bin"
     write_basis_cache(path, basis)
-    assert read_basis_cache(path, grid, 5) is None  # mode count mismatch
+    good = path.read_bytes()
     other = build_grid(DomainSpec(2.0, 1.0, 8, 8, (0.1, 0.6, 0.1, 0.6)))
-    assert read_basis_cache(path, other, 6) is None  # domain mismatch
-    blob = bytearray(path.read_bytes())
-    blob[60] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    assert read_basis_cache(path, grid, 6) is None  # checksum mismatch
+    cases = [
+        (good, grid, 5, "signature mismatch"),  # mode count
+        (good, other, 6, "signature mismatch"),  # domain
+        (_signed(good[:8] + struct.pack("<I", 99) + good[12:-32]), grid, 6, f"version 99 != {cli.CACHE_VERSION}"),
+        (_signed(good[:-40]), grid, 6, "payload size mismatch"),
+        (good[:60] + bytes([good[60] ^ 0xFF]) + good[61:], grid, 6, "checksum mismatch"),
+    ]
+    for blob, read_grid, m, reason in cases:
+        path.write_bytes(blob)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="nsstab.cli"):
+            assert read_basis_cache(path, read_grid, m) is None
+        assert _cli_warnings(caplog) == [f"cache {path}: {reason}; ignoring"], reason
 
 
 def test_eigen_cache_hit_and_byte_identity(tmp_path):

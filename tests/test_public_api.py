@@ -1,0 +1,32 @@
+"""Every public name of nsstab is used by the program, not only by the tests."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "nsstab").glob("*.py"))
+
+
+def public_definitions(path: Path) -> list[str]:
+    """The module's functions and classes, and its classes' methods and
+    properties, whose names do not start with an underscore."""
+    names = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """A public name appears, as a whole word, somewhere in src/nsstab, the
+    demos or pyproject.toml besides its own definitions."""
+    corpus = "\n".join(path.read_text() for path in
+                       [*SOURCES, *sorted((ROOT / "demos").rglob("*.py")), ROOT / "pyproject.toml"])
+    unused = sorted({
+        name for path in SOURCES for name in public_definitions(path)
+        if len(re.findall(rf"\b{name}\b", corpus)) <= len(re.findall(rf"\b(?:def|class)\s+{name}\b", corpus))
+    })
+    assert unused == [], f"public names that only tests use: {unused}"
