@@ -51,11 +51,11 @@ from .spectral import StokesBasis, assemble_gram, assemble_operators, fit_spectr
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"NSSTAB1\x00"
-CACHE_VERSION = 2  # 2: sparse solve, bit-equal ties, canonical eigenspace orientation
+CACHE_VERSION = 3  # 3: modes with exact reflection parities, canonical per class
 TENSOR_CACHE_MAGIC = b"NSSTABT\x00"
 #: bump whenever the arithmetic of dynamics.raw_trilinear_tensor or
 #: build_trilinear_tensor changes: the key names the basis, not that code
-TENSOR_CACHE_VERSION = 1
+TENSOR_CACHE_VERSION = 2
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -724,7 +724,11 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
                 if values:
                     lines.append(f"  {key} = {', '.join(values)}")
         for key, value in data.get("solve", {}).items():
-            lines.append(f"  {key} = {value}")
+            if isinstance(value, dict):  # the counts of each reflection class, one line per class
+                lines.extend(f"  {key}.{name} = {', '.join(f'{k} {v}' for k, v in counts.items())}"
+                             for name, counts in value.items())
+            else:
+                lines.append(f"  {key} = {value}")
         for file, recorded in _listed_trajectories(data):
             digest = sha256_file(out / file)
             lines.append(f"  trajectory = {file} ({digest})")

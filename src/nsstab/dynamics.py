@@ -76,6 +76,9 @@ and its decay factors, trapezoid weights, step size and closed-loop
 table.  The convection term of a half step is one
 (B, M(M+1)/2) @ (M(M+1)/2, M) product over the pairs i <= j of the tensor
 symmetrized in (i, j) (:func:`packed_convection`), shared by all the rows.
+Every mode has exact reflection parities, so the tensor is exactly 0
+outside its parity pattern (:func:`raw_trilinear_tensor`), three quarters
+of its entries; the product still runs over all of them.
 
 The per-step loop of :func:`simulate_batch` keeps only what the next state
 depends on: the two convection terms, the two law evaluations (cutoff and
@@ -115,7 +118,7 @@ import numpy as np
 from .constants import TERMINAL, FeedbackParams, Schedule, radial_cutoff_rows, row_dot
 from .errors import BlowUpError
 from .grid import Grid, central_dx, central_dy
-from .spectral import StokesBasis
+from .spectral import CLASSES, StokesBasis, reflection_parities
 
 #: abort once a coefficient exceeds this multiple of its row's initial norm
 BLOWUP_GUARD = 1e6
@@ -152,22 +155,46 @@ def raw_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
     and :func:`nsstab.grid.central_dy`), with zero values outside the
     interior.  The raw entries are skew in (j, k) only up to the O(h^2)
     quadrature residual.
+
+    Every mode has exact reflection parities (sx, sy)
+    (:func:`nsstab.spectral.reflection_parities`), and a stream function is a
+    pseudo-scalar, so B(e_i, e_j, e_k) vanishes unless the three x-parities
+    and the three y-parities each multiply to -1.  Only those entries are
+    computed, one product per pair of classes (i, j), which fixes the class
+    of k: about a quarter of the tensor.  The others are stored as exact
+    zeros.  The integrand of an allowed entry is even in x and in y, node for
+    node, so the quadrature runs over the quarter of the nodes up to the
+    middle lines, weighted 4, 2 on a middle line and 1 at the centre.
     """
+    sx, sy, residual = reflection_parities(basis.stream_functions)
+    if residual != 0.0:
+        raise ValueError(f"basis modes lack exact reflection parities (residual {residual:.2e})")
     m = basis.n_modes
-    vel = basis.velocities  # (m, 2, nx, ny)
-    grads = np.stack([central_dx(vel, grid.hx), central_dy(vel, grid.hy)], axis=1)  # (m, 2, 2, nx, ny)
-    e_flat = vel.reshape(m, 2, -1)
-    g_flat = grads.reshape(m, 2, 2, -1)
-    tensor = np.empty((m, m, m))
-    for i in range(m):
-        # advected[j, b, :] = sum_a e_i[a] * d_a e_j[b], one (M, 2, N) slice at a time
-        advected = np.einsum("an,jabn->jbn", e_flat[i], g_flat)
-        tensor[i] = np.einsum("jbn,kbn->jk", advected, e_flat)
+    qx, qy = -(-grid.nx // 2), -(-grid.ny // 2)
+    quarter = (..., slice(qx), slice(qy))
+    vel = basis.velocities[quarter].reshape(m, 2, -1)  # (m, 2, N / 4)
+    grads = np.stack([central_dx(basis.velocities, grid.hx), central_dy(basis.velocities, grid.hy)],
+                     axis=1)[quarter].reshape(m, 2, 2, -1)  # d_a of component b
+    weights = [np.full(q, 2.0) for q in (qx, qy)]
+    for w, n in zip(weights, (grid.nx, grid.ny)):
+        w[-1] = 2.0 - n % 2
+    weighted = vel * np.outer(*weights).ravel()
+    members = {c: np.flatnonzero((sx == c[0]) & (sy == c[1])) for c in CLASSES}
+    tensor = np.zeros((m, m, m))
+    for (ax, ay), i in members.items():
+        for (bx, by), j in members.items():
+            k = members[(-ax * bx, -ay * by)]
+            if len(i) and len(j) and len(k):
+                # advected[i, j, b, :] = sum_a e_i[a] * d_a e_j[b]
+                advected = vel[i, 0][:, None, None] * grads[j, 0] + vel[i, 1][:, None, None] * grads[j, 1]
+                block = advected.reshape(len(i) * len(j), -1) @ weighted[k].reshape(len(k), -1).T
+                tensor[np.ix_(i, j, k)] = block.reshape(len(i), len(j), len(k))
     return tensor * grid.cell_area
 
 
 def build_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
-    """Skew-symmetrized convection tensor: T[i,j,k] = -T[i,k,j] exactly."""
+    """Skew-symmetrized convection tensor: T[i,j,k] = -T[i,k,j] exactly, and
+    exactly 0 outside the parity pattern of :func:`raw_trilinear_tensor`."""
     raw = raw_trilinear_tensor(basis, grid)
     return 0.5 * (raw - raw.transpose(0, 2, 1))
 

@@ -6,16 +6,28 @@ tau * (-laplacian(psi)) with clamped boundary conditions.  We discretize
 both sides on the interior nodes as Kronecker sums of 1D stencils, kept as
 their 1D factors (:class:`KroneckerSum`), and solve the generalized
 eigenproblem K2 psi = tau K1 psi for its smallest eigenvalues with numpy
-alone.  K2 is block-banded (blocks of ny x ny, two below the diagonal), so
-its block Cholesky factor K2 = L L^T (:class:`BandedCholesky`) is cheap,
-and the smallest tau are the reciprocals of the largest eigenvalues of the
-symmetric L^-1 K1 L^-T, with psi = L^-T y.  A seeded block Lanczos with
-full reorthogonalization and thick restarts finds them
-(:func:`block_lanczos`; the restarted Lanczos of ARPACK, Lehoucq, Sorensen
-& Yang, 1998, in the thick-restart form of Wu & Simon, SIAM J. Matrix
-Anal. Appl. 22, 2000).  The restarts keep the projected matrix at most
-about 2k + 1 wide for k wanted pairs, which also keeps its eigh, and so
-the basis, independent of the BLAS thread count.
+alone.
+
+Every 1D factor commutes with the flip of its axis, so both operators
+commute with the reflections x -> Lx - x and y -> Ly - y (Bossavit, Comput.
+Methods Appl. Mech. Engrg. 56, 1986; Fassler & Stiefel, Group Theoretical
+Methods and Their Applications, 1992).  The pencil splits into four
+reflection classes, even or odd in x times even or odd in y (CLASSES),
+each a Kronecker sum of the factors restricted to their even or odd
+vectors (:meth:`KroneckerSum.restricted`), on about a quarter of the
+unknowns; an odd nx puts the middle line in the even class.  Each class
+is solved alone: its K2 is block-banded (blocks of ny' x ny', two below
+the diagonal), so its block Cholesky factor K2 = L L^T
+(:class:`BandedCholesky`) is cheap, and its smallest tau are the
+reciprocals of the largest eigenvalues of the symmetric L^-1 K1 L^-T, with
+psi = L^-T y.  A seeded block Lanczos with full reorthogonalization and
+thick restarts per class finds them (:class:`BlockLanczos`; the restarted
+Lanczos of ARPACK, Lehoucq, Sorensen & Yang, 1998, in the thick-restart
+form of Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).  The restarts
+keep the projected matrix at most about 3k + 1 wide for k wanted pairs,
+which also keeps its eigh, and so the basis, independent of the BLAS
+thread count.  The classes map back to the grid by mirroring
+(:func:`class_fields`), so every mode has exact parities, bit for bit.
 
 K1 is assembled as D.T @ D from the same central-difference gradients that
 :func:`nsstab.grid.stream_to_velocity` uses, so
@@ -35,17 +47,21 @@ elimination only touches diagonal entries, so K2 is symmetric by
 construction.
 
 Eigenvalues within a relative CLUSTER_RTOL of each other are one cluster:
-a degenerate eigenspace (the square's symmetries make many) that a solver
-splits by rounding.  Every member of a cluster gets one shared eigenvalue,
-so ties are bit-equal, and :func:`canonical_eigenspace` picks one basis of
-each cluster's span that does not depend on the solver, its start vector
-or the BLAS thread count: the basis whose inner products with fixed seeded
-probe fields form a lower-triangular matrix with a positive diagonal.
+a degenerate eigenspace (the square's symmetries make many, most of them
+pairs of classes that swapping x and y exchanges) that a solver splits by
+rounding.  Every member of a cluster gets one shared eigenvalue, so ties
+are bit-equal, also across classes.  :func:`canonical_basis` splits each
+cluster's span by the reflections, and :func:`canonical_eigenspace` picks
+one basis of each class's part that does not depend on the solver, its
+start vector or the BLAS thread count: the basis whose inner products with
+fixed seeded probe fields form a lower-triangular matrix with a positive
+diagonal.  So the probe rule only acts on degeneracies within one class.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -76,6 +92,14 @@ RESIDUAL_RTOL = 1e-14
 EXTRA_RESIDUAL_RTOL = 1e-10
 #: thick restarts after which a solve that has not converged fails
 MAX_RESTARTS = 200
+
+#: the reflection classes (sx, sy): the modes whose stream function is sx times
+#: its mirror image in x (x -> Lx - x) and sy times its mirror image in y
+CLASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+#: the names of the classes in reports
+CLASS_NAMES = ("even-even", "even-odd", "odd-even", "odd-odd")
+
+_HALF = math.sqrt(0.5)
 
 
 class KroneckerSum:
@@ -111,6 +135,69 @@ class KroneckerSum:
             if weight != 0.0:
                 out += weight * (np.eye(self.ny) if b is None else b)
         return out
+
+    def restricted(self, sx: int, sy: int) -> "KroneckerSum":
+        """The operator on the fields of reflection class (sx, sy), in the
+        coordinates of :func:`class_coordinates`; every factor must commute
+        with the flip of its axis."""
+        return KroneckerSum(tuple((_fold(a, sx), _fold(b, sy)) for a, b in self.terms),
+                            _half(self.nx, sx), _half(self.ny, sy))
+
+
+def _half(n: int, s: int) -> int:
+    """The dimension of the s-parity vectors of R^n."""
+    return n // 2 + (n % 2 if s == 1 else 0)
+
+
+def _fold(a: np.ndarray | None, s: int) -> np.ndarray | None:
+    """The centrosymmetric a restricted to its s-parity vectors, in the
+    orthonormal basis (e_i + s e_{n-1-i}) / sqrt(2), i < n // 2, then e_{n//2}
+    for odd n and s = 1; the entries are a_ij + s a_{i,n-1-j}, and sqrt(2)
+    a_{i,n//2} on the middle line, so the band and the bitwise symmetry are
+    kept.  None, the identity, stays itself."""
+    if a is None:
+        return None
+    h = len(a) // 2
+    out = a[:h, :h] + s * a[:h, : -h - 1 : -1]
+    if len(a) % 2 and s == 1:
+        edge = math.sqrt(2.0) * a[:h, h : h + 1]
+        out = np.block([[out, edge], [edge.T, a[h : h + 1, h : h + 1]]])
+    return out
+
+
+def class_fields(phi: np.ndarray, sx: int, sy: int, nx: int, ny: int) -> np.ndarray:
+    """The (..., nx, ny) fields of reflection class (sx, sy) with the class
+    coordinates phi (..., nx', ny') in the bases of :func:`_fold`: along each
+    axis the second half is s times the first reversed, bit for bit."""
+    for s, n in ((sy, ny), (sx, nx)):  # y, then x, each as the last axis
+        low = phi[..., : n // 2] * _HALF
+        middle = phi[..., n // 2 :] if n % 2 and s == 1 else np.zeros((*phi.shape[:-1], n % 2))
+        phi = np.concatenate([low, middle, s * low[..., ::-1]], axis=-1).swapaxes(-1, -2)
+    return phi
+
+
+def class_coordinates(psi: np.ndarray, sx: int, sy: int) -> np.ndarray:
+    """The class coordinates of the (sx, sy) part of (..., nx, ny) fields, the
+    adjoint of :func:`class_fields`; a field of another class gives exact
+    zeros, since each pair is summed before it is scaled."""
+    for s in (sy, sx):
+        h = psi.shape[-1] // 2
+        low = (psi[..., :h] + s * psi[..., : -h - 1 : -1]) * _HALF
+        odd_middle = psi.shape[-1] % 2 and s == 1
+        psi = (np.concatenate([low, psi[..., h : h + 1]], axis=-1) if odd_middle else low).swapaxes(-1, -2)
+    return psi
+
+
+def reflection_parities(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(sx, sy, residual) of (M, nx, ny) stream functions: each mode's parity
+    under x -> Lx - x and under y -> Ly - y, and the largest |psi o R - s psi|
+    over the modes and both reflections, 0.0 for a basis of
+    :func:`solve_eigenbasis`."""
+    mirrors = (psi[:, ::-1, :], psi[:, :, ::-1])
+    signs = [np.where(np.einsum("mij,mij->m", psi, mirror) < 0.0, -1, 1) for mirror in mirrors]
+    residual = max((float(np.abs(mirror - s[:, None, None] * psi).max(initial=0.0))
+                    for mirror, s in zip(mirrors, signs)))
+    return signs[0], signs[1], residual
 
 
 def assemble_operators(grid: Grid) -> tuple[KroneckerSum, KroneckerSum]:
@@ -252,15 +339,21 @@ def canonical_eigenspace(vecs: np.ndarray, k1) -> np.ndarray:
     return ortho @ (q * np.where(np.diag(r) < 0.0, -1.0, 1.0))
 
 
-def canonical_basis(tau: np.ndarray, vecs: np.ndarray, k1, m: int, grid: Grid) -> StokesBasis:
+def canonical_basis(tau: np.ndarray, vecs: np.ndarray, k1: KroneckerSum, m: int, grid: Grid) -> StokesBasis:
     """The basis of the m smallest eigenpairs of a pencil solve.
 
     tau (ascending) and the columns of vecs hold the solver's lowest
     eigenpairs; they must reach past the cluster of tau_m, so that every
     cluster the basis touches is whole.  Each cluster gets its mean as the
-    shared eigenvalue and the canonical orientation; when m cuts a cluster,
-    the whole cluster is canonicalized and its first vectors are kept.
-    Stream functions are scaled to unit velocity norm
+    shared eigenvalue, and its span is split by the reflections: projected
+    onto a class of CLASSES (:func:`class_coordinates`), a K1-orthonormal
+    basis of the span has a K1-Gram matrix with eigenvalues 1 on the class's
+    part of the span and 0 elsewhere, so the eigenvectors of the eigenvalues
+    above 1/2 give that part.  The probe rule (:func:`canonical_eigenspace`) orients
+    each part in its class coordinates alone, and :func:`class_fields` maps
+    it back, so every mode has exact parities.  A cluster's modes come class
+    by class in the order of CLASSES; when m cuts a cluster, its first modes
+    are kept.  Stream functions are scaled to unit velocity norm
     (cell_area * psi.T K1 psi = 1).
     """
     starts = cluster_starts(tau)
@@ -269,122 +362,201 @@ def canonical_basis(tau: np.ndarray, vecs: np.ndarray, k1, m: int, grid: Grid) -
     if tau[0] <= 0:
         raise RuntimeError(f"smallest eigenvalue {tau[0]:g} <= 0: broken assembly")
     bounds = starts[: np.searchsorted(starts, m) + 1]  # through the first cluster past tau_m
+    nx, ny = grid.nx, grid.ny
+    fields = vecs[:, : bounds[-1]].T.reshape(-1, nx, ny)
+    classes = [(sx, sy, k1.restricted(sx, sy), class_coordinates(fields, sx, sy).reshape(len(fields), -1).T)
+               for sx, sy in CLASSES]
     shared = np.empty(bounds[-1])
-    psi = np.empty((bounds[-1], vecs.shape[0]))
+    psi = np.empty((bounds[-1], nx, ny))
     for lo, hi in zip(bounds, bounds[1:]):
         shared[lo:hi] = np.mean(tau[lo:hi])
-        psi[lo:hi] = canonical_eigenspace(vecs[:, lo:hi], k1).T
-    psi = psi[:m].reshape(m, grid.nx, grid.ny) / np.sqrt(grid.cell_area)
+        projected, total = [], 0.0
+        for sx, sy, op, coordinates in classes:
+            phi = coordinates[:, lo:hi]
+            if phi.any():  # a solver's class pairs project to exact zeros elsewhere
+                projected.append((sx, sy, op, phi, phi.T @ (op @ phi)))
+                total = total + projected[-1][-1]
+        # K1 commutes with the reflections: the span's K1-Gram matrix is the sum of the classes'
+        chol = np.linalg.cholesky(total)
+        parts = []
+        for sx, sy, op, phi, gram in projected:
+            weight, rotation = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, gram).T))
+            part = phi @ np.linalg.solve(chol.T, rotation[:, weight > 0.5])
+            if part.shape[1]:
+                parts.append(class_fields(canonical_eigenspace(part, op).T.reshape(-1, op.nx, op.ny), sx, sy, nx, ny))
+        if sum(map(len, parts)) != hi - lo:
+            raise RuntimeError(f"the cluster of tau_{lo + 1} does not split by the reflections")
+        psi[lo:hi] = np.concatenate(parts)
+    psi = psi[:m] / np.sqrt(grid.cell_area)
     return StokesBasis.from_stream_functions(shared[:m], psi, grid)
 
 
-def block_lanczos(apply, n: int, k: int, m: int) -> tuple[np.ndarray, np.ndarray, dict]:
+class BlockLanczos:
     """The k largest eigenpairs of a symmetric operator on R^n, descending.
 
     apply maps an (n, c) array to the operator times it.  A block Lanczos
     from a seeded start block of LANCZOS_BLOCK columns, with full
     reorthogonalization (two Gram-Schmidt passes against the whole basis)
     and the projected matrix formed block by block as V^T (apply V).  The
-    basis is preallocated for at most 2k + 1 columns, rounded up to whole
-    blocks, as ARPACK's ncv; when it is full, a thick restart (Wu & Simon,
-    SIAM J. Matrix Anal. Appl. 22, 2000) keeps the Ritz vectors of the
-    k + k // 4 largest Ritz values and goes on from the last residual block.
-    It stops on the Lanczos residuals ||R U_i|| of the Ritz pairs: below
-    RESIDUAL_RTOL times the Ritz value for the first m and any in the
-    cluster of the m-th, below EXTRA_RESIDUAL_RTOL for the others.  Where
-    the basis would reach n - LANCZOS_BLOCK columns, the whole space is
-    projected instead.  Returns the Ritz values, their Ritz vectors and the
-    counts of the solve.
+    basis is preallocated for at most 3k + 1 columns, rounded up to whole
+    blocks; when it is full, a thick restart (Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22, 2000) keeps the Ritz vectors of the k + k // 4 largest
+    Ritz values and goes on from the last residual block.  Where the basis
+    would reach n - LANCZOS_BLOCK columns, the whole space is projected
+    instead.
+
+    The caller decides when to stop: once the basis holds k columns, theta
+    (the k largest Ritz values) and residual (their Lanczos residuals
+    ||R U_i|| / theta_i) are current, and each :meth:`step` applies the
+    operator to one more block.  blocks, restarts and largest count the
+    solve.
     """
-    b = LANCZOS_BLOCK
-    keep = k + k // 4
-    cap = keep + b * -(-(2 * k + 1 - keep) // b)
-    if cap >= n - b:
-        theta, u = np.linalg.eigh(apply(np.eye(n)))
-        return theta[::-1][:k], u[:, ::-1][:, :k], {"lanczos_blocks": 1, "restarts": 0, "max_projected_dim": n}
-    v = np.empty((n, cap))
-    t = np.zeros((cap, cap))
-    v[:, :b] = np.linalg.qr(np.random.default_rng(START_SEED).standard_normal((n, b)))[0]
-    s, blocks, restarts, largest = b, 0, 0, 0  # the last block of the s columns is not yet applied
-    while True:
+
+    def __init__(self, apply, n: int, k: int):
+        b = LANCZOS_BLOCK
+        self.apply, self.k, self.keep = apply, k, k + k // 4
+        self.cap = self.keep + b * -(-(3 * k + 1 - self.keep) // b)
+        self.theta = self.residual = self.vectors = None
+        if self.cap >= n - b:
+            theta, u = np.linalg.eigh(apply(np.eye(n)))
+            self.theta, self.residual, self.vectors = theta[::-1][:k], np.zeros(k), u[:, ::-1][:, :k]
+            self.blocks, self.restarts, self.largest = 1, 0, n
+            return
+        self.v = np.empty((n, self.cap))
+        self.t = np.zeros((self.cap, self.cap))
+        self.v[:, :b] = np.linalg.qr(np.random.default_rng(START_SEED).standard_normal((n, b)))[0]
+        self.s, self.blocks, self.restarts, self.largest = b, 0, 0, 0
+        self._apply_last_block()
+
+    def _apply_last_block(self) -> None:
+        s, b, t = self.s, LANCZOS_BLOCK, self.t
         active = slice(s - b, s)
-        w = apply(v[:, active])
-        blocks += 1
-        basis = v[:, :s]
+        w = self.apply(self.v[:, active])
+        self.blocks += 1
+        basis = self.v[:, :s]
         h = basis.T @ w
         t[:s, active] = h
         t[active, :s] = h.T
         w -= basis @ h
         w -= basis @ (basis.T @ w)
-        q, r = np.linalg.qr(w)
-        largest = max(largest, s)
-        if s >= k:
+        self.q, r = np.linalg.qr(w)
+        self.largest = max(self.largest, s)
+        if s >= self.k:
             theta, u = np.linalg.eigh(t[:s, :s])
-            theta, u = theta[::-1], u[:, ::-1]
-            residual = np.linalg.norm(r @ u[active, :k], axis=0) / theta[:k]
-            tight = (np.arange(k) < m) | (theta[:k] >= theta[m - 1] * (1.0 - CLUSTER_RTOL))
-            if np.all(residual <= np.where(tight, RESIDUAL_RTOL, EXTRA_RESIDUAL_RTOL)):
-                return theta[:k], basis @ u[:, :k], {"lanczos_blocks": blocks, "restarts": restarts,
-                                                      "max_projected_dim": largest}
-        if s + b <= cap:
-            v[:, s : s + b] = q
-            s += b
-            continue
-        if restarts == MAX_RESTARTS:
+            self.ritz, self.u = theta[::-1], u[:, ::-1]
+            self.theta = self.ritz[: self.k]
+            self.residual = np.linalg.norm(r @ self.u[active, : self.k], axis=0) / self.theta
+
+    def step(self) -> None:
+        """Extend the basis by the last residual block, restarting when it is full."""
+        s, b, keep = self.s, LANCZOS_BLOCK, self.keep
+        if s + b <= self.cap:
+            self.v[:, s : s + b] = self.q
+            self.s += b
+        elif self.restarts == MAX_RESTARTS:
             raise RuntimeError(f"Lanczos did not converge in {MAX_RESTARTS} restarts "
-                               f"(largest residual {residual.max():.2e})")
-        v[:, :keep] = basis @ u[:, :keep]
-        t.fill(0.0)
-        t[:keep, :keep] = np.diag(theta[:keep])
-        v[:, keep : keep + b] = q
-        s, restarts = keep + b, restarts + 1
+                               f"(largest residual {self.residual.max():.2e})")
+        else:
+            self.v[:, :keep] = self.v[:, :s] @ self.u[:, :keep]
+            self.t.fill(0.0)
+            self.t[:keep, :keep] = np.diag(self.ritz[:keep])
+            self.v[:, keep : keep + b] = self.q
+            self.s, self.restarts = keep + b, self.restarts + 1
+        self._apply_last_block()
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The current Ritz values theta and their Ritz vectors, (n, k)."""
+        if self.vectors is not None:  # the whole space was projected
+            return self.theta, self.vectors
+        return self.theta, self.v[:, : self.s] @ self.u[:, : self.k]
 
 
 def solve_eigenbasis(k1: KroneckerSum, k2: KroneckerSum, m: int, grid: Grid) -> StokesBasis:
-    """Solve K2 psi = tau K1 psi for the m smallest eigenvalues.
+    """Solve K2 psi = tau K1 psi for the m smallest eigenvalues, one
+    reflection class at a time.
 
-    With K2 = L L^T (:class:`BandedCholesky`), the largest eigenvalues
-    1 / tau of L^-1 K1 L^-T, by :func:`block_lanczos`, give the smallest
-    tau and psi = L^-T y.  m + EXTRA_MODES pairs are solved, doubled until
-    the last one lies beyond the cluster of tau_m; then
-    :func:`canonical_basis`.  Needs m <= n - 2 for n interior nodes, so
-    that one pair beyond tau_m exists.  The basis records the solve's
-    health: its time, the Lanczos blocks, restarts and largest projected
-    dimension, the largest relative residual ||K2 psi - tau K1 psi|| /
-    (tau ||K1 psi||) of the retained pairs, and the orthonormality residual
-    max |cell_area Psi^T K1 Psi - I|.
+    Both operators commute with the reflections x -> Lx - x and y -> Ly - y,
+    so the pencil splits into the four classes of CLASSES, each a Kronecker
+    sum on about n/4 class coordinates (:meth:`KroneckerSum.restricted`).
+    Per class, with K2 = L L^T (:class:`BandedCholesky`), the largest
+    eigenvalues 1 / tau of L^-1 K1 L^-T, by :class:`BlockLanczos`, give its
+    smallest tau and psi = L^-T y.  Each class starts with ceil(m / 4) +
+    EXTRA_MODES pairs, and the four runs step in turn until every pair that
+    the merged spectrum puts at or below the cluster of tau_m has a residual
+    below RESIDUAL_RTOL, and the others below EXTRA_RESIDUAL_RTOL; at the
+    end, those are exactly the pairs the basis keeps.  A class whose last
+    pair does not lie beyond that cluster, and that has pairs left, then
+    doubles its pairs and starts again.  The merged pairs go to
+    :func:`canonical_basis`.  Needs m <= n - 2 for n interior
+    nodes, so that one pair beyond tau_m exists.  The basis records the
+    solve's health: its time; the pairs solved, Lanczos blocks and restarts
+    of each class; their totals and the largest projected dimension; the
+    largest relative residual ||K2 psi - tau K1 psi|| / (tau ||K1 psi||) of
+    the retained pairs; the orthonormality residual
+    max |cell_area Psi^T K1 Psi - I|; and the parity residual of
+    :func:`reflection_parities`, which is 0.0.
     """
     n = grid.n_interior
     if not 1 <= m <= n - 2:
         raise ValueError(f"mode count {m} outside [1, {n - 2}]")
     begin = time.perf_counter()
-    factor = BandedCholesky(k2)
-
-    def pencil(x):
-        return factor.solve_l(k1 @ factor.solve_lt(x))
-
-    k = min(m + EXTRA_MODES, n - 1)
-    counts = {"lanczos_blocks": 0, "restarts": 0, "max_projected_dim": 0}
+    ops = [(k1.restricted(sx, sy), BandedCholesky(k2.restricted(sx, sy))) for sx, sy in CLASSES]
+    sizes = [op.nx * op.ny for op, _ in ops]
+    want = [min(size, -(-m // len(CLASSES)) + EXTRA_MODES) for size in sizes]
+    runs, started, short = [None] * len(CLASSES), [], range(len(CLASSES))
     while True:
-        theta, y, solve = block_lanczos(pencil, n, k, m)
-        counts["lanczos_blocks"] += solve["lanczos_blocks"]
-        counts["restarts"] += solve["restarts"]
-        counts["max_projected_dim"] = max(counts["max_projected_dim"], solve["max_projected_dim"])
-        tau = 1.0 / theta
-        if cluster_starts(tau)[-1] >= m:
+        for c in short:
+            op, factor = ops[c]
+            runs[c] = BlockLanczos(lambda x, op=op, factor=factor: factor.solve_l(op @ factor.solve_lt(x)),
+                                   sizes[c], want[c])
+            started.append((c, runs[c]))
+        while True:  # the runs step in turn
+            ready = [run.theta is not None for run in runs]
+            tau = np.concatenate([np.empty(0)] + [1.0 / run.theta for run, r in zip(runs, ready) if r])
+            order = np.argsort(tau, kind="stable")
+            starts = cluster_starts(tau[order])
+            past = starts[starts >= m]
+            bound = tau[order][past[0] - 1] if len(past) else np.inf  # the end of tau_m's cluster
+            waiting = [run for run, r in zip(runs, ready) if not r or np.any(
+                run.residual > np.where(1.0 / run.theta <= bound, RESIDUAL_RTOL, EXTRA_RESIDUAL_RTOL))]
+            if not waiting:
+                break
+            for run in waiting:
+                run.step()
+        # the start of each pair's merged cluster, at each class's last pair
+        first = np.empty(len(tau), dtype=np.int64)
+        first[order] = starts[np.searchsorted(starts, np.arange(len(tau)), side="right") - 1]
+        short = [c for c, last in enumerate(np.cumsum(want) - 1) if want[c] < sizes[c] and first[last] < m]
+        if not short:
             break
-        if k == n - 1:
-            raise ValueError(f"the cluster of tau_{m} reaches the top of the spectrum")
-        k = min(2 * k, n - 1)
-    basis = canonical_basis(tau, factor.solve_lt(y), k1, m, grid)
+        for c in short:
+            want[c] = min(2 * want[c], sizes[c])
+    if starts[-1] < m:
+        raise ValueError(f"the cluster of tau_{m} reaches the top of the spectrum")
+    classes = {name: {"pairs": k, "lanczos_blocks": 0, "restarts": 0} for name, k in zip(CLASS_NAMES, want)}
+    for c, run in started:
+        classes[CLASS_NAMES[c]]["lanczos_blocks"] += run.blocks
+        classes[CLASS_NAMES[c]]["restarts"] += run.restarts
+    vecs = []
+    for (op, factor), run, (sx, sy) in zip(ops, runs, CLASSES):
+        y = factor.solve_lt(run.pairs()[1])
+        vecs.append(class_fields(y.T.reshape(run.k, op.nx, op.ny), sx, sy, grid.nx, grid.ny).reshape(run.k, n).T)
+    basis = canonical_basis(tau[order], np.concatenate(vecs, axis=1)[:, order], k1, m, grid)
     psi = basis.stream_functions.reshape(m, n).T
     k1_psi = k1 @ psi
     residual = np.linalg.norm(k2 @ psi - basis.eigenvalues * k1_psi, axis=0) / (
         basis.eigenvalues * np.linalg.norm(k1_psi, axis=0))
     ortho = np.abs(grid.cell_area * (psi.T @ k1_psi) - np.eye(m)).max()
-    return replace(basis, solve={"solve_s": time.perf_counter() - begin, **counts,
-                                 "max_relative_residual": float(residual.max()),
-                                 "orthonormality_residual": float(ortho)})
+    return replace(basis, solve={
+        "solve_s": time.perf_counter() - begin,
+        "lanczos_blocks": sum(run.blocks for _, run in started),
+        "restarts": sum(run.restarts for _, run in started),
+        "max_projected_dim": max(run.largest for _, run in started),
+        "max_relative_residual": float(residual.max()),
+        "orthonormality_residual": float(ortho),
+        "parity_residual": reflection_parities(basis.stream_functions)[2],
+        "classes": classes,
+    })
 
 
 def assemble_gram(basis: StokesBasis, grid: Grid, mask: np.ndarray | None = None) -> np.ndarray:

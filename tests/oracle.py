@@ -13,11 +13,18 @@
   (:func:`dense_moments`), where nsstab doubles sub-step moments up a ladder
   with its own exponential.
 * The dense operator assembly and the dense generalized ``eigh``, run
-  through the same canonicalizer, and the sparse assembly and shift-invert
-  ``eigsh`` (ARPACK) that nsstab's block Lanczos replaced.
-* The one-shot convection tensor, with its (M, M, 2, N) intermediate, and
-  the convection term as the full M^2 contraction of a state's outer
-  product (:func:`convection`), where nsstab packs the pairs i <= j.
+  through the same canonicalizer, the sparse assembly and shift-invert
+  ``eigsh`` (ARPACK) that nsstab's block Lanczos replaced, and one block
+  Lanczos on the whole pencil (:func:`unsplit_eigenbasis`), which the
+  solve by reflection class replaced.
+* The one-shot convection tensor over every entry and every node, with its
+  (M, M, 2, N) intermediate, where nsstab computes the parity pattern by
+  class pairs on a quarter of the nodes, and the convection term as the
+  full M^2 contraction of a state's outer product (:func:`convection`),
+  where nsstab packs the pairs i <= j.
+* The sampled trilinear constant one triple at a time
+  (:func:`estimate_trilinear_constant`), where nsstab takes one draw and
+  one product for all of them.
 * Helpers only the tests call: the single-vector modal feedback and radial
   cutoff (the reference for ``radial_cutoff_rows``), the scalar interval
   lookup, the weighted energy of one state, the physical-field
@@ -31,6 +38,7 @@ Kept as they were; do not optimize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +48,20 @@ from nsstab.constants import TERMINAL, FeedbackParams, Schedule, cutoff_profile
 from nsstab.dynamics import BLOWUP_GUARD, Trajectory, step_times
 from nsstab.errors import BlowUpError
 from nsstab.grid import Grid
-from nsstab.spectral import EXTRA_MODES, START_SEED, StokesBasis, canonical_basis
+from nsstab.spectral import (
+    CLUSTER_RTOL,
+    EXTRA_MODES,
+    EXTRA_RESIDUAL_RTOL,
+    RESIDUAL_RTOL,
+    START_SEED,
+    BandedCholesky,
+    BlockLanczos,
+    KroneckerSum,
+    StokesBasis,
+    assemble_operators,
+    canonical_basis,
+    cluster_starts,
+)
 
 
 def modal_feedback(coeffs: np.ndarray, params: FeedbackParams) -> np.ndarray:
@@ -212,11 +233,59 @@ def sparse_eigenvalues(grid: Grid, k: int) -> np.ndarray:
 
 
 def dense_eigenbasis(grid: Grid, m: int) -> StokesBasis:
-    """The m smallest eigenpairs by dense generalized eigh, canonicalized."""
+    """The m smallest eigenpairs by dense generalized eigh, canonicalized by
+    the same class rule as nsstab's solve."""
     k1, k2 = dense_operators(grid)
     top = min(m + EXTRA_MODES, grid.n_interior) - 1
     tau, vecs = scipy.linalg.eigh(k2, k1, subset_by_index=(0, top))
-    return canonical_basis(tau, vecs, k1, m, grid)
+    return canonical_basis(tau, vecs, assemble_operators(grid)[0], m, grid)
+
+
+def unsplit_eigenbasis(k1: KroneckerSum, k2: KroneckerSum, m: int, grid: Grid) -> tuple[StokesBasis, list[int]]:
+    """The m smallest eigenpairs by one block Lanczos on the whole pencil,
+    the solve nsstab ran before it split the pencil by reflection class, and
+    the pair counts it solved: m + EXTRA_MODES, doubled until the last lies
+    beyond the cluster of tau_m.  The first m pairs and the cluster of the
+    m-th stop at RESIDUAL_RTOL, the others at EXTRA_RESIDUAL_RTOL."""
+    n = grid.n_interior
+    factor = BandedCholesky(k2)
+    k, solved = min(m + EXTRA_MODES, n - 1), []
+    while True:
+        solved.append(k)
+        run = BlockLanczos(lambda x: factor.solve_l(k1 @ factor.solve_lt(x)), n, k)
+        while True:
+            if run.theta is not None:
+                tight = (np.arange(k) < m) | (run.theta >= run.theta[m - 1] * (1.0 - CLUSTER_RTOL))
+                if np.all(run.residual <= np.where(tight, RESIDUAL_RTOL, EXTRA_RESIDUAL_RTOL)):
+                    break
+            run.step()
+        theta, y = run.pairs()
+        tau = 1.0 / theta
+        if cluster_starts(tau)[-1] >= m:
+            return canonical_basis(tau, factor.solve_lt(y), k1, m, grid), solved
+        k = min(2 * k, n - 1)
+
+
+def estimate_trilinear_constant(basis: StokesBasis, tensor: np.ndarray, samples: int = 200,
+                                seed: int = 42) -> float:
+    """The sampled trilinear constant one triple at a time: the same triples,
+    drawn (3, M) per sample, and the form as a full einsum per triple."""
+    m = basis.n_modes
+    tau = basis.eigenvalues
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(samples):
+        a, b, c = rng.standard_normal((3, m))
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        ga = math.sqrt(float(tau @ (a * a)))
+        gb = math.sqrt(float(tau @ (b * b)))
+        gc = math.sqrt(float(tau @ (c * c)))
+        den = math.sqrt(na * nb) * math.sqrt(ga * gb) * gc
+        if den == 0.0:
+            continue
+        num = abs(float(np.einsum("ijk,i,j,k->", tensor, a, b, c)))
+        best = max(best, num / den)
+    return best
 
 
 def raw_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:

@@ -162,7 +162,7 @@ def test_stationary_cutoff_acting_inside_blocks_matches_oracle(square16, pack_ra
     params = feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)
     y0 = random_low_mode_state(basis.n_modes, 1.0, seed=2)
     y0[: params.n_active] = 0.0
-    y0 *= 6e-9 / np.linalg.norm(y0)
+    y0 *= 5e-9 / np.linalg.norm(y0)  # switches at steps 251 and 525
     laws = [ControlLaw.stationary(params, cutoff=True), ControlLaw.stationary(params)]
     dt = 1e-5
     run = simulate_batch(np.tile(y0, (2, 1)), laws, uniform_plan(0.0, 0.01, dt), basis, tensor, gram)

@@ -181,14 +181,22 @@ def test_eigen_report_records_the_solve_and_report_prints_it(tmp_path):
     assert run_subcommand("eigen", config) == 0
     solve = json.loads((out / "eigen_report.json").read_text())["solve"]
     assert set(solve) == {"solve_s", "lanczos_blocks", "restarts", "max_projected_dim",
-                          "max_relative_residual", "orthonormality_residual"}
+                          "max_relative_residual", "orthonormality_residual", "parity_residual", "classes"}
     assert solve["solve_s"] > 0.0 and solve["lanczos_blocks"] >= 1 and solve["restarts"] >= 0
-    assert config.M + EXTRA_MODES <= solve["max_projected_dim"] <= 16 * 16
+    assert -(-config.M // 4) + EXTRA_MODES <= solve["max_projected_dim"] <= 8 * 8
     assert solve["max_relative_residual"] <= 1e-10 and solve["orthonormality_residual"] <= 1e-12
+    assert solve["parity_residual"] == 0.0
+    classes = solve.pop("classes")
+    assert list(classes) == ["even-even", "even-odd", "odd-even", "odd-odd"]
+    for key in ("lanczos_blocks", "restarts"):
+        assert sum(counts[key] for counts in classes.values()) == solve[key]
+    assert all(counts["pairs"] >= -(-config.M // 4) + EXTRA_MODES for counts in classes.values())
     assert run_subcommand("report", config) == 0
     summary = (out / "summary.txt").read_text()
     for key, value in solve.items():
         assert f"  {key} = {value}\n" in summary
+    for name, counts in classes.items():
+        assert f"  classes.{name} = {', '.join(f'{k} {v}' for k, v in counts.items())}\n" in summary
     assert run_subcommand("eigen", config) == 0
     assert "solve" not in json.loads((out / "eigen_report.json").read_text())
 
@@ -546,6 +554,24 @@ def test_eigen_cache_identical_across_blas_thread_counts(tmp_path):
     assert caches[0] == caches[1]
 
 
+def test_cold_basis_caches_identical_across_blas_thread_counts(tmp_path):
+    """A cold certified eigen + constants run at 64x64 with 24 modes, the
+    configuration whose solve runs a block Lanczos per reflection class and
+    whose tensor is built by class pairs, writes the same basis cache and
+    tensor cache bytes under 1 and 2 threads, and the same constants."""
+    data = {"Lx": 1.0, "Ly": 1.0, "nx": 64, "ny": 64, "omega": [0.6, 0.9, 0.1, 0.4], "M": 24,
+            "mode": "certified", "eps_zero": 1e-8, "seed": 7}
+    threads = {t: {"OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t, "MKL_NUM_THREADS": t} for t in ("1", "2")}
+    for subcommand in ("eigen", "constants"):
+        done = _run_in_children(tmp_path, subcommand, data, threads)
+        assert all(proc.returncode == 0 for proc in done.values()), [proc.stderr for proc in done.values()]
+    for name in ("basis_cache.nsstab", "basis_cache.nsstab.tensor"):
+        one, two = ((tmp_path / f"out{t}" / name).read_bytes() for t in threads)
+        assert one == two, name
+    one, two = (json.loads((tmp_path / f"out{t}" / "constants_report.json").read_text())["constants"] for t in threads)
+    assert one == two
+
+
 def test_version_1_cache_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog):
     import hashlib
     import struct
@@ -558,7 +584,7 @@ def test_version_1_cache_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog)
     struct.pack_into("<I", body, 8, 1)
     path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
     assert run_subcommand("eigen", config) == 0
-    assert "version 1 != 2; ignoring" in caplog.text
+    assert f"version 1 != {cli.CACHE_VERSION}; ignoring" in caplog.text
     assert json.loads((tmp_path / "out" / "eigen_report.json").read_text())["cache_hit"] is False
     assert path.read_bytes() == current
 
@@ -644,7 +670,7 @@ def _signed(body: bytes) -> bytes:
 
 
 @pytest.mark.parametrize(("edit", "reason"), [
-    (lambda blob: _signed(blob[:8] + struct.pack("<I", 99) + blob[12:-32]), "version 99 != 1"),
+    (lambda blob: _signed(blob[:8] + struct.pack("<I", 99) + blob[12:-32]), f"version 99 != {cli.TENSOR_CACHE_VERSION}"),
     (lambda blob: _signed(blob[:12] + struct.pack("<I", 13) + blob[16:-32]), "M 13 != 12"),
     (lambda blob: _signed(blob[:16] + bytes(32) + blob[48:-32]), "built from another basis cache"),
     (lambda blob: _signed(blob[:-40]), "payload size mismatch"),

@@ -16,6 +16,7 @@ from nsstab.constants import (
 from nsstab.dynamics import build_trilinear_tensor, raw_trilinear_tensor
 from nsstab.errors import BasisTooSmallError
 
+import oracle
 from conftest import make_setup
 from oracle import locate_interval, modal_feedback, radial_cutoff, truncated
 
@@ -246,11 +247,26 @@ def test_trilinear_tensor_matches_quadruple_loop_oracle():
 
 def test_trilinear_constant_fixture():
     # frozen measurement: 32x32 unit square, 16 modes, seed 42, 200 samples; the
-    # value is the one the canonicalized dense oracle basis gives (see oracle.py)
+    # value is the one the dense oracle basis, canonicalized by reflection class,
+    # gives with the oracle's one-shot tensor (0.020186396858733, see oracle.py)
     grid, _, _, basis = make_setup(32, 32, 16)
     tensor = build_trilinear_tensor(basis, grid)
     c0 = estimate_trilinear_constant(basis, tensor, samples=200, seed=42)
-    assert c0 == pytest.approx(0.015599492574551408, rel=1e-9)
+    assert c0 == pytest.approx(0.020186396858747773, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_trilinear_constant_matches_the_triple_by_triple_oracle(square16, square32_wide, seed):
+    """One (samples, 3, M) draw and one product give the value of the loop
+    over the same triples within 1e-14 relative, on the 16x16 M = 24 tensor,
+    the 32x32 M = 64 tensor and a seeded random tensor."""
+    random = np.random.default_rng(seed).standard_normal((24, 24, 24))
+    for basis, tensor in ((square16["basis"], square16["tensor"]), (square32_wide["basis"], square32_wide["tensor"]),
+                          (square16["basis"], random)):
+        for samples in (100, 200):
+            c0 = estimate_trilinear_constant(basis, tensor, samples=samples, seed=seed)
+            ref = oracle.estimate_trilinear_constant(basis, tensor, samples=samples, seed=seed)
+            assert c0 == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_trilinear_constant_validates_inputs(square32):

@@ -447,7 +447,10 @@ def test_small_time_configured_dt_caps_every_piece(small_setup):
 def test_small_time_piece_grid_is_second_order(small_setup):
     """Halving every piece's cap cuts the error of the norms at s + T by four
     on the piece grid, from each of acceptance 8's offsets, with the cutoff
-    law (orders measured from 1.84 to 2.13 against 2**-6 of the caps)."""
+    law: orders measured from 1.97 to 2.07 from a quarter of the caps to
+    2**-5 of them, against 2**-7.  Coarser, the T/3 row is not yet
+    asymptotic: its error at half the caps, 4.0e-6, lies below the trend
+    (2.8e-5 at the caps, 1.7e-6 at a quarter), so orders 2.82 and 1.26."""
     basis, tensor, gram = small_setup["basis"], small_setup["tensor"], small_setup["gram"]
     schedule = build_schedule(1, small_setup["pack"], basis, 4)
     period = schedule.period
@@ -462,8 +465,8 @@ def test_small_time_piece_grid_is_second_order(small_setup):
         assert np.array_equal(run.times[-1], offsets + period)
         return run.norm_h[-1]
 
-    ref = end_norms(6)
-    errors = np.array([np.abs(end_norms(k) / ref - 1.0) for k in range(4)])
+    ref = end_norms(7)
+    errors = np.array([np.abs(end_norms(k) / ref - 1.0) for k in range(2, 6)])
     orders = np.log2(errors[:-1] / errors[1:])
     assert np.all((1.7 <= orders) & (orders <= 2.3)), orders
 

@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from nsstab.errors import BasisTooSmallError, SpectralDegeneracyError
 from nsstab.grid import DomainSpec, build_grid
 from nsstab.spectral import (
+    CLASSES,
     EXTRA_MODES,
     StokesBasis,
     assemble_gram,
     assemble_operators,
     canonical_basis,
+    class_coordinates,
+    class_fields,
     cluster_starts,
     count_modes,
     fit_spectral_constant,
+    reflection_parities,
 )
 
 import oracle
@@ -122,26 +126,87 @@ def test_lanczos_eigenvalues_match_eigsh(n, m):
     np.testing.assert_allclose(basis.eigenvalues, ref, rtol=1e-10, atol=0)
 
 
-def test_pairs_double_when_the_cluster_of_tau_m_crosses_the_first_k(tiny8, monkeypatch):
-    """With one extra pair, 8x8 with 10 modes first solves 11 pairs; the
-    degenerate pair tau_10 = tau_11 reaches the last of them, so the solve
-    doubles to 22 pairs, and the basis still matches the dense oracle."""
+def test_a_class_doubles_its_pairs_alone_when_its_last_falls_inside_the_basis(square16, monkeypatch):
+    """With two extra pairs, 16x16 with 24 modes first solves 6 + 2 pairs in
+    each reflection class; the even-even class holds 8 of the 24 modes, so
+    its last pair falls inside the basis and it alone doubles to 16 pairs,
+    while the other classes keep their first solve; the basis still matches
+    the dense oracle."""
     from nsstab import spectral
 
-    solved = []
-    lanczos = spectral.block_lanczos
+    started = []
 
-    def recording(apply, n, k, m):
-        solved.append(k)
-        return lanczos(apply, n, k, m)
+    class Recording(spectral.BlockLanczos):
+        def __init__(self, apply, n, k):
+            started.append(k)
+            super().__init__(apply, n, k)
 
-    monkeypatch.setattr(spectral, "EXTRA_MODES", 1)
-    monkeypatch.setattr(spectral, "block_lanczos", recording)
-    basis = spectral.solve_eigenbasis(tiny8["k1"], tiny8["k2"], 10, tiny8["grid"])
-    assert solved == [11, 22]
-    ref = oracle.dense_eigenbasis(tiny8["grid"], 10)
+    monkeypatch.setattr(spectral, "EXTRA_MODES", 2)
+    monkeypatch.setattr(spectral, "BlockLanczos", Recording)
+    basis = spectral.solve_eigenbasis(square16["k1"], square16["k2"], 24, square16["grid"])
+    assert started == [8, 8, 8, 8, 16]
+    assert [c["pairs"] for c in basis.solve["classes"].values()] == [16, 8, 8, 8]
+    sx, sy, _ = spectral.reflection_parities(basis.stream_functions)
+    assert np.sum((sx == 1) & (sy == 1)) == 8
+    ref = oracle.dense_eigenbasis(square16["grid"], 24)
     np.testing.assert_allclose(basis.eigenvalues, ref.eigenvalues, rtol=1e-11, atol=0)
     assert np.abs(basis.velocities - ref.velocities).max() <= 1e-9 * np.abs(ref.velocities).max()
+
+
+def test_class_solve_matches_the_unsplit_lanczos_oracle(square16):
+    """The solve by reflection class against one block Lanczos on the whole
+    pencil, canonicalized by the same rule: eigenvalues within 1e-11
+    relative, velocities within 1e-9 of the largest entry."""
+    basis = square16["basis"]
+    ref, solved = oracle.unsplit_eigenbasis(square16["k1"], square16["k2"], 24, square16["grid"])
+    assert solved == [24 + EXTRA_MODES]
+    np.testing.assert_allclose(basis.eigenvalues, ref.eigenvalues, rtol=1e-11, atol=0)
+    assert np.abs(basis.velocities - ref.velocities).max() <= 1e-9 * np.abs(ref.velocities).max()
+
+
+PARITY_GRIDS = [(8, 8, 1.0, 1.0, 10), (16, 16, 1.0, 1.0, 24), (15, 16, 1.0, 1.0, 24), (12, 10, 1.0, 0.8, 20)]
+
+
+@pytest.mark.parametrize(("nx", "ny", "lx", "ly", "m"), PARITY_GRIDS)
+def test_every_mode_has_exact_reflection_parities(nx, ny, lx, ly, m):
+    """Each stream function is +-itself mirrored in x and in y, bit for bit,
+    from the class solve and from the dense oracle canonicalized by the same
+    rule, on squares, an odd-by-even grid and a rectangle with Lx != Ly; the
+    solve records a parity residual of 0.0, and both bases agree."""
+    grid, _, _, basis = make_setup(nx, ny, m, lx=lx, ly=ly)
+    assert basis.solve["parity_residual"] == 0.0
+    ref = oracle.dense_eigenbasis(grid, m)
+    for psi in (basis.stream_functions, ref.stream_functions):
+        sx, sy, residual = reflection_parities(psi)
+        assert residual == 0.0
+        assert np.array_equal(psi[:, ::-1, :], sx[:, None, None] * psi)
+        assert np.array_equal(psi[:, :, ::-1], sy[:, None, None] * psi)
+    assert np.array_equal(reflection_parities(ref.stream_functions)[:2], reflection_parities(basis.stream_functions)[:2])
+    np.testing.assert_allclose(basis.eigenvalues, ref.eigenvalues, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize(("nx", "ny"), [(8, 8), (15, 16), (7, 10)])
+def test_class_operators_are_the_operators_on_class_fields(nx, ny):
+    """A class operator is symmetric to the bit, and class_fields carries it
+    to the full operator on that class's fields, within rounding; the
+    projection of a class's fields onto another class is exactly zero."""
+    grid = build_grid(DomainSpec(1.0, 1.0, nx, ny, (0.1, 0.4, 0.1, 0.4)))
+    rng = np.random.default_rng(3)
+    for op in assemble_operators(grid):
+        full = dense(op, grid)
+        for sx, sy in CLASSES:
+            part = op.restricted(sx, sy)
+            n = part.nx * part.ny
+            matrix = part @ np.eye(n)
+            assert np.array_equal(matrix, matrix.T)
+            phi = rng.standard_normal((2, part.nx, part.ny))
+            fields = class_fields(phi, sx, sy, nx, ny)
+            moved = (full @ fields.reshape(2, -1).T).T.reshape(fields.shape)
+            expected = class_fields((matrix @ phi.reshape(2, -1).T).T.reshape(phi.shape), sx, sy, nx, ny)
+            assert np.abs(moved - expected).max() <= 1e-12 * np.abs(moved).max()
+            for other in CLASSES:
+                if other != (sx, sy):
+                    assert not class_coordinates(fields, *other).any()
 
 
 def test_tiny8_cuts_a_cluster_and_ties_are_bit_equal(tiny8_pairs, tiny8, square32):
@@ -162,7 +227,7 @@ def tiny8_pairs(tiny8):
     k1, k2 = oracle.dense_operators(grid)
     m = tiny8["basis"].n_modes
     tau, vecs = scipy.linalg.eigh(k2, k1, subset_by_index=(0, m + EXTRA_MODES - 1))
-    return tau, vecs, k1, canonical_basis(tau, vecs, k1, m, grid)
+    return tau, vecs, tiny8["k1"], canonical_basis(tau, vecs, tiny8["k1"], m, grid)
 
 
 @settings(max_examples=60, deadline=None)
