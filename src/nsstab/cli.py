@@ -1,14 +1,22 @@
-"""Configuration, subcommands, artifact formats, and the basis and tensor caches.
+"""Configuration, subcommands, artifact formats, and the basis cache.
 
 One structured JSON config file drives every run; there are no positional
 numeric arguments, so every figure is reproducible from the file.  Unknown
 keys are rejected.  All numeric output uses full 64-bit precision (17
 significant digits in CSV) so artifacts re-parse bit-faithfully.
 
-The convection tensor is a fixed function of the basis, so the first run
-that steps (or a certified ``constants``) builds it once and stores it in a
-tensor cache beside the basis cache, keyed by the basis cache's digest;
-later runs read it back.  ``eigen`` and ``fit-c1`` never build it.
+Every run that steps, and a certified ``constants``, builds the convection
+tensor from the basis; ``eigen``, ``fit-c1`` and a practical ``constants``
+never build it.  It is not cached: the build by reflection class takes a
+few milliseconds, while a cache needs its own format and a version bumped
+by hand whenever the tensor arithmetic changes.  Build times against the
+read and write of an M^3 float64 file with its sha256 (medians of 15, one
+BLAS thread, pinned CPU):
+
+    grid, modes   build     read      write     file
+    64x64, 24     4.76 ms   0.17 ms   0.57 ms   0.11 MB
+    32x32, 24     1.55 ms   0.17 ms   0.55 ms   0.11 MB
+    32x32, 64     9.04 ms   2.53 ms   4.38 ms   2.10 MB
 
 Subcommands:
 
@@ -52,10 +60,9 @@ logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"NSSTAB1\x00"
 CACHE_VERSION = 3  # 3: modes with exact reflection parities, canonical per class
-TENSOR_CACHE_MAGIC = b"NSSTABT\x00"
-#: bump whenever the arithmetic of dynamics.raw_trilinear_tensor or
-#: build_trilinear_tensor changes: the key names the basis, not that code
-TENSOR_CACHE_VERSION = 2
+#: magic, version, nx, ny, Lx, Ly, M; the eigenvalues, the stream functions
+#: and the sha256 of everything before it follow
+_CACHE_HEADER = struct.Struct("<8sIIIddI")
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -108,10 +115,6 @@ class RunConfig:
         if self.cache_path is not None:
             return Path(self.cache_path)
         return Path(self.output_dir) / "basis_cache.nsstab"
-
-    def resolved_tensor_cache_path(self) -> Path:
-        basis_cache = self.resolved_cache_path()
-        return basis_cache.with_name(basis_cache.name + ".tensor")
 
 
 def _parse_value(hint, value, key: str):
@@ -230,178 +233,86 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# basis and tensor caches
+# basis cache
 # ---------------------------------------------------------------------------
 
-def _write_checked(path: Path, body: bytes) -> bytes:
-    """Write body and its sha256 digest to path atomically (a temporary file,
-    then a rename); return the digest."""
-    digest = hashlib.sha256(body).digest()
+def write_basis_cache(path: str | Path, basis: StokesBasis) -> None:
+    """Binary cache: magic, version, grid signature, eigenvalues, stream
+    functions (all little-endian float64), and a trailing sha256 of the rest.
+
+    Written atomically: a temporary file, then a rename.
+    """
+    grid = basis.grid
+    body = (_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, grid.nx, grid.ny, grid.spec.Lx, grid.spec.Ly,
+                               basis.n_modes)
+            + basis.eigenvalues.astype("<f8").tobytes() + basis.stream_functions.astype("<f8").tobytes())
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(body)
-            fh.write(digest)
+            fh.write(hashlib.sha256(body).digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return digest
 
 
-def _read_checked(path: Path, magic: bytes, header_size: int, label: str) -> memoryview | None:
-    """The bytes of a file written by _write_checked, digest included, as a
-    memoryview (so no slice copies the payload); None if the file is absent,
-    and None with a warning if it is truncated, of another magic or fails
-    its checksum."""
+def read_basis_cache(path: str | Path, grid: Grid, m: int) -> StokesBasis | None:
+    """A cached basis whose eigenvalues and stream functions are read-only
+    views of the file's bytes; None if the file is absent, and None with a
+    warning naming the reason if it is truncated, corrupt, or of another
+    version or signature."""
+    path = Path(path)
     if not path.exists():
         return None
-    blob = memoryview(path.read_bytes())
-    if len(blob) < header_size + 32 or blob[: len(magic)] != magic:
-        logger.warning("%s %s: bad magic or truncated; ignoring", label, path)
-        return None
-    if hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
-        logger.warning("%s %s: checksum mismatch; ignoring", label, path)
-        return None
-    return blob
+    blob = memoryview(path.read_bytes())  # so no slice copies the payload
+    off = _CACHE_HEADER.size
+    if len(blob) < off + 32 or blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+        reason = "bad magic or truncated"
+    elif hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
+        reason = "checksum mismatch"
+    else:
+        _, version, nx, ny, lx, ly, mm = _CACHE_HEADER.unpack_from(blob)
+        if version != CACHE_VERSION:
+            reason = f"version {version} != {CACHE_VERSION}"
+        elif (nx, ny, lx, ly, mm) != (grid.nx, grid.ny, grid.spec.Lx, grid.spec.Ly, m):
+            reason = "signature mismatch"
+        elif len(blob) - 32 - off != 8 * mm * (1 + nx * ny):
+            reason = "payload size mismatch"
+        else:
+            tau = np.frombuffer(blob, dtype="<f8", count=mm, offset=off)
+            psi = np.frombuffer(blob, dtype="<f8", count=mm * nx * ny, offset=off + 8 * mm).reshape(mm, nx, ny)
+            return StokesBasis.from_stream_functions(tau, psi, grid)
+    logger.warning("cache %s: %s; ignoring", path, reason)
+    return None
 
 
-def _digest_tag(*parts) -> str:
-    """The "sha256:" tag of the concatenated parts, the form reports record."""
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part)
-    return f"sha256:{digest.hexdigest()}"
-
-
-def write_basis_cache(path: str | Path, basis: StokesBasis) -> bytes:
-    """Binary cache: magic, version, grid signature, eigenvalues, stream
-    functions (all little-endian float64), and a trailing sha256 of the rest.
-
-    Written atomically via rename.  Returns the sha256 trailer, the key of
-    the tensor cache.
-    """
-    grid = basis.grid
-    header = CACHE_MAGIC + struct.pack(
-        "<III", CACHE_VERSION, grid.nx, grid.ny
-    ) + struct.pack("<ddI", grid.spec.Lx, grid.spec.Ly, basis.n_modes)
-    payload = (
-        basis.eigenvalues.astype("<f8").tobytes()
-        + basis.stream_functions.astype("<f8").tobytes()
-    )
-    return _write_checked(Path(path), header + payload)
-
-
-def read_basis_cache(path: str | Path, grid: Grid, m: int) -> tuple[StokesBasis, bytes] | None:
-    """A cached basis and its cache's sha256 trailer; None if absent,
-    corrupt, or mismatched.  The eigenvalues and stream functions are
-    read-only views of the file's bytes."""
-    path = Path(path)
-    blob = _read_checked(path, CACHE_MAGIC, len(CACHE_MAGIC) + 12 + 20, "cache")
-    if blob is None:
-        return None
-    off = len(CACHE_MAGIC)
-    version, nx, ny = struct.unpack_from("<III", blob, off)
-    off += 12
-    lx, ly, mm = struct.unpack_from("<ddI", blob, off)
-    off += 20
-    for stale, reason in (
-        (version != CACHE_VERSION, f"version {version} != {CACHE_VERSION}"),
-        ((nx, ny, mm) != (grid.nx, grid.ny, m) or (lx, ly) != (grid.spec.Lx, grid.spec.Ly), "signature mismatch"),
-        (len(blob) - 32 - off != mm * 8 + mm * nx * ny * 8, "payload size mismatch"),
-    ):
-        if stale:
-            logger.warning("cache %s: %s; ignoring", path, reason)
-            return None
-    tau = np.frombuffer(blob, dtype="<f8", count=mm, offset=off)
-    off += mm * 8
-    psi = np.frombuffer(blob, dtype="<f8", count=mm * nx * ny, offset=off).reshape(mm, nx, ny)
-    return StokesBasis.from_stream_functions(tau, psi, grid), bytes(blob[-32:])
-
-
-def ensure_basis(config: RunConfig) -> tuple[StokesBasis, bool, bytes]:
-    """Return (basis, cache_hit, the cache's sha256 trailer), refreshing the
-    cache on a miss."""
+def ensure_basis(config: RunConfig) -> tuple[StokesBasis, bool]:
+    """Return (basis, cache_hit), refreshing the cache on a miss."""
     grid = build_grid(config.domain_spec())
     cache_path = config.resolved_cache_path()
-    cached = read_basis_cache(cache_path, grid, config.M)
-    if cached is not None:
+    basis = read_basis_cache(cache_path, grid, config.M)
+    if basis is not None:
         logger.info("cache hit: %s", cache_path)
-        basis, key = cached
-        return basis, True, key
+        return basis, True
     k1, k2 = assemble_operators(grid)
     basis = solve_eigenbasis(k1, k2, config.M, grid)
-    key = write_basis_cache(cache_path, basis)
+    write_basis_cache(cache_path, basis)
     logger.info("cache written: %s", cache_path)
-    return basis, False, key
-
-
-_TENSOR_HEADER = struct.Struct("<II32s")  # version, M, the basis cache's sha256 trailer
-
-
-def write_tensor_cache(path: str | Path, tensor: np.ndarray, key: bytes) -> str:
-    """Binary cache: magic, version, M, the key (the sha256 trailer of the
-    basis cache the tensor was built from), the M^3 tensor entries as
-    little-endian float64 in C order, and a trailing sha256 of the rest.
-
-    Written atomically via rename.  Returns the file's "sha256:" digest.
-    """
-    body = (TENSOR_CACHE_MAGIC + _TENSOR_HEADER.pack(TENSOR_CACHE_VERSION, tensor.shape[0], key)
-            + tensor.astype("<f8", copy=False).tobytes())
-    return _digest_tag(body, _write_checked(Path(path), body))
-
-
-def read_tensor_cache(path: str | Path, m: int, key: bytes) -> tuple[np.ndarray, str] | None:
-    """The cached (M, M, M) tensor, a read-only view of the file's bytes, and
-    the file's "sha256:" digest; None if absent, and None with a warning
-    naming the reason if stale or corrupt."""
-    path = Path(path)
-    off = len(TENSOR_CACHE_MAGIC) + _TENSOR_HEADER.size
-    blob = _read_checked(path, TENSOR_CACHE_MAGIC, off, "tensor cache")
-    if blob is None:
-        return None
-    version, mm, cached_key = _TENSOR_HEADER.unpack_from(blob, len(TENSOR_CACHE_MAGIC))
-    for stale, reason in (
-        (version != TENSOR_CACHE_VERSION, f"version {version} != {TENSOR_CACHE_VERSION}"),
-        (mm != m, f"M {mm} != {m}"),
-        (cached_key != key, "built from another basis cache"),
-        (len(blob) - 32 - off != 8 * mm**3, "payload size mismatch"),
-    ):
-        if stale:
-            logger.warning("tensor cache %s: %s; ignoring", path, reason)
-            return None
-    tensor = np.frombuffer(blob, dtype="<f8", count=mm**3, offset=off).reshape(mm, mm, mm)
-    return tensor, _digest_tag(blob)
-
-
-def ensure_tensor(config: RunConfig, basis: StokesBasis, key: bytes) -> tuple[np.ndarray, str | None]:
-    """Return (convection tensor, "sha256:" digest of its cache file).
-
-    The tensor cache sits beside the basis cache and is keyed by its sha256
-    trailer.  On a miss or a stale cache the tensor is built and the cache
-    written; if that write fails, the run goes on with the tensor it built,
-    and the digest is None.
-    """
-    path = config.resolved_tensor_cache_path()
-    cached = read_tensor_cache(path, basis.n_modes, key)
-    if cached is not None:
-        logger.info("tensor cache hit: %s", path)
-        return cached
-    tensor = build_trilinear_tensor(basis, basis.grid)
-    try:
-        digest = write_tensor_cache(path, tensor, key)
-    except OSError as exc:
-        logger.warning("tensor cache %s: cannot write (%s); using the tensor built in memory", path, exc)
-        return tensor, None
-    logger.info("tensor cache written: %s", path)
-    return tensor, digest
+    return basis, False
 
 
 # ---------------------------------------------------------------------------
 # artifact writers
 # ---------------------------------------------------------------------------
+
+def _digest_tag(data: bytes) -> str:
+    """The "sha256:" tag of data, the form reports record."""
+    return f"sha256:{hashlib.sha256(data).hexdigest()}"
+
 
 def _row_format(kinds: str) -> str:
     """One %-format for a CSV row, a letter per column: "f" for a float with
@@ -436,14 +347,12 @@ def _write_json(path: str | Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _base_report(config: RunConfig, pack: ConstantPack | None = None, **inputs) -> dict:
-    """The fields every report shares.  inputs holds the "sha256:" digests of
-    the basis cache and of the further caches a run used (tensor_cache, None
-    when that cache could not be written)."""
+def _base_report(config: RunConfig, pack: ConstantPack | None = None) -> dict:
+    """The fields every report shares, the basis cache's "sha256:" digest among them."""
     return {
         "config": dataclasses.asdict(config),
         "constants": dataclasses.asdict(pack) if pack is not None else None,
-        "inputs": {"cache": sha256_file(config.resolved_cache_path()), **inputs},
+        "inputs": {"cache": sha256_file(config.resolved_cache_path())},
         "seed": config.seed,
     }
 
@@ -476,7 +385,7 @@ def build_pack(config: RunConfig, basis: StokesBasis, tensor: np.ndarray | None,
 # ---------------------------------------------------------------------------
 
 def _cmd_eigen(config: RunConfig, out: Path) -> None:
-    basis, hit, _ = ensure_basis(config)
+    basis, hit = ensure_basis(config)
     _write_json(
         out / "eigen_report.json",
         {
@@ -491,7 +400,7 @@ def _cmd_eigen(config: RunConfig, out: Path) -> None:
 
 
 def _cmd_fit_c1(config: RunConfig, out: Path) -> None:
-    basis, _, _ = ensure_basis(config)
+    basis, _ = ensure_basis(config)
     gram = assemble_gram(basis, basis.grid)
     fit = fit_spectral_constant(basis, gram)
     table_path = out / "c1_table.csv"
@@ -511,25 +420,24 @@ def _cmd_fit_c1(config: RunConfig, out: Path) -> None:
 
 
 def _cmd_constants(config: RunConfig, out: Path) -> None:
-    basis, _, key = ensure_basis(config)
-    tensor, inputs = None, {}
-    if config.mode == "certified":  # the trilinear constant is measured on the tensor
-        tensor, inputs["tensor_cache"] = ensure_tensor(config, basis, key)
+    basis, _ = ensure_basis(config)
+    # the certified trilinear constant is measured on the tensor
+    tensor = build_trilinear_tensor(basis, basis.grid) if config.mode == "certified" else None
     pack = build_pack(config, basis, tensor)
-    _write_json(out / "constants_report.json", _base_report(config, pack, **inputs))
+    _write_json(out / "constants_report.json", _base_report(config, pack))
 
 
 def _prepare_dynamics(config: RunConfig):
-    """(basis, tensor, gram, pack, the inputs _base_report records for the tensor cache)."""
-    basis, _, key = ensure_basis(config)
-    tensor, tensor_cache = ensure_tensor(config, basis, key)
+    """(basis, convection tensor, gram, pack)."""
+    basis, _ = ensure_basis(config)
+    tensor = build_trilinear_tensor(basis, basis.grid)
     gram = assemble_gram(basis, basis.grid)
     pack = build_pack(config, basis, tensor, gram)
-    return basis, tensor, gram, pack, {"tensor_cache": tensor_cache}
+    return basis, tensor, gram, pack
 
 
 def _cmd_simulate(config: RunConfig, out: Path) -> None:
-    basis, tensor, gram, pack, inputs = _prepare_dynamics(config)
+    basis, tensor, gram, pack = _prepare_dynamics(config)
     exp = config.experiment
     tau = basis.eigenvalues
     # thresholds must lie strictly below tau_M, which a degenerate top cluster shares
@@ -544,7 +452,7 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
     )
     traj_path = out / "simulate_trajectory.csv"
     payload = {
-        **_base_report(config, pack, **inputs),
+        **_base_report(config, pack),
         **dataclasses.asdict(report.params),
         "y0_norm": report.y0_norm,
         "dt": report.dt,
@@ -617,9 +525,9 @@ def _null_control_payload(report) -> dict:
 
 
 def _cmd_nullcontrol(config: RunConfig, out: Path) -> None:
-    basis, tensor, gram, pack, inputs = _prepare_dynamics(config)
+    basis, tensor, gram, pack = _prepare_dynamics(config)
     [report] = run_null_control(basis, tensor, gram, pack, [config.experiment.n0], **_null_control_options(config))
-    payload = {**_base_report(config, pack, **inputs), **_null_control_payload(report)}
+    payload = {**_base_report(config, pack), **_null_control_payload(report)}
     if report.trajectory is not None:
         traj_path = out / "nullcontrol_trajectory.csv"
         payload["trajectory"] = traj_path.name
@@ -628,7 +536,7 @@ def _cmd_nullcontrol(config: RunConfig, out: Path) -> None:
 
 
 def _cmd_stabilize(config: RunConfig, out: Path) -> None:
-    basis, tensor, gram, pack, inputs = _prepare_dynamics(config)
+    basis, tensor, gram, pack = _prepare_dynamics(config)
     exp = config.experiment
     period = 2.0 ** (-exp.n0)
     offsets = [f * period for f in exp.offsets]
@@ -644,7 +552,7 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
     _write_json(
         out / "stabilize_report.json",
         {
-            **_base_report(config, pack, **inputs),
+            **_base_report(config, pack),
             "n0": probe.n0,
             "T": probe.period,
             "dt": probe.dt,
@@ -665,7 +573,7 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
 def _cmd_cost_curve(config: RunConfig, out: Path) -> None:
     if len(set(config.experiment.n0_list)) < 3:
         raise ConfigError("experiment.n0_list", "the slope fit needs at least 3 distinct n0")
-    basis, tensor, gram, pack, inputs = _prepare_dynamics(config)
+    basis, tensor, gram, pack = _prepare_dynamics(config)
     reports = run_null_control(basis, tensor, gram, pack, config.experiment.n0_list,
                                **_null_control_options(config))
     slope, intercept = fit_cost_curve(reports)
@@ -675,7 +583,7 @@ def _cmd_cost_curve(config: RunConfig, out: Path) -> None:
     _write_json(
         out / "cost_curve_report.json",
         {
-            **_base_report(config, pack, **inputs),
+            **_base_report(config, pack),
             "n0_list": list(config.experiment.n0_list),
             "slope": slope,
             "intercept": intercept,
@@ -691,14 +599,6 @@ def _listed_trajectories(data: dict) -> list[tuple[str, str | None]]:
     """(file, sha256 recorded at the run) of every trajectory CSV a report lists."""
     listed = [(data[key], data.get(f"{key}_sha256")) for key in ("trajectory", "cutoff_trajectory") if key in data]
     return listed + [(entry["file"], entry.get("sha256")) for entry in data.get("trajectories", ())]
-
-
-def _recorded_caches(data: dict) -> list[tuple[str, Path, str | None]]:
-    """(inputs key, path, sha256 recorded at the run) of each cache a report
-    used, the paths resolved from the report's own config."""
-    config = _parse_section(RunConfig, data["config"])
-    paths = {"cache": config.resolved_cache_path(), "tensor_cache": config.resolved_tensor_cache_path()}
-    return [(key, paths[key], recorded) for key, recorded in data["inputs"].items()]
 
 
 def _cmd_report(config: RunConfig, out: Path) -> None:
@@ -734,10 +634,11 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
             lines.append(f"  trajectory = {file} ({digest})")
             if recorded != digest:
                 lines.append(f"  WARNING: {file} hash differs from the one recorded at the run")
-        for key, path, recorded in _recorded_caches(data):
-            lines.append(f"  {key} = {path} ({recorded or 'not written'})")
-            if recorded is not None and (not path.exists() or sha256_file(path) != recorded):
-                lines.append(f"  WARNING: {path} hash differs from the one recorded at the run")
+        # the basis cache the run used, found from the report's own config
+        path, recorded = _parse_section(RunConfig, data["config"]).resolved_cache_path(), data["inputs"]["cache"]
+        lines.append(f"  cache = {path} ({recorded})")
+        if not path.exists() or sha256_file(path) != recorded:
+            lines.append(f"  WARNING: {path} hash differs from the one recorded at the run")
         if "trajectory" in data:
             plot_source = out / data["trajectory"]
         lines.append("")

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +17,9 @@ from nsstab.cli import (
     main,
     parse_config,
     read_basis_cache,
-    read_tensor_cache,
     run_subcommand,
     sha256_file,
     write_basis_cache,
-    write_tensor_cache,
     write_trajectory_csv,
 )
 from nsstab.constants import Schedule
@@ -130,9 +129,9 @@ def test_config_round_trip(tmp_path):
 def test_basis_cache_round_trip(tmp_path):
     grid, _, _, basis = make_setup(8, 8, 6, omega=(0.1, 0.6, 0.1, 0.6))
     path = tmp_path / "cache.bin"
-    key = write_basis_cache(path, basis)
-    loaded, read_key = read_basis_cache(path, grid, 6)
-    assert key == read_key == path.read_bytes()[-32:]  # the sha256 trailer
+    write_basis_cache(path, basis)
+    loaded = read_basis_cache(path, grid, 6)
+    assert not loaded.stream_functions.flags.writeable  # a view of the bytes read
     assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
     assert np.array_equal(loaded.stream_functions, basis.stream_functions)
     assert np.array_equal(loaded.velocities, basis.velocities)
@@ -403,12 +402,8 @@ def test_stabilize_csvs_identical_across_blas_thread_counts(tmp_path):
     assert run_subcommand("eigen", parse_config(write_config(tmp_path, cache_path=str(cache)))) == 0
     outputs = {}
     for threads in ("1", "2"):
-        # each child gets its own copy of the basis cache, so each builds and writes its own tensor cache
-        own_cache = tmp_path / f"cache{threads}" / cache.name
-        own_cache.parent.mkdir()
-        own_cache.write_bytes(cache.read_bytes())
         data = json.loads(json.dumps(BASE))
-        data.update(output_dir=str(tmp_path / f"out{threads}"), cache_path=str(own_cache))
+        data.update(output_dir=str(tmp_path / f"out{threads}"), cache_path=str(cache))
         path = tmp_path / f"stabilize{threads}.json"
         path.write_text(json.dumps(data))
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
@@ -420,8 +415,6 @@ def test_stabilize_csvs_identical_across_blas_thread_counts(tmp_path):
     for one, two in zip(outputs["1"], outputs["2"]):
         assert one.name == two.name
         assert one.read_bytes() == two.read_bytes()
-    tensor_caches = [(tmp_path / f"cache{threads}" / f"{cache.name}.tensor").read_bytes() for threads in ("1", "2")]
-    assert tensor_caches[0] == tensor_caches[1]
 
 
 def test_cost_curve_csvs_identical_across_blas_thread_counts(tmp_path):
@@ -445,11 +438,8 @@ def test_cost_curve_csvs_identical_across_blas_thread_counts(tmp_path):
     path.write_text(json.dumps({**data, "cache_path": str(cache), "output_dir": str(tmp_path / "eigen")}))
     assert run_subcommand("eigen", parse_config(path)) == 0
     for threads in ("1", "2"):
-        own_cache = tmp_path / f"cache{threads}" / cache.name
-        own_cache.parent.mkdir()
-        own_cache.write_bytes(cache.read_bytes())
         path = tmp_path / f"cost_curve{threads}.json"
-        path.write_text(json.dumps({**data, "cache_path": str(own_cache), "output_dir": str(tmp_path / f"out{threads}")}))
+        path.write_text(json.dumps({**data, "cache_path": str(cache), "output_dir": str(tmp_path / f"out{threads}")}))
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
         subprocess.run([sys.executable, "-m", "nsstab.cli", "cost-curve", "--config", str(path)],
@@ -507,11 +497,8 @@ def test_simulate_csvs_identical_across_blas_thread_counts(tmp_path):
     assert run_subcommand("eigen", parse_config(path)) == 0
     hashes = {}
     for threads in ("1", "2"):
-        own_cache = tmp_path / f"cache{threads}" / cache.name
-        own_cache.parent.mkdir()
-        own_cache.write_bytes(cache.read_bytes())
         path = tmp_path / f"simulate{threads}.json"
-        path.write_text(json.dumps({**data, "cache_path": str(own_cache), "output_dir": str(tmp_path / f"out{threads}")}))
+        path.write_text(json.dumps({**data, "cache_path": str(cache), "output_dir": str(tmp_path / f"out{threads}")}))
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
         proc = subprocess.run([sys.executable, "-c", SIMULATE_TABLES_CHILD, str(path)], env=env, check=True,
@@ -557,19 +544,53 @@ def test_eigen_cache_identical_across_blas_thread_counts(tmp_path):
 def test_cold_basis_caches_identical_across_blas_thread_counts(tmp_path):
     """A cold certified eigen + constants run at 64x64 with 24 modes, the
     configuration whose solve runs a block Lanczos per reflection class and
-    whose tensor is built by class pairs, writes the same basis cache and
-    tensor cache bytes under 1 and 2 threads, and the same constants."""
+    whose tensor is built by class pairs, writes the same basis cache bytes
+    under 1 and 2 threads, and the same constants."""
     data = {"Lx": 1.0, "Ly": 1.0, "nx": 64, "ny": 64, "omega": [0.6, 0.9, 0.1, 0.4], "M": 24,
             "mode": "certified", "eps_zero": 1e-8, "seed": 7}
     threads = {t: {"OPENBLAS_NUM_THREADS": t, "OMP_NUM_THREADS": t, "MKL_NUM_THREADS": t} for t in ("1", "2")}
     for subcommand in ("eigen", "constants"):
         done = _run_in_children(tmp_path, subcommand, data, threads)
         assert all(proc.returncode == 0 for proc in done.values()), [proc.stderr for proc in done.values()]
-    for name in ("basis_cache.nsstab", "basis_cache.nsstab.tensor"):
-        one, two = ((tmp_path / f"out{t}" / name).read_bytes() for t in threads)
-        assert one == two, name
+    one, two = ((tmp_path / f"out{t}" / "basis_cache.nsstab").read_bytes() for t in threads)
+    assert one == two
     one, two = (json.loads((tmp_path / f"out{t}" / "constants_report.json").read_text())["constants"] for t in threads)
     assert one == two
+
+
+TENSOR_CHILD = """
+import hashlib, sys
+from nsstab.cli import ensure_basis, parse_config
+from nsstab.dynamics import build_trilinear_tensor
+basis, hit = ensure_basis(parse_config(sys.argv[1]))
+assert hit
+print(hashlib.sha256(build_trilinear_tensor(basis, basis.grid).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize(("n", "m"), [(64, 24), (32, 64)], ids=["64x64-M24", "32x32-M64"])
+def test_tensor_bytes_identical_across_blas_thread_counts(tmp_path, n, m):
+    """The convection tensor, one BLAS product per pair of reflection
+    classes, has the same bytes under 1 and 2 threads at the cold-basis and
+    the wide-modes sizes."""
+    import os
+    import subprocess
+    import sys
+
+    import nsstab
+
+    src = str(Path(nsstab.__file__).resolve().parents[1])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE, "nx": n, "ny": n, "M": m, "output_dir": str(tmp_path / "out")}))
+    assert run_subcommand("eigen", parse_config(path)) == 0
+    hashes = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", TENSOR_CHILD, str(path)], env=env, check=True,
+                              timeout=300, capture_output=True, text=True)
+        hashes[threads] = proc.stdout.split()[-1]
+    assert hashes["1"] == hashes["2"]
 
 
 def test_version_1_cache_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog):
@@ -597,93 +618,16 @@ def _cli_warnings(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records if r.name == "nsstab.cli" and r.levelname == "WARNING"]
 
 
-def test_tensor_cache_reads_back_the_built_tensor_bit_for_bit(tmp_path, square32_wide):
-    # 16x16 with 12 modes, written by a run
-    config = parse_config(write_config(tmp_path))
-    assert run_subcommand("nullcontrol", config) == 0
-    path = config.resolved_tensor_cache_path()
-    assert path.name == "basis_cache.nsstab.tensor"
-    basis, hit, key = ensure_basis(config)
-    assert hit and key == config.resolved_cache_path().read_bytes()[-32:]
-    tensor, digest = read_tensor_cache(path, config.M, key)
-    assert digest == sha256_file(path)
-    assert not tensor.flags.writeable  # a view of the bytes read
-    assert tensor.tobytes() == build_trilinear_tensor(basis, basis.grid).tobytes()
-    # 32x32 with 64 modes, the wide-modes size
-    wide, key = square32_wide["tensor"], bytes(range(32))
-    path = tmp_path / "wide.tensor"
-    assert write_tensor_cache(path, wide, key) == sha256_file(path)
-    assert path.stat().st_size == 8 + 4 + 4 + 32 + 8 * 64**3 + 32
-    tensor, _ = read_tensor_cache(path, 64, key)
-    assert tensor.shape == wide.shape and tensor.tobytes() == wide.tobytes()
-
-
-def test_warm_tensor_cache_reproduces_every_artifact(tmp_path, monkeypatch):
-    """Each first run builds the tensor; the second runs read it back and never
-    build it, and write the same CSVs and reports."""
-    practical = parse_config(write_config(tmp_path))
-    certified = parse_config(write_config(tmp_path, mode="certified"))
-    configs = {"simulate": practical, "stabilize": practical, "cost-curve": practical,
-               "nullcontrol": practical, "constants": certified}
-    out, tensor_cache = tmp_path / "out", practical.resolved_tensor_cache_path()
-
-    def artifacts():
-        return {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.suffix in (".csv", ".json")}
-
-    for sub, config in configs.items():
-        tensor_cache.unlink(missing_ok=True)
-        assert run_subcommand(sub, config) == 0
-    first = artifacts()
-    monkeypatch.setattr(cli, "build_trilinear_tensor", _refuse_to_build)
-    for sub, config in configs.items():
-        assert run_subcommand(sub, config) == 0
-    second = artifacts()
-    assert second.keys() == first.keys() and len(first) == 11
-    for name, data in first.items():
-        if name.endswith(".csv"):
-            assert second[name] == data, name
-        else:
-            assert without_stepping_times(second[name]) == without_stepping_times(data), name
-            assert json.loads(data)["inputs"]["tensor_cache"] == sha256_file(tensor_cache), name
-
-
-def test_eigen_and_fit_c1_leave_no_tensor_cache_and_the_basis_cache_keeps_its_layout(tmp_path, monkeypatch):
+def test_eigen_and_fit_c1_never_build_the_tensor_and_the_basis_cache_keeps_its_layout(tmp_path, monkeypatch):
     config = parse_config(write_config(tmp_path, mode="certified"))
     practical = parse_config(write_config(tmp_path))
+    out = tmp_path / "out"
     monkeypatch.setattr(cli, "build_trilinear_tensor", _refuse_to_build)
     for sub in ("eigen", "fit-c1"):
         assert run_subcommand(sub, config) == 0
     assert run_subcommand("constants", practical) == 0  # a practical pack needs no tensor either
-    assert not list((tmp_path / "out").glob("*.tensor"))
-    for name in ("eigen", "fit_c1", "constants"):
-        assert "tensor_cache" not in json.loads((tmp_path / "out" / f"{name}_report.json").read_text())["inputs"]
     basis_cache = config.resolved_cache_path().read_bytes()
     assert len(basis_cache) == 40 + 8 * config.M * (1 + config.nx * config.ny) + 32
-    monkeypatch.undo()
-    assert run_subcommand("constants", config) == 0
-    assert config.resolved_tensor_cache_path().exists()
-    assert config.resolved_cache_path().read_bytes() == basis_cache
-
-
-def _signed(body: bytes) -> bytes:
-    return body + hashlib.sha256(body).digest()
-
-
-@pytest.mark.parametrize(("edit", "reason"), [
-    (lambda blob: _signed(blob[:8] + struct.pack("<I", 99) + blob[12:-32]), f"version 99 != {cli.TENSOR_CACHE_VERSION}"),
-    (lambda blob: _signed(blob[:12] + struct.pack("<I", 13) + blob[16:-32]), "M 13 != 12"),
-    (lambda blob: _signed(blob[:16] + bytes(32) + blob[48:-32]), "built from another basis cache"),
-    (lambda blob: _signed(blob[:-40]), "payload size mismatch"),
-    (lambda blob: blob[:100] + bytes([blob[100] ^ 0xFF]) + blob[101:], "checksum mismatch"),
-    (lambda blob: b"NSSTAB1\x00" + blob[8:], "bad magic or truncated"),
-    (lambda blob: blob[:60], "bad magic or truncated"),
-], ids=["version", "M", "basis-digest", "size", "checksum", "magic", "truncated"])
-def test_stale_tensor_cache_is_ignored_with_one_warning_and_rebuilt(tmp_path, caplog, monkeypatch, edit, reason):
-    config = parse_config(write_config(tmp_path))
-    assert run_subcommand("nullcontrol", config) == 0
-    path, trajectory = config.resolved_tensor_cache_path(), tmp_path / "out" / "nullcontrol_trajectory.csv"
-    good, first = path.read_bytes(), trajectory.read_bytes()
-    path.write_bytes(edit(good))
     builds = []
 
     def counted(*args):
@@ -691,57 +635,87 @@ def test_stale_tensor_cache_is_ignored_with_one_warning_and_rebuilt(tmp_path, ca
         return build_trilinear_tensor(*args)
 
     monkeypatch.setattr(cli, "build_trilinear_tensor", counted)
-    with caplog.at_level("WARNING", logger="nsstab.cli"):
-        assert run_subcommand("nullcontrol", config) == 0
-    assert _cli_warnings(caplog) == [f"tensor cache {path}: {reason}; ignoring"]
+    assert run_subcommand("constants", config) == 0  # a certified pack measures c0 on the tensor
     assert len(builds) == 1
-    assert path.read_bytes() == good
-    assert trajectory.read_bytes() == first
+    assert config.resolved_cache_path().read_bytes() == basis_cache
+    # the basis cache is the one file written beside the artifacts, and the one input reports record
+    assert sorted(f.name for f in out.iterdir()) == [
+        "basis_cache.nsstab", "c1_table.csv", "constants_report.json", "eigen_report.json", "fit_c1_report.json"]
+    for name in ("eigen", "fit_c1", "constants"):
+        inputs = json.loads((out / f"{name}_report.json").read_text())["inputs"]
+        assert inputs == {"cache": sha256_file(config.resolved_cache_path())}, name
 
 
-def test_unwritable_tensor_cache_warns_and_steps_with_the_built_tensor(tmp_path, caplog, monkeypatch):
-    """Tests run as root, where chmod does not stop a write, so the writer is made to fail."""
+#: the suffix of the file beside the basis cache in which earlier versions
+#: cached the convection tensor, and the start of the report key they
+#: recorded its digest under
+OLD_TENSOR_FILE = "tensor"
+
+
+def test_a_leftover_tensor_file_beside_the_cache_is_neither_read_nor_rewritten(tmp_path, caplog, monkeypatch):
+    """An upgrade leaves the old tensor file in place: no run reads it, warns
+    about it or writes it, and the artifacts are the same without it."""
     config = parse_config(write_config(tmp_path))
-    assert run_subcommand("nullcontrol", config) == 0
-    out, path = tmp_path / "out", config.resolved_tensor_cache_path()
-    first = (out / "nullcontrol_trajectory.csv").read_bytes()
-    path.unlink()
+    out, cache = tmp_path / "out", config.resolved_cache_path()
 
-    def refuse(path, tensor, key):
-        raise PermissionError(13, "Permission denied", str(path))
+    def artifacts():
+        for sub in ("nullcontrol", "stabilize"):
+            assert run_subcommand(sub, config) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.suffix in (".csv", ".json")}
 
-    monkeypatch.setattr(cli, "write_tensor_cache", refuse)
+    without = artifacts()
+    leftover = cache.with_name(f"{cache.name}.{OLD_TENSOR_FILE}")
+    leftover.write_bytes(b"garbage")
+    written = leftover.stat().st_mtime_ns
+    opened, real_open = [], Path.open
+
+    def spy(self, *args, **kwargs):
+        opened.append(self.name)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", spy)
     with caplog.at_level("WARNING", logger="nsstab.cli"):
-        assert run_subcommand("nullcontrol", config) == 0
-    [warning] = _cli_warnings(caplog)
-    assert warning.startswith(f"tensor cache {path}: cannot write (") and "Permission denied" in warning
-    assert not path.exists()
-    assert (out / "nullcontrol_trajectory.csv").read_bytes() == first
-    assert json.loads((out / "nullcontrol_report.json").read_text())["inputs"]["tensor_cache"] is None
-    assert run_subcommand("report", config) == 0
-    summary = (out / "summary.txt").read_text()
-    assert f"  tensor_cache = {path} (not written)" in summary and "WARNING" not in summary
-    # only a failed write is forgiven, not a bug in the writer
-    monkeypatch.setattr(cli, "write_tensor_cache", lambda path, tensor, key: tensor[key])
-    with pytest.raises(IndexError):
-        run_subcommand("nullcontrol", config)
+        beside = artifacts()
+    monkeypatch.undo()
+    assert cache.name in opened and leftover.name not in opened
+    assert _cli_warnings(caplog) == []
+    assert leftover.read_bytes() == b"garbage" and leftover.stat().st_mtime_ns == written
+    assert beside.keys() == without.keys() and len(without) == 6
+    for name, data in without.items():
+        if name.endswith(".csv"):
+            assert beside[name] == data, name
+        else:
+            assert without_stepping_times(beside[name]) == without_stepping_times(data), name
+
+
+def _signed(body: bytes) -> bytes:
+    return body + hashlib.sha256(body).digest()
 
 
 def test_report_prints_and_checks_both_cache_digests(tmp_path):
+    """The summary prints the basis cache's digest from each report and warns
+    once per report whose cache changed or went missing.  A report of an
+    earlier version, which also recorded the digest of a tensor cache, is
+    summarized the same way."""
     config = parse_config(write_config(tmp_path))
-    out = tmp_path / "out"
-    for sub in ("eigen", "simulate", "report"):
+    out, cache = tmp_path / "out", config.resolved_cache_path()
+    for sub in ("simulate", "report"):
         assert run_subcommand(sub, config) == 0
-    basis, tensor = config.resolved_cache_path(), config.resolved_tensor_cache_path()
     summary = (out / "summary.txt").read_text()
-    assert summary.count(f"  cache = {basis} ({sha256_file(basis)})\n") == 2
-    assert summary.count(f"  tensor_cache = {tensor} ({sha256_file(tensor)})\n") == 1  # only simulate used it
+    assert summary.count(f"  cache = {cache} ({sha256_file(cache)})\n") == 1
     assert "WARNING" not in summary
-    for change in (lambda: tensor.write_bytes(tensor.read_bytes()[:-1]), tensor.unlink):
+    report = out / "simulate_report.json"
+    data = json.loads(report.read_text())
+    data["inputs"][f"{OLD_TENSOR_FILE}_cache"] = "sha256:" + "0" * 64
+    report.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    assert run_subcommand("report", config) == 0
+    assert (out / "summary.txt").read_text() == summary
+    good = cache.read_bytes()
+    for change in (lambda: cache.write_bytes(good[:-1]), cache.unlink):
         change()
         assert run_subcommand("report", config) == 0
         warnings = [line for line in (out / "summary.txt").read_text().splitlines() if "WARNING" in line]
-        assert warnings == [f"  WARNING: {tensor} hash differs from the one recorded at the run"]
+        assert warnings == [f"  WARNING: {cache} hash differs from the one recorded at the run"]
 
 
 def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, capsys):
