@@ -48,7 +48,8 @@ for key, value in asdict(pack).items():
     if key != "provenance":
         print(f"  {key:24s} {value}")
 
-# spot-check the three defining inequalities for c2 on a log grid
+# show the slack of the three defining inequalities for c2 on a log grid;
+# the grid is only for display: the derivation proves them for every lam > 0
 c1, c2 = pack.spectral_constant, pack.feedback_constant
 lam = np.geomspace(1e-4, 1e6, 9)
 print("\nlog-slack of the three feedback-constant inequalities (>= 0 everywhere):")

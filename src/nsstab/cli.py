@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import ConstantPack, estimate_trilinear_constant
+from .constants import ConstantPack, estimate_trilinear_constant, least_feedback_constant
 from .dynamics import Trajectory, build_trilinear_tensor
 from .errors import ConfigError
 from .experiments import fit_cost_curve, run_null_control, run_rapid_stab, run_small_time
@@ -196,9 +196,8 @@ def _config_from_dict(data: dict) -> RunConfig:
         ("spectral_constant", not p.spectral_constant > 0, "must be positive"),
         ("trilinear_constant", not p.trilinear_constant > 0, "must be positive"),
         ("schedule_constant", p.schedule_constant is not None and not p.schedule_constant > 0, "must be positive"),
-        # the tolerance of ConstantPack's own check
         ("feedback_constant", p.feedback_constant is not None
-         and not p.feedback_constant >= 3.0 * p.spectral_constant * (1.0 - 1e-12),
+         and not p.feedback_constant >= least_feedback_constant(p.spectral_constant),
          "must be at least 3 * practical.spectral_constant"),
     ):
         if bad:

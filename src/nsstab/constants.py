@@ -19,7 +19,7 @@ Per threshold lam the derived feedback data are
     cutoff_radius = 1 / (c2 * exp(c2 sqrt(lam)))
 
 In certified mode the constants come from the fit chain and satisfy the
-inequalities above on a wide grid.  In practical mode the user supplies a
+inequalities above for every lam > 0.  In practical mode the user supplies a
 small c1 (and optionally q), trading the certified inequalities for
 dynamics that are observable at desk scale; overridden entries are recorded
 in the pack's provenance.
@@ -40,6 +40,12 @@ logger = logging.getLogger(__name__)
 
 #: interval index reported for times past the truncated schedule (zero feedback)
 TERMINAL = -1
+
+
+def least_feedback_constant(spectral_constant: float) -> float:
+    """The smallest feedback constant a pack accepts: 3 * spectral_constant,
+    less a relative 1e-12 so that a value rounded from 3 * c1 passes."""
+    return 3.0 * spectral_constant * (1.0 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ class ConstantPack:
                 raise ValueError(f"{name} must be positive")
         if self.mode == "certified" and self.spectral_constant < 1.0:
             raise ValueError("certified mode requires spectral_constant >= 1")
-        if self.feedback_constant < 3.0 * self.spectral_constant * (1.0 - 1e-12):
+        if self.feedback_constant < least_feedback_constant(self.spectral_constant):
             raise ValueError("feedback_constant must be >= 3 * spectral_constant")
         if self.cost_exponent != self.schedule_constant**2 / 32.0:
             raise ValueError("cost_exponent must equal schedule_constant**2 / 32 exactly")
@@ -189,61 +195,76 @@ def estimate_trilinear_constant(
     return best
 
 
-def _feedback_constraints_ok(c2: float, c1: float, c0: float, lam_grid: np.ndarray) -> bool:
-    """All three defining inequalities for the feedback constant, in logs."""
-    # lam -> 0 limits of the three left-hand sides: 1, 8*c1^2, 8*c0*c1^3
-    if max(1.0, 8.0 * c1 * c1, 8.0 * c0 * c1**3) > c2:
-        return False
-    s = np.sqrt(lam_grid)
-    rhs = np.log(c2) + c2 * s
-    lhs1 = np.log1p(lam_grid * c1) + c1 * s
-    lhs2 = np.log(8.0 * c1 * c1) + np.log1p(lam_grid) + 2.0 * c1 * s
-    lhs3 = np.log(8.0 * c0) + 3.0 * np.log(c1) + 3.0 * c1 * s
-    return bool(np.all(lhs1 <= rhs) and np.all(lhs2 <= rhs) and np.all(lhs3 <= rhs))
+def _log_slack_min(a: float, b: float) -> float:
+    """Minimum over u >= 0 of b + a*u - log(1 + u^2), for a > 0.
+
+    The derivative a - 2u/(1 + u^2) never falls below a - 1, so for a >= 1
+    the minimum is b at u = 0; otherwise it is b or the value at the larger
+    zero of the derivative, u = (1 + sqrt(1 - a^2)) / a.
+    """
+    if a >= 1.0:
+        return b
+    u = (1.0 + math.sqrt(1.0 - a * a)) / a
+    return min(b, b + a * u - math.log1p(u * u))
+
+
+def _feedback_constraints_ok(c2: float, c1: float, c0: float) -> bool:
+    """All three defining inequalities for the feedback constant c2 >= 3*c1,
+    for every lam > 0.
+
+    With s = sqrt(lam), in logs, the first two read b + a*u - log(1 + u^2) >= 0:
+    u = sqrt(c1)*s, a = (c2 - c1)/sqrt(c1), b = log c2, and u = s,
+    a = c2 - 2*c1, b = log(c2 / (8*c1^2)).  The third,
+    log(c2 / (8*c0*c1^3)) + (c2 - 3*c1)*s >= 0, is nondecreasing in s, so
+    its lam -> 0 limit decides it.
+    """
+    return (
+        c2 >= 8.0 * c0 * c1**3
+        and _log_slack_min((c2 - c1) / math.sqrt(c1), math.log(c2)) >= 0.0
+        and _log_slack_min(c2 - 2.0 * c1, math.log(c2 / (8.0 * c1 * c1))) >= 0.0
+    )
 
 
 def derive_feedback_constant(c1: float, c0: float) -> float:
-    """Smallest constant >= 3*c1 satisfying the three defining inequalities.
+    """Smallest constant >= 3*c1 satisfying the three defining inequalities
+    for every lam > 0, raised by a relative 1e-9.
 
-    Checked at the lam -> 0 limit and on a dense log grid; the constraint
-    set is monotone in the constant, so bisection finds the minimum to a
-    relative 1e-9.  The result is nudged up by a relative 1e-9 and
-    re-validated on a shifted, denser grid.
+    Feasibility only grows with the constant.  The floor
+    max(3*c1, 1, 8*c1^2, 8*c0*c1^3) holds the three lam -> 0 limits and is
+    the answer unless the first two inequalities dip below zero at an
+    interior lam (c1 in about [0.24, 0.47] when c0 = 1); then the exact
+    predicate is bisected to a relative 1e-9.  The margin keeps the
+    inequalities true in floating point at lam -> 0.
     """
     if c1 <= 0 or c0 <= 0:
         raise ValueError("constants must be positive")
-    grid = np.geomspace(1e-6, 1e7, 1500)
-    lo = 3.0 * c1
-    if _feedback_constraints_ok(lo, c1, c0, grid):
-        result = lo
-    else:
-        hi = max(2.0 * lo, 1.0)
-        while not _feedback_constraints_ok(hi, c1, c0, grid):
-            hi *= 2.0
-        while hi - lo > 1e-9 * hi:
-            mid = 0.5 * (lo + hi)
-            if _feedback_constraints_ok(mid, c1, c0, grid):
-                hi = mid
-            else:
-                lo = mid
-        result = hi
-    result *= 1.0 + 1e-9
-    check = np.geomspace(1e-7, 1e7, 6001)
-    if not _feedback_constraints_ok(result, c1, c0, check):
-        # dips between coarse grid points; walk up until the fine grid passes
-        while not _feedback_constraints_ok(result, c1, c0, check):
-            result *= 1.0 + 1e-6
-    return result
+    lo = hi = max(3.0 * c1, 1.0, 8.0 * c1 * c1, 8.0 * c0 * c1**3)
+    while not _feedback_constraints_ok(hi, c1, c0):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if _feedback_constraints_ok(mid, c1, c0):
+            hi = mid
+        else:
+            lo = mid
+    return hi * (1.0 + 1e-9)
 
 
 def _schedule_constraint_ok(q: float, constants: tuple[float, ...]) -> bool:
-    """exp growth test at m = 1 plus nonnegative slope, for each constant."""
-    if q <= 0:
-        return False
+    """Nonnegative slope in m, q >= 64*c, and the exp growth test at m = 1,
+    q*(q - 64*c) >= 64*ln c, for each constant.
+
+    Both are decided exactly on the floats, the second in integers from
+    their ratios n/d with ln c rounded up by an ulp, so that a pass holds in
+    exact arithmetic.
+    """
     for c in constants:
-        if q * q / 64.0 < c * q:  # slope in m must be nonnegative
+        if q < 64.0 * c:
             return False
-        if math.log(c) + c * q > q * q / 64.0:
+        log_c = math.nextafter(math.log(c), math.inf)
+        (nq, dq), (nc, dc), (nl, dl) = (x.as_integer_ratio() for x in (q, c, log_c))
+        # both sides times dq^2 * dc * dl > 0
+        if nq * (nq * dc - 64 * nc * dq) * dl < 64 * nl * dq * dq * dc:
             return False
     return True
 
@@ -251,29 +272,21 @@ def _schedule_constraint_ok(q: float, constants: tuple[float, ...]) -> bool:
 def derive_schedule_constants(c1: float, c2: float) -> tuple[float, float]:
     """Smallest schedule constant q and the cost exponent q^2/32.
 
-    The constraint is linear in the integer m, so feasibility reduces to
-    m = 1 plus a slope condition; the binding constant has the closed form
-    32*c + sqrt((32*c)^2 + 64*ln c), refined here by bisection.
+    The constraint log c + c*q*m <= q^2*m/64 is linear in the integer m, so
+    it holds for every m >= 1 iff its slope is nonnegative, q >= 64*c, and
+    it holds at m = 1, q >= 32*c + sqrt((32*c)^2 + 64*ln c) (or for every q
+    when the root is not real).  q is the largest of these bounds over both
+    constants, raised by ulps until the exact check passes.
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError("constants must be positive")
     constants = (c1, c2)
-    hi = 64.0 * max(constants)
-    for c in constants:
-        disc = (32.0 * c) ** 2 + 64.0 * math.log(c)
-        if disc >= 0:
-            hi = max(hi, 32.0 * c + math.sqrt(disc))
-    if not _schedule_constraint_ok(hi, constants):
-        while not _schedule_constraint_ok(hi, constants):
-            hi *= 2.0
-    lo = 0.0
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if _schedule_constraint_ok(mid, constants):
-            hi = mid
-        else:
-            lo = mid
-    q = hi
+    q = max(
+        max(64.0 * c, 32.0 * c + math.sqrt(max(0.0, (32.0 * c) ** 2 + 64.0 * math.log(c))))
+        for c in constants
+    )
+    while not _schedule_constraint_ok(q, constants):
+        q = math.nextafter(q, math.inf)
     return q, q * q / 32.0
 
 

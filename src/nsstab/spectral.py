@@ -587,29 +587,31 @@ def count_modes(basis: StokesBasis, threshold: float) -> int:
 
 
 def _invert_gain_curve(target: float, sqrt_lam: float) -> float:
-    """Smallest c > 0 with c * exp(c * sqrt_lam) >= target, to a relative 1e-6.
+    """The root c > 0 of c * exp(c * sqrt_lam) = target, to an ulp or two,
+    with log c + c * sqrt_lam >= log target in floating point.
 
-    The left side is strictly increasing in c, so this is a scalar root
-    bracketed by halving and doubling and refined by bisection.
+    The root of c * exp(c * s) = t is W(t * s) / s, with W the principal
+    Lambert W (Corless et al., Adv. Comput. Math. 5, 1996).  W(x) is the
+    root of the increasing concave w + ln w - ln x, so Newton's step
+    w <- w / (1 + w) * (1 + ln(x / w)) (Iacono & Boyd, Adv. Comput. Math.
+    43, 2017) lands below it from any w in (0, e*x) and then rises to it;
+    the start is log1p(x) <= x.  ln(x / w) rather than ln x - ln w keeps
+    small roots to an ulp or two.  The quotient is raised by ulps until the
+    inequality holds in floating point.
     """
+    x = target * sqrt_lam
 
-    def gain(c: float) -> float:
-        return np.log(c) + c * sqrt_lam
+    def newton(w: float) -> float:
+        return w / (1.0 + w) * (1.0 + math.log(x / w))
 
-    log_target = np.log(target)
-    lo = min(1.0, target)
-    while gain(lo) >= log_target:
-        lo /= 2.0
-    hi = max(lo, 1.0)
-    while gain(hi) < log_target:
-        hi *= 2.0
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if gain(mid) >= log_target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    w, w_next = 0.0, newton(math.log1p(x))
+    while w_next > w:
+        w, w_next = w_next, newton(w_next)
+    root = w / sqrt_lam
+    log_target = math.log(target)
+    while math.log(root) + root * sqrt_lam < log_target:
+        root = math.nextafter(root, math.inf)
+    return root
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsstab.constants import (
     TERMINAL,
@@ -40,15 +43,26 @@ def test_feedback_constant_floor_and_monotone():
         assert derive_feedback_constant(c1, 2.0 * c0) >= c2 - 1e-12
 
 
-def test_feedback_constant_inequalities_hold_on_dense_grid():
-    c1, c0 = 1.0, 0.0102
-    c2 = derive_feedback_constant(c1, c0)
-    lam = np.geomspace(1e-8, 1e8, 4001)
+# lam = 0 stands for the lam -> 0 limit, where the floor of c2 binds
+DENSE_LAM = np.concatenate(([0.0], np.geomspace(1e-14, 1e14, 400_001)))
+
+
+def _feedback_slack(c2, c1, c0):
+    """Smallest right-minus-left log slack of the three feedback-constant
+    inequalities over DENSE_LAM, in floating point."""
+    lam = DENSE_LAM
     s = np.sqrt(lam)
     rhs = np.log(c2) + c2 * s
-    assert np.all(np.log1p(lam * c1) + c1 * s <= rhs)
-    assert np.all(np.log(8 * c1**2) + np.log1p(lam) + 2 * c1 * s <= rhs)
-    assert np.all(np.log(8 * c0 * c1**3) + 3 * c1 * s <= rhs)
+    return min(
+        np.min(rhs - np.log1p(lam * c1) - c1 * s),
+        np.min(rhs - np.log(8 * c1 * c1) - np.log1p(lam) - 2 * c1 * s),
+        np.min(rhs - np.log(8 * c0 * c1**3) - 3 * c1 * s),
+    )
+
+
+def test_feedback_constant_inequalities_hold_on_dense_grid():
+    c1, c0 = 1.0, 0.0102
+    assert _feedback_slack(derive_feedback_constant(c1, c0), c1, c0) >= 0.0
 
 
 def test_schedule_constants_unit_case():
@@ -71,6 +85,57 @@ def test_schedule_constants_match_exhaustive_integer_scan():
     for c in (c1, c2):
         violated = violated or np.any(np.log(c) + c * q_small * m > q_small**2 * m / 64.0)
     assert violated
+
+
+# the floor max(3 c1, 1, 8 c1^2, 8 c0 c1^3) is feasible outside about
+# [0.24, 0.47]; inside, with c0 <= 1, only bisection finds c2
+FLOOR_PAIRS = st.tuples(st.one_of(st.floats(1e-3, 0.23), st.floats(0.48, 10.0)), st.floats(1e-3, 1e3))
+BISECTION_PAIRS = st.tuples(st.floats(0.25, 0.46), st.floats(1e-3, 1.0))
+
+
+@pytest.mark.parametrize("pairs", [FLOOR_PAIRS, BISECTION_PAIRS], ids=["floor", "bisection"])
+def test_feedback_constant_is_tight_for_every_lam(pairs):
+    """Every inequality holds on lam in {0} and [1e-14, 1e14] (400 001 points),
+    and c2 * (1 - 1e-7) fails somewhere; c2 is the floor with its margin
+    exactly when the floor is feasible."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairs)
+    def check(pair):
+        c1, c0 = pair
+        c2 = derive_feedback_constant(c1, c0)
+        floor = max(3.0 * c1, 1.0, 8.0 * c1 * c1, 8.0 * c0 * c1**3)
+        if pairs is FLOOR_PAIRS:
+            assert c2 == pytest.approx(floor * (1.0 + 1e-9), rel=1e-15)
+        else:
+            assert c2 > floor * (1.0 + 2e-9)
+        assert _feedback_slack(c2, c1, c0) >= 0.0
+        assert _feedback_slack(c2 * (1.0 - 1e-7), c1, c0) < 0.0
+
+    check()
+
+
+@pytest.mark.parametrize(("c1", "c0"), [(0.02, 1.0), (0.3, 1.0), (0.45, 0.1), (1.0, 1.0), (2.5, 0.01), (1.3, 5.0)])
+def test_feedback_and_schedule_constants_hold_in_50_digits(c1, c0):
+    """In 50-digit arithmetic, outside any float grid: the three feedback
+    inequalities at lam = 1e-12 and 1e12, and the two schedule inequalities
+    (m = 1 and the slope in m) at q but not both at (1 - 1e-12) * q."""
+    c2 = derive_feedback_constant(c1, c0)
+    q, _ = derive_schedule_constants(c1, c2)
+    with mpmath.workdps(50):
+        c1m, c0m, c2m, qm = (mpmath.mpf(v) for v in (c1, c0, c2, q))
+        for lam in (mpmath.mpf("1e-12"), mpmath.mpf("1e12")):
+            s = mpmath.sqrt(lam)
+            rhs = c2m * mpmath.exp(c2m * s)
+            assert (1 + lam * c1m) * mpmath.exp(c1m * s) <= rhs
+            assert 8 * (1 + lam) * c1m**2 * mpmath.exp(2 * c1m * s) <= rhs
+            assert 8 * c0m * c1m**3 * mpmath.exp(3 * c1m * s) <= rhs
+
+        def schedule_ok(qq):
+            return all(qq * qq / 64 >= c * qq and mpmath.log(c) + c * qq <= qq * qq / 64 for c in (c1m, c2m))
+
+        assert schedule_ok(qm)
+        assert not schedule_ok((1 - mpmath.mpf("1e-12")) * qm)
 
 
 def test_pack_invariants():

@@ -1,7 +1,9 @@
-"""Every public name of nsstab is used by the program, not only by the tests."""
+"""Every public name of nsstab is used by the program, not only by the tests,
+and every private module-level name is used inside the package."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,3 +32,28 @@ def test_every_public_name_is_used_outside_the_tests():
         if len(re.findall(rf"\b{name}\b", corpus)) <= len(re.findall(rf"\b(?:def|class)\s+{name}\b", corpus))
     })
     assert unused == [], f"public names that only tests use: {unused}"
+
+
+def private_definitions(path: Path) -> list[str]:
+    """The module's top-level functions, classes and assigned names that
+    start with an underscore but are not dunders."""
+    names = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    """A private module-level function, class or constant appears, as a whole
+    word, somewhere in src/nsstab besides its own definitions, so a refactor
+    cannot leave an orphaned helper behind."""
+    corpus = "\n".join(path.read_text() for path in SOURCES)
+    definitions = Counter(name for path in SOURCES for name in private_definitions(path))
+    unused = sorted(name for name, count in definitions.items()
+                    if len(re.findall(rf"\b{name}\b", corpus)) <= count)
+    assert unused == [], f"private names that nothing in src/nsstab uses: {unused}"

@@ -1,7 +1,9 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from nsstab.spectral import (
     CLASSES,
     EXTRA_MODES,
     StokesBasis,
+    _invert_gain_curve,
     assemble_gram,
     assemble_operators,
     canonical_basis,
@@ -385,13 +388,34 @@ def test_fit_monotone_in_window_inclusion(square32):
     assert fit_large.value <= fit_small.value + 1e-9
 
 
+EPS = np.finfo(float).eps
+
+
+def _lambert_root(target, s):
+    """W(target * s) / s in 50 digits, the root of c * exp(c * s) = target."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s)
+        return float(mpmath.lambertw(mpmath.mpf(target) * s).real / s)
+
+
 def test_fit_roots_match_lambert_w_inversion(square32):
+    """Each root is within a few ulps of a 50-digit Lambert W and satisfies
+    its defining inequality in floating point."""
     basis, gram = square32["basis"], square32["gram"]
     fit = fit_spectral_constant(basis, gram)
     for lam, _, min_eig, root, _ in fit.table:
         s = np.sqrt(lam)
-        w = scipy.special.lambertw(s / min_eig).real
-        assert root == pytest.approx(w / s, rel=1e-5)
+        target = 1.0 / min_eig
+        assert root == pytest.approx(_lambert_root(target, s), rel=4 * EPS)
+        assert math.log(root) + root * s >= math.log(target)
+
+
+def test_gain_curve_root_matches_lambert_w_on_random_pairs():
+    rng = np.random.default_rng(3)
+    for target, s in zip(10.0 ** rng.uniform(-1, 17, 500), 10.0 ** rng.uniform(-3, 2, 500)):
+        root = _invert_gain_curve(target, s)
+        assert root == pytest.approx(_lambert_root(target, s), rel=4 * EPS)
+        assert math.log(root) + root * s >= math.log(target)
 
 
 def test_fit_invariant_under_grid_reordering(square32):
