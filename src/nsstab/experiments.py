@@ -14,8 +14,9 @@ The schedule runs are stepped on piece grids (:func:`_row_plan`): each row
 is cut at every schedule switch and, for a start offset s, at s + j T, and
 each piece takes equal steps of at most its cap: the step of its schedule
 interval (:func:`_interval_dt`, which depends on whether the law has a
-cutoff), or the configured dt.  So every switch is a step time and each
-smooth piece is stepped at second order.
+cutoff, and under a cutoff is one step for all the intervals of one law),
+or the configured dt.  So every switch is a step time and each smooth piece
+is stepped at second order.
 
 Certified constant packs put the admissible initial data below double
 precision (the basin scales like exp(-c3/T) with an astronomically large
@@ -48,9 +49,9 @@ LOG_PRECISION_FLOOR = math.log(1e-290)
 #: most closed-loop steps a row may plan (certified gains ask for millions)
 MAX_STEPS = 2**20
 
-#: fewest steps per schedule piece without a configured dt: of a row that
-#: takes the diagonal integrating factor (a cutoff law), and of one that steps
-#: its closed loop exactly
+#: fewest steps without a configured dt: on the longest piece of each law of
+#: a row that takes the diagonal integrating factor (a cutoff law), and on
+#: each piece of one that steps its closed loop exactly
 _PIECE_STEPS = 64
 _EXACT_PIECE_STEPS = 16
 
@@ -87,34 +88,42 @@ def _dyadic_dt(rate: float, k_floor: int) -> float:
     return 2.0 ** (-k)
 
 
-def _interval_dt(schedule: Schedule, convection_rate: float | None = None) -> np.ndarray:
+def _interval_dt(schedule: Schedule, convection_rate: float, cutoff: bool) -> np.ndarray:
     """Default step of each schedule piece: intervals 0..n_max, then the terminal piece.
 
-    Without convection_rate, for a row that takes the diagonal integrating
-    factor with G K x explicit (a cutoff law): piece n of length L_n steps
-    by min(L_n / _PIECE_STEPS, the largest power of two <= 0.25 / gain_n),
-    the terminal piece (no gain) by L / _PIECE_STEPS.
+    Every step is at most the largest power of two <= 2 / convection_rate.
+    The convection stays explicit, and 2 is the explicit RK2's stability
+    limit |h lambda| <= 2 on the negative real axis; convection_rate,
+    :func:`nsstab.dynamics.convection_lipschitz` times the largest initial
+    norm of the rows that take these steps, bounds the norm of the
+    convection's Jacobian while the state's norm stays at or below its start.
 
-    With convection_rate, for a row that steps each piece's closed loop
-    exactly (a law without cutoff, see :func:`nsstab.dynamics.simulate_batch`),
-    so that the gain sets no step: every piece steps by
-    min(L_n / _EXACT_PIECE_STEPS, the largest power of two <= 2 /
-    convection_rate).  The convection stays explicit, and 2 is the explicit
-    RK2's stability limit |h lambda| <= 2 on the negative real axis;
-    convection_rate, :func:`nsstab.dynamics.convection_lipschitz` times the
-    row's initial norm, bounds the norm of the convection's Jacobian while
-    the state's norm stays at or below its start.
+    With cutoff, for a row that takes the diagonal integrating factor with
+    G K x explicit, whose step is limited by the law it keeps explicit and
+    not by the piece: the pieces of one law (equal :class:`FeedbackParams`,
+    as the clamped intervals of a practical schedule are) share one step,
+    at most L / _PIECE_STEPS with L the longest of them and the largest
+    power of two <= 0.25 / gain, so a shorter piece of a law takes fewer
+    steps rather than finer ones.  An unclamped schedule has one piece per
+    law, and the terminal piece (no gain) steps by its own L / _PIECE_STEPS.
+    Without cutoff, for a row that steps each piece's closed loop exactly
+    (see :func:`nsstab.dynamics.simulate_batch`), so that the gain sets no
+    step: piece n steps by at most L_n / _EXACT_PIECE_STEPS.
 
     Every length is a power of two, so each piece is a whole number of steps
     and every switch falls on a step boundary.
     """
     lengths = np.diff(np.append(schedule.start_times, schedule.period))
-    if convection_rate is not None:
+    if not cutoff:
         return np.array([_dyadic_dt(0.5 * convection_rate, round(-math.log2(length / _EXACT_PIECE_STEPS)))
                          for length in lengths])
-    gains = [p.gain for p in schedule.params] + [0.0]
-    return np.array([_dyadic_dt(gain / 0.25, round(-math.log2(length / _PIECE_STEPS)))
-                     for gain, length in zip(gains, lengths)])
+    laws = schedule.params + (None,)  # None: the terminal piece's zero law
+    longest: dict[FeedbackParams | None, float] = {}
+    for law, length in zip(laws, lengths):
+        longest[law] = max(longest.get(law, 0.0), length)
+    return np.array([_dyadic_dt(max(0.5 * convection_rate, law.gain / 0.25 if law else 0.0),
+                                round(-math.log2(longest[law] / _PIECE_STEPS)))
+                     for law in laws])
 
 
 def _row_plan(schedule: Schedule, caps: np.ndarray, start: float = 0.0, periods: int = 1,
@@ -370,20 +379,26 @@ def run_null_control(
     most the convection cap at the run's initial norm; while the cap does
     not bind (it does not at the practical norms, 1e-3 and below), every n0
     takes 16 (n_max + 2) steps.  With the cutoff, each piece takes the
-    diagonal factor and at least _PIECE_STEPS (64) steps, and at most the
-    largest power of two <= 0.25 / gain.  Every plan is made, and checked
+    diagonal factor, at the step of its law: at most 1/_PIECE_STEPS (1/64)
+    of the law's longest piece, the largest power of two <= 0.25 / gain and
+    the same convection cap.  So an unclamped piece takes at least 64 steps,
+    and the clamped intervals, which share one law, take the step of the
+    first of them.  The acceptance-8 pack at 32x32, M = 24, n0 = 1 and
+    n_max = 8 clamps intervals 2 to 8: 64 steps on each of intervals 0 to 2
+    and on the terminal piece, and 32 down to 1 on intervals 3 to 8, 319 in
+    all.  Every plan is made, and checked
     against MAX_STEPS, before any run is stepped.  The runs that take the
     same number of steps are stepped as the rows of one batch, and each
     report is filled from its own row and plan.  A blow-up names its run,
     and its row is the run's index in n0_list.
     """
     reports = [_plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff) for n0 in n0_list]
-    lipschitz = convection_lipschitz(tensor) if dt is None and not cutoff else None
+    lipschitz = convection_lipschitz(tensor) if dt is None else None
 
     def caps(report):
         if dt is not None:
             return np.full(n_max + 2, dt)
-        return _interval_dt(report.schedule, None if cutoff else lipschitz * report.y0_norm)
+        return _interval_dt(report.schedule, lipschitz * report.y0_norm, cutoff)
 
     plans = {i: _row_plan(r.schedule, caps(r)) for i, r in enumerate(reports) if not r.basin_below_precision}
     batches: dict[int, list[int]] = {}
@@ -578,10 +593,14 @@ def run_small_time(
     Each offset s steps its own piece grid (see :func:`_row_plan`): cut at
     every schedule switch and at s + j T, each piece with steps capped by
     dt if given and otherwise by its interval's step of
-    :func:`_interval_dt`, and each period evened to the most steps any
-    offset needs in one period, so every switch and every s + j T is a step
-    time and every row takes the same steps per period.  The probe's dt is
-    the mean step periods * T / steps.
+    :func:`_interval_dt`, with the convection cap at the largest initial
+    norm of the batch, and each period evened to the most steps any offset
+    needs in one period, so every switch and every s + j T is a step time
+    and every row takes the same steps per period.  The clamped intervals of
+    a practical schedule share one law and so one step: with the
+    acceptance-8 pack at 32x32, M = 24, n0 = 1 and n_max = 8, a period takes
+    320 steps (319, plus one for the piece an offset splits).  The probe's
+    dt is the mean step periods * T / steps.
     """
     if periods < 2:
         raise ValueError("need at least two periods for the null check")
@@ -598,7 +617,10 @@ def run_small_time(
     # only the y0_norm rows keep their state history
     n_off = len(offsets)
     norms = [y0_norm] + [float(eta) for eta in eta_grid]
-    caps = _interval_dt(schedule) if dt is None else np.full(n_max + 2, dt)
+    if dt is None:
+        caps = _interval_dt(schedule, convection_lipschitz(tensor) * max(norms), cutoff=True)
+    else:
+        caps = np.full(n_max + 2, dt)
     per_period = max(_row_plan(schedule, caps, s)[1].sum() for s in offsets)
     plans = [_row_plan(schedule, caps, s, periods, per_period) for s in offsets]
     dt = schedule.period / per_period  # the mean step, periods * T / steps

@@ -619,7 +619,7 @@ def test_tables_are_built_on_first_use_and_dropped_after_last(square16, pack_sch
 
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     sched = build_schedule(1, pack_schedule, basis, 4)
-    plan = experiments._row_plan(sched, experiments._interval_dt(sched, 1.0))
+    plan = experiments._row_plan(sched, experiments._interval_dt(sched, 1.0, cutoff=False))
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=3)[None]
     made_tables, seeds, live = [], [], []
     real_table, real_init = dynamics.ClosedLoopLadder.table, dynamics.ClosedLoopLadder.__init__
@@ -653,7 +653,7 @@ def test_periodic_law_with_a_stiff_gain_steps_at_16_per_piece(square16, pack_sch
     sched = build_schedule(1, pack_schedule, basis, 4)
     sched = replace(sched, params=tuple(replace(p, gain=1e4 * 2.0**n) for n, p in enumerate(sched.params)))
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=7)
-    plan = experiments._row_plan(sched, experiments._interval_dt(sched, 1.0))
+    plan = experiments._row_plan(sched, experiments._interval_dt(sched, 1.0, cutoff=False))
     assert plan[1].tolist() == [16] * 6 and plan[2].max() >= 300 * 0.25 / sched.params[0].gain
     law = ControlLaw.periodic(sched)
     run = simulate_batch(y0[None], law, plan, basis, tensor, gram)

@@ -212,29 +212,29 @@ def test_null_control_blowup_names_its_run(small_setup):
     assert alone.final_relative_norm < 1.0
     assert all(r.final_relative_norm < 1.0 for r in run_null_control(basis, tensor, gram, pack, [3, 1],
                                                                      y0_norm=200.0, n_max=4))
-    # the cutoff law's grid has no such cap: at this norm the explicit step
-    # 2^-8 of T = 1/2's first piece runs away, but T = 1/8's 2^-10 does not,
-    # so only the second row of the batch trips the guard
-    with pytest.raises(BlowUpError, match=r"in the run n0=1 \(T=0\.5\) at t=") as info:
-        run_null_control(basis, tensor, gram, pack, [3, 1], y0_norm=200.0, n_max=4, cutoff=True)
+    # a configured dt overrides every cap: at dt = 1/4 every piece takes one
+    # step, so both horizons are one batch of 6 steps; at this norm T = 1/8
+    # runs away on its steps of 1/16, 1/32 and 1/64, while T = 1/2 decays, so
+    # only the second row of the batch trips the guard
+    with pytest.raises(BlowUpError, match=r"in the run n0=3 \(T=0\.125\) at t=") as info:
+        run_null_control(basis, tensor, gram, pack, [1, 3], y0_norm=1000.0, n_max=4, cutoff=True, dt=0.25)
     assert info.value.row == 1
     with pytest.raises(BlowUpError) as single:
-        run_null_control(basis, tensor, gram, pack, [1], y0_norm=200.0, n_max=4, cutoff=True)
+        run_null_control(basis, tensor, gram, pack, [3], y0_norm=1000.0, n_max=4, cutoff=True, dt=0.25)
     assert single.value.time == info.value.time
 
 
 def test_null_control_blowup_row_is_the_run_index(small_setup):
-    """With a larger spectral constant the cutoff's step cap 0.25 / gain binds
-    on different pieces of each horizon, so n0 = 3 and n0 = 1 take 448 and 704
-    steps and are stepped as separate batches, each run row 0 of its own.  The
-    n0 = 1 run blows up, and the error's row is its index in n0_list."""
-    basis, tensor, gram = (small_setup[k] for k in ("basis", "tensor", "gram"))
-    pack = ConstantPack.practical(spectral_constant=0.1, trilinear_constant=1.0, schedule_constant=8.0)
-    totals = [experiments._row_plan(r.schedule, experiments._interval_dt(r.schedule))[1].sum()
-              for r in (experiments._plan_null_control(basis, pack, n0, 200.0, 4, True) for n0 in (3, 1))]
-    assert totals == [448, 704]
-    with pytest.raises(BlowUpError, match=r"in the run n0=1 \(T=0\.5\) at t=") as info:
-        run_null_control(basis, tensor, gram, pack, [3, 1], y0_norm=200.0, n_max=4, cutoff=True)
+    """At a configured dt = 1/8, n0 = 1 and n0 = 3 take 7 and 6 steps (a
+    piece shorter than dt takes one step) and are stepped as separate
+    batches, each run row 0 of its own.  The n0 = 3 run blows up, and the
+    error's row is its index in n0_list."""
+    basis, tensor, gram, pack = (small_setup[k] for k in ("basis", "tensor", "gram", "pack"))
+    totals = [experiments._row_plan(r.schedule, np.full(6, 0.125))[1].sum()
+              for r in (experiments._plan_null_control(basis, pack, n0, 1000.0, 4, True) for n0 in (1, 3))]
+    assert totals == [7, 6]
+    with pytest.raises(BlowUpError, match=r"in the run n0=3 \(T=0\.125\) at t=") as info:
+        run_null_control(basis, tensor, gram, pack, [1, 3], y0_norm=1000.0, n_max=4, cutoff=True, dt=0.125)
     assert info.value.row == 1
 
 
@@ -243,7 +243,9 @@ def test_convection_cap_binds_at_a_large_start_only(small_setup):
     the largest power of two <= 2 / (convection_lipschitz(tensor) ||y0||).
     At ||y0|| = 1e-3 the cap is far above every piece's step, and the three
     horizons stay one batch; at 200 it caps every piece, and each horizon
-    takes its own number of steps.  Cutoff rows keep 64 steps per piece."""
+    takes its own number of steps.  At 1e-3 a cutoff row takes 64 steps on
+    each unclamped interval and on the terminal piece, and the clamped
+    intervals 2 to 4 take interval 2's step."""
     basis, tensor, gram, pack = (small_setup[k] for k in ("basis", "tensor", "gram", "pack"))
     lipschitz = dynamics.convection_lipschitz(tensor)
     for norm in (1e-3, 200.0):
@@ -257,7 +259,51 @@ def test_convection_cap_binds_at_a_large_start_only(small_setup):
         steps = [r.health["steps"] for r in reports]
         assert steps == ([6 * 16] * 3 if norm == 1e-3 else [round(r.period / cap) for r in reports])
     [cut] = run_null_control(basis, tensor, gram, pack, [1], y0_norm=1e-3, n_max=4, cutoff=True)
-    assert np.array_equal(cut.interval_dt, np.diff(cut.interval_times) / 64)
+    assert cut.schedule.clamped.tolist() == [False, False, True, True, True]
+    assert np.array_equal(cut.interval_dt, np.diff(cut.interval_times)[[0, 1, 2, 2, 2, 5]] / 64)
+
+
+def test_cutoff_null_control_takes_the_convection_cap(small_setup):
+    """At ||y0|| = 200 the explicit convection sets a cutoff row's step too:
+    every piece of T = 1/2 steps by the largest power of two <= 2 /
+    (convection_lipschitz(tensor) ||y0||), 2**-14, and the run decays, to
+    7e-13 of its start.  The same law on steps of 2**-8 runs away."""
+    basis, tensor, gram, pack = (small_setup[k] for k in ("basis", "tensor", "gram", "pack"))
+    cap = 2.0 ** math.floor(math.log2(2.0 / (dynamics.convection_lipschitz(tensor) * 200.0)))
+    [cut] = run_null_control(basis, tensor, gram, pack, [1], y0_norm=200.0, n_max=4, cutoff=True)
+    assert np.array_equal(cut.interval_dt, np.full(6, cap))
+    assert cut.final_relative_norm < 1e-11
+    with pytest.raises(BlowUpError):
+        run_null_control(basis, tensor, gram, pack, [1], y0_norm=200.0, n_max=4, cutoff=True, dt=2.0**-8)
+
+
+def test_cutoff_step_plan_shares_one_step_per_law(square32, pack_schedule):
+    """The caps of a cutoff row.  In the acceptance-8 schedule (32x32,
+    M = 24, n0 = 1, n_max = 8) intervals 2 to 8 are clamped to one law; its
+    pieces all take interval 2's step, so a period takes 64 steps on each of
+    intervals 0 to 2, 32 down to 1 on intervals 3 to 8, and 64 on the
+    terminal piece.  At either start no step exceeds 0.25 / gain or the
+    convection cap.  An unclamped (certified) schedule keeps min(L_n / 64,
+    the largest power of two <= 0.25 / gain_n): 2**-8, 2**-9, then the gains
+    bind at 2**-12, 2**-20 and 2**-34, and the terminal piece takes
+    2**-12."""
+    basis, tensor = square32["basis"], square32["tensor"]
+    lipschitz = dynamics.convection_lipschitz(tensor)
+    schedule = build_schedule(1, pack_schedule, basis, 8)
+    assert schedule.clamped.tolist() == [False, False] + [True] * 7
+    gains = np.array([p.gain for p in schedule.params])
+    for norm in (1e-3, 200.0):
+        caps = experiments._interval_dt(schedule, lipschitz * norm, cutoff=True)
+        _, counts, sizes = experiments._row_plan(schedule, caps)
+        assert np.all(sizes[2:-1] == sizes[2]) and np.all(caps[2:-1] == caps[2])
+        assert np.all(caps[:-1] <= 0.25 / gains) and np.all(caps <= 2.0 / (lipschitz * norm))
+        if norm == 1e-3:
+            assert counts.tolist() == [64, 64, 64, 32, 16, 8, 4, 2, 1, 64]
+    pack = certified_pack(0.5)
+    certified = build_schedule(1, pack, basis, 4)
+    assert not certified.clamped.any()
+    caps = experiments._interval_dt(certified, lipschitz * math.exp(-2.0 * pack.cost_exponent / 0.5), cutoff=True)
+    assert np.array_equal(caps, 2.0 ** -np.array([8, 9, 12, 20, 34, 12]))
 
 
 def test_null_control_cutoff_respects_feedback_norm_constraint(small_setup):
@@ -373,9 +419,13 @@ def test_small_time_rows_take_the_same_steps_in_every_period(piece_grid_probe):
     probe = piece_grid_probe
     counts = [np.diff(np.searchsorted(traj.times, s + np.arange(4) * probe.period))
               for s, traj in zip(probe.offsets, probe.trajectories)]
-    # 6 pieces of 64 steps, plus one for the piece an offset splits
-    assert np.array_equal(counts, np.full((len(GRID_OFFSETS), 3), 6 * 64 + 1))
-    assert probe.dt == 3 * probe.period / (3 * (6 * 64 + 1))
+    # 64 steps on each of intervals 0 to 2 and on the terminal piece; the
+    # clamped intervals 3 and 4 take interval 2's step, so 32 and 16 steps;
+    # plus one for the piece an offset splits
+    per_period = 3 * 64 + 32 + 16 + 64 + 1
+    assert probe.schedule.clamped.tolist() == [False, False, True, True, True]
+    assert np.array_equal(counts, np.full((len(GRID_OFFSETS), 3), per_period))
+    assert probe.dt == 3 * probe.period / (3 * per_period)
 
 
 def test_small_time_grid_steps_on_every_switch_and_period_start(piece_grid_probe):
@@ -389,11 +439,12 @@ def test_small_time_grid_steps_on_every_switch_and_period_start(piece_grid_probe
         assert traj.times[0] == s and traj.times[-1] == s + 3 * period
 
 
-def test_small_time_steps_stay_within_their_interval_dt(piece_grid_probe):
+def test_small_time_steps_stay_within_their_interval_dt(small_setup, piece_grid_probe):
     probe = piece_grid_probe
-    limit = experiments._interval_dt(probe.schedule)
+    limit = experiments._interval_dt(probe.schedule, dynamics.convection_lipschitz(small_setup["tensor"]) * 1e-3,
+                                     cutoff=True)
     for s, traj in zip(probe.offsets, probe.trajectories):
-        cuts, counts, sizes = experiments._row_plan(probe.schedule, limit, s, 3, 6 * 64 + 1)
+        cuts, counts, sizes = experiments._row_plan(probe.schedule, limit, s, 3, round(probe.period / probe.dt))
         assert np.all(np.repeat(sizes, counts) <= limit[traj.interval[:-1]]), s
         assert np.isin(cuts, traj.times).all()
         assert np.all(np.diff(traj.times) <= limit[traj.interval[:-1]] * (1 + 1e-12)), s
@@ -413,10 +464,14 @@ def test_row_plan_cuts_every_switch_and_evens_its_periods(small_setup, start, pe
     """For any start: the steps run from start to start + periods T through
     every schedule switch and every start + j T exactly, no step exceeds its
     interval's dt, and each period, evened to one step more than the
-    longest natural period can need, takes exactly that many."""
+    longest natural period can need, takes exactly that many.  A period
+    from any start takes the pieces of the period from 0, but for one that
+    the start splits in two, which needs at most one step more."""
     schedule = build_schedule(n0, small_setup["pack"], small_setup["basis"], 4)
-    period, limit = schedule.period, experiments._interval_dt(schedule)
-    per_period = round(period / limit[:-1].min()) + 12  # more than any natural period, whatever the start
+    period = schedule.period
+    limit = experiments._interval_dt(schedule, dynamics.convection_lipschitz(small_setup["tensor"]) * 1e-3,
+                                     cutoff=True)
+    per_period = experiments._row_plan(schedule, limit)[1].sum() + 2
     cuts, counts, sizes = experiments._row_plan(schedule, limit, start, periods, per_period)
     times = step_times([(cuts, counts, sizes)])[0][:, 0]
     marks = start + np.arange(periods + 1) * period
@@ -449,16 +504,17 @@ def test_small_time_piece_grid_is_second_order(small_setup):
     on the piece grid, from each of acceptance 8's offsets, with the cutoff
     law: orders measured from 1.97 to 2.07 from a quarter of the caps to
     2**-5 of them, against 2**-7.  Coarser, the T/3 row is not yet
-    asymptotic: its error at half the caps, 4.0e-6, lies below the trend
-    (2.8e-5 at the caps, 1.7e-6 at a quarter), so orders 2.82 and 1.26."""
+    asymptotic: its error at half the caps, 5.4e-6, lies below the trend
+    (3.3e-5 at the caps, 2.1e-6 at a quarter), so orders 2.61 and 1.41."""
     basis, tensor, gram = small_setup["basis"], small_setup["tensor"], small_setup["gram"]
     schedule = build_schedule(1, small_setup["pack"], basis, 4)
+    lipschitz = dynamics.convection_lipschitz(tensor)
     period = schedule.period
     offsets = np.array([0.0, period / 3.0, 0.9 * period])
     y0 = np.tile(random_low_mode_state(basis.n_modes, 1e-3, seed=7), (3, 1))
 
     def end_norms(k):
-        caps = experiments._interval_dt(schedule) / 2**k
+        caps = experiments._interval_dt(schedule, lipschitz * 1e-3, cutoff=True) / 2**k
         per_period = max(experiments._row_plan(schedule, caps, s)[1].sum() for s in offsets)
         plans = [experiments._row_plan(schedule, caps, s, 1, per_period) for s in offsets]
         run = simulate_batch(y0, ControlLaw.periodic(schedule, cutoff=True), plans, basis, tensor, gram)
@@ -472,19 +528,19 @@ def test_small_time_piece_grid_is_second_order(small_setup):
 
 
 def test_small_time_piece_grid_matches_a_fine_uniform_run(square32, pack_schedule):
-    """At 32x32, M = 24, with the acceptance-8 pack (n_max = 8, 641 steps per
+    """At 32x32, M = 24, with the acceptance-8 pack (n_max = 8, 320 steps per
     period), the norms over the first period are within 1e-3 relative of a
     run cut at every switch with steps of at most 2**-16, interpolated
-    log-linearly at the piece grid's times.  Measured: 1.3e-4 (seed 7,
-    offset 0), 9.8e-5 (T/3) and 9.0e-6 (0.9 T); a 2**-18 reference gives the
-    same and differs from the 2**-16 one by at most 6.5e-8, at four times
-    the cost."""
+    log-linearly at the piece grid's times.  Measured: 1.59e-4 (seed 7,
+    offset 0), 1.25e-4 (T/3) and 2.05e-5 (0.9 T); a 2**-18 reference gives
+    the same to two digits and differs from the 2**-16 one by at most 6.0e-9
+    relative at their shared times, at four times the cost."""
     basis, tensor, gram = square32["basis"], square32["tensor"], square32["gram"]
     period = 0.5
     offsets = np.array([0.0, period / 3.0, 0.9 * period])
     probe = run_small_time(basis, tensor, gram, pack_schedule, 1, 1e-3, offsets, eps_zero=1e-8,
                            eta_grid=np.array([]), seed=7)
-    assert probe.health["steps"] == 3 * 2 * 641
+    assert probe.health["steps"] == 3 * 2 * 320
     y0 = np.array([random_low_mode_state(basis.n_modes, 1e-3, seed=7)] * 3)
     fine = simulate_batch(y0, ControlLaw.periodic(probe.schedule, cutoff=True),
                           cut_plans(probe.schedule, offsets, period, 2.0**-16), basis, tensor, gram, state_rows=0)
