@@ -5,7 +5,7 @@ The package root exports what the demos use; everything else is imported
 from its module (``nsstab.constants``, ``nsstab.dynamics``, ...).
 """
 
-from .constants import ConstantPack, build_schedule, estimate_trilinear_constant
+from .constants import ConstantPack, build_schedule, trilinear_bracket
 from .dynamics import build_trilinear_tensor
 from .experiments import fit_cost_curve, run_null_control, run_rapid_stab, run_small_time
 from .grid import DomainSpec, build_grid, discrete_divergence
@@ -14,7 +14,7 @@ from .spectral import assemble_gram, assemble_operators, count_modes, fit_spectr
 __all__ = [
     "ConstantPack",
     "build_schedule",
-    "estimate_trilinear_constant",
+    "trilinear_bracket",
     "build_trilinear_tensor",
     "fit_cost_curve",
     "run_null_control",

@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import ConstantPack, estimate_trilinear_constant, least_feedback_constant
+from .constants import ConstantPack, least_feedback_constant, trilinear_bracket
 from .dynamics import Trajectory, build_trilinear_tensor
 from .errors import ConfigError
 from .experiments import fit_cost_curve, run_null_control, run_rapid_stab, run_small_time
@@ -361,22 +361,16 @@ def build_pack(config: RunConfig, basis: StokesBasis, tensor: np.ndarray | None,
     """Constant pack per the config mode.
 
     Certified: fit the spectral constant on the default threshold grid and
-    measure the trilinear constant on the tensor, which this mode needs.
-    Practical: take the configured overrides, deriving omitted entries.
+    take the trilinear constant as the upper end of the tensor's bracket,
+    which this mode needs.  Practical: take the configured overrides,
+    deriving omitted entries.
     """
     if config.mode == "practical":
-        p = config.practical
-        return ConstantPack.practical(
-            spectral_constant=p.spectral_constant,
-            trilinear_constant=p.trilinear_constant,
-            feedback_constant=p.feedback_constant,
-            schedule_constant=p.schedule_constant,
-        )
+        return ConstantPack.practical(**dataclasses.asdict(config.practical))
     if gram is None:
         gram = assemble_gram(basis, basis.grid)
     fit = fit_spectral_constant(basis, gram)
-    c0 = estimate_trilinear_constant(basis, tensor, seed=config.seed)
-    return ConstantPack.certified(fit.value, c0)
+    return ConstantPack.certified(fit.value, trilinear_bracket(basis, tensor)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +414,13 @@ def _cmd_fit_c1(config: RunConfig, out: Path) -> None:
 
 def _cmd_constants(config: RunConfig, out: Path) -> None:
     basis, _ = ensure_basis(config)
-    # the certified trilinear constant is measured on the tensor
-    tensor = build_trilinear_tensor(basis, basis.grid) if config.mode == "certified" else None
-    pack = build_pack(config, basis, tensor)
-    _write_json(out / "constants_report.json", _base_report(config, pack))
+    tensor, bracket = None, {}
+    if config.mode == "certified":
+        # the certified trilinear constant is the upper end of the tensor's
+        # bracket; the report records both ends
+        tensor = build_trilinear_tensor(basis, basis.grid)
+        bracket = {"trilinear_bracket": list(trilinear_bracket(basis, tensor))}
+    _write_json(out / "constants_report.json", {**_base_report(config, build_pack(config, basis, tensor)), **bracket})
 
 
 def _prepare_dynamics(config: RunConfig):

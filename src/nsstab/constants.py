@@ -4,7 +4,8 @@ The chain of constants drives everything downstream:
 
 * spectral constant  c1   -- fitted lower bound for the localized Gram
   spectra (see :func:`nsstab.spectral.fit_spectral_constant`),
-* trilinear constant c0   -- sampled bound for the convection form,
+* trilinear constant c0   -- closed-form upper bound for the convection
+  form (see :func:`trilinear_bracket`),
 * feedback constant  c2   -- smallest constant >= 3*c1 dominating three
   exponential expressions built from (c1, c0),
 * schedule constant  q    -- smallest q with c_i * exp(c_i q m) <= exp(q^2 m/64)
@@ -18,8 +19,9 @@ Per threshold lam the derived feedback data are
                                                c1 * exp(c1 sqrt(lam)) > 1)
     cutoff_radius = 1 / (c2 * exp(c2 sqrt(lam)))
 
-In certified mode the constants come from the fit chain and satisfy the
-inequalities above for every lam > 0.  In practical mode the user supplies a
+In certified mode c1 is fitted, c0 bounded on the convection tensor and the
+rest derived, so that the inequalities above hold for every lam > 0; no
+step of the chain samples anything.  In practical mode the user supplies a
 small c1 (and optionally q), trading the certified inequalities for
 dynamics that are observable at desk scale; overridden entries are recorded
 in the pack's provenance.
@@ -54,7 +56,7 @@ class ConstantPack:
 
     mode is "certified" (constants from the fit chain, spectral constant
     >= 1) or "practical" (user-supplied small constants).  provenance maps
-    each field to how it was obtained ("fitted", "measured", "derived" or
+    each field to how it was obtained ("fitted", "bounded", "derived" or
     "user").
     """
 
@@ -99,7 +101,7 @@ class ConstantPack:
             mode="certified",
             provenance={
                 "spectral_constant": "fitted",
-                "trilinear_constant": "measured",
+                "trilinear_constant": "bounded",
                 "feedback_constant": "derived",
                 "schedule_constant": "derived",
                 "cost_exponent": "derived",
@@ -160,39 +162,27 @@ class FeedbackParams:
     cutoff_radius: float
 
 
-def estimate_trilinear_constant(
-    basis: StokesBasis,
-    tensor: np.ndarray,
-    samples: int = 200,
-    seed: int = 42,
-) -> float:
-    """Sampled lower bound for the convection-form constant.
-
-    Draws random coefficient triples (u, v, w), evaluates the trilinear form
-    through the tensor, and maximizes
+def trilinear_bracket(basis: StokesBasis, tensor: np.ndarray) -> tuple[float, float]:
+    """Lower and upper bound of the convection-form constant, the supremum of
 
         |B(u, v, w)| / (||u||^1/2 ||v||^1/2 ||grad u||^1/2 ||grad v||^1/2 ||grad w||)
 
-    with the spectral characterizations ||u|| = ||a||_2 and
-    ||grad u||^2 = sum tau_i a_i^2.  The triples are one (samples, 3, M)
-    draw, and the forms one (samples, M) @ (M, M^2) product contracted row by
-    row.  A measured bound, not a certified one.
+    with ||u|| = ||a||_2 and ||grad u||^2 = sum tau_i a_i^2.  By Cauchy-Schwarz
+    ||a||^1/2 ||a||_tau^1/2 >= ||tau^1/4 a||, so the ratio is at most the
+    spectral norm of W_ijk = T_ijk tau_i^-1/4 tau_j^-1/4 tau_k^-1/2, and that
+    at most the smallest 2-norm of W's three unfoldings: the upper end, each
+    norm the root of the largest eigenvalue of an unfolding times its
+    transpose.  A single-mode triple attains |W_ijk| exactly, so max |W_ijk|
+    is the lower end.  The weights are constant on each eigenspace, so the
+    upper end does not move when a degenerate eigenspace is rotated.
     """
-    if basis.n_modes < 3:
-        raise ValueError("need at least 3 modes")
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    m = basis.n_modes
     tau = basis.eigenvalues
-    a, b, c = np.random.default_rng(seed).standard_normal((samples, 3, m)).transpose(1, 0, 2)
-    forms = (a @ tensor.reshape(m, m * m)).reshape(samples, m, m)
-    num = np.abs(np.matmul(b[:, None, :], np.matmul(forms, c[:, :, None]))[:, 0, 0])
-    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
-    ga, gb, gc = (np.sqrt((x * x) @ tau) for x in (a, b, c))
-    den = np.sqrt(na * nb) * np.sqrt(ga * gb) * gc
-    best = float(np.divide(num, den, out=np.zeros(samples), where=den != 0.0).max())
-    logger.info("trilinear constant estimate %.6g (seed=%d, samples=%d)", best, seed, samples)
-    return best
+    w = tensor * (tau[:, None, None] * tau[None, :, None]) ** -0.25 / np.sqrt(tau)
+    upper = min(
+        math.sqrt(np.linalg.eigvalsh(np.tensordot(w, w, axes=(others, others)))[-1])
+        for others in ((1, 2), (0, 2), (0, 1))
+    )
+    return float(np.abs(w).max()), upper
 
 
 def _log_slack_min(a: float, b: float) -> float:
@@ -390,6 +380,12 @@ class Schedule:
         start_times = period * (1.0 - 0.5 ** np.arange(n_max + 2))
         raw = q * q * 4.0 ** (n0 + np.arange(n_max + 1))
         return cls(n0, period, n_max, start_times, raw, raw.copy(), ())
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """(n_max + 2,): the length of each interval, then of the terminal
+        regime, which TERMINAL indexes."""
+        return np.diff(np.append(self.start_times, self.period))
 
     @property
     def clamped(self) -> np.ndarray:

@@ -395,14 +395,6 @@ class ControlLaw:
         seg = np.searchsorted(self.schedule.start_times, tp, side="right") - 1
         return np.where(seg > self.schedule.n_max, TERMINAL, seg)
 
-    def segment_lengths(self) -> np.ndarray:
-        """Length of each segment, then of the zero law's: the schedule's
-        intervals and its terminal regime for a periodic law (TERMINAL indexes
-        the last), inf for a stationary or zero law."""
-        if self.schedule is None:
-            return np.full(len(self.params) + 1, np.inf)
-        return np.diff(np.append(self.schedule.start_times, self.schedule.period))
-
     def tables(self, m: int):
         """Per-segment arrays for an M-mode basis, then the zero law's row.
 
@@ -622,7 +614,8 @@ def simulate_batch(
         # a piece that leaves its segment and comes back to it spans at least
         # the rest of the period, which is no shorter than the segment
         span = last - np.asarray(cuts, dtype=np.float64)[:-1]
-        length = row_law.segment_lengths()[seg[:-1]]
+        # a stationary or zero law never switches
+        length = np.inf if row_law.schedule is None else row_law.schedule.lengths[seg[:-1]]
         bad = (seg[:-1] != last_seg) | (span >= length)
         if bad.any():
             p = np.argmax(bad)

@@ -113,7 +113,7 @@ def _interval_dt(schedule: Schedule, convection_rate: float, cutoff: bool) -> np
     Every length is a power of two, so each piece is a whole number of steps
     and every switch falls on a step boundary.
     """
-    lengths = np.diff(np.append(schedule.start_times, schedule.period))
+    lengths = schedule.lengths
     if not cutoff:
         return np.array([_dyadic_dt(0.5 * convection_rate, round(-math.log2(length / _EXACT_PIECE_STEPS)))
                          for length in lengths])

@@ -23,8 +23,9 @@
   full M^2 contraction of a state's outer product (:func:`convection`),
   where nsstab packs the pairs i <= j.
 * The sampled trilinear constant one triple at a time
-  (:func:`estimate_trilinear_constant`), where nsstab takes one draw and
-  one product for all of them.
+  (:func:`estimate_trilinear_constant`), a lower bound that nsstab replaced
+  with the closed-form bracket of :func:`nsstab.constants.trilinear_bracket`,
+  whose upper end no sampled triple may exceed.
 * Helpers only the tests call: the single-vector modal feedback and radial
   cutoff (the reference for ``radial_cutoff_rows``), the scalar interval
   lookup, the weighted energy of one state, the physical-field
@@ -268,8 +269,8 @@ def unsplit_eigenbasis(k1: KroneckerSum, k2: KroneckerSum, m: int, grid: Grid) -
 
 def estimate_trilinear_constant(basis: StokesBasis, tensor: np.ndarray, samples: int = 200,
                                 seed: int = 42) -> float:
-    """The sampled trilinear constant one triple at a time: the same triples,
-    drawn (3, M) per sample, and the form as a full einsum per triple."""
+    """The largest ratio of the convection form over seeded Gaussian triples,
+    drawn (3, M) per sample, with the form as a full einsum per triple."""
     m = basis.n_modes
     tau = basis.eigenvalues
     rng = np.random.default_rng(seed)

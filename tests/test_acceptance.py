@@ -16,7 +16,7 @@ import scipy.linalg
 from nsstab.constants import (
     ConstantPack,
     build_schedule,
-    estimate_trilinear_constant,
+    trilinear_bracket,
 )
 from nsstab.dynamics import ControlLaw, raw_trilinear_tensor, simulate_batch
 from nsstab.experiments import (
@@ -138,7 +138,7 @@ def test_criterion_4_rapid_stabilization(square32, pack_rapid):
 def test_criterion_5_constant_chain(square32):
     basis, gram, tensor = square32["basis"], square32["gram"], square32["tensor"]
     fit = fit_spectral_constant(basis, gram)
-    c0 = estimate_trilinear_constant(basis, tensor, samples=200, seed=42)
+    c0 = trilinear_bracket(basis, tensor)[1]
     pack = ConstantPack.certified(fit.value, c0)
     c1, c2, q = pack.spectral_constant, pack.feedback_constant, pack.schedule_constant
 

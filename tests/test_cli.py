@@ -290,6 +290,24 @@ def test_nullcontrol_certified_reports_basin_below_precision(tmp_path):
     assert report["constants"]["mode"] == "certified"
 
 
+def test_certified_constants_do_not_depend_on_the_seed(tmp_path):
+    """Certified constants runs at seeds 7 and 42 write the same constants
+    block: the trilinear constant is the upper end of the recorded bracket,
+    with provenance "bounded"."""
+    reports = []
+    for seed in (7, 42):
+        out = tmp_path / f"out{seed}"
+        assert run_subcommand("constants", parse_config(write_config(tmp_path, mode="certified", seed=seed,
+                                                                     output_dir=str(out)))) == 0
+        reports.append(json.loads((out / "constants_report.json").read_text()))
+    one, two = reports
+    assert [one["seed"], two["seed"]] == [7, 42]
+    assert one["constants"] == two["constants"] and one["trilinear_bracket"] == two["trilinear_bracket"]
+    assert one["constants"]["provenance"]["trilinear_constant"] == "bounded"
+    lower, upper = one["trilinear_bracket"]
+    assert 0.0 < lower < upper == one["constants"]["trilinear_constant"]
+
+
 def test_cost_curve_subcommand(tmp_path):
     config = parse_config(write_config(tmp_path, overrides={"experiment.n0_list": [1, 2, 3]}))
     assert run_subcommand("cost-curve", config) == 0
@@ -635,7 +653,7 @@ def test_eigen_and_fit_c1_never_build_the_tensor_and_the_basis_cache_keeps_its_l
         return build_trilinear_tensor(*args)
 
     monkeypatch.setattr(cli, "build_trilinear_tensor", counted)
-    assert run_subcommand("constants", config) == 0  # a certified pack measures c0 on the tensor
+    assert run_subcommand("constants", config) == 0  # a certified pack bounds c0 on the tensor
     assert len(builds) == 1
     assert config.resolved_cache_path().read_bytes() == basis_cache
     # the basis cache is the one file written beside the artifacts, and the one input reports record

@@ -13,15 +13,15 @@ from nsstab.constants import (
     cutoff_profile,
     derive_feedback_constant,
     derive_schedule_constants,
-    estimate_trilinear_constant,
     feedback_params,
+    trilinear_bracket,
 )
 from nsstab.dynamics import build_trilinear_tensor, raw_trilinear_tensor
 from nsstab.errors import BasisTooSmallError
 
 import oracle
 from conftest import make_setup
-from oracle import locate_interval, modal_feedback, radial_cutoff, truncated
+from oracle import locate_interval, modal_feedback, radial_cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -310,36 +310,61 @@ def test_trilinear_tensor_matches_quadruple_loop_oracle():
         assert raw[i, j, k] == pytest.approx(acc, rel=1e-12, abs=1e-15)
 
 
-def test_trilinear_constant_fixture():
-    # frozen measurement: 32x32 unit square, 16 modes, seed 42, 200 samples; the
-    # value is the one the dense oracle basis, canonicalized by reflection class,
-    # gives with the oracle's one-shot tensor (0.020186396858733, see oracle.py)
-    grid, _, _, basis = make_setup(32, 32, 16)
+def test_trilinear_bracket_upper_matches_mpmath():
+    """The upper end from 50-digit arithmetic on the same float tensor and
+    eigenvalues: the weighted tensor, each unfolding times its transpose, and
+    the root of the largest eigenvalue, least over the three unfoldings."""
+    grid, _, _, basis = make_setup(8, 8, 6)
     tensor = build_trilinear_tensor(basis, grid)
-    c0 = estimate_trilinear_constant(basis, tensor, samples=200, seed=42)
-    assert c0 == pytest.approx(0.020186396858747773, rel=1e-9)
+    _, upper = trilinear_bracket(basis, tensor)
+    with mpmath.workdps(50):
+        quarter = np.array([mpmath.root(mpmath.mpf(float(t)), 4) for t in basis.eigenvalues], dtype=object)
+        w = (np.vectorize(mpmath.mpf, otypes=[object])(tensor)
+             / (quarter[:, None, None] * quarter[None, :, None] * quarter[None, None, :] ** 2))
+        norms = []
+        for axis in range(3):
+            unfolding = np.moveaxis(w, axis, 0).reshape(basis.n_modes, -1)
+            gram = mpmath.matrix((unfolding @ unfolding.T).tolist())
+            norms.append(mpmath.sqrt(max(mpmath.eigsy(gram, eigvals_only=True))))
+        ref = min(norms)
+        assert abs(mpmath.mpf(upper) - ref) <= mpmath.mpf("1e-13") * ref
 
 
-@pytest.mark.parametrize("seed", [0, 7, 42])
-def test_trilinear_constant_matches_the_triple_by_triple_oracle(square16, square32_wide, seed):
-    """One (samples, 3, M) draw and one product give the value of the loop
-    over the same triples within 1e-14 relative, on the 16x16 M = 24 tensor,
-    the 32x32 M = 64 tensor and a seeded random tensor."""
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_no_sampled_triple_exceeds_the_trilinear_bracket(square16, seed):
+    """The loop sampler's largest ratio, over Gaussian triples, stays below the
+    upper end, on the 16x16 M = 24 tensor and on a seeded random tensor."""
     random = np.random.default_rng(seed).standard_normal((24, 24, 24))
-    for basis, tensor in ((square16["basis"], square16["tensor"]), (square32_wide["basis"], square32_wide["tensor"]),
-                          (square16["basis"], random)):
-        for samples in (100, 200):
-            c0 = estimate_trilinear_constant(basis, tensor, samples=samples, seed=seed)
-            ref = oracle.estimate_trilinear_constant(basis, tensor, samples=samples, seed=seed)
-            assert c0 == pytest.approx(ref, rel=1e-14, abs=0.0)
+    for tensor in (square16["tensor"], random):
+        sampled = oracle.estimate_trilinear_constant(square16["basis"], tensor, samples=20, seed=seed)
+        assert sampled <= trilinear_bracket(square16["basis"], tensor)[1]
 
 
-def test_trilinear_constant_validates_inputs(square32):
-    basis, tensor = square32["basis"], square32["tensor"]
-    with pytest.raises(ValueError):
-        estimate_trilinear_constant(basis, tensor, samples=50)
-    with pytest.raises(ValueError):
-        estimate_trilinear_constant(truncated(basis, 2), tensor[:2, :2, :2])
+def test_trilinear_bracket_lower_is_the_largest_single_mode_ratio(square16):
+    """The ratio of the triple (e_i, e_j, e_k), whose norms are 1 and whose
+    gradient norms are sqrt(tau_i), sqrt(tau_j), sqrt(tau_k), is largest at
+    the lower end."""
+    basis, tensor = square16["basis"], square16["tensor"]
+    g = np.sqrt(basis.eigenvalues)
+    ratios = np.abs(tensor) / (np.sqrt(g[:, None, None] * g[None, :, None]) * g[None, None, :])
+    lower, upper = trilinear_bracket(basis, tensor)
+    assert lower == pytest.approx(ratios.max(), rel=1e-14, abs=0.0)
+    assert lower < upper
+
+
+@pytest.mark.parametrize("angle", [0.3, 1.0, 2.5])
+def test_trilinear_bracket_upper_ignores_rotations_of_a_degenerate_pair(square16, angle):
+    """Rotating the degenerate pair tau_2 = tau_3 in all three slots of the
+    tensor moves the upper end by at most 1e-12 relative."""
+    basis, tensor = square16["basis"], square16["tensor"]
+    assert basis.eigenvalues[1] == basis.eigenvalues[2]
+    q = np.eye(basis.n_modes)
+    q[1:3, 1:3] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    rotated = np.einsum("abc,ai,bj,ck->ijk", tensor, q, q, q)
+    assert not np.allclose(rotated, tensor)
+    _, upper = trilinear_bracket(basis, tensor)
+    assert trilinear_bracket(basis, rotated)[1] == pytest.approx(upper, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
