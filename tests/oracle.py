@@ -267,25 +267,31 @@ def unsplit_eigenbasis(k1: KroneckerSum, k2: KroneckerSum, m: int, grid: Grid) -
         k = min(2 * k, n - 1)
 
 
+def trilinear_ratio(basis: StokesBasis, tensor: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    c: np.ndarray) -> float:
+    """|B(u, v, w)| / (||u||^1/2 ||v||^1/2 ||grad u||^1/2 ||grad v||^1/2 ||grad w||)
+    for one triple of coefficient vectors, the form as a full einsum; 0 for a
+    zero denominator."""
+    tau = basis.eigenvalues
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    ga = math.sqrt(float(tau @ (a * a)))
+    gb = math.sqrt(float(tau @ (b * b)))
+    gc = math.sqrt(float(tau @ (c * c)))
+    den = math.sqrt(na * nb) * math.sqrt(ga * gb) * gc
+    if den == 0.0:
+        return 0.0
+    return abs(float(np.einsum("ijk,i,j,k->", tensor, a, b, c))) / den
+
+
 def estimate_trilinear_constant(basis: StokesBasis, tensor: np.ndarray, samples: int = 200,
                                 seed: int = 42) -> float:
     """The largest ratio of the convection form over seeded Gaussian triples,
-    drawn (3, M) per sample, with the form as a full einsum per triple."""
-    m = basis.n_modes
-    tau = basis.eigenvalues
+    drawn (3, M) per sample, one triple at a time."""
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(samples):
-        a, b, c = rng.standard_normal((3, m))
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        ga = math.sqrt(float(tau @ (a * a)))
-        gb = math.sqrt(float(tau @ (b * b)))
-        gc = math.sqrt(float(tau @ (c * c)))
-        den = math.sqrt(na * nb) * math.sqrt(ga * gb) * gc
-        if den == 0.0:
-            continue
-        num = abs(float(np.einsum("ijk,i,j,k->", tensor, a, b, c)))
-        best = max(best, num / den)
+        a, b, c = rng.standard_normal((3, basis.n_modes))
+        best = max(best, trilinear_ratio(basis, tensor, a, b, c))
     return best
 
 

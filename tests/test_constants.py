@@ -330,15 +330,23 @@ def test_trilinear_bracket_upper_matches_mpmath():
         assert abs(mpmath.mpf(upper) - ref) <= mpmath.mpf("1e-13") * ref
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_no_sampled_triple_exceeds_the_trilinear_bracket(square16, seed):
-    """The loop sampler's largest ratio, over Gaussian triples, stays below the
-    upper end, on the 16x16 M = 24 tensor and on a seeded random tensor."""
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_trilinear_constant_matches_the_triple_by_triple_oracle(square16, square32_wide, seed):
+    """The oracle's ratio, one triple at a time, reaches the lower end at the
+    single-mode triple of the largest |W_ijk| (within 1e-14 relative), and no
+    seeded Gaussian triple exceeds the upper end, on the 16x16 M = 24 tensor,
+    the 32x32 M = 64 tensor and a seeded random tensor."""
     random = np.random.default_rng(seed).standard_normal((24, 24, 24))
-    for tensor in (square16["tensor"], random):
-        sampled = oracle.estimate_trilinear_constant(square16["basis"], tensor, samples=20, seed=seed)
-        assert sampled <= trilinear_bracket(square16["basis"], tensor)[1]
+    for basis, tensor in ((square16["basis"], square16["tensor"]), (square32_wide["basis"], square32_wide["tensor"]),
+                          (square16["basis"], random)):
+        lower, upper = trilinear_bracket(basis, tensor)
+        w = tensor * (basis.eigenvalues[:, None, None] * basis.eigenvalues[None, :, None]) ** -0.25 \
+            / np.sqrt(basis.eigenvalues)
+        unit = np.eye(basis.n_modes)
+        i, j, k = np.unravel_index(np.abs(w).argmax(), w.shape)
+        assert oracle.trilinear_ratio(basis, tensor, unit[i], unit[j], unit[k]) == pytest.approx(lower, rel=1e-14, abs=0.0)
+        for samples in (100, 200):
+            assert oracle.estimate_trilinear_constant(basis, tensor, samples=samples, seed=seed) <= upper
 
 
 def test_trilinear_bracket_lower_is_the_largest_single_mode_ratio(square16):
