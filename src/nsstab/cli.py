@@ -2,8 +2,9 @@
 
 One structured JSON config file drives every run; there are no positional
 numeric arguments, so every figure is reproducible from the file.  Unknown
-keys are rejected.  All numeric output uses full 64-bit precision (17
-significant digits in CSV) so artifacts re-parse bit-faithfully.
+and duplicated keys are rejected.  All numeric output uses full 64-bit
+precision (17 significant digits in CSV) so artifacts re-parse
+bit-faithfully.
 
 Every run that steps, and a certified ``constants``, builds the convection
 tensor from the basis; ``eigen``, ``fit-c1`` and a practical ``constants``
@@ -218,6 +219,17 @@ def _config_from_dict(data: dict) -> RunConfig:
     return config
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object from its key-value pairs, refusing a key given twice,
+    which json would otherwise resolve silently to its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(key, "duplicate key")
+        data[key] = value
+    return data
+
+
 def parse_config(path: str | Path) -> RunConfig:
     """Read and validate a JSON run configuration."""
     try:
@@ -225,7 +237,7 @@ def parse_config(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read config: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
     return _config_from_dict(data)
@@ -340,10 +352,23 @@ def sha256_file(path: str | Path) -> str:
     return _digest_tag(Path(path).read_bytes())
 
 
+def _numpy_to_json(value):
+    """json's hook for what it cannot write: a numpy array or scalar becomes
+    its Python value, which writes the same text; anything else raises."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path: str | Path, payload: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_json) + "\n")
+
+
+def _attributes(report, *names: str) -> dict:
+    """The named attributes of a report, keyed by their names."""
+    return {name: getattr(report, name) for name in names}
 
 
 def _base_report(config: RunConfig, pack: ConstantPack | None = None) -> dict:
@@ -385,7 +410,7 @@ def _cmd_eigen(config: RunConfig, out: Path) -> None:
             **_base_report(config),
             "cache_hit": hit,
             "cache_path": config.resolved_cache_path().name,
-            "eigenvalues": [float(t) for t in basis.eigenvalues],
+            "eigenvalues": basis.eigenvalues,
             # a cache hit records no solve
             **({} if basis.solve is None else {"solve": basis.solve}),
         },
@@ -419,7 +444,7 @@ def _cmd_constants(config: RunConfig, out: Path) -> None:
         # the certified trilinear constant is the upper end of the tensor's
         # bracket; the report records both ends
         tensor = build_trilinear_tensor(basis, basis.grid)
-        bracket = {"trilinear_bracket": list(trilinear_bracket(basis, tensor))}
+        bracket = {"trilinear_bracket": trilinear_bracket(basis, tensor)}
     _write_json(out / "constants_report.json", {**_base_report(config, build_pack(config, basis, tensor)), **bracket})
 
 
@@ -450,25 +475,16 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
     payload = {
         **_base_report(config, pack),
         **dataclasses.asdict(report.params),
-        "y0_norm": report.y0_norm,
-        "dt": report.dt,
-        "horizon": report.horizon,
-        "rate_lyapunov": report.rate_lyapunov,
-        "rate_norm": report.rate_norm,
-        "state_bound_ok": report.state_bound_ok,
-        "control_bound_ok": report.control_bound_ok,
-        "lyapunov_decay_ok": report.lyapunov_decay_ok,
-        "trivial": report.trivial,
+        **_attributes(report, "y0_norm", "dt", "horizon", "rate_lyapunov", "rate_norm", "state_bound_ok",
+                      "control_bound_ok", "lyapunov_decay_ok", "trivial", "health"),
         "trajectory": traj_path.name,
         "trajectory_sha256": write_trajectory_csv(traj_path, report.trajectory),
-        "health": report.health,
     }
     if report.cutoff_trajectory is not None:
         cut_path = out / "simulate_trajectory_cutoff.csv"
         payload["cutoff_trajectory"] = cut_path.name
         payload["cutoff_trajectory_sha256"] = write_trajectory_csv(cut_path, report.cutoff_trajectory)
-        payload["cutoff_matches_linear"] = report.cutoff_matches_linear
-        payload["control_stayed_below_radius"] = report.control_stayed_below_radius
+        payload.update(_attributes(report, "cutoff_matches_linear", "control_stayed_below_radius"))
     _write_json(out / "simulate_report.json", payload)
 
 
@@ -484,40 +500,16 @@ def _null_control_options(config: RunConfig) -> dict:
 
 def _null_control_payload(report) -> dict:
     payload = {
-        "n0": report.n0,
+        **_attributes(report, "n0", "n_max", "cutoff", "y0_norm", "log_basin", "basin_below_precision",
+                      "state_bound_ok"),
+        **_attributes(report.schedule, "thresholds_raw", "thresholds", "clamped"),
         "T": report.period,
-        "n_max": report.n_max,
-        "cutoff": report.cutoff,
-        "y0_norm": report.y0_norm,
-        "log_basin": report.log_basin,
-        "basin_below_precision": report.basin_below_precision,
-        "thresholds_raw": [float(v) for v in report.schedule.thresholds_raw],
-        "thresholds": [float(v) for v in report.schedule.thresholds],
-        "clamped": [bool(b) for b in report.schedule.clamped],
     }
     if report.basin_below_precision:
-        payload["note"] = "basin below float precision; bound arithmetic verified in log space"
-        payload["state_bound_ok"] = [bool(b) for b in report.state_bound_ok]
-        return payload
-    payload.update(
-        {
-            "dt": report.dt,
-            "interval_dt": [float(v) for v in report.interval_dt],
-            "cost": report.cost,
-            "cost_bound_ok": report.cost_bound_ok,
-            "final_relative_norm": report.final_relative_norm,
-            "null_reached": report.null_reached,
-            "latch_time": report.latch_time,
-            "interval_times": [float(v) for v in report.interval_times],
-            "interval_norms": [float(v) for v in report.interval_norms],
-            "interval_control_sup": [float(v) for v in report.interval_control_sup],
-            "state_bound_ok": [bool(b) for b in report.state_bound_ok],
-            "control_bound_ok": [bool(b) for b in report.control_bound_ok],
-            "monotone_ok": [bool(b) for b in report.monotone_ok],
-            "health": report.health,
-        }
-    )
-    return payload
+        return {**payload, "note": "basin below float precision; bound arithmetic verified in log space"}
+    return {**payload, **_attributes(report, "dt", "interval_dt", "cost", "cost_bound_ok", "final_relative_norm",
+                                     "null_reached", "latch_time", "interval_times", "interval_norms",
+                                     "interval_control_sup", "control_bound_ok", "monotone_ok", "health")}
 
 
 def _cmd_nullcontrol(config: RunConfig, out: Path) -> None:
@@ -549,19 +541,11 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
         out / "stabilize_report.json",
         {
             **_base_report(config, pack),
-            "n0": probe.n0,
+            **_attributes(probe, "n0", "dt", "y0_norm", "offsets", "two_period_residuals", "two_period_ok",
+                          "feedback_bound_ok", "eta_grid", "delta_table", "health"),
             "T": probe.period,
-            "dt": probe.dt,
-            "y0_norm": probe.y0_norm,
-            "offsets": [float(v) for v in probe.offsets],
-            "two_period_residuals": [float(v) for v in probe.two_period_residuals],
-            "two_period_ok": probe.two_period_ok,
-            "feedback_bound_ok": probe.feedback_bound_ok,
-            "eta_grid": [float(v) for v in probe.eta_grid],
-            "delta_table": [float(v) for v in probe.delta_table],
             "trajectories": traj_names,
-            "health": probe.health,
-            "clamped": [bool(b) for b in probe.schedule.clamped],
+            "clamped": probe.schedule.clamped,
         },
     )
 
@@ -580,7 +564,7 @@ def _cmd_cost_curve(config: RunConfig, out: Path) -> None:
         out / "cost_curve_report.json",
         {
             **_base_report(config, pack),
-            "n0_list": list(config.experiment.n0_list),
+            "n0_list": config.experiment.n0_list,
             "slope": slope,
             "intercept": intercept,
             "cost_exponent": pack.cost_exponent,
@@ -626,6 +610,9 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
             else:
                 lines.append(f"  {key} = {value}")
         for file, recorded in _listed_trajectories(data):
+            if not (out / file).exists():
+                lines.append(f"  WARNING: {file} is missing")
+                continue
             digest = sha256_file(out / file)
             lines.append(f"  trajectory = {file} ({digest})")
             if recorded != digest:
@@ -635,7 +622,7 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
         lines.append(f"  cache = {path} ({recorded})")
         if not path.exists() or sha256_file(path) != recorded:
             lines.append(f"  WARNING: {path} hash differs from the one recorded at the run")
-        if "trajectory" in data:
+        if "trajectory" in data and (out / data["trajectory"]).exists():
             plot_source = out / data["trajectory"]
         lines.append("")
     if not lines:

@@ -54,10 +54,12 @@ def least_feedback_constant(spectral_constant: float) -> float:
 class ConstantPack:
     """The constants used by the feedback laws and schedules.
 
-    mode is "certified" (constants from the fit chain, spectral constant
-    >= 1) or "practical" (user-supplied small constants).  provenance maps
-    each field to how it was obtained ("fitted", "bounded", "derived" or
-    "user").
+    mode is "certified" (constants from the fit chain: spectral constant
+    >= 1, feedback and schedule constants that meet their inequalities, so
+    q >= 64 * c2 >= 192) or "practical" (user-supplied small constants,
+    checked only for positivity, c2 >= 3 * c1 and c3 = q^2 / 32).
+    provenance maps each field to how it was obtained ("fitted", "bounded",
+    "derived" or "user").
     """
 
     spectral_constant: float
@@ -86,6 +88,11 @@ class ConstantPack:
             raise ValueError("feedback_constant must be >= 3 * spectral_constant")
         if self.cost_exponent != self.schedule_constant**2 / 32.0:
             raise ValueError("cost_exponent must equal schedule_constant**2 / 32 exactly")
+        c1, c0, c2 = self.spectral_constant, self.trilinear_constant, self.feedback_constant
+        if self.mode == "certified" and not _feedback_constraints_ok(c2, c1, c0):
+            raise ValueError("certified mode requires a feedback_constant that meets the feedback inequalities")
+        if self.mode == "certified" and not _schedule_constraint_ok(self.schedule_constant, (c1, c2)):
+            raise ValueError("certified mode requires a schedule_constant that meets the schedule inequalities")
 
     @classmethod
     def certified(cls, spectral_constant: float, trilinear_constant: float) -> "ConstantPack":

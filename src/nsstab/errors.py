@@ -54,7 +54,7 @@ class BlowUpError(RuntimeError):
 
 
 class BoundViolatedError(RuntimeError):
-    """A guaranteed per-interval bound failed during a scheduled run."""
+    """A guaranteed per-interval bound of a certified schedule failed its log-space check."""
 
     def __init__(self, interval: int, bound_name: str, measured: float, bound: float):
         self.interval = interval

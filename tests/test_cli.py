@@ -89,6 +89,23 @@ def test_parse_rejects_unknown_keys(tmp_path):
     assert info.value.key == "experiment.wrong"
 
 
+@pytest.mark.parametrize(("given", "duplicated", "key"), [
+    ('"M": 12', '"M": 24, "M": 12', "M"),
+    ('"n0": 1', '"n0": 2, "n0": 1', "n0"),  # inside the experiment section
+], ids=["top-level", "nested"])
+def test_parse_rejects_duplicate_keys(tmp_path, capsys, given, duplicated, key):
+    """json keeps the last of two equal keys; the config refuses the file, so
+    that it always says what ran."""
+    path = write_config(tmp_path)
+    text = path.read_text()
+    assert text.count(given) == 1
+    path.write_text(text.replace(given, duplicated))
+    assert main(["eigen", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["key"]) == ("ConfigError", key)
+    assert "duplicate" in err["message"]
+
+
 @pytest.mark.parametrize(("overrides", "key"), [
     ({"omega": [0.5, 1.2, 0.1, 0.4]}, "omega"),
     ({"Ly": -1}, "Ly"),
@@ -959,6 +976,39 @@ def test_report_checks_every_listed_trajectory_hash(tmp_path):
     assert run_subcommand("report", config) == 0
     warnings = [line for line in (out / "summary.txt").read_text().splitlines() if "WARNING" in line]
     assert warnings == ["  WARNING: stabilize_trajectory_1.csv hash differs from the one recorded at the run"]
+
+
+def test_report_warns_of_a_missing_trajectory_and_still_writes_the_summary(tmp_path):
+    """A deleted CSV gets a WARNING line, as a missing basis cache does, and
+    the other artifacts are still summarized."""
+    config = parse_config(write_config(tmp_path))
+    out = tmp_path / "out"
+    for sub in ("simulate", "stabilize"):
+        assert run_subcommand(sub, config) == 0
+    (out / "simulate_trajectory.csv").unlink()
+    (out / "stabilize_trajectory_2.csv").unlink()
+    assert run_subcommand("report", config) == 0
+    summary = (out / "summary.txt").read_text()
+    warnings = [line for line in summary.splitlines() if "WARNING" in line]
+    assert warnings == ["  WARNING: simulate_trajectory.csv is missing",
+                        "  WARNING: stabilize_trajectory_2.csv is missing"]
+    assert "  trajectory = stabilize_trajectory_1.csv (sha256:" in summary
+    assert not (out / "report_plot.csv").exists()
+
+
+def test_write_json_writes_numpy_values_as_their_python_values(tmp_path):
+    """Arrays, numpy bool, int and float scalars and NaN write the text of
+    the Python values they hold; an object json cannot write still raises."""
+    values = {"floats": np.array([0.1, -2.5e-300, np.nan]), "flags": np.array([True, False]),
+              "matrix": np.arange(4).reshape(2, 2), "bool": np.bool_(True), "int": np.int64(-7),
+              "float": np.float64(1.0) / 3.0, "nan": np.float64("nan"), "empty": np.array([])}
+    python = {"floats": [0.1, -2.5e-300, float("nan")], "flags": [True, False], "matrix": [[0, 1], [2, 3]],
+              "bool": True, "int": -7, "float": 1.0 / 3.0, "nan": float("nan"), "empty": []}
+    cli._write_json(tmp_path / "numpy.json", values)
+    cli._write_json(tmp_path / "python.json", python)
+    assert (tmp_path / "numpy.json").read_text() == (tmp_path / "python.json").read_text()
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli._write_json(tmp_path / "object.json", {"value": object()})
 
 
 SCIPY_CHILD = """

@@ -157,6 +157,21 @@ def test_pack_invariants():
             spectral_constant=4.0, trilinear_constant=1.0, feedback_constant=8.0,
             schedule_constant=64.0, cost_exponent=128.0, mode="certified",
         )
+    # c2 = 8 meets the feedback inequalities at c1 = c0 = 1, but q = 64 < 64 * c2
+    with pytest.raises(ValueError, match="schedule inequalities"):
+        ConstantPack(
+            spectral_constant=1.0, trilinear_constant=1.0, feedback_constant=8.0,
+            schedule_constant=64.0, cost_exponent=128.0, mode="certified",
+        )
+    # c2 = 7 >= 3 * c1, yet below the lam -> 0 limit 8 * c0 * c1^3 = 8
+    q, c3 = derive_schedule_constants(1.0, 7.0)
+    with pytest.raises(ValueError, match="feedback inequalities"):
+        ConstantPack(
+            spectral_constant=1.0, trilinear_constant=1.0, feedback_constant=7.0,
+            schedule_constant=q, cost_exponent=c3, mode="certified",
+        )
+    # the same constants as a practical pack claim no inequality
+    assert ConstantPack(1.0, 1.0, 7.0, q, c3).mode == "practical"
 
 
 def test_certified_pack_from_unit_constants():
@@ -171,9 +186,10 @@ def test_certified_pack_from_unit_constants():
 # ---------------------------------------------------------------------------
 
 def _unit_pack():
+    """c1 = c0 = 1 and c2 = 8, with q = 64 below the certified chain's 64 * c2."""
     return ConstantPack(
         spectral_constant=1.0, trilinear_constant=1.0, feedback_constant=8.0,
-        schedule_constant=64.0, cost_exponent=128.0, mode="certified",
+        schedule_constant=64.0, cost_exponent=128.0,
     )
 
 
@@ -392,7 +408,7 @@ def test_schedule_dyadic_times(square32, pack_schedule):
 
 
 def test_schedule_certified_requires_resolvable_thresholds(square32):
-    pack = _unit_pack()  # schedule constant 64 -> thresholds far beyond the basis
+    pack = ConstantPack.certified(1.0, 1.0)  # q > 512 -> thresholds far beyond the basis
     with pytest.raises(BasisTooSmallError):
         build_schedule(1, pack, square32["basis"], 2)
 

@@ -57,3 +57,23 @@ def test_every_private_module_name_is_used_in_the_package():
     unused = sorted(name for name, count in definitions.items()
                     if len(re.findall(rf"\b{name}\b", corpus)) <= count)
     assert unused == [], f"private names that nothing in src/nsstab uses: {unused}"
+
+
+REPORTS = ("RapidStabReport", "NullControlReport", "StabilityProbe")
+
+
+def test_every_report_field_is_read_by_the_program():
+    """Each field of the experiment reports appears as `.field` or `"field"`
+    somewhere in src/nsstab or the demos outside its own class, so a report
+    carries nothing that only the tests read."""
+    path = ROOT / "src" / "nsstab" / "experiments.py"
+    source = path.read_text()
+    lines = source.splitlines()
+    others = "\n".join(p.read_text() for p in [*SOURCES, *sorted((ROOT / "demos").rglob("*.py"))] if p != path)
+    unread = []
+    for node in ast.parse(source, filename=str(path)).body:
+        if isinstance(node, ast.ClassDef) and node.name in REPORTS:
+            corpus = "\n".join([others, *lines[: node.lineno - 1], *lines[node.end_lineno:]])
+            fields = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+            unread += [f"{node.name}.{name}" for name in fields if not re.search(rf'\.{name}\b|"{name}"', corpus)]
+    assert unread == [], f"report fields that nothing in src/nsstab or the demos reads: {unread}"
