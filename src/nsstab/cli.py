@@ -99,7 +99,6 @@ class RunConfig:
     ny: int
     omega: tuple[float, float, float, float]
     M: int = 24
-    nu: float = 1.0
     dt: float | None = None
     mode: str = "practical"
     seed: int = 42
@@ -190,8 +189,6 @@ def _config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("eps_zero", "must be positive")
     if config.dt is not None and config.dt <= 0:
         raise ConfigError("dt", "must be positive")
-    if config.nu <= 0:
-        raise ConfigError("nu", "must be positive")
     p = config.practical
     for key, bad, rule in (
         ("spectral_constant", not p.spectral_constant > 0, "must be positive"),
@@ -469,7 +466,7 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
     report = run_rapid_stab(
         basis, tensor, gram, pack, float(tau[exp.lambda_index - 1]),
         y0_scale=exp.y0_scale, cutoff=exp.cutoff, horizon=exp.horizon,
-        dt=config.dt, seed=config.seed, nu=config.nu,
+        dt=config.dt, seed=config.seed,
     )
     traj_path = out / "simulate_trajectory.csv"
     payload = {
@@ -494,7 +491,7 @@ def _null_control_options(config: RunConfig) -> dict:
     return dict(
         y0_norm=exp.y0_norm if config.mode == "practical" else None,
         n_max=exp.n_max, eps_zero=config.eps_zero, cutoff=exp.cutoff,
-        dt=config.dt, seed=config.seed, nu=config.nu,
+        dt=config.dt, seed=config.seed,
     )
 
 
@@ -531,7 +528,7 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
     probe = run_small_time(
         basis, tensor, gram, pack, exp.n0, exp.y0_norm, offsets,
         periods=exp.periods, eps_zero=config.eps_zero, n_max=exp.n_max,
-        dt=config.dt, seed=config.seed, nu=config.nu,
+        dt=config.dt, seed=config.seed,
     )
     traj_names = []
     for i, traj in enumerate(probe.trajectories):
@@ -553,6 +550,8 @@ def _cmd_stabilize(config: RunConfig, out: Path) -> None:
 def _cmd_cost_curve(config: RunConfig, out: Path) -> None:
     if len(set(config.experiment.n0_list)) < 3:
         raise ConfigError("experiment.n0_list", "the slope fit needs at least 3 distinct n0")
+    if config.mode == "certified":
+        raise ConfigError("mode", "the slope fit needs stepped runs, and certified runs are never stepped")
     basis, tensor, gram, pack = _prepare_dynamics(config)
     reports = run_null_control(basis, tensor, gram, pack, config.experiment.n0_list,
                                **_null_control_options(config))
@@ -617,8 +616,11 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
             lines.append(f"  trajectory = {file} ({digest})")
             if recorded != digest:
                 lines.append(f"  WARNING: {file} hash differs from the one recorded at the run")
-        # the basis cache the run used, found from the report's own config
-        path, recorded = _parse_section(RunConfig, data["config"]).resolved_cache_path(), data["inputs"]["cache"]
+        # the basis cache the run used, found from the report's own config; a
+        # key that RunConfig no longer has (an older report's) is ignored
+        known = {f.name for f in dataclasses.fields(RunConfig)}
+        run = {key: value for key, value in data["config"].items() if key in known}
+        path, recorded = _parse_section(RunConfig, run).resolved_cache_path(), data["inputs"]["cache"]
         lines.append(f"  cache = {path} ({recorded})")
         if not path.exists() or sha256_file(path) != recorded:
             lines.append(f"  WARNING: {path} hash differs from the one recorded at the run")

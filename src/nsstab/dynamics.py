@@ -1,15 +1,17 @@
 """Galerkin dynamics of the controlled flow in the Stokes eigenbasis.
 
 With y = sum_k X_k e_k and a control f = sum_i c_i e_i applied through the
-indicator of the control window, the coefficients satisfy
+indicator of the control window, the coefficients satisfy, at unit
+viscosity (a viscosity v > 0 maps onto it on the same domain by
+y(x, t) = v w(x, v t), f(x, t) = v^2 g(x, v t)),
 
-    dX_k/dt = -nu tau_k X_k - sum_ij T[i,j,k] X_i X_j + (G c)_k
+    dX_k/dt = -tau_k X_k - sum_ij T[i,j,k] X_i X_j + (G c)_k
 
 where T[i,j,k] is the convection tensor B(e_i, e_j, e_k) skew-symmetrized in
 (j, k) and G is the full Gram matrix over the window.  Skew-symmetrization
 makes the discrete nonlinearity exactly energy-neutral, so the energy law
 
-    d/dt (1/2 ||X||^2) = -nu sum tau_k X_k^2 + X . (G c)
+    d/dt (1/2 ||X||^2) = -sum tau_k X_k^2 + X . (G c)
 
 holds at the ODE level.  Time stepping is an exponential RK2 in Lawson's
 form (Lawson, SIAM J. Numer. Anal. 4, 1967; Hochbruck & Ostermann, Acta
@@ -22,7 +24,7 @@ Which L a row takes is fixed by its law and the piece:
 
 * a piece with a gain of a stationary law (:meth:`ControlLaw.stationary`),
   or of a periodic law without cutoff, steps that segment's closed loop,
-  L = -nu diag(tau) + G K with K x = -gain times the active modes, and
+  L = -diag(tau) + G K with K x = -gain times the active modes, and
   r(x) = G (c(x) - K x) - N(x).  While the cutoff does not act, c(x) = K x
   exactly, so r is the convection alone and the step takes no limit from
   the gain.  E and the energy moments are tabled once per distinct (gain
@@ -43,7 +45,7 @@ Which L a row takes is fixed by its law and the piece:
 * the zero law, the terminal piece of a periodic law, every piece of a
   periodic law with a cutoff, and every step of a row after its latch
   trips take the integrating factor of the diagonal alone (Cox &
-  Matthews, J. Comput. Phys. 176, 2002), E = diag(e^{-nu tau h}), with
+  Matthews, J. Comput. Phys. 176, 2002), E = diag(e^{-tau h}), with
   r = G c - N explicit, and exponentially weighted trapezoids (exact for
   pure decay) for the energy integrals.  A batch of such rows only runs the
   per-step arithmetic of that scheme.
@@ -282,7 +284,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 class ClosedLoopTable:
     """Stepping tables of a closed loop at one step size h.
 
-    L = -nu diag(tau) + G diag(gain) is the linear part of the closed loop,
+    L = -diag(tau) + G diag(gain) is the linear part of the closed loop,
     with gain the control gains of one law segment (-gain on the active
     modes).  prop_t is e^{h L} transposed, so a (B, M) batch steps as
     x @ prop_t.  The energy integrals of a step from x with explicit
@@ -321,9 +323,9 @@ class ClosedLoopLadder:
     products each.
     """
 
-    def __init__(self, tau: np.ndarray, gram: np.ndarray, gain: np.ndarray, h0: float, nu: float):
+    def __init__(self, tau: np.ndarray, gram: np.ndarray, gain: np.ndarray, h0: float):
         control = gram * gain  # G diag(gain)
-        lin = control - np.diag(nu * tau)
+        lin = control - np.diag(tau)
         norm = float(np.abs(h0 * lin).sum(axis=0).max())
         sub = h0 / 2.0 ** (max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0)
         nodes, weights = 0.5 * sub * (_GAUSS_NODES + 1.0), sub * _GAUSS_HALF_WEIGHTS
@@ -476,7 +478,6 @@ class Trajectory:
     threshold: np.ndarray
     dissipation: np.ndarray
     control_work: np.ndarray
-    nu: float = 1.0
 
 
 @dataclass
@@ -498,7 +499,6 @@ class BatchRun:
 
     piece_segments: np.ndarray
     piece_thresholds: np.ndarray
-    nu: float
     sample_stride: int
     times: np.ndarray
     pieces: np.ndarray
@@ -517,7 +517,7 @@ class BatchRun:
         """Closed-loop steps and largest |energy-identity residual| of one row,
         or of all rows, with the stepping time.
 
-        The residual at a sample is 1/2 ||X||^2 + nu * dissipation - control
+        The residual at a sample is 1/2 ||X||^2 + dissipation - control
         work - 1/2 ||X(0)||^2.  stepping_s is the time of the whole call and
         us_per_step that time per trajectory step of the call, tables and
         tables_s the closed-loop tables the call built and the time that took,
@@ -529,7 +529,7 @@ class BatchRun:
 
         def row_defect(r):  # row by row, so the temporaries stay one column long
             norm, e0 = self.norm_h[:, r], 0.5 * self.norm_h[0, r] ** 2
-            return float(np.abs(0.5 * norm**2 + self.nu * self.dissipation[:, r] - self.control_work[:, r] - e0).max())
+            return float(np.abs(0.5 * norm**2 + self.dissipation[:, r] - self.control_work[:, r] - e0).max())
 
         defect = max(row_defect(r) for r in rows)
         return {"steps": row_steps * len(rows), "max_energy_defect": defect, "stepping_s": self.seconds,
@@ -549,7 +549,6 @@ class BatchRun:
             threshold=self.piece_thresholds[piece],
             dissipation=self.dissipation[:, row].copy(),
             control_work=self.control_work[:, row].copy(),
-            nu=self.nu,
         )
 
 
@@ -560,7 +559,6 @@ def simulate_batch(
     basis: StokesBasis,
     tensor: np.ndarray,
     gram: np.ndarray,
-    nu: float = 1.0,
     sample_stride: int = 1,
     latch_norm=None,
     state_rows: int | None = None,
@@ -668,7 +666,7 @@ def simulate_batch(
             begin = time.perf_counter()
             i = ladder_of[t]
             if ladders[i] is None:
-                ladders[i] = ClosedLoopLadder(tau, gram, specs[t][0], min(specs[u][1] for u in rungs[i]), nu)
+                ladders[i] = ClosedLoopLadder(tau, gram, specs[t][0], min(specs[u][1] for u in rungs[i]))
             tables[t] = ladders[i].table(specs[t][1])
             built += 1
             tables_s += time.perf_counter() - begin
@@ -689,11 +687,11 @@ def simulate_batch(
     regroup_steps = set() if not n_tables else {0, *(np.flatnonzero(np.any(np.diff(table_index, axis=0), axis=1)) + 1)}
 
     dt_col = dt_values[:, None]
-    decay_table = np.exp(-nu * tau * dt_col)
+    decay_table = np.exp(-tau * dt_col)
     decay_sq = decay_table * decay_table
     # exponentially weighted trapezoid weights for int X_k(s)^2 ds over a step;
     # modes whose memory dies within one step fall back to the start-point rule
-    diss_half_table = (1.0 - decay_sq) / (2.0 * nu * tau) * 0.5
+    diss_half_table = (1.0 - decay_sq) / (2.0 * tau) * 0.5
     endpoint_ok_table = decay_sq > 1e-12
     decay_sq_safe_table = np.maximum(decay_sq, 1e-300)
     half_dt_table = 0.5 * dt_col
@@ -893,7 +891,6 @@ def simulate_batch(
     return BatchRun(
         piece_segments=seg,
         piece_thresholds=thresholds,
-        nu=nu,
         sample_stride=sample_stride,
         times=np.ascontiguousarray(times[::sample_stride]),
         pieces=index[::sample_stride],

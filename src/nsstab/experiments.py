@@ -207,7 +207,6 @@ def run_rapid_stab(
     horizon: float | None = None,
     dt: float | None = None,
     seed: int = 0,
-    nu: float = 1.0,
 ) -> RapidStabReport:
     """Close the loop with the stationary modal feedback at threshold lam.
 
@@ -242,7 +241,7 @@ def run_rapid_stab(
     # take identical arithmetic wherever the cutoff leaves the control alone
     run = simulate_batch(
         np.tile(y0, (len(laws), 1)), laws, ([0.0, horizon], [n_steps], [dt]),
-        basis, tensor, gram, nu=nu, sample_stride=stride,
+        basis, tensor, gram, sample_stride=stride,
     )
     traj = run.trajectory(0)
     trivial = y0_norm == 0.0
@@ -354,7 +353,6 @@ def run_null_control(
     cutoff: bool = False,
     dt: float | None = None,
     seed: int = 0,
-    nu: float = 1.0,
 ) -> list[NullControlReport]:
     """Steer the state toward zero over one period of the dyadic schedule,
     for each period 2**-n0 of n0_list.
@@ -407,7 +405,7 @@ def run_null_control(
         try:
             run = simulate_batch(
                 y0, [ControlLaw.periodic(r.schedule, cutoff=cutoff) for r in runs], [plans[i] for i in batch],
-                basis, tensor, gram, nu=nu, latch_norm=[eps_zero * r.y0_norm for r in runs],
+                basis, tensor, gram, latch_norm=[eps_zero * r.y0_norm for r in runs],
             )
         except BlowUpError as exc:
             failed = runs[exc.row]
@@ -554,7 +552,6 @@ def run_small_time(
     n_max: int = 8,
     dt: float | None = None,
     seed: int = 0,
-    nu: float = 1.0,
 ) -> StabilityProbe:
     """Run the periodic cutoff law from several start offsets.
 
@@ -603,8 +600,7 @@ def run_small_time(
 
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed) for norm in norms for _ in offsets])
     run = simulate_batch(
-        y0, ControlLaw.periodic(schedule, cutoff=True), plans * len(norms), basis, tensor, gram,
-        nu=nu, state_rows=n_off,
+        y0, ControlLaw.periodic(schedule, cutoff=True), plans * len(norms), basis, tensor, gram, state_rows=n_off,
     )
     # every period takes the same number of steps
     two_period_index = 2 * (len(run.times) - 1) // periods

@@ -559,17 +559,15 @@ def solve_eigenbasis(k1: KroneckerSum, k2: KroneckerSum, m: int, grid: Grid) -> 
     })
 
 
-def assemble_gram(basis: StokesBasis, grid: Grid, mask: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrix of the basis velocities over the control window.
+def assemble_gram(basis: StokesBasis, grid: Grid) -> np.ndarray:
+    """Gram matrix of the basis velocities over the grid's control window.
 
     Entry (i, j) is the discrete L2(omega) inner product of velocities i and
-    j; pass mask=None for the window stored on the grid.  The result is
-    symmetrized by averaging to kill rounding asymmetry.
+    j; a grid whose window is the whole rectangle gives the full-domain
+    Gram.  The result is symmetrized by averaging to kill rounding asymmetry.
     """
-    if mask is None:
-        mask = grid.omega_mask
     m = basis.n_modes
-    weighted = basis.velocities * mask[None, None, :, :]
+    weighted = basis.velocities * grid.omega_mask[None, None, :, :]
     flat = basis.velocities.reshape(m, -1)
     flat_w = weighted.reshape(m, -1)
     gram = (flat_w @ flat.T) * grid.cell_area
@@ -634,28 +632,18 @@ class SpectralFit:
     unclamped_value: float
 
 
-def fit_spectral_constant(
-    basis: StokesBasis,
-    gram: np.ndarray,
-    lam_grid: np.ndarray | None = None,
-) -> SpectralFit:
+def fit_spectral_constant(basis: StokesBasis, gram: np.ndarray) -> SpectralFit:
     """Fit the constant of the localized spectral inequality.
 
     Per threshold the bound inverts to a scalar root of c*exp(c*sqrt(lam)) =
-    1/lambda_min; the fit is the maximum root over the grid.  Defaults to
-    the retained eigenvalues tau_1..tau_{M-4} as grid (the active mode count
-    only changes there).
+    1/lambda_min; the fit is the maximum root over the grid of thresholds
+    tau_1..tau_{M-4}, the retained eigenvalues (the active mode count only
+    changes there).
     """
-    if lam_grid is None:
-        if basis.n_modes < 5:
-            raise ValueError("basis too small for the default threshold grid")
-        lam_grid = basis.eigenvalues[: basis.n_modes - 4].copy()
-    lam_grid = np.asarray(lam_grid, dtype=np.float64)
-    tau = basis.eigenvalues
-    if np.any(lam_grid < tau[0]) or np.any(lam_grid >= tau[-1]):
-        raise ValueError("threshold grid must lie in [tau_1, tau_M)")
+    if basis.n_modes < 5:
+        raise ValueError("basis too small for the threshold grid")
     rows = []
-    for lam in lam_grid:
+    for lam in basis.eigenvalues[: basis.n_modes - 4]:
         n = count_modes(basis, lam)
         block = gram[:n, :n]
         min_eig = float(np.linalg.eigvalsh(block)[0])

@@ -154,7 +154,7 @@ def final_state(traj: Trajectory) -> np.ndarray:
 def energy_defect(traj: Trajectory) -> np.ndarray:
     """Residual of the energy identity at each sample (zero for exact flow)."""
     e0 = 0.5 * traj.norm_h[0] ** 2
-    return 0.5 * traj.norm_h**2 + traj.nu * traj.dissipation - traj.control_work - e0
+    return 0.5 * traj.norm_h**2 + traj.dissipation - traj.control_work - e0
 
 
 def _central_difference_1d(n: int, h: float) -> np.ndarray:
@@ -625,7 +625,6 @@ def simulate(
         threshold=threshold,
         dissipation=dissipation,
         control_work=control_work,
-        nu=nu,
     )
 
 
@@ -759,7 +758,7 @@ def simulate_closed_loop(
         if (k + 1) % sample_stride == 0:
             record((k + 1) // sample_stride, step_start[k + 1], x, diss, work)
 
-    return Trajectory(states=states, interval=interval, nu=nu, **columns)
+    return Trajectory(states=states, interval=interval, **columns)
 
 
 def _fmt(value) -> str:

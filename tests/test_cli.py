@@ -505,7 +505,7 @@ config = parse_config(path)
 basis = ensure_basis(config)[0]
 params = feedback_params(float(basis.eigenvalues[3]), build_pack(config, basis, None), basis)
 gain = ControlLaw.stationary(params).tables(basis.n_modes)[0][0]
-table = ClosedLoopLadder(basis.eigenvalues, assemble_gram(basis, basis.grid), gain, 2.0**-15, config.nu).table(2.0**-15)
+table = ClosedLoopLadder(basis.eigenvalues, assemble_gram(basis, basis.grid), gain, 2.0**-15).table(2.0**-15)
 print(hashlib.sha256(table.prop_t.tobytes() + table.quad_x.tobytes() + table.quad_r.tobytes()).hexdigest())
 """
 
@@ -730,8 +730,8 @@ def _signed(body: bytes) -> bytes:
 def test_report_prints_and_checks_both_cache_digests(tmp_path):
     """The summary prints the basis cache's digest from each report and warns
     once per report whose cache changed or went missing.  A report of an
-    earlier version, which also recorded the digest of a tensor cache, is
-    summarized the same way."""
+    earlier version, which also recorded the digest of a tensor cache and the
+    viscosity in its config, is summarized the same way."""
     config = parse_config(write_config(tmp_path))
     out, cache = tmp_path / "out", config.resolved_cache_path()
     for sub in ("simulate", "report"):
@@ -742,6 +742,7 @@ def test_report_prints_and_checks_both_cache_digests(tmp_path):
     report = out / "simulate_report.json"
     data = json.loads(report.read_text())
     data["inputs"][f"{OLD_TENSOR_FILE}_cache"] = "sha256:" + "0" * 64
+    data["config"]["nu"] = 1.0
     report.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     assert run_subcommand("report", config) == 0
     assert (out / "summary.txt").read_text() == summary
@@ -773,7 +774,7 @@ def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, caps
     ("simulate", "experiment.horizon", -1.0),
     ("simulate", "experiment.horizon", 0.0),
     # Python's json reads NaN and Infinity; no float field takes them
-    ("constants", "nu", float("nan")),
+    ("constants", "Lx", float("nan")),
     ("simulate", "dt", float("inf")),
     ("stabilize", "eps_zero", float("nan")),
     ("stabilize", "experiment.y0_norm", float("inf")),
@@ -793,6 +794,8 @@ def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, caps
     ("nullcontrol", "omega", [0.5, 0.52, 0.5, 0.52]),
     ("stabilize", "omega", [0.5, 0.52, 0.5, 0.52]),
     ("eigen", "omega", [0.1, 0.9, 0.5, 0.52]),
+    # the viscosity is fixed at 1: any "nu" is an unknown key
+    ("constants", "nu", float("nan")),
 ])
 def test_out_of_range_experiment_value_names_its_key(tmp_path, capsys, subcommand, key, value):
     path = write_config(tmp_path, overrides={key: value})
@@ -896,6 +899,16 @@ def test_cost_curve_needs_three_distinct_n0_before_any_solve(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["key"] == "experiment.n0_list"
+    assert list((tmp_path / "out").iterdir()) == []  # no basis cache, no report
+
+
+def test_certified_cost_curve_is_refused_before_any_solve(tmp_path, capsys):
+    """No certified run is stepped, so the slope fit has no costs to fit."""
+    path = write_config(tmp_path, mode="certified")
+    assert main(["cost-curve", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["key"] == "mode"
     assert list((tmp_path / "out").iterdir()) == []  # no basis cache, no report
 
 

@@ -15,7 +15,7 @@ from nsstab.cli import parse_config
 from nsstab.errors import ConfigError
 
 #: dotted config keys by the JSON type they accept
-NUMBER = ("Lx", "Ly", "nu", "eps_zero", "practical.spectral_constant", "practical.trilinear_constant",
+NUMBER = ("Lx", "Ly", "eps_zero", "practical.spectral_constant", "practical.trilinear_constant",
           "experiment.y0_scale", "experiment.y0_norm")
 OPTIONAL_NUMBER = ("dt", "practical.feedback_constant", "practical.schedule_constant", "experiment.horizon")
 INT = ("nx", "ny", "M", "seed", "experiment.lambda_index", "experiment.n0", "experiment.n_max",
@@ -75,7 +75,6 @@ def valid_configs(draw):
     })
     optional = draw(st.fixed_dictionaries({}, optional={
         "M": st.integers(5, nx * ny - 2),
-        "nu": positive,
         "dt": st.none() | positive,
         "mode": st.sampled_from(["certified", "practical"]),
         "seed": st.integers(0, 2**32 - 1),
@@ -127,6 +126,8 @@ WRONG_CASES += [("experiment.n0_list", v) for v in WRONG_N0_LIST]
 WRONG_CASES += [("experiment.offsets", v) for v in WRONG_OFFSETS]
 # well typed but out of range: no start offset, a seed numpy cannot take
 WRONG_CASES += [("experiment.offsets", []), ("seed", -1)]
+# a key no field has: the viscosity is fixed at 1
+WRONG_CASES += [("nu", 1.0)]
 WRONG_CASES += [(section, v) for section in ("practical", "experiment") for v in ([], 1, "x")]
 
 

@@ -332,11 +332,11 @@ def test_spectral_state_wrapper(square32):
     assert np.array_equal(advanced.coeffs, direct)
 
 
-def closed_loop_generator(basis, gram, params, nu=1.0):
-    """L = -nu diag(tau) + G K of a stationary law's closed loop."""
+def closed_loop_generator(basis, gram, params):
+    """L = -diag(tau) + G K of a stationary law's closed loop."""
     gain = np.zeros(basis.n_modes)
     gain[: params.n_active] = -params.gain
-    return gram * gain - nu * np.diag(basis.eigenvalues)
+    return gram * gain - np.diag(basis.eigenvalues)
 
 
 def test_expm_matches_scipy(square16, square32_wide, pack_rapid):
@@ -405,16 +405,16 @@ def test_ladder_tables_match_their_own_ladders_and_the_dense_moments(square16, p
     lin = closed_loop_generator(basis, gram, params)
     k_matrix = np.diag(gain)
     h0 = 2.0**-12
-    ladder = dynamics.ClosedLoopLadder(tau, gram, gain, h0, 1.0)
+    ladder = dynamics.ClosedLoopLadder(tau, gram, gain, h0)
     assert ladder.sub == h0  # ||h0 L||_1 <= 1, so the seed is the step itself
     first = {j: ladder.table(h0 * 2**j) for j in (5, 0, 3)}
-    again = dynamics.ClosedLoopLadder(tau, gram, gain, h0, 1.0)
+    again = dynamics.ClosedLoopLadder(tau, gram, gain, h0)
     for j in (0, 3, 5):
         h = h0 * 2**j
         table = again.table(h)
         for name in ("prop_t", "quad_x", "quad_r"):
             assert np.array_equal(getattr(table, name), getattr(first[j], name)), (j, name)
-        alone = dynamics.ClosedLoopLadder(tau, gram, gain, h, 1.0).table(h)
+        alone = dynamics.ClosedLoopLadder(tau, gram, gain, h).table(h)
         w_diss, m_diss = oracle.dense_moments(lin, h, np.diag(tau))
         w_work, m_work = oracle.dense_moments(lin, h, 0.5 * (gram @ k_matrix + k_matrix @ gram))
         dense = {"prop_t": scipy.linalg.expm(h * lin).T, "quad_x": np.hstack([w_diss, w_work]),
