@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import ConstantPack, least_feedback_constant, trilinear_bracket
+from .constants import ConstantPack, trilinear_bracket
 from .dynamics import Trajectory, build_trilinear_tensor
 from .errors import ConfigError
 from .experiments import fit_cost_curve, run_null_control, run_rapid_stab, run_small_time
@@ -73,7 +73,6 @@ _CACHE_HEADER = struct.Struct("<8sIIIddI")
 class PracticalConstants:
     spectral_constant: float = 0.5
     trilinear_constant: float = 1.0
-    feedback_constant: float | None = None
     schedule_constant: float | None = None
 
 
@@ -167,6 +166,14 @@ def _parse_section(cls, data, prefix: str = ""):
     return cls(**kwargs)
 
 
+def _known_keys(cls, data: dict) -> dict:
+    """data without the keys that cls, or a config section within it, does
+    not have: an older report's config, read back by ``report``."""
+    hints = typing.get_type_hints(cls)
+    return {key: _known_keys(hints[key], value) if dataclasses.is_dataclass(hints[key]) else value
+            for key, value in data.items() if key in hints}
+
+
 def _config_from_dict(data: dict) -> RunConfig:
     config = _parse_section(RunConfig, data)
     if config.mode not in ("certified", "practical"):
@@ -194,14 +201,14 @@ def _config_from_dict(data: dict) -> RunConfig:
         ("spectral_constant", not p.spectral_constant > 0, "must be positive"),
         ("trilinear_constant", not p.trilinear_constant > 0, "must be positive"),
         ("schedule_constant", p.schedule_constant is not None and not p.schedule_constant > 0, "must be positive"),
-        ("feedback_constant", p.feedback_constant is not None
-         and not p.feedback_constant >= least_feedback_constant(p.spectral_constant),
-         "must be at least 3 * practical.spectral_constant"),
     ):
         if bad:
             raise ConfigError(f"practical.{key}", rule)
     exp = config.experiment
     for key, bad, rule in (
+        # the threshold tau_k must lie below tau_M; a degenerate top cluster
+        # is checked after the basis solve
+        ("lambda_index", not 1 <= exp.lambda_index <= config.M - 1, f"must lie in [1, {config.M - 1}]"),
         ("n0", exp.n0 < 1, "must be at least 1"),
         ("n0_list", any(n0 < 1 for n0 in exp.n0_list), "entries must be at least 1"),
         ("offsets", not exp.offsets, "need at least one start offset"),
@@ -384,8 +391,8 @@ def build_pack(config: RunConfig, basis: StokesBasis, tensor: np.ndarray | None,
 
     Certified: fit the spectral constant on the default threshold grid and
     take the trilinear constant as the upper end of the tensor's bracket,
-    which this mode needs.  Practical: take the configured overrides,
-    deriving omitted entries.
+    which this mode needs.  Practical: take the configured c1, c0 and
+    optional q, deriving the rest.
     """
     if config.mode == "practical":
         return ConstantPack.practical(**dataclasses.asdict(config.practical))
@@ -460,7 +467,7 @@ def _cmd_simulate(config: RunConfig, out: Path) -> None:
     tau = basis.eigenvalues
     # thresholds must lie strictly below tau_M, which a degenerate top cluster shares
     top = int(np.searchsorted(tau, tau[-1], side="left"))
-    if not 1 <= exp.lambda_index <= top:
+    if exp.lambda_index > top:
         raise ConfigError("experiment.lambda_index",
                           f"must lie in [1, {top}], where tau_k is below the largest retained eigenvalue")
     report = run_rapid_stab(
@@ -616,11 +623,9 @@ def _cmd_report(config: RunConfig, out: Path) -> None:
             lines.append(f"  trajectory = {file} ({digest})")
             if recorded != digest:
                 lines.append(f"  WARNING: {file} hash differs from the one recorded at the run")
-        # the basis cache the run used, found from the report's own config; a
-        # key that RunConfig no longer has (an older report's) is ignored
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        run = {key: value for key, value in data["config"].items() if key in known}
-        path, recorded = _parse_section(RunConfig, run).resolved_cache_path(), data["inputs"]["cache"]
+        # the basis cache the run used, found from the report's own config
+        run = _parse_section(RunConfig, _known_keys(RunConfig, data["config"]))
+        path, recorded = run.resolved_cache_path(), data["inputs"]["cache"]
         lines.append(f"  cache = {path} ({recorded})")
         if not path.exists() or sha256_file(path) != recorded:
             lines.append(f"  WARNING: {path} hash differs from the one recorded at the run")

@@ -22,9 +22,9 @@ Per threshold lam the derived feedback data are
 In certified mode c1 is fitted, c0 bounded on the convection tensor and the
 rest derived, so that the inequalities above hold for every lam > 0; no
 step of the chain samples anything.  In practical mode the user supplies a
-small c1 (and optionally q), trading the certified inequalities for
-dynamics that are observable at desk scale; overridden entries are recorded
-in the pack's provenance.
+small c1 and c0 (and optionally q), trading the certified inequalities for
+dynamics that are observable at desk scale; c2 and c3 are derived in both
+modes, and the pack's provenance records which entries the user gave.
 """
 
 from __future__ import annotations
@@ -44,33 +44,29 @@ logger = logging.getLogger(__name__)
 TERMINAL = -1
 
 
-def least_feedback_constant(spectral_constant: float) -> float:
-    """The smallest feedback constant a pack accepts: 3 * spectral_constant,
-    less a relative 1e-12 so that a value rounded from 3 * c1 passes."""
-    return 3.0 * spectral_constant * (1.0 - 1e-12)
-
-
 @dataclass(frozen=True)
 class ConstantPack:
     """The constants used by the feedback laws and schedules.
 
     mode is "certified" (constants from the fit chain: spectral constant
     >= 1, feedback and schedule constants that meet their inequalities, so
-    q >= 64 * c2 >= 192) or "practical" (user-supplied small constants,
-    checked only for positivity, c2 >= 3 * c1 and c3 = q^2 / 32).
-    provenance maps each field to how it was obtained ("fitted", "bounded",
-    "derived" or "user").
+    q >= 64 * c2 >= 192) or "practical" (the user's c1, c0 and optionally q,
+    checked only for positivity and c2 >= 3 * c1).  Both constructors derive
+    c2 from (c1, c0); the cost exponent c3 = q^2 / 32 is always derived,
+    never passed.  provenance maps each field to how it was obtained
+    ("fitted", "bounded", "derived" or "user").
     """
 
     spectral_constant: float
     trilinear_constant: float
     feedback_constant: float
     schedule_constant: float
-    cost_exponent: float
+    cost_exponent: float = field(init=False)
     mode: str = "practical"
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "cost_exponent", self.schedule_constant**2 / 32.0)
         if self.mode not in ("certified", "practical"):
             raise ValueError(f"unknown constant mode {self.mode!r}")
         for name in (
@@ -78,16 +74,13 @@ class ConstantPack:
             "trilinear_constant",
             "feedback_constant",
             "schedule_constant",
-            "cost_exponent",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.mode == "certified" and self.spectral_constant < 1.0:
             raise ValueError("certified mode requires spectral_constant >= 1")
-        if self.feedback_constant < least_feedback_constant(self.spectral_constant):
+        if self.feedback_constant < 3.0 * self.spectral_constant:
             raise ValueError("feedback_constant must be >= 3 * spectral_constant")
-        if self.cost_exponent != self.schedule_constant**2 / 32.0:
-            raise ValueError("cost_exponent must equal schedule_constant**2 / 32 exactly")
         c1, c0, c2 = self.spectral_constant, self.trilinear_constant, self.feedback_constant
         if self.mode == "certified" and not _feedback_constraints_ok(c2, c1, c0):
             raise ValueError("certified mode requires a feedback_constant that meets the feedback inequalities")
@@ -98,13 +91,11 @@ class ConstantPack:
     def certified(cls, spectral_constant: float, trilinear_constant: float) -> "ConstantPack":
         """Derive the full chain from a fitted spectral constant (>= 1)."""
         c2 = derive_feedback_constant(spectral_constant, trilinear_constant)
-        q, c3 = derive_schedule_constants(spectral_constant, c2)
         return cls(
             spectral_constant=spectral_constant,
             trilinear_constant=trilinear_constant,
             feedback_constant=c2,
-            schedule_constant=q,
-            cost_exponent=c3,
+            schedule_constant=derive_schedule_constant(spectral_constant, c2),
             mode="certified",
             provenance={
                 "spectral_constant": "fitted",
@@ -120,26 +111,20 @@ class ConstantPack:
         cls,
         spectral_constant: float,
         trilinear_constant: float = 1.0,
-        feedback_constant: float | None = None,
         schedule_constant: float | None = None,
     ) -> "ConstantPack":
-        """Build a pack from user constants, deriving whatever is omitted.
+        """Build a pack from user constants, deriving c2 and, when omitted, q.
 
         Overriding the schedule constant with a small value keeps the
         dyadic thresholds inside a desk-scale basis but voids the derived
         schedule inequalities; the override is recorded in provenance.
         """
-        prov = {"spectral_constant": "user", "trilinear_constant": "user"}
-        if feedback_constant is None:
-            feedback_constant = derive_feedback_constant(spectral_constant, trilinear_constant)
-            prov["feedback_constant"] = "derived"
-        else:
-            prov["feedback_constant"] = "user"
+        feedback_constant = derive_feedback_constant(spectral_constant, trilinear_constant)
+        prov = {"spectral_constant": "user", "trilinear_constant": "user", "feedback_constant": "derived"}
         if schedule_constant is None:
-            schedule_constant, c3 = derive_schedule_constants(spectral_constant, feedback_constant)
+            schedule_constant = derive_schedule_constant(spectral_constant, feedback_constant)
             prov["schedule_constant"] = "derived"
         else:
-            c3 = schedule_constant**2 / 32.0
             prov["schedule_constant"] = "user"
             logger.info(
                 "schedule constant overridden to %g; derived schedule inequalities "
@@ -152,7 +137,6 @@ class ConstantPack:
             trilinear_constant=trilinear_constant,
             feedback_constant=feedback_constant,
             schedule_constant=schedule_constant,
-            cost_exponent=c3,
             mode="practical",
             provenance=prov,
         )
@@ -266,8 +250,8 @@ def _schedule_constraint_ok(q: float, constants: tuple[float, ...]) -> bool:
     return True
 
 
-def derive_schedule_constants(c1: float, c2: float) -> tuple[float, float]:
-    """Smallest schedule constant q and the cost exponent q^2/32.
+def derive_schedule_constant(c1: float, c2: float) -> float:
+    """Smallest schedule constant q.
 
     The constraint log c + c*q*m <= q^2*m/64 is linear in the integer m, so
     it holds for every m >= 1 iff its slope is nonnegative, q >= 64*c, and
@@ -284,7 +268,7 @@ def derive_schedule_constants(c1: float, c2: float) -> tuple[float, float]:
     )
     while not _schedule_constraint_ok(q, constants):
         q = math.nextafter(q, math.inf)
-    return q, q * q / 32.0
+    return q
 
 
 def feedback_params(lam: float, pack: ConstantPack, basis: StokesBasis) -> FeedbackParams:

@@ -332,8 +332,8 @@ class SpectralState:
         return float(np.linalg.norm(self.coeffs))
 
     def advanced(self, dt: float, controller: "Feedback", basis: StokesBasis,
-                 tensor: np.ndarray, gram: np.ndarray, nu: float = 1.0) -> "SpectralState":
-        new = step(self.t, self.coeffs, dt, controller, basis, tensor, gram, nu=nu)
+                 tensor: np.ndarray, gram: np.ndarray) -> "SpectralState":
+        new = step(self.t, self.coeffs, dt, controller, basis, tensor, gram)
         return SpectralState(self.t + dt, new)
 
 
@@ -349,11 +349,10 @@ def rhs(
     basis: StokesBasis,
     tensor: np.ndarray,
     gram: np.ndarray,
-    nu: float = 1.0,
 ) -> np.ndarray:
     """Time derivative of the coefficient vector for a given control."""
     quad = np.einsum("ijk,i,j->k", tensor, coeffs, coeffs)
-    return -nu * basis.eigenvalues * coeffs - quad + gram @ control
+    return -basis.eigenvalues * coeffs - quad + gram @ control
 
 
 class Feedback:
@@ -500,7 +499,6 @@ def step(
     basis: StokesBasis,
     tensor: np.ndarray,
     gram: np.ndarray,
-    nu: float = 1.0,
 ) -> np.ndarray:
     """One integrating-factor Heun step; exact for the pure diagonal part.
 
@@ -509,7 +507,7 @@ def step(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    decay = np.exp(-nu * basis.eigenvalues * dt)
+    decay = np.exp(-basis.eigenvalues * dt)
 
     def forcing(tt: float, x: np.ndarray) -> np.ndarray:
         c = controller.control(tt, x, law_time=t)
@@ -533,7 +531,6 @@ def simulate(
     basis: StokesBasis,
     tensor: np.ndarray,
     gram: np.ndarray,
-    nu: float = 1.0,
     sample_stride: int = 1,
 ) -> Trajectory:
     """Integrate the closed loop on a row plan's steps and sample every
@@ -591,11 +588,11 @@ def simulate(
     sample = 1
     for k in range(n_steps):
         t, dt = step_start[k], step_size[k]
-        decay = np.exp(-nu * tau * dt)
+        decay = np.exp(-tau * dt)
         decay_sq = decay * decay
         # exponentially weighted trapezoid weights for int X_k(s)^2 ds over a step;
         # modes whose memory dies within one step fall back to the start-point rule
-        diss_w = (1.0 - decay_sq) / (2.0 * nu * tau)
+        diss_w = (1.0 - decay_sq) / (2.0 * tau)
         c1 = controller.control(t, x)
         f1 = -convection(x, tensor) + gram @ c1
         predictor = decay * (x + dt * f1)
@@ -653,7 +650,6 @@ def simulate_closed_loop(
     basis: StokesBasis,
     tensor: np.ndarray,
     gram: np.ndarray,
-    nu: float = 1.0,
     sample_stride: int = 1,
 ) -> Trajectory:
     """A law's run with the closed loop of each step's segment in the
@@ -662,7 +658,7 @@ def simulate_closed_loop(
     controller is a ModalFeedback, a ScheduledFeedback, or a LatchedFeedback
     around one; plan is a row plan (cuts, counts, sizes), stepped as
     :func:`simulate` steps it.  A step takes the law of the segment its start
-    lies in.  With K that segment's linear gain and L = -nu diag(tau) + G K,
+    lies in.  With K that segment's linear gain and L = -diag(tau) + G K,
     a step from x is
 
         p = E (x + dt r(x)),  x' = E (x + dt/2 r(x)) + dt/2 r(p)
@@ -694,7 +690,7 @@ def simulate_closed_loop(
             gain = np.zeros(m)
             gain[: params.n_active] = -params.gain
             k_matrix = np.diag(gain)
-            lin = gram @ k_matrix - nu * np.diag(tau)
+            lin = gram @ k_matrix - np.diag(tau)
             cache[key] = (gain, scipy.linalg.expm(dt * lin), *dense_moments(lin, dt, np.diag(tau)),
                           *dense_moments(lin, dt, 0.5 * (gram @ k_matrix + k_matrix @ gram)))
         return cache[key]
@@ -723,9 +719,9 @@ def simulate_closed_loop(
         params = controller.params_at(t)
         c1 = controller.control(t, x)
         if params is None or getattr(controller, "latched", False):
-            decay = np.exp(-nu * tau * dt)
+            decay = np.exp(-tau * dt)
             decay_sq = decay * decay
-            diss_w = (1.0 - decay_sq) / (2.0 * nu * tau)
+            diss_w = (1.0 - decay_sq) / (2.0 * tau)
             f1 = gram @ c1 - convection(x, tensor)
             predictor = decay * (x + dt * f1)
             c2 = controller.control(t + dt, predictor, law_time=t)

@@ -730,8 +730,8 @@ def _signed(body: bytes) -> bytes:
 def test_report_prints_and_checks_both_cache_digests(tmp_path):
     """The summary prints the basis cache's digest from each report and warns
     once per report whose cache changed or went missing.  A report of an
-    earlier version, which also recorded the digest of a tensor cache and the
-    viscosity in its config, is summarized the same way."""
+    earlier version, which also recorded the digest of a tensor cache, and the
+    viscosity and a feedback constant in its config, is summarized the same way."""
     config = parse_config(write_config(tmp_path))
     out, cache = tmp_path / "out", config.resolved_cache_path()
     for sub in ("simulate", "report"):
@@ -743,6 +743,7 @@ def test_report_prints_and_checks_both_cache_digests(tmp_path):
     data = json.loads(report.read_text())
     data["inputs"][f"{OLD_TENSOR_FILE}_cache"] = "sha256:" + "0" * 64
     data["config"]["nu"] = 1.0
+    data["config"]["practical"]["feedback_constant"] = None
     report.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     assert run_subcommand("report", config) == 0
     assert (out / "summary.txt").read_text() == summary
@@ -783,6 +784,7 @@ def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, caps
     ("nullcontrol", "practical.spectral_constant", -0.02),
     ("simulate", "practical.trilinear_constant", 0.0),
     ("cost-curve", "practical.schedule_constant", -4.0),
+    # the feedback constant is always derived: an unknown key
     ("stabilize", "practical.feedback_constant", 0.05),
     # checked with the domain, before the basis solve: no start offset, a
     # seed numpy cannot take, a control window with no node of the 16 x 16
@@ -796,6 +798,9 @@ def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, caps
     ("eigen", "omega", [0.1, 0.9, 0.5, 0.52]),
     # the viscosity is fixed at 1: any "nu" is an unknown key
     ("constants", "nu", float("nan")),
+    # the threshold tau_k needs 1 <= k <= M - 1, checked before the basis solve
+    ("simulate", "experiment.lambda_index", 0),
+    ("simulate", "experiment.lambda_index", BASE["M"]),
 ])
 def test_out_of_range_experiment_value_names_its_key(tmp_path, capsys, subcommand, key, value):
     path = write_config(tmp_path, overrides={key: value})

@@ -17,7 +17,7 @@ from nsstab.errors import ConfigError
 #: dotted config keys by the JSON type they accept
 NUMBER = ("Lx", "Ly", "eps_zero", "practical.spectral_constant", "practical.trilinear_constant",
           "experiment.y0_scale", "experiment.y0_norm")
-OPTIONAL_NUMBER = ("dt", "practical.feedback_constant", "practical.schedule_constant", "experiment.horizon")
+OPTIONAL_NUMBER = ("dt", "practical.schedule_constant", "experiment.horizon")
 INT = ("nx", "ny", "M", "seed", "experiment.lambda_index", "experiment.n0", "experiment.n_max",
        "experiment.periods")
 STRING = ("mode", "output_dir")
@@ -58,11 +58,9 @@ def valid_configs(draw):
     practical = st.fixed_dictionaries({}, optional={
         "spectral_constant": numbers,
         "trilinear_constant": numbers,
-        "feedback_constant": st.none() | numbers,
         "schedule_constant": st.none() | numbers,
     })
     experiment = st.fixed_dictionaries({}, optional={
-        "lambda_index": st.integers(-5, 100),
         "y0_scale": numbers,
         "y0_norm": numbers,
         "cutoff": st.booleans(),
@@ -84,12 +82,10 @@ def valid_configs(draw):
         "practical": practical,
         "experiment": experiment,
     }))
-    practical_section = optional.get("practical", {})
-    if practical_section.get("feedback_constant") is not None:  # c2 below 3 c1 is rejected
-        practical_section["feedback_constant"] = max(practical_section["feedback_constant"],
-                                                     3 * practical_section.get("spectral_constant", 0.5))
     if nx * ny - 2 < 24:  # the default M of 24 would exceed the solvable mode count
         optional.setdefault("M", draw(st.integers(5, nx * ny - 2)))
+    if "experiment" in optional and draw(st.booleans()):  # tau_k must lie below tau_M
+        optional["experiment"]["lambda_index"] = draw(st.integers(1, optional.get("M", 24) - 1))
     return {"Lx": lx, "Ly": ly, "nx": nx, "ny": ny, "omega": [a, b, c, d], **optional}
 
 
@@ -126,8 +122,9 @@ WRONG_CASES += [("experiment.n0_list", v) for v in WRONG_N0_LIST]
 WRONG_CASES += [("experiment.offsets", v) for v in WRONG_OFFSETS]
 # well typed but out of range: no start offset, a seed numpy cannot take
 WRONG_CASES += [("experiment.offsets", []), ("seed", -1)]
-# a key no field has: the viscosity is fixed at 1
-WRONG_CASES += [("nu", 1.0)]
+# keys no field has: the viscosity is fixed at 1, and the feedback constant
+# is always derived from the spectral and trilinear constants
+WRONG_CASES += [("nu", 1.0), ("practical.feedback_constant", 1.0)]
 WRONG_CASES += [(section, v) for section in ("practical", "experiment") for v in ([], 1, "x")]
 
 

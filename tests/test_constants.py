@@ -12,7 +12,7 @@ from nsstab.constants import (
     build_schedule,
     cutoff_profile,
     derive_feedback_constant,
-    derive_schedule_constants,
+    derive_schedule_constant,
     feedback_params,
     trilinear_bracket,
 )
@@ -66,14 +66,13 @@ def test_feedback_constant_inequalities_hold_on_dense_grid():
 
 
 def test_schedule_constants_unit_case():
-    q, c3 = derive_schedule_constants(1.0, 1.0)
+    q = derive_schedule_constant(1.0, 1.0)
     assert q == pytest.approx(64.0, rel=1e-9)
-    assert c3 == q * q / 32.0  # exact by construction
 
 
 def test_schedule_constants_match_exhaustive_integer_scan():
     c1, c2 = 1.0, 8.0
-    q, _ = derive_schedule_constants(c1, c2)
+    q = derive_schedule_constant(c1, c2)
     closed_form = 32.0 * c2 + math.sqrt((32.0 * c2) ** 2 + 64.0 * math.log(c2))
     assert q == pytest.approx(closed_form, rel=1e-9)
     m = np.arange(1, 1_000_001, dtype=np.float64)
@@ -121,7 +120,7 @@ def test_feedback_and_schedule_constants_hold_in_50_digits(c1, c0):
     inequalities at lam = 1e-12 and 1e12, and the two schedule inequalities
     (m = 1 and the slope in m) at q but not both at (1 - 1e-12) * q."""
     c2 = derive_feedback_constant(c1, c0)
-    q, _ = derive_schedule_constants(c1, c2)
+    q = derive_schedule_constant(c1, c2)
     with mpmath.workdps(50):
         c1m, c0m, c2m, qm = (mpmath.mpf(v) for v in (c1, c0, c2, q))
         for lam in (mpmath.mpf("1e-12"), mpmath.mpf("1e12")):
@@ -145,33 +144,31 @@ def test_pack_invariants():
     with pytest.raises(ValueError, match="spectral_constant >= 1"):
         ConstantPack(
             spectral_constant=0.5, trilinear_constant=1.0, feedback_constant=8.0,
-            schedule_constant=64.0, cost_exponent=128.0, mode="certified",
-        )
-    with pytest.raises(ValueError, match="exactly"):
-        ConstantPack(
-            spectral_constant=1.0, trilinear_constant=1.0, feedback_constant=8.0,
-            schedule_constant=64.0, cost_exponent=127.9, mode="certified",
+            schedule_constant=64.0, mode="certified",
         )
     with pytest.raises(ValueError, match="3 \\* spectral"):
         ConstantPack(
             spectral_constant=4.0, trilinear_constant=1.0, feedback_constant=8.0,
-            schedule_constant=64.0, cost_exponent=128.0, mode="certified",
+            schedule_constant=64.0, mode="certified",
         )
     # c2 = 8 meets the feedback inequalities at c1 = c0 = 1, but q = 64 < 64 * c2
     with pytest.raises(ValueError, match="schedule inequalities"):
         ConstantPack(
             spectral_constant=1.0, trilinear_constant=1.0, feedback_constant=8.0,
-            schedule_constant=64.0, cost_exponent=128.0, mode="certified",
+            schedule_constant=64.0, mode="certified",
         )
     # c2 = 7 >= 3 * c1, yet below the lam -> 0 limit 8 * c0 * c1^3 = 8
-    q, c3 = derive_schedule_constants(1.0, 7.0)
+    q = derive_schedule_constant(1.0, 7.0)
     with pytest.raises(ValueError, match="feedback inequalities"):
         ConstantPack(
             spectral_constant=1.0, trilinear_constant=1.0, feedback_constant=7.0,
-            schedule_constant=q, cost_exponent=c3, mode="certified",
+            schedule_constant=q, mode="certified",
         )
-    # the same constants as a practical pack claim no inequality
-    assert ConstantPack(1.0, 1.0, 7.0, q, c3).mode == "practical"
+    # the same constants as a practical pack claim no inequality, and the
+    # cost exponent is derived from q alone
+    pack = ConstantPack(1.0, 1.0, 7.0, q)
+    assert pack.mode == "practical"
+    assert pack.cost_exponent == pack.schedule_constant**2 / 32.0
 
 
 def test_certified_pack_from_unit_constants():
@@ -189,7 +186,7 @@ def _unit_pack():
     """c1 = c0 = 1 and c2 = 8, with q = 64 below the certified chain's 64 * c2."""
     return ConstantPack(
         spectral_constant=1.0, trilinear_constant=1.0, feedback_constant=8.0,
-        schedule_constant=64.0, cost_exponent=128.0,
+        schedule_constant=64.0,
     )
 
 

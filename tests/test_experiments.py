@@ -356,8 +356,7 @@ def test_every_certified_pack_takes_the_log_space_path(square16):
 def unit_pack(q: float) -> ConstantPack:
     """A practical pack with c1 = c0 = 1, c2 = 3 and a small schedule
     constant, so that its thresholds stay inside a desk-scale basis."""
-    return ConstantPack(spectral_constant=1.0, trilinear_constant=1.0, feedback_constant=3.0,
-                        schedule_constant=q, cost_exponent=q * q / 32.0)
+    return ConstantPack(spectral_constant=1.0, trilinear_constant=1.0, feedback_constant=3.0, schedule_constant=q)
 
 
 def test_latched_feedback_shuts_off(small_setup):
