@@ -23,13 +23,16 @@ propagator E = e^{hL}, and the remainder r explicitly at second order,
 Which L a row takes is fixed by its law and the piece:
 
 * a piece with a gain of a stationary law (:meth:`ControlLaw.stationary`),
-  or of a periodic law without cutoff, steps that segment's closed loop,
-  L = -diag(tau) + G K with K x = -gain times the active modes, and
-  r(x) = G (c(x) - K x) - N(x).  While the cutoff does not act, c(x) = K x
-  exactly, so r is the convection alone and the step takes no limit from
-  the gain.  E and the energy moments are tabled once per distinct (gain
-  row, step size) (:class:`ClosedLoopTable`), all tables of one gain row
-  from one doubling ladder (:class:`ClosedLoopLadder`), and a step's
+  or of a periodic law without cutoff (the one rule,
+  :attr:`ControlLaw.closed_loop`), steps that segment's closed loop,
+  L = -diag(tau) + G K (:func:`closed_loop_matrix`) with K x = -gain times
+  the active modes, and r(x) = G (c(x) - K x) - N(x).  While the cutoff
+  does not act, c(x) = K x exactly, so r is the convection alone and the
+  step takes no limit from the gain.  E = expm(h L) and the energy moments
+  are tabled once per distinct (gain row, step size)
+  (:class:`ClosedLoopTable`); the moments of all tables of one gain row
+  come from one doubling ladder (:class:`ClosedLoopLadder`, the moments
+  of e^{L s} for any symmetric Q), and a step's
   dissipation and linear control work are x^T W0 x + 2 h x^T W1 r(x),
   exact for the linear flow, plus the trapezoid of x . G (c - K x).  When
   the cutoff does act, at either evaluation, that moment and that
@@ -284,15 +287,15 @@ def expm(a: np.ndarray) -> np.ndarray:
 class ClosedLoopTable:
     """Stepping tables of a closed loop at one step size h.
 
-    L = -diag(tau) + G diag(gain) is the linear part of the closed loop,
-    with gain the control gains of one law segment (-gain on the active
-    modes).  prop_t is e^{h L} transposed, so a (B, M) batch steps as
-    x @ prop_t.  The energy integrals of a step from x with explicit
-    remainder r are x . (x @ quad_x + r @ quad_r), columns :M the dissipation
-    and M: the linear control work: quad_x holds W0 of Q = diag(tau) and of
-    Q = sym(G diag(gain)), quad_r twice their first moments M1, so that the
-    sums are x^T W0 x + 2 h x^T W1 r with W1 = M1 / h (all symmetric).
-    Tables come from a :class:`ClosedLoopLadder`.
+    L = :func:`closed_loop_matrix` of gain, the control gains of one law
+    segment (-gain on the active modes).  prop_t is e^{h L} transposed, so
+    a (B, M) batch steps as x @ prop_t.  The energy integrals of a step
+    from x with explicit remainder r are x . (x @ quad_x + r @ quad_r),
+    columns :M the dissipation and M: the linear control work: quad_x holds
+    W0 of Q = diag(tau) and of Q = sym(G diag(gain)), quad_r twice their
+    first moments M1, so that the sums are x^T W0 x + 2 h x^T W1 r with
+    W1 = M1 / h (all symmetric).  :func:`simulate_batch` assembles each
+    table from the moments of its gain's :class:`ClosedLoopLadder`.
     """
 
     gain: np.ndarray
@@ -301,47 +304,49 @@ class ClosedLoopTable:
     quad_r: np.ndarray
 
 
-class ClosedLoopLadder:
-    """The closed-loop tables of one gain row at the step sizes h0 2^j.
+def closed_loop_matrix(tau: np.ndarray, gram: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """L = -diag(tau) + G diag(gain), the linear part of the closed loop of
+    one law segment with control gains gain (-gain on the active modes)."""
+    return gram * gain - np.diag(tau)
 
-    For Q = diag(tau) and Q = sym(G diag(gain)) a table needs the moments
+
+class ClosedLoopLadder:
+    """The moments of the linear flow e^{L s} at the step sizes h0 2^j.
+
+    For each symmetric Q of quads a step h needs the moments
     W0 = int_0^h e^{L^T s} Q e^{L s} ds and M1 = int_0^h s e^{L^T s} Q e^{L s} ds.
     The ladder's seed holds them as Gauss-Legendre sums over one sub-step
-    d = h0 / 2^k, the largest with ||L d||_1 <= 1, and e^{L d}; a table at
-    h = d 2^j doubles the seed j times (Van Loan, IEEE Trans. Automat.
+    d = h0 / 2^k, the largest with ||L d||_1 <= 1, and e^{L d}; the moments
+    at h = d 2^j double the seed j times (Van Loan, IEEE Trans. Automat.
     Control 23, 1978, with the doubling in place of one block exponential,
     whose e^{+L s} blocks overflow on stiff steps),
 
         W0(2s) = W0(s) + E(s)^T W0(s) E(s)
         M1(2s) = M1(s) + E(s)^T (M1(s) + s W0(s)) E(s),
 
-    symmetrizes them, and takes its propagator as expm(h L).  So a table
-    depends on h and the seed only, not on which other tables the ladder
-    builds or in which order, and a ladder whose smallest step is h gives
-    the table at h that a ladder of h alone gives.  The seed costs 13
-    exponentials; each table one more, and j doublings of a few M x M
-    products each.
+    and symmetrize them.  So the moments at h depend on h and the seed
+    only, not on which other steps the ladder serves or in which order, and
+    a ladder whose smallest step is h gives the moments at h that a ladder
+    of h alone gives.  The seed costs 13 exponentials; each step j
+    doublings of a few M x M products per Q.
     """
 
-    def __init__(self, tau: np.ndarray, gram: np.ndarray, gain: np.ndarray, h0: float):
-        control = gram * gain  # G diag(gain)
-        lin = control - np.diag(tau)
+    def __init__(self, lin: np.ndarray, quads, h0: float):
         norm = float(np.abs(h0 * lin).sum(axis=0).max())
         sub = h0 / 2.0 ** (max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0)
         nodes, weights = 0.5 * sub * (_GAUSS_NODES + 1.0), sub * _GAUSS_HALF_WEIGHTS
-        quads = (np.diag(tau), 0.5 * (control + control.T))
-        moments = [(np.zeros_like(lin), np.zeros_like(lin)) for _ in quads]
+        self.seed = [(np.zeros_like(lin), np.zeros_like(lin)) for _ in quads]
         for s, w in zip(nodes, weights):
             flow = expm(s * lin)
-            for q, (w0, m1) in zip(quads, moments):
+            for q, (w0, m1) in zip(quads, self.seed):
                 term = flow.T @ q @ flow
                 w0 += w * term
                 m1 += w * s * term
-        self.gain, self.lin, self.sub = gain.copy(), lin, sub
-        self.seed, self.e_sub = moments, expm(sub * lin)
+        self.lin, self.sub, self.e_sub = lin, sub, expm(sub * lin)
 
-    def table(self, h: float) -> ClosedLoopTable:
-        """The table at step size h, which must be the sub-step times 2^j, j >= 0."""
+    def moments(self, h: float) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The symmetrized (W0, M1) of each Q at step size h, which must be
+        the sub-step times 2^j, j >= 0."""
         doublings = round(math.log2(h / self.sub))
         if doublings < 0 or h != self.sub * 2.0**doublings:
             raise ValueError(f"step {h!r} is not the ladder's sub-step {self.sub!r} times a power of two")
@@ -350,10 +355,7 @@ class ClosedLoopLadder:
             if j:
                 e_sub, s = e_sub @ e_sub, 2.0 * s
             moments = [(w0 + e_sub.T @ w0 @ e_sub, m1 + e_sub.T @ (m1 + s * w0) @ e_sub) for w0, m1 in moments]
-        prop = self.e_sub if doublings == 0 else expm(h * self.lin)
-        (w_diss, m_diss), (w_work, m_work) = [(0.5 * (w0 + w0.T), 0.5 * (m1 + m1.T)) for w0, m1 in moments]
-        return ClosedLoopTable(gain=self.gain, prop_t=np.ascontiguousarray(prop.T),
-                               quad_x=np.hstack([w_diss, w_work]), quad_r=2.0 * np.hstack([m_diss, m_work]))
+        return [(0.5 * (w0 + w0.T), 0.5 * (m1 + m1.T)) for w0, m1 in moments]
 
 
 @dataclass(frozen=True)
@@ -377,6 +379,12 @@ class ControlLaw:
     def __post_init__(self):
         if self.cutoff and not all(0 < p.cutoff_radius <= 0.5 for p in self.params):
             raise ValueError("radius must lie in (0, 1/2]")
+
+    @property
+    def closed_loop(self) -> bool:
+        """Whether the pieces with a gain step their closed loop: those of a
+        stationary law, and of a periodic law without cutoff."""
+        return bool(self.params) and (self.schedule is None or not self.cutoff)
 
     @classmethod
     def stationary(cls, params: FeedbackParams, cutoff: bool = False) -> "ControlLaw":
@@ -635,12 +643,11 @@ def simulate_batch(
     tau = basis.eigenvalues
     # built before any table, so that its transients come first
     convection = packed_convection(tensor, b)
-    # a piece with a gain steps its closed loop exactly, unless its law is
-    # periodic with a cutoff: one table per distinct (gain row, step size),
+    # a piece with a gain of a law that steps its closed loop steps it
+    # exactly: one table per distinct (gain row, step size),
     # and table_index[k, r] the table of row r's step k, -1 where the row
     # takes the diagonal factor
-    exact = [bool(law.params) and (law.schedule is None or not law.cutoff) for law in laws]
-    closed_loop = np.repeat(exact, lengths) & (seg != TERMINAL)
+    closed_loop = np.repeat([law.closed_loop for law in laws], lengths) & (seg != TERMINAL)
     closed_loop[end] = False
     keys = {}
     piece_tables = [keys.setdefault((gain.tobytes(), float(h)), len(keys)) if closed else -1
@@ -648,11 +655,9 @@ def simulate_batch(
     specs = [(np.frombuffer(gain), h) for gain, h in keys]
     n_tables = len(specs)
     # one ladder per gain row and step mantissa, seeded at its smallest step
-    rungs = {}
-    for t, (gain, h) in enumerate(keys):
-        rungs.setdefault((gain, math.frexp(h)[0]), []).append(t)
-    rungs = list(rungs.values())
-    ladder_of = {t: i for i, members in enumerate(rungs) for t in members}
+    ladder_keys = {}
+    ladder_of = [ladder_keys.setdefault((gain, math.frexp(h)[0]), len(ladder_keys)) for gain, h in keys]
+    rungs = [[t for t in range(n_tables) if ladder_of[t] == i] for i in range(len(ladder_keys))]
     # a table is built when an unlatched row first takes it, and dropped, with
     # its ladder once the ladder's last table goes, when no unlatched row's
     # column of table_index holds it from the current step on
@@ -664,10 +669,14 @@ def simulate_batch(
         nonlocal built, tables_s
         if tables[t] is None:
             begin = time.perf_counter()
-            i = ladder_of[t]
+            (gain, h), i = specs[t], ladder_of[t]
             if ladders[i] is None:
-                ladders[i] = ClosedLoopLadder(tau, gram, specs[t][0], min(specs[u][1] for u in rungs[i]))
-            tables[t] = ladders[i].table(specs[t][1])
+                control = gram * gain  # G diag(gain)
+                quads, h0 = (np.diag(tau), 0.5 * (control + control.T)), min(specs[u][1] for u in rungs[i])
+                ladders[i] = ClosedLoopLadder(closed_loop_matrix(tau, gram, gain), quads, h0)
+            w0, m1 = zip(*ladders[i].moments(h))  # each the dissipation's, then the work's
+            tables[t] = ClosedLoopTable(gain=gain, prop_t=np.ascontiguousarray(expm(h * ladders[i].lin).T),
+                                        quad_x=np.hstack(w0), quad_r=2.0 * np.hstack(m1))
             built += 1
             tables_s += time.perf_counter() - begin
         return tables[t]

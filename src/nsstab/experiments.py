@@ -13,10 +13,10 @@ Three experiments mirror the three guarantees of the control design:
 The schedule runs are stepped on piece grids (:func:`_row_plan`): each row
 is cut at every schedule switch and, for a start offset s, at s + j T, and
 each piece takes equal steps of at most its cap: the step of its schedule
-interval (:func:`_interval_dt`, which depends on whether the law has a
-cutoff, and under a cutoff is one step for all the intervals of one law),
-or the configured dt.  So every switch is a step time and each smooth piece
-is stepped at second order.
+interval (:func:`_interval_dt`, which depends on whether the law steps its
+closed loop, and under a cutoff is one step for all the intervals of one
+law), or the configured dt.  So every switch is a step time and each
+smooth piece is stepped at second order.
 
 Certified constant packs put the admissible initial data below double
 precision: their schedule constant is q >= 64 c2 >= 192, so the basin
@@ -73,9 +73,11 @@ def default_dt(horizon: float, tau_max: float) -> float:
     """Default step of a stationary-law run: the spacing of RAPID_SAMPLES
     samples over the horizon, and at most 0.1 / sqrt(tau_max).
 
-    The closed loop's linear part is integrated exactly (see
-    :class:`nsstab.dynamics.ClosedLoopTable`), so the gain sets no step; only
-    the explicit convection and the cutoff's correction remain.
+    A stationary law steps its closed loop, with or without cutoff
+    (:attr:`nsstab.dynamics.ControlLaw.closed_loop`), and its linear part
+    L (:func:`nsstab.dynamics.closed_loop_matrix`) is integrated exactly by
+    e^{hL}, so the gain sets no step; only the explicit convection and the
+    cutoff's correction remain.
     """
     return min(horizon / RAPID_SAMPLES, 0.1 / math.sqrt(tau_max))
 
@@ -86,8 +88,9 @@ def _dyadic_dt(rate: float, k_floor: int) -> float:
     return 2.0 ** (-k)
 
 
-def _interval_dt(schedule: Schedule, convection_rate: float, cutoff: bool) -> np.ndarray:
-    """Default step of each schedule piece: intervals 0..n_max, then the terminal piece.
+def _interval_dt(law: ControlLaw, convection_rate: float) -> np.ndarray:
+    """Default step of each piece of a periodic law's schedule: intervals
+    0..n_max, then the terminal piece.
 
     Every step is at most the largest power of two <= 2 / convection_rate.
     The convection stays explicit, and 2 is the explicit RK2's stability
@@ -96,32 +99,33 @@ def _interval_dt(schedule: Schedule, convection_rate: float, cutoff: bool) -> np
     norm of the rows that take these steps, bounds the norm of the
     convection's Jacobian while the state's norm stays at or below its start.
 
-    With cutoff, for a row that takes the diagonal integrating factor with
-    G K x explicit, whose step is limited by the law it keeps explicit and
-    not by the piece: the pieces of one law (equal :class:`FeedbackParams`,
-    as the clamped intervals of a practical schedule are) share one step,
-    at most L / _PIECE_STEPS with L the longest of them and the largest
-    power of two <= 0.25 / gain, so a shorter piece of a law takes fewer
-    steps rather than finer ones.  An unclamped schedule has one piece per
-    law, and the terminal piece (no gain) steps by its own L / _PIECE_STEPS.
-    Without cutoff, for a row that steps each piece's closed loop exactly
-    (see :func:`nsstab.dynamics.simulate_batch`), so that the gain sets no
+    Which scheme the law's rows take is :attr:`nsstab.dynamics.ControlLaw.closed_loop`.
+    For a law with cutoff, whose rows take the diagonal integrating factor
+    with G K x explicit, the step is limited by the law it keeps explicit
+    and not by the piece: the pieces of one law (equal
+    :class:`FeedbackParams`, as the clamped intervals of a practical
+    schedule are) share one step, at most L / _PIECE_STEPS with L the
+    longest of them and the largest power of two <= 0.25 / gain, so a
+    shorter piece of a law takes fewer steps rather than finer ones.  An
+    unclamped schedule has one piece per law, and the terminal piece (no
+    gain) steps by its own L / _PIECE_STEPS.  For a law without cutoff,
+    whose rows step each piece's closed loop exactly, the gain sets no
     step: piece n steps by at most L_n / _EXACT_PIECE_STEPS.
 
     Every length is a power of two, so each piece is a whole number of steps
     and every switch falls on a step boundary.
     """
-    lengths = schedule.lengths
-    if not cutoff:
+    lengths = law.schedule.lengths
+    if law.closed_loop:
         return np.array([_dyadic_dt(0.5 * convection_rate, round(-math.log2(length / _EXACT_PIECE_STEPS)))
                          for length in lengths])
-    laws = schedule.params + (None,)  # None: the terminal piece's zero law
+    pieces = law.params + (None,)  # None: the terminal piece's zero law
     longest: dict[FeedbackParams | None, float] = {}
-    for law, length in zip(laws, lengths):
-        longest[law] = max(longest.get(law, 0.0), length)
-    return np.array([_dyadic_dt(max(0.5 * convection_rate, law.gain / 0.25 if law else 0.0),
-                                round(-math.log2(longest[law] / _PIECE_STEPS)))
-                     for law in laws])
+    for params, length in zip(pieces, lengths):
+        longest[params] = max(longest.get(params, 0.0), length)
+    return np.array([_dyadic_dt(max(0.5 * convection_rate, params.gain / 0.25 if params else 0.0),
+                                round(-math.log2(longest[params] / _PIECE_STEPS)))
+                     for params in pieces])
 
 
 def _row_plan(schedule: Schedule, caps: np.ndarray, start: float = 0.0, periods: int = 1,
@@ -388,14 +392,10 @@ def run_null_control(
     reports = [_plan_null_control(basis, pack, n0, y0_norm, n_max, cutoff) for n0 in n0_list]
     if pack.mode == "certified":
         return reports
+    laws = [ControlLaw.periodic(r.schedule, cutoff=cutoff) for r in reports]
     lipschitz = convection_lipschitz(tensor) if dt is None else None
-
-    def caps(report):
-        if dt is not None:
-            return np.full(n_max + 2, dt)
-        return _interval_dt(report.schedule, lipschitz * report.y0_norm, cutoff)
-
-    plans = [_row_plan(r.schedule, caps(r)) for r in reports]
+    plans = [_row_plan(r.schedule, _interval_dt(law, lipschitz * r.y0_norm) if dt is None else np.full(n_max + 2, dt))
+             for law, r in zip(laws, reports)]
     batches: dict[int, list[int]] = {}
     for i, (_, counts, _) in enumerate(plans):
         batches.setdefault(counts.sum(), []).append(i)
@@ -404,7 +404,7 @@ def run_null_control(
         y0 = np.array([random_low_mode_state(basis.n_modes, r.y0_norm, seed) for r in runs])
         try:
             run = simulate_batch(
-                y0, [ControlLaw.periodic(r.schedule, cutoff=cutoff) for r in runs], [plans[i] for i in batch],
+                y0, [laws[i] for i in batch], [plans[i] for i in batch],
                 basis, tensor, gram, latch_norm=[eps_zero * r.y0_norm for r in runs],
             )
         except BlowUpError as exc:
@@ -589,8 +589,9 @@ def run_small_time(
     # only the y0_norm rows keep their state history
     n_off = len(offsets)
     norms = [y0_norm] + [float(eta) for eta in eta_grid]
+    law = ControlLaw.periodic(schedule, cutoff=True)
     if dt is None:
-        caps = _interval_dt(schedule, convection_lipschitz(tensor) * max(norms), cutoff=True)
+        caps = _interval_dt(law, convection_lipschitz(tensor) * max(norms))
     else:
         caps = np.full(n_max + 2, dt)
     per_period = max(_row_plan(schedule, caps, s)[1].sum() for s in offsets)
@@ -599,9 +600,7 @@ def run_small_time(
     logger.info("%d steps per period on the schedule-piece grid, mean dt %.3e", per_period, dt)
 
     y0 = np.array([random_low_mode_state(basis.n_modes, norm, seed) for norm in norms for _ in offsets])
-    run = simulate_batch(
-        y0, ControlLaw.periodic(schedule, cutoff=True), plans * len(norms), basis, tensor, gram, state_rows=n_off,
-    )
+    run = simulate_batch(y0, law, plans * len(norms), basis, tensor, gram, state_rows=n_off)
     # every period takes the same number of steps
     two_period_index = 2 * (len(run.times) - 1) // periods
     residuals = run.norm_h[two_period_index, :n_off] / max(y0_norm, eps_zero)

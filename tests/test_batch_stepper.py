@@ -51,10 +51,9 @@ def assert_matches_oracle(run, ref_trajectories):
 
 def reference(law, y0, feedback, plan, basis, tensor, gram, **kwargs):
     """The oracle run of a law's row on its plan: the closed-loop exponential
-    step of each segment for a stationary law and a periodic law without
-    cutoff, the diagonal integrating factor for the zero law and a periodic
-    law with a cutoff."""
-    if law.params and (law.schedule is None or not law.cutoff):
+    step of each segment where the law steps its closed loop, the diagonal
+    integrating factor elsewhere."""
+    if law.closed_loop:
         return oracle.simulate_closed_loop(y0, feedback, plan, basis, tensor, gram, **kwargs)
     return oracle.simulate(y0, feedback, plan, basis, tensor, gram, **kwargs)
 
@@ -619,22 +618,22 @@ def test_tables_are_built_on_first_use_and_dropped_after_last(square16, pack_sch
 
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     sched = build_schedule(1, pack_schedule, basis, 4)
-    plan = experiments._row_plan(sched, experiments._interval_dt(sched, 1.0, cutoff=False))
+    plan = experiments._row_plan(sched, experiments._interval_dt(ControlLaw.periodic(sched), 1.0))
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=3)[None]
     made_tables, seeds, live = [], [], []
-    real_table, real_init = dynamics.ClosedLoopLadder.table, dynamics.ClosedLoopLadder.__init__
+    real_table, real_init = dynamics.ClosedLoopTable, dynamics.ClosedLoopLadder.__init__
 
-    def table(self, h):
-        made = real_table(self, h)
+    def table(**fields):
+        made = real_table(**fields)
         made_tables.append(weakref.ref(made))
         live.append(sum(ref() is not None for ref in made_tables))
         return made
 
-    def init(self, *args):
-        seeds.append(args[3])
-        real_init(self, *args)
+    def init(self, lin, quads, h0):
+        seeds.append(h0)
+        real_init(self, lin, quads, h0)
 
-    monkeypatch.setattr(dynamics.ClosedLoopLadder, "table", table)
+    monkeypatch.setattr(dynamics, "ClosedLoopTable", table)
     monkeypatch.setattr(dynamics.ClosedLoopLadder, "__init__", init)
     run = simulate_batch(y0, ControlLaw.periodic(sched), plan, basis, tensor, gram)
     assert run.tables == len(live) == 5 and max(live) <= 2 and run.tables_s > 0.0
@@ -653,7 +652,7 @@ def test_periodic_law_with_a_stiff_gain_steps_at_16_per_piece(square16, pack_sch
     sched = build_schedule(1, pack_schedule, basis, 4)
     sched = replace(sched, params=tuple(replace(p, gain=1e4 * 2.0**n) for n, p in enumerate(sched.params)))
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=7)
-    plan = experiments._row_plan(sched, experiments._interval_dt(sched, 1.0, cutoff=False))
+    plan = experiments._row_plan(sched, experiments._interval_dt(ControlLaw.periodic(sched), 1.0))
     assert plan[1].tolist() == [16] * 6 and plan[2].max() >= 300 * 0.25 / sched.params[0].gain
     law = ControlLaw.periodic(sched)
     run = simulate_batch(y0[None], law, plan, basis, tensor, gram)

@@ -495,26 +495,24 @@ def test_cost_curve_csvs_identical_across_blas_thread_counts(tmp_path):
 
 SIMULATE_TABLES_CHILD = """
 import hashlib, sys
-from nsstab.cli import build_pack, ensure_basis, main, parse_config
-from nsstab.constants import feedback_params
-from nsstab.dynamics import ClosedLoopLadder, ControlLaw
-from nsstab.spectral import assemble_gram
-path = sys.argv[1]
-assert main(["simulate", "--config", path]) == 0
-config = parse_config(path)
-basis = ensure_basis(config)[0]
-params = feedback_params(float(basis.eigenvalues[3]), build_pack(config, basis, None), basis)
-gain = ControlLaw.stationary(params).tables(basis.n_modes)[0][0]
-table = ClosedLoopLadder(basis.eigenvalues, assemble_gram(basis, basis.grid), gain, 2.0**-15).table(2.0**-15)
-print(hashlib.sha256(table.prop_t.tobytes() + table.quad_x.tobytes() + table.quad_r.tobytes()).hexdigest())
+from nsstab import dynamics
+from nsstab.cli import main
+made, real_table = [], dynamics.ClosedLoopTable
+def table(**fields):
+    made.append(real_table(**fields))
+    return made[-1]
+dynamics.ClosedLoopTable = table
+assert main(["simulate", "--config", sys.argv[1]]) == 0
+assert made
+print(hashlib.sha256(b"".join(t.prop_t.tobytes() + t.quad_x.tobytes() + t.quad_r.tobytes() for t in made)).hexdigest())
 """
 
 
 def test_simulate_csvs_identical_across_blas_thread_counts(tmp_path):
     """The wide-modes simulate (32x32, M = 64, lambda = tau_4, cutoff, T = 1/32):
-    the step's exponential and moment tables, whose 64x64 products BLAS may
-    split between threads, and both CSVs are byte-identical under 1 and 2
-    threads."""
+    the exponential and moment tables that its runs step with, whose 64x64
+    products BLAS may split between threads, and both CSVs are
+    byte-identical under 1 and 2 threads."""
     import os
     import subprocess
     import sys

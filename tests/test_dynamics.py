@@ -390,12 +390,39 @@ def test_closed_loop_scheme_converges_to_the_diagonal_oracle(square32, pack_rapi
     assert error((4.0 * refs[2] - refs[1]) / 3.0) <= 1e-6
 
 
-def test_ladder_tables_match_their_own_ladders_and_the_dense_moments(square16, pack_schedule):
-    """A ladder seeded at 2^-12 for the clamped gain of a null-control schedule
-    (16.2 on 22 active modes), against a ladder seeded at each step itself and
-    against scipy's expm and the oracle's composite Gauss-Legendre moments,
-    within 1e-13 of each table's largest entry.  A table's bits depend only on
-    its step and the seed, not on the order the ladder builds its tables in."""
+def built_tables(monkeypatch, basis, gram, params, steps):
+    """The closed-loop tables that simulate_batch builds for one stationary
+    row from zero, whose pieces take one step each, of the sizes steps in
+    order, and the ladders it seeds for them."""
+    made, ladders = [], []
+    real_table, real_init = dynamics.ClosedLoopTable, dynamics.ClosedLoopLadder.__init__
+
+    def table(**fields):
+        made.append(real_table(**fields))
+        return made[-1]
+
+    def init(self, lin, quads, h0):
+        real_init(self, lin, quads, h0)
+        ladders.append(self)
+
+    m = basis.n_modes
+    plan = (np.concatenate([[0.0], np.cumsum(steps)]), np.ones(len(steps), dtype=int), np.array(steps))
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "ClosedLoopTable", table)
+        patch.setattr(dynamics.ClosedLoopLadder, "__init__", init)
+        simulate_batch(np.zeros((1, m)), ControlLaw.stationary(params), plan, basis, np.zeros((m, m, m)), gram)
+    return made, ladders
+
+
+def test_ladder_tables_match_their_own_ladders_and_the_dense_moments(square16, pack_schedule, monkeypatch):
+    """The tables that simulate_batch builds for the clamped gain of a
+    null-control schedule (16.2 on 22 active modes) at 2^-12 2^j, j = 5, 0
+    and 3 in that order, from one ladder seeded at 2^-12: bit for bit those
+    of the steps in the order 0, 3, 5, and within 1e-13 of each table's
+    largest entry those of a ladder seeded at each step itself, of scipy's
+    expm and of the oracle's composite Gauss-Legendre moments.  So a table's
+    bits depend only on its step and the seed, not on the order the ladder
+    serves its steps in.  L is the oracle's generator bit for bit."""
     import scipy.linalg
 
     basis, gram = square16["basis"], square16["gram"]
@@ -403,18 +430,18 @@ def test_ladder_tables_match_their_own_ladders_and_the_dense_moments(square16, p
     params = build_schedule(1, pack_schedule, basis, 4).params[-1]
     gain = ControlLaw.stationary(params).tables(basis.n_modes)[0][0]
     lin = closed_loop_generator(basis, gram, params)
+    assert np.array_equal(dynamics.closed_loop_matrix(tau, gram, gain), lin)
     k_matrix = np.diag(gain)
     h0 = 2.0**-12
-    ladder = dynamics.ClosedLoopLadder(tau, gram, gain, h0)
-    assert ladder.sub == h0  # ||h0 L||_1 <= 1, so the seed is the step itself
-    first = {j: ladder.table(h0 * 2**j) for j in (5, 0, 3)}
-    again = dynamics.ClosedLoopLadder(tau, gram, gain, h0)
-    for j in (0, 3, 5):
+    first, ladders = built_tables(monkeypatch, basis, gram, params, [h0 * 2**j for j in (5, 0, 3)])
+    assert [ladder.sub for ladder in ladders] == [h0]  # ||h0 L||_1 <= 1, so the seed is the step itself
+    again, _ = built_tables(monkeypatch, basis, gram, params, [h0 * 2**j for j in (0, 3, 5)])
+    assert len(first) == len(again) == 3
+    for table, earlier, j in zip(again, (first[1], first[2], first[0]), (0, 3, 5)):
         h = h0 * 2**j
-        table = again.table(h)
-        for name in ("prop_t", "quad_x", "quad_r"):
-            assert np.array_equal(getattr(table, name), getattr(first[j], name)), (j, name)
-        alone = dynamics.ClosedLoopLadder(tau, gram, gain, h).table(h)
+        for name in ("gain", "prop_t", "quad_x", "quad_r"):
+            assert np.array_equal(getattr(table, name), getattr(earlier, name)), (j, name)
+        [alone], _ = built_tables(monkeypatch, basis, gram, params, [h])
         w_diss, m_diss = oracle.dense_moments(lin, h, np.diag(tau))
         w_work, m_work = oracle.dense_moments(lin, h, 0.5 * (gram @ k_matrix + k_matrix @ gram))
         dense = {"prop_t": scipy.linalg.expm(h * lin).T, "quad_x": np.hstack([w_diss, w_work]),
@@ -425,7 +452,27 @@ def test_ladder_tables_match_their_own_ladders_and_the_dense_moments(square16, p
                 assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), (j, name)
     for off_ladder in (3e-4, h0 / 2):
         with pytest.raises(ValueError, match="not the ladder's sub-step"):
-            ladder.table(off_ladder)
+            ladders[0].moments(off_ladder)
+
+
+def test_ladder_moments_of_any_symmetric_q_match_the_dense_moments(square16, pack_rapid):
+    """The ladder takes any symmetric Q, here the control energy c^T G c of
+    the stationary law at lambda = tau_2 (gain 2.0e4 on 3 modes),
+    Q = diag(gain) G diag(gain).  Seeded at 2^-10, where ||h L||_1 is 13,
+    it halves its sub-step to 2^-14; its moments there and at 2^-10 lie
+    within 1e-13 of the largest entry of the oracle's composite
+    Gauss-Legendre moments."""
+    basis, gram = square16["basis"], square16["gram"]
+    params = feedback_params(float(basis.eigenvalues[1]), pack_rapid, basis)
+    gain = ControlLaw.stationary(params).tables(basis.n_modes)[0][0]
+    lin = dynamics.closed_loop_matrix(basis.eigenvalues, gram, gain)
+    energy = gain[:, None] * gram * gain
+    ladder = dynamics.ClosedLoopLadder(lin, (energy,), 2.0**-10)
+    assert ladder.sub == 2.0**-14
+    for h in (2.0**-14, 2.0**-10):
+        [got] = ladder.moments(h)
+        for moment, expected in zip(got, oracle.dense_moments(lin, h, energy)):
+            assert np.abs(moment - expected).max() <= 1e-13 * np.abs(expected).max(), h
 
 
 def test_gauss_rule_is_the_twelve_point_legendre_rule():

@@ -291,7 +291,7 @@ def test_cutoff_step_plan_shares_one_step_per_law(square32, pack_schedule):
     assert schedule.clamped.tolist() == [False, False] + [True] * 7
     gains = np.array([p.gain for p in schedule.params])
     for norm in (1e-3, 200.0):
-        caps = experiments._interval_dt(schedule, lipschitz * norm, cutoff=True)
+        caps = experiments._interval_dt(ControlLaw.periodic(schedule, cutoff=True), lipschitz * norm)
         _, counts, sizes = experiments._row_plan(schedule, caps)
         assert np.all(sizes[2:-1] == sizes[2]) and np.all(caps[2:-1] == caps[2])
         assert np.all(caps[:-1] <= 0.25 / gains) and np.all(caps <= 2.0 / (lipschitz * norm))
@@ -300,7 +300,8 @@ def test_cutoff_step_plan_shares_one_step_per_law(square32, pack_schedule):
     pack = unit_pack(0.5)
     unclamped = build_schedule(1, pack, basis, 4)
     assert not unclamped.clamped.any()
-    caps = experiments._interval_dt(unclamped, lipschitz * math.exp(-2.0 * pack.cost_exponent / 0.5), cutoff=True)
+    caps = experiments._interval_dt(ControlLaw.periodic(unclamped, cutoff=True),
+                                    lipschitz * math.exp(-2.0 * pack.cost_exponent / 0.5))
     assert np.array_equal(caps, 2.0 ** -np.array([8, 9, 12, 20, 34, 12]))
 
 
@@ -423,8 +424,8 @@ def test_small_time_grid_steps_on_every_switch_and_period_start(piece_grid_probe
 
 def test_small_time_steps_stay_within_their_interval_dt(small_setup, piece_grid_probe):
     probe = piece_grid_probe
-    limit = experiments._interval_dt(probe.schedule, dynamics.convection_lipschitz(small_setup["tensor"]) * 1e-3,
-                                     cutoff=True)
+    limit = experiments._interval_dt(ControlLaw.periodic(probe.schedule, cutoff=True),
+                                     dynamics.convection_lipschitz(small_setup["tensor"]) * 1e-3)
     for s, traj in zip(probe.offsets, probe.trajectories):
         cuts, counts, sizes = experiments._row_plan(probe.schedule, limit, s, 3, round(probe.period / probe.dt))
         assert np.all(np.repeat(sizes, counts) <= limit[traj.interval[:-1]]), s
@@ -451,8 +452,8 @@ def test_row_plan_cuts_every_switch_and_evens_its_periods(small_setup, start, pe
     the start splits in two, which needs at most one step more."""
     schedule = build_schedule(n0, small_setup["pack"], small_setup["basis"], 4)
     period = schedule.period
-    limit = experiments._interval_dt(schedule, dynamics.convection_lipschitz(small_setup["tensor"]) * 1e-3,
-                                     cutoff=True)
+    limit = experiments._interval_dt(ControlLaw.periodic(schedule, cutoff=True),
+                                     dynamics.convection_lipschitz(small_setup["tensor"]) * 1e-3)
     per_period = experiments._row_plan(schedule, limit)[1].sum() + 2
     cuts, counts, sizes = experiments._row_plan(schedule, limit, start, periods, per_period)
     times = step_times([(cuts, counts, sizes)])[0][:, 0]
@@ -496,7 +497,7 @@ def test_small_time_piece_grid_is_second_order(small_setup):
     y0 = np.tile(random_low_mode_state(basis.n_modes, 1e-3, seed=7), (3, 1))
 
     def end_norms(k):
-        caps = experiments._interval_dt(schedule, lipschitz * 1e-3, cutoff=True) / 2**k
+        caps = experiments._interval_dt(ControlLaw.periodic(schedule, cutoff=True), lipschitz * 1e-3) / 2**k
         per_period = max(experiments._row_plan(schedule, caps, s)[1].sum() for s in offsets)
         plans = [experiments._row_plan(schedule, caps, s, 1, per_period) for s in offsets]
         run = simulate_batch(y0, ControlLaw.periodic(schedule, cutoff=True), plans, basis, tensor, gram)

@@ -1,8 +1,11 @@
 """Every public name of nsstab is used by the program, not only by the tests,
-and every private module-level name is used inside the package."""
+every private module-level name is used inside the package, and every
+third-party module the tests import is a declared dependency."""
 
 import ast
 import re
+import sys
+import tomllib
 from collections import Counter
 from pathlib import Path
 
@@ -77,3 +80,22 @@ def test_every_report_field_is_read_by_the_program():
             fields = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
             unread += [f"{node.name}.{name}" for name in fields if not re.search(rf'\.{name}\b|"{name}"', corpus)]
     assert unread == [], f"report fields that nothing in src/nsstab or the demos reads: {unread}"
+
+
+def test_every_third_party_module_the_tests_import_is_declared():
+    """A module imported anywhere under tests/ is in the standard library,
+    local (nsstab, oracle, conftest), or named by a requirement of
+    pyproject.toml's dependencies or its test extra, so that an install
+    with the test extra collects every test module."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", requirement).group().lower().replace("-", "_")
+                for requirement in [*project["dependencies"], *project["optional-dependencies"]["test"]]}
+    imported = set()
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    undeclared = sorted(imported - set(sys.stdlib_module_names) - {"nsstab", "oracle", "conftest"} - declared)
+    assert undeclared == [], f"modules the tests import that pyproject.toml does not declare: {undeclared}"
