@@ -30,9 +30,9 @@ Which L a row takes is fixed by its law and the piece:
   does not act, c(x) = K x exactly, so r is the convection alone and the
   step takes no limit from the gain.  E = expm(h L) and the energy moments
   are tabled once per distinct (gain row, step size)
-  (:class:`ClosedLoopTable`); the moments of all tables of one gain row
-  come from one doubling ladder (:class:`ClosedLoopLadder`, the moments
-  of e^{L s} for any symmetric Q), and a step's
+  (:class:`ClosedLoopTable`), each table's moments from its own gain and
+  step (:func:`closed_loop_moments`, the moments of e^{L s} for any
+  symmetric Q), and a step's
   dissipation and linear control work are x^T W0 x + 2 h x^T W1 r(x),
   exact for the linear flow, plus the trapezoid of x . G (c - K x).  When
   the cutoff does act, at either evaluation, that moment and that
@@ -57,9 +57,8 @@ So the energy identity can be checked along a run: to roundoff for a
 linear closed loop, and to O(dt^2) per unit time otherwise.
 
 A table is built when an unlatched row first reaches a piece that takes
-it, its ladder seeded with it, and both are dropped once no unlatched row
-can reach such a piece again; :meth:`BatchRun.health` counts the tables
-and the time they took.
+it, and dropped once no unlatched row can reach such a piece again;
+:meth:`BatchRun.health` counts the tables and the time they took.
 
 Every control law here is piecewise-constant linear feedback with an
 optional radial cutoff and norm latch (:class:`ControlLaw`).  A run steps a
@@ -151,6 +150,9 @@ _GAUSS_HALF_WEIGHTS = np.array([
     0.02358766819325577, 0.053469662997659366, 0.08003916427167304, 0.1015837133615329, 0.1167462682691773,
     0.12457352290670178, 0.1245735229067015, 0.11674626826917689, 0.10158371336153302, 0.08003916427167301,
     0.05346966299765929, 0.023587668193255765])
+
+#: degree of the Taylor sums of the sub-step flows in :func:`closed_loop_moments`
+_TAYLOR_DEGREE = 18
 
 
 def raw_trilinear_tensor(basis: StokesBasis, grid: Grid) -> np.ndarray:
@@ -295,7 +297,7 @@ class ClosedLoopTable:
     W0 of Q = diag(tau) and of Q = sym(G diag(gain)), quad_r twice their
     first moments M1, so that the sums are x^T W0 x + 2 h x^T W1 r with
     W1 = M1 / h (all symmetric).  :func:`simulate_batch` assembles each
-    table from the moments of its gain's :class:`ClosedLoopLadder`.
+    table from :func:`closed_loop_moments` of its gain's L at h.
     """
 
     gain: np.ndarray
@@ -310,52 +312,59 @@ def closed_loop_matrix(tau: np.ndarray, gram: np.ndarray, gain: np.ndarray) -> n
     return gram * gain - np.diag(tau)
 
 
-class ClosedLoopLadder:
-    """The moments of the linear flow e^{L s} at the step sizes h0 2^j.
+def _sub_step_flows(step: np.ndarray) -> np.ndarray:
+    """e^{t step} at the 12 Gauss-Legendre fractions t of the step, then at
+    t = 1, as a (13, M, M) stack.
 
-    For each symmetric Q of quads a step h needs the moments
-    W0 = int_0^h e^{L^T s} Q e^{L s} ds and M1 = int_0^h s e^{L^T s} Q e^{L s} ds.
-    The ladder's seed holds them as Gauss-Legendre sums over one sub-step
-    d = h0 / 2^k, the largest with ||L d||_1 <= 1, and e^{L d}; the moments
-    at h = d 2^j double the seed j times (Van Loan, IEEE Trans. Automat.
-    Control 23, 1978, with the doubling in place of one block exponential,
-    whose e^{+L s} blocks overflow on stiff steps),
+    Each is a degree-18 Taylor sum over one table of the powers
+    step^i / i!; at ||step||_1 <= 1 its remainder is below e / 19! < 3e-17,
+    so the 13 flows cost one coefficient product after the 18 powers.
+    """
+    m = len(step)
+    powers = np.empty((_TAYLOR_DEGREE + 1, m, m))
+    powers[0] = np.eye(m)
+    for i in range(1, _TAYLOR_DEGREE + 1):
+        np.matmul(powers[i - 1], step, out=powers[i])
+        powers[i] /= i
+    fractions = np.append(0.5 * (_GAUSS_NODES + 1.0), 1.0)
+    coefficients = fractions[:, None] ** np.arange(_TAYLOR_DEGREE + 1)
+    return (coefficients @ powers.reshape(_TAYLOR_DEGREE + 1, -1)).reshape(-1, m, m)
+
+
+def closed_loop_moments(lin: np.ndarray, quads, h: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The symmetrized moments of the linear flow e^{L s} over one step h.
+
+    For each symmetric Q of quads they are W0 = int_0^h e^{L^T s} Q e^{L s} ds
+    and M1 = int_0^h s e^{L^T s} Q e^{L s} ds (Van Loan, IEEE Trans. Automat.
+    Control 23, 1978, with doubling in place of one block exponential, whose
+    e^{+L s} blocks overflow on stiff steps).  Over the sub-step
+    d = h / 2^k, the largest with ||L d||_1 <= 1, they are 12-point
+    Gauss-Legendre sums, whose flows, and E(d) = e^{L d}, come from
+    :func:`_sub_step_flows`.  The moments at h double those k times,
 
         W0(2s) = W0(s) + E(s)^T W0(s) E(s)
         M1(2s) = M1(s) + E(s)^T (M1(s) + s W0(s)) E(s),
 
-    and symmetrize them.  So the moments at h depend on h and the seed
-    only, not on which other steps the ladder serves or in which order, and
-    a ladder whose smallest step is h gives the moments at h that a ladder
-    of h alone gives.  The seed costs 13 exponentials; each step j
-    doublings of a few M x M products per Q.
+    so they depend on L, Q and h only.
     """
-
-    def __init__(self, lin: np.ndarray, quads, h0: float):
-        norm = float(np.abs(h0 * lin).sum(axis=0).max())
-        sub = h0 / 2.0 ** (max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0)
-        nodes, weights = 0.5 * sub * (_GAUSS_NODES + 1.0), sub * _GAUSS_HALF_WEIGHTS
-        self.seed = [(np.zeros_like(lin), np.zeros_like(lin)) for _ in quads]
-        for s, w in zip(nodes, weights):
-            flow = expm(s * lin)
-            for q, (w0, m1) in zip(quads, self.seed):
-                term = flow.T @ q @ flow
-                w0 += w * term
-                m1 += w * s * term
-        self.lin, self.sub, self.e_sub = lin, sub, expm(sub * lin)
-
-    def moments(self, h: float) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The symmetrized (W0, M1) of each Q at step size h, which must be
-        the sub-step times 2^j, j >= 0."""
-        doublings = round(math.log2(h / self.sub))
-        if doublings < 0 or h != self.sub * 2.0**doublings:
-            raise ValueError(f"step {h!r} is not the ladder's sub-step {self.sub!r} times a power of two")
-        moments, e_sub, s = self.seed, self.e_sub, self.sub
-        for j in range(doublings):
-            if j:
-                e_sub, s = e_sub @ e_sub, 2.0 * s
-            moments = [(w0 + e_sub.T @ w0 @ e_sub, m1 + e_sub.T @ (m1 + s * w0) @ e_sub) for w0, m1 in moments]
-        return [(0.5 * (w0 + w0.T), 0.5 * (m1 + m1.T)) for w0, m1 in moments]
+    m = len(lin)
+    norm = float(np.abs(h * lin).sum(axis=0).max())
+    doublings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
+    s = h / 2.0**doublings
+    flows = _sub_step_flows(s * lin)
+    e_sub, flows = flows[-1], flows[:-1]
+    weights = s * _GAUSS_HALF_WEIGHTS
+    rule = np.stack([weights, 0.5 * s * (_GAUSS_NODES + 1.0) * weights])  # the node weights of W0 and M1
+    moments = []
+    for q in quads:
+        terms = flows.transpose(0, 2, 1) @ (q @ flows)
+        w0, m1 = (rule @ terms.reshape(len(terms), -1)).reshape(2, m, m)
+        moments.append((w0, m1))
+    for j in range(doublings):
+        if j:
+            e_sub, s = e_sub @ e_sub, 2.0 * s
+        moments = [(w0 + e_sub.T @ w0 @ e_sub, m1 + e_sub.T @ (m1 + s * w0) @ e_sub) for w0, m1 in moments]
+    return [(0.5 * (w0 + w0.T), 0.5 * (m1 + m1.T)) for w0, m1 in moments]
 
 
 @dataclass(frozen=True)
@@ -502,7 +511,7 @@ class BatchRun:
     each row's latch tripped, nan where it never did.  seconds is the time
     (time.perf_counter) the simulate_batch call took, tables the number of
     closed-loop tables it built and tables_s the part of seconds spent
-    building them and their ladders' seeds.
+    building them.
     """
 
     piece_segments: np.ndarray
@@ -654,42 +663,31 @@ def simulate_batch(
                     for gain, h, closed in zip(gains, dt_values, closed_loop)]
     specs = [(np.frombuffer(gain), h) for gain, h in keys]
     n_tables = len(specs)
-    # one ladder per gain row and step mantissa, seeded at its smallest step
-    ladder_keys = {}
-    ladder_of = [ladder_keys.setdefault((gain, math.frexp(h)[0]), len(ladder_keys)) for gain, h in keys]
-    rungs = [[t for t in range(n_tables) if ladder_of[t] == i] for i in range(len(ladder_keys))]
-    # a table is built when an unlatched row first takes it, and dropped, with
-    # its ladder once the ladder's last table goes, when no unlatched row's
-    # column of table_index holds it from the current step on
-    tables, ladders = [None] * n_tables, [None] * len(rungs)
+    # a table is built when an unlatched row first takes it, and dropped when
+    # no unlatched row's column of table_index holds it from the current step on
+    tables = [None] * n_tables
     built, tables_s = 0, 0.0
 
     def table(t):
-        """Table t, built from its ladder, and the ladder seeded, on first use."""
+        """Table t, built on first use."""
         nonlocal built, tables_s
         if tables[t] is None:
             begin = time.perf_counter()
-            (gain, h), i = specs[t], ladder_of[t]
-            if ladders[i] is None:
-                control = gram * gain  # G diag(gain)
-                quads, h0 = (np.diag(tau), 0.5 * (control + control.T)), min(specs[u][1] for u in rungs[i])
-                ladders[i] = ClosedLoopLadder(closed_loop_matrix(tau, gram, gain), quads, h0)
-            w0, m1 = zip(*ladders[i].moments(h))  # each the dissipation's, then the work's
-            tables[t] = ClosedLoopTable(gain=gain, prop_t=np.ascontiguousarray(expm(h * ladders[i].lin).T),
+            gain, h = specs[t]
+            lin, control = closed_loop_matrix(tau, gram, gain), gram * gain  # L and G diag(gain)
+            # each the dissipation's, then the work's
+            w0, m1 = zip(*closed_loop_moments(lin, (np.diag(tau), 0.5 * (control + control.T)), h))
+            tables[t] = ClosedLoopTable(gain=gain, prop_t=np.ascontiguousarray(expm(h * lin).T),
                                         quad_x=np.hstack(w0), quad_r=2.0 * np.hstack(m1))
             built += 1
             tables_s += time.perf_counter() - begin
         return tables[t]
 
     def drop(k):
-        """Drop the tables, and the ladders, that no unlatched row takes from step k on."""
+        """Drop the tables that no unlatched row takes from step k on."""
         taken = table_index[k:, ~latched]
-        done = np.bincount(taken[taken >= 0], minlength=n_tables) == 0
-        for t in np.flatnonzero(done):
+        for t in np.flatnonzero(np.bincount(taken[taken >= 0], minlength=n_tables) == 0):
             tables[t] = None
-        for i, members in enumerate(rungs):
-            if done[members].all():
-                ladders[i] = None
 
     table_index = np.asarray(piece_tables)[index[:-1]] if n_tables else None
     # the steps where the tables of some row change; a latch trip adds the next step

@@ -10,8 +10,8 @@
   segment of a periodic law (:func:`simulate_closed_loop`), one trajectory
   at a time, with scipy's ``expm`` for the propagator and a composite
   Gauss-Legendre rule with an ``expm`` at every node for the energy moments
-  (:func:`dense_moments`), where nsstab doubles sub-step moments up a ladder
-  with its own exponential.
+  (:func:`dense_moments`), where nsstab takes Taylor flows on one sub-step
+  and doubles its moments up to the step.
 * The dense operator assembly and the dense generalized ``eigh``, run
   through the same canonicalizer, the sparse assembly and shift-invert
   ``eigsh`` (ARPACK) that nsstab's block Lanczos replaced, and one block

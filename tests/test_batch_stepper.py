@@ -611,17 +611,17 @@ def test_periodic_law_at_64_modes_with_offsets_matches_oracle(square32_wide, pac
 def test_tables_are_built_on_first_use_and_dropped_after_last(square16, pack_schedule, monkeypatch):
     """One row without cutoff over a period of n0 = 1, 16 steps per piece: the
     five pieces with a gain take five tables (the clamped gain of pieces 2 to
-    4 at three step sizes, one ladder), each built when the row reaches its
-    piece and dropped when it leaves, so at most two are alive at once.  A
-    row latched from its first step builds none."""
+    4 at three step sizes), each built when the row reaches its piece and
+    dropped when it leaves, so at most two are alive at once.  A row latched
+    from its first step builds none."""
     import weakref
 
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
     sched = build_schedule(1, pack_schedule, basis, 4)
     plan = experiments._row_plan(sched, experiments._interval_dt(ControlLaw.periodic(sched), 1.0))
     y0 = random_low_mode_state(basis.n_modes, 1e-3, seed=3)[None]
-    made_tables, seeds, live = [], [], []
-    real_table, real_init = dynamics.ClosedLoopTable, dynamics.ClosedLoopLadder.__init__
+    made_tables, live = [], []
+    real_table = dynamics.ClosedLoopTable
 
     def table(**fields):
         made = real_table(**fields)
@@ -629,15 +629,9 @@ def test_tables_are_built_on_first_use_and_dropped_after_last(square16, pack_sch
         live.append(sum(ref() is not None for ref in made_tables))
         return made
 
-    def init(self, lin, quads, h0):
-        seeds.append(h0)
-        real_init(self, lin, quads, h0)
-
     monkeypatch.setattr(dynamics, "ClosedLoopTable", table)
-    monkeypatch.setattr(dynamics.ClosedLoopLadder, "__init__", init)
     run = simulate_batch(y0, ControlLaw.periodic(sched), plan, basis, tensor, gram)
     assert run.tables == len(live) == 5 and max(live) <= 2 and run.tables_s > 0.0
-    assert len(seeds) == 3 and seeds[-1] == plan[2][4]  # the clamped gain's ladder starts at its smallest step
     latched = simulate_batch(y0, ControlLaw.periodic(sched), plan, basis, tensor, gram, latch_norm=1.0)
     assert latched.tables == 0 and latched.tables_s == 0.0 and latched.latch_time[0] == 0.0
 

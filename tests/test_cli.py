@@ -1032,15 +1032,16 @@ import json, sys
 from nsstab.cli import main
 runs = [arg.split("=", 1) for arg in sys.argv[1:]]
 codes = {name: main([name, "--config", config]) for name, config in runs}
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": loaded}))
+loaded = {name: sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+          for name in ("scipy", "numpy.ma")}
+print(json.dumps({"codes": codes, **loaded}))
 """
 
 
 def _run_scipy_child(runs):
     """Run (subcommand, config) pairs in order in one child process, which has
     not imported scipy through the tests; returns the exit codes and the scipy
-    modules it loaded."""
+    and numpy.ma modules it loaded."""
     import os
     import subprocess
     import sys
@@ -1058,8 +1059,9 @@ def _run_scipy_child(runs):
 def test_warm_runs_load_no_scipy(tmp_path):
     """A warm stabilize, simulate and cost-curve, and a warm certified fit-c1,
     constants and nullcontrol, never call scipy, so they must not import it
-    (about 0.3 s and 300 modules per process).  Checked in a child process,
-    since this one has scipy loaded by other tests."""
+    (about 0.3 s and 300 modules per process), nor numpy.ma, which the first
+    np.unique call imports (13 ms of a warm process).  Checked in a child
+    process, since this one has both loaded by other tests."""
     cache = tmp_path / "basis_cache.nsstab"
     practical = write_config(tmp_path, cache_path=str(cache))
     assert run_subcommand("eigen", parse_config(practical)) == 0
@@ -1072,20 +1074,20 @@ def test_warm_runs_load_no_scipy(tmp_path):
                                                     "fit-c1", "constants", "nullcontrol")}
     report = json.loads((tmp_path / "certified" / "nullcontrol_report.json").read_text())
     assert report["constants"]["mode"] == "certified"
-    assert result["scipy"] == []
+    assert result["scipy"] == [] and result["numpy.ma"] == []
 
 
 def test_cold_runs_load_no_scipy(tmp_path):
     """A cold eigen solves the basis with numpy alone, and the certified
     fit-c1, constants and nullcontrol after it build the tensor and the
-    constant chain: none of them imports scipy.  The eigen report records
-    the solve."""
+    constant chain: none of them imports scipy or numpy.ma.  The eigen
+    report records the solve."""
     certified = write_config(tmp_path, mode="certified")
     result = _run_scipy_child([(name, certified) for name in ("eigen", "fit-c1", "constants", "nullcontrol")])
     assert result["codes"] == {name: 0 for name in ("eigen", "fit-c1", "constants", "nullcontrol")}
     report = json.loads((tmp_path / "out" / "eigen_report.json").read_text())
     assert report["cache_hit"] is False and report["solve"]["lanczos_blocks"] > 0
-    assert result["scipy"] == []
+    assert result["scipy"] == [] and result["numpy.ma"] == []
 
 
 #: the float edge cases of the CSV writers: nan, infinities, signed zeros,

@@ -390,89 +390,122 @@ def test_closed_loop_scheme_converges_to_the_diagonal_oracle(square32, pack_rapi
     assert error((4.0 * refs[2] - refs[1]) / 3.0) <= 1e-6
 
 
-def built_tables(monkeypatch, basis, gram, params, steps):
-    """The closed-loop tables that simulate_batch builds for one stationary
-    row from zero, whose pieces take one step each, of the sizes steps in
-    order, and the ladders it seeds for them."""
-    made, ladders = [], []
-    real_table, real_init = dynamics.ClosedLoopTable, dynamics.ClosedLoopLadder.__init__
+def built_tables(monkeypatch, basis, gram, laws, plans):
+    """The closed-loop tables that simulate_batch builds for rows from zero
+    with these laws and row plans, in the order it builds them."""
+    made = []
+    real_table = dynamics.ClosedLoopTable
 
     def table(**fields):
         made.append(real_table(**fields))
         return made[-1]
 
-    def init(self, lin, quads, h0):
-        real_init(self, lin, quads, h0)
-        ladders.append(self)
-
     m = basis.n_modes
-    plan = (np.concatenate([[0.0], np.cumsum(steps)]), np.ones(len(steps), dtype=int), np.array(steps))
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "ClosedLoopTable", table)
-        patch.setattr(dynamics.ClosedLoopLadder, "__init__", init)
-        simulate_batch(np.zeros((1, m)), ControlLaw.stationary(params), plan, basis, np.zeros((m, m, m)), gram)
-    return made, ladders
+        simulate_batch(np.zeros((len(plans), m)), laws, plans, basis, np.zeros((m, m, m)), gram)
+    return made
 
 
-def test_ladder_tables_match_their_own_ladders_and_the_dense_moments(square16, pack_schedule, monkeypatch):
+def one_step_pieces(steps):
+    """The row plan whose pieces take one step each, of the sizes steps in order."""
+    return np.concatenate([[0.0], np.cumsum(steps)]), np.ones(len(steps), dtype=int), np.array(steps)
+
+
+def test_closed_loop_tables_match_the_dense_moments_in_any_order(square16, pack_schedule, monkeypatch):
     """The tables that simulate_batch builds for the clamped gain of a
     null-control schedule (16.2 on 22 active modes) at 2^-12 2^j, j = 5, 0
-    and 3 in that order, from one ladder seeded at 2^-12: bit for bit those
-    of the steps in the order 0, 3, 5, and within 1e-13 of each table's
-    largest entry those of a ladder seeded at each step itself, of scipy's
-    expm and of the oracle's composite Gauss-Legendre moments.  So a table's
-    bits depend only on its step and the seed, not on the order the ladder
-    serves its steps in.  L is the oracle's generator bit for bit."""
+    and 3 in that order: bit for bit those of the steps in the order 0, 3,
+    5 and those of a row of each step alone, and within 1e-13 of each
+    table's largest entry those of scipy's expm and of the oracle's
+    composite Gauss-Legendre moments.  L is the oracle's generator bit for
+    bit."""
     import scipy.linalg
 
     basis, gram = square16["basis"], square16["gram"]
     tau = basis.eigenvalues
     params = build_schedule(1, pack_schedule, basis, 4).params[-1]
-    gain = ControlLaw.stationary(params).tables(basis.n_modes)[0][0]
+    law = ControlLaw.stationary(params)
+    gain = law.tables(basis.n_modes)[0][0]
     lin = closed_loop_generator(basis, gram, params)
     assert np.array_equal(dynamics.closed_loop_matrix(tau, gram, gain), lin)
     k_matrix = np.diag(gain)
     h0 = 2.0**-12
-    first, ladders = built_tables(monkeypatch, basis, gram, params, [h0 * 2**j for j in (5, 0, 3)])
-    assert [ladder.sub for ladder in ladders] == [h0]  # ||h0 L||_1 <= 1, so the seed is the step itself
-    again, _ = built_tables(monkeypatch, basis, gram, params, [h0 * 2**j for j in (0, 3, 5)])
+    first = built_tables(monkeypatch, basis, gram, law, [one_step_pieces([h0 * 2**j for j in (5, 0, 3)])])
+    again = built_tables(monkeypatch, basis, gram, law, [one_step_pieces([h0 * 2**j for j in (0, 3, 5)])])
     assert len(first) == len(again) == 3
     for table, earlier, j in zip(again, (first[1], first[2], first[0]), (0, 3, 5)):
         h = h0 * 2**j
+        [alone] = built_tables(monkeypatch, basis, gram, law, [one_step_pieces([h])])
         for name in ("gain", "prop_t", "quad_x", "quad_r"):
             assert np.array_equal(getattr(table, name), getattr(earlier, name)), (j, name)
-        [alone], _ = built_tables(monkeypatch, basis, gram, params, [h])
+            assert np.array_equal(getattr(alone, name), getattr(earlier, name)), (j, name)
         w_diss, m_diss = oracle.dense_moments(lin, h, np.diag(tau))
         w_work, m_work = oracle.dense_moments(lin, h, 0.5 * (gram @ k_matrix + k_matrix @ gram))
         dense = {"prop_t": scipy.linalg.expm(h * lin).T, "quad_x": np.hstack([w_diss, w_work]),
                  "quad_r": 2.0 * np.hstack([m_diss, m_work])}
         for name, expected in dense.items():
-            for other in (alone, table):
-                got = getattr(other, name)
-                assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), (j, name)
-    for off_ladder in (3e-4, h0 / 2):
-        with pytest.raises(ValueError, match="not the ladder's sub-step"):
-            ladders[0].moments(off_ladder)
+            got = getattr(table, name)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), (j, name)
 
 
-def test_ladder_moments_of_any_symmetric_q_match_the_dense_moments(square16, pack_rapid):
-    """The ladder takes any symmetric Q, here the control energy c^T G c of
+def test_a_table_does_not_depend_on_its_companion_rows(square16, pack_rapid, pack_schedule, monkeypatch):
+    """The table of one (gain, step) built for a row alone, and built in a
+    batch whose other rows come first and take the same gain at a 64th of
+    the step, below the step's own sub-step, and another gain at the step:
+    bit for bit the same."""
+    basis, gram = square16["basis"], square16["gram"]
+    law = ControlLaw.stationary(build_schedule(1, pack_schedule, basis, 4).params[-1])
+    other = ControlLaw.stationary(feedback_params(float(basis.eigenvalues[1]), pack_rapid, basis))
+    h = 2.0**-8
+    [alone] = built_tables(monkeypatch, basis, gram, law, [uniform_plan(0.0, 4 * h, h)])
+    batch = built_tables(monkeypatch, basis, gram, [law, other, law],
+                         uniform_plan(0.0, np.array([h / 16, 4 * h, 4 * h]), np.array([h / 64, h, h])))
+    assert len(batch) == 3 and batch[-1] is not alone
+    for name in ("gain", "prop_t", "quad_x", "quad_r"):
+        assert np.array_equal(getattr(batch[-1], name), getattr(alone, name)), name
+    assert not np.array_equal(batch[0].quad_x, alone.quad_x)
+
+
+def test_closed_loop_moments_of_any_symmetric_q_match_the_dense_moments(square16, pack_rapid):
+    """The moments take any symmetric Q, here the control energy c^T G c of
     the stationary law at lambda = tau_2 (gain 2.0e4 on 3 modes),
-    Q = diag(gain) G diag(gain).  Seeded at 2^-10, where ||h L||_1 is 13,
-    it halves its sub-step to 2^-14; its moments there and at 2^-10 lie
-    within 1e-13 of the largest entry of the oracle's composite
-    Gauss-Legendre moments."""
+    Q = diag(gain) G diag(gain).  At 2^-10, where ||h L||_1 is 13, the
+    sub-step is 2^-14; the moments at both steps lie within 1e-13 of the
+    largest entry of the oracle's composite Gauss-Legendre moments."""
     basis, gram = square16["basis"], square16["gram"]
     params = feedback_params(float(basis.eigenvalues[1]), pack_rapid, basis)
     gain = ControlLaw.stationary(params).tables(basis.n_modes)[0][0]
     lin = dynamics.closed_loop_matrix(basis.eigenvalues, gram, gain)
     energy = gain[:, None] * gram * gain
-    ladder = dynamics.ClosedLoopLadder(lin, (energy,), 2.0**-10)
-    assert ladder.sub == 2.0**-14
+    assert 8.0 < np.abs(2.0**-10 * lin).sum(axis=0).max() <= 16.0
     for h in (2.0**-14, 2.0**-10):
-        [got] = ladder.moments(h)
+        [got] = dynamics.closed_loop_moments(lin, (energy,), h)
         for moment, expected in zip(got, oracle.dense_moments(lin, h, energy)):
             assert np.abs(moment - expected).max() <= 1e-13 * np.abs(expected).max(), h
+
+
+@pytest.mark.parametrize("h, stiff", [(2.0**-10, True), (2.0**-17, False)])
+def test_sub_step_flows_match_the_pade_exponential(square32, pack_rapid, h, stiff):
+    """The Taylor flows at the 12 Gauss nodes of the sub-step and at its end,
+    for the stationary law of the acceptance-4 pack at lambda = tau_4 on 32x32
+    with M = 24: within 1e-14 of the largest entry of expm(s L), both at a
+    stiff step (2^-10, which halves at least 6 times) and at a soft one
+    (2^-17, the step itself)."""
+    basis, gram = square32["basis"], square32["gram"]
+    gain = ControlLaw.stationary(feedback_params(float(basis.eigenvalues[3]), pack_rapid, basis)).tables(
+        basis.n_modes)[0][0]
+    lin = dynamics.closed_loop_matrix(basis.eigenvalues, gram, gain)
+    norm = float(np.abs(h * lin).sum(axis=0).max())
+    halvings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
+    assert halvings >= 6 if stiff else halvings == 0
+    sub = h / 2.0**halvings
+    flows = dynamics._sub_step_flows(sub * lin)
+    fractions = np.append(0.5 * (dynamics._GAUSS_NODES + 1.0), 1.0)
+    assert flows.shape == (13, basis.n_modes, basis.n_modes)
+    for flow, fraction in zip(flows, fractions):
+        expected = dynamics.expm(fraction * sub * lin)
+        assert np.abs(flow - expected).max() <= 1e-14 * np.abs(expected).max(), fraction
 
 
 def test_gauss_rule_is_the_twelve_point_legendre_rule():
