@@ -52,28 +52,3 @@ class BlowUpError(RuntimeError):
         where = f" in {run}" if run else ""
         super().__init__(f"blow-up{where} at t={time:.6g} (max |coefficient| = {max_abs:.3e})")
 
-
-class BoundViolatedError(RuntimeError):
-    """A guaranteed per-interval bound of a certified schedule failed its log-space check."""
-
-    def __init__(self, interval: int, bound_name: str, measured: float, bound: float):
-        self.interval = interval
-        self.bound_name = bound_name
-        self.measured = measured
-        self.bound = bound
-        super().__init__(
-            f"interval {interval}: {bound_name} bound violated "
-            f"({measured:.6e} > {bound:.6e})"
-        )
-
-
-class TwoPeriodFailedError(RuntimeError):
-    """The two-period null check of the periodic feedback law failed."""
-
-    def __init__(self, offset: float, residual: float):
-        self.offset = offset
-        self.residual = residual
-        super().__init__(
-            f"state after two periods from offset {offset:.6g} has relative norm "
-            f"{residual:.3e}"
-        )

@@ -166,13 +166,20 @@ def test_basis_cache_rejects_mismatch_and_corruption(tmp_path, caplog):
         (_signed(good[:8] + struct.pack("<I", 99) + good[12:-32]), grid, 6, f"version 99 != {cli.CACHE_VERSION}"),
         (_signed(good[:-40]), grid, 6, "payload size mismatch"),
         (good[:60] + bytes([good[60] ^ 0xFF]) + good[61:], grid, 6, "checksum mismatch"),
+        (_signed(b"NOTSTAB\x00" + good[8:-32]), grid, 6, "bad magic or truncated"),
+        (good[: cli._CACHE_HEADER.size + 31], grid, 6, "bad magic or truncated"),
     ]
+    config = cli.RunConfig(Lx=1.0, Ly=1.0, nx=8, ny=8, omega=(0.1, 0.6, 0.1, 0.6), M=6, cache_path=str(path))
     for blob, read_grid, m, reason in cases:
         path.write_bytes(blob)
         caplog.clear()
         with caplog.at_level("WARNING", logger="nsstab.cli"):
             assert read_basis_cache(path, read_grid, m) is None
         assert _cli_warnings(caplog) == [f"cache {path}: {reason}; ignoring"], reason
+        if read_grid is grid and m == 6:
+            # a cache this config cannot use is solved again and rewritten
+            assert ensure_basis(config)[1] is False
+            assert path.read_bytes() == good, reason
 
 
 def test_eigen_cache_hit_and_byte_identity(tmp_path):
@@ -799,6 +806,12 @@ def test_cost_curve_names_the_run_whose_control_the_cutoff_zeroed(tmp_path, caps
     # the threshold tau_k needs 1 <= k <= M - 1, checked before the basis solve
     ("simulate", "experiment.lambda_index", 0),
     ("simulate", "experiment.lambda_index", BASE["M"]),
+    # the run settings outside the experiment section
+    ("eigen", "mode", "exact"),
+    ("eigen", "M", 4),
+    ("stabilize", "eps_zero", 0.0),
+    ("simulate", "dt", 0.0),
+    ("simulate", "dt", -1e-3),
 ])
 def test_out_of_range_experiment_value_names_its_key(tmp_path, capsys, subcommand, key, value):
     path = write_config(tmp_path, overrides={key: value})
@@ -807,6 +820,40 @@ def test_out_of_range_experiment_value_names_its_key(tmp_path, capsys, subcomman
     assert err["error"] == "ConfigError"
     assert err["key"] == key
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(("text", "message"), [
+    (None, "cannot read config"),
+    ('{"Lx": 1.0,', "invalid JSON"),
+], ids=["unreadable", "malformed"])
+def test_config_file_that_cannot_be_read_or_parsed_names_file(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["eigen", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["key"]) == ("ConfigError", "<file>")
+    assert message in err["message"]
+
+
+def test_failed_two_period_check_is_reported_not_raised(tmp_path):
+    """At eps_zero = 1e-30 the state after two periods (relative norm near
+    2e-27) is not null: stabilize still exits 0 and writes every artifact,
+    with the verdict false in its report and in the summary."""
+    path = write_config(tmp_path, eps_zero=1e-30)
+    out = tmp_path / "out"
+    assert main(["stabilize", "--config", str(path)]) == 0
+    report = json.loads((out / "stabilize_report.json").read_text())
+    assert report["two_period_ok"] is False
+    assert all(residual > 1e-30 for residual in report["two_period_residuals"])
+    # one trajectory per default start offset
+    assert [entry["file"] for entry in report["trajectories"]] == [f"stabilize_trajectory_{i}.csv" for i in range(3)]
+    for entry in report["trajectories"]:
+        assert sha256_file(out / entry["file"]) == entry["sha256"]
+    assert main(["report", "--config", str(path)]) == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "  two_period_ok = False" in summary
+    assert not [line for line in summary if "WARNING" in line]
 
 
 def _csv_times(path):

@@ -335,21 +335,23 @@ def test_null_control_certified_arithmetic_path(square16):
 
 
 def test_every_certified_pack_takes_the_log_space_path(square16):
-    """For c1 in [1, 4] and c0 in [1e-3, 10] ConstantPack.certified builds,
-    and at n0 = 1 its linear and cutoff log basins lie below ln(1e-290):
-    q >= 64 c2 >= 192, so no certified run is stepped."""
+    """For c1 in [1, 4], c0 in [1e-3, 10], n0 in [1, 6] and n_max in [0, 12]
+    ConstantPack.certified builds, its linear and cutoff log basins lie below
+    ln(1e-290) (q >= 64 c2 >= 192, so no certified run is stepped), and every
+    entry of the log-space bound table holds: the pack's own schedule
+    inequality implies them, and this is their only check."""
     basis, tensor, gram = square16["basis"], square16["tensor"], square16["gram"]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.floats(1.0, 4.0), st.floats(1e-3, 10.0))
-    def check(c1, c0):
+    @given(st.floats(1.0, 4.0), st.floats(1e-3, 10.0), st.integers(1, 6), st.integers(0, 12))
+    def check(c1, c0, n0, n_max):
         pack = ConstantPack.certified(c1, c0)
         assert pack.schedule_constant >= 64.0 * pack.feedback_constant >= 192.0
         for cutoff in (False, True):
-            [report] = run_null_control(basis, tensor, gram, pack, [1], cutoff=cutoff)
+            [report] = run_null_control(basis, tensor, gram, pack, [n0], n_max=n_max, cutoff=cutoff)
             assert report.log_basin < math.log(1e-290)
             assert report.basin_below_precision and report.trajectory is None
-            assert report.state_bound_ok.all()
+            assert report.state_bound_ok.shape == (n_max + 1,) and report.state_bound_ok.all()
 
     check()
 
@@ -541,6 +543,19 @@ def test_small_time_zero_state_stays_zero(small_setup):
     )
     assert probe.two_period_ok
     assert np.all(probe.trajectories[0].states == 0.0)
+
+
+def test_small_time_reports_a_failed_two_period_check(small_setup):
+    """Below the roundoff floor of the two-period state (relative norm near
+    2e-27) the null check fails, and the probe still comes back whole."""
+    probe = run_small_time(
+        small_setup["basis"], small_setup["tensor"], small_setup["gram"],
+        small_setup["pack"], 1, 1e-3, [0.0, 0.5 / 3.0], n_max=4, eps_zero=1e-30, seed=7,
+    )
+    assert not probe.two_period_ok
+    assert np.all((probe.two_period_residuals > 1e-30) & (probe.two_period_residuals < 1e-25))
+    assert probe.feedback_bound_ok
+    assert len(probe.trajectories) == 2
 
 
 def test_rapid_stab_bound_check_is_scale_covariant(square16, pack_rapid):

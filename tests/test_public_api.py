@@ -1,6 +1,7 @@
 """Every public name of nsstab is used by the program, not only by the tests,
-every private module-level name is used inside the package, and every
-third-party module the tests import is a declared dependency."""
+every private module-level name is used inside the package, every error
+class is named by a test, and every third-party module the tests import is a
+declared dependency."""
 
 import ast
 import re
@@ -80,6 +81,18 @@ def test_every_report_field_is_read_by_the_program():
             fields = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
             unread += [f"{node.name}.{name}" for name in fields if not re.search(rf'\.{name}\b|"{name}"', corpus)]
     assert unread == [], f"report fields that nothing in src/nsstab or the demos reads: {unread}"
+
+
+def test_every_error_class_is_named_by_a_test():
+    """Each exception class of nsstab/errors.py appears, as a whole word, in
+    some file under tests/, so that no error type is left that no test
+    raises or expects."""
+    errors = ROOT / "src" / "nsstab" / "errors.py"
+    classes = [node.name for node in ast.parse(errors.read_text(), filename=str(errors)).body
+               if isinstance(node, ast.ClassDef)]
+    corpus = "\n".join(path.read_text() for path in sorted((ROOT / "tests").rglob("*.py")))
+    unnamed = [name for name in classes if not re.search(rf"\b{name}\b", corpus)]
+    assert unnamed == [], f"exception classes that no test names: {unnamed}"
 
 
 def test_every_third_party_module_the_tests_import_is_declared():
