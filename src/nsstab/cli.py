@@ -60,7 +60,7 @@ from .spectral import StokesBasis, assemble_gram, assemble_operators, fit_spectr
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"NSSTAB1\x00"
-CACHE_VERSION = 3  # 3: modes with exact reflection parities, canonical per class
+CACHE_VERSION = 4  # 4: each class's pairs of a cluster oriented in class coordinates by the solve
 #: magic, version, nx, ny, Lx, Ly, M; the eigenvalues, the stream functions
 #: and the sha256 of everything before it follow
 _CACHE_HEADER = struct.Struct("<8sIIIddI")

@@ -321,9 +321,9 @@ class NullControlReport:
     # sup_t ||c(t)||_2 of the control's coefficients c (at t = 0 without the
     # cutoff), not ||f||_{L2(omega)} = sqrt(c^T G c)
     cost: float = float("nan")
-    cost_bound_ok: bool = True  # ln cost <= c3/T + ln ||y0||
+    cost_bound_ok: bool | None = None  # ln cost <= c3/T + ln ||y0||; None when not stepped
     final_relative_norm: float = float("nan")
-    null_reached: bool = False
+    null_reached: bool | None = None  # None when not stepped
     latch_time: float | None = None
     interval_times: np.ndarray | None = None  # T_0 .. T_{n_max+1}, then T
     interval_norms: np.ndarray | None = None  # ||y|| at those times

@@ -50,12 +50,13 @@ Eigenvalues within a relative CLUSTER_RTOL of each other are one cluster:
 a degenerate eigenspace (the square's symmetries make many, most of them
 pairs of classes that swapping x and y exchanges) that a solver splits by
 rounding.  Every member of a cluster gets one shared eigenvalue, so ties
-are bit-equal, also across classes.  :func:`canonical_basis` splits each
-cluster's span by the reflections, and :func:`canonical_eigenspace` picks
-one basis of each class's part that does not depend on the solver, its
-start vector or the BLAS thread count: the basis whose inner products with
-fixed seeded probe fields form a lower-triangular matrix with a positive
-diagonal.  So the probe rule only acts on degeneracies within one class.
+are bit-equal, also across classes.  Every pair the solve finds lies in one
+class, so a cluster's span comes split by the reflections, and
+:func:`canonical_eigenspace` picks one basis of each class's part, in
+class coordinates, that does not depend on the solver, its start vector or
+the BLAS thread count: the basis whose inner products with fixed seeded
+probe fields form a lower-triangular matrix with a positive diagonal.  So
+the probe rule only acts on degeneracies within one class.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ class KroneckerSum:
 
     def restricted(self, sx: int, sy: int) -> "KroneckerSum":
         """The operator on the fields of reflection class (sx, sy), in the
-        coordinates of :func:`class_coordinates`; every factor must commute
-        with the flip of its axis."""
+        class coordinates that :func:`class_fields` maps to the grid; every
+        factor must commute with the flip of its axis."""
         return KroneckerSum(tuple((_fold(a, sx), _fold(b, sy)) for a, b in self.terms),
                             _half(self.nx, sx), _half(self.ny, sy))
 
@@ -174,18 +175,6 @@ def class_fields(phi: np.ndarray, sx: int, sy: int, nx: int, ny: int) -> np.ndar
         middle = phi[..., n // 2 :] if n % 2 and s == 1 else np.zeros((*phi.shape[:-1], n % 2))
         phi = np.concatenate([low, middle, s * low[..., ::-1]], axis=-1).swapaxes(-1, -2)
     return phi
-
-
-def class_coordinates(psi: np.ndarray, sx: int, sy: int) -> np.ndarray:
-    """The class coordinates of the (sx, sy) part of (..., nx, ny) fields, the
-    adjoint of :func:`class_fields`; a field of another class gives exact
-    zeros, since each pair is summed before it is scaled."""
-    for s in (sy, sx):
-        h = psi.shape[-1] // 2
-        low = (psi[..., :h] + s * psi[..., : -h - 1 : -1]) * _HALF
-        odd_middle = psi.shape[-1] % 2 and s == 1
-        psi = (np.concatenate([low, psi[..., h : h + 1]], axis=-1) if odd_middle else low).swapaxes(-1, -2)
-    return psi
 
 
 def reflection_parities(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -325,11 +314,13 @@ def cluster_starts(tau: np.ndarray) -> np.ndarray:
 def canonical_eigenspace(vecs: np.ndarray, k1) -> np.ndarray:
     """The canonical K1-orthonormal basis of the span of vecs' columns.
 
-    The columns are K1-orthonormalized, then rotated so that their inner
-    products with the first c probe fields (rows of a fixed seeded Gaussian
-    array) form a lower-triangular c x c matrix with a positive diagonal.
-    That basis is unique, so the result depends only on the span; for one
-    column it is the sign rule <probe, v> > 0.
+    :func:`solve_eigenbasis` passes one class's pairs of one cluster, in
+    that class's coordinates with k1 its class operator.  The columns need
+    only span the space: they are K1-orthonormalized, then rotated so that
+    their inner products with the first c probe fields (rows of a fixed
+    seeded Gaussian array) form a lower-triangular c x c matrix with a
+    positive diagonal.  That basis is unique, so the result depends only on
+    the span; for one column it is the sign rule <probe, v> > 0.
     """
     n, c = vecs.shape
     chol = np.linalg.cholesky(vecs.T @ (k1 @ vecs))  # reads the lower triangle only
@@ -337,58 +328,6 @@ def canonical_eigenspace(vecs: np.ndarray, k1) -> np.ndarray:
     probes = np.random.default_rng(PROBE_SEED).standard_normal((c, n))
     q, r = np.linalg.qr((probes @ ortho).T)
     return ortho @ (q * np.where(np.diag(r) < 0.0, -1.0, 1.0))
-
-
-def canonical_basis(tau: np.ndarray, vecs: np.ndarray, k1: KroneckerSum, m: int, grid: Grid) -> StokesBasis:
-    """The basis of the m smallest eigenpairs of a pencil solve.
-
-    tau (ascending) and the columns of vecs hold the solver's lowest
-    eigenpairs; they must reach past the cluster of tau_m, so that every
-    cluster the basis touches is whole.  Each cluster gets its mean as the
-    shared eigenvalue, and its span is split by the reflections: projected
-    onto a class of CLASSES (:func:`class_coordinates`), a K1-orthonormal
-    basis of the span has a K1-Gram matrix with eigenvalues 1 on the class's
-    part of the span and 0 elsewhere, so the eigenvectors of the eigenvalues
-    above 1/2 give that part.  The probe rule (:func:`canonical_eigenspace`) orients
-    each part in its class coordinates alone, and :func:`class_fields` maps
-    it back, so every mode has exact parities.  A cluster's modes come class
-    by class in the order of CLASSES; when m cuts a cluster, its first modes
-    are kept.  Stream functions are scaled to unit velocity norm
-    (cell_area * psi.T K1 psi = 1).
-    """
-    starts = cluster_starts(tau)
-    if starts[-1] < m:
-        raise ValueError(f"eigenpairs end inside the cluster of tau_{m}; solve more of them")
-    if tau[0] <= 0:
-        raise RuntimeError(f"smallest eigenvalue {tau[0]:g} <= 0: broken assembly")
-    bounds = starts[: np.searchsorted(starts, m) + 1]  # through the first cluster past tau_m
-    nx, ny = grid.nx, grid.ny
-    fields = vecs[:, : bounds[-1]].T.reshape(-1, nx, ny)
-    classes = [(sx, sy, k1.restricted(sx, sy), class_coordinates(fields, sx, sy).reshape(len(fields), -1).T)
-               for sx, sy in CLASSES]
-    shared = np.empty(bounds[-1])
-    psi = np.empty((bounds[-1], nx, ny))
-    for lo, hi in zip(bounds, bounds[1:]):
-        shared[lo:hi] = np.mean(tau[lo:hi])
-        projected, total = [], 0.0
-        for sx, sy, op, coordinates in classes:
-            phi = coordinates[:, lo:hi]
-            if phi.any():  # a solver's class pairs project to exact zeros elsewhere
-                projected.append((sx, sy, op, phi, phi.T @ (op @ phi)))
-                total = total + projected[-1][-1]
-        # K1 commutes with the reflections: the span's K1-Gram matrix is the sum of the classes'
-        chol = np.linalg.cholesky(total)
-        parts = []
-        for sx, sy, op, phi, gram in projected:
-            weight, rotation = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, gram).T))
-            part = phi @ np.linalg.solve(chol.T, rotation[:, weight > 0.5])
-            if part.shape[1]:
-                parts.append(class_fields(canonical_eigenspace(part, op).T.reshape(-1, op.nx, op.ny), sx, sy, nx, ny))
-        if sum(map(len, parts)) != hi - lo:
-            raise RuntimeError(f"the cluster of tau_{lo + 1} does not split by the reflections")
-        psi[lo:hi] = np.concatenate(parts)
-    psi = psi[:m] / np.sqrt(grid.cell_area)
-    return StokesBasis.from_stream_functions(shared[:m], psi, grid)
 
 
 class BlockLanczos:
@@ -486,10 +425,16 @@ def solve_eigenbasis(k1: KroneckerSum, k2: KroneckerSum, m: int, grid: Grid) -> 
     below RESIDUAL_RTOL, and the others below EXTRA_RESIDUAL_RTOL; at the
     end, those are exactly the pairs the basis keeps.  A class whose last
     pair does not lie beyond that cluster, and that has pairs left, then
-    doubles its pairs and starts again.  The merged pairs go to
-    :func:`canonical_basis`.  Needs m <= n - 2 for n interior
-    nodes, so that one pair beyond tau_m exists.  The basis records the
-    solve's health: its time; the pairs solved, Lanczos blocks and restarts
+    doubles its pairs and starts again.  Each cluster of the merged
+    spectrum, through the one of tau_m, gets its mean as the shared
+    eigenvalue; each class's pairs in it, in class coordinates, go to
+    :func:`canonical_eigenspace` with the class's K1, and
+    :func:`class_fields` mirrors the result onto the grid.  A cluster's
+    modes come class by class in the order of CLASSES; when m cuts a
+    cluster, its first modes are kept.  Stream functions are scaled to unit
+    velocity norm (cell_area * psi.T K1 psi = 1).  Needs m <= n - 2 for n
+    interior nodes, so that one pair beyond tau_m exists.  The basis records
+    the solve's health: its time; the pairs solved, Lanczos blocks and restarts
     of each class; their totals and the largest projected dimension; the
     largest relative residual ||K2 psi - tau K1 psi|| / (tau ||K1 psi||) of
     the retained pairs; the orthonormality residual
@@ -533,15 +478,25 @@ def solve_eigenbasis(k1: KroneckerSum, k2: KroneckerSum, m: int, grid: Grid) -> 
             want[c] = min(2 * want[c], sizes[c])
     if starts[-1] < m:
         raise ValueError(f"the cluster of tau_{m} reaches the top of the spectrum")
+    if tau[order[0]] <= 0:
+        raise RuntimeError(f"smallest eigenvalue {tau[order[0]]:g} <= 0: broken assembly")
     classes = {name: {"pairs": k, "lanczos_blocks": 0, "restarts": 0} for name, k in zip(CLASS_NAMES, want)}
     for c, run in started:
         classes[CLASS_NAMES[c]]["lanczos_blocks"] += run.blocks
         classes[CLASS_NAMES[c]]["restarts"] += run.restarts
-    vecs = []
-    for (op, factor), run, (sx, sy) in zip(ops, runs, CLASSES):
-        y = factor.solve_lt(run.pairs()[1])
-        vecs.append(class_fields(y.T.reshape(run.k, op.nx, op.ny), sx, sy, grid.nx, grid.ny).reshape(run.k, n).T)
-    basis = canonical_basis(tau[order], np.concatenate(vecs, axis=1)[:, order], k1, m, grid)
+    vecs = [factor.solve_lt(run.pairs()[1]) for (_, factor), run in zip(ops, runs)]
+    owner = np.repeat(np.arange(len(CLASSES)), want)[order]  # the class of each merged pair
+    column = order - np.cumsum([0, *want])[owner]  # and its column in that class's run
+    bounds = starts[: np.searchsorted(starts, m) + 1]  # through the first cluster past tau_m
+    shared, modes = np.empty(bounds[-1]), []
+    for lo, hi in zip(bounds, bounds[1:]):
+        shared[lo:hi] = np.mean(tau[order[lo:hi]])
+        for c, ((op, _), (sx, sy)) in enumerate(zip(ops, CLASSES)):
+            mine = column[lo:hi][owner[lo:hi] == c]
+            if len(mine):
+                part = canonical_eigenspace(vecs[c][:, mine], op).T.reshape(-1, op.nx, op.ny)
+                modes.append(class_fields(part, sx, sy, grid.nx, grid.ny))
+    basis = StokesBasis.from_stream_functions(shared[:m], np.concatenate(modes)[:m] / np.sqrt(grid.cell_area), grid)
     psi = basis.stream_functions.reshape(m, n).T
     k1_psi = k1 @ psi
     residual = np.linalg.norm(k2 @ psi - basis.eigenvalues * k1_psi, axis=0) / (

@@ -12,8 +12,14 @@
   Gauss-Legendre rule with an ``expm`` at every node for the energy moments
   (:func:`dense_moments`), where nsstab takes Taylor flows on one sub-step
   and doubles its moments up to the step.
+* The general canonicalizer (:func:`canonical_basis`, with its adjoint
+  of the class mirroring, :func:`class_coordinates`), which splits each
+  cluster of any solver's pairs by the reflections on the grid and orients
+  each class's part; nsstab's class solve replaced it by orienting each
+  class's pairs of a cluster in class coordinates, and
+  :func:`classwise_eigenbasis` runs that solve's Lanczos pairs through it.
 * The dense operator assembly and the dense generalized ``eigh``, run
-  through the same canonicalizer, the sparse assembly and shift-invert
+  through the general canonicalizer, the sparse assembly and shift-invert
   ``eigsh`` (ARPACK) that nsstab's block Lanczos replaced, and one block
   Lanczos on the whole pencil (:func:`unsplit_eigenbasis`), which the
   solve by reflection class replaced.
@@ -50,6 +56,7 @@ from nsstab.dynamics import BLOWUP_GUARD, Trajectory, step_times
 from nsstab.errors import BlowUpError
 from nsstab.grid import Grid
 from nsstab.spectral import (
+    CLASSES,
     CLUSTER_RTOL,
     EXTRA_MODES,
     EXTRA_RESIDUAL_RTOL,
@@ -60,7 +67,8 @@ from nsstab.spectral import (
     KroneckerSum,
     StokesBasis,
     assemble_operators,
-    canonical_basis,
+    canonical_eigenspace,
+    class_fields,
     cluster_starts,
 )
 
@@ -235,7 +243,8 @@ def sparse_eigenvalues(grid: Grid, k: int) -> np.ndarray:
 
 def dense_eigenbasis(grid: Grid, m: int) -> StokesBasis:
     """The m smallest eigenpairs by dense generalized eigh, canonicalized by
-    the same class rule as nsstab's solve."""
+    :func:`canonical_basis`, the class rule of nsstab's solve for pairs that
+    mix the classes."""
     k1, k2 = dense_operators(grid)
     top = min(m + EXTRA_MODES, grid.n_interior) - 1
     tau, vecs = scipy.linalg.eigh(k2, k1, subset_by_index=(0, top))
@@ -265,6 +274,117 @@ def unsplit_eigenbasis(k1: KroneckerSum, k2: KroneckerSum, m: int, grid: Grid) -
         if cluster_starts(tau)[-1] >= m:
             return canonical_basis(tau, factor.solve_lt(y), k1, m, grid), solved
         k = min(2 * k, n - 1)
+
+
+def class_coordinates(psi: np.ndarray, sx: int, sy: int) -> np.ndarray:
+    """The class coordinates of the (sx, sy) part of (..., nx, ny) fields, the
+    adjoint of :func:`nsstab.spectral.class_fields`; a field of another class
+    gives exact zeros, since each pair is summed before it is scaled."""
+    for s in (sy, sx):
+        h = psi.shape[-1] // 2
+        low = (psi[..., :h] + s * psi[..., : -h - 1 : -1]) * math.sqrt(0.5)
+        odd_middle = psi.shape[-1] % 2 and s == 1
+        psi = (np.concatenate([low, psi[..., h : h + 1]], axis=-1) if odd_middle else low).swapaxes(-1, -2)
+    return psi
+
+
+def canonical_basis(tau: np.ndarray, vecs: np.ndarray, k1: KroneckerSum, m: int, grid: Grid) -> StokesBasis:
+    """The basis of the m smallest eigenpairs of a pencil solve whose pairs
+    may mix the reflection classes.
+
+    tau (ascending) and the columns of vecs hold the solver's lowest
+    eigenpairs; they must reach past the cluster of tau_m, so that every
+    cluster the basis touches is whole.  Each cluster gets its mean as the
+    shared eigenvalue, and its span is split by the reflections: projected
+    onto a class of CLASSES (:func:`class_coordinates`), a K1-orthonormal
+    basis of the span has a K1-Gram matrix with eigenvalues 1 on the class's
+    part of the span and 0 elsewhere, so the eigenvectors of the eigenvalues
+    above 1/2 give that part.  The probe rule
+    (:func:`nsstab.spectral.canonical_eigenspace`) orients each part in its
+    class coordinates alone, and :func:`nsstab.spectral.class_fields` maps it
+    back, so every mode has exact parities.  A cluster's modes come class by
+    class in the order of CLASSES; when m cuts a cluster, its first modes
+    are kept.  Stream functions are scaled to unit velocity norm
+    (cell_area * psi.T K1 psi = 1).
+    """
+    starts = cluster_starts(tau)
+    if starts[-1] < m:
+        raise ValueError(f"eigenpairs end inside the cluster of tau_{m}; solve more of them")
+    if tau[0] <= 0:
+        raise RuntimeError(f"smallest eigenvalue {tau[0]:g} <= 0: broken assembly")
+    bounds = starts[: np.searchsorted(starts, m) + 1]  # through the first cluster past tau_m
+    nx, ny = grid.nx, grid.ny
+    fields = vecs[:, : bounds[-1]].T.reshape(-1, nx, ny)
+    classes = [(sx, sy, k1.restricted(sx, sy), class_coordinates(fields, sx, sy).reshape(len(fields), -1).T)
+               for sx, sy in CLASSES]
+    shared = np.empty(bounds[-1])
+    psi = np.empty((bounds[-1], nx, ny))
+    for lo, hi in zip(bounds, bounds[1:]):
+        shared[lo:hi] = np.mean(tau[lo:hi])
+        projected, total = [], 0.0
+        for sx, sy, op, coordinates in classes:
+            phi = coordinates[:, lo:hi]
+            if phi.any():  # a solver's class pairs project to exact zeros elsewhere
+                projected.append((sx, sy, op, phi, phi.T @ (op @ phi)))
+                total = total + projected[-1][-1]
+        # K1 commutes with the reflections: the span's K1-Gram matrix is the sum of the classes'
+        chol = np.linalg.cholesky(total)
+        parts = []
+        for sx, sy, op, phi, gram in projected:
+            weight, rotation = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, gram).T))
+            part = phi @ np.linalg.solve(chol.T, rotation[:, weight > 0.5])
+            if part.shape[1]:
+                parts.append(class_fields(canonical_eigenspace(part, op).T.reshape(-1, op.nx, op.ny), sx, sy, nx, ny))
+        if sum(map(len, parts)) != hi - lo:
+            raise RuntimeError(f"the cluster of tau_{lo + 1} does not split by the reflections")
+        psi[lo:hi] = np.concatenate(parts)
+    psi = psi[:m] / np.sqrt(grid.cell_area)
+    return StokesBasis.from_stream_functions(shared[:m], psi, grid)
+
+
+def classwise_eigenbasis(k1: KroneckerSum, k2: KroneckerSum, m: int, grid: Grid) -> StokesBasis:
+    """The m smallest eigenpairs by nsstab's solve by reflection class, up to
+    its Lanczos pairs, then mapped to the grid and canonicalized by
+    :func:`canonical_basis`: the solve before it oriented each class's modes
+    itself.  The runs are those of :func:`nsstab.spectral.solve_eigenbasis`:
+    ceil(m / 4) + EXTRA_MODES pairs per class, stepped in turn until the
+    merged pairs at or below the cluster of tau_m reach RESIDUAL_RTOL and
+    the others EXTRA_RESIDUAL_RTOL, and a class whose last pair falls at or
+    before that cluster doubles its pairs and starts again."""
+    ops = [(k1.restricted(sx, sy), BandedCholesky(k2.restricted(sx, sy))) for sx, sy in CLASSES]
+    sizes = [op.nx * op.ny for op, _ in ops]
+    want = [min(size, -(-m // len(CLASSES)) + EXTRA_MODES) for size in sizes]
+    runs, short = [None] * len(CLASSES), range(len(CLASSES))
+    while True:
+        for c in short:
+            op, factor = ops[c]
+            runs[c] = BlockLanczos(lambda x, op=op, factor=factor: factor.solve_l(op @ factor.solve_lt(x)),
+                                   sizes[c], want[c])
+        while True:
+            ready = [run.theta is not None for run in runs]
+            tau = np.concatenate([np.empty(0)] + [1.0 / run.theta for run, r in zip(runs, ready) if r])
+            order = np.argsort(tau, kind="stable")
+            starts = cluster_starts(tau[order])
+            past = starts[starts >= m]
+            bound = tau[order][past[0] - 1] if len(past) else np.inf
+            waiting = [run for run, r in zip(runs, ready) if not r or np.any(
+                run.residual > np.where(1.0 / run.theta <= bound, RESIDUAL_RTOL, EXTRA_RESIDUAL_RTOL))]
+            if not waiting:
+                break
+            for run in waiting:
+                run.step()
+        first = np.empty(len(tau), dtype=np.int64)
+        first[order] = starts[np.searchsorted(starts, np.arange(len(tau)), side="right") - 1]
+        short = [c for c, last in enumerate(np.cumsum(want) - 1) if want[c] < sizes[c] and first[last] < m]
+        if not short:
+            break
+        for c in short:
+            want[c] = min(2 * want[c], sizes[c])
+    vecs = []
+    for (op, factor), run, (sx, sy) in zip(ops, runs, CLASSES):
+        y = factor.solve_lt(run.pairs()[1])
+        vecs.append(class_fields(y.T.reshape(run.k, op.nx, op.ny), sx, sy, grid.nx, grid.ny).reshape(run.k, -1).T)
+    return canonical_basis(tau[order], np.concatenate(vecs, axis=1)[:, order], k1, m, grid)
 
 
 def trilinear_ratio(basis: StokesBasis, tensor: np.ndarray, a: np.ndarray, b: np.ndarray,

@@ -154,6 +154,20 @@ def test_basis_cache_round_trip(tmp_path):
     assert np.array_equal(loaded.velocities, basis.velocities)
 
 
+def test_failed_cache_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
+    """The cache is written to a temporary file and renamed into place; when
+    the rename fails, the error propagates and the temporary file is gone."""
+    _, _, _, basis = make_setup(8, 8, 6, omega=(0.1, 0.6, 0.1, 0.6))
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_basis_cache(tmp_path / "cache.bin", basis)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_basis_cache_rejects_mismatch_and_corruption(tmp_path, caplog):
     grid, _, _, basis = make_setup(8, 8, 6, omega=(0.1, 0.6, 0.1, 0.6))
     path = tmp_path / "cache.bin"
@@ -294,6 +308,15 @@ def test_main_error_channel_is_machine_parsable(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["key"] == "omega"
+
+
+def test_report_on_an_output_directory_without_reports_fails(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["report", "--config", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FileNotFoundError"
+    assert err["message"] == f"no report artifacts in {tmp_path / 'out'}"
+    assert not (tmp_path / "out" / "summary.txt").exists()
 
 
 def test_run_subcommand_rejects_unknown_name(tmp_path):
@@ -633,7 +656,7 @@ def test_tensor_bytes_identical_across_blas_thread_counts(tmp_path, n, m):
     assert hashes["1"] == hashes["2"]
 
 
-def test_version_1_cache_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog):
+def _cache_of_version_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog, version):
     import hashlib
     import struct
 
@@ -642,12 +665,23 @@ def test_version_1_cache_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog)
     path = tmp_path / "out" / "basis_cache.nsstab"
     current = path.read_bytes()
     body = bytearray(current[:-32])
-    struct.pack_into("<I", body, 8, 1)
+    struct.pack_into("<I", body, 8, version)
     path.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
     assert run_subcommand("eigen", config) == 0
-    assert f"version 1 != {cli.CACHE_VERSION}; ignoring" in caplog.text
+    assert f"version {version} != {cli.CACHE_VERSION}; ignoring" in caplog.text
     assert json.loads((tmp_path / "out" / "eigen_report.json").read_text())["cache_hit"] is False
     assert path.read_bytes() == current
+
+
+def test_version_1_cache_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog):
+    _cache_of_version_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog, 1)
+
+
+def test_version_3_cache_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog):
+    """Version 3 caches came from the solve that split each cluster again on
+    the grid, which differs from this one at roundoff."""
+    assert cli.CACHE_VERSION == 4
+    _cache_of_version_is_ignored_with_a_warning_and_rebuilt(tmp_path, caplog, 3)
 
 
 def _refuse_to_build(*args):

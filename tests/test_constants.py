@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from nsstab.constants import (
     TERMINAL,
     ConstantPack,
+    Schedule,
     build_schedule,
     cutoff_profile,
     derive_feedback_constant,
@@ -18,6 +20,7 @@ from nsstab.constants import (
 )
 from nsstab.dynamics import build_trilinear_tensor, raw_trilinear_tensor
 from nsstab.errors import BasisTooSmallError
+from nsstab.spectral import StokesBasis
 
 import oracle
 from conftest import make_setup
@@ -408,6 +411,41 @@ def test_schedule_certified_requires_resolvable_thresholds(square32):
     pack = ConstantPack.certified(1.0, 1.0)  # q > 512 -> thresholds far beyond the basis
     with pytest.raises(BasisTooSmallError):
         build_schedule(1, pack, square32["basis"], 2)
+
+
+@pytest.mark.parametrize(("make", "message"), [
+    pytest.param(lambda: ConstantPack(1.0, 1.0, 8.0, 600.0, mode="exact"), "unknown constant mode 'exact'",
+                 id="mode"),
+    pytest.param(lambda: ConstantPack(1.0, 0.0, 8.0, 600.0), "trilinear_constant must be positive",
+                 id="nonpositive-constant"),
+    pytest.param(lambda: derive_feedback_constant(0.0, 1.0), "constants must be positive", id="feedback-c1"),
+    pytest.param(lambda: derive_schedule_constant(1.0, -8.0), "constants must be positive", id="schedule-c2"),
+    pytest.param(lambda: Schedule.dyadic(0, 600.0, 4), "n0 must be a positive integer", id="n0"),
+    pytest.param(lambda: Schedule.dyadic(1, 600.0, -1), "n_max must be nonnegative", id="n_max"),
+])
+def test_constant_inputs_out_of_range_are_rejected(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_certified_schedule_on_a_basis_that_resolves_it_overflows_its_gains():
+    """A basis whose tau_M lies above a certified schedule's thresholds (here
+    a synthetic one) passes the basis check, and the gain c1 exp(c1 sqrt(lam))
+    at lam >= q^2 4 >= 512^2 4 then overflows double precision; a certified
+    run is verified in log space for the same reason and never stepped."""
+    pack = ConstantPack.certified(1.0, 1.0)
+    raw = Schedule.dyadic(1, pack.schedule_constant, 0).thresholds_raw
+    basis = StokesBasis(np.array([1.0, 2.0 * raw[-1]]), None, None, None)
+    with pytest.raises(OverflowError):
+        build_schedule(1, pack, basis, 0)
+
+
+def test_practical_schedule_needs_a_basis_with_two_distinct_eigenvalues(pack_schedule):
+    """The clamp lies strictly below tau_M, so a basis whose eigenvalues are
+    all tied at the top leaves nothing to clamp to."""
+    basis = StokesBasis(np.full(3, 50.0), None, None, None)
+    with pytest.raises(BasisTooSmallError, match="largest retained eigenvalue 50; retain more modes"):
+        build_schedule(1, pack_schedule, basis, 2)
 
 
 def test_schedule_practical_clamps_with_flag(square32, pack_schedule):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -519,3 +520,27 @@ def test_gauss_rule_is_the_twelve_point_legendre_rule():
     for power in range(24):
         exact = 0.0 if power % 2 else 1.0 / (power + 1)  # half the integral over [-1, 1]
         assert abs(dynamics._GAUSS_HALF_WEIGHTS @ dynamics._GAUSS_NODES**power - exact) <= 1e-15, power
+
+
+def _radius_params(radius):
+    return FeedbackParams(threshold=1.0, n_active=2, gain=1.0, weight=1.0, cutoff_radius=radius)
+
+
+@pytest.mark.parametrize(("make", "message"), [
+    pytest.param(lambda s: dynamics.packed_convection(s["tensor"], 2)(np.zeros((3, 24))),
+                 "expected a (2, 24) batch, got (3, 24)", id="convection-batch-shape"),
+    pytest.param(lambda s: dynamics.expm(np.array([[0.0, np.nan], [0.0, 0.0]])),
+                 "matrix exponential of a matrix with non-finite entries", id="expm-nan"),
+    pytest.param(lambda s: dynamics.expm(np.array([[np.inf]])),
+                 "matrix exponential of a matrix with non-finite entries", id="expm-inf"),
+    pytest.param(lambda s: ControlLaw.stationary(_radius_params(0.6), cutoff=True),
+                 "radius must lie in (0, 1/2]", id="cutoff-radius-above"),
+    pytest.param(lambda s: ControlLaw.stationary(_radius_params(0.0), cutoff=True),
+                 "radius must lie in (0, 1/2]", id="cutoff-radius-zero"),
+    pytest.param(lambda s: simulate_batch(np.zeros((1, 24)), ZERO, uniform_plan(0.0, 0.01, 1e-3), s["basis"],
+                                          s["tensor"], s["gram"], sample_stride=0),
+                 "sample_stride must be >= 1", id="sample-stride"),
+])
+def test_dynamics_inputs_out_of_range_are_rejected(square16, make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(square16)

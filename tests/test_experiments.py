@@ -334,6 +334,14 @@ def test_null_control_certified_arithmetic_path(square16):
     assert squared.log_basin == pytest.approx(2.0 * linear.log_basin, rel=1e-14)
 
 
+def test_certified_report_leaves_the_stepped_verdicts_unset(square16):
+    """A certified run is never stepped, so no cost check runs and no latch
+    is looked for: both verdicts stay None rather than reading as results."""
+    report = run_null_control(square16["basis"], None, None, ConstantPack.certified(1.0, 1.0), [1], n_max=4)[0]
+    assert report.cost_bound_ok is None
+    assert report.null_reached is None
+
+
 def test_every_certified_pack_takes_the_log_space_path(square16):
     """For c1 in [1, 4], c0 in [1e-3, 10], n0 in [1, 6] and n_max in [0, 12]
     ConstantPack.certified builds, its linear and cutoff log basins lie below
@@ -602,3 +610,23 @@ def test_fit_cost_curve_trivial_oracles():
 
     with pytest.raises(ValueError):
         fit_cost_curve(constant[:2])
+
+
+def _row_plan_over_budget(s):
+    schedule = build_schedule(1, s["pack"], s["basis"], 4)
+    return experiments._row_plan(schedule, np.full(6, 1e-3), 0.0, 1, per_period=1)
+
+
+@pytest.mark.parametrize(("make", "message"), [
+    pytest.param(_row_plan_over_budget, r"the period from t = 0 needs \d+ steps, more than 1", id="per-period"),
+    pytest.param(lambda s: run_rapid_stab(s["basis"], s["tensor"], s["gram"], s["pack"],
+                                          float(s["basis"].eigenvalues[3]), dt=1e-12),
+                 r"config key 'dt': dt = 1\.000e-12 over the horizon .* needs \d+ steps, more than the budget "
+                 r"of 1048576", id="rapid-dt"),
+    pytest.param(lambda s: run_small_time(s["basis"], s["tensor"], s["gram"], s["pack"], 1, 1e-3, [0.0],
+                                          eta_grid=[1e-3, 1e-4], n_max=4),
+                 "eta grid must be ascending", id="eta-grid"),
+])
+def test_experiment_inputs_out_of_range_are_rejected(small_setup, make, message):
+    with pytest.raises(ValueError, match=message):
+        make(small_setup)

@@ -1,14 +1,19 @@
 """Every public name of nsstab is used by the program, not only by the tests,
 every private module-level name is used inside the package, every error
-class is named by a test, and every third-party module the tests import is a
-declared dependency."""
+class is named by a test, every third-party module the tests import is a
+declared dependency, and every cross-reference in a docstring of nsstab
+names something that exists."""
 
 import ast
+import importlib
 import re
 import sys
 import tomllib
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
+
+import nsstab
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "nsstab").glob("*.py"))
@@ -112,3 +117,43 @@ def test_every_third_party_module_the_tests_import_is_declared():
                 imported.add(node.module.split(".")[0])
     undeclared = sorted(imported - set(sys.stdlib_module_names) - {"nsstab", "oracle", "conftest"} - declared)
     assert undeclared == [], f"modules the tests import that pyproject.toml does not declare: {undeclared}"
+
+
+def _resolves(target: str, scopes) -> bool:
+    """Whether the dotted target is an attribute path of one of the scopes."""
+    missing = object()
+    for scope in scopes:
+        obj = scope
+        for part in target.split("."):
+            obj = getattr(obj, part, missing)
+            if obj is missing:
+                break
+        else:
+            return True
+    return False
+
+
+def test_every_docstring_cross_reference_resolves():
+    """Each :func:, :class:, :meth: and :attr: reference in a docstring of
+    src/nsstab names something that exists: found from the docstring's
+    module, from the nsstab package (a target may start with nsstab.), or,
+    for an undotted name, on the class that encloses the docstring."""
+    package = SimpleNamespace(nsstab=nsstab)
+    unresolved = []
+    for path in SOURCES:
+        module = importlib.import_module(f"nsstab.{path.stem}")
+
+        def visit(node, cls):
+            if isinstance(node, ast.ClassDef) and cls is None:
+                cls = getattr(module, node.name, None)
+            doc = ast.get_docstring(node, clean=False) if isinstance(
+                node, (ast.Module, ast.ClassDef, ast.FunctionDef)) else None
+            for target in re.findall(r":(?:func|class|meth|attr):`~?([^`]+)`", doc or ""):
+                scopes = [module, nsstab, package] + ([cls] if cls is not None and "." not in target else [])
+                if not _resolves(target, scopes):
+                    unresolved.append(f"{path.name}:{getattr(node, 'lineno', 1)} {target}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, cls)
+
+        visit(ast.parse(path.read_text(), filename=str(path)), None)
+    assert unresolved == [], f"docstring references that name nothing: {unresolved}"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -16,17 +17,17 @@ from nsstab.spectral import (
     _invert_gain_curve,
     assemble_gram,
     assemble_operators,
-    canonical_basis,
-    class_coordinates,
     class_fields,
     cluster_starts,
     count_modes,
     fit_spectral_constant,
     reflection_parities,
+    solve_eigenbasis,
 )
 
 import oracle
 from conftest import make_setup
+from oracle import canonical_basis, class_coordinates
 
 
 def dense(op, grid):
@@ -165,6 +166,55 @@ def test_class_solve_matches_the_unsplit_lanczos_oracle(square16):
     assert solved == [24 + EXTRA_MODES]
     np.testing.assert_allclose(basis.eigenvalues, ref.eigenvalues, rtol=1e-11, atol=0)
     assert np.abs(basis.velocities - ref.velocities).max() <= 1e-9 * np.abs(ref.velocities).max()
+
+
+@pytest.mark.parametrize(("nx", "ny", "lx", "ly", "m", "pairs"), [
+    (16, 16, 1.0, 1.0, 24, [10, 10, 10, 10]),
+    (32, 32, 1.0, 1.0, 24, [10, 10, 10, 10]),
+    (32, 32, 1.0, 1.0, 64, [20, 20, 20, 20]),
+    (48, 8, 12.0, 1.0, 20, [18, 9, 18, 9]),
+])
+def test_class_solve_orients_its_modes_as_the_general_canonicalizer(nx, ny, lx, ly, m, pairs):
+    """The class solve orients each class's pairs of a cluster in class
+    coordinates; the same Lanczos pairs mapped to the grid and split by the
+    oracle's general canonicalizer give bit-equal eigenvalues, stream
+    functions within 1e-14 of the largest entry, and the same exact
+    parities.  On the 12 x 1 rectangle the two classes even in y double
+    their pairs."""
+    grid, k1, k2, basis = make_setup(nx, ny, m, lx=lx, ly=ly)
+    assert [c["pairs"] for c in basis.solve["classes"].values()] == pairs
+    ref = oracle.classwise_eigenbasis(k1, k2, m, grid)
+    assert np.array_equal(basis.eigenvalues, ref.eigenvalues)
+    scale = np.abs(ref.stream_functions).max()
+    assert np.abs(basis.stream_functions - ref.stream_functions).max() <= 1e-14 * scale
+    sx, sy, residual = reflection_parities(basis.stream_functions)
+    ref_sx, ref_sy, ref_residual = reflection_parities(ref.stream_functions)
+    assert residual == ref_residual == 0.0
+    assert np.array_equal(sx, ref_sx) and np.array_equal(sy, ref_sy)
+
+
+@pytest.mark.parametrize(("m", "same_pencil", "message"), [
+    (0, False, "mode count 0 outside [1, 62]"),
+    (63, False, "mode count 63 outside [1, 62]"),
+    (10, True, "the cluster of tau_10 reaches the top of the spectrum"),
+])
+def test_solve_rejects_a_mode_count_it_cannot_serve(tiny8, m, same_pencil, message):
+    """m outside [1, n - 2] on the 8x8 grid, and the pencil K1 psi = tau K1
+    psi, whose spectrum is one cluster, so no pair lies beyond tau_m's."""
+    k2 = tiny8["k1"] if same_pencil else tiny8["k2"]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_eigenbasis(tiny8["k1"], k2, m, tiny8["grid"])
+
+
+def test_lanczos_that_has_not_converged_after_its_restarts_fails(square16, monkeypatch):
+    """The 16x16 solve restarts in every class, so with no restarts allowed
+    it fails and names the largest residual."""
+    from nsstab import spectral
+
+    assert square16["basis"].solve["restarts"] > 0
+    monkeypatch.setattr(spectral, "MAX_RESTARTS", 0)
+    with pytest.raises(RuntimeError, match=r"Lanczos did not converge in 0 restarts \(largest residual .*\)"):
+        spectral.solve_eigenbasis(square16["k1"], square16["k2"], 24, square16["grid"])
 
 
 PARITY_GRIDS = [(8, 8, 1.0, 1.0, 10), (16, 16, 1.0, 1.0, 24), (15, 16, 1.0, 1.0, 24), (12, 10, 1.0, 0.8, 20)]
@@ -417,6 +467,12 @@ def test_gain_curve_root_matches_lambert_w_on_random_pairs():
         root = _invert_gain_curve(target, s)
         assert root == pytest.approx(_lambert_root(target, s), rel=4 * EPS)
         assert math.log(root) + root * s >= math.log(target)
+
+
+def test_fit_needs_five_modes_for_its_threshold_grid():
+    basis = StokesBasis(np.arange(1.0, 5.0), None, None, None)
+    with pytest.raises(ValueError, match="basis too small for the threshold grid"):
+        fit_spectral_constant(basis, np.eye(4))
 
 
 def test_degenerate_window_raises():
